@@ -29,7 +29,7 @@ from .ntriples import serialize_term, serialize_triple, write_ntriples
 from .ontology import SCHEMA, export_catalog, validate_all
 from .queryl import execute_script, parse_script
 from .sidecar import DEFAULT_PROVIDER, Sidecar, literal_audit
-from .store import Store
+from .store import Store, TriplePattern, Var
 from .terms import Iri, NamespaceTable, RDF_TYPE, term_sort_key
 
 log = logging.getLogger("scholargraph")
@@ -236,13 +236,24 @@ def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
     return 1 if errors else 0
 
 
+def _render_pattern(pattern: TriplePattern, table: NamespaceTable) -> str:
+    slots = []
+    for slot in (pattern.subject, pattern.predicate, pattern.object):
+        if isinstance(slot, Var):
+            slots.append(repr(slot))
+        else:
+            slots.append((isinstance(slot, Iri) and table.compact(slot)) or serialize_term(slot))
+    return "( " + " ".join(slots) + " )"
+
+
 def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
     if args.file == "-":
         text = sys.stdin.read()
     else:
         with open(args.file, "r", encoding="utf-8") as fp:
             text = fp.read()
-    script = parse_script(text, cfg.namespace_table())
+    table = cfg.namespace_table()
+    script = parse_script(text, table)
     mutates = bool(script.templates)
 
     def run(store: Store) -> tuple:
@@ -273,6 +284,15 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
             human.append("\t".join(rendered))
             rows.append([str(index + 1)] + rendered)
         human.append(f"({len(printable)} row(s), {report.block_rows[index]} full match(es))")
+        if args.explain:
+            human.append(f"plan for block {index + 1}: step, pattern, estimated rows, actual rows")
+            if not report.plans[index]:
+                human.append("  (no step ran: a constant of the block is not in the store)")
+            for number, step in enumerate(report.plans[index], 1):
+                pattern = _render_pattern(step.pattern, table)
+                estimated = f"{step.estimated:.1f}"
+                human.append(f"  {number}. {pattern}  estimated {estimated}  actual {step.actual}")
+                rows.append(["plan", str(index + 1), str(number), pattern, estimated, str(step.actual)])
     if mutates:
         human.append(f"inserted {report.inserted} new triple(s)")
         rows.append(["inserted", str(report.inserted)])
@@ -465,6 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("query", cmd_query, "parse and run a script (SELECT/INSERT)")
     p.add_argument("--file", default="-", help="script file ('-' for stdin)")
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="after each block, print its join steps with estimated and actual rows",
+    )
 
     p = add("infer", cmd_infer, "run materialization rules")
     p.add_argument("--rule", help=f"rule name ({', '.join(sorted(RULE_SCRIPTS))})")

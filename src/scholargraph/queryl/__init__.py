@@ -20,7 +20,7 @@ from .ast import (
     Template,
 )
 from .parser import QueryParseError, parse_script
-from .evaluator import EvaluationError, ExecutionReport, evaluate_block, execute_script
+from .evaluator import EvaluationError, ExecutionReport, PlanStep, evaluate_block, execute_script
 
 __all__ = [
     "AndFilter",
@@ -32,6 +32,7 @@ __all__ = [
     "GuardedPattern",
     "OrFilter",
     "Placeholder",
+    "PlanStep",
     "QueryParseError",
     "RatioOf",
     "Script",

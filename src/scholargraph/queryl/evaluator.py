@@ -1,28 +1,47 @@
 """Block evaluation and script execution.
 
-Join semantics: each block is a conjunctive join of its patterns, seeded
-from the most selective pattern (fewest unbound slots, then smallest index
-range) and extended index-nested-loop style.  A row binds every variable of
-the block; the row set is the set of distinct full bindings.  Filters run at
-the earliest join step where all their variables are bound.
+Join planning: a block is a conjunctive join of its patterns, run one
+pattern per step, index-nested-loop style.  The planner picks each next
+pattern greedily.  While some remaining pattern shares a variable with the
+variables already bound, only such connected patterns are candidates (a
+pattern without variables always is one), so a cross product happens only
+when a block has no connecting variable left.  Candidates rank by estimated
+rows per input row: the pattern's constants-only ``match_count``, divided
+for each slot that a bound variable fills by the number of distinct keys in
+that slot, as RDF-3X estimates join fan-out (Neumann & Weikum, VLDB J.
+2010).  Ties go to the pattern written first.  The counts are read from the
+store's indexes once per block.
+
+Execution: each pattern is compiled once into slot positions.  Rows are
+tuples of term ids that stream through one generator per step; filters run
+at the earliest step where all their variables are bound.  A row binds
+every variable of the block, and since every step extends a row by distinct
+triples, the rows are exactly the distinct full bindings.  Each step counts
+the rows it yields, which is what ``query --explain`` prints next to the
+planner's estimate.
 
 The public ``evaluate_block`` deduplicates rows on the projected variables
-(what a SELECT caller sees).  Aggregates and INSERT dispatch operate on the
-full row set: ``COUNT(?v)`` is the number of distinct full rows of the block
+(what a SELECT caller sees), as rows stream: the first full row of each
+projected key is kept.  Aggregates and INSERT dispatch operate on the full
+row set: ``COUNT(?v)`` is the number of distinct full rows of the block
 projecting ``?v``, which is what makes a count of citation rows count
 citations rather than cited documents.
 
 INSERT dispatch: a template whose slot variables are projected by a block
 executes once per row of that block; a template of constants, placeholders
-and aggregates executes once per script.  Every placeholder label maps to
-one fresh blank node per execution, shared across templates.
+and aggregates executes once per script.  Rows that agree on the projection
+instantiate the same triple, so each projected key is instantiated once
+while ``template_rows`` still counts full rows.  Every placeholder label
+maps to one fresh blank node per execution, shared across templates, and
+each term id is decoded at most once per script.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Union
 
 from ..errors import ScholarGraphError
 from ..ontology import SCHEMA, Schema
@@ -43,11 +62,9 @@ from .ast import (
     Comparison,
     CountOf,
     Filter,
-    OrFilter,
     Placeholder,
     RatioOf,
     Script,
-    Template,
     filter_variables,
 )
 
@@ -56,6 +73,16 @@ QUANTUM = Decimal("0.000001")
 
 class EvaluationError(ScholarGraphError):
     """A script failed during evaluation (filters, aggregates, templates)."""
+
+
+@dataclass
+class PlanStep:
+    """One join step: its pattern, the planner's estimate of the rows after
+    it, and the rows it yielded after its filters when it ran."""
+
+    pattern: TriplePattern
+    estimated: float
+    actual: int = 0
 
 
 @dataclass(frozen=True)
@@ -68,9 +95,23 @@ class ExecutionReport:
     new_triples: tuple[Triple, ...]
     created_blanks: dict[str, Blank]  # placeholder label -> fresh node
     bindings: tuple[tuple[dict[str, Term], ...], ...]  # per block, deduped on projection
+    plans: tuple[tuple[PlanStep, ...], ...]  # per block, steps in join order
 
 
-_Slot = tuple[str, object]  # ("c", term_id) or ("v", name)
+_Slot = Union[int, str]  # a constant's term id, or a variable's name
+_Row = tuple[int, ...]  # term ids, one per variable in binding order
+
+
+class _Terms(dict):
+    """Term of each id, decoded from the store once per script."""
+
+    def __init__(self, store: Store) -> None:
+        super().__init__()
+        self.store = store
+
+    def __missing__(self, term_id: int) -> Term:
+        term = self[term_id] = self.store.decode(term_id)
+        return term
 
 
 def _coerce_year(obj: Literal) -> Literal:
@@ -90,7 +131,7 @@ def _datetime_ranged(schema: Schema, predicate: Term) -> bool:
 def _prepare_pattern(
     store: Store, schema: Schema, pattern: TriplePattern
 ) -> Optional[tuple[_Slot, _Slot, _Slot]]:
-    """Slot specs with constants interned; None when nothing can match."""
+    """Slots with constants interned; None when nothing can match."""
     subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
     if isinstance(obj, Literal) and obj.datatype is Datatype.INTEGER:
         if _datetime_ranged(schema, predicate):
@@ -98,45 +139,15 @@ def _prepare_pattern(
     slots: list[_Slot] = []
     for index, slot in enumerate((subject, predicate, obj)):
         if isinstance(slot, Var):
-            slots.append(("v", slot.name))
+            slots.append(slot.name)
             continue
         if index == 0 and isinstance(slot, Literal):
             return None  # literals never occupy subject position
         term_id = store.lookup(slot)
         if term_id is None:
             return None
-        slots.append(("c", term_id))
+        slots.append(term_id)
     return (slots[0], slots[1], slots[2])
-
-
-def _pattern_vars(spec: tuple[_Slot, _Slot, _Slot]) -> frozenset[str]:
-    return frozenset(name for kind, name in spec if kind == "v")  # type: ignore[misc]
-
-
-def _extend(store: Store, rows: list[dict[str, int]], spec: tuple[_Slot, _Slot, _Slot]) -> list[dict[str, int]]:
-    out: list[dict[str, int]] = []
-    for row in rows:
-        query: list[Optional[int]] = []
-        for kind, value in spec:
-            if kind == "c":
-                query.append(value)  # type: ignore[arg-type]
-            else:
-                query.append(row.get(value))  # type: ignore[arg-type]
-        for hit in store.match_ids(query[0], query[1], query[2]):
-            fresh = dict(row)
-            conflict = False
-            for (kind, value), got in zip(spec, hit):
-                if kind != "v":
-                    continue
-                prior = fresh.get(value)  # type: ignore[arg-type]
-                if prior is None:
-                    fresh[value] = got  # type: ignore[index]
-                elif prior != got:
-                    conflict = True
-                    break
-            if not conflict:
-                out.append(fresh)
-    return out
 
 
 def _compare(left: Term, op: str, right: Term) -> bool:
@@ -169,72 +180,167 @@ def _compare(left: Term, op: str, right: Term) -> bool:
     raise EvaluationError(f"cannot compare {left!r} with {right!r} using {op!r}")
 
 
-def _eval_filter(store: Store, expr: Filter, row: dict[str, int]) -> bool:
+def _eval_filter(expr: Filter, value: Callable[[str], Term]) -> bool:
     if isinstance(expr, Comparison):
-        left = store.decode(row[expr.left.name]) if isinstance(expr.left, Var) else expr.left
-        right = store.decode(row[expr.right.name]) if isinstance(expr.right, Var) else expr.right
+        left = value(expr.left.name) if isinstance(expr.left, Var) else expr.left
+        right = value(expr.right.name) if isinstance(expr.right, Var) else expr.right
         return _compare(left, expr.op, right)
     if isinstance(expr, AndFilter):
-        return all(_eval_filter(store, part, row) for part in expr.parts)
-    return any(_eval_filter(store, part, row) for part in expr.parts)
+        return all(_eval_filter(part, value) for part in expr.parts)
+    return any(_eval_filter(part, value) for part in expr.parts)
 
 
-def _solve_block(store: Store, block: Block, schema: Schema) -> list[dict[str, int]]:
-    """Distinct full rows of the block, in deterministic join order."""
-    specs: list[Optional[tuple[_Slot, _Slot, _Slot]]] = []
+def _guard(expr: Filter, positions: dict[str, int], terms: _Terms) -> Callable[[_Row], bool]:
+    def passes(row: _Row) -> bool:
+        return _eval_filter(expr, lambda name: terms[row[positions[name]]])
+
+    return passes
+
+
+@dataclass(frozen=True)
+class _Step:
+    """A pattern compiled against the row layout of the steps before it."""
+
+    probe: tuple[Optional[int], ...]  # constant ids by slot
+    bound: tuple[Optional[int], ...]  # row positions of bound variables by slot
+    fresh: Callable[[tuple[int, int, int]], tuple[int, ...]]  # new values from a hit
+    repeats: tuple[tuple[int, int], ...]  # slot pairs one new variable fills twice
+    guards: tuple[Callable[[_Row], bool], ...]
+    explain: PlanStep
+
+
+def _plan(
+    store: Store, block: Block, schema: Schema, terms: _Terms
+) -> tuple[list[_Step], dict[str, int]]:
+    """Join steps in execution order and the row position of each variable.
+
+    No steps when some constant of the block is absent from the store.
+    """
+    positions: dict[str, int] = {}
+    specs = []
     for gp in block.patterns:
-        specs.append(_prepare_pattern(store, schema, gp.pattern))
-    if any(spec is None for spec in specs):
-        return []
-    pending: list[tuple[Filter, frozenset[str]]] = [
+        spec = _prepare_pattern(store, schema, gp.pattern)
+        if spec is None:
+            return [], positions
+        specs.append(spec)
+    probes = [tuple(None if isinstance(slot, str) else slot for slot in spec) for spec in specs]
+    names = [frozenset(slot for slot in spec if isinstance(slot, str)) for spec in specs]
+    matches = [store.match_count(*probe) for probe in probes]
+    keys: dict[tuple[int, int], int] = {}
+
+    def fan_out(index: int) -> float:
+        """Estimated rows per input row, given the variables bound so far."""
+        estimate = float(matches[index])
+        for slot, name in enumerate(specs[index]):
+            if name in positions:
+                if (index, slot) not in keys:
+                    keys[index, slot] = store.distinct_count(*probes[index], slot)
+                distinct = keys[index, slot]
+                estimate = estimate / distinct if distinct else 0.0
+        return estimate
+
+    pending = [
         (gp.guard, filter_variables(gp.guard)) for gp in block.patterns if gp.guard is not None
     ]
     remaining = list(range(len(specs)))
-    bound: set[str] = set()
-    rows: list[dict[str, int]] = [{}]
-
-    def rank(index: int) -> tuple[int, int, int]:
-        spec = specs[index]
-        assert spec is not None
-        unbound = sum(1 for kind, name in spec if kind == "v" and name not in bound)
-        probe = tuple(
-            value if kind == "c" else None  # bound variables vary per row
-            for kind, value in spec
-        )
-        return (unbound, store.match_count(*probe), index)  # type: ignore[arg-type]
-
+    steps: list[_Step] = []
+    estimate = 1.0
     while remaining:
-        best = min(remaining, key=rank)
+        connected = [i for i in remaining if not names[i] or names[i] & positions.keys()]
+        best = min(connected or remaining, key=lambda i: (fan_out(i), i))
+        estimate *= fan_out(best)
         remaining.remove(best)
-        spec = specs[best]
-        assert spec is not None
-        rows = _extend(store, rows, spec)
-        bound |= _pattern_vars(spec)
-        still: list[tuple[Filter, frozenset[str]]] = []
-        for guard, names in pending:
-            if names <= bound:
-                rows = [row for row in rows if _eval_filter(store, guard, row)]
+        bound: list[Optional[int]] = [None, None, None]
+        fresh: list[int] = []
+        repeats: list[tuple[int, int]] = []
+        first_slot: dict[str, int] = {}
+        for slot, name in enumerate(specs[best]):
+            if not isinstance(name, str):
+                continue
+            if name in positions:
+                bound[slot] = positions[name]
+            elif name in first_slot:
+                repeats.append((first_slot[name], slot))
             else:
-                still.append((guard, names))
-        pending = still
-        if not rows:
-            return []
-    return rows
+                first_slot[name] = slot
+                fresh.append(slot)
+        for name in first_slot:
+            positions[name] = len(positions)
+        ready = [expr for expr, needs in pending if needs <= positions.keys()]
+        pending = [(expr, needs) for expr, needs in pending if not needs <= positions.keys()]
+        if len(fresh) == 1:
+            only = fresh[0]
+            pick: Callable = lambda hit, only=only: (hit[only],)
+        else:
+            pick = itemgetter(*fresh) if fresh else (lambda hit: ())
+        steps.append(
+            _Step(
+                probe=probes[best],
+                bound=tuple(bound),
+                fresh=pick,
+                repeats=tuple(repeats),
+                guards=tuple(_guard(expr, positions, terms) for expr in ready),
+                explain=PlanStep(block.patterns[best].pattern, estimate),
+            )
+        )
+    return steps, positions
 
 
-def _dedupe_on_projection(
-    store: Store, block: Block, rows: Sequence[dict[str, int]]
-) -> tuple[dict[str, Term], ...]:
-    projected = [v.name for v in block.projected]
-    seen: set[tuple[int, ...]] = set()
-    out: list[dict[str, Term]] = []
+def _run_step(store: Store, rows: Iterator[_Row], step: _Step) -> Iterator[_Row]:
+    s0, p0, o0 = step.probe
+    bs, bp, bo = step.bound
+    fresh, repeats, guards = step.fresh, step.repeats, step.guards
+    match_ids = store.match_ids
+    yielded = 0
+    try:
+        for row in rows:
+            s = s0 if bs is None else row[bs]
+            p = p0 if bp is None else row[bp]
+            o = o0 if bo is None else row[bo]
+            for hit in match_ids(s, p, o):
+                if repeats and any(hit[a] != hit[b] for a, b in repeats):
+                    continue
+                out = row + fresh(hit)
+                if guards and not all(passes(out) for passes in guards):
+                    continue
+                yielded += 1
+                yield out
+    finally:
+        step.explain.actual = yielded
+
+
+@dataclass(frozen=True)
+class _Solved:
+    """One block's result: full row count and the first full row per
+    projected key, in the order rows streamed."""
+
+    full_rows: int
+    rows: list[_Row]
+    positions: dict[str, int]
+    plan: tuple[PlanStep, ...]
+
+
+def _solve_block(store: Store, block: Block, schema: Schema, terms: _Terms) -> _Solved:
+    steps, positions = _plan(store, block, schema, terms)
+    plan = tuple(step.explain for step in steps)
+    if not steps:
+        return _Solved(0, [], positions, plan)
+    rows: Iterator[_Row] = iter([()])
+    for step in steps:
+        rows = _run_step(store, rows, step)
+    where = [positions[var.name] for var in block.projected]
+    key = itemgetter(*where) if where else (lambda row: ())
+    first: dict[object, _Row] = {}
+    full_rows = 0
     for row in rows:
-        key = tuple(row[name] for name in projected)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append({name: store.decode(i) for name, i in row.items()})
-    return tuple(out)
+        full_rows += 1
+        first.setdefault(key(row), row)
+    return _Solved(full_rows, list(first.values()), positions, plan)
+
+
+def _decoded(solved: _Solved, terms: _Terms) -> tuple[dict[str, Term], ...]:
+    names = list(solved.positions)
+    return tuple({name: terms[i] for name, i in zip(names, row)} for row in solved.rows)
 
 
 def evaluate_block(store: Store, block: Block, schema: Schema | None = None) -> tuple[dict[str, Term], ...]:
@@ -243,9 +349,8 @@ def evaluate_block(store: Store, block: Block, schema: Schema | None = None) -> 
     The result is a set (order is deterministic for a given store).  An
     empty result is an empty tuple, never an error.
     """
-    schema = schema or SCHEMA
-    rows = _solve_block(store, block, schema)
-    return _dedupe_on_projection(store, block, rows)
+    terms = _Terms(store)
+    return _decoded(_solve_block(store, block, schema or SCHEMA, terms), terms)
 
 
 def _projected_by(script: Script) -> dict[str, int]:
@@ -290,9 +395,10 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
     landed).
     """
     schema = schema or SCHEMA
-    solved = [_solve_block(store, block, schema) for block in script.blocks]
+    terms = _Terms(store)
+    solved = [_solve_block(store, block, schema, terms) for block in script.blocks]
     projected_by = _projected_by(script)
-    counts = {name: len(solved[index]) for name, index in projected_by.items()}
+    counts = {name: solved[index].full_rows for name, index in projected_by.items()}
 
     blanks: dict[str, Blank] = {}
 
@@ -301,13 +407,13 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
             blanks[label] = store.fresh_blank()
         return blanks[label]
 
-    def resolve(slot, row: Optional[dict[str, int]]) -> Term:
+    def resolver(slot, positions: dict[str, int]) -> Callable[[_Row], Term]:
         if isinstance(slot, Var):
-            assert row is not None
-            return store.decode(row[slot.name])
+            at = positions[slot.name]
+            return lambda row: terms[row[at]]
         if isinstance(slot, Placeholder):
-            return blank_for(slot.label)
-        return slot
+            return lambda row: blank_for(slot.label)
+        return lambda row: slot
 
     new_triples: list[Triple] = []
     template_rows: list[int] = []
@@ -317,21 +423,25 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
         object_constant = _aggregate_literal(aggregate, counts) if aggregate is not None else None
         row_vars = template.row_variables()
         if row_vars:
-            rows = solved[projected_by[row_vars[0].name]]
+            home = solved[projected_by[row_vars[0].name]]
+            rows, positions = home.rows, home.positions
+            template_rows.append(home.full_rows)
         else:
-            rows = [None]  # type: ignore[list-item]
-        template_rows.append(len(rows))
+            rows, positions = [()], {}
+            template_rows.append(1)
+        if not rows:
+            continue
+        subject_of = resolver(template.subject, positions)
+        predicate_of = resolver(template.predicate, positions)
+        object_of = resolver(template.object, positions) if object_constant is None else None
         for row in rows:
-            subject = resolve(template.subject, row)
-            predicate = resolve(template.predicate, row)
+            subject = subject_of(row)
+            predicate = predicate_of(row)
             if isinstance(subject, Literal):
                 raise EvaluationError("template subject resolved to a literal")
             if not isinstance(predicate, Iri):
                 raise EvaluationError(f"template predicate resolved to {predicate!r}, not an IRI")
-            if object_constant is not None:
-                obj = object_constant
-            else:
-                obj = resolve(template.object, row)
+            obj = object_constant if object_of is None else object_of(row)
             if (
                 isinstance(obj, Literal)
                 and obj.datatype is Datatype.INTEGER
@@ -343,15 +453,12 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
                 inserted += 1
                 new_triples.append(triple)
 
-    bindings = tuple(
-        _dedupe_on_projection(store, block, rows_)
-        for block, rows_ in zip(script.blocks, solved)
-    )
     return ExecutionReport(
-        block_rows=tuple(len(r) for r in solved),
+        block_rows=tuple(result.full_rows for result in solved),
         template_rows=tuple(template_rows),
         inserted=inserted,
         new_triples=tuple(new_triples),
         created_blanks=blanks,
-        bindings=bindings,
+        bindings=tuple(_decoded(result, terms) for result in solved),
+        plans=tuple(result.plan for result in solved),
     )

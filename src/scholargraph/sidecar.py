@@ -41,6 +41,7 @@ from .ontology import (
     HAS_SESSION,
     HAS_SINK,
     HAS_SOURCE,
+    HAS_START_TIME,
     HAS_TIME,
     HAS_UNIT,
     HAS_USER,
@@ -499,7 +500,7 @@ class Sidecar:
                     report.affiliations += 1
                 store.insert(Triple(aff, HAS_AFFILIATOR, org))
                 store.insert(Triple(aff, HAS_AFFILIATEE, user))
-                store.insert(Triple(aff, HAS_TIME, datetime_literal(time)))
+                store.insert(Triple(aff, HAS_START_TIME, datetime_literal(time)))
 
         for citing, cited in cursor.execute(
             "SELECT citing_doc_id, cited_doc_id FROM citation_pairs"

@@ -325,6 +325,24 @@ class Store:
             return self._size
         return 1 if self.contains_ids(s, p, o) else 0  # type: ignore[arg-type]
 
+    def distinct_count(self, s: Optional[int], p: Optional[int], o: Optional[int], slot: int) -> int:
+        """Distinct values in the wildcard ``slot`` (0, 1, 2 for s, p, o)
+        among the triples matching the bound slots, for join fan-out
+        estimates."""
+        if s is None and p is None and o is None:
+            return len((self._spo, self._pos, self._osp)[slot])
+        if s is not None and p is None and o is None:
+            by_p = self._spo.get(s, {})
+            return len(by_p) if slot == 1 else len(set().union(*by_p.values()))
+        if p is not None and s is None and o is None:
+            by_o = self._pos.get(p, {})
+            return len(by_o) if slot == 2 else len(set().union(*by_o.values()))
+        if o is not None and s is None and p is None:
+            by_s = self._osp.get(o, {})
+            return len(by_s) if slot == 0 else len(set().union(*by_s.values()))
+        # Two slots bound: the free one is a run of unique values.
+        return self.match_count(s, p, o)
+
     def contains_ids(self, s: int, p: int, o: int) -> bool:
         run = self._spo.get(s, {}).get(p)
         if run is None:

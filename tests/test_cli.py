@@ -117,6 +117,27 @@ def test_query_selects_rows(workdir, capsys):
     assert "<urn:mesur:doc:doc-1>" in out
 
 
+def test_query_explain_prints_each_step(workdir, capsys):
+    load_everything(capsys)
+    (workdir / "q.q").write_text(
+        "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u)"
+        " (?p mesur:hasTime ?t) AND ?t = 2007 .",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "query", "--file", "q.q", "--explain")
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("plan for block 1: step, pattern, estimated rows, actual rows")
+    assert lines[at - 1] == "(1 row(s), 1 full match(es))"
+    assert lines[at + 1] == "  1. ( ?p rdf:type mesur:Publishes )  estimated 3.0  actual 3"
+    assert lines[at + 3] == "  3. ( ?p mesur:hasTime ?t )  estimated 3.0  actual 1"
+    code, out, _ = run(capsys, "--format", "tsv", "query", "--file", "q.q", "--explain")
+    assert code == 0
+    assert "plan\t1\t2\t( ?p mesur:hasUnit ?u )\t3.0\t3" in out.splitlines()
+    code, out, _ = run(capsys, "query", "--file", "q.q")
+    assert "plan for block" not in out
+
+
 def test_query_with_insert_mutates_and_persists(workdir, capsys):
     load_everything(capsys)
     (workdir / "mark.q").write_text(

@@ -21,6 +21,7 @@ from scholargraph.ontology import (
     HAS_SESSION,
     HAS_SINK,
     HAS_SOURCE,
+    HAS_START_TIME,
     HAS_TIME,
     HAS_UNIT,
     HAS_USER,
@@ -32,6 +33,7 @@ from scholargraph.ontology import (
     PUBLISHES,
     RDF_TYPE,
     USES,
+    validate_all,
 )
 from scholargraph.sidecar import (
     BIBLIO_COLUMNS,
@@ -318,9 +320,11 @@ def test_affiliations_only_on_request():
     [user] = wired.objects(aff, HAS_AFFILIATEE)
     [used] = wired.subjects(RDF_TYPE, USES)
     assert list(wired.objects(used, HAS_USER)) == [user]
-    assert list(wired.objects(aff, HAS_TIME)) == [
+    # Affiliation is a State: its time is a start time, not an event time.
+    assert list(wired.objects(aff, HAS_START_TIME)) == [
         datetime_literal("2006-09-27T00:00:03")
     ]
+    assert validate_all(wired) == []
 
 
 def test_units_without_a_doi_get_doc_iris():

@@ -94,6 +94,24 @@ def test_match_all_shapes_against_scan():
             assert got == want, (s, p, o)
 
 
+def test_distinct_count_against_scan():
+    rng = random.Random(13)
+    store = random_context_store(rng, 150)
+    universe = list(store.match_ids(None, None, None))
+    for t in rng.sample(universe, 20):
+        for mask in range(7):
+            bound = tuple(t[i] if mask & (4 >> i) else None for i in range(3))
+            for slot in range(3):
+                if bound[slot] is not None:
+                    continue
+                want = {
+                    u[slot]
+                    for u in universe
+                    if all(b is None or u[i] == b for i, b in enumerate(bound))
+                }
+                assert store.distinct_count(*bound, slot) == len(want), (bound, slot)
+
+
 def test_match_unknown_constant_is_empty():
     store, _ = small_store()
     assert list(store.match_terms(Iri("urn:never"), None, None)) == []
