@@ -5,8 +5,9 @@ SCHOLARGRAPH_STORE / SCHOLARGRAPH_SIDECAR environment variables, then an
 optional JSON config file (--config), then built-in defaults.
 
 Mutating subcommands take an advisory lock (`<store>.lock`) so two
-processes cannot write the same store files; the materialization ledger is
-kept next to the snapshot as `<store>.ledger` and loaded/saved with it.
+processes cannot write the same store.  The store snapshot is the only
+state file: it carries the materialization ledger as its last section, and
+each save replaces it atomically.
 
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 """
@@ -102,9 +103,7 @@ def _writer_lock(store_path: str) -> Iterator[None]:
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ScholarGraphError(
-            f"{lock_path}: another process holds the store lock"
-        ) from None
+        raise ScholarGraphError(_lock_holder(lock_path)) from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         os.close(fd)
@@ -113,8 +112,26 @@ def _writer_lock(store_path: str) -> Iterator[None]:
         os.unlink(lock_path)
 
 
-def _ledger_path(cfg: Config) -> str:
-    return cfg.store + ".ledger"
+def _lock_holder(lock_path: str) -> str:
+    """Why the lock is taken: the PID it names and whether that still runs."""
+    message = f"{lock_path}: another process holds the store lock"
+    try:
+        with open(lock_path, "r", encoding="ascii") as fp:
+            pid = int(fp.read())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return message + " (it names no valid PID)"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return (
+            message + f" (PID {pid}, which is no longer running: the lock is stale;"
+            f" if no other command uses this store, delete {lock_path} by hand)"
+        )
+    except PermissionError:
+        pass  # the process exists but belongs to another user
+    return message + f" (PID {pid}, which is still running)"
 
 
 def _open_store(cfg: Config) -> Store:
@@ -126,17 +143,7 @@ def _open_store(cfg: Config) -> Store:
 
 
 def _open_engine(cfg: Config, store: Store) -> InferenceEngine:
-    engine = InferenceEngine(store, namespaces=cfg.namespace_table())
-    path = _ledger_path(cfg)
-    if os.path.exists(path):
-        engine.load_ledger(path)
-    return engine
-
-
-def _save_state(cfg: Config, store: Store, engine: Optional[InferenceEngine] = None) -> None:
-    store.save(cfg.store)
-    if engine is not None:
-        engine.save_ledger(_ledger_path(cfg))
+    return InferenceEngine(store, namespaces=cfg.namespace_table())
 
 
 def _emit(args: argparse.Namespace, human: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -196,7 +203,7 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
             report = sidecar.map_to_graph(
                 store, provider=cfg.provider, affiliations=args.affiliations
             )
-        _save_state(cfg, store)
+        store.save(cfg.store)
     _emit(
         args,
         [
@@ -264,7 +271,7 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
         with _writer_lock(cfg.store):
             store = _open_store(cfg)
             report = run(store)
-            _save_state(cfg, store)
+            store.save(cfg.store)
     else:
         store = _open_store(cfg)
         report = run(store)
@@ -310,7 +317,7 @@ def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
             counts = {args.rule: engine.run_rule(args.rule)}
         else:
             raise ScholarGraphError("infer needs --rule NAME or --all")
-        _save_state(cfg, store, engine)
+        store.save(cfg.store)
     human = [f"{name}: {count} new triple(s)" for name, count in counts.items()]
     human.append(f"total: {sum(counts.values())}")
     rows = [[name, str(count)] for name, count in counts.items()]
@@ -330,7 +337,7 @@ def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
             label = args.rule
         else:
             raise ScholarGraphError("retract needs --rule NAME or --all")
-        _save_state(cfg, store, engine)
+        store.save(cfg.store)
     _emit(
         args,
         [f"retracted {removed} triple(s) from {label}"],
@@ -365,7 +372,7 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
             engine=engine,
             transitive=not args.direct_only,
         )
-        _save_state(cfg, store, engine)
+        store.save(cfg.store)
     shown = result.value.quantize(Decimal(1).scaleb(-cfg.precision)) if cfg.precision != 6 else result.value
     _emit(
         args,

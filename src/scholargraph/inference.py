@@ -234,9 +234,10 @@ def _triple_sort_key(triple: Triple) -> tuple:
 class InferenceEngine:
     """Runs registered rules and derivations against one store.
 
-    The engine owns the materialization ledger; persist it with
-    :meth:`save_ledger` next to the store snapshot, or retraction is lost
-    across processes.
+    The engine records what it materializes in the store's ledger
+    (:attr:`Store.ledger`), which the store snapshot carries, so
+    retraction works across processes.  :meth:`save_ledger` and
+    :meth:`load_ledger` dump and read the ledger as N-Triples sections.
     """
 
     GROUP_CITATION = "group_citation"
@@ -255,7 +256,7 @@ class InferenceEngine:
         self._scripts: dict[str, Script] = {
             name: parse_script(text, self.namespaces) for name, text in RULE_SCRIPTS.items()
         }
-        self._ledger: dict[str, set[Triple]] = {}
+        self._ledger = store.ledger
 
     # -- property rules --------------------------------------------------------
 
@@ -432,7 +433,7 @@ class InferenceEngine:
     # -- persistence ---------------------------------------------------------------
 
     def save_ledger(self, target: Union[str, IO[bytes]]) -> None:
-        """Write the ledger as rule-name sections of N-Triples lines."""
+        """Dump the ledger as rule-name sections of N-Triples lines."""
         lines = [_LEDGER_MAGIC]
         for name in sorted(self._ledger):
             entry = self._ledger[name]
@@ -449,7 +450,7 @@ class InferenceEngine:
             target.write(data)
 
     def load_ledger(self, source: Union[str, IO[bytes]], verify: bool = True) -> None:
-        """Replace the in-memory ledger with a saved one.
+        """Replace the store's ledger, in place, with a dumped one.
 
         With ``verify``, every ledger triple must be present in the store;
         a mismatch means snapshot and ledger are out of step.
@@ -492,4 +493,5 @@ class InferenceEngine:
                             f"ledger triple for rule {name!r} is not in the store: "
                             f"{serialize_triple(triple)}"
                         )
-        self._ledger = ledger
+        self._ledger.clear()
+        self._ledger.update(ledger)

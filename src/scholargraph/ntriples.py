@@ -265,34 +265,25 @@ def parse_ntriples(source: Source) -> Iterator[Triple]:
         yield parser.parse()
 
 
+_STRING_SPECIAL = re.compile(r'[\\"\x00-\x1f\x7f]')
+_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_IRI_SPECIAL = re.compile(r'[\x00-\x20<>"{}|^`\\\x7f]')
+
+
+def _unicode_escape(match: re.Match) -> str:
+    return f"\\u{ord(match.group()):04X}"
+
+
+def _string_escape(match: re.Match) -> str:
+    return _STRING_ESCAPES.get(match.group()) or _unicode_escape(match)
+
+
 def _escape_string(value: str) -> str:
-    out: list[str] = []
-    for c in value:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif c < " " or c == "\x7f":
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _STRING_SPECIAL.sub(_string_escape, value)
 
 
 def _escape_iri(value: str) -> str:
-    out: list[str] = []
-    for c in value:
-        if c <= " " or c in '<>"{}|^`\\' or c == "\x7f":
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return _IRI_SPECIAL.sub(_unicode_escape, value)
 
 
 _DATETIME_TYPES = {"year": XSD_GYEAR, "date": XSD_DATE, "timestamp": XSD_DATETIME}

@@ -8,6 +8,10 @@ answered by the permutation whose prefix matches its bound slots, and
 enumeration order is that permutation's sort order, so results are
 deterministic.
 
+The store also owns the inference ledger (:attr:`Store.ledger`: rule name
+to the set of triples that rule added), so a snapshot carries it and every
+command that loads and saves the store keeps it without knowing of it.
+
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
 readers; concurrent writing is the caller's problem (the CLI serializes
@@ -16,15 +20,18 @@ writers with a lock file).
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import ScholarGraphError
+from .ntriples import serialize_triple
 from .terms import Blank, Datatype, Iri, Literal, Term, Triple, term_sort_key
 
 
@@ -62,13 +69,15 @@ class TriplePattern:
 
 
 class SnapshotError(ScholarGraphError):
-    """A snapshot file is malformed or fails verification."""
+    """A snapshot file is malformed, or a store cannot be saved consistently."""
 
 
 _Index = dict[int, dict[int, array]]
 
 _MAGIC = b"SGRAPH"
-_VERSION = 1
+_VERSION = 2
+# version, byte order (0 little, 1 big), term count, triple count
+_HEADER = struct.Struct("<HBII")
 
 
 class Store:
@@ -82,6 +91,8 @@ class Store:
         self._osp: _Index = {}
         self._size = 0
         self._blank_serial = 0
+        # rule name -> triples that rule added; every one is in the store
+        self.ledger: dict[str, set[Triple]] = {}
 
     # -- dictionary ----------------------------------------------------------
 
@@ -152,14 +163,18 @@ class Store:
                 deduped.append(item)
                 last = item
         del encoded
-        self._build_run(self._spo, deduped, 0, 1, 2)
-        by_pos = sorted(deduped, key=itemgetter(1, 2, 0))
+        self._build(deduped)
+        return self._size
+
+    def _build(self, spo: list[tuple[int, int, int]]) -> None:
+        """Fill the empty indexes from distinct id triples in SPO order."""
+        self._build_run(self._spo, spo, 0, 1, 2)
+        by_pos = sorted(spo, key=itemgetter(1, 2, 0))
         self._build_run(self._pos, by_pos, 1, 2, 0)
         del by_pos
-        by_osp = sorted(deduped, key=itemgetter(2, 0, 1))
+        by_osp = sorted(spo, key=itemgetter(2, 0, 1))
         self._build_run(self._osp, by_osp, 2, 0, 1)
-        self._size = len(deduped)
-        return self._size
+        self._size = len(spo)
 
     @staticmethod
     def _build_run(index: _Index, ordered: list[tuple[int, int, int]], a: int, b: int, c: int) -> None:
@@ -436,12 +451,20 @@ class Store:
     # -- snapshots ---------------------------------------------------------------
 
     def save(self, target: Union[str, IO[bytes]]) -> None:
-        """Write a canonical snapshot.
+        """Write a canonical snapshot: the term table, the SPO run, the ledger.
 
-        Live terms are sorted into a total order and re-numbered densely, and
-        the three runs are written sorted, so two stores holding the same
-        triple set produce byte-identical snapshots regardless of how they
-        got there.
+        Live terms are sorted into a total order and re-numbered densely.
+        The SPO run follows as sorted id triples (POS and OSP are rebuilt
+        on load).  The ledger section lists each non-empty rule, in name
+        order, with its triples as sorted ids.  Two stores holding the same
+        triples and the same ledger therefore produce byte-identical
+        snapshots regardless of how they got there, and an empty ledger
+        encodes as one that never existed.
+
+        Raises :class:`SnapshotError`, writing nothing, if a ledger triple
+        is not in the store.  A path is written as ``<path>.tmp``, synced
+        to disk and renamed over ``path``, so a crash leaves either the old
+        snapshot or the new one.
         """
         live_ids: set[int] = set()
         flat: list[tuple[int, int, int]] = []
@@ -454,31 +477,53 @@ class Store:
                     live_ids.add(o)
         ordered_terms = sorted((self._terms[i] for i in live_ids), key=term_sort_key)
         renumber = {self._ids[t]: n for n, t in enumerate(ordered_terms)}
+        ledger: list[tuple[str, list[tuple[int, int, int]]]] = []
+        ids = self._ids
+        for name in sorted(self.ledger):
+            entry: list[tuple[int, int, int]] = []
+            for triple in self.ledger[name]:
+                s, p, o = ids.get(triple.subject), ids.get(triple.predicate), ids.get(triple.object)
+                if s is None or p is None or o is None or not self.contains_ids(s, p, o):
+                    raise SnapshotError(
+                        f"ledger triple for rule {name!r} is not in the store: {serialize_triple(triple)}"
+                    )
+                entry.append((renumber[s], renumber[p], renumber[o]))
+            if entry:
+                ledger.append((name, sorted(entry)))
         body = bytearray()
         body += _MAGIC
-        body += struct.pack("<HB", _VERSION, 0 if sys.byteorder == "little" else 1)
-        body += struct.pack("<II", len(ordered_terms), len(flat))
+        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(ordered_terms), len(flat))
         for term in ordered_terms:
             body += _encode_term(term)
-        triples = [(renumber[s], renumber[p], renumber[o]) for s, p, o in flat]
-        for keyed in (
-            sorted(triples),
-            sorted(((p, o, s) for s, p, o in triples)),
-            sorted(((o, s, p) for s, p, o in triples)),
-        ):
-            run = array("I")
-            for item in keyed:
-                run.extend(item)
-            body += run.tobytes()
-        if isinstance(target, str):
-            with open(target, "wb") as fp:
-                fp.write(body)
-        else:
+        body += _id_run(sorted((renumber[s], renumber[p], renumber[o]) for s, p, o in flat))
+        body += struct.pack("<I", len(ledger))
+        for name, entry in ledger:
+            raw = name.encode("utf-8")
+            body += struct.pack("<II", len(raw), len(entry)) + raw
+            body += _id_run(entry)
+        if not isinstance(target, str):
             target.write(bytes(body))
+            return
+        temporary = target + ".tmp"
+        try:
+            with open(temporary, "wb") as fp:
+                fp.write(body)
+                fp.flush()
+                os.fsync(fp.fileno())
+            os.replace(temporary, target)
+        except BaseException:
+            if os.path.exists(temporary):
+                os.unlink(temporary)
+            raise
 
     @classmethod
-    def load(cls, source: Union[str, IO[bytes]], verify: bool = True) -> "Store":
-        """Read a snapshot; with ``verify`` the secondary runs are checked."""
+    def load(cls, source: Union[str, IO[bytes]]) -> "Store":
+        """Read a snapshot written by :meth:`save`, checking it as it goes.
+
+        Every id must name a term of the table, the SPO run and each ledger
+        rule's triples must be strictly ascending, and every ledger triple
+        must be in the SPO run; anything else raises :class:`SnapshotError`.
+        """
         if isinstance(source, str):
             with open(source, "rb") as fp:
                 data = fp.read()
@@ -486,64 +531,81 @@ class Store:
             data = source.read()
         if data[: len(_MAGIC)] != _MAGIC:
             raise SnapshotError("not a store snapshot (bad magic)")
-        offset = len(_MAGIC)
-        version, endian = struct.unpack_from("<HB", data, offset)
-        offset += 3
+        try:
+            version, endian, term_count, triple_count = _HEADER.unpack_from(data, len(_MAGIC))
+        except struct.error:
+            raise SnapshotError("truncated snapshot header") from None
         if version != _VERSION:
-            raise SnapshotError(f"unsupported snapshot version: {version}")
-        term_count, triple_count = struct.unpack_from("<II", data, offset)
-        offset += 8
+            raise SnapshotError(
+                f"unsupported snapshot version {version} (this build reads {_VERSION}): "
+                "delete the snapshot, then rebuild the store with `map` and then `infer`"
+            )
+        swap = (sys.byteorder == "little") != (endian == 0)
+        offset = len(_MAGIC) + _HEADER.size
         store = cls()
         try:
             for _ in range(term_count):
                 term, offset = _decode_term(data, offset)
                 store.intern(term)
-        except (IndexError, struct.error) as exc:
-            raise SnapshotError(f"truncated term section: {exc}") from None
+        except (IndexError, ValueError, struct.error) as exc:
+            raise SnapshotError(f"bad term section: {exc}") from None
         if len(store._terms) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
-        runs = []
-        need = triple_count * 3 * 4
-        for _ in range(3):
-            if offset + need > len(data):
-                raise SnapshotError("truncated triple runs")
-            run = array("I")
-            run.frombytes(data[offset : offset + need])
-            if (sys.byteorder == "little") != (endian == 0):
-                run.byteswap()
-            offset += need
-            runs.append(run)
+        spo, offset = _read_id_run(data, offset, triple_count, swap, term_count, "SPO run")
+        store._build(spo)
+        del spo
+        terms = store._terms
+        try:
+            (rule_count,) = struct.unpack_from("<I", data, offset)
+            offset += 4
+            previous = None
+            for _ in range(rule_count):
+                name_size, count = struct.unpack_from("<II", data, offset)
+                offset += 8
+                raw = data[offset : offset + name_size]
+                if len(raw) != name_size:
+                    raise SnapshotError("truncated ledger section")
+                offset += name_size
+                try:
+                    name = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise SnapshotError("ledger rule name is not UTF-8") from None
+                if not count or (previous is not None and name <= previous):
+                    raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
+                previous = name
+                entry, offset = _read_id_run(data, offset, count, swap, term_count, f"ledger of rule {name!r}")
+                if not all(store.contains_ids(s, p, o) for s, p, o in entry):
+                    raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
+                store.ledger[name] = {Triple(terms[s], terms[p], terms[o]) for s, p, o in entry}
+        except struct.error:
+            raise SnapshotError("truncated ledger section") from None
         if offset != len(data):
             raise SnapshotError("trailing bytes after snapshot")
-        spo_run, pos_run, osp_run = runs
-        store._load_run(store._spo, spo_run, term_count, (0, 1, 2))
-        store._load_run(store._pos, pos_run, term_count, (1, 2, 0))
-        store._load_run(store._osp, osp_run, term_count, (2, 0, 1))
-        store._size = triple_count
-        if verify and not store.verify_indexes():
-            raise SnapshotError("snapshot runs disagree (corrupt file)")
         return store
 
-    @staticmethod
-    def _load_run(index: _Index, run: array, term_count: int, names: tuple[int, int, int]) -> None:
-        prev: tuple[int, int, int] | None = None
-        inner: dict[int, array] = {}
-        leaf = array("q")
-        current_a = current_b = None
-        for i in range(0, len(run), 3):
-            a, b, c = run[i], run[i + 1], run[i + 2]
-            if a >= term_count or b >= term_count or c >= term_count:
-                raise SnapshotError("term id out of range in snapshot run")
-            if prev is not None and (a, b, c) <= prev:
-                raise SnapshotError("snapshot run not strictly ascending")
-            prev = (a, b, c)
-            if a != current_a:
-                inner = index.setdefault(a, {})
-                current_a, current_b = a, None
-            if b != current_b:
-                leaf = inner.setdefault(b, array("q"))
-                current_b = b
-            leaf.append(c)
+
+def _id_run(ordered: list[tuple[int, int, int]]) -> bytes:
+    return array("I", chain.from_iterable(ordered)).tobytes()
+
+
+def _read_id_run(
+    data: bytes, offset: int, count: int, swap: bool, term_count: int, what: str
+) -> tuple[list[tuple[int, int, int]], int]:
+    """``count`` id triples at ``offset``, checked in range and strictly
+    ascending, and the offset after them."""
+    end = offset + count * 12
+    if end > len(data):
+        raise SnapshotError(f"truncated {what}")
+    run = array("I")
+    run.frombytes(memoryview(data)[offset:end])
+    if swap:
+        run.byteswap()
+    if run and max(run) >= term_count:
+        raise SnapshotError(f"term id out of range in {what}")
+    triples = list(zip(run[0::3], run[1::3], run[2::3]))
+    if not all(map(lt, triples, islice(triples, 1, None))):
+        raise SnapshotError(f"{what} is not strictly ascending")
+    return triples, end
 
 
 def _encode_term(term: Term) -> bytes:

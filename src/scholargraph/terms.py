@@ -40,6 +40,7 @@ class TermError(ScholarGraphError):
     """A term or triple violated a structural invariant."""
 
 
+_WHITESPACE_RE = re.compile(r"\s")  # the code points str.isspace() accepts
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z")
 _YEAR_RE = re.compile(r"[0-9]{4}\Z")
@@ -74,7 +75,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise TermError("IRI must be nonempty")
-        if any(c.isspace() for c in self.value):
+        if _WHITESPACE_RE.search(self.value):
             raise TermError(f"IRI contains whitespace: {self.value!r}")
 
     def __repr__(self) -> str:

@@ -286,6 +286,39 @@ def ratio_6dp(numerator: int, denominator: int) -> Decimal:
     )
 
 
+# -- N-Triples escaping, one character at a time ----------------------------------
+
+
+def escape_string_loop(value: str) -> str:
+    out = []
+    for c in value:
+        if c == "\\":
+            out.append("\\\\")
+        elif c == '"':
+            out.append('\\"')
+        elif c == "\n":
+            out.append("\\n")
+        elif c == "\r":
+            out.append("\\r")
+        elif c == "\t":
+            out.append("\\t")
+        elif c < " " or c == "\x7f":
+            out.append(f"\\u{ord(c):04X}")
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def escape_iri_loop(value: str) -> str:
+    out = []
+    for c in value:
+        if c <= " " or c in '<>"{}|^`\\' or c == "\x7f":
+            out.append(f"\\u{ord(c):04X}")
+        else:
+            out.append(c)
+    return "".join(out)
+
+
 # -- fixtures ---------------------------------------------------------------------
 
 PROVIDER = Iri("urn:mesur:provider:default")

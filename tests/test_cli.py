@@ -1,6 +1,8 @@
 """End-to-end command-line tests driving main() in a temp directory."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,7 +161,8 @@ def test_infer_retract_round_trip_restores_the_export(workdir, capsys):
     code, out, _ = run(capsys, "infer", "--all")
     assert code == 0
     assert "total:" in out
-    assert os.path.exists("scholargraph.store.ledger")
+    # the ledger travels inside the snapshot; there is no second state file
+    assert not os.path.exists("scholargraph.store.ledger")
     code, out, _ = run(capsys, "stats")
     assert "ledger authored_by" in out
     code, out, _ = run(capsys, "retract", "--all")
@@ -169,6 +172,54 @@ def test_infer_retract_round_trip_restores_the_export(workdir, capsys):
     before = (workdir / "before.nt").read_bytes()
     after = (workdir / "after.nt").read_bytes()
     assert before == after
+
+
+def test_map_and_query_after_infer_keep_the_ledger(workdir, capsys):
+    load_everything(capsys)
+    run(capsys, "export", "--output", "before.nt")
+    code, _, _ = run(capsys, "infer", "--all")
+    assert code == 0
+    ledger = Store.load("scholargraph.store").ledger
+    assert ledger
+    code, _, _ = run(capsys, "map")
+    assert code == 0
+    (workdir / "mark.q").write_text(
+        "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u)"
+        " INSERT < ?u mesur:hasTitle \"marked\" > .",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "query", "--file", "mark.q")
+    assert "inserted 3 new triple(s)" in out
+    assert Store.load("scholargraph.store").ledger == ledger
+    code, _, _ = run(capsys, "retract", "--all")
+    assert code == 0
+    run(capsys, "export", "--output", "after.nt")
+    before = set((workdir / "before.nt").read_text(encoding="utf-8").splitlines())
+    after = set((workdir / "after.nt").read_text(encoding="utf-8").splitlines())
+    assert before <= after
+    assert len(after - before) == 3 and all('"marked"' in line for line in after - before)
+
+
+def test_failed_save_keeps_the_old_state(workdir, capsys, monkeypatch):
+    load_everything(capsys)
+    code, _, _ = run(capsys, "infer", "--rule", "authored_by")
+    assert code == 0
+    before = (workdir / "scholargraph.store").read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "replace", crash)
+        code, _, err = run(capsys, "infer", "--all")
+    assert code == 1 and "disk gone" in err
+    assert (workdir / "scholargraph.store").read_bytes() == before
+    assert sorted(os.listdir(workdir)) == sorted(
+        ["biblio.tsv", "usage.tsv", "citations.tsv", "scholargraph.store", "scholargraph.sidecar"]
+    )
+    assert tuple(Store.load("scholargraph.store").ledger) == ("authored_by",)
+    code, out, _ = run(capsys, "stats")
+    assert "ledger authored_by" in out and "ledger used_by" not in out
 
 
 def test_metric_values_through_the_pipeline(workdir, capsys):
@@ -268,6 +319,23 @@ def test_lock_contention_fails_cleanly(workdir, capsys):
     lock.unlink()
     code, _, _ = run(capsys, "map")
     assert code == 0
+
+
+def test_lock_error_says_whether_the_holder_runs(workdir, capsys):
+    load_everything(capsys)
+    lock = workdir / "scholargraph.store.lock"
+    finished = subprocess.Popen([sys.executable, "-c", ""])
+    finished.wait()
+    lock.write_text(f"{finished.pid}\n", encoding="ascii")
+    code, _, err = run(capsys, "map")
+    assert code == 1
+    assert f"PID {finished.pid}, which is no longer running" in err
+    assert "delete" in err and "by hand" in err
+    lock.write_text(f"{os.getpid()}\n", encoding="ascii")
+    code, _, err = run(capsys, "map")
+    assert code == 1
+    assert f"PID {os.getpid()}, which is still running" in err
+    lock.unlink()
 
 
 def test_crashed_commands_release_the_lock(workdir, capsys):

@@ -5,6 +5,8 @@ import pytest
 
 from scholargraph.ntriples import (
     NTriplesParseError,
+    _escape_iri,
+    _escape_string,
     parse_ntriples,
     serialize_ntriples,
     serialize_term,
@@ -24,7 +26,7 @@ from scholargraph.terms import (
     year_literal,
 )
 
-from oracles import random_context_store
+from oracles import escape_iri_loop, escape_string_loop, random_context_store
 
 
 def rt(line):
@@ -104,6 +106,15 @@ def test_control_characters_escaped():
     assert "\\u0000" in line
     (t,) = rt(line)
     assert t.object.lexical == "a\x00b"
+
+
+def test_escaping_matches_the_character_loops():
+    rng = random.Random(20261018)
+    alphabet = [chr(c) for c in range(128)] + list("é€ñ漢\u2028\U0001F600\x80\xa0")
+    for _ in range(20000):
+        value = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        assert _escape_string(value) == escape_string_loop(value), repr(value)
+        assert _escape_iri(value) == escape_iri_loop(value), repr(value)
 
 
 def test_round_trip_every_term_kind():

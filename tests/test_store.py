@@ -1,5 +1,6 @@
 import io
 import random
+import struct
 
 import pytest
 
@@ -193,6 +194,95 @@ def test_snapshot_load_rejects_garbage():
         Store.load(io.BytesIO(data[: len(data) - 3]))
     with pytest.raises(SnapshotError):
         Store.load(io.BytesIO(data + b"trailing"))
+
+
+# -- the ledger section of a snapshot ---------------------------------------------
+
+
+def ledgered_store():
+    store, triples = small_store()
+    store.ledger["rule_b"] = {triples[0], triples[3]}
+    store.ledger["rule_a"] = {triples[4]}
+    return store, triples
+
+
+def saved(store) -> bytes:
+    buf = io.BytesIO()
+    store.save(buf)
+    return buf.getvalue()
+
+
+def test_snapshot_carries_the_ledger():
+    store, _ = ledgered_store()
+    back = Store.load(io.BytesIO(saved(store)))
+    assert back.ledger == store.ledger
+    assert saved(back) == saved(store)
+
+
+def test_snapshot_with_ledger_is_canonical_across_histories():
+    store_a, triples = ledgered_store()
+    store_b = Store()
+    noise = Triple(Iri("urn:noise"), Iri("urn:p9"), integer_literal(1))
+    store_b.insert(noise)
+    for t in reversed(triples):
+        store_b.insert(t)
+    store_b.ledger["rule_a"] = {noise, triples[4]}
+    store_b.ledger["rule_b"] = {triples[3], triples[0]}
+    store_b.ledger["rule_c"] = set()
+    store_b.remove(noise)
+    store_b.ledger["rule_a"].discard(noise)
+    assert saved(store_a) == saved(store_b)
+
+
+def test_empty_ledger_encodes_as_none():
+    store, _ = small_store()
+    plain = saved(store)
+    store.ledger["rule"] = set()
+    assert saved(store) == plain
+
+
+def test_save_refuses_a_ledger_triple_not_in_the_store(tmp_path):
+    store, _ = small_store()
+    path = tmp_path / "store.bin"
+    # an unknown term, and known terms in a triple the store does not hold
+    for stray in (
+        Triple(Iri("urn:s9"), Iri("urn:p1"), Iri("urn:o1")),
+        Triple(Iri("urn:s2"), Iri("urn:p2"), string_literal("x")),
+    ):
+        store.ledger["rule"] = {stray}
+        with pytest.raises(SnapshotError, match="not in the store"):
+            store.save(io.BytesIO())
+        with pytest.raises(SnapshotError):
+            store.save(str(path))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_corrupt_ledger_sections_are_rejected():
+    store, _ = small_store()
+    store.ledger["rule"] = {Triple(Iri("urn:s2"), Iri("urn:p1"), Iri("urn:o1"))}
+    data = saved(store)
+    head, (s, p, o) = data[:-12], struct.unpack("=III", data[-12:])
+    assert Store.load(io.BytesIO(data)).ledger == store.ledger
+    corrupt = {
+        "term id out of range": head + struct.pack("=III", s, p, 1 << 20),
+        "does not hold": head + struct.pack("=III", p, p, p),
+        "truncated": data[:-5],
+        "trailing": data + b"\0",
+    }
+    for reason, bad in corrupt.items():
+        with pytest.raises(SnapshotError, match=reason):
+            Store.load(io.BytesIO(bad))
+    # cut before the section's rule count
+    plain = saved(small_store()[0])
+    with pytest.raises(SnapshotError, match="truncated ledger section"):
+        Store.load(io.BytesIO(plain[:-4]))
+
+
+def test_version_one_snapshot_is_rejected():
+    data = bytearray(saved(small_store()[0]))
+    struct.pack_into("<H", data, len(b"SGRAPH"), 1)
+    with pytest.raises(SnapshotError, match="version 1.*`map` and then `infer`"):
+        Store.load(io.BytesIO(bytes(data)))
 
 
 def test_isomorphic_identity_and_ground_difference():

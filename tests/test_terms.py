@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from scholargraph.terms import (
@@ -25,6 +27,13 @@ def test_iri_rejects_whitespace_and_empty():
     with pytest.raises(TermError):
         Iri("urn:has space")
     assert Iri("urn:ok").value == "urn:ok"
+    for code in range(sys.maxunicode + 1):
+        c = chr(code)
+        if c.isspace():
+            with pytest.raises(TermError):
+                Iri(f"urn:a{c}b")
+        elif code % 97 == 0 or code < 0x3100:
+            assert Iri(f"urn:a{c}b").value == f"urn:a{c}b"
 
 
 def test_blank_label_rules():
