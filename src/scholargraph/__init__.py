@@ -21,7 +21,7 @@ from .ntriples import (
 from .ontology import SCHEMA, Schema, validate_all, validate_instance
 from .queryl import QueryParseError, evaluate_block, execute_script, parse_script
 from .sidecar import Sidecar, literal_audit
-from .store import Store, TriplePattern, Var, isomorphic
+from .store import Store, TriplePattern, Var
 from .terms import (
     Blank,
     Datatype,
@@ -65,7 +65,6 @@ __all__ = [
     "execute_script",
     "impact_factor",
     "integer_literal",
-    "isomorphic",
     "literal_audit",
     "parse_ntriples",
     "parse_script",

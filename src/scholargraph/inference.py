@@ -211,11 +211,15 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
 def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], ledger: Optional[set[Triple]] = None) -> None:
     """Replace all statements about ``node`` with ``triples``.
 
-    With a ledger set, removed statements leave it and newly added ones
-    enter it, keeping ledger/base disjointness intact.
+    Each removed statement leaves every rule's entry in the store's ledger,
+    whatever ``ledger`` is, so the ledger names only triples the store
+    holds.  With a ``ledger`` set, removed statements leave it too and newly
+    added ones enter it, keeping ledger/base disjointness intact.
     """
     for old in list(store.match_terms(node, None, None)):
         store.remove(old)
+        for entry in store.ledger.values():
+            entry.discard(old)
         if ledger is not None:
             ledger.discard(old)
     for triple in triples:

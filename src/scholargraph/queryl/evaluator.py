@@ -9,8 +9,9 @@ when a block has no connecting variable left.  Candidates rank by estimated
 rows per input row: the pattern's constants-only ``match_count``, divided
 for each slot that a bound variable fills by the number of distinct keys in
 that slot, as RDF-3X estimates join fan-out (Neumann & Weikum, VLDB J.
-2010).  Ties go to the pattern written first.  The counts are read from the
-store's indexes once per block.
+2010).  Ties go to a pattern that carries a filter, since the filter may
+cut rows the estimate does not see, then to the pattern written first.  The
+counts are read from the store's indexes once per block.
 
 Execution: each pattern is compiled once into slot positions.  Rows are
 tuples of term ids that stream through one generator per step; filters run
@@ -247,7 +248,7 @@ def _plan(
     estimate = 1.0
     while remaining:
         connected = [i for i in remaining if not names[i] or names[i] & positions.keys()]
-        best = min(connected or remaining, key=lambda i: (fan_out(i), i))
+        best = min(connected or remaining, key=lambda i: (fan_out(i), block.patterns[i].guard is None, i))
         estimate *= fan_out(best)
         remaining.remove(best)
         bound: list[Optional[int]] = [None, None, None]

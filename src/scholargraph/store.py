@@ -2,11 +2,15 @@
 
 Terms are interned into a dictionary mapping each distinct term to a dense
 integer id (ids of removed terms are never reused).  Triples live three
-times, once per permutation (SPO, POS, OSP), each as two dict hops ending in
-a sorted ``array('q')`` run searched by bisection.  Every pattern shape is
-answered by the permutation whose prefix matches its bound slots, and
-enumeration order is that permutation's sort order, so results are
-deterministic.
+times, once per permutation (SPO, POS, OSP).  Each permutation is one dict
+from its first key to two parallel ``array('q')`` columns holding the other
+two keys, sorted together: ``_spo[s]`` is (p, o) sorted by (p, o),
+``_pos[p]`` is (o, s) and ``_osp[o]`` is (s, p).  A probe on the first two
+keys is one dict get, a bisection of the second column and a slice of the
+third, so the store holds a few objects per distinct key instead of one per
+triple.  Every pattern shape is answered by the permutation whose prefix
+matches its bound slots, and enumeration order is that permutation's sort
+order, so results are deterministic.
 
 The store also owns the inference ledger (:attr:`Store.ledger`: rule name
 to the set of triples that rule added), so a snapshot carries it and every
@@ -24,9 +28,9 @@ import os
 import struct
 import sys
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -72,7 +76,8 @@ class SnapshotError(ScholarGraphError):
     """A snapshot file is malformed, or a store cannot be saved consistently."""
 
 
-_Index = dict[int, dict[int, array]]
+# first key -> (second-key column, third-key column), sorted by (second, third)
+_Index = dict[int, tuple[array, array]]
 
 _MAGIC = b"SGRAPH"
 _VERSION = 2
@@ -131,102 +136,57 @@ class Store:
         s = self.intern(triple.subject)
         p = self.intern(triple.predicate)
         o = self.intern(triple.object)
-        run = self._spo.setdefault(s, {}).setdefault(p, array("q"))
-        at = bisect_left(run, o)
-        if at < len(run) and run[at] == o:
+        if not _add(self._spo, s, p, o):
             return False
-        run.insert(at, o)
-        insort(self._pos.setdefault(p, {}).setdefault(o, array("q")), s)
-        insort(self._osp.setdefault(o, {}).setdefault(s, array("q")), p)
+        _add(self._pos, p, o, s)
+        _add(self._osp, o, s, p)
         self._size += 1
         return True
 
     def insert_many(self, triples: Iterable[Triple]) -> int:
         """Bulk insert; returns how many were new.
 
-        On an empty store this sorts once and builds the runs append-only,
-        which is what makes million-triple loads cheap.
+        On an empty store this sorts once and cuts the columns from the
+        sorted run, which is what makes million-triple loads cheap.
         """
         if self._size:
             return sum(1 for t in triples if self.insert(t))
-        encoded: list[tuple[int, int, int]] = []
         intern = self.intern
-        for t in triples:
-            encoded.append((intern(t.subject), intern(t.predicate), intern(t.object)))
-        if not encoded:
-            return 0
-        encoded.sort()
-        deduped: list[tuple[int, int, int]] = []
-        last = None
-        for item in encoded:
-            if item != last:
-                deduped.append(item)
-                last = item
-        del encoded
-        self._build(deduped)
+        ordered = sorted({(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples})
+        self._build(*(array("q", map(itemgetter(slot), ordered)) for slot in range(3)))
         return self._size
 
-    def _build(self, spo: list[tuple[int, int, int]]) -> None:
-        """Fill the empty indexes from distinct id triples in SPO order."""
-        self._build_run(self._spo, spo, 0, 1, 2)
-        by_pos = sorted(spo, key=itemgetter(1, 2, 0))
-        self._build_run(self._pos, by_pos, 1, 2, 0)
-        del by_pos
-        by_osp = sorted(spo, key=itemgetter(2, 0, 1))
-        self._build_run(self._osp, by_osp, 2, 0, 1)
-        self._size = len(spo)
+    def _build(self, s: array, p: array, o: array) -> None:
+        """Fill the empty indexes from the id columns of distinct triples in
+        SPO order.
 
-    @staticmethod
-    def _build_run(index: _Index, ordered: list[tuple[int, int, int]], a: int, b: int, c: int) -> None:
-        current_a = current_b = None
-        inner: dict[int, array] = {}
-        run = array("q")
-        for item in ordered:
-            ka, kb, kc = item[a], item[b], item[c]
-            if ka != current_a:
-                inner = index.setdefault(ka, {})
-                current_a, current_b = ka, None
-            if kb != current_b:
-                run = inner.setdefault(kb, array("q"))
-                current_b = kb
-            run.append(kc)
+        SPO is grouped as it stands.  OSP and POS come from stable sorts of
+        the row numbers by one integer key each: sorting by object leaves
+        equal objects in (s, p) order, which is OSP order, and sorting that
+        by predicate leaves equal predicates in (o, s) order, which is POS
+        order.  Stability supplies the tie order, so no sort compares
+        tuples.  The sorts and gathers read list copies of the columns,
+        which hand out their ints without boxing each one again.
+        """
+        _group(self._spo, s, p, o)
+        ls, lp, lo = s.tolist(), p.tolist(), o.tolist()
+        rows = sorted(range(len(ls)), key=lo.__getitem__)
+        _group(self._osp, *(array("q", map(column.__getitem__, rows)) for column in (lo, ls, lp)))
+        rows.sort(key=lp.__getitem__)
+        _group(self._pos, *(array("q", map(column.__getitem__, rows)) for column in (lp, lo, ls)))
+        self._size = len(ls)
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
         s = self._ids.get(triple.subject)
         p = self._ids.get(triple.predicate)
         o = self._ids.get(triple.object)
-        if s is None or p is None or o is None:
+        if s is None or p is None or o is None or not _discard(self._spo, s, p, o):
             return False
-        by_p = self._spo.get(s)
-        if by_p is None:
-            return False
-        run = by_p.get(p)
-        if run is None:
-            return False
-        at = bisect_left(run, o)
-        if at >= len(run) or run[at] != o:
-            return False
-        del run[at]
-        if not run:
-            del by_p[p]
-            if not by_p:
-                del self._spo[s]
-        self._delete(self._pos, p, o, s)
-        self._delete(self._osp, o, s, p)
+        _discard(self._pos, p, o, s)
+        _discard(self._osp, o, s, p)
         self._size -= 1
         return True
-
-    @staticmethod
-    def _delete(index: _Index, a: int, b: int, c: int) -> None:
-        inner = index[a]
-        run = inner[b]
-        at = bisect_left(run, c)
-        del run[at]
-        if not run:
-            del inner[b]
-            if not inner:
-                del index[a]
 
     # -- queries ---------------------------------------------------------------
 
@@ -239,11 +199,7 @@ class Store:
         o = self._ids.get(triple.object)
         if s is None or p is None or o is None:
             return False
-        run = self._spo.get(s, {}).get(p)
-        if run is None:
-            return False
-        at = bisect_left(run, o)
-        return at < len(run) and run[at] == o
+        return self.contains_ids(s, p, o)
 
     def __contains__(self, triple: Triple) -> bool:
         return self.contains(triple)
@@ -264,106 +220,102 @@ class Store:
         the shape, so order is deterministic for a given store content.
         """
         if s is not None:
-            if p is not None:
-                run = self._spo.get(s, {}).get(p)
-                if run is None:
-                    return
-                if o is not None:
-                    at = bisect_left(run, o)
-                    if at < len(run) and run[at] == o:
-                        yield (s, p, o)
-                    return
-                for obj in run:
-                    yield (s, p, obj)
+            if p is None and o is not None:
+                columns = self._osp.get(o)
+                if columns is not None:
+                    subjects, predicates = columns
+                    lo = bisect_left(subjects, s)
+                    for pred in predicates[lo : bisect_right(subjects, s, lo)]:
+                        yield (s, pred, o)
                 return
-            if o is not None:
-                run = self._osp.get(o, {}).get(s)
-                if run is None:
-                    return
-                for pred in run:
-                    yield (s, pred, o)
+            columns = self._spo.get(s)
+            if columns is None:
                 return
-            by_p = self._spo.get(s)
-            if by_p is None:
-                return
-            for pred in sorted(by_p):
-                for obj in by_p[pred]:
+            if p is None:
+                for pred, obj in zip(*columns):
                     yield (s, pred, obj)
+            elif o is None:
+                predicates, objects = columns
+                lo = bisect_left(predicates, p)
+                for obj in objects[lo : bisect_right(predicates, p, lo)]:
+                    yield (s, p, obj)
+            elif _seek(columns, p, o)[1]:
+                yield (s, p, o)
             return
         if p is not None:
-            by_o = self._pos.get(p)
-            if by_o is None:
+            columns = self._pos.get(p)
+            if columns is None:
                 return
-            if o is not None:
-                run = by_o.get(o)
-                if run is None:
-                    return
-                for subj in run:
-                    yield (subj, p, o)
-                return
-            for obj in sorted(by_o):
-                for subj in by_o[obj]:
+            if o is None:
+                for obj, subj in zip(*columns):
                     yield (subj, p, obj)
+            else:
+                objects, subjects = columns
+                lo = bisect_left(objects, o)
+                for subj in subjects[lo : bisect_right(objects, o, lo)]:
+                    yield (subj, p, o)
             return
         if o is not None:
-            by_s = self._osp.get(o)
-            if by_s is None:
-                return
-            for subj in sorted(by_s):
-                for pred in by_s[subj]:
+            columns = self._osp.get(o)
+            if columns is not None:
+                for subj, pred in zip(*columns):
                     yield (subj, pred, o)
             return
-        for subj in sorted(self._spo):
-            by_p = self._spo[subj]
-            for pred in sorted(by_p):
-                for obj in by_p[pred]:
-                    yield (subj, pred, obj)
+        spo = self._spo
+        for subj in sorted(spo):
+            for pred, obj in zip(*spo[subj]):
+                yield (subj, pred, obj)
+
+    def _columns(
+        self, s: Optional[int], p: Optional[int], o: Optional[int]
+    ) -> tuple[Optional[tuple[array, array]], Optional[int]]:
+        """For a shape with one or two bound slots: the column pair of the
+        permutation whose first key is bound, and the bound second key or
+        None."""
+        if s is not None:
+            if p is not None:
+                return self._spo.get(s), p
+            if o is not None:
+                return self._osp.get(o), s
+            return self._spo.get(s), None
+        if p is not None:
+            return self._pos.get(p), o
+        return self._osp.get(o), None  # type: ignore[arg-type]
 
     def match_count(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
         """Cheap cardinality estimate for join planning (exact for runs)."""
-        if s is not None and p is not None and o is None:
-            run = self._spo.get(s, {}).get(p)
-            return len(run) if run is not None else 0
-        if p is not None and o is not None and s is None:
-            run = self._pos.get(p, {}).get(o)
-            return len(run) if run is not None else 0
-        if s is not None and o is not None and p is None:
-            run = self._osp.get(o, {}).get(s)
-            return len(run) if run is not None else 0
-        if s is not None and p is None and o is None:
-            return sum(len(r) for r in self._spo.get(s, {}).values())
-        if p is not None and s is None and o is None:
-            return sum(len(r) for r in self._pos.get(p, {}).values())
-        if o is not None and s is None and p is None:
-            return sum(len(r) for r in self._osp.get(o, {}).values())
         if s is None and p is None and o is None:
             return self._size
-        return 1 if self.contains_ids(s, p, o) else 0  # type: ignore[arg-type]
+        if s is not None and p is not None and o is not None:
+            return 1 if self.contains_ids(s, p, o) else 0
+        columns, second = self._columns(s, p, o)
+        if columns is None:
+            return 0
+        keys = columns[0]
+        if second is None:
+            return len(keys)
+        lo = bisect_left(keys, second)
+        return bisect_right(keys, second, lo) - lo
 
     def distinct_count(self, s: Optional[int], p: Optional[int], o: Optional[int], slot: int) -> int:
         """Distinct values in the wildcard ``slot`` (0, 1, 2 for s, p, o)
         among the triples matching the bound slots, for join fan-out
         estimates."""
-        if s is None and p is None and o is None:
+        bound = [i for i, key in enumerate((s, p, o)) if key is not None]
+        if not bound:
             return len((self._spo, self._pos, self._osp)[slot])
-        if s is not None and p is None and o is None:
-            by_p = self._spo.get(s, {})
-            return len(by_p) if slot == 1 else len(set().union(*by_p.values()))
-        if p is not None and s is None and o is None:
-            by_o = self._pos.get(p, {})
-            return len(by_o) if slot == 2 else len(set().union(*by_o.values()))
-        if o is not None and s is None and p is None:
-            by_s = self._osp.get(o, {})
-            return len(by_s) if slot == 0 else len(set().union(*by_s.values()))
+        if len(bound) == 1:
+            columns, _ = self._columns(s, p, o)
+            if columns is None:
+                return 0
+            # the permutation keyed by slot b holds slot b+1, then slot b+2
+            return len(set(columns[0 if slot == (bound[0] + 1) % 3 else 1]))
         # Two slots bound: the free one is a run of unique values.
         return self.match_count(s, p, o)
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        run = self._spo.get(s, {}).get(p)
-        if run is None:
-            return False
-        at = bisect_left(run, o)
-        return at < len(run) and run[at] == o
+        columns = self._spo.get(s)
+        return columns is not None and _seek(columns, p, o)[1]
 
     def match_terms(
         self, s: Optional[Term], p: Optional[Term], o: Optional[Term]
@@ -434,19 +386,28 @@ class Store:
         }
 
     def verify_indexes(self) -> bool:
-        """All three permutations describe the same triple set (test hook)."""
-        spo = set(self.match_ids(None, None, None))
-        pos = set()
-        for p, by_o in self._pos.items():
-            for o, run in by_o.items():
-                for s in run:
-                    pos.add((s, p, o))
-        osp = set()
-        for o, by_s in self._osp.items():
-            for s, run in by_s.items():
-                for p in run:
-                    osp.add((s, p, o))
-        return spo == pos == osp and len(spo) == self._size
+        """All three permutations describe the same triple set, and every
+        column pair is non-empty, of equal length and strictly ascending
+        (test hook)."""
+
+        def rows(index: _Index) -> Optional[list[tuple[int, int, int]]]:
+            out = []
+            for first, (second, third) in index.items():
+                pairs = list(zip(second, third))
+                if not pairs or len(second) != len(third) or not all(map(lt, pairs, pairs[1:])):
+                    return None
+                out.extend((first, b, c) for b, c in pairs)
+            return out
+
+        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._osp)
+        if spo is None or pos is None or osp is None:
+            return False
+        triples = set(spo)
+        return (
+            len(triples) == self._size
+            and triples == {(s, p, o) for p, o, s in pos}
+            and triples == {(s, p, o) for o, s, p in osp}
+        )
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -466,15 +427,7 @@ class Store:
         to disk and renamed over ``path``, so a crash leaves either the old
         snapshot or the new one.
         """
-        live_ids: set[int] = set()
-        flat: list[tuple[int, int, int]] = []
-        for s, by_p in self._spo.items():
-            for p, run in by_p.items():
-                for o in run:
-                    flat.append((s, p, o))
-                    live_ids.add(s)
-                    live_ids.add(p)
-                    live_ids.add(o)
+        live_ids = self._spo.keys() | self._pos.keys() | self._osp.keys()
         ordered_terms = sorted((self._terms[i] for i in live_ids), key=term_sort_key)
         renumber = {self._ids[t]: n for n, t in enumerate(ordered_terms)}
         ledger: list[tuple[str, list[tuple[int, int, int]]]] = []
@@ -492,10 +445,16 @@ class Store:
                 ledger.append((name, sorted(entry)))
         body = bytearray()
         body += _MAGIC
-        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(ordered_terms), len(flat))
+        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(ordered_terms), self._size)
         for term in ordered_terms:
             body += _encode_term(term)
-        body += _id_run(sorted((renumber[s], renumber[p], renumber[o]) for s, p, o in flat))
+        body += _id_run(
+            sorted(
+                (renumber[s], renumber[p], renumber[o])
+                for s, (predicates, objects) in self._spo.items()
+                for p, o in zip(predicates, objects)
+            )
+        )
         body += struct.pack("<I", len(ledger))
         for name, entry in ledger:
             raw = name.encode("utf-8")
@@ -552,7 +511,7 @@ class Store:
         if len(store._terms) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
         spo, offset = _read_id_run(data, offset, triple_count, swap, term_count, "SPO run")
-        store._build(spo)
+        store._build(*spo)
         del spo
         terms = store._terms
         try:
@@ -574,9 +533,9 @@ class Store:
                     raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
                 previous = name
                 entry, offset = _read_id_run(data, offset, count, swap, term_count, f"ledger of rule {name!r}")
-                if not all(store.contains_ids(s, p, o) for s, p, o in entry):
+                if not all(map(store.contains_ids, *entry)):
                     raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
-                store.ledger[name] = {Triple(terms[s], terms[p], terms[o]) for s, p, o in entry}
+                store.ledger[name] = {Triple(terms[s], terms[p], terms[o]) for s, p, o in zip(*entry)}
         except struct.error:
             raise SnapshotError("truncated ledger section") from None
         if offset != len(data):
@@ -590,9 +549,9 @@ def _id_run(ordered: list[tuple[int, int, int]]) -> bytes:
 
 def _read_id_run(
     data: bytes, offset: int, count: int, swap: bool, term_count: int, what: str
-) -> tuple[list[tuple[int, int, int]], int]:
-    """``count`` id triples at ``offset``, checked in range and strictly
-    ascending, and the offset after them."""
+) -> tuple[tuple[array, array, array], int]:
+    """The s, p and o columns of ``count`` id triples at ``offset``, checked
+    in range and strictly ascending, and the offset after them."""
     end = offset + count * 12
     if end > len(data):
         raise SnapshotError(f"truncated {what}")
@@ -602,10 +561,66 @@ def _read_id_run(
         run.byteswap()
     if run and max(run) >= term_count:
         raise SnapshotError(f"term id out of range in {what}")
-    triples = list(zip(run[0::3], run[1::3], run[2::3]))
-    if not all(map(lt, triples, islice(triples, 1, None))):
+    columns = (array("q", run[0::3]), array("q", run[1::3]), array("q", run[2::3]))
+    following = zip(*columns)
+    next(following, None)
+    if not all(map(lt, zip(*columns), following)):
         raise SnapshotError(f"{what} is not strictly ascending")
-    return triples, end
+    return columns, end
+
+
+# -- the column pairs of one permutation ---------------------------------------
+
+
+def _seek(columns: tuple[array, array], b: int, c: int) -> tuple[int, bool]:
+    """Where (b, c) sits, or would go, in a column pair, and whether it is
+    there."""
+    second, third = columns
+    lo = bisect_left(second, b)
+    hi = bisect_right(second, b, lo)
+    at = bisect_left(third, c, lo, hi)
+    return at, at < hi and third[at] == c
+
+
+def _add(index: _Index, a: int, b: int, c: int) -> bool:
+    """Put (b, c) into ``a``'s column pair; False if it was there."""
+    columns = index.get(a)
+    if columns is None:
+        index[a] = (array("q", (b,)), array("q", (c,)))
+        return True
+    at, found = _seek(columns, b, c)
+    if found:
+        return False
+    columns[0].insert(at, b)
+    columns[1].insert(at, c)
+    return True
+
+
+def _discard(index: _Index, a: int, b: int, c: int) -> bool:
+    """Take (b, c) out of ``a``'s column pair, dropping an emptied key;
+    False if it was not there."""
+    columns = index.get(a)
+    if columns is None:
+        return False
+    at, found = _seek(columns, b, c)
+    if not found:
+        return False
+    if len(columns[0]) == 1:
+        del index[a]
+    else:
+        del columns[0][at]
+        del columns[1][at]
+    return True
+
+
+def _group(index: _Index, first: array, second: array, third: array) -> None:
+    """Fill an empty index from three columns sorted by (first, second, third)."""
+    lo, end = 0, len(first)
+    while lo < end:
+        key = first[lo]
+        hi = bisect_right(first, key, lo)
+        index[key] = (second[lo:hi], third[lo:hi])
+        lo = hi
 
 
 def _encode_term(term: Term) -> bytes:
@@ -642,100 +657,3 @@ def _decode_term(data: bytes, offset: int) -> tuple[Term, int]:
     if kind == 2:
         return Literal(text, datatype), offset
     raise SnapshotError(f"unknown term kind: {kind}")
-
-
-# -- graph comparison up to blank relabeling ---------------------------------
-
-
-def _blanks_of(triple: Triple) -> tuple[Blank, ...]:
-    out = []
-    if isinstance(triple.subject, Blank):
-        out.append(triple.subject)
-    if isinstance(triple.object, Blank) and triple.object != triple.subject:
-        out.append(triple.object)
-    return tuple(out)
-
-
-def _refine_colors(triples: set[Triple], blanks: set[Blank]) -> dict[Blank, tuple]:
-    touching: dict[Blank, list[Triple]] = {b: [] for b in blanks}
-    for t in triples:
-        for b in _blanks_of(t):
-            touching[b].append(t)
-    colors: dict[Blank, tuple] = {b: () for b in blanks}
-    for _ in range(len(blanks) + 1):
-        fresh: dict[Blank, tuple] = {}
-        for b, ts in touching.items():
-            sig = []
-            for t in ts:
-                subj = ("b", colors[t.subject]) if isinstance(t.subject, Blank) else ("g", term_sort_key(t.subject))
-                obj = ("b", colors[t.object]) if isinstance(t.object, Blank) else ("g", term_sort_key(t.object))
-                role = "s" if t.subject == b else "o"
-                if t.subject == b and t.object == b:
-                    role = "so"
-                sig.append((role, t.predicate.value, subj, obj))
-            fresh[b] = tuple(sorted(sig))
-        if fresh == colors:
-            break
-        colors = fresh
-    return colors
-
-
-def _apply_mapping(triples: set[Triple], mapping: dict[Blank, Blank]) -> set[Triple]:
-    out = set()
-    for t in triples:
-        s = mapping.get(t.subject, t.subject) if isinstance(t.subject, Blank) else t.subject
-        o = mapping.get(t.object, t.object) if isinstance(t.object, Blank) else t.object
-        out.add(Triple(s, t.predicate, o))
-    return out
-
-
-def isomorphic(left: Iterable[Triple], right: Iterable[Triple]) -> bool:
-    """True when the two triple sets are equal up to a blank-label bijection."""
-    a, b = set(left), set(right)
-    if a == b:
-        return True
-    if len(a) != len(b):
-        return False
-    blanks_a = {bl for t in a for bl in _blanks_of(t)}
-    blanks_b = {bl for t in b for bl in _blanks_of(t)}
-    if len(blanks_a) != len(blanks_b):
-        return False
-    ground_a = {t for t in a if not _blanks_of(t)}
-    ground_b = {t for t in b if not _blanks_of(t)}
-    if ground_a != ground_b:
-        return False
-    colors_a = _refine_colors(a, blanks_a)
-    colors_b = _refine_colors(b, blanks_b)
-    by_color_a: dict[tuple, list[Blank]] = {}
-    for bl, color in colors_a.items():
-        by_color_a.setdefault(color, []).append(bl)
-    by_color_b: dict[tuple, list[Blank]] = {}
-    for bl, color in colors_b.items():
-        by_color_b.setdefault(color, []).append(bl)
-    if set(by_color_a) != set(by_color_b):
-        return False
-    if any(len(by_color_a[c]) != len(by_color_b[c]) for c in by_color_a):
-        return False
-
-    ordered_a = [bl for c in sorted(by_color_a) for bl in sorted(by_color_a[c], key=lambda x: x.label)]
-    candidates = {bl: sorted(by_color_b[colors_a[bl]], key=lambda x: x.label) for bl in ordered_a}
-
-    used: set[Blank] = set()
-    mapping: dict[Blank, Blank] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(ordered_a):
-            return _apply_mapping(a, mapping) == b
-        bl = ordered_a[i]
-        for cand in candidates[bl]:
-            if cand in used:
-                continue
-            mapping[bl] = cand
-            used.add(cand)
-            if assign(i + 1):
-                return True
-            used.discard(cand)
-            del mapping[bl]
-        return False
-
-    return assign(0)

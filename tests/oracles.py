@@ -8,6 +8,7 @@ disagreement points at the real implementation, not a shared bug.
 from collections import defaultdict
 from decimal import Decimal, ROUND_HALF_EVEN
 import random
+from typing import Iterable
 
 from scholargraph.ontology import (
     AFFILIATION,
@@ -58,6 +59,7 @@ from scholargraph.terms import (
     Triple,
     datetime_literal,
     string_literal,
+    term_sort_key,
     year_literal,
 )
 
@@ -650,3 +652,100 @@ SAMPLE_USAGE_TSV = (
     "4AD2FD457EB59CE08AAAF6EA2A63F\tC3044206\tCalifornia State University, Los Angeles\t"
     "b5e1ab73-26b5-41f0-a83f-b47b4d737\n"
 )
+
+
+# -- graph comparison up to blank relabeling ---------------------------------
+
+
+def _blanks_of(triple: Triple) -> tuple[Blank, ...]:
+    out = []
+    if isinstance(triple.subject, Blank):
+        out.append(triple.subject)
+    if isinstance(triple.object, Blank) and triple.object != triple.subject:
+        out.append(triple.object)
+    return tuple(out)
+
+
+def _refine_colors(triples: set[Triple], blanks: set[Blank]) -> dict[Blank, tuple]:
+    touching: dict[Blank, list[Triple]] = {b: [] for b in blanks}
+    for t in triples:
+        for b in _blanks_of(t):
+            touching[b].append(t)
+    colors: dict[Blank, tuple] = {b: () for b in blanks}
+    for _ in range(len(blanks) + 1):
+        fresh: dict[Blank, tuple] = {}
+        for b, ts in touching.items():
+            sig = []
+            for t in ts:
+                subj = ("b", colors[t.subject]) if isinstance(t.subject, Blank) else ("g", term_sort_key(t.subject))
+                obj = ("b", colors[t.object]) if isinstance(t.object, Blank) else ("g", term_sort_key(t.object))
+                role = "s" if t.subject == b else "o"
+                if t.subject == b and t.object == b:
+                    role = "so"
+                sig.append((role, t.predicate.value, subj, obj))
+            fresh[b] = tuple(sorted(sig))
+        if fresh == colors:
+            break
+        colors = fresh
+    return colors
+
+
+def _apply_mapping(triples: set[Triple], mapping: dict[Blank, Blank]) -> set[Triple]:
+    out = set()
+    for t in triples:
+        s = mapping.get(t.subject, t.subject) if isinstance(t.subject, Blank) else t.subject
+        o = mapping.get(t.object, t.object) if isinstance(t.object, Blank) else t.object
+        out.add(Triple(s, t.predicate, o))
+    return out
+
+
+def isomorphic(left: Iterable[Triple], right: Iterable[Triple]) -> bool:
+    """True when the two triple sets are equal up to a blank-label bijection."""
+    a, b = set(left), set(right)
+    if a == b:
+        return True
+    if len(a) != len(b):
+        return False
+    blanks_a = {bl for t in a for bl in _blanks_of(t)}
+    blanks_b = {bl for t in b for bl in _blanks_of(t)}
+    if len(blanks_a) != len(blanks_b):
+        return False
+    ground_a = {t for t in a if not _blanks_of(t)}
+    ground_b = {t for t in b if not _blanks_of(t)}
+    if ground_a != ground_b:
+        return False
+    colors_a = _refine_colors(a, blanks_a)
+    colors_b = _refine_colors(b, blanks_b)
+    by_color_a: dict[tuple, list[Blank]] = {}
+    for bl, color in colors_a.items():
+        by_color_a.setdefault(color, []).append(bl)
+    by_color_b: dict[tuple, list[Blank]] = {}
+    for bl, color in colors_b.items():
+        by_color_b.setdefault(color, []).append(bl)
+    if set(by_color_a) != set(by_color_b):
+        return False
+    if any(len(by_color_a[c]) != len(by_color_b[c]) for c in by_color_a):
+        return False
+
+    ordered_a = [bl for c in sorted(by_color_a) for bl in sorted(by_color_a[c], key=lambda x: x.label)]
+    candidates = {bl: sorted(by_color_b[colors_a[bl]], key=lambda x: x.label) for bl in ordered_a}
+
+    used: set[Blank] = set()
+    mapping: dict[Blank, Blank] = {}
+
+    def assign(i: int) -> bool:
+        if i == len(ordered_a):
+            return _apply_mapping(a, mapping) == b
+        bl = ordered_a[i]
+        for cand in candidates[bl]:
+            if cand in used:
+                continue
+            mapping[bl] = cand
+            used.add(cand)
+            if assign(i + 1):
+                return True
+            used.discard(cand)
+            del mapping[bl]
+        return False
+
+    return assign(0)

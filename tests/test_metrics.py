@@ -17,6 +17,7 @@ from scholargraph.metrics import (
 )
 from scholargraph.ontology import (
     ARTICLE,
+    CITATION,
     GROUP,
     HAS_DOCUMENT,
     HAS_END_TIME,
@@ -316,6 +317,21 @@ def test_metrics_enter_the_engine_ledger_and_retract():
     assert len(engine.ledger_entries(engine.METRIC_RULE)) == 10
     engine.retract_all()
     assert snapshot_bytes(store) == reference
+
+
+def test_a_metric_rewritten_without_an_engine_leaves_no_stale_ledger_triple():
+    store, root = jcdl_fixture()
+    engine = InferenceEngine(store)
+    assert impact_factor(store, root, 2007, engine=engine).value == Decimal("2.500000")
+    citation = Iri("urn:cite:0")
+    assert store.remove(Triple(citation, RDF_TYPE, CITATION))
+    result = impact_factor(store, root, 2007)
+    assert result.value == Decimal("2.400000")
+    # the node's old statements left the ledger with the store; written
+    # without an engine, the new ones are base facts
+    assert engine.ledger_rules() == ()
+    back = Store.load(io.BytesIO(snapshot_bytes(store)))
+    assert set(back.triples()) == set(store.triples())
 
 
 def test_adding_a_qualifying_citation_never_lowers_the_value():

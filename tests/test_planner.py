@@ -11,6 +11,7 @@ exhausting memory.
 import os
 import random
 
+from oracles import index_of, oracle_pub_window_rows, oracle_uif_numerator_rows
 from scholargraph.inference import RULE_SCRIPTS
 from scholargraph.metrics import impact_factor
 from scholargraph.ontology import (
@@ -163,6 +164,31 @@ def test_explain_counts_come_from_the_run():
         ),
     )
     assert report.block_rows == (2,)
-    actual = [step.actual for step in report.plans[0]]
-    assert actual[-1] == 2
-    assert max(actual) == 14
+    plan = report.plans[0]
+    # all three patterns tie at 14; the filtered one runs first and its
+    # filter, which the estimate does not see, cuts the rows to 2
+    assert plan[0].pattern.predicate == HAS_TIME
+    assert [step.estimated for step in plan] == [14.0, 14.0, 14.0]
+    assert [step.actual for step in plan] == [2, 2, 2]
+
+
+def test_a_filtered_pattern_wins_an_estimate_tie():
+    store, journal = scholarly_store(seed=5, docs=200, events=2000, citations=0, journals=8, budget=20_000)
+    with open(os.path.join(DATA, "usage_impact_factor.q"), encoding="utf-8") as fp:
+        text = fp.read().replace("urn:issn:1082-9873", journal.value)
+    report = execute_script(store, parse_script(text))
+    index = index_of(store)
+    assert report.block_rows == (
+        oracle_uif_numerator_rows(index, journal),
+        oracle_pub_window_rows(index, journal, tautology=True),
+    )
+    plan = report.plans[0]
+    steps = {(step.pattern.subject.name, step.pattern.predicate): n for n, step in enumerate(plan)}
+    for var, filtered, unfiltered in (("y", HAS_TIME, (RDF_TYPE, HAS_UNIT)), ("x", HAS_TIME, (RDF_TYPE,))):
+        first = steps[var, filtered]
+        for predicate in unfiltered:
+            tied = steps[var, predicate]
+            assert plan[tied].estimated == plan[first].estimated
+            assert first < tied
+            # the filter has already cut the rows the tied step extends
+            assert plan[tied].actual <= plan[first].actual < plan[first - 1].actual

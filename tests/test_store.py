@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from scholargraph.store import SnapshotError, Store, TriplePattern, Var, isomorphic
+from scholargraph.store import SnapshotError, Store, TriplePattern, Var
 from scholargraph.terms import (
     Blank,
     Iri,
@@ -15,7 +15,7 @@ from scholargraph.terms import (
     year_literal,
 )
 
-from oracles import random_context_store
+from oracles import isomorphic, random_context_store
 
 
 def small_store():
@@ -93,6 +93,91 @@ def test_match_all_shapes_against_scan():
                 and (o is None or u.object == o)
             }
             assert got == want, (s, p, o)
+
+
+def shape_order(bound):
+    """Sort key, over (s, p, o), of the permutation that serves a shape:
+    POS when p is bound without s, OSP when o is bound without p, else SPO."""
+    s, p, o = (key is not None for key in bound)
+    if p and not s:
+        return lambda t: (t[1], t[2], t[0])
+    if o and not p:
+        return lambda t: (t[2], t[0], t[1])
+    return lambda t: t
+
+
+def check_against_model(store, model, probes):
+    """Every read of ``store`` agrees with the id-triple set ``model``;
+    ``match_ids`` yields in the serving permutation's order."""
+    assert len(store) == len(model)
+    assert store.verify_indexes()
+    for slot, name in enumerate(("subjects", "predicates", "objects")):
+        assert store.stats()[name] == len({t[slot] for t in model})
+    assert store.stats()["triples"] == len(model)
+    for probe in probes:
+        for mask in range(8):
+            bound = tuple(probe[i] if mask & (4 >> i) else None for i in range(3))
+            want = sorted(
+                (t for t in model if all(b is None or t[i] == b for i, b in enumerate(bound))),
+                key=shape_order(bound),
+            )
+            assert list(store.match_ids(*bound)) == want, bound
+            assert store.match_count(*bound) == len(want), bound
+            if mask == 7:
+                continue
+            for slot in range(3):
+                if bound[slot] is None:
+                    assert store.distinct_count(*bound, slot) == len({t[slot] for t in want}), (bound, slot)
+        for term_id in probe:
+            term = store.decode(term_id)
+            assert store.appears(term) == any(term_id in t for t in model)
+
+
+def test_random_updates_keep_every_shape_in_permutation_order():
+    rng = random.Random(15)
+    store = random_context_store(rng, 120)
+
+    def ids(t):
+        return (store.lookup(t.subject), store.lookup(t.predicate), store.lookup(t.object))
+
+    model = {ids(t) for t in store.triples()}
+    subjects = sorted({t.subject for t in store.triples()}, key=repr)
+    predicates = sorted({t.predicate for t in store.triples()}, key=repr)
+    objects = sorted({t.object for t in store.triples()}, key=repr) + [Iri("urn:x:fresh")]
+    store.intern(objects[-1])  # every candidate term has an id from here on
+    for _ in range(12):
+        for _ in range(60):
+            if model and rng.random() < 0.45:
+                s, p, o = rng.choice(sorted(model))
+                triple = Triple(store.decode(s), store.decode(p), store.decode(o))
+            else:
+                triple = Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+            key = ids(triple)
+            if rng.random() < 0.5:
+                assert store.insert(triple) is (key not in model)
+                model.add(key)
+            else:
+                assert store.remove(triple) is (key in model)
+                model.discard(key)
+        probes = rng.sample(sorted(model), 8) + [
+            (rng.randrange(store.term_count()), rng.randrange(store.term_count()), rng.randrange(store.term_count()))
+            for _ in range(4)
+        ]
+        check_against_model(store, model, probes)
+    # a bulk build, from a snapshot or from insert_many, lays out the same
+    for rebuilt in (Store.load(io.BytesIO(saved(store))), bulk_copy(store)):
+        rebuilt_model = {
+            (rebuilt.lookup(t.subject), rebuilt.lookup(t.predicate), rebuilt.lookup(t.object))
+            for t in store.triples()
+        }
+        probes = rng.sample(sorted(rebuilt_model), 12)
+        check_against_model(rebuilt, rebuilt_model, probes)
+
+
+def bulk_copy(store):
+    copy = Store()
+    copy.insert_many(store.triples())
+    return copy
 
 
 def test_distinct_count_against_scan():
