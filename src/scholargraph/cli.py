@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Optional, Sequence
 
@@ -27,7 +28,7 @@ from .errors import ScholarGraphError
 from .inference import InferenceEngine, RULE_SCRIPTS
 from .metrics import impact_factor, usage_impact_factor
 from .ntriples import serialize_term, serialize_triple, write_ntriples
-from .ontology import SCHEMA, export_catalog, validate_all
+from .ontology import export_catalog, validate_all
 from .queryl import execute_script, parse_script
 from .sidecar import DEFAULT_PROVIDER, Sidecar, literal_audit
 from .store import Store, TriplePattern, Var
@@ -39,28 +40,13 @@ DEFAULT_STORE = "scholargraph.store"
 DEFAULT_SIDECAR = "scholargraph.sidecar"
 
 
+@dataclass
 class Config:
-    __slots__ = ("store", "sidecar", "provider", "namespaces", "precision")
-
-    def __init__(
-        self,
-        store: str,
-        sidecar: str,
-        provider: str,
-        namespaces: dict[str, str],
-        precision: int,
-    ) -> None:
-        self.store = store
-        self.sidecar = sidecar
-        self.provider = provider
-        self.namespaces = namespaces
-        self.precision = precision
-
-    def namespace_table(self) -> NamespaceTable:
-        table = NamespaceTable()
-        for prefix, iri in self.namespaces.items():
-            table.register(prefix, iri)
-        return table
+    store: str
+    sidecar: str
+    provider: str
+    namespaces: NamespaceTable
+    precision: int
 
 
 def _load_config(args: argparse.Namespace) -> Config:
@@ -85,12 +71,13 @@ def _load_config(args: argparse.Namespace) -> Config:
     provider = args.provider or file_cfg.get("provider") or DEFAULT_PROVIDER.value
     if "://" not in provider and ":" not in provider:
         raise ScholarGraphError(f"provider IRI must be absolute: {provider!r}")
-    namespaces = dict(file_cfg.get("namespaces") or {})
+    bindings = dict(file_cfg.get("namespaces") or {})
     for pair in args.namespace or []:
         prefix, _, iri = pair.partition("=")
         if not prefix or not iri:
             raise ScholarGraphError(f"--namespace needs prefix=iri, got {pair!r}")
-        namespaces[prefix] = iri
+        bindings[prefix] = iri
+    namespaces = NamespaceTable(bindings)
     precision = int(file_cfg.get("precision", 6))
     if not 0 < precision <= 28:
         raise ScholarGraphError(f"precision out of range: {precision}")
@@ -142,10 +129,6 @@ def _open_store(cfg: Config) -> Store:
     return Store()
 
 
-def _open_engine(cfg: Config, store: Store) -> InferenceEngine:
-    return InferenceEngine(store, namespaces=cfg.namespace_table())
-
-
 def _emit(args: argparse.Namespace, human: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     if args.format == "tsv":
         for row in rows:
@@ -163,13 +146,9 @@ def _report_problems(problems: Sequence[tuple[int, str]]) -> None:
 # -- subcommand handlers --------------------------------------------------------
 
 
-def _ingest(args: argparse.Namespace, cfg: Config, table: str) -> int:
+def _ingest(args: argparse.Namespace, cfg: Config) -> int:
     with Sidecar(cfg.sidecar) as sidecar:
-        method = {
-            "biblio": sidecar.ingest_biblio,
-            "usage": sidecar.ingest_usage,
-            "citations": sidecar.ingest_citations,
-        }[table]
+        method = getattr(sidecar, f"ingest_{args.table}")
         if args.input == "-":
             report = method(sys.stdin)
         else:
@@ -182,18 +161,6 @@ def _ingest(args: argparse.Namespace, cfg: Config, table: str) -> int:
         [[str(report.loaded), str(report.rejected)]],
     )
     return 0
-
-
-def cmd_ingest_biblio(args: argparse.Namespace, cfg: Config) -> int:
-    return _ingest(args, cfg, "biblio")
-
-
-def cmd_ingest_usage(args: argparse.Namespace, cfg: Config) -> int:
-    return _ingest(args, cfg, "usage")
-
-
-def cmd_ingest_citations(args: argparse.Namespace, cfg: Config) -> int:
-    return _ingest(args, cfg, "citations")
 
 
 def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
@@ -259,22 +226,15 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
     else:
         with open(args.file, "r", encoding="utf-8") as fp:
             text = fp.read()
-    table = cfg.namespace_table()
-    script = parse_script(text, table)
+    script = parse_script(text, cfg.namespaces)
     mutates = bool(script.templates)
-
-    def run(store: Store) -> tuple:
-        report = execute_script(store, script)
-        return report
-
     if mutates:
         with _writer_lock(cfg.store):
             store = _open_store(cfg)
-            report = run(store)
+            report = execute_script(store, script)
             store.save(cfg.store)
     else:
-        store = _open_store(cfg)
-        report = run(store)
+        report = execute_script(_open_store(cfg), script)
 
     human: list[str] = []
     rows: list[list[str]] = []
@@ -296,7 +256,7 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
             if not report.plans[index]:
                 human.append("  (no step ran: a constant of the block is not in the store)")
             for number, step in enumerate(report.plans[index], 1):
-                pattern = _render_pattern(step.pattern, table)
+                pattern = _render_pattern(step.pattern, cfg.namespaces)
                 estimated = f"{step.estimated:.1f}"
                 human.append(f"  {number}. {pattern}  estimated {estimated}  actual {step.actual}")
                 rows.append(["plan", str(index + 1), str(number), pattern, estimated, str(step.actual)])
@@ -309,15 +269,14 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
     with _writer_lock(cfg.store):
-        store = _open_store(cfg)
-        engine = _open_engine(cfg, store)
+        engine = InferenceEngine(_open_store(cfg))
         if args.all:
             counts = engine.run_all()
         elif args.rule:
             counts = {args.rule: engine.run_rule(args.rule)}
         else:
             raise ScholarGraphError("infer needs --rule NAME or --all")
-        store.save(cfg.store)
+        engine.store.save(cfg.store)
     human = [f"{name}: {count} new triple(s)" for name, count in counts.items()]
     human.append(f"total: {sum(counts.values())}")
     rows = [[name, str(count)] for name, count in counts.items()]
@@ -327,8 +286,7 @@ def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
     with _writer_lock(cfg.store):
-        store = _open_store(cfg)
-        engine = _open_engine(cfg, store)
+        engine = InferenceEngine(_open_store(cfg))
         if args.all:
             removed = engine.retract_all()
             label = "all rules"
@@ -337,7 +295,7 @@ def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
             label = args.rule
         else:
             raise ScholarGraphError("retract needs --rule NAME or --all")
-        store.save(cfg.store)
+        engine.store.save(cfg.store)
     _emit(
         args,
         [f"retracted {removed} triple(s) from {label}"],
@@ -363,14 +321,8 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
     compute = {"if": impact_factor, "uif": usage_impact_factor}[args.kind]
     with _writer_lock(cfg.store):
         store = _open_store(cfg)
-        engine = _open_engine(cfg, store)
         result = compute(
-            store,
-            Iri(args.object),
-            args.year,
-            window=window,
-            engine=engine,
-            transitive=not args.direct_only,
+            store, Iri(args.object), args.year, window=window, transitive=not args.direct_only
         )
         store.save(cfg.store)
     shown = result.value.quantize(Decimal(1).scaleb(-cfg.precision)) if cfg.precision != 6 else result.value
@@ -422,7 +374,6 @@ def cmd_catalog(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     store = _open_store(cfg)
-    engine = _open_engine(cfg, store)
     pairs: list[tuple[str, int]] = [
         ("triples", len(store)),
         ("terms", store.term_count()),
@@ -433,8 +384,9 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
             classes[triple.object.value] = classes.get(triple.object.value, 0) + 1
     for iri in sorted(classes):
         pairs.append((f"class {iri}", classes[iri]))
-    for name in engine.ledger_rules():
-        pairs.append((f"ledger {name}", len(engine.ledger_entries(name))))
+    for name, entry in sorted(store.ledger.items()):
+        if entry:
+            pairs.append((f"ledger {name}", len(entry)))
     human = [f"{key}: {value}" for key, value in pairs]
     rows = [[key, str(value)] for key, value in pairs]
     _emit(args, human, rows)
@@ -474,12 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("ingest-biblio", cmd_ingest_biblio, "load bibliographic records from TSV")
-    p.add_argument("--input", default="-", help="TSV file ('-' for stdin)")
-    p = add("ingest-usage", cmd_ingest_usage, "load usage events from TSV")
-    p.add_argument("--input", default="-", help="TSV file ('-' for stdin)")
-    p = add("ingest-citations", cmd_ingest_citations, "load citation pairs from TSV")
-    p.add_argument("--input", default="-", help="TSV file ('-' for stdin)")
+    for table, records in (
+        ("biblio", "bibliographic records"),
+        ("usage", "usage events"),
+        ("citations", "citation pairs"),
+    ):
+        p = add(f"ingest-{table}", _ingest, f"load {records} from TSV")
+        p.add_argument("--input", default="-", help="TSV file ('-' for stdin)")
+        p.set_defaults(table=table)
 
     p = add("map", cmd_map, "project sidecar records into the triple store")
     p.add_argument(

@@ -41,18 +41,14 @@ from .ontology import (
     HAS_WEIGHT,
     PART_OF,
     PUBLISHES,
-    SCHEMA,
-    Schema,
     UnknownNodeError,
 )
 from .queryl import Script, execute_script, parse_script
 from .store import Store
 from .terms import (
-    Blank,
     Datatype,
     Iri,
     Literal,
-    NamespaceTable,
     RDF_TYPE,
     Term,
     Triple,
@@ -208,23 +204,23 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], ledger: Optional[set[Triple]] = None) -> None:
-    """Replace all statements about ``node`` with ``triples``.
+def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], rule: str) -> None:
+    """Replace all statements about ``node`` with ``triples``, ledgered
+    under ``rule``.
 
     Each removed statement leaves every rule's entry in the store's ledger,
-    whatever ``ledger`` is, so the ledger names only triples the store
-    holds.  With a ``ledger`` set, removed statements leave it too and newly
-    added ones enter it, keeping ledger/base disjointness intact.
+    so the ledger names only triples the store holds.  Each newly added one
+    enters ``rule``'s entry; a statement the store already held stays a
+    base fact, keeping ledger/base disjointness intact.
     """
     for old in list(store.match_terms(node, None, None)):
         store.remove(old)
         for entry in store.ledger.values():
             entry.discard(old)
-        if ledger is not None:
-            ledger.discard(old)
+    entry = store.ledger.setdefault(rule, set())
     for triple in triples:
-        if store.insert(triple) and ledger is not None:
-            ledger.add(triple)
+        if store.insert(triple):
+            entry.add(triple)
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -238,29 +234,22 @@ def _triple_sort_key(triple: Triple) -> tuple:
 class InferenceEngine:
     """Runs registered rules and derivations against one store.
 
-    The engine records what it materializes in the store's ledger
+    Everything the engine materializes is recorded in the store's ledger
     (:attr:`Store.ledger`), which the store snapshot carries, so
-    retraction works across processes.  :meth:`save_ledger` and
-    :meth:`load_ledger` dump and read the ledger as N-Triples sections.
+    retraction works across processes.  Derived nodes, metric nodes
+    included, enter it through :func:`upsert_node`.  :meth:`save_ledger`
+    and :meth:`load_ledger` dump and read the ledger as N-Triples sections.
     """
 
     GROUP_CITATION = "group_citation"
     COAUTHOR_RULE = "coauthor"
     METRIC_RULE = "metric"
 
-    def __init__(
-        self,
-        store: Store,
-        schema: Schema | None = None,
-        namespaces: NamespaceTable | None = None,
-    ) -> None:
+    def __init__(self, store: Store) -> None:
         self.store = store
-        self.schema = schema or SCHEMA
-        self.namespaces = namespaces or NamespaceTable()
         self._scripts: dict[str, Script] = {
-            name: parse_script(text, self.namespaces) for name, text in RULE_SCRIPTS.items()
+            name: parse_script(text) for name, text in RULE_SCRIPTS.items()
         }
-        self._ledger = store.ledger
 
     # -- property rules --------------------------------------------------------
 
@@ -276,9 +265,9 @@ class InferenceEngine:
         """Execute one rule; ledger the new triples; return how many."""
         if name not in self._scripts:
             raise UnknownRuleError(name)
-        report = execute_script(self.store, self._scripts[name], self.schema)
+        report = execute_script(self.store, self._scripts[name])
         if report.new_triples:
-            self._ledger.setdefault(name, set()).update(report.new_triples)
+            self.store.ledger.setdefault(name, set()).update(report.new_triples)
         return report.inserted
 
     def run_all(self) -> dict[str, int]:
@@ -286,35 +275,27 @@ class InferenceEngine:
 
     def retract_rule(self, name: str) -> int:
         """Remove exactly what the rule added; 0 if it never ran."""
-        if name not in self._scripts and name not in self._ledger:
+        if name not in self._scripts and name not in self.store.ledger:
             raise UnknownRuleError(name)
-        entry = self._ledger.pop(name, set())
-        removed = 0
-        for triple in entry:
-            if self.store.remove(triple):
-                removed += 1
-        return removed
+        return self._retract([name])
 
     def retract_all(self) -> int:
+        return self._retract(list(self.store.ledger))
+
+    def _retract(self, names: list[str]) -> int:
         removed = 0
-        for name in list(self._ledger):
-            entry = self._ledger.pop(name)
-            for triple in entry:
-                if self.store.remove(triple):
-                    removed += 1
+        for name in names:
+            for triple in self.store.ledger.pop(name, ()):
+                removed += self.store.remove(triple)
         return removed
 
     def ledger_entries(self, name: str) -> frozenset[Triple]:
-        return frozenset(self._ledger.get(name, set()))
+        return frozenset(self.store.ledger.get(name, ()))
 
     def ledger_rules(self) -> tuple[str, ...]:
-        return tuple(sorted(name for name, entry in self._ledger.items() if entry))
+        return tuple(sorted(name for name, entry in self.store.ledger.items() if entry))
 
     # -- aggregate derivations ---------------------------------------------------
-
-    def _upsert(self, rule_key: str, node: Iri, triples: list[Triple]) -> None:
-        ledger = self._ledger.setdefault(rule_key, set())
-        upsert_node(self.store, node, triples, ledger)
 
     def derive_group_citation(
         self,
@@ -367,7 +348,7 @@ class InferenceEngine:
             Triple(node, HAS_SINK_START_TIME, year_literal(sink_window[0])),
             Triple(node, HAS_SINK_END_TIME, year_literal(sink_window[1])),
         ]
-        self._upsert(self.GROUP_CITATION, node, triples)
+        upsert_node(self.store, node, triples, self.GROUP_CITATION)
         return node
 
     def coauthor_weight(self, a: Term, b: Term, window: Optional[tuple[int, int]] = None) -> int:
@@ -408,7 +389,7 @@ class InferenceEngine:
             if window is not None:
                 triples.append(Triple(node, HAS_START_TIME, year_literal(window[0])))
                 triples.append(Triple(node, HAS_END_TIME, year_literal(window[1])))
-            self._upsert(self.COAUTHOR_RULE, node, triples)
+            upsert_node(self.store, node, triples, self.COAUTHOR_RULE)
             nodes.append(node)
         return (nodes[0], nodes[1])
 
@@ -439,8 +420,8 @@ class InferenceEngine:
     def save_ledger(self, target: Union[str, IO[bytes]]) -> None:
         """Dump the ledger as rule-name sections of N-Triples lines."""
         lines = [_LEDGER_MAGIC]
-        for name in sorted(self._ledger):
-            entry = self._ledger[name]
+        for name in sorted(self.store.ledger):
+            entry = self.store.ledger[name]
             if not entry:
                 continue
             lines.append(f"#rule {name}")
@@ -497,5 +478,5 @@ class InferenceEngine:
                             f"ledger triple for rule {name!r} is not in the store: "
                             f"{serialize_triple(triple)}"
                         )
-        self._ledger.clear()
-        self._ledger.update(ledger)
+        self.store.ledger.clear()
+        self.store.ledger.update(ledger)

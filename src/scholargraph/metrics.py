@@ -11,12 +11,15 @@ distinct Uses contexts timed in the target year whose document is a window
 unit.
 
 A computed metric is written back as a NumericMetric node at a
-deterministic IRI (re-running updates in place).  A zero denominator raises
+deterministic IRI (re-running updates in place), and its statements are
+recorded in the store's ledger under the ``metric`` rule, so retracting
+that rule takes every metric node back.  A zero denominator raises
 instead, and writes nothing: 0/0 is not a metric value.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from typing import Optional
 
@@ -68,36 +71,18 @@ class UndefinedMetricError(MetricError):
         self.object = obj
 
 
+@dataclass
 class MetricResult:
     """Outcome of one metric computation, including the node written."""
 
-    __slots__ = ("metric", "object", "year", "window", "numerator", "denominator", "value", "node")
-
-    def __init__(
-        self,
-        metric: str,
-        obj: Term,
-        year: int,
-        window: tuple[int, int],
-        numerator: int,
-        denominator: int,
-        value: Decimal,
-        node: Iri,
-    ) -> None:
-        self.metric = metric
-        self.object = obj
-        self.year = year
-        self.window = window
-        self.numerator = numerator
-        self.denominator = denominator
-        self.value = value
-        self.node = node
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricResult({self.metric}, {serialize_term(self.object)}, {self.year}, "
-            f"{self.numerator}/{self.denominator}={self.value})"
-        )
+    metric: str
+    object: Term
+    year: int
+    window: tuple[int, int]
+    numerator: int
+    denominator: int
+    value: Decimal
+    node: Iri
 
 
 def resolve_window(year: int, window: Optional[tuple[int, int]]) -> tuple[int, int]:
@@ -128,18 +113,13 @@ def _value(numerator: int, denominator: int) -> Decimal:
     )
 
 
+def _node(kind_slug: str, obj: Term, year: int, window: tuple[int, int]) -> Iri:
+    return derived_iri(kind_slug, f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}")
+
+
 def _write_node(
-    store: Store,
-    engine: Optional[InferenceEngine],
-    kind_slug: str,
-    metric_class: Iri,
-    obj: Term,
-    year: int,
-    window: tuple[int, int],
-    value: Decimal,
-) -> Iri:
-    key = f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}"
-    node = derived_iri(kind_slug, key)
+    store: Store, node: Iri, metric_class: Iri, obj: Term, year: int, value: Decimal
+) -> None:
     triples = [
         Triple(node, RDF_TYPE, metric_class),
         Triple(node, HAS_OBJECT, obj),
@@ -147,12 +127,7 @@ def _write_node(
         Triple(node, HAS_END_TIME, year_literal(year)),
         Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    if engine is not None:
-        ledger = engine._ledger.setdefault(InferenceEngine.METRIC_RULE, set())
-        upsert_node(store, node, triples, ledger)
-    else:
-        upsert_node(store, node, triples)
-    return node
+    upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
 
 
 def impact_factor(
@@ -160,7 +135,6 @@ def impact_factor(
     obj: Term,
     year: int,
     window: Optional[tuple[int, int]] = None,
-    engine: Optional[InferenceEngine] = None,
     transitive: bool = True,
     write: bool = True,
 ) -> MetricResult:
@@ -181,9 +155,9 @@ def impact_factor(
                 pairs.add((source, sink))
     numerator = len(pairs)
     value = _value(numerator, denominator)
-    node = derived_iri("impact-factor", f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}")
+    node = _node("impact-factor", obj, year, window)
     if write:
-        node = _write_node(store, engine, "impact-factor", IMPACT_FACTOR, obj, year, window, value)
+        _write_node(store, node, IMPACT_FACTOR, obj, year, value)
     return MetricResult("impact factor", obj, year, window, numerator, denominator, value, node)
 
 
@@ -192,7 +166,6 @@ def usage_impact_factor(
     obj: Term,
     year: int,
     window: Optional[tuple[int, int]] = None,
-    engine: Optional[InferenceEngine] = None,
     transitive: bool = True,
     write: bool = True,
 ) -> MetricResult:
@@ -208,13 +181,9 @@ def usage_impact_factor(
         if any(doc in units for doc in store.objects(ctx, HAS_DOCUMENT)):
             numerator += 1
     value = _value(numerator, denominator)
-    node = derived_iri(
-        "usage-impact-factor", f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}"
-    )
+    node = _node("usage-impact-factor", obj, year, window)
     if write:
-        node = _write_node(
-            store, engine, "usage-impact-factor", USAGE_IMPACT_FACTOR, obj, year, window, value
-        )
+        _write_node(store, node, USAGE_IMPACT_FACTOR, obj, year, value)
     return MetricResult(
         "usage impact factor", obj, year, window, numerator, denominator, value, node
     )

@@ -334,33 +334,6 @@ class Store:
         for si, pi, oi in self.match_ids(*ids):
             yield Triple(terms[si], terms[pi], terms[oi])
 
-    def match(self, pattern: TriplePattern) -> Iterator[dict[str, Term]]:
-        """Bindings for a pattern; repeated variables must agree."""
-        slots = (pattern.subject, pattern.predicate, pattern.object)
-        ids: list[Optional[int]] = []
-        for slot in slots:
-            if isinstance(slot, Var):
-                ids.append(None)
-            else:
-                term_id = self._ids.get(slot)
-                if term_id is None:
-                    return
-                ids.append(term_id)
-        terms = self._terms
-        for hit in self.match_ids(*ids):
-            binding: dict[str, int] = {}
-            ok = True
-            for slot, value in zip(slots, hit):
-                if isinstance(slot, Var):
-                    prior = binding.get(slot.name)
-                    if prior is None:
-                        binding[slot.name] = value
-                    elif prior != value:
-                        ok = False
-                        break
-            if ok:
-                yield {name: terms[i] for name, i in binding.items()}
-
     def objects(self, subject: Term, predicate: Term) -> list[Term]:
         return [t.object for t in self.match_terms(subject, predicate, None)]
 
@@ -424,8 +397,9 @@ class Store:
 
         Raises :class:`SnapshotError`, writing nothing, if a ledger triple
         is not in the store.  A path is written as ``<path>.tmp``, synced
-        to disk and renamed over ``path``, so a crash leaves either the old
-        snapshot or the new one.
+        to disk and renamed over ``path``, and then the directory is
+        synced, so a crash or power loss leaves either the old snapshot or
+        the new one.
         """
         live_ids = self._spo.keys() | self._pos.keys() | self._osp.keys()
         ordered_terms = sorted((self._terms[i] for i in live_ids), key=term_sort_key)
@@ -474,6 +448,12 @@ class Store:
             if os.path.exists(temporary):
                 os.unlink(temporary)
             raise
+        # the rename survives a power loss only once its directory is synced
+        directory = os.open(os.path.dirname(target) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":

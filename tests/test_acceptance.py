@@ -213,8 +213,8 @@ def test_3_retraction_losslessness():
             INFORMETRICS, SCIENTOMETRICS, (2005, 2006), (2007, 2007)
         )
         engine.derive_all_coauthors()
-        impact_factor(store, JCDL, 2007, engine=engine)
-        usage_impact_factor(store, JCDL, 2007, engine=engine)
+        impact_factor(store, JCDL, 2007)
+        usage_impact_factor(store, JCDL, 2007)
         assert snapshot(store) != baseline
         assert engine.retract_all() > 0
         assert snapshot(store) == baseline

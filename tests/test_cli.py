@@ -177,6 +177,23 @@ def test_infer_retract_round_trip_restores_the_export(workdir, capsys):
     assert before == after
 
 
+def test_metric_retraction_restores_the_export(workdir, capsys):
+    load_everything(capsys)
+    assert run(capsys, "export", "--output", "before.nt")[0] == 0
+    root = journal_root()
+    for kind in ("if", "uif"):
+        code, _, _ = run(capsys, "metric", kind, "--object", root.value, "--year", "2007")
+        assert code == 0
+    code, out, _ = run(capsys, "stats")
+    assert "ledger metric: 10" in out
+    code, out, _ = run(capsys, "retract", "--rule", "metric")
+    assert code == 0 and "retracted 10 triple(s) from metric" in out
+    assert run(capsys, "export", "--output", "after.nt")[0] == 0
+    assert (workdir / "after.nt").read_bytes() == (workdir / "before.nt").read_bytes()
+    code, out, _ = run(capsys, "stats")
+    assert "ledger" not in out
+
+
 def test_map_and_query_after_infer_keep_the_ledger(workdir, capsys):
     load_everything(capsys)
     run(capsys, "export", "--output", "before.nt")
@@ -401,6 +418,16 @@ def test_namespace_flag_feeds_the_query_parser(workdir, capsys):
     )
     assert code == 0
     assert "(0 row(s), 0 full match(es))" in out
+
+
+def test_bad_namespace_flags_exit_one(workdir, capsys):
+    for binding, message in (
+        ("lanl", "--namespace needs prefix=iri"),
+        ("1x=http://example.org/", "bad namespace prefix"),
+        ("mesur=http://example.org/", "already bound"),
+    ):
+        code, _, err = run(capsys, "--namespace", binding, "stats")
+        assert code == 1 and message in err, (binding, err)
 
 
 def test_tsv_format_is_machine_readable_and_stable(workdir, capsys):

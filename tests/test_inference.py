@@ -495,11 +495,10 @@ def test_year_of_reads_years_and_nothing_else():
 def test_upsert_node_synchronizes_a_ledger():
     store = Store()
     target = node("t")
-    ledger = set()
     first = [Triple(target, HAS_WEIGHT, decimal_literal("1.0"))]
-    upsert_node(store, target, first, ledger)
-    assert ledger == set(first)
+    upsert_node(store, target, first, "rule")
+    assert store.ledger["rule"] == set(first)
     second = [Triple(target, HAS_WEIGHT, decimal_literal("2.0"))]
-    upsert_node(store, target, second, ledger)
-    assert ledger == set(second)
+    upsert_node(store, target, second, "rule")
+    assert store.ledger["rule"] == set(second)
     assert set(store.triples()) == set(second)

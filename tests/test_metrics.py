@@ -311,8 +311,8 @@ def test_metrics_enter_the_engine_ledger_and_retract():
     store, root = jcdl_fixture()
     reference = snapshot_bytes(store)
     engine = InferenceEngine(store)
-    impact_factor(store, root, 2007, engine=engine)
-    usage_impact_factor(store, root, 2007, engine=engine)
+    impact_factor(store, root, 2007)
+    usage_impact_factor(store, root, 2007)
     assert engine.ledger_rules() == (engine.METRIC_RULE,)
     assert len(engine.ledger_entries(engine.METRIC_RULE)) == 10
     engine.retract_all()
@@ -322,16 +322,21 @@ def test_metrics_enter_the_engine_ledger_and_retract():
 def test_a_metric_rewritten_without_an_engine_leaves_no_stale_ledger_triple():
     store, root = jcdl_fixture()
     engine = InferenceEngine(store)
-    assert impact_factor(store, root, 2007, engine=engine).value == Decimal("2.500000")
+    assert impact_factor(store, root, 2007).value == Decimal("2.500000")
     citation = Iri("urn:cite:0")
     assert store.remove(Triple(citation, RDF_TYPE, CITATION))
     result = impact_factor(store, root, 2007)
     assert result.value == Decimal("2.400000")
-    # the node's old statements left the ledger with the store; written
-    # without an engine, the new ones are base facts
-    assert engine.ledger_rules() == ()
+    # the node's old statements left the ledger with the store; the
+    # rewritten node's five statements are the metric rule's whole entry
+    assert engine.ledger_rules() == (engine.METRIC_RULE,)
+    assert engine.ledger_entries(engine.METRIC_RULE) == frozenset(
+        store.match_terms(result.node, None, None)
+    )
+    assert len(engine.ledger_entries(engine.METRIC_RULE)) == 5
     back = Store.load(io.BytesIO(snapshot_bytes(store)))
     assert set(back.triples()) == set(store.triples())
+    assert back.ledger == store.ledger
 
 
 def test_adding_a_qualifying_citation_never_lowers_the_value():

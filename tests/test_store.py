@@ -1,10 +1,12 @@
 import io
+import os
 import random
+import stat
 import struct
 
 import pytest
 
-from scholargraph.store import SnapshotError, Store, TriplePattern, Var
+from scholargraph.store import SnapshotError, Store
 from scholargraph.terms import (
     Blank,
     Iri,
@@ -204,24 +206,6 @@ def test_match_unknown_constant_is_empty():
     assert list(store.match_terms(None, None, string_literal("never"))) == []
 
 
-def test_match_pattern_bindings():
-    store, _ = small_store()
-    rows = list(store.match(TriplePattern(Var("s"), Iri("urn:p1"), Var("o"))))
-    assert {(r["s"], r["o"]) for r in rows} == {
-        (Iri("urn:s1"), Iri("urn:o1")),
-        (Iri("urn:s1"), Iri("urn:o2")),
-        (Iri("urn:s2"), Iri("urn:o1")),
-    }
-
-
-def test_match_repeated_variable_unifies():
-    store = Store()
-    store.insert(Triple(Iri("urn:a"), Iri("urn:p"), Iri("urn:a")))
-    store.insert(Triple(Iri("urn:a"), Iri("urn:p"), Iri("urn:b")))
-    rows = list(store.match(TriplePattern(Var("x"), Iri("urn:p"), Var("x"))))
-    assert rows == [{"x": Iri("urn:a")}]
-
-
 def test_fresh_blank_skips_taken_labels():
     store = Store()
     store.insert(Triple(Blank("genid0"), Iri("urn:p"), Iri("urn:o")))
@@ -340,6 +324,28 @@ def test_save_refuses_a_ledger_triple_not_in_the_store(tmp_path):
         with pytest.raises(SnapshotError):
             store.save(str(path))
         assert list(tmp_path.iterdir()) == []
+
+
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    store, _ = small_store()
+    path = str(tmp_path / "store.bin")
+    calls = []
+    replace, fsync = os.replace, os.fsync
+
+    def record_replace(src, dst):
+        replace(src, dst)
+        calls.append(("replace", dst))
+
+    def record_fsync(fd):
+        fsync(fd)
+        calls.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+
+    monkeypatch.setattr(os, "replace", record_replace)
+    monkeypatch.setattr(os, "fsync", record_fsync)
+    store.save(path)
+    # the temporary file is synced before the rename, its directory after
+    assert calls == [("fsync", False), ("replace", path), ("fsync", True)]
+    assert Store.load(path).stats() == store.stats()
 
 
 def test_corrupt_ledger_sections_are_rejected():
