@@ -5,76 +5,59 @@ terms, a compiled-in publication/usage vocabulary, a small query dialect
 with INSERT templates, retractable materialization rules, journal metrics,
 and a keyed record sidecar for the literals deliberately kept out of the
 graph.
+
+Importing the package imports none of its modules: each name below is
+imported from its module on first access (PEP 562), so a program that uses
+only the store never pays for the query dialect, the rules or the sidecar.
 """
 
-from .errors import PositionedError, ScholarGraphError
-from .inference import InferenceEngine, RULE_SCRIPTS
-from .metrics import MetricResult, UndefinedMetricError, impact_factor, usage_impact_factor
-from .ntriples import (
-    NTriplesParseError,
-    parse_ntriples,
-    serialize_ntriples,
-    serialize_term,
-    serialize_triple,
-    write_ntriples,
-)
-from .ontology import SCHEMA, Schema, validate_all, validate_instance
-from .queryl import QueryParseError, evaluate_block, execute_script, parse_script
-from .sidecar import Sidecar, literal_audit
-from .store import Store, TriplePattern, Var
-from .terms import (
-    Blank,
-    Datatype,
-    Iri,
-    Literal,
-    NamespaceTable,
-    Triple,
-    datetime_literal,
-    decimal_literal,
-    integer_literal,
-    string_literal,
-    year_literal,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Blank",
-    "Datatype",
-    "InferenceEngine",
-    "Iri",
-    "Literal",
-    "MetricResult",
-    "NTriplesParseError",
-    "NamespaceTable",
-    "PositionedError",
-    "QueryParseError",
-    "RULE_SCRIPTS",
-    "SCHEMA",
-    "Schema",
-    "ScholarGraphError",
-    "Sidecar",
-    "Store",
-    "Triple",
-    "TriplePattern",
-    "UndefinedMetricError",
-    "Var",
-    "datetime_literal",
-    "decimal_literal",
-    "evaluate_block",
-    "execute_script",
-    "impact_factor",
-    "integer_literal",
-    "literal_audit",
-    "parse_ntriples",
-    "parse_script",
-    "serialize_ntriples",
-    "serialize_term",
-    "serialize_triple",
-    "string_literal",
-    "usage_impact_factor",
-    "validate_all",
-    "validate_instance",
-    "write_ntriples",
-    "year_literal",
-]
+_EXPORTS = {
+    "errors": ("PositionedError", "ScholarGraphError"),
+    "inference": ("InferenceEngine", "RULE_SCRIPTS"),
+    "metrics": ("MetricResult", "UndefinedMetricError", "impact_factor", "usage_impact_factor"),
+    "ntriples": (
+        "NTriplesParseError",
+        "parse_ntriples",
+        "serialize_ntriples",
+        "serialize_term",
+        "serialize_triple",
+        "write_ntriples",
+    ),
+    "ontology": ("SCHEMA", "Schema", "validate_all", "validate_instance"),
+    "queryl": ("QueryParseError", "evaluate_block", "execute_script", "parse_script"),
+    "sidecar": ("Sidecar", "literal_audit"),
+    "store": ("Store", "TriplePattern", "Var"),
+    "terms": (
+        "Blank",
+        "Datatype",
+        "Iri",
+        "Literal",
+        "NamespaceTable",
+        "Triple",
+        "datetime_literal",
+        "decimal_literal",
+        "integer_literal",
+        "string_literal",
+        "year_literal",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

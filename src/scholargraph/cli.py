@@ -10,31 +10,28 @@ state file: it carries the materialization ledger as its last section, and
 each save replaces it atomically.
 
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
+
+Each subcommand imports the modules it uses inside its handler, so a
+command pays only for its own imports: `stats` and `export` load the store,
+the term model and N-Triples alone, and `query` never loads the rules, the
+metrics or the sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
-from .inference import InferenceEngine, RULE_SCRIPTS
-from .metrics import impact_factor, usage_impact_factor
 from .ntriples import serialize_term, serialize_triple, write_ntriples
-from .ontology import export_catalog, validate_all
-from .queryl import execute_script, parse_script
-from .sidecar import DEFAULT_PROVIDER, Sidecar, literal_audit
 from .store import Store, TriplePattern, Var
 from .terms import Iri, NamespaceTable, RDF_TYPE, term_sort_key
-
-log = logging.getLogger("scholargraph")
 
 DEFAULT_STORE = "scholargraph.store"
 DEFAULT_SIDECAR = "scholargraph.sidecar"
@@ -44,16 +41,22 @@ DEFAULT_SIDECAR = "scholargraph.sidecar"
 class Config:
     store: str
     sidecar: str
-    provider: str
+    provider: Optional[str]  # None: the sidecar's default provider
     namespaces: NamespaceTable
     precision: int
+    verbose: int
 
 
 def _load_config(args: argparse.Namespace) -> Config:
     file_cfg: dict = {}
     if args.config:
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fp:
-            file_cfg = json.load(fp)
+            try:
+                file_cfg = json.load(fp)
+            except json.JSONDecodeError as exc:
+                raise ScholarGraphError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ScholarGraphError(f"{args.config}: config must be a JSON object")
     store = (
@@ -68,20 +71,28 @@ def _load_config(args: argparse.Namespace) -> Config:
         or file_cfg.get("sidecar")
         or DEFAULT_SIDECAR
     )
-    provider = args.provider or file_cfg.get("provider") or DEFAULT_PROVIDER.value
-    if "://" not in provider and ":" not in provider:
+    provider = args.provider or file_cfg.get("provider") or None
+    if provider is not None and "://" not in provider and ":" not in provider:
         raise ScholarGraphError(f"provider IRI must be absolute: {provider!r}")
-    bindings = dict(file_cfg.get("namespaces") or {})
+    namespaces = file_cfg.get("namespaces") or {}
+    if not isinstance(namespaces, dict) or not all(isinstance(iri, str) for iri in namespaces.values()):
+        raise ScholarGraphError(f"{args.config}: namespaces must be a JSON object of prefix to IRI")
+    bindings = dict(namespaces)
     for pair in args.namespace or []:
         prefix, _, iri = pair.partition("=")
         if not prefix or not iri:
             raise ScholarGraphError(f"--namespace needs prefix=iri, got {pair!r}")
         bindings[prefix] = iri
     namespaces = NamespaceTable(bindings)
-    precision = int(file_cfg.get("precision", 6))
+    try:
+        precision = int(file_cfg.get("precision", 6))
+    except (TypeError, ValueError):
+        raise ScholarGraphError(
+            f"{args.config}: precision must be an integer, got {file_cfg['precision']!r}"
+        ) from None
     if not 0 < precision <= 28:
         raise ScholarGraphError(f"precision out of range: {precision}")
-    return Config(store, sidecar, provider, namespaces, precision)
+    return Config(store, sidecar, provider, namespaces, precision, args.verbose)
 
 
 @contextmanager
@@ -123,10 +134,16 @@ def _lock_holder(lock_path: str) -> str:
 
 def _open_store(cfg: Config) -> Store:
     if os.path.exists(cfg.store):
-        log.info("loading store %s", cfg.store)
+        _note(cfg, f"loading store {cfg.store}")
         return Store.load(cfg.store)
-    log.info("starting with an empty store (no %s yet)", cfg.store)
+    _note(cfg, f"starting with an empty store (no {cfg.store} yet)")
     return Store()
+
+
+def _note(cfg: Config, message: str) -> None:
+    """A progress line on stderr, shown with -v."""
+    if cfg.verbose:
+        sys.stderr.write(f"INFO {message}\n")
 
 
 def _emit(args: argparse.Namespace, human: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
@@ -147,6 +164,8 @@ def _report_problems(problems: Sequence[tuple[int, str]]) -> None:
 
 
 def _ingest(args: argparse.Namespace, cfg: Config) -> int:
+    from .sidecar import Sidecar
+
     with Sidecar(cfg.sidecar) as sidecar:
         method = getattr(sidecar, f"ingest_{args.table}")
         if args.input == "-":
@@ -164,11 +183,13 @@ def _ingest(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
+    from .sidecar import DEFAULT_PROVIDER, Sidecar
+
     with _writer_lock(cfg.store):
         store = _open_store(cfg)
         with Sidecar(cfg.sidecar) as sidecar:
             report = sidecar.map_to_graph(
-                store, provider=cfg.provider, affiliations=args.affiliations
+                store, provider=cfg.provider or DEFAULT_PROVIDER, affiliations=args.affiliations
             )
         store.save(cfg.store)
     _emit(
@@ -191,6 +212,9 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
+    from .ontology import validate_all
+    from .sidecar import literal_audit
+
     store = _open_store(cfg)
     violations = validate_all(store)
     audit = literal_audit(store)
@@ -221,6 +245,8 @@ def _render_pattern(pattern: TriplePattern, table: NamespaceTable) -> str:
 
 
 def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
+    from .queryl import execute_script, parse_script
+
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -268,6 +294,8 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
+    from .inference import InferenceEngine
+
     with _writer_lock(cfg.store):
         engine = InferenceEngine(_open_store(cfg))
         if args.all:
@@ -285,6 +313,8 @@ def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
+    from .inference import InferenceEngine
+
     with _writer_lock(cfg.store):
         engine = InferenceEngine(_open_store(cfg))
         if args.all:
@@ -317,6 +347,8 @@ def _parse_window(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 
 def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
+    from .metrics import impact_factor, usage_impact_factor
+
     window = _parse_window(args.window)
     compute = {"if": impact_factor, "uif": usage_impact_factor}[args.kind]
     with _writer_lock(cfg.store):
@@ -368,6 +400,8 @@ def cmd_export(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace, cfg: Config) -> int:
+    from .ontology import export_catalog
+
     sys.stdout.write(export_catalog())
     return 0
 
@@ -378,12 +412,12 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
         ("triples", len(store)),
         ("terms", store.term_count()),
     ]
-    classes: dict[str, int] = {}
-    for triple in store.match_terms(None, RDF_TYPE, None):
-        if isinstance(triple.object, Iri):
-            classes[triple.object.value] = classes.get(triple.object.value, 0) + 1
-    for iri in sorted(classes):
-        pairs.append((f"class {iri}", classes[iri]))
+    rdf_type = store.lookup(RDF_TYPE)
+    if rdf_type is not None:
+        members = Counter(o for _, _, o in store.match_ids(None, rdf_type, None))
+        classes = {store.decode(o): count for o, count in members.items()}
+        for iri in sorted((term for term in classes if isinstance(term, Iri)), key=term_sort_key):
+            pairs.append((f"class {iri.value}", classes[iri]))
     for name, entry in sorted(store.ledger.items()):
         if entry:
             pairs.append((f"ledger {name}", len(entry)))
@@ -394,6 +428,18 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
 
 
 # -- argument parsing ------------------------------------------------------------
+
+
+class _RuleHelp(argparse.HelpFormatter):
+    """Names the registered rules in ``infer --help``, importing the rule
+    registry only when that help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest != "rule":
+            return action.help
+        from .inference import RULE_SCRIPTS
+
+        return f"rule name ({', '.join(sorted(RULE_SCRIPTS))})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    def add(name: str, func, help_text: str, **options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, **options)
         p.set_defaults(func=func)
         return p
 
@@ -452,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="after each block, print its join steps with estimated and actual rows",
     )
 
-    p = add("infer", cmd_infer, "run materialization rules")
-    p.add_argument("--rule", help=f"rule name ({', '.join(sorted(RULE_SCRIPTS))})")
+    p = add("infer", cmd_infer, "run materialization rules", formatter_class=_RuleHelp)
+    p.add_argument("--rule", help="rule name")
     p.add_argument("--all", action="store_true", help="run every registered rule")
 
     p = add("retract", cmd_retract, "remove exactly what a rule materialized")
@@ -483,10 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=max(logging.WARNING - 10 * args.verbose, logging.DEBUG),
-        format="%(levelname)s %(message)s",
-    )
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 2

@@ -44,7 +44,7 @@ from .ontology import (
     UnknownNodeError,
 )
 from .queryl import Script, execute_script, parse_script
-from .store import Store
+from .store import IdTriple, Store
 from .terms import (
     Datatype,
     Iri,
@@ -213,14 +213,16 @@ def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], rule: str) -
     enters ``rule``'s entry; a statement the store already held stays a
     base fact, keeping ledger/base disjointness intact.
     """
-    for old in list(store.match_terms(node, None, None)):
-        store.remove(old)
-        for entry in store.ledger.values():
-            entry.discard(old)
+    node_id = store.lookup(node)
+    if node_id is not None:
+        for old in list(store.match_ids(node_id, None, None)):
+            store.remove_ids(*old)
+            for entry in store.ledger.values():
+                entry.discard(old)
     entry = store.ledger.setdefault(rule, set())
     for triple in triples:
         if store.insert(triple):
-            entry.add(triple)
+            entry.add(store.lookup_triple(triple))  # type: ignore[arg-type]
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -234,11 +236,13 @@ def _triple_sort_key(triple: Triple) -> tuple:
 class InferenceEngine:
     """Runs registered rules and derivations against one store.
 
-    Everything the engine materializes is recorded in the store's ledger
-    (:attr:`Store.ledger`), which the store snapshot carries, so
-    retraction works across processes.  Derived nodes, metric nodes
-    included, enter it through :func:`upsert_node`.  :meth:`save_ledger`
-    and :meth:`load_ledger` dump and read the ledger as N-Triples sections.
+    Everything the engine materializes is recorded, as id triples, in the
+    store's ledger (:attr:`Store.ledger`), which the store snapshot
+    carries, so retraction works across processes and removes by id.
+    Derived nodes, metric nodes included, enter it through
+    :func:`upsert_node`.  :meth:`ledger_entries` decodes one rule's entry;
+    :meth:`save_ledger` and :meth:`load_ledger` dump and read the ledger as
+    N-Triples sections.
     """
 
     GROUP_CITATION = "group_citation"
@@ -267,7 +271,8 @@ class InferenceEngine:
             raise UnknownRuleError(name)
         report = execute_script(self.store, self._scripts[name])
         if report.new_triples:
-            self.store.ledger.setdefault(name, set()).update(report.new_triples)
+            entry = self.store.ledger.setdefault(name, set())
+            entry.update(map(self.store.lookup_triple, report.new_triples))  # type: ignore[arg-type]
         return report.inserted
 
     def run_all(self) -> dict[str, int]:
@@ -285,12 +290,13 @@ class InferenceEngine:
     def _retract(self, names: list[str]) -> int:
         removed = 0
         for name in names:
-            for triple in self.store.ledger.pop(name, ()):
-                removed += self.store.remove(triple)
+            for ids in self.store.ledger.pop(name, ()):
+                removed += self.store.remove_ids(*ids)
         return removed
 
     def ledger_entries(self, name: str) -> frozenset[Triple]:
-        return frozenset(self.store.ledger.get(name, ()))
+        """The triples ``name`` added, decoded from the ledger's ids."""
+        return frozenset(map(self.store.decode_triple, self.store.ledger.get(name, ())))
 
     def ledger_rules(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, entry in self.store.ledger.items() if entry))
@@ -420,12 +426,9 @@ class InferenceEngine:
     def save_ledger(self, target: Union[str, IO[bytes]]) -> None:
         """Dump the ledger as rule-name sections of N-Triples lines."""
         lines = [_LEDGER_MAGIC]
-        for name in sorted(self.store.ledger):
-            entry = self.store.ledger[name]
-            if not entry:
-                continue
+        for name in self.ledger_rules():
             lines.append(f"#rule {name}")
-            for triple in sorted(entry, key=_triple_sort_key):
+            for triple in sorted(self.ledger_entries(name), key=_triple_sort_key):
                 lines.append(serialize_triple(triple))
         data = ("\n".join(lines) + "\n").encode("utf-8")
         if isinstance(target, str):
@@ -449,7 +452,7 @@ class InferenceEngine:
         lines = text.split("\n")
         if not lines or lines[0].strip() != _LEDGER_MAGIC:
             raise LedgerError("not a ledger file (missing header)")
-        ledger: dict[str, set[Triple]] = {}
+        ledger: dict[str, set[IdTriple]] = {}
         current: Optional[str] = None
         for number, line in enumerate(lines[1:], start=2):
             stripped = line.strip()
@@ -469,14 +472,11 @@ class InferenceEngine:
                 triple = next(parse_ntriples(line))
             except ScholarGraphError as exc:
                 raise LedgerError(f"bad ledger line {number}: {exc}") from None
-            ledger[current].add(triple)
-        if verify:
-            for name, entry in ledger.items():
-                for triple in entry:
-                    if triple not in self.store:
-                        raise LedgerError(
-                            f"ledger triple for rule {name!r} is not in the store: "
-                            f"{serialize_triple(triple)}"
-                        )
+            if verify and triple not in self.store:
+                raise LedgerError(
+                    f"ledger triple for rule {current!r} is not in the store: {serialize_triple(triple)}"
+                )
+            intern = self.store.intern
+            ledger[current].add((intern(triple.subject), intern(triple.predicate), intern(triple.object)))
         self.store.ledger.clear()
         self.store.ledger.update(ledger)

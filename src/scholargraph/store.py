@@ -3,18 +3,27 @@
 Terms are interned into a dictionary mapping each distinct term to a dense
 integer id (ids of removed terms are never reused).  Triples live three
 times, once per permutation (SPO, POS, OSP).  Each permutation is one dict
-from its first key to two parallel ``array('q')`` columns holding the other
-two keys, sorted together: ``_spo[s]`` is (p, o) sorted by (p, o),
-``_pos[p]`` is (o, s) and ``_osp[o]`` is (s, p).  A probe on the first two
-keys is one dict get, a bisection of the second column and a slice of the
-third, so the store holds a few objects per distinct key instead of one per
-triple.  Every pattern shape is answered by the permutation whose prefix
-matches its bound slots, and enumeration order is that permutation's sort
-order, so results are deterministic.
+from its first key to two parallel ``array('I')`` columns (unsigned 32-bit,
+the id type of a snapshot) holding the other two keys, sorted together:
+``_spo[s]`` is (p, o) sorted by (p, o), ``_pos[p]`` is (o, s) and
+``_osp[o]`` is (s, p).  A probe on the first two keys is one dict get, a
+bisection of the second column and a slice of the third, so the store
+holds a few objects per distinct key instead of one per triple.  Every
+pattern shape is answered by the permutation whose prefix matches its
+bound slots, and enumeration order is that permutation's sort order, so
+results are deterministic.
+
+A bulk build (a snapshot load, or :meth:`Store.insert_many` into an empty
+store) groups SPO and POS and leaves OSP unbuilt: it is built from SPO the
+first time a probe needs it (a shape with the object bound and the
+predicate free, :meth:`Store.distinct_count`, :meth:`Store.appears`,
+:meth:`Store.stats`, :meth:`Store.verify_indexes`), and until then inserts
+and removes skip it.  A command that never asks for it never pays for it.
 
 The store also owns the inference ledger (:attr:`Store.ledger`: rule name
-to the set of triples that rule added), so a snapshot carries it and every
-command that loads and saves the store keeps it without knowing of it.
+to the set of id triples that rule added), so a snapshot carries it and
+every command that loads and saves the store keeps it without knowing of
+it.  :meth:`Store.decode_triple` turns an entry back into a triple.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -29,14 +38,15 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import ScholarGraphError
 from .ntriples import serialize_triple
-from .terms import Blank, Datatype, Iri, Literal, Term, Triple, term_sort_key
+from .terms import Blank, Datatype, Iri, Literal, Term, TermError, Triple, term_sort_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +88,11 @@ class SnapshotError(ScholarGraphError):
 
 # first key -> (second-key column, third-key column), sorted by (second, third)
 _Index = dict[int, tuple[array, array]]
+IdTriple = tuple[int, int, int]
+
+# the type of every id column, and of the id runs of a snapshot: unsigned
+# 32-bit, so a store holds at most 2**32 terms
+_ID = "I"
 
 _MAGIC = b"SGRAPH"
 _VERSION = 2
@@ -93,11 +108,12 @@ class Store:
         self._ids: dict[Term, int] = {}
         self._spo: _Index = {}
         self._pos: _Index = {}
-        self._osp: _Index = {}
+        # None until a probe needs it after a bulk build; see _object_index
+        self._osp: Optional[_Index] = {}
         self._size = 0
         self._blank_serial = 0
-        # rule name -> triples that rule added; every one is in the store
-        self.ledger: dict[str, set[Triple]] = {}
+        # rule name -> id triples that rule added; every one is in the store
+        self.ledger: dict[str, set[IdTriple]] = {}
 
     # -- dictionary ----------------------------------------------------------
 
@@ -116,6 +132,19 @@ class Store:
 
     def decode(self, term_id: int) -> Term:
         return self._terms[term_id]
+
+    def lookup_triple(self, triple: Triple) -> Optional[IdTriple]:
+        """The id triple of ``triple``; None if one of its terms has no id."""
+        ids = self._ids
+        s, p, o = ids.get(triple.subject), ids.get(triple.predicate), ids.get(triple.object)
+        if s is None or p is None or o is None:
+            return None
+        return (s, p, o)
+
+    def decode_triple(self, ids: IdTriple) -> Triple:
+        terms = self._terms
+        s, p, o = ids
+        return Triple(terms[s], terms[p], terms[o])
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -139,7 +168,8 @@ class Store:
         if not _add(self._spo, s, p, o):
             return False
         _add(self._pos, p, o, s)
-        _add(self._osp, o, s, p)
+        if self._osp is not None:
+            _add(self._osp, o, s, p)
         self._size += 1
         return True
 
@@ -153,38 +183,59 @@ class Store:
             return sum(1 for t in triples if self.insert(t))
         intern = self.intern
         ordered = sorted({(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples})
-        self._build(*(array("q", map(itemgetter(slot), ordered)) for slot in range(3)))
+        self._build(*(array(_ID, map(itemgetter(slot), ordered)) for slot in range(3)))
         return self._size
 
     def _build(self, s: array, p: array, o: array) -> None:
-        """Fill the empty indexes from the id columns of distinct triples in
-        SPO order.
+        """Fill the empty SPO and POS indexes from the id columns of
+        distinct triples in SPO order, and leave OSP unbuilt.
 
-        SPO is grouped as it stands.  OSP and POS come from stable sorts of
+        SPO is grouped as it stands.  POS comes from two stable sorts of
         the row numbers by one integer key each: sorting by object leaves
-        equal objects in (s, p) order, which is OSP order, and sorting that
-        by predicate leaves equal predicates in (o, s) order, which is POS
-        order.  Stability supplies the tie order, so no sort compares
-        tuples.  The sorts and gathers read list copies of the columns,
-        which hand out their ints without boxing each one again.
+        equal objects in (s, p) order, and sorting that by predicate leaves
+        equal predicates in (o, s) order, which is POS order.  Stability
+        supplies the tie order, so no sort compares tuples.  The sorts and
+        gathers read list copies of the columns, which hand out their ints
+        without boxing each one again.
         """
         _group(self._spo, s, p, o)
-        ls, lp, lo = s.tolist(), p.tolist(), o.tolist()
-        rows = sorted(range(len(ls)), key=lo.__getitem__)
-        _group(self._osp, *(array("q", map(column.__getitem__, rows)) for column in (lo, ls, lp)))
+        lp, lo = p.tolist(), o.tolist()
+        rows = sorted(range(len(lo)), key=lo.__getitem__)
         rows.sort(key=lp.__getitem__)
-        _group(self._pos, *(array("q", map(column.__getitem__, rows)) for column in (lp, lo, ls)))
-        self._size = len(ls)
+        _group(self._pos, lp, *_gather(rows, lo, s.tolist()))
+        self._osp = None
+        self._size = len(lo)
+
+    def _object_index(self) -> _Index:
+        """OSP, built from SPO the first time it is needed after a bulk
+        build: a stable sort of SPO order by object is OSP order.
+
+        The index is published only when complete, so concurrent readers
+        never probe a half-built one.
+        """
+        if self._osp is None:
+            spo = self._spo
+            subjects = sorted(spo)
+            ls = list(chain.from_iterable(repeat(key, len(spo[key][0])) for key in subjects))
+            lp = list(chain.from_iterable(spo[key][0] for key in subjects))
+            lo = list(chain.from_iterable(spo[key][1] for key in subjects))
+            osp: _Index = {}
+            _group(osp, lo, *_gather(sorted(range(len(lo)), key=lo.__getitem__), ls, lp))
+            self._osp = osp
+        return self._osp
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
-        s = self._ids.get(triple.subject)
-        p = self._ids.get(triple.predicate)
-        o = self._ids.get(triple.object)
-        if s is None or p is None or o is None or not _discard(self._spo, s, p, o):
+        ids = self.lookup_triple(triple)
+        return ids is not None and self.remove_ids(*ids)
+
+    def remove_ids(self, s: int, p: int, o: int) -> bool:
+        """Remove the triple with these ids; False if absent."""
+        if not _discard(self._spo, s, p, o):
             return False
         _discard(self._pos, p, o, s)
-        _discard(self._osp, o, s, p)
+        if self._osp is not None:
+            _discard(self._osp, o, s, p)
         self._size -= 1
         return True
 
@@ -209,7 +260,7 @@ class Store:
         term_id = self._ids.get(term)
         if term_id is None:
             return False
-        return term_id in self._spo or term_id in self._pos or term_id in self._osp
+        return term_id in self._spo or term_id in self._pos or term_id in self._object_index()
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -221,7 +272,7 @@ class Store:
         """
         if s is not None:
             if p is None and o is not None:
-                columns = self._osp.get(o)
+                columns = self._object_index().get(o)
                 if columns is not None:
                     subjects, predicates = columns
                     lo = bisect_left(subjects, s)
@@ -256,7 +307,7 @@ class Store:
                     yield (subj, p, o)
             return
         if o is not None:
-            columns = self._osp.get(o)
+            columns = self._object_index().get(o)
             if columns is not None:
                 for subj, pred in zip(*columns):
                     yield (subj, pred, o)
@@ -276,11 +327,11 @@ class Store:
             if p is not None:
                 return self._spo.get(s), p
             if o is not None:
-                return self._osp.get(o), s
+                return self._object_index().get(o), s
             return self._spo.get(s), None
         if p is not None:
             return self._pos.get(p), o
-        return self._osp.get(o), None  # type: ignore[arg-type]
+        return self._object_index().get(o), None  # type: ignore[arg-type]
 
     def match_count(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
         """Cheap cardinality estimate for join planning (exact for runs)."""
@@ -303,7 +354,7 @@ class Store:
         estimates."""
         bound = [i for i, key in enumerate((s, p, o)) if key is not None]
         if not bound:
-            return len((self._spo, self._pos, self._osp)[slot])
+            return len(self._spo if slot == 0 else self._pos if slot == 1 else self._object_index())
         if len(bound) == 1:
             columns, _ = self._columns(s, p, o)
             if columns is None:
@@ -355,7 +406,7 @@ class Store:
             "terms": len(self._terms),
             "subjects": len(self._spo),
             "predicates": len(self._pos),
-            "objects": len(self._osp),
+            "objects": len(self._object_index()),
         }
 
     def verify_indexes(self) -> bool:
@@ -372,7 +423,7 @@ class Store:
                 out.extend((first, b, c) for b, c in pairs)
             return out
 
-        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._osp)
+        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._object_index())
         if spo is None or pos is None or osp is None:
             return False
         triples = set(spo)
@@ -388,12 +439,12 @@ class Store:
         """Write a canonical snapshot: the term table, the SPO run, the ledger.
 
         Live terms are sorted into a total order and re-numbered densely.
-        The SPO run follows as sorted id triples (POS and OSP are rebuilt
-        on load).  The ledger section lists each non-empty rule, in name
-        order, with its triples as sorted ids.  Two stores holding the same
-        triples and the same ledger therefore produce byte-identical
-        snapshots regardless of how they got there, and an empty ledger
-        encodes as one that never existed.
+        The SPO run follows as sorted id triples (POS is rebuilt on load,
+        OSP on first use).  The ledger section lists each non-empty rule,
+        in name order, with its triples as sorted ids.  Two stores holding
+        the same triples and the same ledger therefore produce
+        byte-identical snapshots regardless of how they got there, and an
+        empty ledger encodes as one that never existed.
 
         Raises :class:`SnapshotError`, writing nothing, if a ledger triple
         is not in the store.  A path is written as ``<path>.tmp``, synced
@@ -401,19 +452,18 @@ class Store:
         synced, so a crash or power loss leaves either the old snapshot or
         the new one.
         """
-        live_ids = self._spo.keys() | self._pos.keys() | self._osp.keys()
+        live_ids = self._spo.keys() | self._pos.keys()
+        for objects, _ in self._pos.values():
+            live_ids.update(objects)
         ordered_terms = sorted((self._terms[i] for i in live_ids), key=term_sort_key)
         renumber = {self._ids[t]: n for n, t in enumerate(ordered_terms)}
-        ledger: list[tuple[str, list[tuple[int, int, int]]]] = []
-        ids = self._ids
+        ledger: list[tuple[str, list[IdTriple]]] = []
         for name in sorted(self.ledger):
-            entry: list[tuple[int, int, int]] = []
-            for triple in self.ledger[name]:
-                s, p, o = ids.get(triple.subject), ids.get(triple.predicate), ids.get(triple.object)
-                if s is None or p is None or o is None or not self.contains_ids(s, p, o):
-                    raise SnapshotError(
-                        f"ledger triple for rule {name!r} is not in the store: {serialize_triple(triple)}"
-                    )
+            entry: list[IdTriple] = []
+            for s, p, o in self.ledger[name]:
+                if not self.contains_ids(s, p, o):
+                    triple = serialize_triple(self.decode_triple((s, p, o)))
+                    raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
                 entry.append((renumber[s], renumber[p], renumber[o]))
             if entry:
                 ledger.append((name, sorted(entry)))
@@ -459,7 +509,8 @@ class Store:
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
         """Read a snapshot written by :meth:`save`, checking it as it goes.
 
-        Every id must name a term of the table, the SPO run and each ledger
+        Every term must pass its constructor's checks and appear once,
+        every id must name a term of the table, the SPO run and each ledger
         rule's triples must be strictly ascending, and every ledger triple
         must be in the SPO run; anything else raises :class:`SnapshotError`.
         """
@@ -483,17 +534,15 @@ class Store:
         offset = len(_MAGIC) + _HEADER.size
         store = cls()
         try:
-            for _ in range(term_count):
-                term, offset = _decode_term(data, offset)
-                store.intern(term)
-        except (IndexError, ValueError, struct.error) as exc:
+            store._terms, offset = _decode_terms(data, offset, term_count)
+        except (IndexError, ValueError, struct.error, TermError) as exc:
             raise SnapshotError(f"bad term section: {exc}") from None
-        if len(store._terms) != term_count:
+        store._ids = dict(zip(store._terms, range(term_count)))
+        if len(store._ids) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
         spo, offset = _read_id_run(data, offset, triple_count, swap, term_count, "SPO run")
         store._build(*spo)
         del spo
-        terms = store._terms
         try:
             (rule_count,) = struct.unpack_from("<I", data, offset)
             offset += 4
@@ -515,7 +564,7 @@ class Store:
                 entry, offset = _read_id_run(data, offset, count, swap, term_count, f"ledger of rule {name!r}")
                 if not all(map(store.contains_ids, *entry)):
                     raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
-                store.ledger[name] = {Triple(terms[s], terms[p], terms[o]) for s, p, o in zip(*entry)}
+                store.ledger[name] = set(zip(*entry))
         except struct.error:
             raise SnapshotError("truncated ledger section") from None
         if offset != len(data):
@@ -523,8 +572,8 @@ class Store:
         return store
 
 
-def _id_run(ordered: list[tuple[int, int, int]]) -> bytes:
-    return array("I", chain.from_iterable(ordered)).tobytes()
+def _id_run(ordered: list[IdTriple]) -> bytes:
+    return array(_ID, chain.from_iterable(ordered)).tobytes()
 
 
 def _read_id_run(
@@ -535,13 +584,13 @@ def _read_id_run(
     end = offset + count * 12
     if end > len(data):
         raise SnapshotError(f"truncated {what}")
-    run = array("I")
+    run = array(_ID)
     run.frombytes(memoryview(data)[offset:end])
     if swap:
         run.byteswap()
     if run and max(run) >= term_count:
         raise SnapshotError(f"term id out of range in {what}")
-    columns = (array("q", run[0::3]), array("q", run[1::3]), array("q", run[2::3]))
+    columns = (run[0::3], run[1::3], run[2::3])
     following = zip(*columns)
     next(following, None)
     if not all(map(lt, zip(*columns), following)):
@@ -566,7 +615,7 @@ def _add(index: _Index, a: int, b: int, c: int) -> bool:
     """Put (b, c) into ``a``'s column pair; False if it was there."""
     columns = index.get(a)
     if columns is None:
-        index[a] = (array("q", (b,)), array("q", (c,)))
+        index[a] = (array(_ID, (b,)), array(_ID, (c,)))
         return True
     at, found = _seek(columns, b, c)
     if found:
@@ -593,12 +642,19 @@ def _discard(index: _Index, a: int, b: int, c: int) -> bool:
     return True
 
 
-def _group(index: _Index, first: array, second: array, third: array) -> None:
-    """Fill an empty index from three columns sorted by (first, second, third)."""
-    lo, end = 0, len(first)
-    while lo < end:
-        key = first[lo]
-        hi = bisect_right(first, key, lo)
+def _gather(rows: list[int], *columns: list[int]) -> Iterator[array]:
+    """Each column's values at ``rows``, in that order."""
+    return (array(_ID, list(map(column.__getitem__, rows))) for column in columns)
+
+
+def _group(index: _Index, first: Iterable[int], second: array, third: array) -> None:
+    """Fill an empty index from the second and third columns of triples
+    sorted by (first, second, third); ``first`` holds their first keys in
+    any order."""
+    counts = Counter(first)
+    lo = 0
+    for key in sorted(counts):
+        hi = lo + counts[key]
         index[key] = (second[lo:hi], third[lo:hi])
         lo = hi
 
@@ -617,23 +673,33 @@ def _encode_term(term: Term) -> bytes:
     return head + struct.pack("<I", len(raw)) + raw
 
 
-def _decode_term(data: bytes, offset: int) -> tuple[Term, int]:
-    kind = data[offset]
-    offset += 1
-    if kind == 2:
-        datatype = Datatype(data[offset])
-        offset += 1
-    (length,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    payload = data[offset : offset + length]
-    if len(payload) != length:
-        raise SnapshotError("truncated term payload")
-    offset += length
-    text = payload.decode("utf-8")
-    if kind == 0:
-        return Iri(text), offset
-    if kind == 1:
-        return Blank(text), offset
-    if kind == 2:
-        return Literal(text, datatype), offset
-    raise SnapshotError(f"unknown term kind: {kind}")
+_DATATYPES = {int(datatype): datatype for datatype in Datatype}
+_LENGTH = struct.Struct("<I")
+
+
+def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int]:
+    """The ``count`` terms of a term section at ``offset``, each built by its
+    validating constructor, and the offset after them."""
+    terms: list[Term] = []
+    append = terms.append
+    length_at = _LENGTH.unpack_from
+    size = len(data)
+    for _ in range(count):
+        kind = data[offset]
+        if kind == 2:
+            datatype = _DATATYPES.get(data[offset + 1])
+            if datatype is None:
+                raise SnapshotError(f"bad term section: unknown datatype {data[offset + 1]}")
+            offset += 2
+        elif kind > 2:
+            raise SnapshotError(f"unknown term kind: {kind}")
+        else:
+            offset += 1
+        (length,) = length_at(data, offset)
+        start = offset + 4
+        offset = start + length
+        if offset > size:
+            raise SnapshotError("truncated term payload")
+        text = data[start:offset].decode("utf-8")
+        append(Iri(text) if kind == 0 else Blank(text) if kind == 1 else Literal(text, datatype))
+    return terms, offset

@@ -654,6 +654,20 @@ SAMPLE_USAGE_TSV = (
 )
 
 
+# -- the ledger, decoded --------------------------------------------------------
+
+
+def ledger_triples(store: Store) -> dict[str, set[Triple]]:
+    """The store's ledger with each id triple decoded, so ledgers of two
+    stores (or of one store before and after a snapshot) compare by value."""
+    return {name: set(map(store.decode_triple, entry)) for name, entry in store.ledger.items()}
+
+
+def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, int]]:
+    """Ledger entry for ``triples``, whose terms ``store`` has interned."""
+    return {store.lookup_triple(triple) for triple in triples}
+
+
 # -- graph comparison up to blank relabeling ---------------------------------
 
 

@@ -19,6 +19,8 @@ from scholargraph.ontology import (
 from scholargraph.store import Store
 from scholargraph.terms import Iri, Triple
 
+from oracles import ledger_triples
+
 BIBLIO = (
     "doc_id\ttitle\tauthors\tcollection\tpublisher\tdate\tdoi\n"
     "doc-1\tFirst paper\tA. Author|B. Author\tJ\tPress\t2005\t\n"
@@ -199,7 +201,7 @@ def test_map_and_query_after_infer_keep_the_ledger(workdir, capsys):
     run(capsys, "export", "--output", "before.nt")
     code, _, _ = run(capsys, "infer", "--all")
     assert code == 0
-    ledger = Store.load("scholargraph.store").ledger
+    ledger = ledger_triples(Store.load("scholargraph.store"))
     assert ledger
     code, _, _ = run(capsys, "map")
     assert code == 0
@@ -210,7 +212,7 @@ def test_map_and_query_after_infer_keep_the_ledger(workdir, capsys):
     )
     code, out, _ = run(capsys, "query", "--file", "mark.q")
     assert "inserted 3 new triple(s)" in out
-    assert Store.load("scholargraph.store").ledger == ledger
+    assert ledger_triples(Store.load("scholargraph.store")) == ledger
     code, _, _ = run(capsys, "retract", "--all")
     assert code == 0
     run(capsys, "export", "--output", "after.nt")
@@ -428,6 +430,72 @@ def test_bad_namespace_flags_exit_one(workdir, capsys):
     ):
         code, _, err = run(capsys, "--namespace", binding, "stats")
         assert code == 1 and message in err, (binding, err)
+
+
+def test_malformed_config_files_exit_one_without_a_traceback(workdir, capsys):
+    for text, message in (
+        ('{"precision": "x"}', "precision must be an integer"),
+        ("{bad", "not valid JSON"),
+        ('{"namespaces": ["a"]}', "namespaces must be a JSON object"),
+    ):
+        (workdir / "cfg.json").write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "--config", "cfg.json", "stats")
+        assert code == 1 and out == "", text
+        assert err.startswith("error: cfg.json: ") and err.count("\n") == 1 and message in err, err
+
+
+# -- what each command imports -------------------------------------------------------
+
+# Runs one command through main() and prints, as its last line on stderr,
+# the package's modules that the process imported.
+COMMAND_MODULES = """
+import sys
+from scholargraph.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(name for name in sys.modules if name.startswith("scholargraph."))
+sys.stderr.write("\\n" + " ".join(loaded) + "\\n")
+sys.exit(code)
+"""
+
+
+def fresh_interpreter(*args, cwd=None):
+    """Run ``python3 args...`` with the package under test importable."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def modules_loaded_by(workdir, *argv):
+    done = fresh_interpreter("-c", COMMAND_MODULES, *argv, cwd=workdir)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.splitlines()[-1].split())
+
+
+def test_commands_import_only_the_modules_they_use(workdir, capsys):
+    load_everything(capsys)
+    (workdir / "q.q").write_text(
+        "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u) .", encoding="utf-8"
+    )
+    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology")}
+    for argv in (("stats",), ("export", "--output", "out.nt")):
+        assert not modules_loaded_by(workdir, *argv) & heavy, argv
+    loaded = modules_loaded_by(workdir, "query", "--file", "q.q")
+    assert "scholargraph.queryl" in loaded
+    assert not loaded & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar"}
+
+
+def test_star_import_binds_every_exported_name():
+    check = (
+        "import scholargraph\n"
+        "names = {}\n"
+        "exec('from scholargraph import *', names)\n"
+        "missing = [n for n in scholargraph.__all__ if n not in names]\n"
+        "assert not missing, missing\n"
+    )
+    done = fresh_interpreter("-c", check)
+    assert done.returncode == 0, done.stderr
+    assert scholargraph.Store is Store and scholargraph.Iri is Iri
+    with pytest.raises(AttributeError):
+        scholargraph.no_such_name
 
 
 def test_tsv_format_is_machine_readable_and_stable(workdir, capsys):

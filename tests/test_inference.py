@@ -9,6 +9,7 @@ from oracles import (
     RULE_ORACLES,
     conformance_store,
     index_of,
+    ledger_triples,
     oracle_coauthor_rows,
     random_context_store,
 )
@@ -497,8 +498,8 @@ def test_upsert_node_synchronizes_a_ledger():
     target = node("t")
     first = [Triple(target, HAS_WEIGHT, decimal_literal("1.0"))]
     upsert_node(store, target, first, "rule")
-    assert store.ledger["rule"] == set(first)
+    assert ledger_triples(store) == {"rule": set(first)}
     second = [Triple(target, HAS_WEIGHT, decimal_literal("2.0"))]
     upsert_node(store, target, second, "rule")
-    assert store.ledger["rule"] == set(second)
+    assert ledger_triples(store) == {"rule": set(second)}
     assert set(store.triples()) == set(second)

@@ -10,6 +10,7 @@ from scholargraph.store import SnapshotError, Store
 from scholargraph.terms import (
     Blank,
     Iri,
+    Literal,
     Triple,
     decimal_literal,
     integer_literal,
@@ -17,7 +18,7 @@ from scholargraph.terms import (
     year_literal,
 )
 
-from oracles import isomorphic, random_context_store
+from oracles import isomorphic, ledger_ids, ledger_triples, random_context_store
 
 
 def small_store():
@@ -176,6 +177,37 @@ def test_random_updates_keep_every_shape_in_permutation_order():
         check_against_model(rebuilt, rebuilt_model, probes)
 
 
+def test_updates_before_the_object_index_is_built():
+    """A loaded store builds OSP on first use.  Inserts and removes made
+    before then skip it, and what it finally holds, what each shape
+    yields and what a save writes match a store that built it up front."""
+    rng = random.Random(16)
+    source = random_context_store(rng, 120)
+    data = saved(source)
+    lazy, eager = Store.load(io.BytesIO(data)), Store.load(io.BytesIO(data))
+    eager.stats()  # builds OSP
+    terms = sorted({term for t in source.triples() for term in (t.subject, t.object)}, key=repr)
+    predicates = sorted({t.predicate for t in source.triples()}, key=repr)
+    subjects = [term for term in terms if not isinstance(term, Literal)]
+    for _ in range(300):
+        if rng.random() < 0.5:
+            triple = lazy.decode_triple(rng.choice(sorted(lazy.match_ids(None, None, None))))
+            assert lazy.remove(triple) and eager.remove(triple)
+        else:
+            triple = Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(terms))
+            assert lazy.insert(triple) == eager.insert(triple)
+    assert lazy._osp is None
+    assert saved(lazy) == saved(eager)
+    assert lazy._osp is None
+    model = set(eager.match_ids(None, None, None))
+    probes = rng.sample(sorted(model), 12) + [
+        (rng.randrange(lazy.term_count()), rng.randrange(lazy.term_count()), rng.randrange(lazy.term_count()))
+        for _ in range(4)
+    ]
+    check_against_model(lazy, model, probes)
+    assert saved(lazy) == saved(eager)
+
+
 def bulk_copy(store):
     copy = Store()
     copy.insert_many(store.triples())
@@ -270,8 +302,8 @@ def test_snapshot_load_rejects_garbage():
 
 def ledgered_store():
     store, triples = small_store()
-    store.ledger["rule_b"] = {triples[0], triples[3]}
-    store.ledger["rule_a"] = {triples[4]}
+    store.ledger["rule_b"] = ledger_ids(store, [triples[0], triples[3]])
+    store.ledger["rule_a"] = ledger_ids(store, [triples[4]])
     return store, triples
 
 
@@ -284,7 +316,7 @@ def saved(store) -> bytes:
 def test_snapshot_carries_the_ledger():
     store, _ = ledgered_store()
     back = Store.load(io.BytesIO(saved(store)))
-    assert back.ledger == store.ledger
+    assert ledger_triples(back) == ledger_triples(store)
     assert saved(back) == saved(store)
 
 
@@ -295,11 +327,11 @@ def test_snapshot_with_ledger_is_canonical_across_histories():
     store_b.insert(noise)
     for t in reversed(triples):
         store_b.insert(t)
-    store_b.ledger["rule_a"] = {noise, triples[4]}
-    store_b.ledger["rule_b"] = {triples[3], triples[0]}
+    store_b.ledger["rule_a"] = ledger_ids(store_b, [noise, triples[4]])
+    store_b.ledger["rule_b"] = ledger_ids(store_b, [triples[3], triples[0]])
     store_b.ledger["rule_c"] = set()
     store_b.remove(noise)
-    store_b.ledger["rule_a"].discard(noise)
+    store_b.ledger["rule_a"].discard(store_b.lookup_triple(noise))
     assert saved(store_a) == saved(store_b)
 
 
@@ -313,12 +345,13 @@ def test_empty_ledger_encodes_as_none():
 def test_save_refuses_a_ledger_triple_not_in_the_store(tmp_path):
     store, _ = small_store()
     path = tmp_path / "store.bin"
-    # an unknown term, and known terms in a triple the store does not hold
+    # a term no triple uses, and used terms in a triple the store does not hold
+    store.intern(Iri("urn:s9"))
     for stray in (
         Triple(Iri("urn:s9"), Iri("urn:p1"), Iri("urn:o1")),
         Triple(Iri("urn:s2"), Iri("urn:p2"), string_literal("x")),
     ):
-        store.ledger["rule"] = {stray}
+        store.ledger["rule"] = ledger_ids(store, [stray])
         with pytest.raises(SnapshotError, match="not in the store"):
             store.save(io.BytesIO())
         with pytest.raises(SnapshotError):
@@ -350,10 +383,10 @@ def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
 
 def test_corrupt_ledger_sections_are_rejected():
     store, _ = small_store()
-    store.ledger["rule"] = {Triple(Iri("urn:s2"), Iri("urn:p1"), Iri("urn:o1"))}
+    store.ledger["rule"] = ledger_ids(store, [Triple(Iri("urn:s2"), Iri("urn:p1"), Iri("urn:o1"))])
     data = saved(store)
     head, (s, p, o) = data[:-12], struct.unpack("=III", data[-12:])
-    assert Store.load(io.BytesIO(data)).ledger == store.ledger
+    assert ledger_triples(Store.load(io.BytesIO(data))) == ledger_triples(store)
     corrupt = {
         "term id out of range": head + struct.pack("=III", s, p, 1 << 20),
         "does not hold": head + struct.pack("=III", p, p, p),
@@ -367,6 +400,38 @@ def test_corrupt_ledger_sections_are_rejected():
     plain = saved(small_store()[0])
     with pytest.raises(SnapshotError, match="truncated ledger section"):
         Store.load(io.BytesIO(plain[:-4]))
+
+
+def term_table_snapshot(*encoded_terms):
+    """A snapshot of a term table alone: no triples, no ledger rules."""
+    header = b"SGRAPH" + struct.pack("<HBII", 2, 0, len(encoded_terms), 0)
+    return header + b"".join(encoded_terms) + struct.pack("<I", 0)
+
+
+def encoded(kind, payload, datatype=None):
+    head = bytes([kind]) if datatype is None else bytes([kind, datatype])
+    return head + struct.pack("<I", len(payload)) + payload
+
+
+def test_corrupt_term_sections_are_rejected():
+    good = encoded(0, b"urn:ok")
+    assert Store.load(io.BytesIO(term_table_snapshot(good))).decode(0) == Iri("urn:ok")
+    corrupt = {
+        "IRI contains whitespace": encoded(0, b"urn:a b"),
+        "not a normalized ISO-8601": encoded(2, b"20x7", datatype=3),
+        "bad blank node label": encoded(1, b"a!b"),
+        "unknown term kind: 7": encoded(7, b"urn:x"),
+        "unknown datatype 9": encoded(2, b"7", datatype=9),
+        "codec can't decode": encoded(0, b"urn:\xff\xfe"),
+    }
+    for reason, bad in corrupt.items():
+        with pytest.raises(SnapshotError, match=reason):
+            Store.load(io.BytesIO(term_table_snapshot(good, bad)))
+    # cut inside the last term's payload, before the ledger's rule count
+    with pytest.raises(SnapshotError, match="truncated term payload"):
+        Store.load(io.BytesIO(term_table_snapshot(good, encoded(0, b"urn:xyzzy"))[:-6]))
+    with pytest.raises(SnapshotError, match="duplicate terms"):
+        Store.load(io.BytesIO(term_table_snapshot(good, encoded(0, b"urn:x"), good)))
 
 
 def test_version_one_snapshot_is_rejected():
