@@ -27,9 +27,9 @@ _EXPORTS = {
         "serialize_triple",
         "write_ntriples",
     ),
-    "ontology": ("SCHEMA", "Schema", "validate_all", "validate_instance"),
+    "ontology": ("SCHEMA", "Schema", "literal_audit", "validate_all", "validate_instance"),
     "queryl": ("QueryParseError", "evaluate_block", "execute_script", "parse_script"),
-    "sidecar": ("Sidecar", "literal_audit"),
+    "sidecar": ("Sidecar",),
     "store": ("Store", "TriplePattern", "Var"),
     "terms": (
         "Blank",

@@ -187,11 +187,14 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 
     with _writer_lock(cfg.store):
         store = _open_store(cfg)
+        before = len(store)
         with Sidecar(cfg.sidecar) as sidecar:
             report = sidecar.map_to_graph(
                 store, provider=cfg.provider or DEFAULT_PROVIDER, affiliations=args.affiliations
             )
-        store.save(cfg.store)
+        # map never removes a triple, so an unchanged size is an unchanged store
+        if len(store) != before:
+            store.save(cfg.store)
     _emit(
         args,
         [
@@ -212,8 +215,7 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
-    from .ontology import validate_all
-    from .sidecar import literal_audit
+    from .ontology import literal_audit, validate_all
 
     store = _open_store(cfg)
     violations = validate_all(store)

@@ -30,6 +30,7 @@ from .terms import (
     OWL_NS,
     RDF_TYPE,
     Term,
+    Triple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -383,151 +384,71 @@ class Violation:
     message: str
 
 
-def declared_types(store: "Store", node: Term) -> tuple[Iri, ...]:
-    """rdf:type objects of ``node`` that are IRIs, in deterministic order."""
-    out = []
-    for triple in store.match_terms(node, RDF_TYPE, None):
-        if isinstance(triple.object, Iri):
-            out.append(triple.object)
-    return tuple(out)
-
-
-def type_closure(store: "Store", node: Term, schema: Schema | None = None) -> set[Iri]:
-    """Declared classes of ``node`` plus all their schema ancestors."""
-    schema = schema or SCHEMA
-    closure: set[Iri] = set()
-    for cls in declared_types(store, node):
-        if schema.is_class(cls):
-            closure.update(schema.superclasses(cls))
-        else:
-            closure.add(cls)
-    closure.discard(OWL_THING)
-    return closure
-
-
-def _range_accepts_literal(rng: Datatype, lit: Literal) -> bool:
-    if rng is lit.datatype:
-        return True
-    # A decimal-ranged property tolerates integer lexical forms.
-    return rng is Datatype.DECIMAL and lit.datatype is Datatype.INTEGER
-
-
 def validate_instance(store: "Store", node: Term, schema: Schema | None = None) -> list[Violation]:
     """Check one node against the schema; returns violations, worst first.
 
     The node must appear in at least one triple.  Checks: declared classes
     exist, property domains and ranges hold, required context properties are
     present, self-contained units carry no group, disjoint siblings are not
-    mixed (warning).
+    mixed (warning).  This is :func:`validate_all`'s pass restricted to one
+    node, typed or not.
     """
-    schema = schema or SCHEMA
-    if not store.appears(node):
+    from .validation import IdPass
+
+    node_id = store.lookup(node)
+    if node_id is None or not store.appears(node):
         raise UnknownNodeError(node)
-
-    violations: list[Violation] = []
-    closure = type_closure(store, node, schema)
-
-    for cls in declared_types(store, node):
-        if not schema.is_class(cls):
-            violations.append(
-                Violation(node, "unknown-class", "error", f"declared type <{cls.value}> is not a schema class")
-            )
-
-    known_closure = {c for c in closure if schema.is_class(c)}
-
-    for group in DISJOINT_SETS:
-        hit = [c for c in group if c in known_closure]
-        if len(hit) > 1:
-            names = ", ".join(f"<{c.value}>" for c in hit)
-            violations.append(
-                Violation(node, "disjoint", "warning", f"disjoint classes on one node: {names}")
-            )
-
-    seen_predicates: set[Iri] = set()
-    for triple in store.match_terms(node, None, None):
-        pred = triple.predicate
-        if pred == RDF_TYPE:
-            continue
-        seen_predicates.add(pred)
-        if not schema.is_property(pred):
-            if pred.value.startswith(MESUR):
-                violations.append(
-                    Violation(node, "unknown-property", "error", f"<{pred.value}> is not in the property catalog")
-                )
-            continue
-        pdef = schema.property_def(pred)
-        if pdef.domain not in known_closure:
-            violations.append(
-                Violation(
-                    node,
-                    "domain",
-                    "error",
-                    f"<{pred.value}> requires the subject to be a <{pdef.domain.value}>",
-                )
-            )
-        obj = triple.object
-        if isinstance(pdef.range, Datatype):
-            if not isinstance(obj, Literal) or not _range_accepts_literal(pdef.range, obj):
-                violations.append(
-                    Violation(
-                        node,
-                        "range",
-                        "error",
-                        f"<{pred.value}> expects a {pdef.range.name.lower()} literal, got {obj!r}",
-                    )
-                )
-        else:
-            if isinstance(obj, Literal):
-                violations.append(
-                    Violation(node, "range", "error", f"<{pred.value}> expects a resource, got a literal")
-                )
-            else:
-                obj_closure = type_closure(store, obj, schema)
-                if not any(r in obj_closure for r in pdef.range):
-                    allowed = " or ".join(f"<{r.value}>" for r in pdef.range)
-                    violations.append(
-                        Violation(node, "range", "error", f"object of <{pred.value}> must be typed {allowed}")
-                    )
-
-    for cls, required in REQUIRED_PROPERTIES.items():
-        if cls in known_closure:
-            for prop in required:
-                if prop not in seen_predicates:
-                    violations.append(
-                        Violation(node, "missing-required", "error", f"<{cls.value}> node lacks <{prop.value}>")
-                    )
-
-    if PUBLISHES in known_closure:
-        groupless = False
-        for triple in store.match_terms(node, HAS_UNIT, None):
-            unit_types = type_closure(store, triple.object, schema)
-            if any(c in unit_types for c in GROUPLESS_UNIT_CLASSES):
-                groupless = True
-                break
-        if groupless and next(iter(store.match_terms(node, HAS_GROUP, None)), None) is not None:
-            violations.append(
-                Violation(
-                    node,
-                    "group-restriction",
-                    "error",
-                    "Publishes of a self-contained unit (preprint, book) must not carry hasGroup",
-                )
-            )
-
-    order = {"error": 0, "warning": 1}
-    violations.sort(key=lambda v: (order[v.severity], v.kind, v.message))
-    return violations
+    checks = IdPass(store, schema or SCHEMA)
+    return checks.check(node_id, checks.closures_around(node_id))
 
 
 def validate_all(store: "Store", schema: Schema | None = None) -> list[Violation]:
-    """Validate every subject that carries an rdf:type declaration."""
-    schema = schema or SCHEMA
+    """Validate every subject that carries an rdf:type declaration.
+
+    One pass at the id level: each typed node's class closure is computed
+    once from the rdf:type POS column, and then each node's statements are
+    checked by id.  Nodes come in rdf:type POS order (by class id, then
+    subject id, each node where it first appears), each with its
+    violations worst first.
+    """
+    from .validation import IdPass
+
+    checks = IdPass(store, schema or SCHEMA)
+    closures = checks.typed_closures()
     out: list[Violation] = []
-    seen: set[Term] = set()
-    for triple in store.match_terms(None, RDF_TYPE, None):
-        node = triple.subject
-        if node in seen:
-            continue
-        seen.add(node)
-        out.extend(validate_instance(store, node, schema))
+    for node in closures:
+        out.extend(checks.check(node, closures))
     return out
+
+
+def literal_audit(store: "Store", schema: Schema | None = None) -> list[Triple]:
+    """Triples whose literal object is not licensed by the schema, in SPO
+    order.
+
+    The permitted set is exactly the literal-ranged properties (times,
+    weights, session/access-type strings, metric values); anything else,
+    for example a smuggled title or author name, is reported.  Each
+    predicate's POS column is walked by id, and each distinct object in it
+    is decoded once.
+    """
+    allowed = (schema or SCHEMA).literal_properties()
+    decode = store.decode
+    offending: list[tuple[int, int, int]] = []
+    for pred_id in store.predicate_ids():
+        expected = allowed.get(decode(pred_id))  # type: ignore[arg-type]
+        last, bad = None, False
+        for subj_id, _, obj_id in store.match_ids(None, pred_id, None):
+            if obj_id != last:
+                obj = decode(obj_id)
+                last = obj_id
+                bad = isinstance(obj, Literal) and not (
+                    expected is not None
+                    and (
+                        obj.datatype is expected
+                        or obj.datatype is Datatype.INTEGER
+                        and expected in (Datatype.DECIMAL, Datatype.DATETIME)
+                    )
+                )
+            if bad:
+                offending.append((subj_id, pred_id, obj_id))
+    return [store.decode_triple(ids) for ids in sorted(offending)]

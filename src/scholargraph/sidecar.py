@@ -13,7 +13,10 @@ reported with their line number; the rest of the batch still loads.
 Everything minted by :meth:`Sidecar.map_to_graph` is a deterministic IRI
 derived from record keys (and the provider IRI for name-scoped agents), so
 re-running the mapping is idempotent and two runs over equal sidecars
-produce identical graphs.
+produce identical graphs.  A run projects only the contexts whose type
+triple the store lacks, so mapping after each usage batch costs the new
+batch, not every earlier one, and any sequence of runs leaves the same
+store as one run over the final records.
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ from .ontology import (
     ORGANIZATION,
     PART_OF,
     PUBLISHES,
-    SCHEMA,
-    Schema,
     USES,
 )
 from .store import Store
@@ -183,6 +184,20 @@ def unit_iri(doc_id: str, doi: Optional[str]) -> Iri:
     if doi:
         return Iri("urn:doi:" + _quote(doi))
     return Iri("urn:mesur:doc:" + _quote(doc_id))
+
+
+def _typed_iris(store: Store, cls: Iri) -> set[str]:
+    """The IRIs of the store's nodes typed ``cls``: for a context class,
+    the contexts of that class the store already holds."""
+    rdf_type, class_id = store.lookup(RDF_TYPE), store.lookup(cls)
+    if rdf_type is None or class_id is None:
+        return set()
+    decode = store.decode
+    return {
+        node.value
+        for node in (decode(s) for s, _, _ in store.match_ids(None, rdf_type, class_id))
+        if isinstance(node, Iri)
+    }
 
 
 def _valid_time(value: str) -> bool:
@@ -403,118 +418,140 @@ class Sidecar:
         edition = Iri("urn:mesur:group:ed:" + _hash16(f"{norm}|{year}|{provider.value}"))
         return root, edition
 
-    def _remember(self, cursor: sqlite3.Cursor, kind: str, key: str, iri: Iri) -> None:
-        cursor.execute(
-            "INSERT INTO id_map (kind, key, iri) VALUES (?, ?, ?)"
-            " ON CONFLICT (kind, key) DO UPDATE SET iri = excluded.iri",
-            (kind, key, iri.value),
-        )
-
     def map_to_graph(
         self,
         store: Store,
         provider: Union[Iri, str] = DEFAULT_PROVIDER,
         affiliations: bool = False,
     ) -> MapReport:
-        """Project every record into the store as MESUR contexts.
+        """Project the records into the store as MESUR contexts, skipping
+        every context the store already holds.
+
+        A row is decided context by context (Publishes, Uses, Citation, and
+        the Affiliation context of a usage row): a context whose
+        ``rdf:type`` triple is in the store is skipped with all its
+        triples, and any other is projected and counted.  The type triple
+        is the store's own record of what it holds, so this stays right
+        when the store was deleted or replaced, or when an earlier run used
+        another provider or left out affiliations.  The projected triples
+        go in through one :meth:`Store.insert_many` call.  Every doc and
+        event is recorded in the id map either way, which is what
+        :meth:`resolve` and :meth:`resolve_event` read.
 
         Only identifiers, group/agent links and times cross over; no title,
-        author-name, or page literal ever does.  Counts report contexts
-        whose type triple was newly inserted, so a second run reports 0.
+        author-name, or page literal ever does.  Counts report the contexts
+        this run projected, so a second run reports 0.
         """
         provider = Iri(provider) if isinstance(provider, str) else provider
         report = MapReport()
         cursor = self._db.cursor()
-        store.insert(Triple(provider, RDF_TYPE, ORGANIZATION))
+        new: list[Triple] = [Triple(provider, RDF_TYPE, ORGANIZATION)]
+        add = new.append
+        # (kind, key, IRI) rows the id map lacks or holds with another IRI
+        unrecorded: list[tuple[str, str, str]] = []
 
+        held = _typed_iris(store, PUBLISHES)
+        doc_iris: dict[str, Iri] = {}
         for row in cursor.execute(
-            "SELECT doc_id, authors, collection, publisher, date, doi"
-            " FROM biblio ORDER BY doc_id"
-        ).fetchall():
-            doc_id, authors, collection, publisher, date, doi = row
-            unit = unit_iri(doc_id, doi)
-            ctx = Iri("urn:mesur:ctx:pub:" + _hash16(f"{doc_id}|{provider.value}"))
-            if store.insert(Triple(ctx, RDF_TYPE, PUBLISHES)):
-                report.publishes += 1
-            store.insert(Triple(ctx, HAS_UNIT, unit))
-            store.insert(Triple(unit, RDF_TYPE, ARTICLE))
-            store.insert(Triple(ctx, HAS_PROVIDER, provider))
+            "SELECT doc_id, authors, collection, publisher, date, doi, iri FROM biblio"
+            " LEFT JOIN id_map ON kind = 'doc' AND key = doc_id ORDER BY doc_id"
+        ):
+            doc_id, authors, collection, publisher, date, doi, recorded = row
+            unit = doc_iris[doc_id] = unit_iri(doc_id, doi)
+            if recorded != unit.value:
+                unrecorded.append(("doc", doc_id, unit.value))
+            ctx_iri = "urn:mesur:ctx:pub:" + _hash16(f"{doc_id}|{provider.value}")
+            if ctx_iri in held:
+                continue
+            ctx = Iri(ctx_iri)
+            report.publishes += 1
+            add(Triple(ctx, RDF_TYPE, PUBLISHES))
+            add(Triple(ctx, HAS_UNIT, unit))
+            add(Triple(unit, RDF_TYPE, ARTICLE))
+            add(Triple(ctx, HAS_PROVIDER, provider))
             if date:
-                store.insert(Triple(ctx, HAS_TIME, datetime_literal(date)))
+                add(Triple(ctx, HAS_TIME, datetime_literal(date)))
             if collection:
                 year = date.split("-")[0] if date else ""
                 root, edition = self._group_iris(collection, year, provider)
-                store.insert(Triple(root, RDF_TYPE, JOURNAL))
-                store.insert(Triple(edition, RDF_TYPE, GROUP))
-                store.insert(Triple(edition, PART_OF, root))
-                store.insert(Triple(ctx, HAS_GROUP, edition))
+                add(Triple(root, RDF_TYPE, JOURNAL))
+                add(Triple(edition, RDF_TYPE, GROUP))
+                add(Triple(edition, PART_OF, root))
+                add(Triple(ctx, HAS_GROUP, edition))
             if publisher:
                 org = self._agent_iri("org", publisher, provider)
-                store.insert(Triple(org, RDF_TYPE, ORGANIZATION))
-                store.insert(Triple(ctx, HAS_PUBLISHER, org))
+                add(Triple(org, RDF_TYPE, ORGANIZATION))
+                add(Triple(ctx, HAS_PUBLISHER, org))
             for name in (authors or "").split("|"):
                 if not name.strip():
                     continue
                 human = self._agent_iri("human", name, provider)
-                store.insert(Triple(human, RDF_TYPE, HUMAN))
-                store.insert(Triple(ctx, HAS_AUTHOR, human))
-            self._remember(cursor, "doc", doc_id, unit)
+                add(Triple(human, RDF_TYPE, HUMAN))
+                add(Triple(ctx, HAS_AUTHOR, human))
 
-        doc_iris: dict[str, Iri] = {
-            key: Iri(value)
-            for key, value in cursor.execute(
-                "SELECT key, iri FROM id_map WHERE kind = 'doc'"
-            ).fetchall()
-        }
-
+        held = _typed_iris(store, USES)
+        held_affiliations = _typed_iris(store, AFFILIATION) if affiliations else set()
         for row in cursor.execute(
-            "SELECT event_id, time, agent, session, affiliation, access_type, doc_id"
-            " FROM usage_events ORDER BY event_id"
-        ).fetchall():
-            event_id, time, agent, session, affiliation, access_type, doc_id = row
-            unit = doc_iris[doc_id]
-            ctx = Iri("urn:mesur:ctx:use:" + _hash16(f"{event_id}|{provider.value}"))
-            if store.insert(Triple(ctx, RDF_TYPE, USES)):
+            "SELECT event_id, time, agent, session, affiliation, access_type, doc_id, iri"
+            " FROM usage_events LEFT JOIN id_map ON kind = 'event' AND key = event_id"
+            " ORDER BY event_id"
+        ):
+            event_id, time, agent, session, affiliation, access_type, doc_id, recorded = row
+            ctx_iri = "urn:mesur:ctx:use:" + _hash16(f"{event_id}|{provider.value}")
+            if recorded != ctx_iri:
+                unrecorded.append(("event", event_id, ctx_iri))
+            if ctx_iri not in held:
+                ctx = Iri(ctx_iri)
                 report.uses += 1
-            store.insert(Triple(ctx, HAS_DOCUMENT, unit))
-            store.insert(Triple(ctx, HAS_TIME, datetime_literal(time)))
-            store.insert(Triple(ctx, HAS_PROVIDER, provider))
-            user: Optional[Iri] = None
-            if agent:
-                user = self._agent_iri("human", agent, provider)
-                store.insert(Triple(user, RDF_TYPE, HUMAN))
-                store.insert(Triple(ctx, HAS_USER, user))
-            if session:
-                store.insert(Triple(ctx, HAS_SESSION, string_literal(session)))
-            if access_type:
-                store.insert(Triple(ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
-            self._remember(cursor, "event", event_id, ctx)
-            if affiliations and affiliation and user is not None:
-                org = self._agent_iri("org", affiliation, provider)
-                aff = Iri(
-                    "urn:mesur:ctx:aff:"
-                    + _hash16(f"{event_id}|{_normalize_name(affiliation)}|{provider.value}")
-                )
-                store.insert(Triple(org, RDF_TYPE, ORGANIZATION))
-                if store.insert(Triple(aff, RDF_TYPE, AFFILIATION)):
-                    report.affiliations += 1
-                store.insert(Triple(aff, HAS_AFFILIATOR, org))
-                store.insert(Triple(aff, HAS_AFFILIATEE, user))
-                store.insert(Triple(aff, HAS_START_TIME, datetime_literal(time)))
+                add(Triple(ctx, RDF_TYPE, USES))
+                add(Triple(ctx, HAS_DOCUMENT, doc_iris[doc_id]))
+                add(Triple(ctx, HAS_TIME, datetime_literal(time)))
+                add(Triple(ctx, HAS_PROVIDER, provider))
+                if agent:
+                    user = self._agent_iri("human", agent, provider)
+                    add(Triple(user, RDF_TYPE, HUMAN))
+                    add(Triple(ctx, HAS_USER, user))
+                if session:
+                    add(Triple(ctx, HAS_SESSION, string_literal(session)))
+                if access_type:
+                    add(Triple(ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
+            if not (affiliations and affiliation and agent):
+                continue
+            aff_iri = "urn:mesur:ctx:aff:" + _hash16(
+                f"{event_id}|{_normalize_name(affiliation)}|{provider.value}"
+            )
+            if aff_iri in held_affiliations:
+                continue
+            aff = Iri(aff_iri)
+            org = self._agent_iri("org", affiliation, provider)
+            report.affiliations += 1
+            add(Triple(org, RDF_TYPE, ORGANIZATION))
+            add(Triple(aff, RDF_TYPE, AFFILIATION))
+            add(Triple(aff, HAS_AFFILIATOR, org))
+            add(Triple(aff, HAS_AFFILIATEE, self._agent_iri("human", agent, provider)))
+            add(Triple(aff, HAS_START_TIME, datetime_literal(time)))
 
+        held = _typed_iris(store, CITATION)
         for citing, cited in cursor.execute(
             "SELECT citing_doc_id, cited_doc_id FROM citation_pairs"
             " ORDER BY citing_doc_id, cited_doc_id"
-        ).fetchall():
-            ctx = Iri(
-                "urn:mesur:ctx:cite:" + _hash16(f"{citing}|{cited}|{provider.value}")
-            )
-            if store.insert(Triple(ctx, RDF_TYPE, CITATION)):
-                report.citations += 1
-            store.insert(Triple(ctx, HAS_SOURCE, doc_iris[citing]))
-            store.insert(Triple(ctx, HAS_SINK, doc_iris[cited]))
-            store.insert(Triple(ctx, HAS_WEIGHT, Literal("1.0", Datatype.DECIMAL)))
+        ):
+            ctx_iri = "urn:mesur:ctx:cite:" + _hash16(f"{citing}|{cited}|{provider.value}")
+            if ctx_iri in held:
+                continue
+            ctx = Iri(ctx_iri)
+            report.citations += 1
+            add(Triple(ctx, RDF_TYPE, CITATION))
+            add(Triple(ctx, HAS_SOURCE, doc_iris[citing]))
+            add(Triple(ctx, HAS_SINK, doc_iris[cited]))
+            add(Triple(ctx, HAS_WEIGHT, Literal("1.0", Datatype.DECIMAL)))
 
+        store.insert_many(new)
+        cursor.executemany(
+            "INSERT INTO id_map (kind, key, iri) VALUES (?, ?, ?)"
+            " ON CONFLICT (kind, key) DO UPDATE SET iri = excluded.iri",
+            unrecorded,
+        )
         self._db.commit()
         return report
 
@@ -547,29 +584,3 @@ class Sidecar:
             raise UnknownIdError(key)
         return (row[0], row[1])
 
-
-def literal_audit(store: Store, schema: Schema = SCHEMA) -> list[Triple]:
-    """Triples whose literal object is not licensed by the schema.
-
-    The permitted set is exactly the literal-ranged properties (times,
-    weights, session/access-type strings, metric values); anything else,
-    for example a smuggled title or author name, is reported.
-    """
-    allowed = schema.literal_properties()
-    offending = []
-    for triple in store.triples():
-        obj = triple.object
-        if not isinstance(obj, Literal):
-            continue
-        expected = allowed.get(triple.predicate)
-        if expected is None:
-            offending.append(triple)
-            continue
-        if obj.datatype == expected:
-            continue
-        if expected == Datatype.DECIMAL and obj.datatype == Datatype.INTEGER:
-            continue
-        if expected == Datatype.DATETIME and obj.datatype == Datatype.INTEGER:
-            continue
-        offending.append(triple)
-    return offending

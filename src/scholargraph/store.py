@@ -262,6 +262,10 @@ class Store:
             return False
         return term_id in self._spo or term_id in self._pos or term_id in self._object_index()
 
+    def predicate_ids(self) -> list[int]:
+        """Ids of the predicates that live triples use, ascending."""
+        return sorted(self._pos)
+
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> Iterator[tuple[int, int, int]]:

@@ -19,7 +19,9 @@ from scholargraph.ontology import (
     CITATION,
     CONTAINED_IN,
     CONTAINS,
+    DISJOINT_SETS,
     GROUP,
+    GROUPLESS_UNIT_CLASSES,
     HAS_AFFILIATE,
     HAS_AFFILIATEE,
     HAS_AFFILIATION_PROP,
@@ -39,15 +41,21 @@ from scholargraph.ontology import (
     HUMAN,
     JOURNAL,
     ORGANIZATION,
+    OWL_THING,
     PART_OF,
     PREPRINT_ARTICLE,
     PROCEEDINGS,
     PUBLISHED,
     PUBLISHED_BY,
     PUBLISHES,
+    REQUIRED_PROPERTIES,
+    SCHEMA,
+    Schema,
+    UnknownNodeError,
     USED,
     USED_BY,
     USES,
+    Violation,
 )
 from scholargraph.store import Store
 from scholargraph.terms import (
@@ -55,7 +63,9 @@ from scholargraph.terms import (
     Datatype,
     Iri,
     Literal,
+    MESUR,
     RDF_TYPE,
+    Term,
     Triple,
     datetime_literal,
     string_literal,
@@ -319,6 +329,181 @@ def escape_iri_loop(value: str) -> str:
         else:
             out.append(c)
     return "".join(out)
+
+
+# -- validation, one node at a time through term-level matches ---------------
+
+
+def oracle_declared_types(store: Store, node: Term) -> tuple[Iri, ...]:
+    """rdf:type objects of ``node`` that are IRIs, in deterministic order."""
+    out = []
+    for triple in store.match_terms(node, RDF_TYPE, None):
+        if isinstance(triple.object, Iri):
+            out.append(triple.object)
+    return tuple(out)
+
+
+def oracle_type_closure(store: Store, node: Term, schema: Schema | None = None) -> set[Iri]:
+    """Declared classes of ``node`` plus all their schema ancestors."""
+    schema = schema or SCHEMA
+    closure: set[Iri] = set()
+    for cls in oracle_declared_types(store, node):
+        if schema.is_class(cls):
+            closure.update(schema.superclasses(cls))
+        else:
+            closure.add(cls)
+    closure.discard(OWL_THING)
+    return closure
+
+
+def _range_accepts_literal(rng: Datatype, lit: Literal) -> bool:
+    if rng is lit.datatype:
+        return True
+    # A decimal-ranged property tolerates integer lexical forms.
+    return rng is Datatype.DECIMAL and lit.datatype is Datatype.INTEGER
+
+
+def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = None) -> list[Violation]:
+    """Check one node against the schema; returns violations, worst first.
+
+    The node must appear in at least one triple.  Checks: declared classes
+    exist, property domains and ranges hold, required context properties are
+    present, self-contained units carry no group, disjoint siblings are not
+    mixed (warning).
+    """
+    schema = schema or SCHEMA
+    if not store.appears(node):
+        raise UnknownNodeError(node)
+
+    violations: list[Violation] = []
+    closure = oracle_type_closure(store, node, schema)
+
+    for cls in oracle_declared_types(store, node):
+        if not schema.is_class(cls):
+            violations.append(
+                Violation(node, "unknown-class", "error", f"declared type <{cls.value}> is not a schema class")
+            )
+
+    known_closure = {c for c in closure if schema.is_class(c)}
+
+    for group in DISJOINT_SETS:
+        hit = [c for c in group if c in known_closure]
+        if len(hit) > 1:
+            names = ", ".join(f"<{c.value}>" for c in hit)
+            violations.append(
+                Violation(node, "disjoint", "warning", f"disjoint classes on one node: {names}")
+            )
+
+    seen_predicates: set[Iri] = set()
+    for triple in store.match_terms(node, None, None):
+        pred = triple.predicate
+        if pred == RDF_TYPE:
+            continue
+        seen_predicates.add(pred)
+        if not schema.is_property(pred):
+            if pred.value.startswith(MESUR):
+                violations.append(
+                    Violation(node, "unknown-property", "error", f"<{pred.value}> is not in the property catalog")
+                )
+            continue
+        pdef = schema.property_def(pred)
+        if pdef.domain not in known_closure:
+            violations.append(
+                Violation(
+                    node,
+                    "domain",
+                    "error",
+                    f"<{pred.value}> requires the subject to be a <{pdef.domain.value}>",
+                )
+            )
+        obj = triple.object
+        if isinstance(pdef.range, Datatype):
+            if not isinstance(obj, Literal) or not _range_accepts_literal(pdef.range, obj):
+                violations.append(
+                    Violation(
+                        node,
+                        "range",
+                        "error",
+                        f"<{pred.value}> expects a {pdef.range.name.lower()} literal, got {obj!r}",
+                    )
+                )
+        else:
+            if isinstance(obj, Literal):
+                violations.append(
+                    Violation(node, "range", "error", f"<{pred.value}> expects a resource, got a literal")
+                )
+            else:
+                obj_closure = oracle_type_closure(store, obj, schema)
+                if not any(r in obj_closure for r in pdef.range):
+                    allowed = " or ".join(f"<{r.value}>" for r in pdef.range)
+                    violations.append(
+                        Violation(node, "range", "error", f"object of <{pred.value}> must be typed {allowed}")
+                    )
+
+    for cls, required in REQUIRED_PROPERTIES.items():
+        if cls in known_closure:
+            for prop in required:
+                if prop not in seen_predicates:
+                    violations.append(
+                        Violation(node, "missing-required", "error", f"<{cls.value}> node lacks <{prop.value}>")
+                    )
+
+    if PUBLISHES in known_closure:
+        groupless = False
+        for triple in store.match_terms(node, HAS_UNIT, None):
+            unit_types = oracle_type_closure(store, triple.object, schema)
+            if any(c in unit_types for c in GROUPLESS_UNIT_CLASSES):
+                groupless = True
+                break
+        if groupless and next(iter(store.match_terms(node, HAS_GROUP, None)), None) is not None:
+            violations.append(
+                Violation(
+                    node,
+                    "group-restriction",
+                    "error",
+                    "Publishes of a self-contained unit (preprint, book) must not carry hasGroup",
+                )
+            )
+
+    order = {"error": 0, "warning": 1}
+    violations.sort(key=lambda v: (order[v.severity], v.kind, v.message))
+    return violations
+
+
+def oracle_validate_all(store: Store, schema: Schema | None = None) -> list[Violation]:
+    """Validate every subject that carries an rdf:type declaration."""
+    schema = schema or SCHEMA
+    out: list[Violation] = []
+    seen: set[Term] = set()
+    for triple in store.match_terms(None, RDF_TYPE, None):
+        node = triple.subject
+        if node in seen:
+            continue
+        seen.add(node)
+        out.extend(oracle_validate_instance(store, node, schema))
+    return out
+
+def oracle_literal_audit(store: Store, schema: Schema = SCHEMA) -> list[Triple]:
+    """Triples whose literal object is not licensed by the schema, found by
+    decoding every triple."""
+    allowed = schema.literal_properties()
+    offending = []
+    for triple in store.triples():
+        obj = triple.object
+        if not isinstance(obj, Literal):
+            continue
+        expected = allowed.get(triple.predicate)
+        if expected is None:
+            offending.append(triple)
+            continue
+        if obj.datatype == expected:
+            continue
+        if expected == Datatype.DECIMAL and obj.datatype == Datatype.INTEGER:
+            continue
+        if expected == Datatype.DATETIME and obj.datatype == Datatype.INTEGER:
+            continue
+        offending.append(triple)
+    return offending
 
 
 # -- fixtures ---------------------------------------------------------------------

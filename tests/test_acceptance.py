@@ -41,9 +41,10 @@ from oracles import (
 from scholargraph.inference import InferenceEngine
 from scholargraph.metrics import impact_factor, usage_impact_factor
 from scholargraph.ntriples import serialize_term
+from scholargraph.ontology import literal_audit
 from scholargraph.queryl import execute_script, parse_script
 from scholargraph.queryl.parser import QueryParseError
-from scholargraph.sidecar import BIBLIO_COLUMNS, USAGE_COLUMNS, Sidecar, literal_audit
+from scholargraph.sidecar import BIBLIO_COLUMNS, USAGE_COLUMNS, Sidecar
 from scholargraph.store import Store
 from scholargraph.terms import (
     Blank,

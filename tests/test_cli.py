@@ -105,6 +105,19 @@ def test_map_creates_the_store_file(workdir, capsys):
     assert "publishes contexts created: 0" in out  # idempotent second run
 
 
+def test_a_map_that_adds_nothing_leaves_the_snapshot_alone(workdir, capsys):
+    load_everything(capsys)
+    before = os.stat("scholargraph.store")
+    code, out, _ = run(capsys, "map")
+    assert code == 0
+    assert "uses contexts created: 0" in out
+    after = os.stat("scholargraph.store")
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    code, out, _ = run(capsys, "map", "--affiliations")  # no usage row names an affiliation
+    assert code == 0
+    assert os.stat("scholargraph.store").st_ino == before.st_ino
+
+
 def test_validate_passes_on_mapped_data(workdir, capsys):
     load_everything(capsys)
     code, out, _ = run(capsys, "validate")
@@ -452,7 +465,7 @@ COMMAND_MODULES = """
 import sys
 from scholargraph.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(name for name in sys.modules if name.startswith("scholargraph."))
+loaded = sorted(name for name in sys.modules if name.startswith("scholargraph.") or name == "sqlite3")
 sys.stderr.write("\\n" + " ".join(loaded) + "\\n")
 sys.exit(code)
 """
@@ -475,12 +488,15 @@ def test_commands_import_only_the_modules_they_use(workdir, capsys):
     (workdir / "q.q").write_text(
         "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u) .", encoding="utf-8"
     )
-    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology")}
+    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology", "validation")}
     for argv in (("stats",), ("export", "--output", "out.nt")):
         assert not modules_loaded_by(workdir, *argv) & heavy, argv
     loaded = modules_loaded_by(workdir, "query", "--file", "q.q")
     assert "scholargraph.queryl" in loaded
-    assert not loaded & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar"}
+    assert not loaded & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar", "scholargraph.validation"}
+    loaded = modules_loaded_by(workdir, "validate")
+    assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded
+    assert not loaded & {"scholargraph.sidecar", "sqlite3"}
 
 
 def test_star_import_binds_every_exported_name():

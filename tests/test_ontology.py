@@ -1,6 +1,16 @@
 import pathlib
+import random
 
 import pytest
+
+from oracles import (
+    conformance_store,
+    jcdl_fixture,
+    oracle_literal_audit,
+    oracle_validate_all,
+    oracle_validate_instance,
+    random_context_store,
+)
 
 from scholargraph.ontology import (
     AFFILIATION,
@@ -37,13 +47,16 @@ from scholargraph.ontology import (
     UnknownNodeError,
     build_schema,
     export_catalog,
+    literal_audit,
     validate_all,
     validate_instance,
 )
 from scholargraph.store import Store
 from scholargraph.terms import (
+    Blank,
     Datatype,
     Iri,
+    Literal,
     MESUR,
     RDF_TYPE,
     Triple,
@@ -279,3 +292,85 @@ def test_rule_scripts_use_only_catalog_vocabulary():
         for term in terms:
             if isinstance(term, Iri) and term.value.startswith(MESUR):
                 assert SCHEMA.is_class(term) or SCHEMA.is_property(term), (name, term)
+
+
+# -- the one-pass validator against the per-node oracle -------------------------------
+
+
+def every_kind_store():
+    """A clean Publishes context plus one node per violation kind."""
+    store, _, unit, agent = publishes_fixture()
+
+    def add(s, p, o):
+        store.insert(Triple(s, p, o))
+
+    def publishes(node, unit):
+        add(node, RDF_TYPE, PUBLISHES)
+        add(node, HAS_UNIT, unit)
+        add(node, HAS_PROVIDER, Iri("urn:prov:1"))
+        add(node, HAS_TIME, year_literal(2006))
+        return node
+
+    add(Iri("urn:x:unknown-class"), RDF_TYPE, Iri(MESUR + "Jounral"))
+    add(Iri("urn:x:disjoint"), RDF_TYPE, HUMAN)
+    add(Iri("urn:x:disjoint"), RDF_TYPE, ORGANIZATION)
+    add(publishes(Iri("urn:x:unknown-property"), unit), Iri(MESUR + "hasNumbericValue"), string_literal("2.5"))
+    add(Iri("urn:x:domain"), RDF_TYPE, ARTICLE)
+    add(Iri("urn:x:domain"), HAS_TIME, year_literal(2006))
+    cite = Iri("urn:x:range-literal")
+    add(cite, RDF_TYPE, CITATION)
+    add(cite, Iri(MESUR + "hasSource"), unit)
+    add(cite, Iri(MESUR + "hasSink"), Blank("sink"))
+    add(cite, HAS_WEIGHT, string_literal("heavy"))
+    add(publishes(Iri("urn:x:range-resource"), unit), HAS_GROUP, agent)
+    add(publishes(Iri("urn:x:range-resource-literal"), unit), HAS_GROUP, string_literal("not a node"))
+    add(Iri("urn:x:missing-required"), RDF_TYPE, USES)
+    preprint = Iri("urn:doc:preprint")
+    add(preprint, RDF_TYPE, PREPRINT_ARTICLE)
+    edition = Iri("urn:group:1")
+    add(edition, RDF_TYPE, GROUP)
+    add(publishes(Iri("urn:x:group-restriction"), preprint), HAS_GROUP, edition)
+    add(Iri("urn:x:untyped"), HAS_TIME, string_literal("then"))
+    return store
+
+
+def assert_matches_oracle(store):
+    assert validate_all(store) == oracle_validate_all(store)
+    nodes = {t.subject for t in store.triples()}
+    nodes |= {t.object for t in store.triples() if not isinstance(t.object, Literal)}
+    for node in nodes:
+        assert validate_instance(store, node) == oracle_validate_instance(store, node), node
+    assert literal_audit(store) == oracle_literal_audit(store)
+
+
+def test_every_violation_kind_matches_the_oracle():
+    store = every_kind_store()
+    kinds = {v.kind for v in validate_all(store)}
+    assert kinds == {
+        "unknown-class", "disjoint", "unknown-property", "domain", "range", "missing-required", "group-restriction"
+    }
+    messages = [v.message for v in validate_all(store) if v.kind == "range"]
+    assert any("literal, got" in m for m in messages)
+    assert any("expects a resource" in m for m in messages)
+    assert any("must be typed" in m for m in messages)
+    assert_matches_oracle(store)
+
+
+def test_the_fixtures_match_the_oracle():
+    for store in (conformance_store(), jcdl_fixture()[0]):
+        assert_matches_oracle(store)
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_random_stores_match_the_oracle(seed):
+    assert_matches_oracle(random_context_store(random.Random(seed), 60))
+
+
+def test_validate_instance_still_refuses_absent_nodes():
+    store, ctx, _, _ = publishes_fixture()
+    gone = Iri("urn:x:gone")
+    store.insert(Triple(gone, RDF_TYPE, ARTICLE))
+    store.remove(Triple(gone, RDF_TYPE, ARTICLE))  # interned, in no triple
+    for node in (gone, Iri("urn:never:seen"), string_literal("never seen")):
+        with pytest.raises(UnknownNodeError):
+            validate_instance(store, node)

@@ -33,6 +33,7 @@ from scholargraph.ontology import (
     PUBLISHES,
     RDF_TYPE,
     USES,
+    literal_audit,
     validate_all,
 )
 from scholargraph.sidecar import (
@@ -41,7 +42,6 @@ from scholargraph.sidecar import (
     Sidecar,
     SidecarError,
     UnknownIdError,
-    literal_audit,
     unit_iri,
 )
 from scholargraph.store import Store
@@ -389,6 +389,136 @@ def test_two_equally_loaded_sidecars_map_identically():
         store.save(buffer)
         stores.append(buffer.getvalue())
     assert stores[0] == stores[1]
+
+
+# -- incremental mapping ------------------------------------------------------------
+
+DOCS = [
+    doc(n, collection=("Journal A", "Journal B")[n % 2], date=f"200{n % 3 + 4}",
+        authors="Ann|Bo" if n % 2 else "Cy", publisher="Press" if n % 3 else "",
+        doi=f"10.5/{n}" if n % 4 == 0 else "")
+    for n in range(6)
+]
+EVENT_BATCHES = [
+    [
+        {
+            "event_id": f"ev-{k}-{n}", "time": f"2007-0{k + 1}-1{n} 10:00:00", "doc_id": f"doc-{n % 6}",
+            "agent": f"reader-{n % 3}" if n != 2 else "", "session": f"s-{n}",
+            "affiliation": ("Lab", "", "Univ")[n % 3], "access_type": "pdf" if n % 2 else "",
+        }
+        for n in range(5)
+    ]
+    for k in range(3)
+]
+CITATIONS = [("doc-0", "doc-1"), ("doc-2", "doc-1"), ("doc-5", "doc-0")]
+ALPHA, BETA = Iri("urn:mesur:provider:alpha"), Iri("urn:mesur:provider:beta")
+
+
+def records(batches=len(EVENT_BATCHES), citations=True):
+    sc = Sidecar()
+    sc.ingest_biblio(biblio_tsv(*DOCS))
+    for batch in EVENT_BATCHES[:batches]:
+        sc.ingest_usage(usage_tsv(*batch))
+    if citations:
+        sc.ingest_citations(citation_tsv(*CITATIONS))
+    return sc
+
+
+def snapshot(store):
+    buffer = io.BytesIO()
+    store.save(buffer)
+    return buffer.getvalue()
+
+
+def contexts(store):
+    return tuple(len(store.subjects(RDF_TYPE, cls)) for cls in (PUBLISHES, USES, CITATION, AFFILIATION))
+
+
+def mapped(sc, store, **options):
+    """Map, checking that the report counts exactly the contexts the run
+    added and that every doc and event resolves afterwards."""
+    before = contexts(store)
+    report = sc.map_to_graph(store, **options)
+    created = tuple(a - b for a, b in zip(contexts(store), before))
+    assert created == (report.publishes, report.uses, report.citations, report.affiliations)
+    for doc_id in sc.doc_ids():
+        assert sc.resolve(doc_id).doc_id == doc_id
+    events = [event["event_id"] for batch in EVENT_BATCHES for event in batch]
+    for event_id in events[: sc.counts()["usage"]]:  # the batches ingested so far
+        _, ctx = sc.resolve_event(event_id)
+        assert store.contains(Triple(Iri(ctx), RDF_TYPE, USES))
+    return report
+
+
+def one_map(*runs):
+    """The snapshot of one map per (provider, affiliations) over the final records."""
+    store = Store()
+    for provider, affiliations in runs:
+        records().map_to_graph(store, provider=provider, affiliations=affiliations)
+    return snapshot(store)
+
+
+def batched(sc, store, **options):
+    """Ingest and map each usage batch, then the citations."""
+    reports = []
+    for batch in EVENT_BATCHES:
+        sc.ingest_usage(usage_tsv(*batch))
+        reports.append(mapped(sc, store, **options))
+    sc.ingest_citations(citation_tsv(*CITATIONS))
+    reports.append(mapped(sc, store, **options))
+    return reports
+
+
+def test_mapping_after_each_batch_equals_one_map():
+    sc, store = records(batches=0, citations=False), Store()
+    reports = batched(sc, store)
+    assert [(r.publishes, r.uses, r.citations) for r in reports] == [(6, 5, 0), (0, 5, 0), (0, 5, 0), (0, 0, 3)]
+    assert snapshot(store) == one_map((DEFAULT_PROVIDER, False))
+    assert mapped(sc, store).total == 0
+
+
+def test_affiliations_added_later_equal_one_map_with_them():
+    sc, store = records(batches=0, citations=False), Store()
+    batched(sc, store)
+    report = mapped(sc, store, affiliations=True)
+    wanted = sum(1 for batch in EVENT_BATCHES for e in batch if e["affiliation"] and e["agent"])
+    assert (report.publishes, report.uses, report.citations, report.affiliations) == (0, 0, 0, wanted)
+    assert snapshot(store) == one_map((DEFAULT_PROVIDER, True))
+
+
+def test_a_second_provider_maps_its_own_contexts():
+    sc, store = records(batches=0, citations=False), Store()
+    for batch in EVENT_BATCHES:
+        sc.ingest_usage(usage_tsv(*batch))
+        mapped(sc, store, provider=ALPHA)
+        mapped(sc, store, provider=BETA)
+    sc.ingest_citations(citation_tsv(*CITATIONS))
+    assert mapped(sc, store, provider=ALPHA).citations == 3
+    assert mapped(sc, store, provider=BETA).citations == 3
+    assert snapshot(store) == one_map((ALPHA, False), (BETA, False))
+    # the id map follows the last provider, as one map per provider leaves it
+    _, ctx = sc.resolve_event("ev-0-0")
+    assert ctx.startswith("urn:mesur:ctx:use:") and store.contains(Triple(Iri(ctx), HAS_PROVIDER, BETA))
+
+
+def test_a_deleted_store_is_mapped_again_in_full():
+    sc, store = records(batches=0, citations=False), Store()
+    batched(sc, store, affiliations=True)
+    fresh = Store()
+    report = mapped(sc, fresh, affiliations=True)
+    assert (report.publishes, report.uses, report.citations) == (6, 15, 3)
+    assert snapshot(fresh) == snapshot(store) == one_map((DEFAULT_PROVIDER, True))
+
+
+def test_a_fresh_sidecar_maps_into_an_existing_store():
+    store = Store()
+    mapped(records(), store, affiliations=True)
+    before = snapshot(store)
+    fresh = records()
+    assert fresh.counts()["id_map"] == 0
+    assert mapped(fresh, store, affiliations=True).total == 0
+    assert snapshot(store) == before
+    assert fresh.counts()["id_map"] == len(DOCS) + sum(len(batch) for batch in EVENT_BATCHES)
 
 
 # -- resolution -------------------------------------------------------------------
