@@ -7,14 +7,16 @@ optional JSON config file (--config), then built-in defaults.
 Mutating subcommands take an advisory lock (`<store>.lock`) so two
 processes cannot write the same store.  The store snapshot is the only
 state file: it carries the materialization ledger as its last section, and
-each save replaces it atomically.
+each save replaces it atomically.  A `map`, `query`, `infer` or `retract`
+that changes nothing leaves the snapshot file alone.
 
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 
 Each subcommand imports the modules it uses inside its handler, so a
 command pays only for its own imports: `stats` and `export` load the store,
-the term model and N-Triples alone, and `query` never loads the rules, the
-metrics or the sidecar.
+the term model and N-Triples alone, `query` never loads the rules, the
+metrics or the sidecar, and `metric` and `retract` never load the query
+dialect.
 """
 
 from __future__ import annotations
@@ -260,7 +262,9 @@ def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
         with _writer_lock(cfg.store):
             store = _open_store(cfg)
             report = execute_script(store, script)
-            store.save(cfg.store)
+            # a query only inserts, so no new triple means an unchanged store
+            if report.inserted:
+                store.save(cfg.store)
     else:
         report = execute_script(_open_store(cfg), script)
 
@@ -306,7 +310,8 @@ def cmd_infer(args: argparse.Namespace, cfg: Config) -> int:
             counts = {args.rule: engine.run_rule(args.rule)}
         else:
             raise ScholarGraphError("infer needs --rule NAME or --all")
-        engine.store.save(cfg.store)
+        if any(counts.values()):
+            engine.store.save(cfg.store)
     human = [f"{name}: {count} new triple(s)" for name, count in counts.items()]
     human.append(f"total: {sum(counts.values())}")
     rows = [[name, str(count)] for name, count in counts.items()]
@@ -327,7 +332,9 @@ def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
             label = args.rule
         else:
             raise ScholarGraphError("retract needs --rule NAME or --all")
-        engine.store.save(cfg.store)
+        # every ledger triple is in the store, so a rule that removed nothing had an empty entry
+        if removed:
+            engine.store.save(cfg.store)
     _emit(
         args,
         [f"retracted {removed} triple(s) from {label}"],

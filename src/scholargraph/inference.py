@@ -1,7 +1,9 @@
 """Named materialization rules with exact retraction.
 
 The five property rules are ordinary scripts in the query dialect (their
-texts below) executed through the normal evaluator.  The engine records, per
+texts below) executed through the normal evaluator.  The dialect is imported,
+and the scripts parsed, the first time a rule runs, so retraction and the
+metrics never load the query engine.  The engine records, per
 rule, exactly the triples that the rule newly added.  Because the store has
 set semantics, facts that were already present never enter the ledger, so
 ``ledger ∪ base = store`` and ``ledger ∩ base = ∅`` hold by construction and
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from decimal import Decimal
-from typing import IO, Iterable, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import ScholarGraphError
 from .ntriples import parse_ntriples, serialize_term, serialize_triple
@@ -43,7 +45,6 @@ from .ontology import (
     PUBLISHES,
     UnknownNodeError,
 )
-from .queryl import Script, execute_script, parse_script
 from .store import IdTriple, Store
 from .terms import (
     Datatype,
@@ -55,6 +56,9 @@ from .terms import (
     term_sort_key,
     year_literal,
 )
+
+if TYPE_CHECKING:
+    from .queryl import Script
 
 DERIVED_BASE = "urn:mesur:derived:"
 
@@ -251,14 +255,12 @@ class InferenceEngine:
 
     def __init__(self, store: Store) -> None:
         self.store = store
-        self._scripts: dict[str, Script] = {
-            name: parse_script(text) for name, text in RULE_SCRIPTS.items()
-        }
+        self._scripts: Optional[dict[str, Script]] = None  # parsed when a rule first runs
 
     # -- property rules --------------------------------------------------------
 
     def rules(self) -> tuple[str, ...]:
-        return tuple(sorted(self._scripts))
+        return tuple(sorted(RULE_SCRIPTS))
 
     def rule_text(self, name: str) -> str:
         if name not in RULE_SCRIPTS:
@@ -267,8 +269,12 @@ class InferenceEngine:
 
     def run_rule(self, name: str) -> int:
         """Execute one rule; ledger the new triples; return how many."""
-        if name not in self._scripts:
+        if name not in RULE_SCRIPTS:
             raise UnknownRuleError(name)
+        from .queryl import execute_script, parse_script
+
+        if self._scripts is None:
+            self._scripts = {rule: parse_script(text) for rule, text in RULE_SCRIPTS.items()}
         report = execute_script(self.store, self._scripts[name])
         if report.new_triples:
             entry = self.store.ledger.setdefault(name, set())
@@ -280,7 +286,7 @@ class InferenceEngine:
 
     def retract_rule(self, name: str) -> int:
         """Remove exactly what the rule added; 0 if it never ran."""
-        if name not in self._scripts and name not in self.store.ledger:
+        if name not in RULE_SCRIPTS and name not in self.store.ledger:
             raise UnknownRuleError(name)
         return self._retract([name])
 

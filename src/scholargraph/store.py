@@ -25,6 +25,14 @@ to the set of id triples that rule added), so a snapshot carries it and
 every command that loads and saves the store keeps it without knowing of
 it.  :meth:`Store.decode_triple` turns an entry back into a triple.
 
+A snapshot numbers the live terms in canonical order.  A loaded store keeps
+the snapshot's numbering as its lowest ids, so a save sorts only the terms
+interned since the load and merges them into the loaded order, and writes
+the SPO run as whole id columns, re-sorting only the subjects whose rows
+the new numbering put out of order.  A load checks the term table one kind
+at a time by the term constructors' rules, and the id runs in whole
+columns, with the messages a term-by-term check would give.
+
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
 readers; concurrent writing is the caller's problem (the CLI serializes
@@ -38,15 +46,27 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter, lt
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, ge, itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import ScholarGraphError
 from .ntriples import serialize_triple
-from .terms import Blank, Datatype, Iri, Literal, Term, TermError, Triple, term_sort_key
+from .terms import (
+    Blank,
+    Datatype,
+    Iri,
+    Literal,
+    Term,
+    TermError,
+    Triple,
+    make_blanks,
+    make_iris,
+    make_literals,
+    term_sort_key,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +132,9 @@ class Store:
         self._osp: Optional[_Index] = {}
         self._size = 0
         self._blank_serial = 0
+        # ids below this are the term table of the snapshot the store was
+        # loaded from, in canonical order; see save
+        self._loaded = 0
         # rule name -> id triples that rule added; every one is in the store
         self.ledger: dict[str, set[IdTriple]] = {}
 
@@ -183,10 +206,10 @@ class Store:
             return sum(1 for t in triples if self.insert(t))
         intern = self.intern
         ordered = sorted({(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples})
-        self._build(*(array(_ID, map(itemgetter(slot), ordered)) for slot in range(3)))
+        self._build(*(list(map(itemgetter(slot), ordered)) for slot in range(3)))
         return self._size
 
-    def _build(self, s: array, p: array, o: array) -> None:
+    def _build(self, s: list[int], p: list[int], o: list[int]) -> None:
         """Fill the empty SPO and POS indexes from the id columns of
         distinct triples in SPO order, and leave OSP unbuilt.
 
@@ -194,17 +217,15 @@ class Store:
         the row numbers by one integer key each: sorting by object leaves
         equal objects in (s, p) order, and sorting that by predicate leaves
         equal predicates in (o, s) order, which is POS order.  Stability
-        supplies the tie order, so no sort compares tuples.  The sorts and
-        gathers read list copies of the columns, which hand out their ints
-        without boxing each one again.
+        supplies the tie order, so no sort compares tuples.  The columns are
+        lists, which hand out their ints without boxing each one again.
         """
-        _group(self._spo, s, p, o)
-        lp, lo = p.tolist(), o.tolist()
-        rows = sorted(range(len(lo)), key=lo.__getitem__)
-        rows.sort(key=lp.__getitem__)
-        _group(self._pos, lp, *_gather(rows, lo, s.tolist()))
+        _group(self._spo, s, array(_ID, p), array(_ID, o))
+        rows = sorted(range(len(o)), key=o.__getitem__)
+        rows.sort(key=p.__getitem__)
+        _group(self._pos, p, *_gather(rows, o, s))
         self._osp = None
-        self._size = len(lo)
+        self._size = len(o)
 
     def _object_index(self) -> _Index:
         """OSP, built from SPO the first time it is needed after a bulk
@@ -442,13 +463,22 @@ class Store:
     def save(self, target: Union[str, IO[bytes]]) -> None:
         """Write a canonical snapshot: the term table, the SPO run, the ledger.
 
-        Live terms are sorted into a total order and re-numbered densely.
-        The SPO run follows as sorted id triples (POS is rebuilt on load,
-        OSP on first use).  The ledger section lists each non-empty rule,
-        in name order, with its triples as sorted ids.  Two stores holding
-        the same triples and the same ledger therefore produce
-        byte-identical snapshots regardless of how they got there, and an
-        empty ledger encodes as one that never existed.
+        Live terms are written in one total order (:func:`term_sort_key`)
+        and numbered densely in it.  The terms of the snapshot a store was
+        loaded from keep that order as its lowest ids, so only the terms
+        interned since are sorted: each is bisected into the loaded order,
+        and dead ids drop out.  (A store that was not loaded has no loaded
+        terms, so all of its terms are sorted.)  Each kind's terms, and each
+        datatype's literals, are encoded as one list.
+
+        The SPO run is written as whole id columns mapped through the new
+        numbering; one order check finds the subjects whose rows the
+        renumbering put out of (p, o) order, and only those are re-sorted
+        (POS is rebuilt on load, OSP on first use).  The ledger section lists
+        each non-empty rule, in name order, with its triples as sorted ids.
+        Two stores holding the same triples and the same ledger therefore
+        produce byte-identical snapshots regardless of how they got there,
+        and an empty ledger encodes as one that never existed.
 
         Raises :class:`SnapshotError`, writing nothing, if a ledger triple
         is not in the store.  A path is written as ``<path>.tmp``, synced
@@ -456,38 +486,35 @@ class Store:
         synced, so a crash or power loss leaves either the old snapshot or
         the new one.
         """
-        live_ids = self._spo.keys() | self._pos.keys()
-        for objects, _ in self._pos.values():
-            live_ids.update(objects)
-        ordered_terms = sorted((self._terms[i] for i in live_ids), key=term_sort_key)
-        renumber = {self._ids[t]: n for n, t in enumerate(ordered_terms)}
-        ledger: list[tuple[str, list[IdTriple]]] = []
-        for name in sorted(self.ledger):
-            entry: list[IdTriple] = []
-            for s, p, o in self.ledger[name]:
-                if not self.contains_ids(s, p, o):
-                    triple = serialize_triple(self.decode_triple((s, p, o)))
-                    raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
-                entry.append((renumber[s], renumber[p], renumber[o]))
-            if entry:
-                ledger.append((name, sorted(entry)))
+        missing = self._not_held(self.ledger.values())
+        if missing:
+            name = min(name for name, entry in self.ledger.items() if not missing.isdisjoint(entry))
+            ids = next(ids for ids in self.ledger[name] if ids in missing)
+            triple = serialize_triple(self.decode_triple(ids))
+            raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
+        terms = self._terms
+        order = self._term_order()
+        renumber: Optional[list[int]] = None
+        if order != list(range(len(terms))):
+            renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
+            for new_id, old_id in enumerate(order):
+                renumber[old_id] = new_id
         body = bytearray()
         body += _MAGIC
-        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(ordered_terms), self._size)
-        for term in ordered_terms:
-            body += _encode_term(term)
-        body += _id_run(
-            sorted(
-                (renumber[s], renumber[p], renumber[o])
-                for s, (predicates, objects) in self._spo.items()
-                for p, o in zip(predicates, objects)
-            )
-        )
-        body += struct.pack("<I", len(ledger))
-        for name, entry in ledger:
+        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(order), self._size)
+        body += _encode_terms(list(map(terms.__getitem__, order)))
+        body += self._spo_run(renumber)
+        names = [name for name in sorted(self.ledger) if self.ledger[name]]
+        body += struct.pack("<I", len(names))
+        for name in names:
+            entry = self.ledger[name]
+            if renumber is None:
+                rows = sorted(entry)
+            else:
+                rows = sorted(zip(*(map(renumber.__getitem__, map(itemgetter(k), entry)) for k in range(3))))
             raw = name.encode("utf-8")
-            body += struct.pack("<II", len(raw), len(entry)) + raw
-            body += _id_run(entry)
+            body += struct.pack("<II", len(raw), len(rows)) + raw
+            body += array(_ID, chain.from_iterable(rows)).tobytes()
         if not isinstance(target, str):
             target.write(bytes(body))
             return
@@ -509,6 +536,66 @@ class Store:
         finally:
             os.close(directory)
 
+    def _not_held(self, entries: Iterable[set[IdTriple]]) -> set[IdTriple]:
+        """The id triples of ``entries`` that the store does not hold: their
+        union less the rows of the subjects they name."""
+        missing: set[IdTriple] = set().union(*entries)
+        spo = self._spo
+        subjects = set(map(itemgetter(0), missing)) & spo.keys()
+        missing.difference_update(chain.from_iterable(zip(repeat(s), *spo[s]) for s in subjects))
+        return missing
+
+    def _term_order(self) -> list[int]:
+        """The ids of the live terms, in canonical term order.
+
+        Loaded ids are in that order already; each term interned since the
+        load is bisected into them, in the order of its sort key.
+        """
+        live = self._spo.keys() | self._pos.keys()
+        for objects, _ in self._pos.values():
+            live.update(objects)
+        ids = sorted(live)
+        loaded_count = self._loaded
+        split = bisect_left(ids, loaded_count)
+        loaded, fresh = ids[:split], ids[split:]
+        if not fresh:
+            return loaded
+        terms = self._terms
+        keys = list(map(term_sort_key, map(terms.__getitem__, fresh)))
+        ranked = sorted(range(len(fresh)), key=keys.__getitem__)
+        if not loaded:  # no loaded term to merge into, as in a store that was not loaded
+            return list(map(fresh.__getitem__, ranked))
+        order: list[int] = []
+        start = 0
+        for k in ranked:
+            # where the term falls among all loaded ids, then among the live ones
+            at = bisect_left(loaded, bisect_left(terms, keys[k], 0, loaded_count, key=term_sort_key), start)
+            order += loaded[start:at]
+            order.append(fresh[k])
+            start = at
+        order += loaded[start:]
+        return order
+
+    def _spo_run(self, renumber: Optional[list[int]]) -> bytes:
+        """The SPO run under the new numbering (None: ids stay as they are)."""
+        spo = self._spo
+        subjects = sorted(spo, key=None if renumber is None else renumber.__getitem__)
+        columns = list(map(spo.__getitem__, subjects))
+        lengths = map(len, map(itemgetter(0), columns))
+        predicates = chain.from_iterable(map(itemgetter(0), columns))
+        objects = chain.from_iterable(map(itemgetter(1), columns))
+        if renumber is not None:
+            subjects = list(map(renumber.__getitem__, subjects))
+            predicates = map(renumber.__getitem__, predicates)
+            objects = map(renumber.__getitem__, objects)
+        s = array(_ID, chain.from_iterable(map(repeat, subjects, lengths)))
+        p, o = array(_ID, predicates), array(_ID, objects)
+        if renumber is not None:
+            _sort_subjects(s, p, o)
+        run = array(_ID, bytes(12 * len(s)))
+        run[0::3], run[1::3], run[2::3] = s, p, o
+        return run.tobytes()
+
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
         """Read a snapshot written by :meth:`save`, checking it as it goes.
@@ -516,7 +603,17 @@ class Store:
         Every term must pass its constructor's checks and appear once,
         every id must name a term of the table, the SPO run and each ledger
         rule's triples must be strictly ascending, and every ledger triple
-        must be in the SPO run; anything else raises :class:`SnapshotError`.
+        must be in the SPO run; anything else raises :class:`SnapshotError`,
+        with the message of the first fault in file order.
+
+        The checks run list-wise: the terms are read in one pass into runs
+        of one kind (and datatype) each, and each run is checked by its
+        constructor's rules and built as a whole (:func:`make_iris` and its
+        siblings); the id runs are checked in whole columns; the index
+        columns are cut by ``map``; the ledger is checked against the rows
+        of the subjects it names in one set difference.  A term table in
+        canonical order (as :meth:`save` writes it) is remembered as such,
+        so the next save sorts only the terms interned after the load.
         """
         if isinstance(source, str):
             with open(source, "rb") as fp:
@@ -537,16 +634,18 @@ class Store:
         swap = (sys.byteorder == "little") != (endian == 0)
         offset = len(_MAGIC) + _HEADER.size
         store = cls()
-        try:
-            store._terms, offset = _decode_terms(data, offset, term_count)
-        except (IndexError, ValueError, struct.error, TermError) as exc:
-            raise SnapshotError(f"bad term section: {exc}") from None
+        store._terms, offset, ordered = _decode_terms(data, offset, term_count)
         store._ids = dict(zip(store._terms, range(term_count)))
         if len(store._ids) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
+        store._loaded = term_count if ordered else 0
         spo, offset = _read_id_run(data, offset, triple_count, swap, term_count, "SPO run")
         store._build(*spo)
         del spo
+        # A fault of the section is raised after the ledger check of the
+        # rules before it, which a reader checking rule by rule meets first.
+        entries: list[tuple[str, set[IdTriple]]] = []
+        fault: Optional[SnapshotError] = None
         try:
             (rule_count,) = struct.unpack_from("<I", data, offset)
             offset += 4
@@ -566,23 +665,26 @@ class Store:
                     raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
                 previous = name
                 entry, offset = _read_id_run(data, offset, count, swap, term_count, f"ledger of rule {name!r}")
-                if not all(map(store.contains_ids, *entry)):
-                    raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
-                store.ledger[name] = set(zip(*entry))
+                entries.append((name, set(zip(*entry))))
+        except SnapshotError as exc:
+            fault = exc
         except struct.error:
-            raise SnapshotError("truncated ledger section") from None
+            fault = SnapshotError("truncated ledger section")
+        missing = store._not_held(entry for _, entry in entries)
+        if missing:
+            name = next(name for name, entry in entries if not missing.isdisjoint(entry))
+            raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
+        if fault is not None:
+            raise fault
+        store.ledger.update(entries)
         if offset != len(data):
             raise SnapshotError("trailing bytes after snapshot")
         return store
 
 
-def _id_run(ordered: list[IdTriple]) -> bytes:
-    return array(_ID, chain.from_iterable(ordered)).tobytes()
-
-
 def _read_id_run(
     data: bytes, offset: int, count: int, swap: bool, term_count: int, what: str
-) -> tuple[tuple[array, array, array], int]:
+) -> tuple[tuple[list[int], list[int], list[int]], int]:
     """The s, p and o columns of ``count`` id triples at ``offset``, checked
     in range and strictly ascending, and the offset after them."""
     end = offset + count * 12
@@ -592,14 +694,34 @@ def _read_id_run(
     run.frombytes(memoryview(data)[offset:end])
     if swap:
         run.byteswap()
-    if run and max(run) >= term_count:
+    # lists hand the same int objects to the checks and to the caller
+    columns = (run[0::3].tolist(), run[1::3].tolist(), run[2::3].tolist())
+    del run
+    if count and max(map(max, columns)) >= term_count:
         raise SnapshotError(f"term id out of range in {what}")
-    columns = (run[0::3], run[1::3], run[2::3])
     following = zip(*columns)
     next(following, None)
     if not all(map(lt, zip(*columns), following)):
         raise SnapshotError(f"{what} is not strictly ascending")
     return columns, end
+
+
+def _sort_subjects(s: array, p: array, o: array) -> None:
+    """Re-sort, in place, the rows of each subject whose rows are out of
+    (p, o) order, in columns whose subjects ascend.
+
+    The rows of all such subjects are sorted together: their subjects stay
+    in place, so each row lands in its own subject's block.
+    """
+    following = zip(s, p, o)
+    next(following, None)
+    broken = set(compress(s, map(ge, zip(s, p, o), following)))
+    if not broken:
+        return
+    at = list(compress(range(len(s)), map(broken.__contains__, s)))
+    rows = sorted(zip(map(s.__getitem__, at), map(p.__getitem__, at), map(o.__getitem__, at)))
+    deque(map(p.__setitem__, at, map(itemgetter(1), rows)), maxlen=0)
+    deque(map(o.__setitem__, at, map(itemgetter(2), rows)), maxlen=0)
 
 
 # -- the column pairs of one permutation ---------------------------------------
@@ -656,54 +778,101 @@ def _group(index: _Index, first: Iterable[int], second: array, third: array) -> 
     sorted by (first, second, third); ``first`` holds their first keys in
     any order."""
     counts = Counter(first)
-    lo = 0
-    for key in sorted(counts):
-        hi = lo + counts[key]
-        index[key] = (second[lo:hi], third[lo:hi])
-        lo = hi
+    keys = sorted(counts)
+    ends = list(accumulate(map(counts.__getitem__, keys)))
+    cuts = list(map(slice, chain((0,), ends), ends))
+    index.update(zip(keys, zip(map(second.__getitem__, cuts), map(third.__getitem__, cuts))))
 
 
-def _encode_term(term: Term) -> bytes:
-    if isinstance(term, Iri):
-        kind, payload = 0, term.value
-        head = struct.pack("<B", kind)
-    elif isinstance(term, Blank):
-        kind, payload = 1, term.label
-        head = struct.pack("<B", kind)
-    else:
-        payload = term.lexical
-        head = struct.pack("<BB", 2, int(term.datatype))
-    raw = payload.encode("utf-8")
-    return head + struct.pack("<I", len(raw)) + raw
-
-
+# A term is its kind byte (0 IRI, 1 blank, 2 literal), a literal's datatype
+# byte, the payload's UTF-8 length as a u32 and the payload.  Canonical order
+# (term_sort_key) keeps each kind, and each datatype's literals, in one run,
+# and a term's header prefix orders the runs.
 _DATATYPES = {int(datatype): datatype for datatype in Datatype}
 _LENGTH = struct.Struct("<I")
+_TEXT = {Iri: attrgetter("value"), Blank: attrgetter("label"), Literal: attrgetter("lexical")}
 
 
-def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int]:
-    """The ``count`` terms of a term section at ``offset``, each built by its
-    validating constructor, and the offset after them."""
-    terms: list[Term] = []
-    append = terms.append
+def _prefix(term: Term) -> bytes:
+    if isinstance(term, Iri):
+        return b"\0"
+    if isinstance(term, Blank):
+        return b"\1"
+    return bytes((2, term.datatype))
+
+
+def _encode_terms(terms: list[Term]) -> bytearray:
+    """The term section of ``terms``, which are in canonical order: each
+    run of one header prefix is encoded as a whole."""
+    body = bytearray()
+    start = 0
+    while start < len(terms):
+        prefix = _prefix(terms[start])
+        end = bisect_right(terms, prefix, start, key=_prefix)
+        raws = list(map(str.encode, map(_TEXT[type(terms[start])], terms[start:end])))
+        heads = map(prefix.__add__, map(_LENGTH.pack, map(len, raws)))
+        body += b"".join(chain.from_iterable(zip(heads, raws)))
+        start = end
+    return body
+
+
+def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int, bool]:
+    """The ``count`` terms of a term section at ``offset``, the offset after
+    them, and whether they are in canonical order.
+
+    One pass splits the section into runs of one kind (and datatype); each
+    run is then checked by its constructor's rules and built as a whole.  A
+    fault of the layout is raised only after the runs before it are
+    checked, so the message is that of the first bad term in table order.
+    """
+    runs: list[tuple[int, list[str]]] = []  # (kind << 8 | datatype, payloads)
+    key = -1
+    texts: list[str] = []
     length_at = _LENGTH.unpack_from
     size = len(data)
-    for _ in range(count):
-        kind = data[offset]
-        if kind == 2:
-            datatype = _DATATYPES.get(data[offset + 1])
-            if datatype is None:
-                raise SnapshotError(f"bad term section: unknown datatype {data[offset + 1]}")
-            offset += 2
-        elif kind > 2:
-            raise SnapshotError(f"unknown term kind: {kind}")
-        else:
-            offset += 1
-        (length,) = length_at(data, offset)
-        start = offset + 4
-        offset = start + length
-        if offset > size:
-            raise SnapshotError("truncated term payload")
-        text = data[start:offset].decode("utf-8")
-        append(Iri(text) if kind == 0 else Blank(text) if kind == 1 else Literal(text, datatype))
-    return terms, offset
+    fault: Optional[SnapshotError] = None
+    try:
+        for _ in range(count):
+            kind = data[offset]
+            if kind == 2:
+                tag = data[offset + 1]
+                if tag not in _DATATYPES:
+                    raise SnapshotError(f"bad term section: unknown datatype {tag}")
+                offset += 2
+            elif kind > 2:
+                raise SnapshotError(f"unknown term kind: {kind}")
+            else:
+                tag = 0
+                offset += 1
+            (length,) = length_at(data, offset)
+            start = offset + 4
+            offset = start + length
+            if offset > size:
+                raise SnapshotError("truncated term payload")
+            text = data[start:offset].decode("utf-8")
+            if kind << 8 | tag != key:
+                key = kind << 8 | tag
+                texts = []
+                runs.append((key, texts))
+            texts.append(text)
+    except SnapshotError as exc:
+        fault = exc
+    except (IndexError, ValueError, struct.error) as exc:
+        fault = SnapshotError(f"bad term section: {exc}")
+    terms: list[Term] = []
+    try:
+        for key, texts in runs:
+            kind, tag = divmod(key, 256)
+            if kind == 0:
+                terms += make_iris(texts)
+            elif kind == 1:
+                terms += make_blanks(texts)
+            else:
+                terms += make_literals(texts, _DATATYPES[tag])
+    except TermError as exc:
+        raise SnapshotError(f"bad term section: {exc}") from None
+    if fault is not None:
+        raise fault
+    keys = [key for key, _ in runs]
+    ordered = all(map(lt, keys, keys[1:])) and all(all(map(lt, texts, texts[1:])) for _, texts in runs)
+    return terms, offset, ordered

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import IntEnum
+from itertools import repeat
 from typing import Union
 
 from .errors import ScholarGraphError
@@ -41,10 +43,15 @@ class TermError(ScholarGraphError):
 
 
 _WHITESPACE_RE = re.compile(r"\s")  # the code points str.isspace() accepts
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
-_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)\Z")
-_YEAR_RE = re.compile(r"[0-9]{4}\Z")
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_BLANK = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"
+_INTEGER = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_YEAR = r"[0-9]{4}"
+_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_INTEGER_RE = re.compile(_INTEGER + r"\Z")
+_DECIMAL_RE = re.compile(_DECIMAL + r"\Z")
+_YEAR_RE = re.compile(_YEAR + r"\Z")
+_DATE_RE = re.compile(_DATE + r"\Z")
 
 
 def _valid_datetime_lexical(lex: str) -> bool:
@@ -91,7 +98,7 @@ class Blank:
     def __post_init__(self) -> None:
         if not self.label:
             raise TermError("blank node label must be nonempty")
-        if not re.match(r"[A-Za-z0-9_][A-Za-z0-9_.-]*\Z", self.label) or self.label.endswith("."):
+        if not re.match(_BLANK + r"\Z", self.label) or self.label.endswith("."):
             raise TermError(f"bad blank node label: {self.label!r}")
 
     def __repr__(self) -> str:
@@ -244,6 +251,78 @@ def term_sort_key(term: Term) -> tuple:
     if isinstance(term, Blank):
         return (1, term.label)
     return (2, int(term.datatype), term.lexical)
+
+
+# -- many terms of one kind at once ---------------------------------------------
+#
+# A snapshot load builds every term of the store.  These builders check a
+# whole list by the constructors' rules in a few C-level passes (a regex over
+# the values joined by newlines, which the count of newlines shows no value
+# holds), then make the terms without running the checks again.  If a check
+# fails, the constructors run over the list, so the error is the one the
+# first bad value's constructor raises.  The patterns are compiled (and
+# cached by ``re``) on first use, so a command that builds no term list
+# does not compile them.
+
+_BLANK_LINES = rf"(?:{_BLANK}(?<!\.)\n)*\Z"
+_LEXICAL_LINES = {
+    Datatype.INTEGER: rf"(?:(?:{_INTEGER})\n)*\Z",
+    Datatype.DECIMAL: rf"(?:(?:{_DECIMAL})\n)*\Z",
+    # a year, a date, or anything with a "T" at index 10 (a timestamp)
+    Datatype.DATETIME: rf"(?:(?:{_YEAR}|{_DATE}|.{{10}}T.*)\n)*\Z",
+}
+_DATE_LINES = rf"(?m)^{_DATE}$"
+_TIMESTAMP_LINES = r"(?m)^.{10}T.*$"
+
+
+def make_iris(values: list[str]) -> list[Iri]:
+    """``[Iri(v) for v in values]``, checked list-wise."""
+    if all(values) and not _WHITESPACE_RE.search("".join(values)):
+        return _unchecked(Iri, values)
+    return [Iri(v) for v in values]
+
+
+def make_blanks(labels: list[str]) -> list[Blank]:
+    """``[Blank(v) for v in labels]``, checked list-wise."""
+    text = _lines(labels)
+    if text is not None and re.match(_BLANK_LINES, text):
+        return _unchecked(Blank, labels)
+    return [Blank(v) for v in labels]
+
+
+def make_literals(lexicals: list[str], datatype: Datatype) -> list[Literal]:
+    """``[Literal(v, datatype) for v in lexicals]``, checked list-wise."""
+    if datatype is Datatype.STRING or _valid_lexicals(lexicals, datatype):
+        return _unchecked(Literal, lexicals, repeat(datatype))
+    return [Literal(v, datatype) for v in lexicals]
+
+
+def _lines(values: list[str]) -> str | None:
+    """Each value followed by a newline; None if a value holds a newline."""
+    text = "\n".join(values) + "\n"
+    return text if text.count("\n") == len(values) else None
+
+
+def _valid_lexicals(lexicals: list[str], datatype: Datatype) -> bool:
+    text = _lines(lexicals)
+    if text is None or not re.match(_LEXICAL_LINES[datatype], text):
+        return False
+    if datatype is Datatype.DATETIME:
+        try:
+            deque(map(_dt.date.fromisoformat, re.findall(_DATE_LINES, text)), maxlen=0)
+            deque(map(_dt.datetime.fromisoformat, re.findall(_TIMESTAMP_LINES, text)), maxlen=0)
+        except ValueError:
+            return False
+    return True
+
+
+def _unchecked(cls: type, *columns) -> list:
+    """Instances of the frozen dataclass ``cls`` whose fields, in order, take
+    their values from ``columns``, made without running its checks."""
+    made = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, made, column), maxlen=0)
+    return made
 
 
 RDF_TYPE = Iri(RDF_NS + "type")

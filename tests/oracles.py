@@ -8,6 +8,8 @@ disagreement points at the real implementation, not a shared bug.
 from collections import defaultdict
 from decimal import Decimal, ROUND_HALF_EVEN
 import random
+import struct
+import sys
 from typing import Iterable
 
 from scholargraph.ontology import (
@@ -57,7 +59,7 @@ from scholargraph.ontology import (
     USES,
     Violation,
 )
-from scholargraph.store import Store
+from scholargraph.store import SnapshotError, Store
 from scholargraph.terms import (
     Blank,
     Datatype,
@@ -66,6 +68,7 @@ from scholargraph.terms import (
     MESUR,
     RDF_TYPE,
     Term,
+    TermError,
     Triple,
     datetime_literal,
     string_literal,
@@ -851,6 +854,88 @@ def ledger_triples(store: Store) -> dict[str, set[Triple]]:
 def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, int]]:
     """Ledger entry for ``triples``, whose terms ``store`` has interned."""
     return {store.lookup_triple(triple) for triple in triples}
+
+
+# -- snapshots, one term and one tuple at a time ----------------------------------
+#
+# The snapshot format of ``Store.save``/``Store.load``, written and read the
+# plain way: every live term sorted by its sort key and encoded on its own,
+# the SPO run and each ledger rule as sorted tuples, each term decoded by
+# its validating constructor.
+
+_HEADER = struct.Struct("<HBII")
+
+
+def _encode_term(term: Term) -> bytes:
+    if isinstance(term, Iri):
+        head, payload = bytes([0]), term.value
+    elif isinstance(term, Blank):
+        head, payload = bytes([1]), term.label
+    else:
+        head, payload = bytes([2, int(term.datatype)]), term.lexical
+    raw = payload.encode("utf-8")
+    return head + struct.pack("<I", len(raw)) + raw
+
+
+def _id_run(rows: list[tuple[int, int, int]]) -> bytes:
+    return b"".join(struct.pack("=III", *row) for row in rows)
+
+
+def oracle_snapshot(store: Store) -> bytes:
+    """The bytes ``store.save`` must write for ``store``'s triples and ledger."""
+    triples = list(store.triples())
+    terms = sorted({term for t in triples for term in (t.subject, t.predicate, t.object)}, key=term_sort_key)
+    number = {term: n for n, term in enumerate(terms)}
+
+    def ids(t: Triple) -> tuple[int, int, int]:
+        return (number[t.subject], number[t.predicate], number[t.object])
+
+    body = b"SGRAPH" + _HEADER.pack(2, 0 if sys.byteorder == "little" else 1, len(terms), len(triples))
+    body += b"".join(map(_encode_term, terms))
+    body += _id_run(sorted(map(ids, triples)))
+    rules = [
+        (name, sorted(ids(store.decode_triple(row)) for row in store.ledger[name]))
+        for name in sorted(store.ledger)
+        if store.ledger[name]
+    ]
+    body += struct.pack("<I", len(rules))
+    for name, rows in rules:
+        raw = name.encode("utf-8")
+        body += struct.pack("<II", len(raw), len(rows)) + raw + _id_run(rows)
+    return body
+
+
+def oracle_load_terms(data: bytes) -> list[Term]:
+    """The term table of a snapshot, each term decoded by its constructor;
+    raises the :class:`SnapshotError` a snapshot load raises for the table."""
+    _, _, count, _ = _HEADER.unpack_from(data, 6)
+    offset = 6 + _HEADER.size
+    datatypes = {int(datatype): datatype for datatype in Datatype}
+    terms: list[Term] = []
+    try:
+        for _ in range(count):
+            kind = data[offset]
+            if kind == 2:
+                datatype = datatypes.get(data[offset + 1])
+                if datatype is None:
+                    raise SnapshotError(f"bad term section: unknown datatype {data[offset + 1]}")
+                offset += 2
+            elif kind > 2:
+                raise SnapshotError(f"unknown term kind: {kind}")
+            else:
+                offset += 1
+            (length,) = struct.unpack_from("<I", data, offset)
+            start = offset + 4
+            offset = start + length
+            if offset > len(data):
+                raise SnapshotError("truncated term payload")
+            text = data[start:offset].decode("utf-8")
+            terms.append(Iri(text) if kind == 0 else Blank(text) if kind == 1 else Literal(text, datatype))
+    except (IndexError, ValueError, struct.error, TermError) as exc:
+        raise SnapshotError(f"bad term section: {exc}") from None
+    if len(set(terms)) != count:
+        raise SnapshotError("duplicate terms in snapshot")
+    return terms
 
 
 # -- graph comparison up to blank relabeling ---------------------------------

@@ -118,6 +118,32 @@ def test_a_map_that_adds_nothing_leaves_the_snapshot_alone(workdir, capsys):
     assert os.stat("scholargraph.store").st_ino == before.st_ino
 
 
+def test_commands_that_change_nothing_leave_the_snapshot_alone(workdir, capsys):
+    load_everything(capsys)
+    (workdir / "mark.q").write_text(
+        "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u)"
+        " INSERT < ?u rdf:type mesur:Document > .",
+        encoding="utf-8",
+    )
+    assert run(capsys, "query", "--file", "mark.q")[0] == 0
+    assert run(capsys, "infer", "--all")[0] == 0
+
+    def snapshot():
+        status = os.stat("scholargraph.store")
+        return status.st_ino, status.st_mtime_ns, (workdir / "scholargraph.store").read_bytes()
+
+    before = snapshot()
+    for argv, says in (
+        (("query", "--file", "mark.q"), "inserted 0 new triple(s)"),
+        (("infer", "--all"), "total: 0"),
+        # map without --affiliations mints no Affiliation, so this rule added nothing
+        (("retract", "--rule", "affiliation"), "retracted 0 triple(s)"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and says in out, argv
+        assert snapshot() == before, argv
+
+
 def test_validate_passes_on_mapped_data(workdir, capsys):
     load_everything(capsys)
     code, out, _ = run(capsys, "validate")
@@ -497,6 +523,12 @@ def test_commands_import_only_the_modules_they_use(workdir, capsys):
     loaded = modules_loaded_by(workdir, "validate")
     assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded
     assert not loaded & {"scholargraph.sidecar", "sqlite3"}
+    # the rules' query scripts are parsed, and the dialect imported, only to run a rule
+    root = journal_root(str(workdir / "scholargraph.store"))
+    for argv in (("metric", "if", "--object", root.value, "--year", "2007"), ("retract", "--rule", "metric")):
+        loaded = modules_loaded_by(workdir, *argv)
+        assert "scholargraph.inference" in loaded and "scholargraph.queryl" not in loaded, argv
+    assert "scholargraph.queryl" in modules_loaded_by(workdir, "infer", "--rule", "authored_by")
 
 
 def test_star_import_binds_every_exported_name():

@@ -12,13 +12,21 @@ from scholargraph.terms import (
     Iri,
     Literal,
     Triple,
+    datetime_literal,
     decimal_literal,
     integer_literal,
     string_literal,
     year_literal,
 )
 
-from oracles import isomorphic, ledger_ids, ledger_triples, random_context_store
+from oracles import (
+    isomorphic,
+    ledger_ids,
+    ledger_triples,
+    oracle_load_terms,
+    oracle_snapshot,
+    random_context_store,
+)
 
 
 def small_store():
@@ -432,6 +440,127 @@ def test_corrupt_term_sections_are_rejected():
         Store.load(io.BytesIO(term_table_snapshot(good, encoded(0, b"urn:xyzzy"))[:-6]))
     with pytest.raises(SnapshotError, match="duplicate terms"):
         Store.load(io.BytesIO(term_table_snapshot(good, encoded(0, b"urn:x"), good)))
+
+
+def load_error(data: bytes) -> str:
+    with pytest.raises(SnapshotError) as raised:
+        Store.load(io.BytesIO(data))
+    return str(raised.value)
+
+
+def test_term_checks_reject_as_the_per_term_decode_does():
+    good = [
+        encoded(0, b"urn:a"),
+        encoded(0, b"urn:b"),
+        encoded(1, b"b0"),
+        encoded(2, b"line one\nline two", datatype=0),
+        encoded(2, b"-7", datatype=1),
+        encoded(2, b".5", datatype=2),
+        encoded(2, b"2007", datatype=3),
+        encoded(2, b"2008-02-29", datatype=3),
+        encoded(2, b"2007-05-01T10:30:00+00:00", datatype=3),
+    ]
+    assert Store.load(io.BytesIO(term_table_snapshot(*good))).term_count() == len(good)
+    bad = {
+        "empty IRI": encoded(0, b""),
+        "no-break space in an IRI": encoded(0, "urn:a\u00a0b".encode()),
+        "line separator in an IRI": encoded(0, "urn:a\u2028b".encode()),
+        "bad integer": encoded(2, b"7.5", datatype=1),
+        "two integers on two lines": encoded(2, b"7\n8", datatype=1),
+        "bad decimal": encoded(2, b"1.2.3", datatype=2),
+        "no such date": encoded(2, b"2007-02-30", datatype=3),
+        "malformed timestamp": encoded(2, b"2007-05-01T25:61:00", datatype=3),
+        "two years on two lines": encoded(2, b"2007\n2008", datatype=3),
+        "bad blank label": encoded(1, b"a!b"),
+        "blank label ending in a dot": encoded(1, b"ab."),
+        "two blank labels on two lines": encoded(1, b"a\nb"),
+        "unknown datatype": encoded(2, b"7", datatype=9),
+        "unknown kind": encoded(7, b"urn:x"),
+        "bad UTF-8": encoded(0, b"urn:\xff"),
+        "duplicate term": good[1],
+    }
+    for name, term in bad.items():
+        for table in (good[:4] + [term] + good[4:], good + [term], [term] + good):
+            data = term_table_snapshot(*table)
+            with pytest.raises(SnapshotError) as expected:
+                oracle_load_terms(data)
+            assert load_error(data) == str(expected.value), name
+    # a truncated payload, alone and after a bad term: the first fault in table order wins
+    for table in (good, [bad["bad decimal"]] + good, good[:3] + [bad["bad blank label"]] + good[3:]):
+        data = term_table_snapshot(*table, encoded(0, b"urn:xyzzy"))[:-6]
+        with pytest.raises(SnapshotError) as expected:
+            oracle_load_terms(data)
+        assert load_error(data) == str(expected.value)
+    # two bad terms of different kinds, in either order
+    for first, second in (("bad integer", "empty IRI"), ("empty IRI", "bad integer"), ("no such date", "unknown kind")):
+        data = term_table_snapshot(good[0], bad[first], good[2], bad[second])
+        with pytest.raises(SnapshotError) as expected:
+            oracle_load_terms(data)
+        assert load_error(data) == str(expected.value), (first, second)
+
+
+def random_term(rng: random.Random):
+    """An IRI, blank or literal whose sort key falls before, between or
+    after those of earlier draws."""
+    k = rng.randrange(300)
+    kind = rng.randrange(8)
+    if kind < 3:
+        return Iri(f"urn:{rng.choice('amz')}:{k}")
+    if kind == 3:
+        return Blank(f"b{k}")
+    if kind == 4:
+        return integer_literal(k - 150)
+    if kind == 5:
+        return decimal_literal(f"{k}.{rng.randrange(10)}")
+    if kind == 6:
+        return rng.choice((year_literal(1900 + k), datetime_literal(f"{1900 + k}-0{1 + k % 9}-1{k % 10}T10:00:00")))
+    return string_literal(f"s{k}")
+
+
+def test_save_writes_what_the_reference_encoder_writes_over_random_histories():
+    for seed in range(12):
+        rng = random.Random(seed)
+        store = Store()
+        held: list[Triple] = []
+        for _cycle in range(5):
+            for _ in range(rng.randrange(10, 90)):
+                roll = rng.random()
+                if roll < 0.55 or not held:
+                    subject = random_term(rng)
+                    if isinstance(subject, Literal):
+                        subject = Iri(f"urn:s:{subject.lexical}")
+                    triple = Triple(subject, Iri(f"urn:p:{rng.randrange(6)}"), random_term(rng))
+                    if store.insert(triple):
+                        held.append(triple)
+                        if rng.random() < 0.3:
+                            entry = store.ledger.setdefault(rng.choice(("metric", "rule_a", "used_by")), set())
+                            entry.add(store.lookup_triple(triple))
+                elif roll < 0.85:
+                    # drop every triple of one subject, so its terms may die
+                    subject = rng.choice(held).subject
+                    for triple in [t for t in held if t.subject == subject]:
+                        ids = store.lookup_triple(triple)
+                        assert store.remove(triple)
+                        held.remove(triple)
+                        for entry in store.ledger.values():
+                            entry.discard(ids)
+                else:
+                    store.intern(random_term(rng))  # a term no triple uses
+            data = saved(store)
+            assert data == oracle_snapshot(store), seed
+            store = Store.load(io.BytesIO(data))
+            assert saved(store) == data, seed
+
+
+def test_a_term_table_out_of_canonical_order_loads_and_saves_canonically():
+    store, _ = small_store()
+    canonical = saved(store)
+    terms = [encoded(0, b"urn:z"), encoded(2, b"7", datatype=1), encoded(0, b"urn:a")]
+    back = Store.load(io.BytesIO(term_table_snapshot(*terms)))
+    assert [back.decode(i) for i in range(3)] == [Iri("urn:z"), integer_literal(7), Iri("urn:a")]
+    for triple in small_store()[1]:
+        back.insert(triple)
+    assert saved(back) == canonical
 
 
 def test_version_one_snapshot_is_rejected():
