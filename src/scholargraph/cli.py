@@ -7,8 +7,8 @@ optional JSON config file (--config), then built-in defaults.
 Mutating subcommands take an advisory lock (`<store>.lock`) so two
 processes cannot write the same store.  The store snapshot is the only
 state file: it carries the materialization ledger as its last section, and
-each save replaces it atomically.  A `map`, `query`, `infer` or `retract`
-that changes nothing leaves the snapshot file alone.
+each save replaces it atomically.  A `map`, `query`, `infer`, `retract` or
+`metric` that changes nothing leaves the snapshot file alone.
 
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 
@@ -365,7 +365,8 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
         result = compute(
             store, Iri(args.object), args.year, window=window, transitive=not args.direct_only
         )
-        store.save(cfg.store)
+        if result.changed:
+            store.save(cfg.store)
     shown = result.value.quantize(Decimal(1).scaleb(-cfg.precision)) if cfg.precision != 6 else result.value
     _emit(
         args,

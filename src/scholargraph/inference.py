@@ -208,25 +208,33 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], rule: str) -> None:
+def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], rule: str) -> bool:
     """Replace all statements about ``node`` with ``triples``, ledgered
-    under ``rule``.
+    under ``rule``; whether the store or its ledger changed.
 
     Each removed statement leaves every rule's entry in the store's ledger,
     so the ledger names only triples the store holds.  Each newly added one
     enters ``rule``'s entry; a statement the store already held stays a
-    base fact, keeping ledger/base disjointness intact.
+    base fact, keeping ledger/base disjointness intact.  The old statements
+    go out as one batch and the new ones come in as one; a node whose
+    statements are already ``triples``, all ledgered under ``rule``, is
+    left as it is.
     """
     node_id = store.lookup(node)
-    if node_id is not None:
-        for old in list(store.match_ids(node_id, None, None)):
-            store.remove_ids(*old)
-            for entry in store.ledger.values():
-                entry.discard(old)
-    entry = store.ledger.setdefault(rule, set())
-    for triple in triples:
-        if store.insert(triple):
-            entry.add(store.lookup_triple(triple))  # type: ignore[arg-type]
+    held = set() if node_id is None else set(store.match_ids(node_id, None, None))
+    intern = store.intern
+    new = {(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples}
+    ledger = store.ledger
+    entry = ledger.setdefault(rule, set())
+    ledgered = held <= entry and all(other.isdisjoint(held) for name, other in ledger.items() if name != rule)
+    if ledgered and new == held:
+        return False
+    removed = store.drop_rows(held)
+    for other in ledger.values():
+        other.difference_update(removed)
+    added = store.add_rows(new)
+    entry.update(added)
+    return not ledgered or set(added) != held
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -276,9 +284,8 @@ class InferenceEngine:
         if self._scripts is None:
             self._scripts = {rule: parse_script(text) for rule, text in RULE_SCRIPTS.items()}
         report = execute_script(self.store, self._scripts[name])
-        if report.new_triples:
-            entry = self.store.ledger.setdefault(name, set())
-            entry.update(map(self.store.lookup_triple, report.new_triples))  # type: ignore[arg-type]
+        if report.new_ids:
+            self.store.ledger.setdefault(name, set()).update(report.new_ids)
         return report.inserted
 
     def run_all(self) -> dict[str, int]:
@@ -294,11 +301,7 @@ class InferenceEngine:
         return self._retract(list(self.store.ledger))
 
     def _retract(self, names: list[str]) -> int:
-        removed = 0
-        for name in names:
-            for ids in self.store.ledger.pop(name, ()):
-                removed += self.store.remove_ids(*ids)
-        return removed
+        return sum(len(self.store.drop_rows(self.store.ledger.pop(name, ()))) for name in names)
 
     def ledger_entries(self, name: str) -> frozenset[Triple]:
         """The triples ``name`` added, decoded from the ledger's ids."""

@@ -83,6 +83,7 @@ class MetricResult:
     denominator: int
     value: Decimal
     node: Iri
+    changed: bool  # the node was written and the store or its ledger changed
 
 
 def resolve_window(year: int, window: Optional[tuple[int, int]]) -> tuple[int, int]:
@@ -119,7 +120,7 @@ def _node(kind_slug: str, obj: Term, year: int, window: tuple[int, int]) -> Iri:
 
 def _write_node(
     store: Store, node: Iri, metric_class: Iri, obj: Term, year: int, value: Decimal
-) -> None:
+) -> bool:
     triples = [
         Triple(node, RDF_TYPE, metric_class),
         Triple(node, HAS_OBJECT, obj),
@@ -127,7 +128,7 @@ def _write_node(
         Triple(node, HAS_END_TIME, year_literal(year)),
         Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
+    return upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
 
 
 def impact_factor(
@@ -156,9 +157,8 @@ def impact_factor(
     numerator = len(pairs)
     value = _value(numerator, denominator)
     node = _node("impact-factor", obj, year, window)
-    if write:
-        _write_node(store, node, IMPACT_FACTOR, obj, year, value)
-    return MetricResult("impact factor", obj, year, window, numerator, denominator, value, node)
+    changed = write and _write_node(store, node, IMPACT_FACTOR, obj, year, value)
+    return MetricResult("impact factor", obj, year, window, numerator, denominator, value, node, changed)
 
 
 def usage_impact_factor(
@@ -182,8 +182,7 @@ def usage_impact_factor(
             numerator += 1
     value = _value(numerator, denominator)
     node = _node("usage-impact-factor", obj, year, window)
-    if write:
-        _write_node(store, node, USAGE_IMPACT_FACTOR, obj, year, value)
+    changed = write and _write_node(store, node, USAGE_IMPACT_FACTOR, obj, year, value)
     return MetricResult(
-        "usage impact factor", obj, year, window, numerator, denominator, value, node
+        "usage impact factor", obj, year, window, numerator, denominator, value, node, changed
     )

@@ -33,20 +33,26 @@ executes once per row of that block; a template of constants, placeholders
 and aggregates executes once per script.  Rows that agree on the projection
 instantiate the same triple, so each projected key is instantiated once
 while ``template_rows`` still counts full rows.  Every placeholder label
-maps to one fresh blank node per execution, shared across templates, and
-each term id is decoded at most once per script.
+maps to one fresh blank node per execution, shared across templates.  A
+template's rows are built as id triples: a variable slot reads the row's
+id, and a constant, placeholder or aggregate literal is checked and
+interned once.  A variable slot is checked through the script's id-to-term
+decode, which decodes each term id at most once per script, and each
+template's rows go into the store as one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from decimal import Decimal, ROUND_HALF_EVEN
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from ..errors import ScholarGraphError
 from ..ontology import SCHEMA, Schema
-from ..store import Store, TriplePattern, Var
+from ..store import IdTriple, Store, TriplePattern, Var
 from ..terms import (
     Blank,
     Datatype,
@@ -88,15 +94,31 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class ExecutionReport:
-    """What one script execution did."""
+    """What one script execution did.  Rows and new triples are kept as
+    ids; ``bindings`` and ``new_triples`` decode them when first asked."""
 
     block_rows: tuple[int, ...]  # distinct full rows per block
     template_rows: tuple[int, ...]  # instantiations attempted per template
-    inserted: int  # triples newly added
-    new_triples: tuple[Triple, ...]
+    new_ids: tuple[IdTriple, ...]  # triples newly added, template by template
     created_blanks: dict[str, Blank]  # placeholder label -> fresh node
-    bindings: tuple[tuple[dict[str, Term], ...], ...]  # per block, deduped on projection
     plans: tuple[tuple[PlanStep, ...], ...]  # per block, steps in join order
+    solved: tuple[_Solved, ...] = field(repr=False, compare=False)
+    terms: _Terms = field(repr=False, compare=False)
+
+    @property
+    def inserted(self) -> int:
+        """How many triples were newly added."""
+        return len(self.new_ids)
+
+    @cached_property
+    def new_triples(self) -> tuple[Triple, ...]:
+        terms = self.terms
+        return tuple(Triple(terms[s], terms[p], terms[o]) for s, p, o in self.new_ids)
+
+    @cached_property
+    def bindings(self) -> tuple[tuple[dict[str, Term], ...], ...]:
+        """Per block, the rows deduplicated on the projection."""
+        return tuple(_decoded(result, self.terms) for result in self.solved)
 
 
 _Slot = Union[int, str]  # a constant's term id, or a variable's name
@@ -391,15 +413,17 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
     Set semantics make re-runs of placeholder-free scripts no-ops; each run
     mints fresh blanks for placeholders.  Raises :class:`EvaluationError` on
     filter type clashes, division by zero, or templates that resolve to an
-    invalid triple; nothing is half-applied before the failing template, in
-    the sense that earlier templates' inserts remain (the report says what
-    landed).
+    invalid triple.  Each template is applied atomically: its rows are
+    built as id triples, checked, and inserted as one batch, so a template
+    that fails on any row inserts none of its rows, while the templates
+    before it keep what they inserted.
     """
     schema = schema or SCHEMA
     terms = _Terms(store)
     solved = [_solve_block(store, block, schema, terms) for block in script.blocks]
     projected_by = _projected_by(script)
     counts = {name: solved[index].full_rows for name, index in projected_by.items()}
+    intern = store.intern
 
     blanks: dict[str, Blank] = {}
 
@@ -408,17 +432,8 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
             blanks[label] = store.fresh_blank()
         return blanks[label]
 
-    def resolver(slot, positions: dict[str, int]) -> Callable[[_Row], Term]:
-        if isinstance(slot, Var):
-            at = positions[slot.name]
-            return lambda row: terms[row[at]]
-        if isinstance(slot, Placeholder):
-            return lambda row: blank_for(slot.label)
-        return lambda row: slot
-
-    new_triples: list[Triple] = []
+    new_ids: list[IdTriple] = []
     template_rows: list[int] = []
-    inserted = 0
     for template in script.templates:
         aggregate = template.object if isinstance(template.object, (CountOf, RatioOf)) else None
         object_constant = _aggregate_literal(aggregate, counts) if aggregate is not None else None
@@ -432,34 +447,71 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
             template_rows.append(1)
         if not rows:
             continue
-        subject_of = resolver(template.subject, positions)
-        predicate_of = resolver(template.predicate, positions)
-        object_of = resolver(template.object, positions) if object_constant is None else None
-        for row in rows:
-            subject = subject_of(row)
-            predicate = predicate_of(row)
-            if isinstance(subject, Literal):
-                raise EvaluationError("template subject resolved to a literal")
-            if not isinstance(predicate, Iri):
-                raise EvaluationError(f"template predicate resolved to {predicate!r}, not an IRI")
-            obj = object_constant if object_of is None else object_of(row)
-            if (
-                isinstance(obj, Literal)
-                and obj.datatype is Datatype.INTEGER
-                and _datetime_ranged(schema, predicate)
-            ):
-                obj = _coerce_year(obj)
-            triple = Triple(subject, predicate, obj)
-            if store.insert(triple):
-                inserted += 1
-                new_triples.append(triple)
+        # each slot: a column of ids (a variable) or one term (a constant)
+        slots: list[Union[list[int], Term]] = []
+        for slot in (template.subject, template.predicate, template.object if aggregate is None else object_constant):
+            if isinstance(slot, Var):
+                slots.append(list(map(itemgetter(positions[slot.name]), rows)))
+            else:
+                slots.append(blank_for(slot.label) if isinstance(slot, Placeholder) else slot)
+        subject, predicate, obj = slots
+        bad_subject = _first_row(subject, terms, lambda term: isinstance(term, Literal))
+        bad_predicate = _first_row(predicate, terms, lambda term: not isinstance(term, Iri))
+        if bad_subject is not None and (bad_predicate is None or bad_subject <= bad_predicate):
+            raise EvaluationError("template subject resolved to a literal")
+        if bad_predicate is not None:
+            wrong = terms[predicate[bad_predicate]] if isinstance(predicate, list) else predicate
+            raise EvaluationError(f"template predicate resolved to {wrong!r}, not an IRI")
+        count = len(rows)
+        subjects = subject if isinstance(subject, list) else [intern(subject)] * count
+        predicates = predicate if isinstance(predicate, list) else [intern(predicate)] * count
+        ranged = {p for p in set(predicates) if _datetime_ranged(schema, terms[p])}
+        if ranged:
+            objects = _object_ids(store, terms, obj, predicates, ranged)
+        else:
+            objects = obj if isinstance(obj, list) else [intern(obj)] * count
+        new_ids += store.add_rows(zip(subjects, predicates, objects))
 
     return ExecutionReport(
         block_rows=tuple(result.full_rows for result in solved),
         template_rows=tuple(template_rows),
-        inserted=inserted,
-        new_triples=tuple(new_triples),
+        new_ids=tuple(new_ids),
         created_blanks=blanks,
-        bindings=tuple(_decoded(result, terms) for result in solved),
         plans=tuple(result.plan for result in solved),
+        solved=tuple(solved),
+        terms=terms,
     )
+
+
+def _first_row(slot: Union[list[int], Term], terms: _Terms, bad: Callable[[Term], bool]) -> Optional[int]:
+    """The first row whose term in ``slot`` is ``bad``, or None; each
+    distinct id of a column is decoded and checked once."""
+    if not isinstance(slot, list):
+        return 0 if bad(slot) else None
+    wrong = {term_id for term_id in set(slot) if bad(terms[term_id])}
+    if not wrong:
+        return None
+    return next(row for row, term_id in enumerate(slot) if term_id in wrong)
+
+
+def _object_ids(
+    store: Store, terms: _Terms, obj: Union[list[int], Term], predicates: list[int], ranged: set[int]
+) -> list[int]:
+    """The object ids of a template's rows, an integer literal under a
+    datetime-ranged predicate coerced to a year; each distinct (coerced?,
+    object) is resolved once."""
+    resolved: dict[tuple[bool, Union[int, Term]], int] = {}
+
+    def object_id(coerce: bool, key: Union[int, Term]) -> int:
+        found = resolved.get((coerce, key))
+        if found is None:
+            term = terms[key] if isinstance(key, int) else key
+            if coerce and isinstance(term, Literal) and term.datatype is Datatype.INTEGER:
+                found = store.intern(_coerce_year(term))
+            else:
+                found = key if isinstance(key, int) else store.intern(term)
+            resolved[(coerce, key)] = found
+        return found
+
+    keys = obj if isinstance(obj, list) else repeat(obj)
+    return [object_id(p in ranged, key) for p, key in zip(predicates, keys)]

@@ -13,12 +13,21 @@ pattern shape is answered by the permutation whose prefix matches its
 bound slots, and enumeration order is that permutation's sort order, so
 results are deterministic.
 
-A bulk build (a snapshot load, or :meth:`Store.insert_many` into an empty
-store) groups SPO and POS and leaves OSP unbuilt: it is built from SPO the
-first time a probe needs it (a shape with the object bound and the
-predicate free, :meth:`Store.distinct_count`, :meth:`Store.appears`,
-:meth:`Store.stats`, :meth:`Store.verify_indexes`), and until then inserts
-and removes skip it.  A command that never asks for it never pays for it.
+Every write is one batch of id triples, in any order and with repeats:
+:meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
+permutation and rebuild each key's column pair once, with the batch's pairs
+spliced in at their bisected places or cut out (a key left empty is
+dropped), so a batch costs O(batch log batch + touched columns) rather than
+one array shift per triple.  :meth:`Store.insert_many` interns its triples
+and makes one such call; :meth:`Store.insert`, :meth:`Store.remove` and
+:meth:`Store.remove_ids` are one-row calls.
+
+A bulk build (a snapshot load, or a batch into an empty store) groups SPO
+and POS and leaves OSP unbuilt: it is built from SPO the first time a probe
+needs it (a shape with the object bound and the predicate free,
+:meth:`Store.distinct_count`, :meth:`Store.appears`, :meth:`Store.stats`),
+and until then writes skip it.  A command that never asks for it never
+pays for it.
 
 The store also owns the inference ledger (:attr:`Store.ledger`: rule name
 to the set of id triples that rule added), so a snapshot carries it and
@@ -29,9 +38,11 @@ A snapshot numbers the live terms in canonical order.  A loaded store keeps
 the snapshot's numbering as its lowest ids, so a save sorts only the terms
 interned since the load and merges them into the loaded order, and writes
 the SPO run as whole id columns, re-sorting only the subjects whose rows
-the new numbering put out of order.  A load checks the term table one kind
-at a time by the term constructors' rules, and the id runs in whole
-columns, with the messages a term-by-term check would give.
+the new numbering put out of order (a store that was not loaded sorts its
+whole run once).  A load checks the term table one kind at a time by the
+term constructors' rules, and the id runs in whole columns, with the
+messages a term-by-term check would give; the cyclic garbage collector is
+paused while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -41,6 +52,7 @@ writers with a lock file).
 
 from __future__ import annotations
 
+import gc
 import os
 import struct
 import sys
@@ -48,7 +60,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import attrgetter, ge, itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -185,29 +197,35 @@ class Store:
 
     def insert(self, triple: Triple) -> bool:
         """Add one triple; False if it was already present."""
-        s = self.intern(triple.subject)
-        p = self.intern(triple.predicate)
-        o = self.intern(triple.object)
-        if not _add(self._spo, s, p, o):
-            return False
-        _add(self._pos, p, o, s)
-        if self._osp is not None:
-            _add(self._osp, o, s, p)
-        self._size += 1
-        return True
+        return self.insert_many((triple,)) == 1
 
     def insert_many(self, triples: Iterable[Triple]) -> int:
-        """Bulk insert; returns how many were new.
-
-        On an empty store this sorts once and cuts the columns from the
-        sorted run, which is what makes million-triple loads cheap.
-        """
-        if self._size:
-            return sum(1 for t in triples if self.insert(t))
+        """Bulk insert; returns how many were new."""
         intern = self.intern
-        ordered = sorted({(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples})
-        self._build(*(list(map(itemgetter(slot), ordered)) for slot in range(3)))
-        return self._size
+        return len(self.add_rows((intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples))
+
+    def add_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
+        """Add id triples, in any order and with repeats; the rows that were
+        new, in SPO order.
+
+        The batch is sorted once per permutation, and each key it touches
+        gets its column pair rebuilt once, with the new pairs spliced in at
+        their bisected places.  Into an empty store the batch is cut into
+        columns instead (:meth:`_build`), which is what makes million-triple
+        loads cheap.
+        """
+        batch = sorted(set(rows))
+        if not self._size:
+            if batch:
+                self._build(*(list(map(itemgetter(slot), batch)) for slot in range(3)))
+            return batch
+        added = _merge(self._spo, batch)
+        if added:
+            _merge(self._pos, sorted([(p, o, s) for s, p, o in added]))
+            if self._osp is not None:
+                _merge(self._osp, sorted([(o, s, p) for s, p, o in added]))
+            self._size += len(added)
+        return added
 
     def _build(self, s: list[int], p: list[int], o: list[int]) -> None:
         """Fill the empty SPO and POS indexes from the id columns of
@@ -252,13 +270,22 @@ class Store:
 
     def remove_ids(self, s: int, p: int, o: int) -> bool:
         """Remove the triple with these ids; False if absent."""
-        if not _discard(self._spo, s, p, o):
-            return False
-        _discard(self._pos, p, o, s)
-        if self._osp is not None:
-            _discard(self._osp, o, s, p)
-        self._size -= 1
-        return True
+        return bool(self.drop_rows(((s, p, o),)))
+
+    def drop_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
+        """Remove id triples, in any order and with repeats; the rows that
+        were held, in SPO order.
+
+        Like :meth:`add_rows`, each touched key's column pair is rebuilt
+        once, without the removed pairs; a key left empty is dropped.
+        """
+        removed = _cut(self._spo, sorted(set(rows)))
+        if removed:
+            _cut(self._pos, sorted([(p, o, s) for s, p, o in removed]))
+            if self._osp is not None:
+                _cut(self._osp, sorted([(o, s, p) for s, p, o in removed]))
+            self._size -= len(removed)
+        return removed
 
     # -- queries ---------------------------------------------------------------
 
@@ -435,9 +462,9 @@ class Store:
         }
 
     def verify_indexes(self) -> bool:
-        """All three permutations describe the same triple set, and every
+        """Every built permutation describes the same triple set, and every
         column pair is non-empty, of equal length and strictly ascending
-        (test hook)."""
+        (test hook; an unbuilt OSP stays unbuilt)."""
 
         def rows(index: _Index) -> Optional[list[tuple[int, int, int]]]:
             out = []
@@ -448,14 +475,14 @@ class Store:
                 out.extend((first, b, c) for b, c in pairs)
             return out
 
-        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._object_index())
+        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._osp or {})
         if spo is None or pos is None or osp is None:
             return False
         triples = set(spo)
         return (
             len(triples) == self._size
             and triples == {(s, p, o) for p, o, s in pos}
-            and triples == {(s, p, o) for o, s, p in osp}
+            and (self._osp is None or triples == {(s, p, o) for o, s, p in osp})
         )
 
     # -- snapshots ---------------------------------------------------------------
@@ -499,13 +526,14 @@ class Store:
             renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
             for new_id, old_id in enumerate(order):
                 renumber[old_id] = new_id
-        body = bytearray()
-        body += _MAGIC
-        body += _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(order), self._size)
-        body += _encode_terms(list(map(terms.__getitem__, order)))
-        body += self._spo_run(renumber)
+        # the sections are written one by one, so none is copied into another
         names = [name for name in sorted(self.ledger) if self.ledger[name]]
-        body += struct.pack("<I", len(names))
+        body: list[Union[bytes, bytearray, array]] = [
+            _MAGIC + _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(order), self._size),
+            _encode_terms(list(map(terms.__getitem__, order))),
+            self._spo_run(renumber),
+            struct.pack("<I", len(names)),
+        ]
         for name in names:
             entry = self.ledger[name]
             if renumber is None:
@@ -513,15 +541,15 @@ class Store:
             else:
                 rows = sorted(zip(*(map(renumber.__getitem__, map(itemgetter(k), entry)) for k in range(3))))
             raw = name.encode("utf-8")
-            body += struct.pack("<II", len(raw), len(rows)) + raw
-            body += array(_ID, chain.from_iterable(rows)).tobytes()
+            body.append(struct.pack("<II", len(raw), len(rows)) + raw)
+            body.append(array(_ID, chain.from_iterable(rows)))
         if not isinstance(target, str):
-            target.write(bytes(body))
+            target.write(b"".join(body))
             return
         temporary = target + ".tmp"
         try:
             with open(temporary, "wb") as fp:
-                fp.write(body)
+                fp.writelines(body)
                 fp.flush()
                 os.fsync(fp.fileno())
             os.replace(temporary, target)
@@ -576,9 +604,16 @@ class Store:
         order += loaded[start:]
         return order
 
-    def _spo_run(self, renumber: Optional[list[int]]) -> bytes:
-        """The SPO run under the new numbering (None: ids stay as they are)."""
+    def _spo_run(self, renumber: Optional[list[int]]) -> array:
+        """The SPO run under the new numbering (None: ids stay as they are),
+        as one id array that the caller appends without another copy."""
         spo = self._spo
+        if renumber is not None and not self._loaded:
+            # every term is new, so no order survives: one sort of all rows
+            rows = sorted(
+                (renumber[s], renumber[p], renumber[o]) for s, columns in spo.items() for p, o in zip(*columns)
+            )
+            return array(_ID, chain.from_iterable(rows))
         subjects = sorted(spo, key=None if renumber is None else renumber.__getitem__)
         columns = list(map(spo.__getitem__, subjects))
         lengths = map(len, map(itemgetter(0), columns))
@@ -594,7 +629,7 @@ class Store:
             _sort_subjects(s, p, o)
         run = array(_ID, bytes(12 * len(s)))
         run[0::3], run[1::3], run[2::3] = s, p, o
-        return run.tobytes()
+        return run
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
@@ -614,7 +649,21 @@ class Store:
         of the subjects it names in one set difference.  A term table in
         canonical order (as :meth:`save` writes it) is remembered as such,
         so the next save sorts only the terms interned after the load.
+
+        The cyclic garbage collector is paused for the load, since none of
+        the objects it makes forms a cycle; the caller's setting is
+        restored however the load ends.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._read(source)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _read(cls, source: Union[str, IO[bytes]]) -> "Store":
         if isinstance(source, str):
             with open(source, "rb") as fp:
                 data = fp.read()
@@ -737,35 +786,99 @@ def _seek(columns: tuple[array, array], b: int, c: int) -> tuple[int, bool]:
     return at, at < hi and third[at] == c
 
 
-def _add(index: _Index, a: int, b: int, c: int) -> bool:
-    """Put (b, c) into ``a``'s column pair; False if it was there."""
-    columns = index.get(a)
-    if columns is None:
-        index[a] = (array(_ID, (b,)), array(_ID, (c,)))
-        return True
-    at, found = _seek(columns, b, c)
-    if found:
-        return False
-    columns[0].insert(at, b)
-    columns[1].insert(at, c)
-    return True
+def _merge(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
+    """Put sorted, distinct (first, second, third) rows into ``index``; the
+    rows that were not there, in order."""
+    added: list[IdTriple] = []
+    for first, run in groupby(rows, itemgetter(0)):
+        columns = index.get(first)
+        if columns is None:
+            group = list(run)
+            index[first] = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
+            added += group
+            continue
+        cuts: list[int] = []
+        fresh: list[IdTriple] = []
+        for row in run:
+            at, found = _seek(columns, row[1], row[2])
+            if not found:
+                cuts.append(at)
+                fresh.append(row)
+        if fresh:
+            index[first] = _spliced(columns, cuts, fresh)
+            added += fresh
+    return added
 
 
-def _discard(index: _Index, a: int, b: int, c: int) -> bool:
-    """Take (b, c) out of ``a``'s column pair, dropping an emptied key;
-    False if it was not there."""
-    columns = index.get(a)
-    if columns is None:
-        return False
-    at, found = _seek(columns, b, c)
-    if not found:
-        return False
-    if len(columns[0]) == 1:
-        del index[a]
-    else:
-        del columns[0][at]
-        del columns[1][at]
-    return True
+def _cut(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
+    """Take sorted, distinct (first, second, third) rows out of ``index``,
+    dropping emptied keys; the rows that were there, in order."""
+    removed: list[IdTriple] = []
+    for first, run in groupby(rows, itemgetter(0)):
+        columns = index.get(first)
+        if columns is None:
+            continue
+        second, third = columns
+        group = list(run)
+        if (
+            len(group) == len(second)
+            and second == array(_ID, [row[1] for row in group])
+            and third == array(_ID, [row[2] for row in group])
+        ):
+            # the whole key goes, as when a rule's predicate is retracted
+            del index[first]
+            removed += group
+            continue
+        cuts: list[int] = []
+        for row in group:
+            at, found = _seek(columns, row[1], row[2])
+            if found:
+                cuts.append(at)
+                removed.append(row)
+        if len(cuts) == len(second):
+            del index[first]
+        elif cuts:
+            index[first] = _spliced(columns, cuts)
+    return removed
+
+
+def _spliced(
+    columns: tuple[array, array], cuts: list[int], rows: Optional[list[IdTriple]] = None
+) -> tuple[array, array]:
+    """A column pair with the second and third keys of ``rows[k]`` put
+    before position ``cuts[k]`` (ascending), or, with no rows, without
+    those positions.
+
+    The columns are changed in place when the shifts that takes move fewer
+    items than a copy would (one row into a long column, or rows near its
+    end); otherwise each is copied once, in pieces between the cuts.
+    """
+    second, third = columns
+    size = len(second)
+    if len(cuts) * size - sum(cuts) <= size:
+        if rows is None:
+            for at in reversed(cuts):
+                del second[at]
+                del third[at]
+        else:
+            for at, row in zip(reversed(cuts), reversed(rows)):
+                second.insert(at, row[1])
+                third.insert(at, row[2])
+        return columns
+    out_second, out_third = array(_ID), array(_ID)
+    start = 0
+    for k, at in enumerate(cuts):
+        out_second += second[start:at]
+        out_third += third[start:at]
+        if rows is None:
+            at += 1
+        else:
+            out_second.append(rows[k][1])
+            out_third.append(rows[k][2])
+        start = at
+    out_second += second[start:]
+    out_third += third[start:]
+    return out_second, out_third
 
 
 def _gather(rows: list[int], *columns: list[int]) -> Iterator[array]:

@@ -851,6 +851,23 @@ def ledger_triples(store: Store) -> dict[str, set[Triple]]:
     return {name: set(map(store.decode_triple, entry)) for name, entry in store.ledger.items()}
 
 
+def oracle_upsert_node(
+    triples: set[Triple], ledger: dict[str, set[Triple]], node: Term, new: Iterable[Triple], rule: str
+) -> None:
+    """``upsert_node`` one triple at a time, over a triple set and a decoded
+    ledger: drop every statement about ``node`` from both, then insert each
+    new triple, ledgering under ``rule`` the ones the set did not hold."""
+    old = {t for t in triples if t.subject == node}
+    triples -= old
+    for entry in ledger.values():
+        entry -= old
+    entry = ledger.setdefault(rule, set())
+    for triple in new:
+        if triple not in triples:
+            triples.add(triple)
+            entry.add(triple)
+
+
 def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, int]]:
     """Ledger entry for ``triples``, whose terms ``store`` has interned."""
     return {store.lookup_triple(triple) for triple in triples}

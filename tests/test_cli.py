@@ -127,6 +127,8 @@ def test_commands_that_change_nothing_leave_the_snapshot_alone(workdir, capsys):
     )
     assert run(capsys, "query", "--file", "mark.q")[0] == 0
     assert run(capsys, "infer", "--all")[0] == 0
+    metric = ("metric", "if", "--object", journal_root().value, "--year", "2007")
+    assert run(capsys, *metric)[0] == 0
 
     def snapshot():
         status = os.stat("scholargraph.store")
@@ -138,6 +140,8 @@ def test_commands_that_change_nothing_leave_the_snapshot_alone(workdir, capsys):
         (("infer", "--all"), "total: 0"),
         # map without --affiliations mints no Affiliation, so this rule added nothing
         (("retract", "--rule", "affiliation"), "retracted 0 triple(s)"),
+        # the same metric node again: same statements, all ledgered under metric
+        (metric, "impact factor of"),
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and says in out, argv
@@ -525,7 +529,11 @@ def test_commands_import_only_the_modules_they_use(workdir, capsys):
     assert not loaded & {"scholargraph.sidecar", "sqlite3"}
     # the rules' query scripts are parsed, and the dialect imported, only to run a rule
     root = journal_root(str(workdir / "scholargraph.store"))
-    for argv in (("metric", "if", "--object", root.value, "--year", "2007"), ("retract", "--rule", "metric")):
+    for argv in (
+        ("metric", "if", "--object", root.value, "--year", "2007"),
+        ("retract", "--rule", "metric"),
+        ("retract", "--all"),
+    ):
         loaded = modules_loaded_by(workdir, *argv)
         assert "scholargraph.inference" in loaded and "scholargraph.queryl" not in loaded, argv
     assert "scholargraph.queryl" in modules_loaded_by(workdir, "infer", "--rule", "authored_by")
@@ -606,9 +614,13 @@ def test_snapshots_do_not_depend_on_the_hash_seed(workdir, capsys):
             )
             assert done.returncode == 0, done.stderr
 
-        cli("map", "--affiliations")
-        cli("infer", "--all")
+        written = []
+        for argv in (("map", "--affiliations"), ("infer", "--all"), ("retract", "--all"), ("infer", "--all")):
+            cli(*argv)
+            written.append((here / "scholargraph.store").read_bytes())
         root = journal_root(str(here / "scholargraph.store"))
         cli("metric", "uif", "--object", root.value, "--year", "2007")
-        snapshots.append((here / "scholargraph.store").read_bytes())
+        written.append((here / "scholargraph.store").read_bytes())
+        assert written[2] == written[0] and written[3] == written[1]  # retract undoes infer exactly
+        snapshots.append(written)
     assert snapshots[0] == snapshots[1]

@@ -11,6 +11,7 @@ from oracles import (
     index_of,
     ledger_triples,
     oracle_coauthor_rows,
+    oracle_upsert_node,
     random_context_store,
 )
 from scholargraph.inference import (
@@ -46,6 +47,7 @@ from scholargraph.ontology import (
     RDF_TYPE,
     UnknownNodeError,
 )
+from scholargraph.queryl import execute_script, parse_script
 from scholargraph.store import Store
 from scholargraph.terms import (
     Datatype,
@@ -503,3 +505,49 @@ def test_upsert_node_synchronizes_a_ledger():
     upsert_node(store, target, second, "rule")
     assert ledger_triples(store) == {"rule": set(second)}
     assert set(store.triples()) == set(second)
+
+
+def test_upsert_node_against_the_one_triple_oracle():
+    """Random upserts over nodes with base facts, ledgered statements and
+    repeats leave the store and ledger the oracle leaves, and report a
+    change exactly when the triples or a non-empty ledger entry changed."""
+    rng = random.Random(21)
+    nodes = [node(f"n{k}") for k in range(4)]
+    weights = [decimal_literal(f"{k}.0") for k in range(3)]
+    store = Store()
+    for k, target in enumerate(nodes[:2]):  # base facts about two nodes
+        store.insert(Triple(target, HAS_WEIGHT, weights[k]))
+    store.insert(Triple(nodes[3], PART_OF, nodes[0]))
+    triples = set(store.triples())
+    ledger: dict[str, set[Triple]] = {}
+
+    def state():
+        return triples.copy(), {name: entry.copy() for name, entry in ledger.items() if entry}
+
+    for step in range(200):
+        target = rng.choice(nodes)
+        pool = [Triple(target, HAS_WEIGHT, w) for w in weights] + [
+            Triple(target, RDF_TYPE, COAUTHOR),
+            Triple(target, PART_OF, rng.choice(nodes)),
+            Triple(nodes[3], PART_OF, nodes[0]),  # about another node, held as a base fact
+        ]
+        new = rng.sample(pool, rng.randrange(0, 4))
+        rule = rng.choice(("coauthor", "metric"))
+        before = state()
+        oracle_upsert_node(triples, ledger, target, new, rule)
+        changed = upsert_node(store, target, new, rule)
+        assert set(store.triples()) == triples, step
+        assert ledger_triples(store) == ledger, step
+        assert changed == (state() != before), step
+        assert store.verify_indexes()
+    assert snapshot_bytes(store) == snapshot_bytes(Store.load(io.BytesIO(snapshot_bytes(store))))
+
+
+def test_rule_reports_name_what_each_rule_added():
+    for seed in range(4):
+        store = random_context_store(random.Random(seed), 80)
+        for name in sorted(RULE_SCRIPTS):
+            before = set(store.triples())
+            report = execute_script(store, parse_script(RULE_SCRIPTS[name]))
+            assert set(report.new_triples) == set(store.triples()) - before, (seed, name)
+            assert report.inserted == len(report.new_triples) == len(set(report.new_ids))

@@ -422,6 +422,32 @@ def test_template_predicate_must_resolve_to_an_iri():
     assert "not an IRI" in str(info.value)
 
 
+def test_a_template_failing_on_a_later_row_inserts_none_of_its_rows():
+    # the hasWeight column lists the IRI object before the literal one
+    store = filled_store(
+        Triple(node("s1"), HAS_WEIGHT, node("w")),
+        Triple(node("s2"), HAS_WEIGHT, integer_literal(3)),
+    )
+    before = set(store.triples())
+    script = parse_script(
+        "SELECT ?s ?v WHERE (?s mesur:hasWeight ?v)"
+        " INSERT < ?s rdf:type mesur:Metric >"
+        " INSERT < ?v rdf:type mesur:Metric > .")
+    with pytest.raises(EvaluationError, match="^template subject resolved to a literal$"):
+        execute_script(store, script)
+    # the first template landed whole, the second not at all
+    assert set(store.triples()) - before == {
+        Triple(node("s1"), RDF_TYPE, METRIC), Triple(node("s2"), RDF_TYPE, METRIC)
+    }
+    script = parse_script(
+        "SELECT ?v WHERE (?s mesur:hasWeight ?v)"
+        " INSERT < urn:x-test:n ?v urn:x-test:m > .")
+    with pytest.raises(EvaluationError) as info:
+        execute_script(store, script)
+    assert str(info.value) == f"template predicate resolved to {integer_literal(3)!r}, not an IRI"
+    assert not store.contains(Triple(node("n"), node("w"), node("m")))
+
+
 def test_report_bindings_match_evaluate_block():
     store = citation_store()
     script = parse_script(

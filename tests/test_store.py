@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -83,6 +84,61 @@ def test_insert_many_into_nonempty_store():
     extra = [Triple(Iri("urn:s9"), Iri("urn:p1"), Iri("urn:o9"))]
     assert store.insert_many(extra + triples) == 1
     assert len(store) == len(triples) + 1
+
+
+@pytest.mark.parametrize("osp_built", [False, True])
+def test_batch_writes_against_a_set(osp_built):
+    """add_rows and drop_rows agree with a Python set over random batches
+    that repeat rows, hold rows already there or absent, and empty keys."""
+    rng = random.Random(17 + osp_built)
+    store = random_context_store(rng, 60)
+    # ids of a few terms no triple uses yet, so batches also open new keys
+    fresh = [store.intern(Iri(f"urn:x:fresh{k}")) for k in range(6)]
+    model = set(store.match_ids(None, None, None))
+    if osp_built:
+        store.stats()
+    subjects = sorted({s for s, _, _ in model}) + fresh
+    predicates = sorted({p for _, p, _ in model}) + fresh[:2]
+    objects = sorted({o for _, _, o in model}) + fresh
+    built = osp_built
+    for step in range(40):
+        if rng.random() < 0.2 and model:
+            # every row of a few subjects: their SPO keys empty out
+            gone = set(rng.sample(sorted({s for s, _, _ in model}), 3))
+            batch = [row for row in model if row[0] in gone]
+        else:
+            batch = [
+                rng.choice(sorted(model)) if model and rng.random() < 0.5
+                else (rng.choice(subjects), rng.choice(predicates), rng.choice(objects))
+                for _ in range(rng.randrange(1, 40))
+            ]
+        batch += rng.sample(batch, len(batch) // 3)  # repeats
+        rng.shuffle(batch)
+        if rng.random() < 0.5:
+            built = built and bool(model)  # a batch into an empty store is a bulk build
+            added = store.add_rows(batch)
+            assert added == sorted(set(batch) - model), step
+            model |= set(batch)
+        else:
+            removed = store.drop_rows(batch)
+            assert removed == sorted(set(batch) & model), step
+            model -= set(batch)
+        assert (store._osp is not None) == built
+        assert store.verify_indexes(), step
+        assert set(store.match_ids(None, None, None)) == model and len(store) == len(model)
+    store.stats()  # builds OSP if it was not
+    assert store.verify_indexes()
+
+
+def test_batch_writes_into_an_emptied_store_cut_columns():
+    store, triples = small_store()
+    store.stats()  # builds OSP
+    rows = list(store.match_ids(None, None, None))
+    assert store.drop_rows(rows + rows) == sorted(rows)
+    assert len(store) == 0 and not store._spo and not store._pos and not store._osp
+    assert store.add_rows(reversed(rows)) == sorted(rows)
+    assert store._osp is None  # a bulk build
+    assert store.verify_indexes() and set(store.triples()) == set(triples)
 
 
 def test_match_all_shapes_against_scan():
@@ -561,6 +617,32 @@ def test_a_term_table_out_of_canonical_order_loads_and_saves_canonically():
     for triple in small_store()[1]:
         back.insert(triple)
     assert saved(back) == canonical
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_pauses_the_garbage_collector_and_restores_it(enabled, monkeypatch):
+    import scholargraph.store as store_module
+
+    data = saved(small_store()[0])
+    during = []
+    decode_terms = store_module._decode_terms
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return decode_terms(*args)
+
+    monkeypatch.setattr(store_module, "_decode_terms", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        Store.load(io.BytesIO(data))
+        assert gc.isenabled() is enabled
+        with pytest.raises(SnapshotError):
+            Store.load(io.BytesIO(data + b"\0"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_version_one_snapshot_is_rejected():
