@@ -295,6 +295,103 @@ def oracle_pub_window_rows(idx: TripleIndex, root, tautology: bool = False) -> i
     return len(rows)
 
 
+# -- metric and derivation oracles: the definitions, by brute force ---------------
+
+
+def _timed_in(idx: TripleIndex, ctx, window) -> bool:
+    lo, hi = window
+    return any(
+        year_int(t) is not None and lo <= year_int(t) <= hi for t in idx.objects(ctx, HAS_TIME)
+    )
+
+
+def _oracle_groups(idx: TripleIndex, root, transitive: bool) -> set:
+    """The groups under ``root`` against partOf, the root itself excluded."""
+    children = defaultdict(set)
+    for t in idx.triples:
+        if t.predicate == PART_OF:
+            children[t.object].add(t.subject)
+    found = set(children[root])
+    if transitive:
+        grown = True
+        while grown:
+            more = set().union(*(children[g] for g in found)) - found
+            found |= more
+            grown = bool(more)
+    found.discard(root)
+    return found
+
+
+def _oracle_units(idx: TripleIndex, root, window, transitive: bool) -> set:
+    """Units of every Publishes context with a group under ``root`` and a
+    time in ``window``, found by walking every Publishes context."""
+    groups = _oracle_groups(idx, root, transitive)
+    units = set()
+    for x in idx.subjects(RDF_TYPE, PUBLISHES):
+        if groups.intersection(idx.objects(x, HAS_GROUP)) and _timed_in(idx, x, window):
+            units.update(idx.objects(x, HAS_UNIT))
+    return units
+
+
+def _metric_window(year: int, window) -> tuple[int, int]:
+    return (year - 2, year - 1) if window is None else window
+
+
+def oracle_impact_factor(idx: TripleIndex, root, year: int, window=None, transitive=True) -> tuple[int, int]:
+    """(numerator, denominator): distinct (source, sink) pairs of Citation
+    nodes whose sink is a window unit and whose source has a Publishes
+    timed in ``year``, over the distinct window units."""
+    units = _oracle_units(idx, root, _metric_window(year, window), transitive)
+    fresh = set()
+    for x in idx.subjects(RDF_TYPE, PUBLISHES):
+        if _timed_in(idx, x, (year, year)):
+            fresh.update(idx.objects(x, HAS_UNIT))
+    pairs = set()
+    for c in idx.subjects(RDF_TYPE, CITATION):
+        for sink in idx.objects(c, HAS_SINK):
+            for source in idx.objects(c, HAS_SOURCE):
+                if sink in units and source in fresh:
+                    pairs.add((source, sink))
+    return len(pairs), len(units)
+
+
+def oracle_usage_impact_factor(idx: TripleIndex, root, year: int, window=None, transitive=True) -> tuple[int, int]:
+    """(numerator, denominator): distinct Uses contexts timed in ``year``
+    whose document is a window unit, over the distinct window units."""
+    units = _oracle_units(idx, root, _metric_window(year, window), transitive)
+    uses = {
+        x
+        for x in idx.subjects(RDF_TYPE, USES)
+        if _timed_in(idx, x, (year, year)) and units.intersection(idx.objects(x, HAS_DOCUMENT))
+    }
+    return len(uses), len(units)
+
+
+def oracle_group_citation_weight(
+    idx: TripleIndex, source_root, sink_root, source_window, sink_window, transitive=True
+) -> int:
+    """Citation nodes with a source unit published under ``source_root`` in
+    ``source_window`` and a sink unit under ``sink_root`` in ``sink_window``."""
+    sources = _oracle_units(idx, source_root, source_window, transitive)
+    sinks = _oracle_units(idx, sink_root, sink_window, transitive)
+    return sum(
+        1
+        for c in idx.subjects(RDF_TYPE, CITATION)
+        if sources.intersection(idx.objects(c, HAS_SOURCE)) and sinks.intersection(idx.objects(c, HAS_SINK))
+    )
+
+
+def oracle_coauthor_weight(idx: TripleIndex, a, b, window=None) -> int:
+    """Publishes contexts carrying both authors (and a time in ``window``)."""
+    return sum(
+        1
+        for x in idx.subjects(RDF_TYPE, PUBLISHES)
+        if idx.has(x, HAS_AUTHOR, a)
+        and idx.has(x, HAS_AUTHOR, b)
+        and (window is None or _timed_in(idx, x, window))
+    )
+
+
 def ratio_6dp(numerator: int, denominator: int) -> Decimal:
     return (Decimal(numerator) / Decimal(denominator)).quantize(
         Decimal("0.000001"), rounding=ROUND_HALF_EVEN

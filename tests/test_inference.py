@@ -2,6 +2,8 @@
 
 import io
 import random
+from decimal import Decimal
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +13,8 @@ from oracles import (
     index_of,
     ledger_triples,
     oracle_coauthor_rows,
+    oracle_coauthor_weight,
+    oracle_group_citation_weight,
     oracle_upsert_node,
     random_context_store,
 )
@@ -43,6 +47,7 @@ from scholargraph.ontology import (
     HAS_WEIGHT,
     JOURNAL,
     PART_OF,
+    PROCEEDINGS,
     PUBLISHES,
     RDF_TYPE,
     UnknownNodeError,
@@ -55,6 +60,7 @@ from scholargraph.terms import (
     Literal,
     Triple,
     decimal_literal,
+    term_sort_key,
     year_literal,
 )
 
@@ -368,6 +374,59 @@ def test_group_citation_transitive_vs_direct():
         g1, g2, (2005, 2005), (2006, 2006), transitive=False
     )
     assert list(store.objects(shallow, HAS_WEIGHT)) == [decimal_literal("0.0")]
+
+
+def weight_of(store, derived):
+    (weight,) = store.objects(derived, HAS_WEIGHT)
+    return int(Decimal(weight.lexical))
+
+
+def test_group_citation_matches_its_definition_on_random_stores():
+    nonzero = 0
+    for seed in range(3):
+        store = random_context_store(random.Random(seed), 300)
+        idx = index_of(store)
+        roots = sorted(
+            set(idx.subjects(RDF_TYPE, JOURNAL)) | set(idx.subjects(RDF_TYPE, PROCEEDINGS)),
+            key=term_sort_key,
+        )
+        engine = InferenceEngine(store)
+        windows = (((2006, 2008), (2002, 2005)), ((2000, 2009), (2000, 2009)))
+        for source, sink, (source_window, sink_window), transitive in product(
+            roots, roots, windows, (True, False)
+        ):
+            expected = oracle_group_citation_weight(idx, source, sink, source_window, sink_window, transitive)
+            derived = engine.derive_group_citation(source, sink, source_window, sink_window, transitive)
+            assert weight_of(store, derived) == expected, (seed, source, sink, source_window, transitive)
+            nonzero += expected > 0
+    assert nonzero >= 10
+
+
+def test_coauthor_weights_match_their_definition_on_random_stores():
+    for seed in range(3):
+        store = random_context_store(random.Random(seed), 300)
+        idx = index_of(store)
+        joint = set()
+        for ctx in idx.subjects(RDF_TYPE, PUBLISHES):
+            authors = sorted(set(idx.objects(ctx, HAS_AUTHOR)), key=term_sort_key)
+            joint.update(combinations(authors, 2))
+        assert len(joint) >= 10
+        engine = InferenceEngine(store)
+        for window in (None, (2003, 2006)):
+            for a, b in sorted(joint, key=lambda pair: tuple(map(term_sort_key, pair))):
+                expected = oracle_coauthor_weight(idx, a, b, window)
+                assert engine.coauthor_weight(a, b, window) == expected, (seed, a, b, window)
+                assert engine.coauthor_weight(b, a, window) == expected, (seed, a, b, window)
+            derived = engine.derive_all_coauthors(window)
+            expected_pairs = {pair for pair in joint if oracle_coauthor_weight(idx, *pair, window)}
+            assert len(derived) == len(expected_pairs)
+            for forward, backward in derived:
+                (a,) = store.objects(forward, HAS_SOURCE)
+                (b,) = store.objects(forward, HAS_SINK)
+                assert (a, b) in expected_pairs
+                assert store.objects(backward, HAS_SOURCE) == [b]
+                assert store.objects(backward, HAS_SINK) == [a]
+                assert weight_of(store, forward) == weight_of(store, backward) == oracle_coauthor_weight(idx, a, b, window)
 
 
 def test_distinct_windows_get_distinct_nodes():

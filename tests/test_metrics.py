@@ -2,11 +2,21 @@
 
 import io
 import os
+import random
 from decimal import Decimal
+from itertools import product
 
 import pytest
 
-from oracles import jcdl_fixture, ledger_triples
+from oracles import (
+    index_of,
+    jcdl_fixture,
+    ledger_triples,
+    oracle_impact_factor,
+    oracle_usage_impact_factor,
+    random_context_store,
+    ratio_6dp,
+)
 from scholargraph.inference import InferenceEngine
 from scholargraph.metrics import (
     MetricError,
@@ -32,6 +42,7 @@ from scholargraph.ontology import (
     IMPACT_FACTOR,
     JOURNAL,
     PART_OF,
+    PROCEEDINGS,
     PUBLISHES,
     RDF_TYPE,
     USAGE_IMPACT_FACTOR,
@@ -45,6 +56,7 @@ from scholargraph.terms import (
     Iri,
     Literal,
     Triple,
+    term_sort_key,
     year_literal,
 )
 
@@ -280,6 +292,37 @@ def test_direct_only_restricts_to_one_hop():
     assert deep.denominator == 2
     with pytest.raises(UndefinedMetricError):
         impact_factor(store, root, 2007, transitive=False)
+
+
+def test_metrics_match_their_definitions_on_random_stores():
+    """Both metrics for every journal root, several target years, the
+    default and an explicit window, and both partOf modes, against
+    brute-force evaluations of the module docstring's definitions."""
+    counted = {"impact factor": 0, "usage impact factor": 0}
+    for seed in range(3):
+        store = random_context_store(random.Random(seed), 300)
+        idx = index_of(store)
+        roots = sorted(
+            set(idx.subjects(RDF_TYPE, JOURNAL)) | set(idx.subjects(RDF_TYPE, PROCEEDINGS)),
+            key=term_sort_key,
+        )
+        metrics = ((impact_factor, oracle_impact_factor), (usage_impact_factor, oracle_usage_impact_factor))
+        for root, year, explicit, transitive, (compute, oracle) in product(
+            roots, (2004, 2007, 2009), (False, True), (True, False), metrics
+        ):
+            window = (year - 5, year - 2) if explicit else None
+            case = (seed, root, year, window, transitive, compute.__name__)
+            numerator, denominator = oracle(idx, root, year, window, transitive)
+            if denominator == 0:
+                with pytest.raises(UndefinedMetricError):
+                    compute(store, root, year, window=window, transitive=transitive)
+                continue
+            result = compute(store, root, year, window=window, transitive=transitive)
+            assert (result.numerator, result.denominator) == (numerator, denominator), case
+            assert result.value == ratio_6dp(numerator, denominator), case
+            counted[result.metric] += numerator > 0
+    # the stores exercise both numerators, not only the zero case
+    assert min(counted.values()) >= 10, counted
 
 
 # -- failure modes ------------------------------------------------------------------
