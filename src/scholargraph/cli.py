@@ -22,6 +22,7 @@ dialect.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -137,7 +138,11 @@ def _lock_holder(lock_path: str) -> str:
 def _open_store(cfg: Config) -> Store:
     if os.path.exists(cfg.store):
         _note(cfg, f"loading store {cfg.store}")
-        return Store.load(cfg.store)
+        store = Store.load(cfg.store)
+        # Nothing the load made forms a cycle: keep the first collection
+        # after it from walking them all.
+        gc.freeze()
+        return store
     _note(cfg, f"starting with an empty store (no {cfg.store} yet)")
     return Store()
 

@@ -15,13 +15,20 @@ not go through scripts: scripts mint a fresh blank per run, while derivation
 should be re-runnable.  Each deriver writes a node at a deterministic IRI
 keyed by its parameters and upserts: the node's previous statements are
 replaced, never accumulated.
+
+The derivations and the metrics read the graph through one id-level scan,
+:func:`scan_contexts`: the contexts of a class that state ``(ctx, p, o)``,
+optionally timed in a window.  A term the store lacks reads as id -1
+(:func:`term_id`), which no probe matches.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from decimal import Decimal
-from typing import IO, TYPE_CHECKING, Iterable, Optional, Union
+from itertools import combinations
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from .errors import ScholarGraphError
 from .ntriples import parse_ntriples, serialize_term, serialize_triple
@@ -138,7 +145,7 @@ class LedgerError(ScholarGraphError):
     """A ledger file is malformed or inconsistent with the store."""
 
 
-# -- ontology-aware graph helpers (shared with the metrics module) -----------
+# -- the context scan (shared with the metrics module) ----------------------
 
 
 def year_of(term: Term) -> Optional[int]:
@@ -148,48 +155,75 @@ def year_of(term: Term) -> Optional[int]:
     return None
 
 
-def partof_descendants(store: Store, root: Term, transitive: bool = True) -> set[Term]:
-    """Groups reachable from ``root`` against partOf (one hop or closure)."""
-    seen: set[Term] = {root}
-    out: set[Term] = set()
+def term_id(store: Store, term: Term) -> int:
+    """Id of ``term``, or -1 if the store lacks it: no probe matches -1,
+    whereas :meth:`Store.match_ids` reads ``None`` as a wildcard."""
+    found = store.lookup(term)
+    return -1 if found is None else found
+
+
+def scan_contexts(
+    store: Store, cls: Iri, predicate: Iri, obj: int, window: Optional[tuple[int, int]] = None
+) -> Iterator[int]:
+    """Ids of the contexts of class ``cls`` that state ``(ctx, predicate,
+    obj)``; with ``window``, only those with a hasTime year in it.
+
+    Every probe binds the predicate and the subject or the object, so the
+    scan touches only the contexts that state ``obj`` and never builds OSP.
+    """
+    rdf_type, cls_id, has_time = term_id(store, RDF_TYPE), term_id(store, cls), term_id(store, HAS_TIME)
+    for ctx, _, _ in store.match_ids(None, term_id(store, predicate), obj):
+        if not store.contains_ids(ctx, rdf_type, cls_id):
+            continue
+        if window is not None:
+            lo, hi = window
+            years = (year_of(store.decode(time)) for _, _, time in store.match_ids(ctx, has_time, None))
+            if not any(year is not None and lo <= year <= hi for year in years):
+                continue
+        yield ctx
+
+
+def descendant_groups(store: Store, root: int, transitive: bool = True) -> set[int]:
+    """Ids of the groups reachable from ``root`` against partOf (one hop or
+    the closure), the root itself excluded."""
+    part_of = term_id(store, PART_OF)
+    seen = {root}
     frontier = [root]
     while frontier:
-        fresh: list[Term] = []
+        fresh: list[int] = []
         for group in frontier:
-            for child in store.subjects(PART_OF, group):
+            for child, _, _ in store.match_ids(None, part_of, group):
                 if child not in seen:
                     seen.add(child)
-                    out.add(child)
                     fresh.append(child)
         if not transitive:
             break
         frontier = fresh
-    out.discard(root)
-    return out
+    seen.discard(root)
+    return seen
 
 
-def units_published_in(store: Store, groups: Iterable[Term], window: tuple[int, int]) -> set[Term]:
-    """Distinct units with a Publishes in one of ``groups`` timed in window."""
-    lo, hi = window
-    units: set[Term] = set()
-    for group in groups:
-        for ctx in store.subjects(HAS_GROUP, group):
-            if not store.contains(Triple(ctx, RDF_TYPE, PUBLISHES)):
-                continue
-            years = (year_of(t) for t in store.objects(ctx, HAS_TIME))
-            if any(y is not None and lo <= y <= hi for y in years):
-                units.update(store.objects(ctx, HAS_UNIT))
+def window_units(store: Store, root: Term, window: tuple[int, int], transitive: bool) -> set[int]:
+    """Ids of the distinct units of the Publishes contexts timed in
+    ``window`` whose group is under ``root``."""
+    if not store.appears(root):
+        raise UnknownNodeError(root)
+    has_unit = term_id(store, HAS_UNIT)
+    units: set[int] = set()
+    for group in descendant_groups(store, term_id(store, root), transitive):
+        for ctx in scan_contexts(store, PUBLISHES, HAS_GROUP, group, window):
+            units.update(unit for _, _, unit in store.match_ids(ctx, has_unit, None))
     return units
 
 
-def published_in_year(store: Store, unit: Term, year: int) -> bool:
-    """True if some Publishes context carries the unit with a time in year."""
-    for ctx in store.subjects(HAS_UNIT, unit):
-        if not store.contains(Triple(ctx, RDF_TYPE, PUBLISHES)):
-            continue
-        if any(year_of(t) == year for t in store.objects(ctx, HAS_TIME)):
-            return True
-    return False
+def citations_of(store: Store, sinks: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(citation, source, sink) for each source of each Citation context
+    whose hasSink is one of ``sinks``."""
+    has_source = term_id(store, HAS_SOURCE)
+    for sink in sinks:
+        for citation in scan_contexts(store, CITATION, HAS_SINK, sink):
+            for _, _, source in store.match_ids(citation, has_source, None):
+                yield citation, source, sink
 
 
 def derived_iri(kind: str, key: str) -> Iri:
@@ -329,21 +363,10 @@ class InferenceEngine:
         """
         source_window = _check_window(source_window, "source")
         sink_window = _check_window(sink_window, "sink")
-        for root in (source_root, sink_root):
-            if not self.store.appears(root):
-                raise UnknownNodeError(root)
-        src_groups = partof_descendants(self.store, source_root, transitive)
-        sink_groups = partof_descendants(self.store, sink_root, transitive)
-        src_units = units_published_in(self.store, src_groups, source_window)
-        sink_units = units_published_in(self.store, sink_groups, sink_window)
-        weight = 0
-        for citation in self.store.subjects(RDF_TYPE, CITATION):
-            sources = self.store.objects(citation, HAS_SOURCE)
-            if not any(s in src_units for s in sources):
-                continue
-            sinks = self.store.objects(citation, HAS_SINK)
-            if any(k in sink_units for k in sinks):
-                weight += 1
+        src_units = window_units(self.store, source_root, source_window, transitive)
+        sink_units = window_units(self.store, sink_root, sink_window, transitive)
+        cited = {citation for citation, source, _ in citations_of(self.store, sink_units) if source in src_units}
+        weight = len(cited)
         key = "|".join(
             (
                 serialize_term(source_root),
@@ -368,18 +391,10 @@ class InferenceEngine:
 
     def coauthor_weight(self, a: Term, b: Term, window: Optional[tuple[int, int]] = None) -> int:
         """Number of Publishes contexts carrying both authors (in window)."""
-        weight = 0
-        for ctx in self.store.subjects(HAS_AUTHOR, a):
-            if not self.store.contains(Triple(ctx, RDF_TYPE, PUBLISHES)):
-                continue
-            if not self.store.contains(Triple(ctx, HAS_AUTHOR, b)):
-                continue
-            if window is not None:
-                years = (year_of(t) for t in self.store.objects(ctx, HAS_TIME))
-                if not any(y is not None and window[0] <= y <= window[1] for y in years):
-                    continue
-            weight += 1
-        return weight
+        store = self.store
+        has_author, b_id = term_id(store, HAS_AUTHOR), term_id(store, b)
+        joint = scan_contexts(store, PUBLISHES, HAS_AUTHOR, term_id(store, a), window)
+        return sum(1 for ctx in joint if store.contains_ids(ctx, has_author, b_id))
 
     def derive_coauthor(
         self, a: Term, b: Term, window: Optional[tuple[int, int]] = None
@@ -389,7 +404,11 @@ class InferenceEngine:
             raise InferenceError("self-coauthorship is undefined (both authors are the same node)")
         if window is not None:
             window = _check_window(window, "coauthor")
-        weight = self.coauthor_weight(a, b, window)
+        return self._write_coauthor(a, b, window, self.coauthor_weight(a, b, window))
+
+    def _write_coauthor(
+        self, a: Term, b: Term, window: Optional[tuple[int, int]], weight: int
+    ) -> tuple[Iri, Iri]:
         nodes: list[Iri] = []
         window_key = "all" if window is None else f"{window[0]}-{window[1]}"
         for source, sink in ((a, b), (b, a)):
@@ -413,22 +432,20 @@ class InferenceEngine:
     ) -> list[tuple[Iri, Iri]]:
         """Derive every author pair with at least one joint Publishes.
 
-        Zero-weight pairs cannot arise here: candidates come from actual
-        joint contexts, so the all-pairs quadratic blowup is avoided.
+        One pass over the Publishes contexts (in window) counts every pair
+        of distinct authors they carry, so zero-weight pairs cannot arise
+        and the all-pairs quadratic blowup is avoided.
         """
         if window is not None:
             window = _check_window(window, "coauthor")
-        pairs: set[tuple[Term, Term]] = set()
-        for ctx in self.store.subjects(RDF_TYPE, PUBLISHES):
-            if window is not None:
-                years = (year_of(t) for t in self.store.objects(ctx, HAS_TIME))
-                if not any(y is not None and window[0] <= y <= window[1] for y in years):
-                    continue
-            authors = sorted(set(self.store.objects(ctx, HAS_AUTHOR)), key=term_sort_key)
-            for i in range(len(authors)):
-                for j in range(i + 1, len(authors)):
-                    pairs.add((authors[i], authors[j]))
-        return [self.derive_coauthor(a, b, window) for a, b in sorted(pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1])))]
+        store = self.store
+        has_author = term_id(store, HAS_AUTHOR)
+        weights: Counter[tuple[Term, Term]] = Counter()
+        for ctx in scan_contexts(store, PUBLISHES, RDF_TYPE, term_id(store, PUBLISHES), window):
+            authors = {store.decode(author) for _, _, author in store.match_ids(ctx, has_author, None)}
+            weights.update(combinations(sorted(authors, key=term_sort_key), 2))
+        pairs = sorted(weights, key=lambda pair: (term_sort_key(pair[0]), term_sort_key(pair[1])))
+        return [self._write_coauthor(a, b, window, weights[a, b]) for a, b in pairs]
 
     # -- persistence ---------------------------------------------------------------
 

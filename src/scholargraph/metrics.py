@@ -10,6 +10,12 @@ between one pair contribute one.  The Usage Impact Factor numerator counts
 distinct Uses contexts timed in the target year whose document is a window
 unit.
 
+Both read the graph through the id-level scan
+:func:`~scholargraph.inference.scan_contexts`, starting from the journal's
+own groups and units, so a metric touches that journal's contexts, not the
+whole collection: the IF probes the Citation contexts under each window
+unit's hasSink, the UIF the Uses contexts under its hasDocument.
+
 A computed metric is written back as a NumericMetric node at a
 deterministic IRI (re-running updates in place), and its statements are
 recorded in the store's ledger under the ``metric`` rule, so retracting
@@ -26,28 +32,24 @@ from typing import Optional
 from .errors import ScholarGraphError
 from .inference import (
     InferenceEngine,
+    citations_of,
     derived_iri,
-    partof_descendants,
-    published_in_year,
-    units_published_in,
+    scan_contexts,
     upsert_node,
-    year_of,
+    window_units,
 )
 from .ntriples import serialize_term
 from .ontology import (
-    CITATION,
     HAS_DOCUMENT,
     HAS_END_TIME,
     HAS_NUMERIC_VALUE,
     HAS_OBJECT,
-    HAS_SINK,
-    HAS_SOURCE,
     HAS_START_TIME,
-    HAS_TIME,
+    HAS_UNIT,
     IMPACT_FACTOR,
+    PUBLISHES,
     USAGE_IMPACT_FACTOR,
     USES,
-    UnknownNodeError,
 )
 from .store import Store
 from .terms import Datatype, Iri, Literal, RDF_TYPE, Term, Triple, year_literal
@@ -99,28 +101,16 @@ def resolve_window(year: int, window: Optional[tuple[int, int]]) -> tuple[int, i
     return (lo, hi)
 
 
-def _window_units(
-    store: Store, obj: Term, window: tuple[int, int], transitive: bool
-) -> set[Term]:
-    if not store.appears(obj):
-        raise UnknownNodeError(obj)
-    groups = partof_descendants(store, obj, transitive)
-    return units_published_in(store, groups, window)
-
-
-def _value(numerator: int, denominator: int) -> Decimal:
-    return (Decimal(numerator) / Decimal(denominator)).quantize(
+def _record(
+    store: Store, metric: str, metric_class: Iri, obj: Term, year: int, window: tuple[int, int],
+    numerator: int, denominator: int,
+) -> MetricResult:
+    """Write the metric's node and return the result."""
+    value = (Decimal(numerator) / Decimal(denominator)).quantize(
         VALUE_QUANTUM, rounding=ROUND_HALF_EVEN
     )
-
-
-def _node(kind_slug: str, obj: Term, year: int, window: tuple[int, int]) -> Iri:
-    return derived_iri(kind_slug, f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}")
-
-
-def _write_node(
-    store: Store, node: Iri, metric_class: Iri, obj: Term, year: int, value: Decimal
-) -> bool:
+    slug = metric.replace(" ", "-")
+    node = derived_iri(slug, f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}")
     triples = [
         Triple(node, RDF_TYPE, metric_class),
         Triple(node, HAS_OBJECT, obj),
@@ -128,7 +118,8 @@ def _write_node(
         Triple(node, HAS_END_TIME, year_literal(year)),
         Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    return upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
+    changed = upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
+    return MetricResult(metric, obj, year, window, numerator, denominator, value, node, changed)
 
 
 def impact_factor(
@@ -137,28 +128,17 @@ def impact_factor(
     year: int,
     window: Optional[tuple[int, int]] = None,
     transitive: bool = True,
-    write: bool = True,
 ) -> MetricResult:
     window = resolve_window(year, window)
-    units = _window_units(store, obj, window, transitive)
-    denominator = len(units)
-    if denominator == 0:
+    units = window_units(store, obj, window, transitive)
+    if not units:
         raise UndefinedMetricError("impact factor", obj)
-    pairs: set[tuple[Term, Term]] = set()
-    for citation in store.subjects(RDF_TYPE, CITATION):
-        sinks = [k for k in store.objects(citation, HAS_SINK) if k in units]
-        if not sinks:
-            continue
-        for source in store.objects(citation, HAS_SOURCE):
-            if not published_in_year(store, source, year):
-                continue
-            for sink in sinks:
-                pairs.add((source, sink))
-    numerator = len(pairs)
-    value = _value(numerator, denominator)
-    node = _node("impact-factor", obj, year, window)
-    changed = write and _write_node(store, node, IMPACT_FACTOR, obj, year, value)
-    return MetricResult("impact factor", obj, year, window, numerator, denominator, value, node, changed)
+    pairs: set[tuple[int, int]] = set()
+    for _, source, sink in citations_of(store, units):
+        published = scan_contexts(store, PUBLISHES, HAS_UNIT, source, (year, year))
+        if next(published, None) is not None:  # not any(): a context may have id 0
+            pairs.add((source, sink))
+    return _record(store, "impact factor", IMPACT_FACTOR, obj, year, window, len(pairs), len(units))
 
 
 def usage_impact_factor(
@@ -167,22 +147,12 @@ def usage_impact_factor(
     year: int,
     window: Optional[tuple[int, int]] = None,
     transitive: bool = True,
-    write: bool = True,
 ) -> MetricResult:
     window = resolve_window(year, window)
-    units = _window_units(store, obj, window, transitive)
-    denominator = len(units)
-    if denominator == 0:
+    units = window_units(store, obj, window, transitive)
+    if not units:
         raise UndefinedMetricError("usage impact factor", obj)
-    numerator = 0
-    for ctx in store.subjects(RDF_TYPE, USES):
-        if not any(year_of(t) == year for t in store.objects(ctx, HAS_TIME)):
-            continue
-        if any(doc in units for doc in store.objects(ctx, HAS_DOCUMENT)):
-            numerator += 1
-    value = _value(numerator, denominator)
-    node = _node("usage-impact-factor", obj, year, window)
-    changed = write and _write_node(store, node, USAGE_IMPACT_FACTOR, obj, year, value)
-    return MetricResult(
-        "usage impact factor", obj, year, window, numerator, denominator, value, node, changed
-    )
+    uses: set[int] = set()
+    for unit in units:
+        uses.update(scan_contexts(store, USES, HAS_DOCUMENT, unit, (year, year)))
+    return _record(store, "usage impact factor", USAGE_IMPACT_FACTOR, obj, year, window, len(uses), len(units))

@@ -19,8 +19,8 @@ permutation and rebuild each key's column pair once, with the batch's pairs
 spliced in at their bisected places or cut out (a key left empty is
 dropped), so a batch costs O(batch log batch + touched columns) rather than
 one array shift per triple.  :meth:`Store.insert_many` interns its triples
-and makes one such call; :meth:`Store.insert`, :meth:`Store.remove` and
-:meth:`Store.remove_ids` are one-row calls.
+and makes one such call; :meth:`Store.insert` and :meth:`Store.remove` are
+one-row calls.
 
 A bulk build (a snapshot load, or a batch into an empty store) groups SPO
 and POS and leaves OSP unbuilt: it is built from SPO the first time a probe
@@ -266,11 +266,7 @@ class Store:
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
         ids = self.lookup_triple(triple)
-        return ids is not None and self.remove_ids(*ids)
-
-    def remove_ids(self, s: int, p: int, o: int) -> bool:
-        """Remove the triple with these ids; False if absent."""
-        return bool(self.drop_rows(((s, p, o),)))
+        return ids is not None and bool(self.drop_rows((ids,)))
 
     def drop_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
         """Remove id triples, in any order and with repeats; the rows that

@@ -333,6 +333,12 @@ def _oracle_units(idx: TripleIndex, root, window, transitive: bool) -> set:
     return units
 
 
+def journal_roots(idx: TripleIndex) -> list:
+    """Every Journal and Proceedings node, in term order."""
+    roots = set(idx.subjects(RDF_TYPE, JOURNAL)) | set(idx.subjects(RDF_TYPE, PROCEEDINGS))
+    return sorted(roots, key=term_sort_key)
+
+
 def _metric_window(year: int, window) -> tuple[int, int]:
     return (year - 2, year - 1) if window is None else window
 

@@ -236,11 +236,11 @@ def test_3_retraction_losslessness():
 def test_4_impact_factor_exactness():
     with criterion(4, "impact factor exactness"):
         store, root = jcdl_fixture()
-        impact = impact_factor(store, root, 2007, write=False)
+        impact = impact_factor(store, root, 2007)
         assert (impact.numerator, impact.denominator) == (25, 10)
         assert impact.value == Decimal("2.500000")
         assert str(impact.value) == "2.500000"
-        usage = usage_impact_factor(store, root, 2007, write=False)
+        usage = usage_impact_factor(store, root, 2007)
         assert (usage.numerator, usage.denominator) == (40, 10)
         assert str(usage.value) == "4.000000"
 

@@ -539,6 +539,21 @@ def test_commands_import_only_the_modules_they_use(workdir, capsys):
     assert "scholargraph.queryl" in modules_loaded_by(workdir, "infer", "--rule", "authored_by")
 
 
+def test_a_loading_command_freezes_what_the_load_made(workdir, capsys):
+    load_everything(capsys)
+    check = (
+        "import gc\n"
+        "from scholargraph.cli import main\n"
+        "before = gc.get_freeze_count()\n"
+        "assert main(['stats']) == 0\n"
+        "print(before, gc.get_freeze_count())\n"
+    )
+    done = fresh_interpreter("-c", check, cwd=workdir)
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.split()[-2:])
+    assert before == 0 and after > 0
+
+
 def test_star_import_binds_every_exported_name():
     check = (
         "import scholargraph\n"

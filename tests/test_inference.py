@@ -11,6 +11,7 @@ from oracles import (
     RULE_ORACLES,
     conformance_store,
     index_of,
+    journal_roots,
     ledger_triples,
     oracle_coauthor_rows,
     oracle_coauthor_weight,
@@ -24,7 +25,7 @@ from scholargraph.inference import (
     LedgerError,
     RULE_SCRIPTS,
     UnknownRuleError,
-    partof_descendants,
+    descendant_groups,
     upsert_node,
     year_of,
 )
@@ -47,7 +48,6 @@ from scholargraph.ontology import (
     HAS_WEIGHT,
     JOURNAL,
     PART_OF,
-    PROCEEDINGS,
     PUBLISHES,
     RDF_TYPE,
     UnknownNodeError,
@@ -386,10 +386,7 @@ def test_group_citation_matches_its_definition_on_random_stores():
     for seed in range(3):
         store = random_context_store(random.Random(seed), 300)
         idx = index_of(store)
-        roots = sorted(
-            set(idx.subjects(RDF_TYPE, JOURNAL)) | set(idx.subjects(RDF_TYPE, PROCEEDINGS)),
-            key=term_sort_key,
-        )
+        roots = journal_roots(idx)
         engine = InferenceEngine(store)
         windows = (((2006, 2008), (2002, 2005)), ((2000, 2009), (2000, 2009)))
         for source, sink, (source_window, sink_window), transitive in product(
@@ -527,23 +524,25 @@ def test_derivations_are_retractable_like_rules():
 # -- shared helpers ------------------------------------------------------------------
 
 
-def test_partof_descendants_excludes_the_root():
+def test_descendant_groups_excludes_the_root():
     store = Store()
     g, mid, leaf = node("g"), node("mid"), node("leaf")
     store.insert(Triple(mid, PART_OF, g))
     store.insert(Triple(leaf, PART_OF, mid))
-    assert partof_descendants(store, g) == {mid, leaf}
-    assert partof_descendants(store, g, transitive=False) == {mid}
-    assert partof_descendants(store, leaf) == set()
+    ids = store.lookup
+    assert descendant_groups(store, ids(g)) == {ids(mid), ids(leaf)}
+    assert descendant_groups(store, ids(g), transitive=False) == {ids(mid)}
+    assert descendant_groups(store, ids(leaf)) == set()
 
 
-def test_partof_descendants_survives_cycles():
+def test_descendant_groups_survives_cycles():
     store = Store()
     a, b = node("a"), node("b")
     store.insert(Triple(a, PART_OF, b))
     store.insert(Triple(b, PART_OF, a))
-    assert partof_descendants(store, a) == {b}
-    assert partof_descendants(store, b) == {a}
+    ids = store.lookup
+    assert descendant_groups(store, ids(a)) == {ids(b)}
+    assert descendant_groups(store, ids(b)) == {ids(a)}
 
 
 def test_year_of_reads_years_and_nothing_else():

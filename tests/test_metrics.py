@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     index_of,
+    journal_roots,
     jcdl_fixture,
     ledger_triples,
     oracle_impact_factor,
@@ -29,6 +30,7 @@ from scholargraph.ontology import (
     ARTICLE,
     CITATION,
     GROUP,
+    HAS_AUTHOR,
     HAS_DOCUMENT,
     HAS_END_TIME,
     HAS_GROUP,
@@ -39,10 +41,10 @@ from scholargraph.ontology import (
     HAS_START_TIME,
     HAS_TIME,
     HAS_UNIT,
+    HAS_WEIGHT,
     IMPACT_FACTOR,
     JOURNAL,
     PART_OF,
-    PROCEEDINGS,
     PUBLISHES,
     RDF_TYPE,
     USAGE_IMPACT_FACTOR,
@@ -56,7 +58,6 @@ from scholargraph.terms import (
     Iri,
     Literal,
     Triple,
-    term_sort_key,
     year_literal,
 )
 
@@ -216,14 +217,6 @@ def test_recomputing_updates_in_place():
     ]
 
 
-def test_write_false_leaves_the_store_alone():
-    store, root = jcdl_fixture()
-    reference = snapshot_bytes(store)
-    result = impact_factor(store, root, 2007, write=False)
-    assert result.value == Decimal("2.500000")
-    assert snapshot_bytes(store) == reference
-
-
 # -- numerator semantics -----------------------------------------------------------
 
 
@@ -257,6 +250,20 @@ def test_sources_must_be_published_in_the_target_year():
     cite(store, "c2", source, node("w1"))
     result = impact_factor(store, root, 2007)
     assert result.numerator == 1
+
+
+def test_a_source_published_by_the_context_with_id_zero_counts():
+    store = Store()
+    ctx = node("pub-first")
+    store.insert(Triple(ctx, RDF_TYPE, PUBLISHES))  # interned first: id 0
+    assert store.lookup(ctx) == 0
+    journal, root, source = small_journal()
+    store.insert_many(journal.triples())
+    store.remove(Triple(node("pub-s"), HAS_TIME, year_literal(2007)))
+    store.insert(Triple(ctx, HAS_UNIT, source))
+    store.insert(Triple(ctx, HAS_TIME, year_literal(2007)))
+    cite(store, "c1", source, node("w1"))
+    assert impact_factor(store, root, 2007).numerator == 1
 
 
 def test_sinks_outside_the_window_do_not_count():
@@ -302,10 +309,7 @@ def test_metrics_match_their_definitions_on_random_stores():
     for seed in range(3):
         store = random_context_store(random.Random(seed), 300)
         idx = index_of(store)
-        roots = sorted(
-            set(idx.subjects(RDF_TYPE, JOURNAL)) | set(idx.subjects(RDF_TYPE, PROCEEDINGS)),
-            key=term_sort_key,
-        )
+        roots = journal_roots(idx)
         metrics = ((impact_factor, oracle_impact_factor), (usage_impact_factor, oracle_usage_impact_factor))
         for root, year, explicit, transitive, (compute, oracle) in product(
             roots, (2004, 2007, 2009), (False, True), (True, False), metrics
@@ -347,6 +351,72 @@ def test_unknown_object_is_an_error():
         impact_factor(store, node("nowhere"), 2007)
 
 
+# -- vocabulary the store lacks ---------------------------------------------------------
+
+OTHER_JOURNAL = Iri("urn:issn:9999-0001")
+
+
+def coauthored_jcdl():
+    """The reference fixture plus one author pair on two window units and
+    one 2007 source."""
+    store, root = jcdl_fixture()
+    for ctx in ("urn:ctx:pub:w0", "urn:ctx:pub:w1", "urn:ctx:pub:s0"):
+        for author in (node("alice"), node("bob")):
+            store.insert(Triple(Iri(ctx), HAS_AUTHOR, author))
+    return store, root
+
+
+@pytest.mark.parametrize(
+    "dropped, expected",
+    [
+        ((), ((25, 10), (40, 10), [2], 25)),
+        ((HAS_TIME,), ("undefined", "undefined", [], 0)),
+        ((PART_OF,), ("undefined", "undefined", [2], 0)),
+        ((USES, HAS_DOCUMENT), ((25, 10), (0, 10), [2], 25)),
+        ((CITATION,), ((0, 10), (40, 10), [2], 0)),
+    ],
+)
+def test_absent_vocabulary_matches_nothing_and_scans_nothing(dropped, expected):
+    """On a store that never interned a term the metrics and derivations
+    read, they count nothing for it, and no probe takes the missing id for
+    a wildcard: each binds the subject, or the predicate and the object."""
+    full, root = coauthored_jcdl()
+    store = Store()
+    store.insert_many(t for t in full.triples() if t.predicate not in dropped and t.object not in dropped)
+    assert all(store.lookup(term) is None for term in dropped)
+    shapes = []
+    match_ids = store.match_ids
+
+    def recorded(s, p, o):
+        shapes.append((s, p, o))
+        return match_ids(s, p, o)
+
+    store.match_ids = recorded
+    engine = InferenceEngine(store)
+
+    def counts(compute):
+        try:
+            result = compute(store, root, 2007)
+        except UndefinedMetricError:
+            return "undefined"
+        return (result.numerator, result.denominator)
+
+    def weight(derived):
+        return int(Decimal(store.objects(derived, HAS_WEIGHT)[0].lexical))
+
+    got = (
+        counts(impact_factor),
+        counts(usage_impact_factor),
+        [weight(forward) for forward, _ in engine.derive_all_coauthors((2005, 2006))],
+        # last: the derived node is itself typed Citation
+        weight(engine.derive_group_citation(OTHER_JOURNAL, root, (2007, 2007), (2005, 2006))),
+    )
+    assert got == expected
+    assert shapes
+    for s, p, o in shapes:
+        assert s is not None or (p is not None and o is not None), (s, p, o)
+
+
 # -- engine integration --------------------------------------------------------------
 
 
@@ -384,7 +454,7 @@ def test_a_metric_rewritten_without_an_engine_leaves_no_stale_ledger_triple():
 
 def test_adding_a_qualifying_citation_never_lowers_the_value():
     store, root = jcdl_fixture()
-    last = impact_factor(store, root, 2007, write=False).value
+    last = impact_factor(store, root, 2007).value
     for i in range(5):
         extra = Iri(f"urn:doc:source:more:{i}")
         store.insert(Triple(extra, RDF_TYPE, ARTICLE))
@@ -393,7 +463,7 @@ def test_adding_a_qualifying_citation_never_lowers_the_value():
         store.insert(Triple(ctx, HAS_UNIT, extra))
         store.insert(Triple(ctx, HAS_TIME, year_literal(2007)))
         cite(store, f"more-{i}", extra, Iri(f"urn:doc:window:{i}"))
-        value = impact_factor(store, root, 2007, write=False).value
+        value = impact_factor(store, root, 2007).value
         assert value >= last
         last = value
 
@@ -403,7 +473,7 @@ def test_adding_a_qualifying_citation_never_lowers_the_value():
 
 def test_impact_factor_script_matches_the_operation():
     store, root = jcdl_fixture()
-    op = impact_factor(store, root, 2007, write=False)
+    op = impact_factor(store, root, 2007)
     report = execute_script(store, parse_script(read_query("impact_factor.q")))
     assert report.block_rows == (25, 10)
     assert (op.numerator, op.denominator) == report.block_rows
@@ -416,7 +486,7 @@ def test_impact_factor_script_matches_the_operation():
 
 def test_usage_impact_factor_script_matches_the_operation():
     store, root = jcdl_fixture()
-    op = usage_impact_factor(store, root, 2007, write=False)
+    op = usage_impact_factor(store, root, 2007)
     report = execute_script(
         store, parse_script(read_query("usage_impact_factor.q"))
     )
