@@ -13,10 +13,10 @@ each save replaces it atomically.  A `map`, `query`, `infer`, `retract` or
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 
 Each subcommand imports the modules it uses inside its handler, so a
-command pays only for its own imports: `stats` and `export` load the store,
-the term model and N-Triples alone, `query` never loads the rules, the
-metrics or the sidecar, and `metric` and `retract` never load the query
-dialect.
+command pays only for its own imports: `stats` loads the store and the term
+model alone, `export` adds N-Triples, `map` and the `ingest-*` commands load
+neither N-Triples nor `decimal`, `query` never loads the rules, the metrics
+or the sidecar, and `metric` and `retract` never load the query dialect.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from decimal import Decimal
 from typing import Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
-from .ntriples import serialize_term, serialize_triple, write_ntriples
+from .record import Record
 from .store import Store, TriplePattern, Var
 from .terms import Iri, NamespaceTable, RDF_TYPE, term_sort_key
 
@@ -40,8 +38,8 @@ DEFAULT_STORE = "scholargraph.store"
 DEFAULT_SIDECAR = "scholargraph.sidecar"
 
 
-@dataclass
-class Config:
+class Config(Record):
+    __slots__ = ("store", "sidecar", "provider", "namespaces", "precision", "verbose")
     store: str
     sidecar: str
     provider: Optional[str]  # None: the sidecar's default provider
@@ -222,6 +220,7 @@ def cmd_map(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
+    from .ntriples import serialize_term, serialize_triple
     from .ontology import literal_audit, validate_all
 
     store = _open_store(cfg)
@@ -244,6 +243,8 @@ def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _render_pattern(pattern: TriplePattern, table: NamespaceTable) -> str:
+    from .ntriples import serialize_term
+
     slots = []
     for slot in (pattern.subject, pattern.predicate, pattern.object):
         if isinstance(slot, Var):
@@ -254,6 +255,7 @@ def _render_pattern(pattern: TriplePattern, table: NamespaceTable) -> str:
 
 
 def cmd_query(args: argparse.Namespace, cfg: Config) -> int:
+    from .ntriples import serialize_term
     from .queryl import execute_script, parse_script
 
     if args.file == "-":
@@ -361,7 +363,10 @@ def _parse_window(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 
 def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
+    from decimal import Decimal
+
     from .metrics import impact_factor, usage_impact_factor
+    from .ntriples import serialize_term
 
     window = _parse_window(args.window)
     compute = {"if": impact_factor, "uif": usage_impact_factor}[args.kind]
@@ -396,6 +401,8 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_export(args: argparse.Namespace, cfg: Config) -> int:
+    from .ntriples import write_ntriples
+
     store = _open_store(cfg)
     triples = sorted(
         store.triples(),

@@ -25,7 +25,6 @@ instead, and writes nothing: 0/0 is not a metric value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from typing import Optional
 
@@ -51,6 +50,7 @@ from .ontology import (
     USAGE_IMPACT_FACTOR,
     USES,
 )
+from .record import Record
 from .store import Store
 from .terms import Datatype, Iri, Literal, RDF_TYPE, Term, Triple, year_literal
 
@@ -73,10 +73,10 @@ class UndefinedMetricError(MetricError):
         self.object = obj
 
 
-@dataclass
-class MetricResult:
+class MetricResult(Record):
     """Outcome of one metric computation, including the node written."""
 
+    __slots__ = ("metric", "object", "year", "window", "numerator", "denominator", "value", "node", "changed")
     metric: str
     object: Term
     year: int

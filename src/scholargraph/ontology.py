@@ -15,11 +15,11 @@ does not know are reported, since they are almost always typos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import ScholarGraphError
+from .record import FrozenRecord
 from .terms import (
     Blank,
     Datatype,
@@ -122,19 +122,19 @@ class PropertyKind(Enum):
 Range = Union[tuple[Iri, ...], Datatype]
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(FrozenRecord):
+    __slots__ = ("iri", "parent")
     iri: Iri
     parent: Iri  # OWL_THING for taxonomy roots
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(FrozenRecord, inverse=None):
+    __slots__ = ("iri", "kind", "domain", "range", "inverse")
     iri: Iri
     kind: PropertyKind
     domain: Iri
     range: Range
-    inverse: Iri | None = None
+    inverse: Iri | None
 
 
 class UnknownClassError(ScholarGraphError):
@@ -376,8 +376,8 @@ def export_catalog(schema: Schema | None = None, namespaces: NamespaceTable | No
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenRecord):
+    __slots__ = ("node", "kind", "severity", "message")
     node: Term
     kind: str  # unknown-class | unknown-property | domain | range | missing-required | group-restriction | disjoint
     severity: str  # "error" or "warning"

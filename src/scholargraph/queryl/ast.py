@@ -2,27 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
+from ..record import FrozenRecord
 from ..store import TriplePattern, Var
 from ..terms import Literal, Term
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(FrozenRecord):
+    __slots__ = ("left", "op", "right")
     left: Union[Var, Literal]
     op: str  # "=", "<" or ">"
     right: Union[Var, Literal]
 
 
-@dataclass(frozen=True)
-class AndFilter:
+class AndFilter(FrozenRecord):
+    __slots__ = ("parts",)
     parts: tuple["Filter", ...]
 
 
-@dataclass(frozen=True)
-class OrFilter:
+class OrFilter(FrozenRecord):
+    __slots__ = ("parts",)
     parts: tuple["Filter", ...]
 
 
@@ -43,18 +43,18 @@ def filter_variables(expr: Filter) -> frozenset[str]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class GuardedPattern:
+class GuardedPattern(FrozenRecord, guard=None):
     """A triple pattern with its optional attached filter."""
 
+    __slots__ = ("pattern", "guard")
     pattern: TriplePattern
-    guard: Filter | None = None
+    guard: Filter | None
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(FrozenRecord):
     """One SELECT/WHERE block.  Variables are scoped to the block."""
 
+    __slots__ = ("projected", "patterns")
     projected: tuple[Var, ...]
     patterns: tuple[GuardedPattern, ...]
 
@@ -66,13 +66,13 @@ class Block:
         return frozenset(names)
 
 
-@dataclass(frozen=True)
-class CountOf:
+class CountOf(FrozenRecord):
+    __slots__ = ("var",)
     var: Var
 
 
-@dataclass(frozen=True)
-class RatioOf:
+class RatioOf(FrozenRecord):
+    __slots__ = ("numerator", "denominator")
     numerator: "Aggregate"
     denominator: "Aggregate"
 
@@ -80,10 +80,10 @@ class RatioOf:
 Aggregate = Union[CountOf, RatioOf]
 
 
-@dataclass(frozen=True)
-class Placeholder:
+class Placeholder(FrozenRecord):
     """A blank-node placeholder such as ``_123``; label excludes the ``_``."""
 
+    __slots__ = ("label",)
     label: str
 
 
@@ -91,8 +91,8 @@ TemplateSlot = Union[Term, Var, Placeholder]
 TemplateObject = Union[Term, Var, Placeholder, CountOf, RatioOf]
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(FrozenRecord):
+    __slots__ = ("subject", "predicate", "object")
     subject: TemplateSlot
     predicate: TemplateSlot
     object: TemplateObject
@@ -117,7 +117,7 @@ def aggregate_count_vars(agg: Aggregate) -> tuple[Var, ...]:
     return aggregate_count_vars(agg.numerator) + aggregate_count_vars(agg.denominator)
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(FrozenRecord, templates=()):
+    __slots__ = ("blocks", "templates")
     blocks: tuple[Block, ...]
-    templates: tuple[Template, ...] = field(default_factory=tuple)
+    templates: tuple[Template, ...]

@@ -43,7 +43,6 @@ template's rows go into the store as one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from decimal import Decimal, ROUND_HALF_EVEN
 from itertools import repeat
@@ -52,6 +51,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from ..errors import ScholarGraphError
 from ..ontology import SCHEMA, Schema
+from ..record import FrozenRecord, Record
 from ..store import IdTriple, Store, TriplePattern, Var
 from ..terms import (
     Blank,
@@ -82,28 +82,29 @@ class EvaluationError(ScholarGraphError):
     """A script failed during evaluation (filters, aggregates, templates)."""
 
 
-@dataclass
-class PlanStep:
+class PlanStep(Record, actual=0):
     """One join step: its pattern, the planner's estimate of the rows after
     it, and the rows it yielded after its filters when it ran."""
 
+    __slots__ = ("pattern", "estimated", "actual")
     pattern: TriplePattern
     estimated: float
-    actual: int = 0
+    actual: int
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(FrozenRecord, hidden=("solved", "terms")):
     """What one script execution did.  Rows and new triples are kept as
-    ids; ``bindings`` and ``new_triples`` decode them when first asked."""
+    ids; ``bindings`` and ``new_triples`` decode them when first asked
+    (and cache them in the instance's ``__dict__``)."""
 
+    __slots__ = ("block_rows", "template_rows", "new_ids", "created_blanks", "plans", "solved", "terms", "__dict__")
     block_rows: tuple[int, ...]  # distinct full rows per block
     template_rows: tuple[int, ...]  # instantiations attempted per template
     new_ids: tuple[IdTriple, ...]  # triples newly added, template by template
     created_blanks: dict[str, Blank]  # placeholder label -> fresh node
     plans: tuple[tuple[PlanStep, ...], ...]  # per block, steps in join order
-    solved: tuple[_Solved, ...] = field(repr=False, compare=False)
-    terms: _Terms = field(repr=False, compare=False)
+    solved: tuple[_Solved, ...]  # hidden: not compared or shown
+    terms: _Terms  # hidden
 
     @property
     def inserted(self) -> int:
@@ -220,10 +221,10 @@ def _guard(expr: Filter, positions: dict[str, int], terms: _Terms) -> Callable[[
     return passes
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(FrozenRecord):
     """A pattern compiled against the row layout of the steps before it."""
 
+    __slots__ = ("probe", "bound", "fresh", "repeats", "guards", "explain")
     probe: tuple[Optional[int], ...]  # constant ids by slot
     bound: tuple[Optional[int], ...]  # row positions of bound variables by slot
     fresh: Callable[[tuple[int, int, int]], tuple[int, ...]]  # new values from a hit
@@ -332,11 +333,11 @@ def _run_step(store: Store, rows: Iterator[_Row], step: _Step) -> Iterator[_Row]
         step.explain.actual = yielded
 
 
-@dataclass(frozen=True)
-class _Solved:
+class _Solved(FrozenRecord):
     """One block's result: full row count and the first full row per
     projected key, in the order rows streamed."""
 
+    __slots__ = ("full_rows", "rows", "positions", "plan")
     full_rows: int
     rows: list[_Row]
     positions: dict[str, int]

@@ -30,9 +30,9 @@ template's variables must all be projected by one single block.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import PositionedError
+from ..record import FrozenRecord
 from ..store import TriplePattern, Var
 from ..terms import (
     Datatype,
@@ -123,8 +123,8 @@ _STRING_ESCAPES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenRecord):
+    __slots__ = ("kind", "text", "line", "column")
     kind: str
     text: str
     line: int

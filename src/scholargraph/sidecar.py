@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
-from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Union
 from urllib.parse import quote
 
@@ -56,6 +55,7 @@ from .ontology import (
     PUBLISHES,
     USES,
 )
+from .record import Record
 from .store import Store
 from .terms import (
     Datatype,
@@ -136,33 +136,33 @@ class UnknownIdError(SidecarError):
         self.key = key
 
 
-@dataclass
-class IngestReport:
-    loaded: int = 0
-    rejected: int = 0
-    problems: list[tuple[int, str]] = field(default_factory=list)
+class IngestReport(Record, loaded=0, rejected=0, problems=list):
+    __slots__ = ("loaded", "rejected", "problems")
+    loaded: int
+    rejected: int
+    problems: list[tuple[int, str]]  # (line, reason); a fresh list per report
 
     def reject(self, line: int, reason: str) -> None:
         self.rejected += 1
         self.problems.append((line, reason))
 
 
-@dataclass
-class MapReport:
+class MapReport(Record, publishes=0, uses=0, citations=0, affiliations=0):
     """Contexts newly created by one mapping run (0 on a re-run)."""
 
-    publishes: int = 0
-    uses: int = 0
-    citations: int = 0
-    affiliations: int = 0
+    __slots__ = ("publishes", "uses", "citations", "affiliations")
+    publishes: int
+    uses: int
+    citations: int
+    affiliations: int
 
     @property
     def total(self) -> int:
         return self.publishes + self.uses + self.citations + self.affiliations
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
+    __slots__ = ("doc_id", "iri", "record")
     doc_id: str
     iri: str
     record: dict[str, Optional[str]]

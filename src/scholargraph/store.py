@@ -59,13 +59,12 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import attrgetter, ge, itemgetter, lt
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from .errors import ScholarGraphError
-from .ntriples import serialize_triple
+from .record import FrozenRecord
 from .terms import (
     Blank,
     Datatype,
@@ -80,12 +79,25 @@ from .terms import (
     term_sort_key,
 )
 
+_setattr = object.__setattr__  # Var and TriplePattern refuse assignment
 
-@dataclass(frozen=True, slots=True)
-class Var:
+
+class Var(FrozenRecord):
     """A named query variable (without the ``?`` sigil)."""
 
+    __slots__ = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -94,17 +106,34 @@ class Var:
 PatternTerm = Union[Term, Var]
 
 
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
+class TriplePattern(FrozenRecord):
     """A triple with variables allowed in any slot.
 
     A literal in the subject slot is permitted and simply never matches,
     since no stored triple can carry one.
     """
 
+    __slots__ = ("subject", "predicate", "object")
     subject: PatternTerm
     predicate: PatternTerm
     object: PatternTerm
+
+    def __init__(self, subject: PatternTerm, predicate: PatternTerm, object: PatternTerm) -> None:
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.subject == other.subject
+                and self.predicate == other.predicate
+                and self.object == other.object
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
 
     def variables(self) -> tuple[Var, ...]:
         seen: list[Var] = []
@@ -133,7 +162,14 @@ _HEADER = struct.Struct("<HBII")
 
 
 class Store:
-    """In-memory triple store; persistence via canonical snapshots."""
+    """In-memory triple store; persistence via canonical snapshots.
+
+    The commands read and write by id (:meth:`match_ids`,
+    :meth:`add_rows`, :meth:`drop_rows`).  :meth:`match_terms`,
+    :meth:`objects`, :meth:`subjects`, :meth:`contains` (and ``in``) are
+    the public term-level read API for library callers and tests: they
+    take and return :class:`Term` objects and decode each hit.
+    """
 
     def __init__(self) -> None:
         self._terms: list[Term] = []
@@ -513,6 +549,8 @@ class Store:
         if missing:
             name = min(name for name, entry in self.ledger.items() if not missing.isdisjoint(entry))
             ids = next(ids for ids in self.ledger[name] if ids in missing)
+            from .ntriples import serialize_triple
+
             triple = serialize_triple(self.decode_triple(ids))
             raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
         terms = self._terms

@@ -13,13 +13,15 @@ from __future__ import annotations
 import datetime as _dt
 import re
 from collections import deque
-from dataclasses import dataclass
-from decimal import Decimal
 from enum import IntEnum
 from itertools import repeat
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import ScholarGraphError
+from .record import FrozenRecord
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 # Namespace bases.
 MESUR = "http://www.mesur.org/schemas/2007-01/mesur#"
@@ -73,67 +75,100 @@ def _valid_datetime_lexical(lex: str) -> bool:
     return False
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
+# The term classes are written out by hand: they are built and hashed on
+# every hot path.  They refuse assignment, so __init__ sets each slot
+# through object.__setattr__.
+_setattr = object.__setattr__
+
+
+class Iri(FrozenRecord):
     """An IRI reference.  Must be nonempty and contain no whitespace."""
 
+    __slots__ = ("value",)
     value: str
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __init__(self, value: str) -> None:
+        if not value:
             raise TermError("IRI must be nonempty")
-        if _WHITESPACE_RE.search(self.value):
-            raise TermError(f"IRI contains whitespace: {self.value!r}")
+        if _WHITESPACE_RE.search(value):
+            raise TermError(f"IRI contains whitespace: {value!r}")
+        _setattr(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Blank:
+class Blank(FrozenRecord):
     """A blank node with a local label."""
 
+    __slots__ = ("label",)
     label: str
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str) -> None:
+        if not label:
             raise TermError("blank node label must be nonempty")
-        if not re.match(_BLANK + r"\Z", self.label) or self.label.endswith("."):
-            raise TermError(f"bad blank node label: {self.label!r}")
+        if not re.match(_BLANK + r"\Z", label) or label.endswith("."):
+            raise TermError(f"bad blank node label: {label!r}")
+        _setattr(self, "label", label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.label == other.label
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label,))
 
     def __repr__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(FrozenRecord):
     """A typed literal: lexical form plus datatype tag.
 
     Equality is lexical: ``Literal("2", INTEGER)`` and
     ``Literal("+2", INTEGER)`` are distinct terms.
     """
 
+    __slots__ = ("lexical", "datatype")
     lexical: str
     datatype: Datatype
 
-    def __post_init__(self) -> None:
-        dt = self.datatype
-        if dt is Datatype.STRING:
-            return
-        if dt is Datatype.INTEGER:
-            if not _INTEGER_RE.match(self.lexical):
-                raise TermError(f"not an integer lexical form: {self.lexical!r}")
-        elif dt is Datatype.DECIMAL:
-            if not _DECIMAL_RE.match(self.lexical):
-                raise TermError(f"not a decimal lexical form: {self.lexical!r}")
-        elif dt is Datatype.DATETIME:
-            if not _valid_datetime_lexical(self.lexical):
+    def __init__(self, lexical: str, datatype: Datatype) -> None:
+        if datatype is Datatype.STRING:
+            pass
+        elif datatype is Datatype.INTEGER:
+            if not _INTEGER_RE.match(lexical):
+                raise TermError(f"not an integer lexical form: {lexical!r}")
+        elif datatype is Datatype.DECIMAL:
+            if not _DECIMAL_RE.match(lexical):
+                raise TermError(f"not a decimal lexical form: {lexical!r}")
+        elif datatype is Datatype.DATETIME:
+            if not _valid_datetime_lexical(lexical):
                 raise TermError(
-                    f"not a normalized ISO-8601 date/time: {self.lexical!r} "
+                    f"not a normalized ISO-8601 date/time: {lexical!r} "
                     "(expected YYYY, YYYY-MM-DD, or YYYY-MM-DDThh:mm:ss[...])"
                 )
         else:  # pragma: no cover - enum is closed
-            raise TermError(f"unknown datatype: {dt!r}")
+            raise TermError(f"unknown datatype: {datatype!r}")
+        _setattr(self, "lexical", lexical)
+        _setattr(self, "datatype", datatype)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.lexical == other.lexical and self.datatype == other.datatype
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.datatype))
 
     @property
     def precision(self) -> str:
@@ -172,6 +207,8 @@ def integer_literal(value: int | str) -> Literal:
 
 
 def decimal_literal(value: Decimal | int | str) -> Literal:
+    from decimal import Decimal
+
     if not isinstance(value, Decimal):
         value = Decimal(str(value))
     return Literal(str(value), Datatype.DECIMAL)
@@ -225,23 +262,38 @@ def datetime_sort_value(lit: Literal) -> tuple:
     return (t.year, t.month, t.day, t.hour, t.minute, t.second, t.microsecond)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(FrozenRecord):
     """One statement.  Subjects are IRIs or blanks, predicates are IRIs."""
 
+    __slots__ = ("subject", "predicate", "object")
     subject: Union[Iri, Blank]
     predicate: Iri
     object: Term
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: Union[Iri, Blank], predicate: Iri, object: Term) -> None:
+        if isinstance(subject, Literal):
             raise TermError("literal in subject position")
-        if not isinstance(self.subject, (Iri, Blank)):
-            raise TermError(f"bad subject: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise TermError(f"predicate must be an IRI: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, Blank, Literal)):
-            raise TermError(f"bad object: {self.object!r}")
+        if not isinstance(subject, (Iri, Blank)):
+            raise TermError(f"bad subject: {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise TermError(f"predicate must be an IRI: {predicate!r}")
+        if not isinstance(object, (Iri, Blank, Literal)):
+            raise TermError(f"bad object: {object!r}")
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.subject == other.subject
+                and self.predicate == other.predicate
+                and self.object == other.object
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.predicate, self.object))
 
 
 def term_sort_key(term: Term) -> tuple:
@@ -317,8 +369,10 @@ def _valid_lexicals(lexicals: list[str], datatype: Datatype) -> bool:
 
 
 def _unchecked(cls: type, *columns) -> list:
-    """Instances of the frozen dataclass ``cls`` whose fields, in order, take
-    their values from ``columns``, made without running its checks."""
+    """Instances of the term class ``cls`` whose fields, in order, take their
+    values from ``columns``, made without running its checks: each field is
+    set through its slot descriptor, which the class's refusal of
+    assignment does not reach."""
     made = list(map(object.__new__, repeat(cls, len(columns[0]))))
     for name, column in zip(cls.__slots__, columns):
         deque(map(getattr(cls, name).__set__, made, column), maxlen=0)

@@ -495,8 +495,7 @@ COMMAND_MODULES = """
 import sys
 from scholargraph.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(name for name in sys.modules if name.startswith("scholargraph.") or name == "sqlite3")
-sys.stderr.write("\\n" + " ".join(loaded) + "\\n")
+sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
 sys.exit(code)
 """
 
@@ -508,6 +507,7 @@ def fresh_interpreter(*args, cwd=None):
 
 
 def modules_loaded_by(workdir, *argv):
+    """Every module a fresh interpreter holds after running the command."""
     done = fresh_interpreter("-c", COMMAND_MODULES, *argv, cwd=workdir)
     assert done.returncode == 0, done.stderr
     return set(done.stderr.splitlines()[-1].split())
@@ -518,25 +518,37 @@ def test_commands_import_only_the_modules_they_use(workdir, capsys):
     (workdir / "q.q").write_text(
         "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u) .", encoding="utf-8"
     )
-    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology", "validation")}
-    for argv in (("stats",), ("export", "--output", "out.nt")):
-        assert not modules_loaded_by(workdir, *argv) & heavy, argv
-    loaded = modules_loaded_by(workdir, "query", "--file", "q.q")
-    assert "scholargraph.queryl" in loaded
-    assert not loaded & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar", "scholargraph.validation"}
-    loaded = modules_loaded_by(workdir, "validate")
-    assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded
-    assert not loaded & {"scholargraph.sidecar", "sqlite3"}
-    # the rules' query scripts are parsed, and the dialect imported, only to run a rule
     root = journal_root(str(workdir / "scholargraph.store"))
-    for argv in (
-        ("metric", "if", "--object", root.value, "--year", "2007"),
-        ("retract", "--rule", "metric"),
-        ("retract", "--all"),
-    ):
-        loaded = modules_loaded_by(workdir, *argv)
-        assert "scholargraph.inference" in loaded and "scholargraph.queryl" not in loaded, argv
-    assert "scholargraph.queryl" in modules_loaded_by(workdir, "infer", "--rule", "authored_by")
+    commands = {
+        "stats": ("stats",),
+        "export": ("export", "--output", "out.nt"),
+        "query": ("query", "--file", "q.q"),
+        "validate": ("validate",),
+        "metric": ("metric", "if", "--object", root.value, "--year", "2007"),
+        "retract metric": ("retract", "--rule", "metric"),
+        "retract all": ("retract", "--all"),
+        "infer": ("infer", "--rule", "authored_by"),
+        "map": ("map",),
+    }
+    loaded = {name: modules_loaded_by(workdir, *argv) for name, argv in commands.items()}
+    # no command pays for the dataclass machinery; a site hook may import
+    # modules of its own, so what a bare interpreter loads is allowed
+    bare = set(fresh_interpreter("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
+    for name, modules in loaded.items():
+        assert not modules & ({"dataclasses", "inspect"} - bare), name
+    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology", "validation")}
+    for name in ("stats", "export"):
+        assert not loaded[name] & heavy, name
+    for name in ("stats", "map"):
+        assert not loaded[name] & ({"scholargraph.ntriples", "decimal"} - bare), name
+    assert "scholargraph.queryl" in loaded["query"]
+    assert not loaded["query"] & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar", "scholargraph.validation"}
+    assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded["validate"]
+    assert not loaded["validate"] & {"scholargraph.sidecar", "sqlite3"}
+    # the rules' query scripts are parsed, and the dialect imported, only to run a rule
+    for name in ("metric", "retract metric", "retract all"):
+        assert "scholargraph.inference" in loaded[name] and "scholargraph.queryl" not in loaded[name], name
+    assert "scholargraph.queryl" in loaded["infer"]
 
 
 def test_a_loading_command_freezes_what_the_load_made(workdir, capsys):

@@ -9,16 +9,23 @@ import os
 
 import pytest
 
+from scholargraph.cli import Config
+from scholargraph.metrics import MetricResult
 from scholargraph.queryl.ast import (
     AndFilter,
+    Block,
     Comparison,
     CountOf,
+    GuardedPattern,
     OrFilter,
     Placeholder,
     RatioOf,
+    Script,
 )
-from scholargraph.queryl.parser import QueryParseError, _lex, parse_script
-from scholargraph.store import Var
+from scholargraph.queryl.evaluator import PlanStep
+from scholargraph.queryl.parser import QueryParseError, Token, _lex, parse_script
+from scholargraph.sidecar import IngestReport, MapReport
+from scholargraph.store import TriplePattern, Var
 from scholargraph.terms import Datatype, Iri, Literal, NamespaceTable
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -491,3 +498,71 @@ def test_impact_factor_query_shape():
         t for t in script.templates if isinstance(t.object, RatioOf)
     ]
     assert len(ratio_templates) == 1
+
+
+# -- value semantics of variables, patterns and syntax nodes -------------------
+
+
+def test_var_and_pattern_values():
+    s = Var("s")
+    assert s == Var("s") and s != Var("o") and s != "s"
+    assert hash(s) == hash(("s",))
+    pattern = TriplePattern(s, RDF_TYPE, Var("o"))
+    assert pattern == TriplePattern(Var("s"), RDF_TYPE, Var("o"))
+    assert hash(pattern) == hash((s, RDF_TYPE, Var("o")))
+    assert pattern.variables() == (s, Var("o"))
+    for value, field in ((s, "name"), (pattern, "subject")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+def test_var_pattern_and_node_reprs():
+    pattern = TriplePattern(Var("s"), Iri("urn:p"), Var("o"))
+    assert repr(Var("x")) == "?x"
+    assert repr(pattern) == "TriplePattern(subject=?s, predicate=<urn:p>, object=?o)"
+    guarded = GuardedPattern(pattern, Comparison(Var("o"), "<", Literal("2", Datatype.INTEGER)))
+    assert repr(guarded) == (
+        "GuardedPattern(pattern=TriplePattern(subject=?s, predicate=<urn:p>, object=?o), "
+        "guard=Comparison(left=?o, op='<', right=\"2\"^^integer))"
+    )
+    assert repr(Token("name", "x", 1, 2)) == "Token(kind='name', text='x', line=1, column=2)"
+    assert repr(PlanStep(pattern, 2.5)) == (
+        "PlanStep(pattern=TriplePattern(subject=?s, predicate=<urn:p>, object=?o), estimated=2.5, actual=0)"
+    )
+
+
+def test_nodes_build_by_position_or_keyword_with_defaults():
+    pattern = TriplePattern(Var("s"), RDF_TYPE, Var("o"))
+    assert GuardedPattern(pattern=pattern) == GuardedPattern(pattern, None)
+    assert GuardedPattern(pattern=pattern).guard is None
+    script = Script(blocks=(Block((Var("s"),), (GuardedPattern(pattern),)),))
+    assert script.templates == ()
+    assert script == Script(script.blocks, ())
+    assert hash(script) == hash((script.blocks, ()))
+    assert Script(blocks=()) != Block((), ())
+    with pytest.raises(AttributeError):
+        script.templates = ()
+    with pytest.raises(TypeError):
+        GuardedPattern()
+    with pytest.raises(TypeError):
+        GuardedPattern(pattern, None, None)
+    with pytest.raises(TypeError):
+        GuardedPattern(pattern, pattern=pattern)
+    with pytest.raises(TypeError):
+        GuardedPattern(pattern, filter=None)
+
+
+def test_mutable_records_are_unhashable_and_keep_their_defaults():
+    pattern = TriplePattern(Var("s"), RDF_TYPE, Var("o"))
+    step = PlanStep(pattern, 1.0)
+    step.actual = 3
+    assert step == PlanStep(pattern, 1.0, actual=3)
+    first, second = IngestReport(), IngestReport()
+    first.reject(2, "bad")
+    assert (first.rejected, first.problems, second.problems) == (1, [(2, "bad")], [])
+    assert MapReport(uses=2).total == 2
+    result = MetricResult("impact factor", RDF_TYPE, 2007, (2005, 2006), 1, 2, 0.5, RDF_TYPE, True)
+    config = Config("s", "c", None, NamespaceTable(), 6, 0)
+    for record in (step, first, MapReport(), result, config):
+        with pytest.raises(TypeError):
+            hash(record)

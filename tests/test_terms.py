@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -15,6 +17,9 @@ from scholargraph.terms import (
     datetime_sort_value,
     decimal_literal,
     integer_literal,
+    make_blanks,
+    make_iris,
+    make_literals,
     string_literal,
     term_sort_key,
     year_literal,
@@ -158,3 +163,83 @@ def test_namespace_compact_longest_match():
     assert ns.compact("http://x.example/deep/leaf") == "b:leaf"
     assert ns.compact("http://x.example/leaf") == "a:leaf"
     assert ns.compact("http://unrelated.example/x") is None
+
+
+# -- value semantics of the term classes ---------------------------------------
+
+
+def test_terms_equal_only_within_their_class():
+    assert Iri("x") == Iri("x") and Iri("x") != Iri("y")
+    assert Iri("x") != Blank("x")
+    assert Blank("x") != Iri("x")
+    assert Literal("2", Datatype.INTEGER) != Literal("2", Datatype.STRING)
+    assert Literal("2", Datatype.INTEGER) != Literal("+2", Datatype.INTEGER)
+    assert Iri("x") != "x" and Literal("x", Datatype.STRING) != "x"
+    triple = Triple(Iri("urn:s"), Iri("urn:p"), Literal("1", Datatype.INTEGER))
+    assert triple == Triple(Iri("urn:s"), Iri("urn:p"), Literal("1", Datatype.INTEGER))
+    assert triple != Triple(Iri("urn:s"), Iri("urn:p"), Literal("1", Datatype.DECIMAL))
+
+
+def test_terms_hash_as_the_tuple_of_their_fields():
+    # set and dict order, and so every output under a fixed hash seed,
+    # depend on these values
+    for value in ("urn:a", "http://example.org/x#y", "é"):
+        assert hash(Iri(value)) == hash((value,))
+    assert hash(Blank("b1")) == hash(("b1",))
+    literal = Literal("2007", Datatype.DATETIME)
+    assert hash(literal) == hash(("2007", Datatype.DATETIME)) == hash(("2007", 3))
+    s, p = Iri("urn:s"), Iri("urn:p")
+    assert hash(Triple(s, p, literal)) == hash((s, p, literal))
+
+
+def test_term_fields_cannot_be_assigned():
+    triple = Triple(Iri("urn:s"), Iri("urn:p"), Blank("o"))
+    for term, field in (
+        (Iri("urn:a"), "value"),
+        (Blank("b"), "label"),
+        (Literal("1", Datatype.INTEGER), "lexical"),
+        (Literal("1", Datatype.INTEGER), "datatype"),
+        (triple, "object"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(term, field, getattr(term, field))
+        with pytest.raises(AttributeError):
+            delattr(term, field)
+
+
+def test_term_reprs():
+    s, p = Iri("urn:s"), Iri("urn:p")
+    assert repr(s) == "<urn:s>"
+    assert repr(Blank("b1")) == "_:b1"
+    assert repr(Literal("x", Datatype.STRING)) == '"x"'
+    assert repr(Literal("2", Datatype.INTEGER)) == '"2"^^integer'
+    assert repr(Literal("2007-05-01", Datatype.DATETIME)) == '"2007-05-01"^^datetime'
+    assert repr(Triple(s, p, Literal("2", Datatype.INTEGER))) == (
+        'Triple(subject=<urn:s>, predicate=<urn:p>, object="2"^^integer)'
+    )
+
+
+def test_terms_made_list_wise_are_the_constructors_terms():
+    iris = ["urn:a", "urn:b"]
+    labels = ["b1", "x.y"]
+    cases = [
+        (make_iris(iris), [Iri(v) for v in iris]),
+        (make_blanks(labels), [Blank(v) for v in labels]),
+        (make_literals(["1", "-2"], Datatype.INTEGER), [Literal(v, Datatype.INTEGER) for v in ("1", "-2")]),
+        (make_literals(["2007", "2007-05-01"], Datatype.DATETIME), [Literal(v, Datatype.DATETIME) for v in ("2007", "2007-05-01")]),
+        (make_literals(["a b"], Datatype.STRING), [Literal("a b", Datatype.STRING)]),
+    ]
+    for made, built in cases:
+        assert made == built
+        assert [type(t) for t in made] == [type(t) for t in built]
+        assert list(map(hash, made)) == list(map(hash, built))
+        assert set(made) == set(built) and list(map(repr, made)) == list(map(repr, built))
+        with pytest.raises(AttributeError):
+            setattr(made[0], type(made[0]).__slots__[0], "urn:other")
+
+
+def test_terms_copy_and_pickle_by_value():
+    triple = Triple(Iri("urn:s"), Iri("urn:p"), Literal("2007", Datatype.DATETIME))
+    for value in (triple, triple.subject, Blank("b"), triple.object):
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
