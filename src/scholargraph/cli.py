@@ -73,7 +73,7 @@ def _load_config(args: argparse.Namespace) -> Config:
         or DEFAULT_SIDECAR
     )
     provider = args.provider or file_cfg.get("provider") or None
-    if provider is not None and "://" not in provider and ":" not in provider:
+    if provider is not None and ":" not in provider:
         raise ScholarGraphError(f"provider IRI must be absolute: {provider!r}")
     namespaces = file_cfg.get("namespaces") or {}
     if not isinstance(namespaces, dict) or not all(isinstance(iri, str) for iri in namespaces.values()):
@@ -104,8 +104,10 @@ def _writer_lock(store_path: str) -> Iterator[None]:
     except FileExistsError:
         raise ScholarGraphError(_lock_holder(lock_path)) from None
     try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
-        os.close(fd)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        finally:
+            os.close(fd)
         yield
     finally:
         os.unlink(lock_path)

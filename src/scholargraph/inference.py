@@ -169,7 +169,7 @@ def scan_contexts(
     obj)``; with ``window``, only those with a hasTime year in it.
 
     Every probe binds the predicate and the subject or the object, so the
-    scan touches only the contexts that state ``obj`` and never builds OSP.
+    scan touches only the contexts that state ``obj``.
     """
     rdf_type, cls_id, has_time = term_id(store, RDF_TYPE), term_id(store, cls), term_id(store, HAS_TIME)
     for ctx, _, _ in store.match_ids(None, term_id(store, predicate), obj):

@@ -246,22 +246,27 @@ class Sidecar:
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         self._db = sqlite3.connect(path)
-        self._db.execute("PRAGMA foreign_keys = ON")
-        version = self._db.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            tables = self._db.execute(
-                "SELECT count(*) FROM sqlite_master WHERE type = 'table'"
-            ).fetchone()[0]
-            if tables:
-                raise SidecarError(f"{path}: not a sidecar file")
-            self._db.executescript(_SCHEMA_SQL)
-            self._db.execute(f"PRAGMA user_version = {SIDECAR_VERSION}")
-            self._db.commit()
-        elif version != SIDECAR_VERSION:
-            raise SidecarError(
-                f"{path}: sidecar format version {version} is not supported "
-                f"(expected {SIDECAR_VERSION})"
-            )
+        try:
+            self._db.execute("PRAGMA foreign_keys = ON")
+            version = self._db.execute("PRAGMA user_version").fetchone()[0]
+            if version == 0:
+                tables = self._db.execute(
+                    "SELECT count(*) FROM sqlite_master WHERE type = 'table'"
+                ).fetchone()[0]
+                if tables:
+                    raise SidecarError(f"{path}: not a sidecar file")
+                self._db.executescript(_SCHEMA_SQL)
+                self._db.execute(f"PRAGMA user_version = {SIDECAR_VERSION}")
+                self._db.commit()
+            elif version != SIDECAR_VERSION:
+                raise SidecarError(
+                    f"{path}: sidecar format version {version} is not supported "
+                    f"(expected {SIDECAR_VERSION})"
+                )
+        except BaseException:
+            # a refused file leaves no connection open
+            self._db.close()
+            raise
 
     def close(self) -> None:
         self._db.close()

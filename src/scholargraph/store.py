@@ -1,17 +1,17 @@
-"""Embedded triple store with dictionary encoding and three indexes.
+"""Embedded triple store with dictionary encoding and two indexes.
 
 Terms are interned into a dictionary mapping each distinct term to a dense
-integer id (ids of removed terms are never reused).  Triples live three
-times, once per permutation (SPO, POS, OSP).  Each permutation is one dict
-from its first key to two parallel ``array('I')`` columns (unsigned 32-bit,
-the id type of a snapshot) holding the other two keys, sorted together:
-``_spo[s]`` is (p, o) sorted by (p, o), ``_pos[p]`` is (o, s) and
-``_osp[o]`` is (s, p).  A probe on the first two keys is one dict get, a
-bisection of the second column and a slice of the third, so the store
-holds a few objects per distinct key instead of one per triple.  Every
-pattern shape is answered by the permutation whose prefix matches its
-bound slots, and enumeration order is that permutation's sort order, so
-results are deterministic.
+integer id (ids of removed terms are never reused).  Triples live twice,
+once per permutation (SPO, POS).  Each permutation is one dict from its
+first key to two parallel ``array('I')`` columns (unsigned 32-bit, the id
+type of a snapshot) holding the other two keys, sorted together:
+``_spo[s]`` is (p, o) sorted by (p, o) and ``_pos[p]`` is (o, s).  A probe
+on the first two keys is one dict get, a bisection of the second column and
+a slice of the third, so the store holds a few objects per distinct key
+instead of one per triple.  A shape with the object bound and the predicate
+free bisects the object in each predicate's POS column (the vocabulary has
+few predicates) and comes in (s, p) order; any other shape is answered by
+the permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
@@ -21,13 +21,6 @@ dropped), so a batch costs O(batch log batch + touched columns) rather than
 one array shift per triple.  :meth:`Store.insert_many` interns its triples
 and makes one such call; :meth:`Store.insert` and :meth:`Store.remove` are
 one-row calls.
-
-A bulk build (a snapshot load, or a batch into an empty store) groups SPO
-and POS and leaves OSP unbuilt: it is built from SPO the first time a probe
-needs it (a shape with the object bound and the predicate free,
-:meth:`Store.distinct_count`, :meth:`Store.appears`, :meth:`Store.stats`),
-and until then writes skip it.  A command that never asks for it never
-pays for it.
 
 The store also owns the inference ledger (:attr:`Store.ledger`: rule name
 to the set of id triples that rule added), so a snapshot carries it and
@@ -176,8 +169,6 @@ class Store:
         self._ids: dict[Term, int] = {}
         self._spo: _Index = {}
         self._pos: _Index = {}
-        # None until a probe needs it after a bulk build; see _object_index
-        self._osp: Optional[_Index] = {}
         self._size = 0
         self._blank_serial = 0
         # ids below this are the term table of the snapshot the store was
@@ -258,14 +249,12 @@ class Store:
         added = _merge(self._spo, batch)
         if added:
             _merge(self._pos, sorted([(p, o, s) for s, p, o in added]))
-            if self._osp is not None:
-                _merge(self._osp, sorted([(o, s, p) for s, p, o in added]))
             self._size += len(added)
         return added
 
     def _build(self, s: list[int], p: list[int], o: list[int]) -> None:
         """Fill the empty SPO and POS indexes from the id columns of
-        distinct triples in SPO order, and leave OSP unbuilt.
+        distinct triples in SPO order.
 
         SPO is grouped as it stands.  POS comes from two stable sorts of
         the row numbers by one integer key each: sorting by object leaves
@@ -278,26 +267,7 @@ class Store:
         rows = sorted(range(len(o)), key=o.__getitem__)
         rows.sort(key=p.__getitem__)
         _group(self._pos, p, *_gather(rows, o, s))
-        self._osp = None
         self._size = len(o)
-
-    def _object_index(self) -> _Index:
-        """OSP, built from SPO the first time it is needed after a bulk
-        build: a stable sort of SPO order by object is OSP order.
-
-        The index is published only when complete, so concurrent readers
-        never probe a half-built one.
-        """
-        if self._osp is None:
-            spo = self._spo
-            subjects = sorted(spo)
-            ls = list(chain.from_iterable(repeat(key, len(spo[key][0])) for key in subjects))
-            lp = list(chain.from_iterable(spo[key][0] for key in subjects))
-            lo = list(chain.from_iterable(spo[key][1] for key in subjects))
-            osp: _Index = {}
-            _group(osp, lo, *_gather(sorted(range(len(lo)), key=lo.__getitem__), ls, lp))
-            self._osp = osp
-        return self._osp
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
@@ -314,8 +284,6 @@ class Store:
         removed = _cut(self._spo, sorted(set(rows)))
         if removed:
             _cut(self._pos, sorted([(p, o, s) for s, p, o in removed]))
-            if self._osp is not None:
-                _cut(self._osp, sorted([(o, s, p) for s, p, o in removed]))
             self._size -= len(removed)
         return removed
 
@@ -340,7 +308,7 @@ class Store:
         term_id = self._ids.get(term)
         if term_id is None:
             return False
-        return term_id in self._spo or term_id in self._pos or term_id in self._object_index()
+        return term_id in self._spo or term_id in self._pos or any(self._object_runs(None, term_id))
 
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
@@ -351,18 +319,20 @@ class Store:
     ) -> Iterator[tuple[int, int, int]]:
         """All (s, p, o) id triples matching the given bound slots.
 
-        ``None`` is a wildcard.  Enumeration follows the index that serves
-        the shape, so order is deterministic for a given store content.
+        ``None`` is a wildcard.  Enumeration follows the order the module
+        docstring gives for the shape, so it is deterministic for a given
+        store content.
         """
-        if s is not None:
-            if p is None and o is not None:
-                columns = self._object_index().get(o)
-                if columns is not None:
-                    subjects, predicates = columns
-                    lo = bisect_left(subjects, s)
-                    for pred in predicates[lo : bisect_right(subjects, s, lo)]:
-                        yield (s, pred, o)
+        if p is None and o is not None:
+            if s is not None:
+                for pred, _ in self._object_runs(s, o):
+                    yield (s, pred, o)
                 return
+            pairs = chain.from_iterable(zip(subjects, repeat(pred)) for pred, subjects in self._object_runs(None, o))
+            for subj, pred in sorted(pairs):
+                yield (subj, pred, o)
+            return
+        if s is not None:
             columns = self._spo.get(s)
             if columns is None:
                 return
@@ -390,32 +360,33 @@ class Store:
                 for subj in subjects[lo : bisect_right(objects, o, lo)]:
                     yield (subj, p, o)
             return
-        if o is not None:
-            columns = self._object_index().get(o)
-            if columns is not None:
-                for subj, pred in zip(*columns):
-                    yield (subj, pred, o)
-            return
         spo = self._spo
         for subj in sorted(spo):
             for pred, obj in zip(*spo[subj]):
                 yield (subj, pred, obj)
 
+    def _object_runs(self, s: Optional[int], o: int) -> Iterator[tuple[int, array]]:
+        """For each predicate, ascending, that has rows with object ``o``
+        (and subject ``s``, if bound): the predicate and the run of those
+        rows' subjects, ascending, cut from its POS column pair."""
+        for p, (objects, subjects) in sorted(self._pos.items()):
+            lo = bisect_left(objects, o)
+            hi = bisect_right(objects, o, lo)
+            if s is not None:
+                lo = bisect_left(subjects, s, lo, hi)
+                hi = bisect_right(subjects, s, lo, hi)
+            if lo < hi:
+                yield p, subjects[lo:hi]
+
     def _columns(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> tuple[Optional[tuple[array, array]], Optional[int]]:
-        """For a shape with one or two bound slots: the column pair of the
-        permutation whose first key is bound, and the bound second key or
-        None."""
+        """For a shape with the subject or the predicate bound, but not all
+        three slots: the column pair of the permutation whose first key is
+        bound, and the bound second key or None."""
         if s is not None:
-            if p is not None:
-                return self._spo.get(s), p
-            if o is not None:
-                return self._object_index().get(o), s
-            return self._spo.get(s), None
-        if p is not None:
-            return self._pos.get(p), o
-        return self._object_index().get(o), None  # type: ignore[arg-type]
+            return self._spo.get(s), p
+        return self._pos.get(p), o  # type: ignore[arg-type]
 
     def match_count(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
         """Cheap cardinality estimate for join planning (exact for runs)."""
@@ -423,6 +394,8 @@ class Store:
             return self._size
         if s is not None and p is not None and o is not None:
             return 1 if self.contains_ids(s, p, o) else 0
+        if p is None and o is not None:
+            return sum(len(subjects) for _, subjects in self._object_runs(s, o))
         columns, second = self._columns(s, p, o)
         if columns is None:
             return 0
@@ -438,7 +411,12 @@ class Store:
         estimates."""
         bound = [i for i, key in enumerate((s, p, o)) if key is not None]
         if not bound:
-            return len(self._spo if slot == 0 else self._pos if slot == 1 else self._object_index())
+            return len(self._spo) if slot == 0 else len(self._pos) if slot == 1 else len(self._objects())
+        if bound == [2]:
+            runs = self._object_runs(None, o)  # type: ignore[arg-type]
+            if slot == 0:
+                return len(set().union(*(subjects for _, subjects in runs)))
+            return sum(1 for _ in runs)
         if len(bound) == 1:
             columns, _ = self._columns(s, p, o)
             if columns is None:
@@ -490,13 +468,13 @@ class Store:
             "terms": len(self._terms),
             "subjects": len(self._spo),
             "predicates": len(self._pos),
-            "objects": len(self._object_index()),
+            "objects": len(self._objects()),
         }
 
     def verify_indexes(self) -> bool:
-        """Every built permutation describes the same triple set, and every
-        column pair is non-empty, of equal length and strictly ascending
-        (test hook; an unbuilt OSP stays unbuilt)."""
+        """Both permutations describe the same triple set, and every column
+        pair is non-empty, of equal length and strictly ascending (test
+        hook)."""
 
         def rows(index: _Index) -> Optional[list[tuple[int, int, int]]]:
             out = []
@@ -507,15 +485,11 @@ class Store:
                 out.extend((first, b, c) for b, c in pairs)
             return out
 
-        spo, pos, osp = rows(self._spo), rows(self._pos), rows(self._osp or {})
-        if spo is None or pos is None or osp is None:
+        spo, pos = rows(self._spo), rows(self._pos)
+        if spo is None or pos is None:
             return False
         triples = set(spo)
-        return (
-            len(triples) == self._size
-            and triples == {(s, p, o) for p, o, s in pos}
-            and (self._osp is None or triples == {(s, p, o) for o, s, p in osp})
-        )
+        return len(triples) == self._size and triples == {(s, p, o) for p, o, s in pos}
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -533,7 +507,7 @@ class Store:
         The SPO run is written as whole id columns mapped through the new
         numbering; one order check finds the subjects whose rows the
         renumbering put out of (p, o) order, and only those are re-sorted
-        (POS is rebuilt on load, OSP on first use).  The ledger section lists
+        (POS is rebuilt on load).  The ledger section lists
         each non-empty rule, in name order, with its triples as sorted ids.
         Two stores holding the same triples and the same ledger therefore
         produce byte-identical snapshots regardless of how they got there,
@@ -598,6 +572,11 @@ class Store:
         finally:
             os.close(directory)
 
+    def _objects(self) -> set[int]:
+        """The ids of the objects of live triples: the values of the POS
+        object columns."""
+        return set().union(*(objects for objects, _ in self._pos.values()))
+
     def _not_held(self, entries: Iterable[set[IdTriple]]) -> set[IdTriple]:
         """The id triples of ``entries`` that the store does not hold: their
         union less the rows of the subjects they name."""
@@ -613,9 +592,8 @@ class Store:
         Loaded ids are in that order already; each term interned since the
         load is bisected into them, in the order of its sort key.
         """
-        live = self._spo.keys() | self._pos.keys()
-        for objects, _ in self._pos.values():
-            live.update(objects)
+        live = self._objects()
+        live.update(self._spo, self._pos)
         ids = sorted(live)
         loaded_count = self._loaded
         split = bisect_left(ids, loaded_count)

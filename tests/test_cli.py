@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main() in a temp directory."""
 
+import errno
 import os
 import shutil
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import scholargraph
-from scholargraph.cli import main
+from scholargraph.cli import _writer_lock, main
 from scholargraph.ontology import (
     HAS_GROUP,
     HAS_UNIT,
@@ -401,6 +402,57 @@ def test_lock_error_says_whether_the_holder_runs(workdir, capsys):
     assert code == 1
     assert f"PID {os.getpid()}, which is still running" in err
     lock.unlink()
+
+
+def test_a_leftover_temporary_snapshot_is_never_read(workdir, capsys):
+    """A save that dies before its rename leaves a partial <store>.tmp
+    beside the old snapshot: commands read the old snapshot, and the next
+    save writes over the leftover and renames it into place."""
+    load_everything(capsys)
+    store, leftover = workdir / "scholargraph.store", workdir / "scholargraph.store.tmp"
+    old = store.read_bytes()
+    code, old_stats, _ = run(capsys, "stats")
+    assert code == 0
+    assert run(capsys, "infer", "--all")[0] == 0
+    new = store.read_bytes()
+    assert new != old
+    offsets = (0, 1, 7, len(new) // 3, len(new) // 2, len(new) - 1)
+    for offset in offsets:
+        store.write_bytes(old)
+        leftover.write_bytes(new[:offset])
+        assert run(capsys, "stats") == (0, old_stats, ""), offset
+        assert run(capsys, "infer", "--all")[0] == 0
+        assert store.read_bytes() == new, offset
+        assert not leftover.exists(), offset
+    # with no snapshot at all, not even a whole one at <store>.tmp is read
+    store.unlink()
+    for offset in offsets + (len(new),):
+        leftover.write_bytes(new[:offset])
+        code, out, _ = run(capsys, "stats")
+        assert code == 0 and "triples: 0" in out.splitlines(), offset
+        assert not store.exists() and leftover.read_bytes() == new[:offset]
+
+
+def test_a_failed_lock_write_closes_and_removes_the_lock(workdir, monkeypatch):
+    written, closed = [], []
+    close = os.close
+
+    def failing_write(fd, data):
+        written.append(fd)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        close(fd)
+
+    monkeypatch.setattr(os, "write", failing_write)
+    monkeypatch.setattr(os, "close", recording_close)
+    with pytest.raises(OSError, match="No space left"):
+        with _writer_lock("scholargraph.store"):
+            pass
+    monkeypatch.undo()
+    assert written and closed == written
+    assert not os.path.exists("scholargraph.store.lock")
 
 
 def test_crashed_commands_release_the_lock(workdir, capsys):

@@ -620,3 +620,32 @@ def test_future_versions_are_refused(tmp_path):
     with pytest.raises(SidecarError) as info:
         Sidecar(path)
     assert "version 9 is not supported" in str(info.value)
+
+
+def test_refused_files_leave_no_connection_open(tmp_path, monkeypatch):
+    foreign = str(tmp_path / "other.db")
+    db = sqlite3.connect(foreign)
+    db.execute("CREATE TABLE unrelated (x)")
+    db.commit()
+    db.close()
+    future = str(tmp_path / "future.sidecar")
+    Sidecar(future).close()
+    db = sqlite3.connect(future)
+    db.execute("PRAGMA user_version = 9")
+    db.commit()
+    db.close()
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    for path in (foreign, future):
+        with pytest.raises(SidecarError):
+            Sidecar(path)
+    assert len(opened) == 2
+    for db in opened:
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            db.execute("SELECT 1")

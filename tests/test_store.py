@@ -86,21 +86,17 @@ def test_insert_many_into_nonempty_store():
     assert len(store) == len(triples) + 1
 
 
-@pytest.mark.parametrize("osp_built", [False, True])
-def test_batch_writes_against_a_set(osp_built):
+def test_batch_writes_against_a_set():
     """add_rows and drop_rows agree with a Python set over random batches
     that repeat rows, hold rows already there or absent, and empty keys."""
-    rng = random.Random(17 + osp_built)
+    rng = random.Random(17)
     store = random_context_store(rng, 60)
     # ids of a few terms no triple uses yet, so batches also open new keys
     fresh = [store.intern(Iri(f"urn:x:fresh{k}")) for k in range(6)]
     model = set(store.match_ids(None, None, None))
-    if osp_built:
-        store.stats()
     subjects = sorted({s for s, _, _ in model}) + fresh
     predicates = sorted({p for _, p, _ in model}) + fresh[:2]
     objects = sorted({o for _, _, o in model}) + fresh
-    built = osp_built
     for step in range(40):
         if rng.random() < 0.2 and model:
             # every row of a few subjects: their SPO keys empty out
@@ -115,7 +111,6 @@ def test_batch_writes_against_a_set(osp_built):
         batch += rng.sample(batch, len(batch) // 3)  # repeats
         rng.shuffle(batch)
         if rng.random() < 0.5:
-            built = built and bool(model)  # a batch into an empty store is a bulk build
             added = store.add_rows(batch)
             assert added == sorted(set(batch) - model), step
             model |= set(batch)
@@ -123,21 +118,16 @@ def test_batch_writes_against_a_set(osp_built):
             removed = store.drop_rows(batch)
             assert removed == sorted(set(batch) & model), step
             model -= set(batch)
-        assert (store._osp is not None) == built
         assert store.verify_indexes(), step
         assert set(store.match_ids(None, None, None)) == model and len(store) == len(model)
-    store.stats()  # builds OSP if it was not
-    assert store.verify_indexes()
 
 
 def test_batch_writes_into_an_emptied_store_cut_columns():
     store, triples = small_store()
-    store.stats()  # builds OSP
     rows = list(store.match_ids(None, None, None))
     assert store.drop_rows(rows + rows) == sorted(rows)
-    assert len(store) == 0 and not store._spo and not store._pos and not store._osp
+    assert len(store) == 0 and not store._spo and not store._pos
     assert store.add_rows(reversed(rows)) == sorted(rows)
-    assert store._osp is None  # a bulk build
     assert store.verify_indexes() and set(store.triples()) == set(triples)
 
 
@@ -163,8 +153,9 @@ def test_match_all_shapes_against_scan():
 
 
 def shape_order(bound):
-    """Sort key, over (s, p, o), of the permutation that serves a shape:
-    POS when p is bound without s, OSP when o is bound without p, else SPO."""
+    """Sort key, over (s, p, o), of the order a shape comes in: POS order
+    when p is bound without s; (s, p) order when o is bound without p;
+    else SPO order."""
     s, p, o = (key is not None for key in bound)
     if p and not s:
         return lambda t: (t[1], t[2], t[0])
@@ -241,35 +232,33 @@ def test_random_updates_keep_every_shape_in_permutation_order():
         check_against_model(rebuilt, rebuilt_model, probes)
 
 
-def test_updates_before_the_object_index_is_built():
-    """A loaded store builds OSP on first use.  Inserts and removes made
-    before then skip it, and what it finally holds, what each shape
-    yields and what a save writes match a store that built it up front."""
+def test_updates_to_a_loaded_store():
+    """Inserts and removes on a loaded store keep what it holds, what each
+    shape yields and what a save writes in step with a set of its triples
+    and with a store built by inserting them."""
     rng = random.Random(16)
     source = random_context_store(rng, 120)
-    data = saved(source)
-    lazy, eager = Store.load(io.BytesIO(data)), Store.load(io.BytesIO(data))
-    eager.stats()  # builds OSP
+    store = Store.load(io.BytesIO(saved(source)))
+    held = set(store.triples())
     terms = sorted({term for t in source.triples() for term in (t.subject, t.object)}, key=repr)
     predicates = sorted({t.predicate for t in source.triples()}, key=repr)
     subjects = [term for term in terms if not isinstance(term, Literal)]
     for _ in range(300):
         if rng.random() < 0.5:
-            triple = lazy.decode_triple(rng.choice(sorted(lazy.match_ids(None, None, None))))
-            assert lazy.remove(triple) and eager.remove(triple)
+            triple = store.decode_triple(rng.choice(sorted(store.match_ids(None, None, None))))
+            assert store.remove(triple)
+            held.remove(triple)
         else:
             triple = Triple(rng.choice(subjects), rng.choice(predicates), rng.choice(terms))
-            assert lazy.insert(triple) == eager.insert(triple)
-    assert lazy._osp is None
-    assert saved(lazy) == saved(eager)
-    assert lazy._osp is None
-    model = set(eager.match_ids(None, None, None))
+            assert store.insert(triple) == (triple not in held)
+            held.add(triple)
+    model = set(map(store.lookup_triple, held))
     probes = rng.sample(sorted(model), 12) + [
-        (rng.randrange(lazy.term_count()), rng.randrange(lazy.term_count()), rng.randrange(lazy.term_count()))
+        (rng.randrange(store.term_count()), rng.randrange(store.term_count()), rng.randrange(store.term_count()))
         for _ in range(4)
     ]
-    check_against_model(lazy, model, probes)
-    assert saved(lazy) == saved(eager)
+    check_against_model(store, model, probes)
+    assert saved(store) == saved(bulk_copy(store))
 
 
 def bulk_copy(store):
