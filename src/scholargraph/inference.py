@@ -28,7 +28,7 @@ import hashlib
 from collections import Counter
 from decimal import Decimal
 from itertools import combinations
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ScholarGraphError
 from .ntriples import parse_ntriples, serialize_term, serialize_triple
@@ -242,33 +242,59 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def upsert_node(store: Store, node: Iri, triples: Iterable[Triple], rule: str) -> bool:
-    """Replace all statements about ``node`` with ``triples``, ledgered
-    under ``rule``; whether the store or its ledger changed.
+def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str) -> bool:
+    """Replace all statements about each node of ``nodes`` with its triples,
+    ledgered under ``rule``; whether the store or its ledger changed.
 
+    The nodes are upserted as if one after another, in the mapping's order.
     Each removed statement leaves every rule's entry in the store's ledger,
     so the ledger names only triples the store holds.  Each newly added one
-    enters ``rule``'s entry; a statement the store already held stays a
-    base fact, keeping ledger/base disjointness intact.  The old statements
-    go out as one batch and the new ones come in as one; a node whose
-    statements are already ``triples``, all ledgered under ``rule``, is
-    left as it is.
+    enters ``rule``'s entry alone, so the rules' entries stay disjoint; a
+    statement the store already held stays a base fact, keeping
+    ledger/base disjointness intact.  Only the net change is written: the
+    statements that go out are one batch and the ones that come in are
+    one, so nodes whose statements are already their triples, all ledgered
+    under ``rule``, are left as they are.
     """
-    node_id = store.lookup(node)
-    held = set() if node_id is None else set(store.match_ids(node_id, None, None))
     intern = store.intern
-    new = {(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples}
-    ledger = store.ledger
-    entry = ledger.setdefault(rule, set())
-    ledgered = held <= entry and all(other.isdisjoint(held) for name, other in ledger.items() if name != rule)
-    if ledgered and new == held:
-        return False
-    removed = store.drop_rows(held)
-    for other in ledger.values():
-        other.difference_update(removed)
-    added = store.add_rows(new)
+    plan = [[(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples] for triples in nodes.values()]
+    node_ids = list(map(store.lookup, nodes))  # None: a node no statement names
+    # the statements about each node, as the upserts one after another leave them
+    live: dict[int, set[IdTriple]] = {
+        node_id: set(store.match_ids(node_id, None, None)) for node_id in node_ids if node_id is not None
+    }
+    held: set[IdTriple] = set().union(*live.values())
+    entry = store.ledger.setdefault(rule, set())
+    extra: set[IdTriple] = set()  # new statements about other subjects
+    dropped: set[IdTriple] = set()  # every statement an upsert removed
+    added: set[IdTriple] = set()  # the statements an upsert added that stay
+    for node_id, rows in zip(node_ids, plan):
+        if node_id is not None:
+            gone = live[node_id]
+            if gone == set(rows) and gone <= entry:
+                continue  # the node's statements already, ledgered under rule
+            live[node_id] = set()
+            dropped |= gone
+            added -= gone
+        for row in rows:
+            statements = live.get(row[0])
+            if statements is not None:
+                if row not in statements:
+                    statements.add(row)
+                    added.add(row)
+            elif row not in extra and not store.contains_ids(*row):
+                extra.add(row)
+                added.add(row)
+    final: set[IdTriple] = set().union(*live.values())
+    # Rules' entries are disjoint, so a dropped statement that left an entry
+    # either left the store or came back in ``added``.
+    changed = held != final or not added <= entry
+    store.drop_rows(held - final)
+    store.add_rows((final - held) | extra)
+    for other in store.ledger.values():
+        other.difference_update(dropped)
     entry.update(added)
-    return not ledgered or set(added) != held
+    return changed
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -386,7 +412,7 @@ class InferenceEngine:
             Triple(node, HAS_SINK_START_TIME, year_literal(sink_window[0])),
             Triple(node, HAS_SINK_END_TIME, year_literal(sink_window[1])),
         ]
-        upsert_node(self.store, node, triples, self.GROUP_CITATION)
+        upsert_node(self.store, {node: triples}, self.GROUP_CITATION)
         return node
 
     def coauthor_weight(self, a: Term, b: Term, window: Optional[tuple[int, int]] = None) -> int:
@@ -404,12 +430,16 @@ class InferenceEngine:
             raise InferenceError("self-coauthorship is undefined (both authors are the same node)")
         if window is not None:
             window = _check_window(window, "coauthor")
-        return self._write_coauthor(a, b, window, self.coauthor_weight(a, b, window))
+        nodes = self._coauthor_nodes(a, b, window, self.coauthor_weight(a, b, window))
+        upsert_node(self.store, nodes, self.COAUTHOR_RULE)
+        first, second = nodes
+        return first, second
 
-    def _write_coauthor(
+    def _coauthor_nodes(
         self, a: Term, b: Term, window: Optional[tuple[int, int]], weight: int
-    ) -> tuple[Iri, Iri]:
-        nodes: list[Iri] = []
+    ) -> dict[Iri, list[Triple]]:
+        """The statements of both directed Coauthor nodes of a pair, a to b first."""
+        nodes: dict[Iri, list[Triple]] = {}
         window_key = "all" if window is None else f"{window[0]}-{window[1]}"
         for source, sink in ((a, b), (b, a)):
             key = "|".join((serialize_term(source), serialize_term(sink), window_key))
@@ -423,9 +453,8 @@ class InferenceEngine:
             if window is not None:
                 triples.append(Triple(node, HAS_START_TIME, year_literal(window[0])))
                 triples.append(Triple(node, HAS_END_TIME, year_literal(window[1])))
-            upsert_node(self.store, node, triples, self.COAUTHOR_RULE)
-            nodes.append(node)
-        return (nodes[0], nodes[1])
+            nodes[node] = triples
+        return nodes
 
     def derive_all_coauthors(
         self, window: Optional[tuple[int, int]] = None
@@ -434,7 +463,8 @@ class InferenceEngine:
 
         One pass over the Publishes contexts (in window) counts every pair
         of distinct authors they carry, so zero-weight pairs cannot arise
-        and the all-pairs quadratic blowup is avoided.
+        and the all-pairs quadratic blowup is avoided.  All the nodes are
+        written by one upsert.
         """
         if window is not None:
             window = _check_window(window, "coauthor")
@@ -445,7 +475,15 @@ class InferenceEngine:
             authors = {store.decode(author) for _, _, author in store.match_ids(ctx, has_author, None)}
             weights.update(combinations(sorted(authors, key=term_sort_key), 2))
         pairs = sorted(weights, key=lambda pair: (term_sort_key(pair[0]), term_sort_key(pair[1])))
-        return [self._write_coauthor(a, b, window, weights[a, b]) for a, b in pairs]
+        nodes: dict[Iri, list[Triple]] = {}
+        derived: list[tuple[Iri, Iri]] = []
+        for a, b in pairs:
+            pair_nodes = self._coauthor_nodes(a, b, window, weights[a, b])
+            nodes.update(pair_nodes)
+            first, second = pair_nodes
+            derived.append((first, second))
+        upsert_node(store, nodes, self.COAUTHOR_RULE)
+        return derived
 
     # -- persistence ---------------------------------------------------------------
 

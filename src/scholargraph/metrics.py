@@ -118,7 +118,7 @@ def _record(
         Triple(node, HAS_END_TIME, year_literal(year)),
         Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    changed = upsert_node(store, node, triples, InferenceEngine.METRIC_RULE)
+    changed = upsert_node(store, {node: triples}, InferenceEngine.METRIC_RULE)
     return MetricResult(metric, obj, year, window, numerator, denominator, value, node, changed)
 
 

@@ -2,21 +2,31 @@
 
 Terms are interned into a dictionary mapping each distinct term to a dense
 integer id (ids of removed terms are never reused).  Triples live twice,
-once per permutation (SPO, POS).  Each permutation is one dict from its
-first key to two parallel ``array('I')`` columns (unsigned 32-bit, the id
-type of a snapshot) holding the other two keys, sorted together:
-``_spo[s]`` is (p, o) sorted by (p, o) and ``_pos[p]`` is (o, s).  A probe
-on the first two keys is one dict get, a bisection of the second column and
-a slice of the third, so the store holds a few objects per distinct key
-instead of one per triple.  A shape with the object bound and the predicate
-free bisects the object in each predicate's POS column (the vocabulary has
-few predicates) and comes in (s, p) order; any other shape is answered by
-the permutation whose prefix matches its bound slots, in its sort order.
+once per permutation (SPO, POS), in ``array('I')`` columns (unsigned
+32-bit, the id type of a snapshot).
+
+SPO is a read-only base run plus a small overlay of written subjects
+(differential files, Severance & Lohman 1976).  The base run is three id
+columns sorted together by (s, p, o): a load fills them from the
+snapshot's SPO run with ``frombytes`` and strided slices, and a subject's
+rows are found by bisecting the subject column, so no per-subject object
+is made at load.  The first write to a subject copies its rows into the
+overlay, a dict from the subject to its (p, o) column pair sorted by
+(p, o); reads and writes of that subject use the overlay from then on, and
+a subject emptied by writes keeps an empty pair there, which hides its base
+rows.  A batch into an empty store becomes the base run, so a store that
+was never loaded has the same layout.  POS is one dict from each predicate
+to its (o, s) column pair.  A probe on the first two keys is one bisection
+(or dict get) for the first key, a bisection of the second column and a
+slice of the third.  A shape with the object bound and the predicate free
+bisects the object in each predicate's POS column (the vocabulary has few
+predicates) and comes in (s, p) order; any other shape is answered by the
+permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
 permutation and rebuild each key's column pair once, with the batch's pairs
-spliced in at their bisected places or cut out (a key left empty is
+spliced in at their bisected places or cut out (a POS key left empty is
 dropped), so a batch costs O(batch log batch + touched columns) rather than
 one array shift per triple.  :meth:`Store.insert_many` interns its triples
 and makes one such call; :meth:`Store.insert` and :meth:`Store.remove` are
@@ -29,13 +39,15 @@ it.  :meth:`Store.decode_triple` turns an entry back into a triple.
 
 A snapshot numbers the live terms in canonical order.  A loaded store keeps
 the snapshot's numbering as its lowest ids, so a save sorts only the terms
-interned since the load and merges them into the loaded order, and writes
-the SPO run as whole id columns, re-sorting only the subjects whose rows
-the new numbering put out of order (a store that was not loaded sorts its
-whole run once).  A load checks the term table one kind at a time by the
-term constructors' rules, and the id runs in whole columns, with the
-messages a term-by-term check would give; the cyclic garbage collector is
-paused while it runs.
+interned since the load and merges them into the loaded order.  That
+renumbering keeps the order of loaded ids, and the base run holds loaded
+ids only, so a save maps the base columns as they stand, cuts out the
+rows of the overlay's subjects, and sorts and splices in only the overlay's
+rows (a store whose base run holds ids that were not loaded, as in one that
+was never loaded, sorts its whole run once).  A load checks the term table
+one kind at a time by the term constructors' rules, and the id runs in
+whole columns, with the messages a term-by-term check would give; the
+cyclic garbage collector is paused while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -51,10 +63,10 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
-from itertools import accumulate, chain, compress, groupby, repeat
-from operator import attrgetter, ge, itemgetter, lt
-from typing import IO, Iterable, Iterator, Optional, Union
+from collections import Counter
+from itertools import accumulate, chain, groupby, repeat
+from operator import attrgetter, itemgetter, lt
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
 from .record import FrozenRecord
@@ -167,7 +179,13 @@ class Store:
     def __init__(self) -> None:
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
-        self._spo: _Index = {}
+        # SPO: the base run's s, p and o columns, sorted together, and the
+        # overlay of the subjects written since it was filled (see the module
+        # docstring); reads go through _subject and _subjects
+        self._s, self._p, self._o = array(_ID), array(_ID), array(_ID)
+        self._overlay: _Index = {}
+        # the last base subject _subject found, and what it returned
+        self._last_found: tuple[int, tuple[array, array, int, int]] = _NOT_FOUND
         self._pos: _Index = {}
         self._size = 0
         self._blank_serial = 0
@@ -237,37 +255,103 @@ class Store:
 
         The batch is sorted once per permutation, and each key it touches
         gets its column pair rebuilt once, with the new pairs spliced in at
-        their bisected places.  Into an empty store the batch is cut into
-        columns instead (:meth:`_build`), which is what makes million-triple
-        loads cheap.
+        their bisected places.  Into an empty store the batch becomes the
+        base run instead (:meth:`_build`), which is what makes
+        million-triple loads cheap.
         """
         batch = sorted(set(rows))
         if not self._size:
             if batch:
-                self._build(*(list(map(itemgetter(slot), batch)) for slot in range(3)))
+                columns = [list(map(itemgetter(slot), batch)) for slot in range(3)]
+                if max(map(max, columns)) >= self._loaded:
+                    # the base run may hold loaded ids only (see _spo_run)
+                    self._loaded = 0
+                self._build(*columns)
             return batch
-        added = _merge(self._spo, batch)
+        added = _merge(self._overlay, batch, self._own)
         if added:
-            _merge(self._pos, sorted([(p, o, s) for s, p, o in added]))
+            pos = self._pos
+            _merge(pos, sorted([(p, o, s) for s, p, o in added]), pos.get)
             self._size += len(added)
         return added
 
-    def _build(self, s: list[int], p: list[int], o: list[int]) -> None:
-        """Fill the empty SPO and POS indexes from the id columns of
-        distinct triples in SPO order.
+    def _build(self, s: Sequence[int], p: Sequence[int], o: Sequence[int]) -> None:
+        """Make the id columns of distinct triples in SPO order the base run,
+        with an empty overlay, and fill the empty POS from them.
 
-        SPO is grouped as it stands.  POS comes from two stable sorts of
-        the row numbers by one integer key each: sorting by object leaves
-        equal objects in (s, p) order, and sorting that by predicate leaves
-        equal predicates in (o, s) order, which is POS order.  Stability
-        supplies the tie order, so no sort compares tuples.  The columns are
-        lists, which hand out their ints without boxing each one again.
+        POS comes from two stable sorts of the row numbers by one integer
+        key each: sorting by object leaves equal objects in (s, p) order, and
+        sorting that by predicate leaves equal predicates in (o, s) order,
+        which is POS order.  Stability supplies the tie order, so no sort
+        compares tuples.  The columns are arrays (a load's, which it keeps)
+        or lists (a batch's, which hand the sorts their ints without boxing
+        each one again).
         """
-        _group(self._spo, s, array(_ID, p), array(_ID, o))
+        self._s, self._p, self._o = (c if isinstance(c, array) else array(_ID, c) for c in (s, p, o))
+        self._last_found = _NOT_FOUND
+        self._overlay = {}
         rows = sorted(range(len(o)), key=o.__getitem__)
         rows.sort(key=p.__getitem__)
         _group(self._pos, p, *_gather(rows, o, s))
         self._size = len(o)
+
+    def _subject(self, s: int) -> tuple[array, array, int, int]:
+        """The predicate and object columns that hold subject ``s``'s rows,
+        and the bounds of those rows in them (equal when it has none): its
+        overlay pair once it has been written, else the base run."""
+        pair = self._overlay.get(s)
+        if pair is not None:
+            return pair[0], pair[1], 0, len(pair[0])
+        last, found = self._last_found
+        if last == s:  # a join probes one subject for several predicates in a row
+            return found
+        subjects = self._s
+        end = len(subjects)
+        if not end or s > subjects[end - 1]:  # as is every subject interned after the base run was filled
+            return self._p, self._o, end, end
+        lo = bisect_left(subjects, s)
+        if subjects[lo] != s:
+            return self._p, self._o, lo, lo
+        # a subject has few rows: seek their end among the next 32 first
+        hi = bisect_right(subjects, s, lo, min(lo + 32, end))
+        if hi == lo + 32:
+            hi = bisect_right(subjects, s, hi)
+        found = self._p, self._o, lo, hi
+        self._last_found = (s, found)
+        return found
+
+    def _own(self, s: int) -> Optional[tuple[array, array]]:
+        """The column pair a write to subject ``s`` starts from: its overlay
+        pair, or a copy of its base rows (which the write then puts in the
+        overlay), or None when it has no rows."""
+        pair = self._overlay.get(s)
+        if pair is not None:
+            return pair
+        predicates, objects, lo, hi = self._subject(s)
+        return (predicates[lo:hi], objects[lo:hi]) if lo < hi else None
+
+    def _subjects(self) -> Iterator[tuple[int, array, array, int, int]]:
+        """Each live subject, ascending, with its columns and bounds as
+        :meth:`_subject` gives them: the base run's subjects merged with the
+        overlay's, an overlay pair hiding the base rows of its subject."""
+        overlay = self._overlay
+        column, predicates, objects = self._s, self._p, self._o
+        written = iter(sorted(overlay))
+        w = next(written, None)
+        lo, end = 0, len(column)
+        while lo < end or w is not None:
+            s = column[lo] if lo < end else None
+            if s is None or (w is not None and w <= s):
+                pair = overlay[w]
+                if pair[0]:
+                    yield w, pair[0], pair[1], 0, len(pair[0])
+                if w == s:
+                    lo = bisect_right(column, s, lo)
+                w = next(written, None)
+            else:
+                hi = bisect_right(column, s, lo)
+                yield s, predicates, objects, lo, hi
+                lo = hi
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
@@ -279,11 +363,13 @@ class Store:
         were held, in SPO order.
 
         Like :meth:`add_rows`, each touched key's column pair is rebuilt
-        once, without the removed pairs; a key left empty is dropped.
+        once, without the removed pairs; a predicate left empty is dropped,
+        and a subject left empty keeps an empty overlay pair.
         """
-        removed = _cut(self._spo, sorted(set(rows)))
+        removed = _cut(self._overlay, sorted(set(rows)), self._own, True)
         if removed:
-            _cut(self._pos, sorted([(p, o, s) for s, p, o in removed]))
+            pos = self._pos
+            _cut(pos, sorted([(p, o, s) for s, p, o in removed]), pos.get, False)
             self._size -= len(removed)
         return removed
 
@@ -308,7 +394,8 @@ class Store:
         term_id = self._ids.get(term)
         if term_id is None:
             return False
-        return term_id in self._spo or term_id in self._pos or any(self._object_runs(None, term_id))
+        _, _, lo, hi = self._subject(term_id)
+        return lo < hi or term_id in self._pos or any(self._object_runs(None, term_id))
 
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
@@ -333,18 +420,15 @@ class Store:
                 yield (subj, pred, o)
             return
         if s is not None:
-            columns = self._spo.get(s)
-            if columns is None:
-                return
+            predicates, objects, lo, hi = self._subject(s)
             if p is None:
-                for pred, obj in zip(*columns):
+                for pred, obj in zip(predicates[lo:hi], objects[lo:hi]):
                     yield (s, pred, obj)
             elif o is None:
-                predicates, objects = columns
-                lo = bisect_left(predicates, p)
-                for obj in objects[lo : bisect_right(predicates, p, lo)]:
+                lo = bisect_left(predicates, p, lo, hi)
+                for obj in objects[lo : bisect_right(predicates, p, lo, hi)]:
                     yield (s, p, obj)
-            elif _seek(columns, p, o)[1]:
+            elif _seek(predicates, objects, p, o, lo, hi)[1]:
                 yield (s, p, o)
             return
         if p is not None:
@@ -360,9 +444,8 @@ class Store:
                 for subj in subjects[lo : bisect_right(objects, o, lo)]:
                     yield (subj, p, o)
             return
-        spo = self._spo
-        for subj in sorted(spo):
-            for pred, obj in zip(*spo[subj]):
+        for subj, predicates, objects, lo, hi in self._subjects():
+            for pred, obj in zip(predicates[lo:hi], objects[lo:hi]):
                 yield (subj, pred, obj)
 
     def _object_runs(self, s: Optional[int], o: int) -> Iterator[tuple[int, array]]:
@@ -380,13 +463,17 @@ class Store:
 
     def _columns(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
-    ) -> tuple[Optional[tuple[array, array]], Optional[int]]:
+    ) -> tuple[array, array, int, int, Optional[int]]:
         """For a shape with the subject or the predicate bound, but not all
-        three slots: the column pair of the permutation whose first key is
-        bound, and the bound second key or None."""
+        three slots: the second- and third-key columns of the permutation
+        whose first key is bound, the bounds of that key's rows in them, and
+        the bound second key or None."""
         if s is not None:
-            return self._spo.get(s), p
-        return self._pos.get(p), o  # type: ignore[arg-type]
+            return (*self._subject(s), p)
+        columns = self._pos.get(p)  # type: ignore[arg-type]
+        if columns is None:
+            return (*_NO_ROWS, o)
+        return columns[0], columns[1], 0, len(columns[0]), o
 
     def match_count(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
         """Cheap cardinality estimate for join planning (exact for runs)."""
@@ -396,14 +483,11 @@ class Store:
             return 1 if self.contains_ids(s, p, o) else 0
         if p is None and o is not None:
             return sum(len(subjects) for _, subjects in self._object_runs(s, o))
-        columns, second = self._columns(s, p, o)
-        if columns is None:
-            return 0
-        keys = columns[0]
+        keys, _, lo, hi, second = self._columns(s, p, o)
         if second is None:
-            return len(keys)
-        lo = bisect_left(keys, second)
-        return bisect_right(keys, second, lo) - lo
+            return hi - lo
+        lo = bisect_left(keys, second, lo, hi)
+        return bisect_right(keys, second, lo, hi) - lo
 
     def distinct_count(self, s: Optional[int], p: Optional[int], o: Optional[int], slot: int) -> int:
         """Distinct values in the wildcard ``slot`` (0, 1, 2 for s, p, o)
@@ -411,24 +495,23 @@ class Store:
         estimates."""
         bound = [i for i, key in enumerate((s, p, o)) if key is not None]
         if not bound:
-            return len(self._spo) if slot == 0 else len(self._pos) if slot == 1 else len(self._objects())
+            # POS holds the subjects in its pairs' second columns, the objects in their first
+            return len(self._pos) if slot == 1 else len(self._pos_values(1 if slot == 0 else 0))
         if bound == [2]:
             runs = self._object_runs(None, o)  # type: ignore[arg-type]
             if slot == 0:
                 return len(set().union(*(subjects for _, subjects in runs)))
             return sum(1 for _ in runs)
         if len(bound) == 1:
-            columns, _ = self._columns(s, p, o)
-            if columns is None:
-                return 0
+            second, third, lo, hi, _ = self._columns(s, p, o)
             # the permutation keyed by slot b holds slot b+1, then slot b+2
-            return len(set(columns[0 if slot == (bound[0] + 1) % 3 else 1]))
+            return len(set((second if slot == (bound[0] + 1) % 3 else third)[lo:hi]))
         # Two slots bound: the free one is a run of unique values.
         return self.match_count(s, p, o)
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        columns = self._spo.get(s)
-        return columns is not None and _seek(columns, p, o)[1]
+        predicates, objects, lo, hi = self._subject(s)
+        return lo < hi and _seek(predicates, objects, p, o, lo, hi)[1]
 
     def match_terms(
         self, s: Optional[Term], p: Optional[Term], o: Optional[Term]
@@ -466,30 +549,37 @@ class Store:
         return {
             "triples": self._size,
             "terms": len(self._terms),
-            "subjects": len(self._spo),
+            "subjects": len(self._pos_values(1)),
             "predicates": len(self._pos),
-            "objects": len(self._objects()),
+            "objects": len(self._pos_values(0)),
         }
 
     def verify_indexes(self) -> bool:
-        """Both permutations describe the same triple set, and every column
-        pair is non-empty, of equal length and strictly ascending (test
-        hook)."""
+        """The base run and the overlay, read through :meth:`_subjects`,
+        describe the triple set POS does; the base run is strictly
+        ascending, every overlay pair is of equal length and strictly
+        ascending, and every POS pair is also non-empty (test hook)."""
 
-        def rows(index: _Index) -> Optional[list[tuple[int, int, int]]]:
-            out = []
-            for first, (second, third) in index.items():
-                pairs = list(zip(second, third))
-                if not pairs or len(second) != len(third) or not all(map(lt, pairs, pairs[1:])):
-                    return None
-                out.extend((first, b, c) for b, c in pairs)
-            return out
+        def ascending(rows: list) -> bool:
+            return all(map(lt, rows, rows[1:]))
 
-        spo, pos = rows(self._spo), rows(self._pos)
-        if spo is None or pos is None:
+        base = (self._s, self._p, self._o)
+        if len(set(map(len, base))) != 1 or not ascending(list(zip(*base))):
             return False
-        triples = set(spo)
-        return len(triples) == self._size and triples == {(s, p, o) for p, o, s in pos}
+        spo: list[IdTriple] = []
+        for s, predicates, objects, lo, hi in self._subjects():
+            spo.extend(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
+        if not ascending(spo):
+            return False
+        pos: list[IdTriple] = []
+        for p, (objects, subjects) in self._pos.items():
+            pairs = list(zip(objects, subjects))
+            if not pairs or len(objects) != len(subjects) or not ascending(pairs):
+                return False
+            pos.extend((s, p, o) for o, s in pairs)
+        if any(len(predicates) != len(objects) for predicates, objects in self._overlay.values()):
+            return False
+        return len(spo) == self._size and set(spo) == set(pos)
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -504,10 +594,9 @@ class Store:
         terms, so all of its terms are sorted.)  Each kind's terms, and each
         datatype's literals, are encoded as one list.
 
-        The SPO run is written as whole id columns mapped through the new
-        numbering; one order check finds the subjects whose rows the
-        renumbering put out of (p, o) order, and only those are re-sorted
-        (POS is rebuilt on load).  The ledger section lists
+        The SPO run is written from the base columns mapped through the new
+        numbering, with the overlay's rows sorted and spliced in
+        (:meth:`_spo_run`; POS is rebuilt on load).  The ledger section lists
         each non-empty rule, in name order, with its triples as sorted ids.
         Two stores holding the same triples and the same ledger therefore
         produce byte-identical snapshots regardless of how they got there,
@@ -572,18 +661,18 @@ class Store:
         finally:
             os.close(directory)
 
-    def _objects(self) -> set[int]:
-        """The ids of the objects of live triples: the values of the POS
-        object columns."""
-        return set().union(*(objects for objects, _ in self._pos.values()))
+    def _pos_values(self, k: int) -> set[int]:
+        """The values of the POS pairs' ``k``-th columns: the ids of the
+        objects (0) or of the subjects (1) of live triples."""
+        return set().union(*map(itemgetter(k), self._pos.values()))
 
     def _not_held(self, entries: Iterable[set[IdTriple]]) -> set[IdTriple]:
         """The id triples of ``entries`` that the store does not hold: their
         union less the rows of the subjects they name."""
         missing: set[IdTriple] = set().union(*entries)
-        spo = self._spo
-        subjects = set(map(itemgetter(0), missing)) & spo.keys()
-        missing.difference_update(chain.from_iterable(zip(repeat(s), *spo[s]) for s in subjects))
+        for s in set(map(itemgetter(0), missing)):
+            predicates, objects, lo, hi = self._subject(s)
+            missing.difference_update(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
         return missing
 
     def _term_order(self) -> list[int]:
@@ -592,8 +681,8 @@ class Store:
         Loaded ids are in that order already; each term interned since the
         load is bisected into them, in the order of its sort key.
         """
-        live = self._objects()
-        live.update(self._spo, self._pos)
+        live = self._pos_values(0)
+        live.update(self._pos_values(1), self._pos)
         ids = sorted(live)
         loaded_count = self._loaded
         split = bisect_left(ids, loaded_count)
@@ -618,29 +707,52 @@ class Store:
 
     def _spo_run(self, renumber: Optional[list[int]]) -> array:
         """The SPO run under the new numbering (None: ids stay as they are),
-        as one id array that the caller appends without another copy."""
-        spo = self._spo
-        if renumber is not None and not self._loaded:
-            # every term is new, so no order survives: one sort of all rows
-            rows = sorted(
-                (renumber[s], renumber[p], renumber[o]) for s, columns in spo.items() for p, o in zip(*columns)
-            )
-            return array(_ID, chain.from_iterable(rows))
-        subjects = sorted(spo, key=None if renumber is None else renumber.__getitem__)
-        columns = list(map(spo.__getitem__, subjects))
-        lengths = map(len, map(itemgetter(0), columns))
-        predicates = chain.from_iterable(map(itemgetter(0), columns))
-        objects = chain.from_iterable(map(itemgetter(1), columns))
+        as one id array that the caller appends without another copy.
+
+        The base rows of the subjects not written are cut out of the base
+        columns and mapped as whole columns.  The numbering keeps the order
+        of loaded ids, and the base run holds loaded ids only, so those rows
+        stay in order, and only the overlay's rows are sorted and spliced in
+        at their subjects' places.
+        """
+        overlay = self._overlay
+        base = self._s
+        pieces: list[slice] = []  # the base rows of the subjects not written
+        start = 0
+        for s in sorted(overlay):
+            lo = bisect_left(base, s, start)
+            hi = bisect_right(base, s, lo)
+            if lo < hi:
+                pieces.append(slice(start, lo))
+                start = hi
+        pieces.append(slice(start, len(base)))
+        columns = [base, self._p, self._o]
+        if len(pieces) > 1:
+            columns = [_joined(column, pieces) for column in columns]
+        fresh = [(s, p, o) for s, pair in overlay.items() for p, o in zip(*pair)]
         if renumber is not None:
-            subjects = list(map(renumber.__getitem__, subjects))
-            predicates = map(renumber.__getitem__, predicates)
-            objects = map(renumber.__getitem__, objects)
-        s = array(_ID, chain.from_iterable(map(repeat, subjects, lengths)))
-        p, o = array(_ID, predicates), array(_ID, objects)
-        if renumber is not None:
-            _sort_subjects(s, p, o)
-        run = array(_ID, bytes(12 * len(s)))
-        run[0::3], run[1::3], run[2::3] = s, p, o
+            columns = [array(_ID, map(renumber.__getitem__, column)) for column in columns]
+            fresh = [(renumber[s], renumber[p], renumber[o]) for s, p, o in fresh]
+            if not self._loaded:
+                # every term is new, so no order survives: one sort of all rows
+                return array(_ID, chain.from_iterable(sorted(chain(zip(*columns), fresh))))
+        if fresh:
+            fresh.sort()
+            subjects = columns[0]
+            out = [array(_ID), array(_ID), array(_ID)]
+            start = 0
+            for s, group in groupby(fresh, itemgetter(0)):
+                at = bisect_left(subjects, s, start)
+                rows = list(group)
+                for k, column in enumerate(out):
+                    column += columns[k][start:at]
+                    column.extend(map(itemgetter(k), rows))
+                start = at
+            for k, column in enumerate(out):
+                column += columns[k][start:]
+            columns = out
+        run = array(_ID, bytes(12 * len(columns[0])))
+        run[0::3], run[1::3], run[2::3] = columns
         return run
 
     @classmethod
@@ -656,9 +768,9 @@ class Store:
         The checks run list-wise: the terms are read in one pass into runs
         of one kind (and datatype) each, and each run is checked by its
         constructor's rules and built as a whole (:func:`make_iris` and its
-        siblings); the id runs are checked in whole columns; the index
-        columns are cut by ``map``; the ledger is checked against the rows
-        of the subjects it names in one set difference.  A term table in
+        siblings); the id runs are checked in whole columns, and the SPO run's
+        columns become the base run as they are; the ledger is checked
+        against the rows of the subjects it names in one set difference.  A term table in
         canonical order (as :meth:`save` writes it) is remembered as such,
         so the next save sorts only the terms interned after the load.
 
@@ -745,7 +857,7 @@ class Store:
 
 def _read_id_run(
     data: bytes, offset: int, count: int, swap: bool, term_count: int, what: str
-) -> tuple[tuple[list[int], list[int], list[int]], int]:
+) -> tuple[tuple[array, array, array], int]:
     """The s, p and o columns of ``count`` id triples at ``offset``, checked
     in range and strictly ascending, and the offset after them."""
     end = offset + count * 12
@@ -755,8 +867,7 @@ def _read_id_run(
     run.frombytes(memoryview(data)[offset:end])
     if swap:
         run.byteswap()
-    # lists hand the same int objects to the checks and to the caller
-    columns = (run[0::3].tolist(), run[1::3].tolist(), run[2::3].tolist())
+    columns = (run[0::3], run[1::3], run[2::3])
     del run
     if count and max(map(max, columns)) >= term_count:
         raise SnapshotError(f"term id out of range in {what}")
@@ -767,52 +878,54 @@ def _read_id_run(
     return columns, end
 
 
-def _sort_subjects(s: array, p: array, o: array) -> None:
-    """Re-sort, in place, the rows of each subject whose rows are out of
-    (p, o) order, in columns whose subjects ascend.
-
-    The rows of all such subjects are sorted together: their subjects stay
-    in place, so each row lands in its own subject's block.
-    """
-    following = zip(s, p, o)
-    next(following, None)
-    broken = set(compress(s, map(ge, zip(s, p, o), following)))
-    if not broken:
-        return
-    at = list(compress(range(len(s)), map(broken.__contains__, s)))
-    rows = sorted(zip(map(s.__getitem__, at), map(p.__getitem__, at), map(o.__getitem__, at)))
-    deque(map(p.__setitem__, at, map(itemgetter(1), rows)), maxlen=0)
-    deque(map(o.__setitem__, at, map(itemgetter(2), rows)), maxlen=0)
+def _joined(column: array, pieces: list[slice]) -> array:
+    """The items of ``column`` in ``pieces``, in order, as one column."""
+    out = array(_ID)
+    for piece in pieces:
+        out += column[piece]
+    return out
 
 
 # -- the column pairs of one permutation ---------------------------------------
 
+# the columns and bounds of a key that has no rows
+_NO_ROWS = (array(_ID), array(_ID), 0, 0)
+# no subject (ids are not negative) and no rows
+_NOT_FOUND = (-1, _NO_ROWS)
+# the column pair a write to a key starts from, or None when it has no rows
+_Get = Callable[[int], Optional[tuple[array, array]]]
 
-def _seek(columns: tuple[array, array], b: int, c: int) -> tuple[int, bool]:
-    """Where (b, c) sits, or would go, in a column pair, and whether it is
-    there."""
-    second, third = columns
-    lo = bisect_left(second, b)
-    hi = bisect_right(second, b, lo)
+
+def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tuple[int, bool]:
+    """Where (b, c) sits, or would go, among the rows ``lo:hi`` of a column
+    pair, and whether it is there."""
+    lo = bisect_left(second, b, lo, hi)
+    hi = bisect_right(second, b, lo, hi)
     at = bisect_left(third, c, lo, hi)
     return at, at < hi and third[at] == c
 
 
-def _merge(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
+def _merge(index: _Index, rows: list[IdTriple], get: _Get) -> list[IdTriple]:
     """Put sorted, distinct (first, second, third) rows into ``index``; the
-    rows that were not there, in order."""
+    rows that were not there, in order.
+
+    ``get(first)`` is the column pair a key's rows start from, or None; a
+    pair that changes is (re)stored in ``index``.
+    """
     added: list[IdTriple] = []
     for first, run in groupby(rows, itemgetter(0)):
-        columns = index.get(first)
+        columns = get(first)
         if columns is None:
             group = list(run)
             index[first] = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
             added += group
             continue
+        second, third = columns
+        size = len(second)
         cuts: list[int] = []
         fresh: list[IdTriple] = []
         for row in run:
-            at, found = _seek(columns, row[1], row[2])
+            at, found = _seek(second, third, row[1], row[2], 0, size)
             if not found:
                 cuts.append(at)
                 fresh.append(row)
@@ -822,12 +935,17 @@ def _merge(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
     return added
 
 
-def _cut(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
-    """Take sorted, distinct (first, second, third) rows out of ``index``,
-    dropping emptied keys; the rows that were there, in order."""
+def _cut(index: _Index, rows: list[IdTriple], get: _Get, keep_empty: bool) -> list[IdTriple]:
+    """Take sorted, distinct (first, second, third) rows out of ``index``;
+    the rows that were there, in order.
+
+    ``get`` is as for :func:`_merge`.  A key left empty is dropped, or,
+    with ``keep_empty``, stored as an empty pair (an overlay subject's
+    empty pair hides its base rows).
+    """
     removed: list[IdTriple] = []
     for first, run in groupby(rows, itemgetter(0)):
-        columns = index.get(first)
+        columns = get(first)
         if columns is None:
             continue
         second, third = columns
@@ -838,19 +956,23 @@ def _cut(index: _Index, rows: list[IdTriple]) -> list[IdTriple]:
             and third == array(_ID, [row[2] for row in group])
         ):
             # the whole key goes, as when a rule's predicate is retracted
-            del index[first]
             removed += group
-            continue
-        cuts: list[int] = []
-        for row in group:
-            at, found = _seek(columns, row[1], row[2])
-            if found:
-                cuts.append(at)
-                removed.append(row)
-        if len(cuts) == len(second):
+        else:
+            cuts: list[int] = []
+            for row in group:
+                at, found = _seek(second, third, row[1], row[2], 0, len(second))
+                if found:
+                    cuts.append(at)
+                    removed.append(row)
+            if not cuts:
+                continue
+            if len(cuts) < len(second):
+                index[first] = _spliced(columns, cuts)
+                continue
+        if keep_empty:
+            index[first] = (array(_ID), array(_ID))
+        else:
             del index[first]
-        elif cuts:
-            index[first] = _spliced(columns, cuts)
     return removed
 
 
@@ -893,9 +1015,9 @@ def _spliced(
     return out_second, out_third
 
 
-def _gather(rows: list[int], *columns: list[int]) -> Iterator[array]:
+def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
     """Each column's values at ``rows``, in that order."""
-    return (array(_ID, list(map(column.__getitem__, rows))) for column in columns)
+    return (array(_ID, map(column.__getitem__, rows)) for column in columns)
 
 
 def _group(index: _Index, first: Iterable[int], second: array, third: array) -> None:

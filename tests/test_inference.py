@@ -557,10 +557,10 @@ def test_upsert_node_synchronizes_a_ledger():
     store = Store()
     target = node("t")
     first = [Triple(target, HAS_WEIGHT, decimal_literal("1.0"))]
-    upsert_node(store, target, first, "rule")
+    upsert_node(store, {target: first}, "rule")
     assert ledger_triples(store) == {"rule": set(first)}
     second = [Triple(target, HAS_WEIGHT, decimal_literal("2.0"))]
-    upsert_node(store, target, second, "rule")
+    upsert_node(store, {target: second}, "rule")
     assert ledger_triples(store) == {"rule": set(second)}
     assert set(store.triples()) == set(second)
 
@@ -593,7 +593,48 @@ def test_upsert_node_against_the_one_triple_oracle():
         rule = rng.choice(("coauthor", "metric"))
         before = state()
         oracle_upsert_node(triples, ledger, target, new, rule)
-        changed = upsert_node(store, target, new, rule)
+        changed = upsert_node(store, {target: new}, rule)
+        assert set(store.triples()) == triples, step
+        assert ledger_triples(store) == ledger, step
+        assert changed == (state() != before), step
+        assert store.verify_indexes()
+    assert snapshot_bytes(store) == snapshot_bytes(Store.load(io.BytesIO(snapshot_bytes(store))))
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+def test_upserting_many_nodes_equals_the_oracle_node_by_node(loaded):
+    """One upsert of several nodes, whose triples may be about each other,
+    leaves the store and ledger that the one-triple oracle leaves applied
+    node by node, and reports a change exactly when one happened."""
+    rng = random.Random(22)
+    nodes = [node(f"n{k}") for k in range(6)]
+    weights = [decimal_literal(f"{k}.0") for k in range(3)]
+    store = Store()
+    for k, target in enumerate(nodes[:3]):  # base facts about three nodes
+        store.insert(Triple(target, HAS_WEIGHT, weights[k]))
+    store.insert(Triple(nodes[5], PART_OF, nodes[0]))
+    if loaded:
+        store = Store.load(io.BytesIO(snapshot_bytes(store)))
+    triples = set(store.triples())
+    ledger: dict[str, set[Triple]] = {}
+
+    def state():
+        return triples.copy(), {name: entry.copy() for name, entry in ledger.items() if entry}
+
+    for step in range(120):
+        batch = {}
+        for target in rng.sample(nodes, rng.randrange(0, 5)):
+            pool = [Triple(target, HAS_WEIGHT, w) for w in weights] + [
+                Triple(target, RDF_TYPE, COAUTHOR),
+                Triple(target, PART_OF, rng.choice(nodes)),
+                Triple(rng.choice(nodes), HAS_WEIGHT, rng.choice(weights)),  # may be about another node
+            ]
+            batch[target] = rng.sample(pool, rng.randrange(0, 4))
+        rule = rng.choice(("coauthor", "metric"))
+        before = state()
+        for target, new in batch.items():
+            oracle_upsert_node(triples, ledger, target, new, rule)
+        changed = upsert_node(store, batch, rule)
         assert set(store.triples()) == triples, step
         assert ledger_triples(store) == ledger, step
         assert changed == (state() != before), step
