@@ -5,32 +5,33 @@ integer id (ids of removed terms are never reused).  Triples live twice,
 once per permutation (SPO, POS), in ``array('I')`` columns (unsigned
 32-bit, the id type of a snapshot).
 
-SPO is a read-only base run plus a small overlay of written subjects
-(differential files, Severance & Lohman 1976).  The base run is three id
-columns sorted together by (s, p, o): a load fills them from the
-snapshot's SPO run with ``frombytes`` and strided slices, and a subject's
-rows are found by bisecting the subject column, so no per-subject object
-is made at load.  The first write to a subject copies its rows into the
-overlay, a dict from the subject to its (p, o) column pair sorted by
-(p, o); reads and writes of that subject use the overlay from then on, and
-a subject emptied by writes keeps an empty pair there, which hides its base
-rows.  A batch into an empty store becomes the base run, so a store that
-was never loaded has the same layout.  POS is one dict from each predicate
-to its (o, s) column pair.  A probe on the first two keys is one bisection
-(or dict get) for the first key, a bisection of the second column and a
-slice of the third.  A shape with the object bound and the predicate free
-bisects the object in each predicate's POS column (the vocabulary has few
+Both permutations have one layout (:class:`_Permutation`, after the sorted
+permutation runs of RDF-3X and Hexastore): a read-only base run plus a
+small copy-on-write overlay of the keys written since (differential files,
+Severance & Lohman 1976).  The base run is the second- and third-key
+columns, sorted together by (first, second, third), and dense offsets
+indexed by first-key id, so a key's base rows are found with two array
+reads and no object is made per key.  A load fills SPO's columns from the
+snapshot's SPO run with ``frombytes`` and strided slices, and POS's from
+two stable sorts of the row numbers.  The first write to a key copies its
+rows into the overlay, a dict from the key to its own column pair; reads
+and writes of that key use the pair from then on, and a key emptied by
+writes keeps an empty pair there, which hides its base rows.  A batch into
+an empty store becomes the base runs, so a store that was never loaded has
+the same layout.  A probe on the first two keys is two array reads (or a
+dict get) for the first key, a bisection of the second column and a slice
+of the third.  A shape with the object bound and the predicate free
+bisects the object in each predicate's POS rows (the vocabulary has few
 predicates) and comes in (s, p) order; any other shape is answered by the
 permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
 permutation and rebuild each key's column pair once, with the batch's pairs
-spliced in at their bisected places or cut out (a POS key left empty is
-dropped), so a batch costs O(batch log batch + touched columns) rather than
-one array shift per triple.  :meth:`Store.insert_many` interns its triples
-and makes one such call; :meth:`Store.insert` and :meth:`Store.remove` are
-one-row calls.
+spliced in at their bisected places or cut out, so a batch costs
+O(batch log batch + touched columns) rather than one array shift per
+triple.  :meth:`Store.insert_many` interns its triples and makes one such
+call; :meth:`Store.insert` and :meth:`Store.remove` are one-row calls.
 
 The store also owns the inference ledger (:attr:`Store.ledger`: rule name
 to the set of id triples that rule added), so a snapshot carries it and
@@ -41,9 +42,10 @@ A snapshot numbers the live terms in canonical order.  A loaded store keeps
 the snapshot's numbering as its lowest ids, so a save sorts only the terms
 interned since the load and merges them into the loaded order.  That
 renumbering keeps the order of loaded ids, and the base run holds loaded
-ids only, so a save maps the base columns as they stand, cuts out the
-rows of the overlay's subjects, and sorts and splices in only the overlay's
-rows (a store whose base run holds ids that were not loaded, as in one that
+ids only, so a save rebuilds the subject column from SPO's offsets, maps
+the base columns as they stand, cuts out the rows of the overlay's
+subjects by offset, and sorts and splices in only the overlay's rows (a
+store whose base run holds ids that were not loaded, as in one that
 was never loaded, sorts its whole run once).  A load checks the term table
 one kind at a time by the term constructors' rules, and the id runs in
 whole columns, with the messages a term-by-term check would give; the
@@ -65,8 +67,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, groupby, repeat
-from operator import attrgetter, itemgetter, lt
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from operator import attrgetter, itemgetter, le, lt
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
 from .record import FrozenRecord
@@ -152,8 +154,6 @@ class SnapshotError(ScholarGraphError):
     """A snapshot file is malformed, or a store cannot be saved consistently."""
 
 
-# first key -> (second-key column, third-key column), sorted by (second, third)
-_Index = dict[int, tuple[array, array]]
 IdTriple = tuple[int, int, int]
 
 # the type of every id column, and of the id runs of a snapshot: unsigned
@@ -179,14 +179,9 @@ class Store:
     def __init__(self) -> None:
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
-        # SPO: the base run's s, p and o columns, sorted together, and the
-        # overlay of the subjects written since it was filled (see the module
-        # docstring); reads go through _subject and _subjects
-        self._s, self._p, self._o = array(_ID), array(_ID), array(_ID)
-        self._overlay: _Index = {}
-        # the last base subject _subject found, and what it returned
-        self._last_found: tuple[int, tuple[array, array, int, int]] = _NOT_FOUND
-        self._pos: _Index = {}
+        # the two permutations of the triples (see the module docstring)
+        self._spo = _Permutation((), (), ())
+        self._pos = _Permutation((), (), ())
         self._size = 0
         self._blank_serial = 0
         # ids below this are the term table of the snapshot the store was
@@ -268,90 +263,30 @@ class Store:
                     self._loaded = 0
                 self._build(*columns)
             return batch
-        added = _merge(self._overlay, batch, self._own)
+        added = self._spo.merge(batch)
         if added:
-            pos = self._pos
-            _merge(pos, sorted([(p, o, s) for s, p, o in added]), pos.get)
+            self._pos.merge(sorted([(p, o, s) for s, p, o in added]))
             self._size += len(added)
         return added
 
     def _build(self, s: Sequence[int], p: Sequence[int], o: Sequence[int]) -> None:
-        """Make the id columns of distinct triples in SPO order the base run,
-        with an empty overlay, and fill the empty POS from them.
+        """Make the id columns of distinct triples in SPO order the base runs
+        of both permutations, with empty overlays.
 
         POS comes from two stable sorts of the row numbers by one integer
         key each: sorting by object leaves equal objects in (s, p) order, and
         sorting that by predicate leaves equal predicates in (o, s) order,
         which is POS order.  Stability supplies the tie order, so no sort
-        compares tuples.  The columns are arrays (a load's, which it keeps)
-        or lists (a batch's, which hand the sorts their ints without boxing
-        each one again).
+        compares tuples.  The columns are arrays (a load's, of which SPO
+        keeps the predicate and object columns) or lists (a batch's, which
+        hand the sorts their ints without boxing each one again).
         """
-        self._s, self._p, self._o = (c if isinstance(c, array) else array(_ID, c) for c in (s, p, o))
-        self._last_found = _NOT_FOUND
-        self._overlay = {}
         rows = sorted(range(len(o)), key=o.__getitem__)
         rows.sort(key=p.__getitem__)
-        _group(self._pos, p, *_gather(rows, o, s))
+        self._pos = _Permutation(p, *_gather(rows, o, s))
+        del rows  # before the subject offsets are made, to lower the peak
+        self._spo = _Permutation(s, p, o)
         self._size = len(o)
-
-    def _subject(self, s: int) -> tuple[array, array, int, int]:
-        """The predicate and object columns that hold subject ``s``'s rows,
-        and the bounds of those rows in them (equal when it has none): its
-        overlay pair once it has been written, else the base run."""
-        pair = self._overlay.get(s)
-        if pair is not None:
-            return pair[0], pair[1], 0, len(pair[0])
-        last, found = self._last_found
-        if last == s:  # a join probes one subject for several predicates in a row
-            return found
-        subjects = self._s
-        end = len(subjects)
-        if not end or s > subjects[end - 1]:  # as is every subject interned after the base run was filled
-            return self._p, self._o, end, end
-        lo = bisect_left(subjects, s)
-        if subjects[lo] != s:
-            return self._p, self._o, lo, lo
-        # a subject has few rows: seek their end among the next 32 first
-        hi = bisect_right(subjects, s, lo, min(lo + 32, end))
-        if hi == lo + 32:
-            hi = bisect_right(subjects, s, hi)
-        found = self._p, self._o, lo, hi
-        self._last_found = (s, found)
-        return found
-
-    def _own(self, s: int) -> Optional[tuple[array, array]]:
-        """The column pair a write to subject ``s`` starts from: its overlay
-        pair, or a copy of its base rows (which the write then puts in the
-        overlay), or None when it has no rows."""
-        pair = self._overlay.get(s)
-        if pair is not None:
-            return pair
-        predicates, objects, lo, hi = self._subject(s)
-        return (predicates[lo:hi], objects[lo:hi]) if lo < hi else None
-
-    def _subjects(self) -> Iterator[tuple[int, array, array, int, int]]:
-        """Each live subject, ascending, with its columns and bounds as
-        :meth:`_subject` gives them: the base run's subjects merged with the
-        overlay's, an overlay pair hiding the base rows of its subject."""
-        overlay = self._overlay
-        column, predicates, objects = self._s, self._p, self._o
-        written = iter(sorted(overlay))
-        w = next(written, None)
-        lo, end = 0, len(column)
-        while lo < end or w is not None:
-            s = column[lo] if lo < end else None
-            if s is None or (w is not None and w <= s):
-                pair = overlay[w]
-                if pair[0]:
-                    yield w, pair[0], pair[1], 0, len(pair[0])
-                if w == s:
-                    lo = bisect_right(column, s, lo)
-                w = next(written, None)
-            else:
-                hi = bisect_right(column, s, lo)
-                yield s, predicates, objects, lo, hi
-                lo = hi
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
@@ -363,13 +298,12 @@ class Store:
         were held, in SPO order.
 
         Like :meth:`add_rows`, each touched key's column pair is rebuilt
-        once, without the removed pairs; a predicate left empty is dropped,
-        and a subject left empty keeps an empty overlay pair.
+        once, without the removed pairs; a key left empty keeps an empty
+        overlay pair.
         """
-        removed = _cut(self._overlay, sorted(set(rows)), self._own, True)
+        removed = self._spo.cut(sorted(set(rows)))
         if removed:
-            pos = self._pos
-            _cut(pos, sorted([(p, o, s) for s, p, o in removed]), pos.get, False)
+            self._pos.cut(sorted([(p, o, s) for s, p, o in removed]))
             self._size -= len(removed)
         return removed
 
@@ -394,12 +328,12 @@ class Store:
         term_id = self._ids.get(term)
         if term_id is None:
             return False
-        _, _, lo, hi = self._subject(term_id)
-        return lo < hi or term_id in self._pos or any(self._object_runs(None, term_id))
+        keyed = (lo < hi for *_, lo, hi in (self._spo.run(term_id), self._pos.run(term_id)))
+        return any(keyed) or any(self._object_runs(None, term_id))
 
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
-        return sorted(self._pos)
+        return list(map(itemgetter(0), self._pos.runs()))
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -420,7 +354,7 @@ class Store:
                 yield (subj, pred, o)
             return
         if s is not None:
-            predicates, objects, lo, hi = self._subject(s)
+            predicates, objects, lo, hi = self._spo.run(s)
             if p is None:
                 for pred, obj in zip(predicates[lo:hi], objects[lo:hi]):
                     yield (s, pred, obj)
@@ -432,29 +366,26 @@ class Store:
                 yield (s, p, o)
             return
         if p is not None:
-            columns = self._pos.get(p)
-            if columns is None:
-                return
+            objects, subjects, lo, hi = self._pos.run(p)
             if o is None:
-                for obj, subj in zip(*columns):
+                for obj, subj in zip(objects[lo:hi], subjects[lo:hi]):
                     yield (subj, p, obj)
             else:
-                objects, subjects = columns
-                lo = bisect_left(objects, o)
-                for subj in subjects[lo : bisect_right(objects, o, lo)]:
+                lo = bisect_left(objects, o, lo, hi)
+                for subj in subjects[lo : bisect_right(objects, o, lo, hi)]:
                     yield (subj, p, o)
             return
-        for subj, predicates, objects, lo, hi in self._subjects():
+        for subj, predicates, objects, lo, hi in self._spo.runs():
             for pred, obj in zip(predicates[lo:hi], objects[lo:hi]):
                 yield (subj, pred, obj)
 
     def _object_runs(self, s: Optional[int], o: int) -> Iterator[tuple[int, array]]:
         """For each predicate, ascending, that has rows with object ``o``
         (and subject ``s``, if bound): the predicate and the run of those
-        rows' subjects, ascending, cut from its POS column pair."""
-        for p, (objects, subjects) in sorted(self._pos.items()):
-            lo = bisect_left(objects, o)
-            hi = bisect_right(objects, o, lo)
+        rows' subjects, ascending, cut from its POS rows."""
+        for p, objects, subjects, lo, hi in self._pos.runs():
+            lo = bisect_left(objects, o, lo, hi)
+            hi = bisect_right(objects, o, lo, hi)
             if s is not None:
                 lo = bisect_left(subjects, s, lo, hi)
                 hi = bisect_right(subjects, s, lo, hi)
@@ -465,15 +396,12 @@ class Store:
         self, s: Optional[int], p: Optional[int], o: Optional[int]
     ) -> tuple[array, array, int, int, Optional[int]]:
         """For a shape with the subject or the predicate bound, but not all
-        three slots: the second- and third-key columns of the permutation
-        whose first key is bound, the bounds of that key's rows in them, and
-        the bound second key or None."""
+        three slots: the run of the permutation whose first key is bound,
+        as :meth:`_Permutation.run` gives it, and the bound second key or
+        None."""
         if s is not None:
-            return (*self._subject(s), p)
-        columns = self._pos.get(p)  # type: ignore[arg-type]
-        if columns is None:
-            return (*_NO_ROWS, o)
-        return columns[0], columns[1], 0, len(columns[0]), o
+            return (*self._spo.run(s), p)
+        return (*self._pos.run(p), o)  # type: ignore[arg-type]
 
     def match_count(self, s: Optional[int], p: Optional[int], o: Optional[int]) -> int:
         """Cheap cardinality estimate for join planning (exact for runs)."""
@@ -495,8 +423,7 @@ class Store:
         estimates."""
         bound = [i for i, key in enumerate((s, p, o)) if key is not None]
         if not bound:
-            # POS holds the subjects in its pairs' second columns, the objects in their first
-            return len(self._pos) if slot == 1 else len(self._pos_values(1 if slot == 0 else 0))
+            return len(self.predicate_ids()) if slot == 1 else len(self._values(slot))
         if bound == [2]:
             runs = self._object_runs(None, o)  # type: ignore[arg-type]
             if slot == 0:
@@ -510,7 +437,7 @@ class Store:
         return self.match_count(s, p, o)
 
     def contains_ids(self, s: int, p: int, o: int) -> bool:
-        predicates, objects, lo, hi = self._subject(s)
+        predicates, objects, lo, hi = self._spo.run(s)
         return lo < hi and _seek(predicates, objects, p, o, lo, hi)[1]
 
     def match_terms(
@@ -546,40 +473,43 @@ class Store:
         return self.triples()
 
     def stats(self) -> dict[str, int]:
+        count = self.distinct_count
         return {
             "triples": self._size,
             "terms": len(self._terms),
-            "subjects": len(self._pos_values(1)),
-            "predicates": len(self._pos),
-            "objects": len(self._pos_values(0)),
+            "subjects": count(None, None, None, 0),
+            "predicates": count(None, None, None, 1),
+            "objects": count(None, None, None, 2),
         }
 
     def verify_indexes(self) -> bool:
-        """The base run and the overlay, read through :meth:`_subjects`,
-        describe the triple set POS does; the base run is strictly
-        ascending, every overlay pair is of equal length and strictly
-        ascending, and every POS pair is also non-empty (test hook)."""
+        """Both permutations describe the same triple set, read through
+        :meth:`_Permutation.runs`; in each, the rows so read and the base
+        run are strictly ascending, the offsets and keys fit the base run,
+        and every overlay pair is of equal length (test hook)."""
 
         def ascending(rows: list) -> bool:
             return all(map(lt, rows, rows[1:]))
 
-        base = (self._s, self._p, self._o)
-        if len(set(map(len, base))) != 1 or not ascending(list(zip(*base))):
+        def rows(index: _Permutation) -> Optional[list[IdTriple]]:
+            start = index.start
+            out: list[IdTriple] = []
+            for key, second, third, lo, hi in index.runs():
+                out.extend(zip(repeat(key), second[lo:hi], third[lo:hi]))
+            sound = (
+                start[0] == 0
+                and start[-1] == len(index.second) == len(index.third)
+                and all(map(le, start, start[1:]))
+                and list(index.keys) == [k for k in range(len(start) - 1) if start[k] < start[k + 1]]
+                and ascending(list(zip(index.firsts(), index.second, index.third)))
+                and all(len(second) == len(third) for second, third in index.overlay.values())
+            )
+            return out if sound and ascending(out) else None
+
+        spo, pos = rows(self._spo), rows(self._pos)
+        if spo is None or pos is None:
             return False
-        spo: list[IdTriple] = []
-        for s, predicates, objects, lo, hi in self._subjects():
-            spo.extend(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
-        if not ascending(spo):
-            return False
-        pos: list[IdTriple] = []
-        for p, (objects, subjects) in self._pos.items():
-            pairs = list(zip(objects, subjects))
-            if not pairs or len(objects) != len(subjects) or not ascending(pairs):
-                return False
-            pos.extend((s, p, o) for o, s in pairs)
-        if any(len(predicates) != len(objects) for predicates, objects in self._overlay.values()):
-            return False
-        return len(spo) == self._size and set(spo) == set(pos)
+        return len(spo) == self._size and set(spo) == {(s, p, o) for p, o, s in pos}
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -661,17 +591,18 @@ class Store:
         finally:
             os.close(directory)
 
-    def _pos_values(self, k: int) -> set[int]:
-        """The values of the POS pairs' ``k``-th columns: the ids of the
-        objects (0) or of the subjects (1) of live triples."""
-        return set().union(*map(itemgetter(k), self._pos.values()))
+    def _values(self, slot: int) -> set[int]:
+        """The ids in ``slot`` (0 for subjects, 2 for objects) of the live
+        triples, read from POS's third or second columns."""
+        runs = self._pos.runs()
+        return set().union(*((subjects if slot == 0 else objects)[lo:hi] for _, objects, subjects, lo, hi in runs))
 
     def _not_held(self, entries: Iterable[set[IdTriple]]) -> set[IdTriple]:
         """The id triples of ``entries`` that the store does not hold: their
         union less the rows of the subjects they name."""
         missing: set[IdTriple] = set().union(*entries)
         for s in set(map(itemgetter(0), missing)):
-            predicates, objects, lo, hi = self._subject(s)
+            predicates, objects, lo, hi = self._spo.run(s)
             missing.difference_update(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
         return missing
 
@@ -681,8 +612,8 @@ class Store:
         Loaded ids are in that order already; each term interned since the
         load is bisected into them, in the order of its sort key.
         """
-        live = self._pos_values(0)
-        live.update(self._pos_values(1), self._pos)
+        live = self._values(0)
+        live.update(self._values(2), self.predicate_ids())
         ids = sorted(live)
         loaded_count = self._loaded
         split = bisect_left(ids, loaded_count)
@@ -709,24 +640,23 @@ class Store:
         """The SPO run under the new numbering (None: ids stay as they are),
         as one id array that the caller appends without another copy.
 
-        The base rows of the subjects not written are cut out of the base
-        columns and mapped as whole columns.  The numbering keeps the order
+        The subject column is rebuilt from the offsets, and the base rows
+        of the subjects not written are cut out of the base columns by
+        offset and mapped as whole columns.  The numbering keeps the order
         of loaded ids, and the base run holds loaded ids only, so those rows
         stay in order, and only the overlay's rows are sorted and spliced in
         at their subjects' places.
         """
-        overlay = self._overlay
-        base = self._s
+        spo = self._spo
+        overlay, offsets = spo.overlay, spo.start
         pieces: list[slice] = []  # the base rows of the subjects not written
-        start = 0
+        begin = 0
         for s in sorted(overlay):
-            lo = bisect_left(base, s, start)
-            hi = bisect_right(base, s, lo)
-            if lo < hi:
-                pieces.append(slice(start, lo))
-                start = hi
-        pieces.append(slice(start, len(base)))
-        columns = [base, self._p, self._o]
+            if s < len(offsets) - 1 and offsets[s] < offsets[s + 1]:
+                pieces.append(slice(begin, offsets[s]))
+                begin = offsets[s + 1]
+        pieces.append(slice(begin, len(spo.second)))
+        columns = [spo.firsts(), spo.second, spo.third]
         if len(pieces) > 1:
             columns = [_joined(column, pieces) for column in columns]
         fresh = [(s, p, o) for s, pair in overlay.items() for p, o in zip(*pair)]
@@ -886,14 +816,129 @@ def _joined(column: array, pieces: list[slice]) -> array:
     return out
 
 
-# -- the column pairs of one permutation ---------------------------------------
+# -- the permutations -------------------------------------------------------------
 
 # the columns and bounds of a key that has no rows
 _NO_ROWS = (array(_ID), array(_ID), 0, 0)
-# no subject (ids are not negative) and no rows
-_NOT_FOUND = (-1, _NO_ROWS)
-# the column pair a write to a key starts from, or None when it has no rows
-_Get = Callable[[int], Optional[tuple[array, array]]]
+
+
+class _Permutation:
+    """The triples in one key order, as (first, second, third) rows.
+
+    The base run is the second- and third-key columns of its rows, sorted
+    together by (first, second, third); ``start`` holds dense offsets
+    indexed by first-key id, so the base rows of key ``k`` are
+    ``start[k]:start[k + 1]``, and ``keys`` lists the keys that have base
+    rows, ascending.  A key outside the offsets has no base rows.  The
+    overlay maps each key written since the base run was filled to its own
+    (second, third) column pair, sorted; reads and writes of that key use
+    the pair from then on, and a key emptied by writes keeps an empty pair,
+    which hides its base rows.
+    """
+
+    __slots__ = ("second", "third", "start", "keys", "overlay")
+
+    def __init__(self, first: Iterable[int], second: Sequence[int], third: Sequence[int]) -> None:
+        """The base run of distinct rows sorted by (first, second, third),
+        given as columns (arrays, or lists; the first keys in any order,
+        since only their counts are kept), and an empty overlay."""
+        counts = Counter(first)
+        self.keys = array(_ID, sorted(counts))
+        lengths = map(counts.get, range(self.keys[-1] + 1 if counts else 0), repeat(0))
+        self.start = array(_ID, accumulate(lengths, initial=0))
+        self.second, self.third = (c if isinstance(c, array) else array(_ID, c) for c in (second, third))
+        self.overlay: dict[int, tuple[array, array]] = {}
+
+    def run(self, key: int) -> tuple[array, array, int, int]:
+        """The second- and third-key columns that hold the rows of ``key``,
+        and the bounds of those rows in them (equal when it has none)."""
+        pair = self.overlay.get(key)
+        if pair is not None:
+            return pair[0], pair[1], 0, len(pair[0])
+        start = self.start
+        if 0 <= key < len(start) - 1:
+            return self.second, self.third, start[key], start[key + 1]
+        return _NO_ROWS
+
+    def runs(self) -> Iterator[tuple[int, array, array, int, int]]:
+        """Each key that has rows, ascending, with its columns and bounds
+        as :meth:`run` gives them."""
+        overlay, start, second, third = self.overlay, self.start, self.second, self.third
+        for key in sorted(set(self.keys).union(overlay)) if overlay else self.keys:
+            pair = overlay.get(key)
+            if pair is None:
+                yield key, second, third, start[key], start[key + 1]
+            elif pair[0]:
+                yield key, pair[0], pair[1], 0, len(pair[0])
+
+    def firsts(self) -> array:
+        """The first key of each base row, in order."""
+        start, keys = self.start, self.keys
+        return array(_ID, chain.from_iterable(map(repeat, keys, [start[k + 1] - start[k] for k in keys])))
+
+    def _own(self, key: int) -> Optional[tuple[array, array]]:
+        """The column pair a write to ``key`` starts from: its overlay pair,
+        or a copy of its base rows (which the write then puts in the
+        overlay), or None when it has no rows."""
+        pair = self.overlay.get(key)
+        if pair is not None:
+            return pair
+        second, third, lo, hi = self.run(key)
+        return (second[lo:hi], third[lo:hi]) if lo < hi else None
+
+    def merge(self, rows: list[IdTriple]) -> list[IdTriple]:
+        """Put sorted, distinct (first, second, third) rows in; the rows
+        that were not there, in order."""
+        added: list[IdTriple] = []
+        for first, run in groupby(rows, itemgetter(0)):
+            columns = self._own(first)
+            if columns is None:
+                group = list(run)
+                self.overlay[first] = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
+                added += group
+                continue
+            second, third = columns
+            size = len(second)
+            cuts: list[int] = []
+            fresh: list[IdTriple] = []
+            for row in run:
+                at, found = _seek(second, third, row[1], row[2], 0, size)
+                if not found:
+                    cuts.append(at)
+                    fresh.append(row)
+            if fresh:
+                self.overlay[first] = _spliced(columns, cuts, fresh)
+                added += fresh
+        return added
+
+    def cut(self, rows: list[IdTriple]) -> list[IdTriple]:
+        """Take sorted, distinct (first, second, third) rows out; the rows
+        that were there, in order."""
+        removed: list[IdTriple] = []
+        for first, run in groupby(rows, itemgetter(0)):
+            columns = self._own(first)
+            if columns is None:
+                continue
+            second, third = columns
+            group = list(run)
+            if (
+                len(group) == len(second)
+                and second == array(_ID, [row[1] for row in group])
+                and third == array(_ID, [row[2] for row in group])
+            ):
+                # the whole key goes, as when a rule's predicate is retracted
+                removed += group
+                self.overlay[first] = (array(_ID), array(_ID))
+                continue
+            cuts: list[int] = []
+            for row in group:
+                at, found = _seek(second, third, row[1], row[2], 0, len(second))
+                if found:
+                    cuts.append(at)
+                    removed.append(row)
+            if cuts:
+                self.overlay[first] = _spliced(columns, cuts)
+        return removed
 
 
 def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tuple[int, bool]:
@@ -903,77 +948,6 @@ def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tupl
     hi = bisect_right(second, b, lo, hi)
     at = bisect_left(third, c, lo, hi)
     return at, at < hi and third[at] == c
-
-
-def _merge(index: _Index, rows: list[IdTriple], get: _Get) -> list[IdTriple]:
-    """Put sorted, distinct (first, second, third) rows into ``index``; the
-    rows that were not there, in order.
-
-    ``get(first)`` is the column pair a key's rows start from, or None; a
-    pair that changes is (re)stored in ``index``.
-    """
-    added: list[IdTriple] = []
-    for first, run in groupby(rows, itemgetter(0)):
-        columns = get(first)
-        if columns is None:
-            group = list(run)
-            index[first] = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
-            added += group
-            continue
-        second, third = columns
-        size = len(second)
-        cuts: list[int] = []
-        fresh: list[IdTriple] = []
-        for row in run:
-            at, found = _seek(second, third, row[1], row[2], 0, size)
-            if not found:
-                cuts.append(at)
-                fresh.append(row)
-        if fresh:
-            index[first] = _spliced(columns, cuts, fresh)
-            added += fresh
-    return added
-
-
-def _cut(index: _Index, rows: list[IdTriple], get: _Get, keep_empty: bool) -> list[IdTriple]:
-    """Take sorted, distinct (first, second, third) rows out of ``index``;
-    the rows that were there, in order.
-
-    ``get`` is as for :func:`_merge`.  A key left empty is dropped, or,
-    with ``keep_empty``, stored as an empty pair (an overlay subject's
-    empty pair hides its base rows).
-    """
-    removed: list[IdTriple] = []
-    for first, run in groupby(rows, itemgetter(0)):
-        columns = get(first)
-        if columns is None:
-            continue
-        second, third = columns
-        group = list(run)
-        if (
-            len(group) == len(second)
-            and second == array(_ID, [row[1] for row in group])
-            and third == array(_ID, [row[2] for row in group])
-        ):
-            # the whole key goes, as when a rule's predicate is retracted
-            removed += group
-        else:
-            cuts: list[int] = []
-            for row in group:
-                at, found = _seek(second, third, row[1], row[2], 0, len(second))
-                if found:
-                    cuts.append(at)
-                    removed.append(row)
-            if not cuts:
-                continue
-            if len(cuts) < len(second):
-                index[first] = _spliced(columns, cuts)
-                continue
-        if keep_empty:
-            index[first] = (array(_ID), array(_ID))
-        else:
-            del index[first]
-    return removed
 
 
 def _spliced(
@@ -1018,17 +992,6 @@ def _spliced(
 def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
     """Each column's values at ``rows``, in that order."""
     return (array(_ID, map(column.__getitem__, rows)) for column in columns)
-
-
-def _group(index: _Index, first: Iterable[int], second: array, third: array) -> None:
-    """Fill an empty index from the second and third columns of triples
-    sorted by (first, second, third); ``first`` holds their first keys in
-    any order."""
-    counts = Counter(first)
-    keys = sorted(counts)
-    ends = list(accumulate(map(counts.__getitem__, keys)))
-    cuts = list(map(slice, chain((0,), ends), ends))
-    index.update(zip(keys, zip(map(second.__getitem__, cuts), map(third.__getitem__, cuts))))
 
 
 # A term is its kind byte (0 IRI, 1 blank, 2 literal), a literal's datatype

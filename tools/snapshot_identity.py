@@ -1,0 +1,107 @@
+"""Check that two source trees write the same snapshots and print the same
+output through one fixed command sequence.
+
+Usage: python3 tools/snapshot_identity.py BASE_TREE CHANGED_TREE
+
+Both trees run the same ``scholargraph`` commands, each in its own work
+directory, on inputs that ``perfbench/gen.py`` (read from CHANGED_TREE)
+generates for seed 1 and 400 documents: the ingests, three usage batches
+each followed by ``map`` and ``map --affiliations``, then ``validate``,
+``stats``, ``infer --all``, ``metric if`` and ``metric uif``, ``retract
+--rule used_by``, ``infer --rule used_by``, ``retract --all``, ``map`` and
+``export``.  After every command the snapshot's SHA-1, the exit status and
+stdout must agree; the first command where they differ is reported and the
+script exits 1.  When the snapshot format version (``_VERSION`` in
+``store.py``) differs between the trees, the snapshots cannot agree, so
+nothing is run and the script exits 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+CLI = "import sys; from scholargraph.cli import main; sys.exit(main())"
+SIZES = dict(docs=400, events=8000, citations=1600, journals=10, batches=3)
+
+
+def snapshot_version(tree: str) -> str:
+    with open(os.path.join(tree, "src", "scholargraph", "store.py"), encoding="utf-8") as fp:
+        found = re.search(r"^_VERSION = (.+)$", fp.read(), re.M)
+    return found.group(1) if found else ""
+
+
+def sha1_of(path: str) -> str:
+    if not os.path.exists(path):
+        return "-"
+    with open(path, "rb") as fp:
+        return hashlib.sha1(fp.read()).hexdigest()
+
+
+def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[list[str]]:
+    def source(name: str) -> str:
+        return os.path.join(inputs, name)
+
+    sequence = [
+        ["ingest-biblio", "--input", source(files["biblio"][0])],
+        ["ingest-citations", "--input", source(files["citations"][0])],
+    ]
+    for name in files["usage"]:
+        sequence += [["ingest-usage", "--input", source(name)], ["map"], ["map", "--affiliations"]]
+    sequence += [["validate"], ["stats"], ["infer", "--all"]]
+    sequence += [["metric", kind, "--object", journal, "--year", "2006"] for kind in ("if", "uif")]
+    sequence += [
+        ["retract", "--rule", "used_by"],
+        ["infer", "--rule", "used_by"],
+        ["retract", "--all"],
+        ["map"],
+        ["export"],
+    ]
+    return sequence
+
+
+def run(tree: str, workdir: str, args: list[str]) -> tuple[str, int, bytes]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
+    env.pop("SCHOLARGRAPH_STORE", None)
+    env.pop("SCHOLARGRAPH_SIDECAR", None)
+    argv = ["--store", "graph.store", "--sidecar", "records.sidecar", "--format", "tsv", *args]
+    done = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=workdir, env=env, capture_output=True)
+    return sha1_of(os.path.join(workdir, "graph.store")), done.returncode, done.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__.split("\n\n")[1] + "\n")
+        return 2
+    trees = [os.path.abspath(tree) for tree in argv]
+    versions = list(map(snapshot_version, trees))
+    if versions[0] != versions[1]:
+        print(f"snapshot version changed ({versions[0]} -> {versions[1]}): snapshots are not compared")
+        return 0
+    sys.path.insert(0, os.path.join(trees[1], "perfbench"))
+    import gen
+
+    with tempfile.TemporaryDirectory() as scratch:
+        inputs = os.path.join(scratch, "inputs")
+        corpus = gen.generate(1, **SIZES)
+        files = gen.write_inputs(corpus, inputs, 1)
+        workdirs = [os.path.join(scratch, side) for side in ("base", "changed")]
+        for workdir in workdirs:
+            os.makedirs(workdir)
+        for step, args in enumerate(commands(inputs, files, gen.journal_iri(corpus.journals[0])), 1):
+            base, changed = (run(tree, workdir, args) for tree, workdir in zip(trees, workdirs))
+            label = " ".join(args[:1] + [arg for arg in args[1:] if not os.path.isabs(arg)])
+            if base != changed:
+                what = [name for name, a, b in zip(("snapshot", "exit status", "stdout"), base, changed) if a != b]
+                print(f"step {step}, {label}: {', '.join(what)} differ")
+                return 1
+            print(f"step {step}, {label}: exit {base[1]}, snapshot {base[0]}, stdout {len(base[2])} bytes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
