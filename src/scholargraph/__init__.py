@@ -1,10 +1,10 @@
 """Embedded semantic-network store for scholarly communication data.
 
-A triple store with three permutation indexes and dictionary-encoded
-terms, a compiled-in publication/usage vocabulary, a small query dialect
-with INSERT templates, retractable materialization rules, journal metrics,
-and a keyed record sidecar for the literals deliberately kept out of the
-graph.
+A triple store with two permutation indexes (SPO, POS) and
+dictionary-encoded terms, a compiled-in publication/usage vocabulary, a
+small query dialect with INSERT templates, retractable materialization
+rules, journal metrics, and a keyed record sidecar for the literals
+deliberately kept out of the graph.
 
 Importing the package imports none of its modules: each name below is
 imported from its module on first access (PEP 562), so a program that uses
@@ -22,7 +22,6 @@ _EXPORTS = {
     "ntriples": (
         "NTriplesParseError",
         "parse_ntriples",
-        "serialize_ntriples",
         "serialize_term",
         "serialize_triple",
         "write_ntriples",

@@ -10,6 +10,10 @@ state file: it carries the materialization ledger as its last section, and
 each save replaces it atomically.  A `map`, `query`, `infer`, `retract` or
 `metric` that changes nothing leaves the snapshot file alone.
 
+`export` writes N-Triples sorted by subject, predicate and object, each in
+canonical term order (IRIs, then blanks, then literals by datatype): the
+order of the snapshot's SPO run, which it writes with nothing sorted.
+
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 
 Each subcommand imports the modules it uses inside its handler, so a
@@ -405,20 +409,12 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_export(args: argparse.Namespace, cfg: Config) -> int:
     from .ntriples import write_ntriples
 
-    store = _open_store(cfg)
-    triples = sorted(
-        store.triples(),
-        key=lambda t: (
-            term_sort_key(t.subject),
-            term_sort_key(t.predicate),
-            term_sort_key(t.object),
-        ),
-    )
+    terms, run = _open_store(cfg).canonical_run()
     if args.output == "-":
-        count = write_ntriples(triples, sys.stdout.buffer)
+        count = write_ntriples(terms, run, sys.stdout.buffer)
     else:
         with open(args.output, "wb") as fp:
-            count = write_ntriples(triples, fp)
+            count = write_ntriples(terms, run, fp)
     sys.stderr.write(f"exported {count} triple(s)\n")
     return 0
 
@@ -541,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat partOf as one hop instead of its closure",
     )
 
-    p = add("export", cmd_export, "write the store as sorted N-Triples")
+    p = add("export", cmd_export, "write the store as sorted N-Triples: IRIs, then blanks, then literals by datatype")
     p.add_argument("--output", default="-", help="output file ('-' for stdout)")
 
     add("catalog", cmd_catalog, "print the built-in vocabulary")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .errors import PositionedError
 from .terms import (
@@ -21,6 +21,7 @@ from .terms import (
     Datatype,
     Iri,
     Literal,
+    Term,
     TermError,
     Triple,
     XSD_DATE,
@@ -312,18 +313,11 @@ def serialize_triple(triple: Triple) -> str:
     )
 
 
-def serialize_ntriples(triples: Iterable[Triple]) -> bytes:
-    """Serialize triples in iteration order, one line each, UTF-8."""
-    lines = [serialize_triple(t) for t in triples]
-    lines.append("")  # trailing newline
-    return "\n".join(lines).encode("utf-8")
-
-
-def write_ntriples(triples: Iterable[Triple], fp: IO[bytes]) -> int:
-    """Stream triples to a binary file object; returns the triple count."""
-    count = 0
-    for triple in triples:
-        fp.write(serialize_triple(triple).encode("utf-8"))
-        fp.write(b"\n")
-        count += 1
-    return count
+def write_ntriples(terms: Sequence[Term], run: Sequence[int], fp: IO[bytes]) -> int:
+    """Write ``run``, flat (s, p, o) ids into ``terms`` as
+    :meth:`Store.canonical_run` gives them, one line per row in its order,
+    with each term serialized once; returns the row count."""
+    names = [serialize_term(term).encode("utf-8") for term in terms]
+    columns = (map(names.__getitem__, run[k::3]) for k in range(3))
+    fp.writelines(map(b"%s %s %s .\n".__mod__, zip(*columns)))
+    return len(run) // 3

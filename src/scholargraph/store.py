@@ -46,10 +46,12 @@ ids only, so a save rebuilds the subject column from SPO's offsets, maps
 the base columns as they stand, cuts out the rows of the overlay's
 subjects by offset, and sorts and splices in only the overlay's rows (a
 store whose base run holds ids that were not loaded, as in one that
-was never loaded, sorts its whole run once).  A load checks the term table
-one kind at a time by the term constructors' rules, and the id runs in
-whole columns, with the messages a term-by-term check would give; the
-cyclic garbage collector is paused while it runs.
+was never loaded, sorts its whole run once).  ``export`` writes the same
+numbering and run (:meth:`Store.canonical_run`), already in canonical
+triple order.  A load checks the term table one kind at a time by the term
+constructors' rules, and the id runs in whole columns, with the messages a
+term-by-term check would give; the cyclic garbage collector is paused
+while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -546,18 +548,12 @@ class Store:
 
             triple = serialize_triple(self.decode_triple(ids))
             raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
-        terms = self._terms
-        order = self._term_order()
-        renumber: Optional[list[int]] = None
-        if order != list(range(len(terms))):
-            renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
-            for new_id, old_id in enumerate(order):
-                renumber[old_id] = new_id
+        terms, renumber = self._numbering()
         # the sections are written one by one, so none is copied into another
         names = [name for name in sorted(self.ledger) if self.ledger[name]]
         body: list[Union[bytes, bytearray, array]] = [
-            _MAGIC + _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(order), self._size),
-            _encode_terms(list(map(terms.__getitem__, order))),
+            _MAGIC + _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(terms), self._size),
+            _encode_terms(terms),
             self._spo_run(renumber),
             struct.pack("<I", len(names)),
         ]
@@ -591,6 +587,13 @@ class Store:
         finally:
             os.close(directory)
 
+    def canonical_run(self) -> tuple[list[Term], array]:
+        """What a snapshot holds: the live terms in canonical term order, and
+        the SPO run (flat s, p, o ids into that list, ascending), whose rows
+        are therefore in canonical triple order."""
+        terms, renumber = self._numbering()
+        return terms, self._spo_run(renumber)
+
     def _values(self, slot: int) -> set[int]:
         """The ids in ``slot`` (0 for subjects, 2 for objects) of the live
         triples, read from POS's third or second columns."""
@@ -606,8 +609,10 @@ class Store:
             missing.difference_update(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
         return missing
 
-    def _term_order(self) -> list[int]:
-        """The ids of the live terms, in canonical term order.
+    def _numbering(self) -> tuple[list[Term], Optional[list[int]]]:
+        """The live terms in canonical term order, and the new id of each
+        old id (None when every id keeps its own): the one numbering of
+        :meth:`save` and :meth:`canonical_run`.
 
         Loaded ids are in that order already; each term interned since the
         load is bisected into them, in the order of its sort key.
@@ -618,23 +623,27 @@ class Store:
         loaded_count = self._loaded
         split = bisect_left(ids, loaded_count)
         loaded, fresh = ids[:split], ids[split:]
-        if not fresh:
-            return loaded
         terms = self._terms
         keys = list(map(term_sort_key, map(terms.__getitem__, fresh)))
         ranked = sorted(range(len(fresh)), key=keys.__getitem__)
         if not loaded:  # no loaded term to merge into, as in a store that was not loaded
-            return list(map(fresh.__getitem__, ranked))
-        order: list[int] = []
-        start = 0
-        for k in ranked:
-            # where the term falls among all loaded ids, then among the live ones
-            at = bisect_left(loaded, bisect_left(terms, keys[k], 0, loaded_count, key=term_sort_key), start)
-            order += loaded[start:at]
-            order.append(fresh[k])
-            start = at
-        order += loaded[start:]
-        return order
+            order = list(map(fresh.__getitem__, ranked))
+        else:
+            order, start = [], 0
+            for k in ranked:
+                # where the term falls among all loaded ids, then among the live ones
+                at = bisect_left(loaded, bisect_left(terms, keys[k], 0, loaded_count, key=term_sort_key), start)
+                order += loaded[start:at]
+                order.append(fresh[k])
+                start = at
+            order += loaded[start:]
+        live_terms = list(map(terms.__getitem__, order))
+        if order == list(range(len(terms))):
+            return live_terms, None
+        renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
+        for new_id, old_id in enumerate(order):
+            renumber[old_id] = new_id
+        return live_terms, renumber
 
     def _spo_run(self, renumber: Optional[list[int]]) -> array:
         """The SPO run under the new numbering (None: ids stay as they are),

@@ -59,6 +59,7 @@ from scholargraph.ontology import (
     USES,
     Violation,
 )
+from scholargraph.ntriples import serialize_triple
 from scholargraph.store import SnapshotError, Store
 from scholargraph.terms import (
     Blank,
@@ -1023,6 +1024,31 @@ def oracle_snapshot(store: Store) -> bytes:
         raw = name.encode("utf-8")
         body += struct.pack("<II", len(raw), len(rows)) + raw + _id_run(rows)
     return body
+
+
+def term_table_snapshot(*encoded_terms: bytes, rows: Iterable[tuple[int, int, int]] = ()) -> bytes:
+    """A snapshot of a term table in the given order and of ``rows`` (id
+    triples into it, ascending), with no ledger rules."""
+    rows = list(rows)
+    header = b"SGRAPH" + _HEADER.pack(2, 0 if sys.byteorder == "little" else 1, len(encoded_terms), len(rows))
+    return header + b"".join(encoded_terms) + _id_run(rows) + struct.pack("<I", 0)
+
+
+def encoded(kind: int, payload: bytes, datatype: int | None = None) -> bytes:
+    """One term of a snapshot's term table: its kind, its datatype for a
+    literal, and its payload."""
+    head = bytes([kind]) if datatype is None else bytes([kind, datatype])
+    return head + struct.pack("<I", len(payload)) + payload
+
+
+def oracle_export(store: Store) -> bytes:
+    """The bytes ``export`` must write for ``store``: every triple sorted
+    by the canonical order of its subject, predicate and object, one
+    N-Triples line each."""
+    def key(t: Triple) -> tuple:
+        return term_sort_key(t.subject), term_sort_key(t.predicate), term_sort_key(t.object)
+
+    return b"".join(f"{serialize_triple(t)}\n".encode("utf-8") for t in sorted(store.triples(), key=key))
 
 
 def oracle_load_terms(data: bytes) -> list[Term]:

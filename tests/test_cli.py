@@ -20,7 +20,7 @@ from scholargraph.ontology import (
 from scholargraph.store import Store
 from scholargraph.terms import Iri, Triple
 
-from oracles import ledger_triples
+from oracles import encoded, ledger_triples, oracle_export, term_table_snapshot
 
 BIBLIO = (
     "doc_id\ttitle\tauthors\tcollection\tpublisher\tdate\tdoi\n"
@@ -668,6 +668,51 @@ def test_export_writes_sorted_ntriples(workdir, capsys):
     lines = [line for line in out.splitlines() if line]
     assert lines == sorted(lines)
     assert all(line.endswith(" .") for line in lines)
+
+
+def exports_as_the_oracle(capsys, store: Store) -> None:
+    """``export`` to stdout and to a file both write ``oracle_export(store)``."""
+    expected = oracle_export(store)
+    code, out, err = run(capsys, "export")
+    assert code == 0 and out.encode("utf-8") == expected
+    assert err == f"exported {len(store)} triple(s)\n"
+    assert run(capsys, "export", "--output", "out.nt")[0] == 0
+    with open("out.nt", "rb") as fp:
+        assert fp.read() == expected
+
+
+def test_export_equals_the_sorted_oracle_after_rules_and_a_metric(workdir, capsys):
+    load_everything(capsys)
+    for argv in (("map", "--affiliations"), ("infer", "--all")):
+        assert run(capsys, *argv)[0] == 0
+    root = journal_root()
+    assert run(capsys, "metric", "if", "--object", root.value, "--year", "2007")[0] == 0
+    store = Store.load("scholargraph.store")
+    assert store.ledger["metric"] and store.ledger["authored_by"]
+    exports_as_the_oracle(capsys, store)
+
+
+def test_export_of_a_term_table_out_of_canonical_order_equals_the_sorted_oracle(workdir, capsys):
+    # ids in table order: z, "7", a, _:b0, p, "x", q
+    terms = [
+        encoded(0, b"urn:z"),
+        encoded(2, b"7", datatype=1),
+        encoded(0, b"urn:a"),
+        encoded(1, b"b0"),
+        encoded(0, b"urn:p"),
+        encoded(2, b"x", datatype=0),
+        encoded(0, b"urn:q"),
+    ]
+    rows = [(0, 4, 1), (0, 4, 2), (0, 6, 3), (2, 4, 5), (2, 6, 0), (3, 4, 0), (3, 4, 5)]
+    (workdir / "scholargraph.store").write_bytes(term_table_snapshot(*terms, rows=rows))
+    store = Store.load("scholargraph.store")
+    assert len(store) == len(rows) and store.decode(0) == Iri("urn:z")
+    exports_as_the_oracle(capsys, store)
+
+
+def test_export_without_a_snapshot_writes_nothing(workdir, capsys):
+    exports_as_the_oracle(capsys, Store())
+    assert not os.path.exists("scholargraph.store")
 
 
 def test_snapshots_do_not_depend_on_the_hash_seed(workdir, capsys):

@@ -8,7 +8,6 @@ from scholargraph.ntriples import (
     _escape_iri,
     _escape_string,
     parse_ntriples,
-    serialize_ntriples,
     serialize_term,
     serialize_triple,
     write_ntriples,
@@ -117,6 +116,17 @@ def test_escaping_matches_the_character_loops():
         assert _escape_iri(value) == escape_iri_loop(value), repr(value)
 
 
+def written(triples) -> bytes:
+    """What ``write_ntriples`` writes for ``triples``, in their order, from
+    a term table in first-use order and a run of ids into it."""
+    terms = list(dict.fromkeys(term for t in triples for term in (t.subject, t.predicate, t.object)))
+    number = {term: n for n, term in enumerate(terms)}
+    run = [number[term] for t in triples for term in (t.subject, t.predicate, t.object)]
+    buf = io.BytesIO()
+    assert write_ntriples(terms, run, buf) == len(triples)
+    return buf.getvalue()
+
+
 def test_round_trip_every_term_kind():
     triples = [
         Triple(Iri("urn:s"), Iri("urn:p"), Iri("urn:oé")),
@@ -126,23 +136,24 @@ def test_round_trip_every_term_kind():
         Triple(Iri("urn:s"), Iri("urn:p"), year_literal(999)),
         Triple(Iri("urn:s"), Iri("urn:p"), datetime_literal("2006-09-27 00:00:03")),
     ]
-    data = serialize_ntriples(triples)
-    back = list(parse_ntriples(data))
-    assert back == triples
+    assert list(parse_ntriples(written(triples))) == triples
+    lines = "".join(f"{serialize_triple(t)}\n" for t in triples)
+    assert list(parse_ntriples(lines)) == triples
 
 
 def test_round_trip_random_store():
     rng = random.Random(20260815)
     store = random_context_store(rng, 150)
     original = set(store.triples())
-    data = serialize_ntriples(store.triples())
-    back = set(parse_ntriples(data))
-    assert back == original
+    buf = io.BytesIO()
+    assert write_ntriples(*store.canonical_run(), buf) == len(original)
+    back = list(parse_ntriples(buf.getvalue()))
+    assert len(back) == len(original) and set(back) == original
 
 
 def test_write_ntriples_returns_count():
     buf = io.BytesIO()
-    n = write_ntriples([Triple(Iri("urn:s"), Iri("urn:p"), Iri("urn:o"))], buf)
+    n = write_ntriples([Iri("urn:s"), Iri("urn:p"), Iri("urn:o")], [0, 1, 2], buf)
     assert n == 1
     assert buf.getvalue().endswith(b" .\n")
 

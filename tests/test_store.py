@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 
 import scholargraph.store as store_module
+from scholargraph.ntriples import write_ntriples
 from scholargraph.store import SnapshotError, Store
 from scholargraph.terms import (
     Blank,
@@ -26,12 +27,15 @@ from scholargraph.terms import (
 )
 
 from oracles import (
+    encoded,
     isomorphic,
     ledger_ids,
     ledger_triples,
+    oracle_export,
     oracle_load_terms,
     oracle_snapshot,
     random_context_store,
+    term_table_snapshot,
 )
 
 
@@ -558,17 +562,6 @@ def test_corrupt_ledger_sections_are_rejected():
         Store.load(io.BytesIO(plain[:-4]))
 
 
-def term_table_snapshot(*encoded_terms):
-    """A snapshot of a term table alone: no triples, no ledger rules."""
-    header = b"SGRAPH" + struct.pack("<HBII", 2, 0, len(encoded_terms), 0)
-    return header + b"".join(encoded_terms) + struct.pack("<I", 0)
-
-
-def encoded(kind, payload, datatype=None):
-    head = bytes([kind]) if datatype is None else bytes([kind, datatype])
-    return head + struct.pack("<I", len(payload)) + payload
-
-
 def test_corrupt_term_sections_are_rejected():
     good = encoded(0, b"urn:ok")
     assert Store.load(io.BytesIO(term_table_snapshot(good))).decode(0) == Iri("urn:ok")
@@ -665,39 +658,65 @@ def random_term(rng: random.Random):
     return string_literal(f"s{k}")
 
 
+def random_writes(rng: random.Random, store: Store, held: list[Triple]) -> None:
+    """Some inserts of random (often fresh) terms, some with ledger
+    entries, drops of every triple of a subject, and interned terms that no
+    triple uses; ``held`` tracks the store's triples."""
+    for _ in range(rng.randrange(10, 90)):
+        roll = rng.random()
+        if roll < 0.55 or not held:
+            subject = random_term(rng)
+            if isinstance(subject, Literal):
+                subject = Iri(f"urn:s:{subject.lexical}")
+            triple = Triple(subject, Iri(f"urn:p:{rng.randrange(6)}"), random_term(rng))
+            if store.insert(triple):
+                held.append(triple)
+                if rng.random() < 0.3:
+                    entry = store.ledger.setdefault(rng.choice(("metric", "rule_a", "used_by")), set())
+                    entry.add(store.lookup_triple(triple))
+        elif roll < 0.85:
+            # drop every triple of one subject, so its terms may die
+            subject = rng.choice(held).subject
+            for triple in [t for t in held if t.subject == subject]:
+                ids = store.lookup_triple(triple)
+                assert store.remove(triple)
+                held.remove(triple)
+                for entry in store.ledger.values():
+                    entry.discard(ids)
+        else:
+            store.intern(random_term(rng))  # a term no triple uses
+
+
 def test_save_writes_what_the_reference_encoder_writes_over_random_histories():
     for seed in range(12):
         rng = random.Random(seed)
         store = Store()
         held: list[Triple] = []
         for _cycle in range(5):
-            for _ in range(rng.randrange(10, 90)):
-                roll = rng.random()
-                if roll < 0.55 or not held:
-                    subject = random_term(rng)
-                    if isinstance(subject, Literal):
-                        subject = Iri(f"urn:s:{subject.lexical}")
-                    triple = Triple(subject, Iri(f"urn:p:{rng.randrange(6)}"), random_term(rng))
-                    if store.insert(triple):
-                        held.append(triple)
-                        if rng.random() < 0.3:
-                            entry = store.ledger.setdefault(rng.choice(("metric", "rule_a", "used_by")), set())
-                            entry.add(store.lookup_triple(triple))
-                elif roll < 0.85:
-                    # drop every triple of one subject, so its terms may die
-                    subject = rng.choice(held).subject
-                    for triple in [t for t in held if t.subject == subject]:
-                        ids = store.lookup_triple(triple)
-                        assert store.remove(triple)
-                        held.remove(triple)
-                        for entry in store.ledger.values():
-                            entry.discard(ids)
-                else:
-                    store.intern(random_term(rng))  # a term no triple uses
+            random_writes(rng, store, held)
             data = saved(store)
             assert data == oracle_snapshot(store), seed
             store = Store.load(io.BytesIO(data))
             assert saved(store) == data, seed
+
+
+def exported(store: Store) -> bytes:
+    buf = io.BytesIO()
+    assert write_ntriples(*store.canonical_run(), buf) == len(store)
+    return buf.getvalue()
+
+
+def test_export_writes_what_the_sorted_oracle_writes_over_random_histories():
+    for seed in range(12):
+        rng = random.Random(seed)
+        store = Store()
+        held: list[Triple] = []
+        for cycle in range(5):
+            # the first cycle writes into a store that was never loaded
+            random_writes(rng, store, held)
+            assert exported(store) == oracle_export(store), (seed, cycle)
+            store = Store.load(io.BytesIO(saved(store)))
+            assert exported(store) == oracle_export(store), (seed, cycle)
 
 
 def test_a_term_table_out_of_canonical_order_loads_and_saves_canonically():
@@ -709,6 +728,7 @@ def test_a_term_table_out_of_canonical_order_loads_and_saves_canonically():
     for triple in small_store()[1]:
         back.insert(triple)
     assert saved(back) == canonical
+    assert exported(back) == oracle_export(back)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
