@@ -42,16 +42,25 @@ A snapshot numbers the live terms in canonical order.  A loaded store keeps
 the snapshot's numbering as its lowest ids, so a save sorts only the terms
 interned since the load and merges them into the loaded order.  That
 renumbering keeps the order of loaded ids, and the base run holds loaded
-ids only, so a save rebuilds the subject column from SPO's offsets, maps
-the base columns as they stand, cuts out the rows of the overlay's
-subjects by offset, and sorts and splices in only the overlay's rows (a
-store whose base run holds ids that were not loaded, as in one that
-was never loaded, sorts its whole run once).  ``export`` writes the same
+ids only, so a save takes each subject's row count from SPO's offsets
+and overlay, maps the base columns as they stand, cuts out the rows of
+the overlay's subjects by offset, and sorts and splices in only the
+overlay's rows, at the offsets the counts give (a store whose base run
+holds ids that were not loaded, as in one that was never loaded, sorts
+its whole run once).  ``export`` writes the same
 numbering and run (:meth:`Store.canonical_run`), already in canonical
-triple order.  A load checks the term table one kind at a time by the term
-constructors' rules, and the id runs in whole columns, with the messages a
-term-by-term check would give; the cyclic garbage collector is paused
-while it runs.
+triple order.
+
+A snapshot's sections are columnar and each is packed as one ``zlib``
+stream (:func:`_pack`, :func:`_unpack`), as column stores compress each
+column and decode it with a native codec rather than value by value:
+the term table is one run per kind (and per datatype, for literals), each
+a length column and one payload blob; the SPO run is each subject's row
+count and the predicate and object columns, so a load takes SPO's offsets
+from the counts rather than counting a subject column.  A load checks the
+term table one run at a time by the term constructors' rules, and the id
+columns whole, with the messages a term-by-term check would give; the
+cyclic garbage collector is paused while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -65,11 +74,12 @@ import gc
 import os
 import struct
 import sys
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain, groupby, repeat
-from operator import attrgetter, itemgetter, le, lt
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import attrgetter, itemgetter, le, lt, sub
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
@@ -163,9 +173,18 @@ IdTriple = tuple[int, int, int]
 _ID = "I"
 
 _MAGIC = b"SGRAPH"
-_VERSION = 2
+_VERSION = 3
 # version, byte order (0 little, 1 big), term count, triple count
 _HEADER = struct.Struct("<HBII")
+# a packed section: the length of its raw bytes, then of its zlib stream
+_PACKED = struct.Struct("<QQ")
+# the zlib level of every section: level 1 measured the best trade of save
+# time for size
+_LEVEL = 1
+# the byte order of a snapshot's counts, lengths and ids as this host writes
+# them; the header's flag names it for a reader on another host
+_NATIVE = "<" if sys.byteorder == "little" else ">"
+_U32 = struct.Struct("=I")
 
 
 class Store:
@@ -263,7 +282,7 @@ class Store:
                 if max(map(max, columns)) >= self._loaded:
                     # the base run may hold loaded ids only (see _spo_run)
                     self._loaded = 0
-                self._build(*columns)
+                self._build(_counts(columns[0]), *columns)
             return batch
         added = self._spo.merge(batch)
         if added:
@@ -271,9 +290,10 @@ class Store:
             self._size += len(added)
         return added
 
-    def _build(self, s: Sequence[int], p: Sequence[int], o: Sequence[int]) -> None:
+    def _build(self, counts: Sequence[int], s: Sequence[int], p: Sequence[int], o: Sequence[int]) -> None:
         """Make the id columns of distinct triples in SPO order the base runs
-        of both permutations, with empty overlays.
+        of both permutations, with empty overlays; ``counts`` holds each
+        subject's row count, by subject id.
 
         POS comes from two stable sorts of the row numbers by one integer
         key each: sorting by object leaves equal objects in (s, p) order, and
@@ -285,9 +305,9 @@ class Store:
         """
         rows = sorted(range(len(o)), key=o.__getitem__)
         rows.sort(key=p.__getitem__)
-        self._pos = _Permutation(p, *_gather(rows, o, s))
+        self._pos = _Permutation(_counts(p), *_gather(rows, o, s))
         del rows  # before the subject offsets are made, to lower the peak
-        self._spo = _Permutation(s, p, o)
+        self._spo = _Permutation(counts, p, o)
         self._size = len(o)
 
     def remove(self, triple: Triple) -> bool:
@@ -516,7 +536,8 @@ class Store:
     # -- snapshots ---------------------------------------------------------------
 
     def save(self, target: Union[str, IO[bytes]]) -> None:
-        """Write a canonical snapshot: the term table, the SPO run, the ledger.
+        """Write a canonical snapshot: a header, then the term table, the SPO
+        run and the ledger, each a section packed by :func:`_pack`.
 
         Live terms are written in one total order (:func:`term_sort_key`)
         and numbered densely in it.  The terms of the snapshot a store was
@@ -524,15 +545,19 @@ class Store:
         interned since are sorted: each is bisected into the loaded order,
         and dead ids drop out.  (A store that was not loaded has no loaded
         terms, so all of its terms are sorted.)  Each kind's terms, and each
-        datatype's literals, are encoded as one list.
+        datatype's literals, are one run: a count, a column of UTF-8
+        lengths and the payloads as one blob, encoded with one join.
 
-        The SPO run is written from the base columns mapped through the new
-        numbering, with the overlay's rows sorted and spliced in
-        (:meth:`_spo_run`; POS is rebuilt on load).  The ledger section lists
-        each non-empty rule, in name order, with its triples as sorted ids.
-        Two stores holding the same triples and the same ledger therefore
-        produce byte-identical snapshots regardless of how they got there,
-        and an empty ledger encodes as one that never existed.
+        The SPO run is each subject's row count, for every term id, then the
+        predicate and object columns of the rows in SPO order, made from the
+        base columns mapped through the new numbering, with the overlay's
+        rows sorted and spliced in (:meth:`_spo_run`; POS is rebuilt on
+        load).  The ledger section lists each non-empty rule, in name order,
+        with its triples as sorted ids.  Two stores holding the same triples
+        and the same ledger therefore produce byte-identical raw sections
+        regardless of how they got there, and so byte-identical snapshots
+        under one ``zlib`` build; an empty ledger encodes as one that never
+        existed.
 
         Raises :class:`SnapshotError`, writing nothing, if a ledger triple
         is not in the store.  A path is written as ``<path>.tmp``, synced
@@ -548,15 +573,10 @@ class Store:
 
             triple = serialize_triple(self.decode_triple(ids))
             raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
-        terms, renumber = self._numbering()
-        # the sections are written one by one, so none is copied into another
+        terms, order, renumber = self._numbering()
+        counts, predicates, objects = self._spo_run(order, renumber)
         names = [name for name in sorted(self.ledger) if self.ledger[name]]
-        body: list[Union[bytes, bytearray, array]] = [
-            _MAGIC + _HEADER.pack(_VERSION, 0 if sys.byteorder == "little" else 1, len(terms), self._size),
-            _encode_terms(terms),
-            self._spo_run(renumber),
-            struct.pack("<I", len(names)),
-        ]
+        ledger: list[Union[bytes, array]] = [_U32.pack(len(names))]
         for name in names:
             entry = self.ledger[name]
             if renumber is None:
@@ -564,8 +584,13 @@ class Store:
             else:
                 rows = sorted(zip(*(map(renumber.__getitem__, map(itemgetter(k), entry)) for k in range(3))))
             raw = name.encode("utf-8")
-            body.append(struct.pack("<II", len(raw), len(rows)) + raw)
-            body.append(array(_ID, chain.from_iterable(rows)))
+            ledger.append(struct.pack("=II", len(raw), len(rows)) + raw)
+            ledger.append(array(_ID, chain.from_iterable(rows)))
+        # the sections are written chunk by chunk, so none is copied into another
+        body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(terms), self._size)]
+        body += _pack(_term_section(terms))
+        body += _pack((counts, predicates, objects))
+        body += _pack(ledger)
         if not isinstance(target, str):
             target.write(b"".join(body))
             return
@@ -591,8 +616,11 @@ class Store:
         """What a snapshot holds: the live terms in canonical term order, and
         the SPO run (flat s, p, o ids into that list, ascending), whose rows
         are therefore in canonical triple order."""
-        terms, renumber = self._numbering()
-        return terms, self._spo_run(renumber)
+        terms, order, renumber = self._numbering()
+        counts, predicates, objects = self._spo_run(order, renumber)
+        run = array(_ID, bytes(12 * len(predicates)))
+        run[0::3], run[1::3], run[2::3] = _repeated(counts), predicates, objects
+        return terms, run
 
     def _values(self, slot: int) -> set[int]:
         """The ids in ``slot`` (0 for subjects, 2 for objects) of the live
@@ -609,10 +637,10 @@ class Store:
             missing.difference_update(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
         return missing
 
-    def _numbering(self) -> tuple[list[Term], Optional[list[int]]]:
-        """The live terms in canonical term order, and the new id of each
-        old id (None when every id keeps its own): the one numbering of
-        :meth:`save` and :meth:`canonical_run`.
+    def _numbering(self) -> tuple[list[Term], list[int], Optional[list[int]]]:
+        """The live terms in canonical term order, their old ids in that
+        order, and the new id of each old id (None when every id keeps its
+        own): the one numbering of :meth:`save` and :meth:`canonical_run`.
 
         Loaded ids are in that order already; each term interned since the
         load is bisected into them, in the order of its sort key.
@@ -639,79 +667,95 @@ class Store:
             order += loaded[start:]
         live_terms = list(map(terms.__getitem__, order))
         if order == list(range(len(terms))):
-            return live_terms, None
+            return live_terms, order, None
         renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
         for new_id, old_id in enumerate(order):
             renumber[old_id] = new_id
-        return live_terms, renumber
+        return live_terms, order, renumber
 
-    def _spo_run(self, renumber: Optional[list[int]]) -> array:
-        """The SPO run under the new numbering (None: ids stay as they are),
-        as one id array that the caller appends without another copy.
+    def _spo_run(self, order: list[int], renumber: Optional[list[int]]) -> tuple[array, array, array]:
+        """The SPO run under the new numbering (:meth:`_numbering`): each live
+        term's count of rows as subject, in the new order, and the predicate
+        and object columns of the rows in SPO order.
 
-        The subject column is rebuilt from the offsets, and the base rows
-        of the subjects not written are cut out of the base columns by
-        offset and mapped as whole columns.  The numbering keeps the order
-        of loaded ids, and the base run holds loaded ids only, so those rows
-        stay in order, and only the overlay's rows are sorted and spliced in
-        at their subjects' places.
+        The counts come from SPO's offsets and overlay.  The base rows of
+        the subjects not written are cut out of the base columns by offset
+        and mapped as whole columns.  The numbering keeps the order of
+        loaded ids, and the base run holds loaded ids only, so those rows
+        stay in order, and only the overlay's rows are sorted and spliced in,
+        each subject's at the offset that the counts give it.
         """
         spo = self._spo
         overlay, offsets = spo.overlay, spo.start
+        counts = spo.counts()
+        counts.extend(repeat(0, len(self._terms) - len(counts)))
         pieces: list[slice] = []  # the base rows of the subjects not written
         begin = 0
         for s in sorted(overlay):
+            counts[s] = len(overlay[s][0])
             if s < len(offsets) - 1 and offsets[s] < offsets[s + 1]:
                 pieces.append(slice(begin, offsets[s]))
                 begin = offsets[s + 1]
         pieces.append(slice(begin, len(spo.second)))
-        columns = [spo.firsts(), spo.second, spo.third]
+        counts = array(_ID, map(counts.__getitem__, order))
+        columns = [spo.second, spo.third]
         if len(pieces) > 1:
             columns = [_joined(column, pieces) for column in columns]
         fresh = [(s, p, o) for s, pair in overlay.items() for p, o in zip(*pair)]
         if renumber is not None:
-            columns = [array(_ID, map(renumber.__getitem__, column)) for column in columns]
             fresh = [(renumber[s], renumber[p], renumber[o]) for s, p, o in fresh]
             if not self._loaded:
                 # every term is new, so no order survives: one sort of all rows
-                return array(_ID, chain.from_iterable(sorted(chain(zip(*columns), fresh))))
+                subjects = spo.firsts()
+                if len(pieces) > 1:
+                    subjects = _joined(subjects, pieces)
+                rows = zip(*(map(renumber.__getitem__, column) for column in (subjects, *columns)))
+                run = array(_ID, chain.from_iterable(sorted(chain(rows, fresh))))
+                return counts, run[1::3], run[2::3]
+            columns = [array(_ID, map(renumber.__getitem__, column)) for column in columns]
         if fresh:
             fresh.sort()
-            subjects = columns[0]
-            out = [array(_ID), array(_ID), array(_ID)]
-            start = 0
+            starts = array(_ID, accumulate(counts, initial=0))
+            out = [array(_ID), array(_ID)]
+            start = spliced = 0
             for s, group in groupby(fresh, itemgetter(0)):
-                at = bisect_left(subjects, s, start)
                 rows = list(group)
+                # the subject's offset, less the overlay rows spliced before it
+                at = starts[s] - spliced
                 for k, column in enumerate(out):
                     column += columns[k][start:at]
-                    column.extend(map(itemgetter(k), rows))
+                    column.extend(map(itemgetter(k + 1), rows))
+                spliced += len(rows)
                 start = at
             for k, column in enumerate(out):
                 column += columns[k][start:]
             columns = out
-        run = array(_ID, bytes(12 * len(columns[0])))
-        run[0::3], run[1::3], run[2::3] = columns
-        return run
+        return counts, columns[0], columns[1]
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
         """Read a snapshot written by :meth:`save`, checking it as it goes.
 
-        Every term must pass its constructor's checks and appear once,
-        every id must name a term of the table, the SPO run and each ledger
-        rule's triples must be strictly ascending, and every ledger triple
-        must be in the SPO run; anything else raises :class:`SnapshotError`,
-        with the message of the first fault in file order.
+        Each section must unpack to exactly its raw length (:func:`_unpack`),
+        every term must pass its constructor's checks and appear once, the
+        subject counts must sum to the triple count, every id must name a
+        term of the table, the SPO run and each ledger rule's triples must be
+        strictly ascending, and every ledger triple must be in the SPO run;
+        anything else raises :class:`SnapshotError`, with the message of the
+        first fault in file order.  Counts, lengths and ids are read in the
+        byte order the header names.
 
-        The checks run list-wise: the terms are read in one pass into runs
-        of one kind (and datatype) each, and each run is checked by its
+        The checks run list-wise: each term run's payloads are decoded as
+        one blob where they can be, and the run is checked by its
         constructor's rules and built as a whole (:func:`make_iris` and its
-        siblings); the id runs are checked in whole columns, and the SPO run's
-        columns become the base run as they are; the ledger is checked
-        against the rows of the subjects it names in one set difference.  A term table in
-        canonical order (as :meth:`save` writes it) is remembered as such,
-        so the next save sorts only the terms interned after the load.
+        siblings); the id columns are checked whole.  SPO's offsets come
+        from the subject counts, and its subject column, which the order
+        check and POS's rebuild read, is each subject repeated by its count;
+        the predicate and object columns become SPO's base run as they are.
+        The ledger is checked against the rows of the subjects it names in
+        one set difference.  A term table in canonical order (as
+        :meth:`save` writes it) is remembered as such, so the next save
+        sorts only the terms interned after the load.
 
         The cyclic garbage collector is paused for the load, since none of
         the objects it makes forms a cycle; the caller's setting is
@@ -743,45 +787,64 @@ class Store:
                 f"unsupported snapshot version {version} (this build reads {_VERSION}): "
                 "delete the snapshot, then rebuild the store with `map` and then `infer`"
             )
-        swap = (sys.byteorder == "little") != (endian == 0)
+        order = "<" if endian == 0 else ">"
         offset = len(_MAGIC) + _HEADER.size
         store = cls()
-        store._terms, offset, ordered = _decode_terms(data, offset, term_count)
+        # each section's raw bytes are dropped once read, to lower the peak
+        raw, offset = _unpack(data, offset, "term section")
+        store._terms, ordered = _decode_terms(raw, term_count, order)
+        del raw
         store._ids = dict(zip(store._terms, range(term_count)))
         if len(store._ids) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
         store._loaded = term_count if ordered else 0
-        spo, offset = _read_id_run(data, offset, triple_count, swap, term_count, "SPO run")
-        store._build(*spo)
-        del spo
+        raw, offset = _unpack(data, offset, "SPO run")
+        if len(raw) != 4 * (term_count + 2 * triple_count):
+            raise SnapshotError("SPO run does not match the header's counts")
+        counts, predicates, objects = (
+            _ids(raw, 4 * start, size, order)
+            for start, size in ((0, term_count), (term_count, triple_count), (term_count + triple_count, triple_count))
+        )
+        del raw
+        if sum(counts) != triple_count:
+            raise SnapshotError("SPO subject counts do not sum to the triple count")
+        subjects = _repeated(counts)
+        _check_rows((subjects, predicates, objects), term_count, "SPO run")
+        store._build(counts, subjects, predicates, objects)
+        del counts, subjects, predicates, objects
+        raw, offset = _unpack(data, offset, "ledger section")
         # A fault of the section is raised after the ledger check of the
         # rules before it, which a reader checking rule by rule meets first.
         entries: list[tuple[str, set[IdTriple]]] = []
         fault: Optional[SnapshotError] = None
+        sizes = struct.Struct(order + "II").unpack_from
         try:
-            (rule_count,) = struct.unpack_from("<I", data, offset)
-            offset += 4
+            (rule_count,) = struct.unpack_from(order + "I", raw)
+            at = 4
             previous = None
             for _ in range(rule_count):
-                name_size, count = struct.unpack_from("<II", data, offset)
-                offset += 8
-                raw = data[offset : offset + name_size]
-                if len(raw) != name_size:
+                name_size, count = sizes(raw, at)
+                at += 8
+                name_raw = raw[at : at + name_size]
+                if len(name_raw) != name_size:
                     raise SnapshotError("truncated ledger section")
-                offset += name_size
+                at += name_size
                 try:
-                    name = raw.decode("utf-8")
+                    name = name_raw.decode("utf-8")
                 except UnicodeDecodeError:
                     raise SnapshotError("ledger rule name is not UTF-8") from None
                 if not count or (previous is not None and name <= previous):
                     raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
                 previous = name
-                entry, offset = _read_id_run(data, offset, count, swap, term_count, f"ledger of rule {name!r}")
+                entry, at = _read_id_run(raw, at, count, order, term_count, f"ledger of rule {name!r}")
                 entries.append((name, set(zip(*entry))))
+            if at != len(raw):
+                raise SnapshotError("trailing bytes in ledger section")
         except SnapshotError as exc:
             fault = exc
         except struct.error:
             fault = SnapshotError("truncated ledger section")
+        del raw
         missing = store._not_held(entry for _, entry in entries)
         if missing:
             name = next(name for name, entry in entries if not missing.isdisjoint(entry))
@@ -794,26 +857,78 @@ class Store:
         return store
 
 
-def _read_id_run(
-    data: bytes, offset: int, count: int, swap: bool, term_count: int, what: str
-) -> tuple[tuple[array, array, array], int]:
-    """The s, p and o columns of ``count`` id triples at ``offset``, checked
-    in range and strictly ascending, and the offset after them."""
-    end = offset + count * 12
+def _pack(pieces: Iterable[Union[bytes, array]]) -> list[bytes]:
+    """The section whose raw bytes are ``pieces``, concatenated, as a
+    snapshot holds it: the raw length and the length of one ``zlib`` stream
+    of them at :data:`_LEVEL`, then the stream, as chunks to write in turn."""
+    packer = zlib.compressobj(_LEVEL)
+    chunks = [b""]
+    size = 0
+    for piece in pieces:
+        size += memoryview(piece).nbytes
+        chunks.append(packer.compress(piece))
+    chunks.append(packer.flush())
+    chunks[0] = _PACKED.pack(size, sum(map(len, chunks)))
+    return chunks
+
+
+def _unpack(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
+    """The raw bytes of the section packed at ``offset`` (:func:`_pack`),
+    and the offset after it.  A stream that does not unpack to exactly its
+    raw length, ending where its packed length says, raises
+    :class:`SnapshotError` naming the section as ``what``."""
+    try:
+        size, packed = _PACKED.unpack_from(data, offset)
+    except struct.error:
+        raise SnapshotError(f"truncated {what}") from None
+    start = offset + _PACKED.size
+    end = start + packed
     if end > len(data):
         raise SnapshotError(f"truncated {what}")
-    run = array(_ID)
-    run.frombytes(memoryview(data)[offset:end])
-    if swap:
-        run.byteswap()
-    columns = (run[0::3], run[1::3], run[2::3])
-    del run
-    if count and max(map(max, columns)) >= term_count:
+    unpacker = zlib.decompressobj()
+    try:
+        # one byte more than the raw length shows a stream that holds more
+        raw = unpacker.decompress(memoryview(data)[start:end], size + 1)
+    except (zlib.error, OverflowError) as exc:
+        raise SnapshotError(f"corrupt {what}: {exc}") from None
+    if len(raw) != size or not unpacker.eof or unpacker.unused_data:
+        raise SnapshotError(f"corrupt {what}: its stream does not unpack to its {size} bytes")
+    return raw, end
+
+
+def _ids(raw: bytes, start: int, count: int, order: str) -> array:
+    """The ``count`` u32 values at ``start`` of ``raw``, stored in byte
+    order ``order`` ("<" or ">")."""
+    column = array(_ID)
+    column.frombytes(memoryview(raw)[start : start + 4 * count])
+    if order != _NATIVE:
+        column.byteswap()
+    return column
+
+
+def _check_rows(columns: tuple[array, array, array], term_count: int, what: str) -> None:
+    """Raise :class:`SnapshotError` unless the id columns of ``what`` name
+    terms of the table and their rows are strictly ascending."""
+    if columns[0] and max(map(max, columns)) >= term_count:
         raise SnapshotError(f"term id out of range in {what}")
     following = zip(*columns)
     next(following, None)
     if not all(map(lt, zip(*columns), following)):
         raise SnapshotError(f"{what} is not strictly ascending")
+
+
+def _read_id_run(
+    raw: bytes, offset: int, count: int, order: str, term_count: int, what: str
+) -> tuple[tuple[array, array, array], int]:
+    """The s, p and o columns of ``count`` id triples stored as rows at
+    ``offset``, checked by :func:`_check_rows`, and the offset after them."""
+    end = offset + count * 12
+    if end > len(raw):
+        raise SnapshotError(f"truncated {what}")
+    run = _ids(raw, offset, 3 * count, order)
+    columns = (run[0::3], run[1::3], run[2::3])
+    del run
+    _check_rows(columns, term_count, what)
     return columns, end
 
 
@@ -847,14 +962,12 @@ class _Permutation:
 
     __slots__ = ("second", "third", "start", "keys", "overlay")
 
-    def __init__(self, first: Iterable[int], second: Sequence[int], third: Sequence[int]) -> None:
+    def __init__(self, counts: Sequence[int], second: Sequence[int], third: Sequence[int]) -> None:
         """The base run of distinct rows sorted by (first, second, third),
-        given as columns (arrays, or lists; the first keys in any order,
-        since only their counts are kept), and an empty overlay."""
-        counts = Counter(first)
-        self.keys = array(_ID, sorted(counts))
-        lengths = map(counts.get, range(self.keys[-1] + 1 if counts else 0), repeat(0))
-        self.start = array(_ID, accumulate(lengths, initial=0))
+        given as each first key's row count, by key id, and the second and
+        third columns (arrays, or lists), with an empty overlay."""
+        self.keys = array(_ID, compress(range(len(counts)), counts))
+        self.start = array(_ID, accumulate(counts, initial=0))
         self.second, self.third = (c if isinstance(c, array) else array(_ID, c) for c in (second, third))
         self.overlay: dict[int, tuple[array, array]] = {}
 
@@ -880,10 +993,13 @@ class _Permutation:
             elif pair[0]:
                 yield key, pair[0], pair[1], 0, len(pair[0])
 
+    def counts(self) -> array:
+        """Each first key's count of base rows, by key id."""
+        return array(_ID, map(sub, islice(self.start, 1, None), self.start))
+
     def firsts(self) -> array:
         """The first key of each base row, in order."""
-        start, keys = self.start, self.keys
-        return array(_ID, chain.from_iterable(map(repeat, keys, [start[k + 1] - start[k] for k in keys])))
+        return _repeated(self.counts())
 
     def _own(self, key: int) -> Optional[tuple[array, array]]:
         """The column pair a write to ``key`` starts from: its overlay pair,
@@ -998,21 +1114,34 @@ def _spliced(
     return out_second, out_third
 
 
+def _repeated(counts: Sequence[int]) -> array:
+    """Each id from 0 up, repeated by its count in ``counts``: the first-key
+    column of a base run."""
+    return array(_ID, chain.from_iterable(map(repeat, range(len(counts)), counts)))
+
+
+def _counts(keys: Iterable[int]) -> array:
+    """How many times each id occurs in ``keys``, by id, up to the largest."""
+    counts = Counter(keys)
+    return array(_ID, map(counts.get, range(max(counts) + 1 if counts else 0), repeat(0)))
+
+
 def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
     """Each column's values at ``rows``, in that order."""
     return (array(_ID, map(column.__getitem__, rows)) for column in columns)
 
 
-# A term is its kind byte (0 IRI, 1 blank, 2 literal), a literal's datatype
-# byte, the payload's UTF-8 length as a u32 and the payload.  Canonical order
-# (term_sort_key) keeps each kind, and each datatype's literals, in one run,
-# and a term's header prefix orders the runs.
+# The raw term section is one run per kind (0 IRI, 1 blank, 2 literal) and,
+# for literals, per datatype: its head (the kind byte, and a literal's
+# datatype byte), its term count, a column of each payload's UTF-8 length
+# and the payloads as one blob; counts and lengths are u32.  Canonical order
+# (term_sort_key) keeps each kind, and each datatype's literals, together,
+# and the heads order the runs.
 _DATATYPES = {int(datatype): datatype for datatype in Datatype}
-_LENGTH = struct.Struct("<I")
 _TEXT = {Iri: attrgetter("value"), Blank: attrgetter("label"), Literal: attrgetter("lexical")}
 
 
-def _prefix(term: Term) -> bytes:
+def _head(term: Term) -> bytes:
     if isinstance(term, Iri):
         return b"\0"
     if isinstance(term, Blank):
@@ -1020,41 +1149,43 @@ def _prefix(term: Term) -> bytes:
     return bytes((2, term.datatype))
 
 
-def _encode_terms(terms: list[Term]) -> bytearray:
-    """The term section of ``terms``, which are in canonical order: each
-    run of one header prefix is encoded as a whole."""
-    body = bytearray()
+def _term_section(terms: list[Term]) -> Iterator[Union[bytes, array]]:
+    """The raw term section of ``terms``, which are in canonical order, as
+    pieces: each run is encoded with one join and one length column."""
     start = 0
     while start < len(terms):
-        prefix = _prefix(terms[start])
-        end = bisect_right(terms, prefix, start, key=_prefix)
-        raws = list(map(str.encode, map(_TEXT[type(terms[start])], terms[start:end])))
-        heads = map(prefix.__add__, map(_LENGTH.pack, map(len, raws)))
-        body += b"".join(chain.from_iterable(zip(heads, raws)))
+        head = _head(terms[start])
+        end = bisect_right(terms, head, start, key=_head)
+        texts = list(map(_TEXT[type(terms[start])], terms[start:end]))
+        joined = "".join(texts)
+        blob = joined.encode("utf-8")
+        # an ASCII payload's length in bytes is its length in characters
+        raws = texts if len(blob) == len(joined) else map(str.encode, texts)
+        yield head + _U32.pack(end - start)
+        yield array(_ID, map(len, raws))
+        yield blob
         start = end
-    return body
 
 
-def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int, bool]:
-    """The ``count`` terms of a term section at ``offset``, the offset after
-    them, and whether they are in canonical order.
+def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[Term], bool]:
+    """The terms of a raw term section that the header says holds
+    ``count``, and whether they are in canonical order.
 
-    One pass splits the section into runs of one kind (and datatype); each
+    One pass splits the section into its runs and each run's payloads; each
     run is then checked by its constructor's rules and built as a whole.  A
-    fault of the layout is raised only after the runs before it are
+    fault of the layout is raised only after the terms before it are
     checked, so the message is that of the first bad term in table order.
     """
     runs: list[tuple[int, list[str]]] = []  # (kind << 8 | datatype, payloads)
-    key = -1
-    texts: list[str] = []
-    length_at = _LENGTH.unpack_from
-    size = len(data)
+    count_at = struct.Struct(order + "I").unpack_from
+    size = len(raw)
+    offset = total = 0
     fault: Optional[SnapshotError] = None
     try:
-        for _ in range(count):
-            kind = data[offset]
+        while offset < size:
+            kind = raw[offset]
             if kind == 2:
-                tag = data[offset + 1]
+                tag = raw[offset + 1]
                 if tag not in _DATATYPES:
                     raise SnapshotError(f"bad term section: unknown datatype {tag}")
                 offset += 2
@@ -1063,20 +1194,24 @@ def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int
             else:
                 tag = 0
                 offset += 1
-            (length,) = length_at(data, offset)
-            start = offset + 4
-            offset = start + length
-            if offset > size:
+            (n,) = count_at(raw, offset)
+            start = offset + 4 + 4 * n
+            if start > size:
+                raise SnapshotError("truncated term section")
+            bounds = list(accumulate(_ids(raw, offset + 4, n, order), initial=0))
+            whole = bisect_right(bounds, size - start) - 1  # the payloads that are all there
+            texts: list[str] = []
+            runs.append((kind << 8 | tag, texts))
+            _split(raw[start : start + bounds[whole]], bounds[: whole + 1], texts)
+            if whole < n:
                 raise SnapshotError("truncated term payload")
-            text = data[start:offset].decode("utf-8")
-            if kind << 8 | tag != key:
-                key = kind << 8 | tag
-                texts = []
-                runs.append((key, texts))
-            texts.append(text)
+            offset = start + bounds[-1]
+            total += n
     except SnapshotError as exc:
         fault = exc
-    except (IndexError, ValueError, struct.error) as exc:
+    except (IndexError, struct.error):
+        fault = SnapshotError("truncated term section")
+    except UnicodeDecodeError as exc:
         fault = SnapshotError(f"bad term section: {exc}")
     terms: list[Term] = []
     try:
@@ -1092,6 +1227,21 @@ def _decode_terms(data: bytes, offset: int, count: int) -> tuple[list[Term], int
         raise SnapshotError(f"bad term section: {exc}") from None
     if fault is not None:
         raise fault
+    if total != count:
+        raise SnapshotError(f"term section holds {total} terms, not the header's {count}")
     keys = [key for key, _ in runs]
     ordered = all(map(lt, keys, keys[1:])) and all(all(map(lt, texts, texts[1:])) for _, texts in runs)
-    return terms, offset, ordered
+    return terms, ordered
+
+
+def _split(blob: bytes, bounds: list[int], texts: list[str]) -> None:
+    """Append to ``texts`` the UTF-8 payloads of ``blob`` between
+    consecutive ``bounds``.  An ASCII blob is decoded whole and sliced;
+    any other is decoded payload by payload, so that a fault is raised by
+    the payload that holds it, once those before it are appended."""
+    cuts = map(slice, bounds, islice(bounds, 1, None))
+    if blob.isascii():
+        texts += map(blob.decode("ascii").__getitem__, cuts)
+    else:
+        for cut in cuts:
+            texts.append(blob[cut].decode("utf-8"))

@@ -7,10 +7,12 @@ disagreement points at the real implementation, not a shared bug.
 
 from collections import defaultdict
 from decimal import Decimal, ROUND_HALF_EVEN
+from itertools import groupby
 import random
 import struct
 import sys
 from typing import Iterable
+import zlib
 
 from scholargraph.ontology import (
     AFFILIATION,
@@ -981,29 +983,90 @@ def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, i
 #
 # The snapshot format of ``Store.save``/``Store.load``, written and read the
 # plain way: every live term sorted by its sort key and encoded on its own,
-# the SPO run and each ledger rule as sorted tuples, each term decoded by
-# its validating constructor.
+# the SPO run's counts and columns and each ledger rule as sorted tuples,
+# one value at a time, each term decoded by its validating constructor.
+# Each raw section is then packed whole by ``zlib.compress`` at store.py's
+# level.
 
 _HEADER = struct.Struct("<HBII")
+_LEVEL = 1
 
 
-def _encode_term(term: Term) -> bytes:
+def _byte_order(swapped: bool) -> tuple[int, str]:
+    """The header's byte-order flag and the struct prefix of a snapshot
+    written in this host's byte order, or in the other one."""
+    little = (sys.byteorder == "little") != swapped
+    return (0, "<") if little else (1, ">")
+
+
+def encoded(kind: int, payload: bytes, datatype: int | None = None) -> tuple[bytes, bytes]:
+    """One term of a snapshot's term table: the head of its run (its kind,
+    and its datatype for a literal) and its payload."""
+    return (bytes([kind]) if datatype is None else bytes([kind, datatype])), payload
+
+
+def _encode_term(term: Term) -> tuple[bytes, bytes]:
     if isinstance(term, Iri):
-        head, payload = bytes([0]), term.value
-    elif isinstance(term, Blank):
-        head, payload = bytes([1]), term.label
-    else:
-        head, payload = bytes([2, int(term.datatype)]), term.lexical
-    raw = payload.encode("utf-8")
-    return head + struct.pack("<I", len(raw)) + raw
+        return encoded(0, term.value.encode("utf-8"))
+    if isinstance(term, Blank):
+        return encoded(1, term.label.encode("utf-8"))
+    return encoded(2, term.lexical.encode("utf-8"), int(term.datatype))
 
 
-def _id_run(rows: list[tuple[int, int, int]]) -> bytes:
-    return b"".join(struct.pack("=III", *row) for row in rows)
+def term_section(terms: Iterable[tuple[bytes, bytes]], order: str = "=") -> bytes:
+    """The raw term section of encoded terms, in the given order: each run
+    of consecutive terms with one head as the head, the run's term count,
+    each payload's length and then each payload."""
+    body = []
+    for head, run in groupby(terms, key=lambda term: term[0]):
+        payloads = [payload for _, payload in run]
+        body.append(head + struct.pack(order + "I", len(payloads)))
+        for payload in payloads:
+            body.append(struct.pack(order + "I", len(payload)))
+        body += payloads
+    return b"".join(body)
 
 
-def oracle_snapshot(store: Store) -> bytes:
-    """The bytes ``store.save`` must write for ``store``'s triples and ledger."""
+def spo_section(term_count: int, rows: list[tuple[int, int, int]], order: str = "=") -> bytes:
+    """The raw SPO run of ``rows`` (ascending id triples): each term id's
+    count of rows with it as subject, then the predicates, then the objects."""
+    counts = [0] * term_count
+    for s, _, _ in rows:
+        counts[s] += 1
+    values = counts + [p for _, p, _ in rows] + [o for _, _, o in rows]
+    return b"".join(struct.pack(order + "I", value) for value in values)
+
+
+def ledger_section(rules: list[tuple[str, list[tuple[int, int, int]]]], order: str = "=") -> bytes:
+    """The raw ledger section: the rule count, then each rule's name size,
+    row count, name and rows."""
+    body = [struct.pack(order + "I", len(rules))]
+    for name, rows in rules:
+        raw = name.encode("utf-8")
+        body.append(struct.pack(order + "II", len(raw), len(rows)) + raw)
+        for row in rows:
+            body.append(struct.pack(order + "III", *row))
+    return b"".join(body)
+
+
+def packed(raw: bytes) -> bytes:
+    """A raw section as a snapshot holds it: its length and the length of
+    its zlib stream, then the stream."""
+    stream = zlib.compress(raw, _LEVEL)
+    return struct.pack("<QQ", len(raw), len(stream)) + stream
+
+
+def snapshot_header(term_count: int, triple_count: int, swapped: bool = False) -> bytes:
+    """A version-3 snapshot's magic and header."""
+    flag, _ = _byte_order(swapped)
+    return b"SGRAPH" + _HEADER.pack(3, flag, term_count, triple_count)
+
+
+def oracle_sections(store: Store, swapped: bool = False) -> tuple[bytes, list[bytes]]:
+    """The header and the raw term, SPO and ledger sections that
+    ``store.save`` must write for ``store``'s triples and ledger (in the
+    other byte order, if ``swapped``)."""
+    _, order = _byte_order(swapped)
     triples = list(store.triples())
     terms = sorted({term for t in triples for term in (t.subject, t.predicate, t.object)}, key=term_sort_key)
     number = {term: n for n, term in enumerate(terms)}
@@ -1011,34 +1074,37 @@ def oracle_snapshot(store: Store) -> bytes:
     def ids(t: Triple) -> tuple[int, int, int]:
         return (number[t.subject], number[t.predicate], number[t.object])
 
-    body = b"SGRAPH" + _HEADER.pack(2, 0 if sys.byteorder == "little" else 1, len(terms), len(triples))
-    body += b"".join(map(_encode_term, terms))
-    body += _id_run(sorted(map(ids, triples)))
     rules = [
         (name, sorted(ids(store.decode_triple(row)) for row in store.ledger[name]))
         for name in sorted(store.ledger)
         if store.ledger[name]
     ]
-    body += struct.pack("<I", len(rules))
-    for name, rows in rules:
-        raw = name.encode("utf-8")
-        body += struct.pack("<II", len(raw), len(rows)) + raw + _id_run(rows)
-    return body
+    sections = [
+        term_section(map(_encode_term, terms), order),
+        spo_section(len(terms), sorted(map(ids, triples)), order),
+        ledger_section(rules, order),
+    ]
+    return snapshot_header(len(terms), len(triples), swapped), sections
 
 
-def term_table_snapshot(*encoded_terms: bytes, rows: Iterable[tuple[int, int, int]] = ()) -> bytes:
+def oracle_snapshot(store: Store, swapped: bool = False) -> bytes:
+    """The bytes ``store.save`` must write for ``store``'s triples and
+    ledger; ``swapped`` writes them in the other byte order, as a host of
+    that order would."""
+    header, sections = oracle_sections(store, swapped)
+    return header + b"".join(map(packed, sections))
+
+
+def term_table_snapshot(
+    *encoded_terms: tuple[bytes, bytes], rows: Iterable[tuple[int, int, int]] = (), cut: int = 0
+) -> bytes:
     """A snapshot of a term table in the given order and of ``rows`` (id
-    triples into it, ascending), with no ledger rules."""
+    triples into it, ascending), with no ledger rules; ``cut`` drops that
+    many bytes from the end of the raw term section before it is packed."""
     rows = list(rows)
-    header = b"SGRAPH" + _HEADER.pack(2, 0 if sys.byteorder == "little" else 1, len(encoded_terms), len(rows))
-    return header + b"".join(encoded_terms) + _id_run(rows) + struct.pack("<I", 0)
-
-
-def encoded(kind: int, payload: bytes, datatype: int | None = None) -> bytes:
-    """One term of a snapshot's term table: its kind, its datatype for a
-    literal, and its payload."""
-    head = bytes([kind]) if datatype is None else bytes([kind, datatype])
-    return head + struct.pack("<I", len(payload)) + payload
+    terms = term_section(encoded_terms)
+    sections = [terms[: len(terms) - cut], spo_section(len(encoded_terms), rows), ledger_section([])]
+    return snapshot_header(len(encoded_terms), len(rows)) + b"".join(map(packed, sections))
 
 
 def oracle_export(store: Store) -> bytes:
@@ -1054,31 +1120,44 @@ def oracle_export(store: Store) -> bytes:
 def oracle_load_terms(data: bytes) -> list[Term]:
     """The term table of a snapshot, each term decoded by its constructor;
     raises the :class:`SnapshotError` a snapshot load raises for the table."""
-    _, _, count, _ = _HEADER.unpack_from(data, 6)
+    _, endian, count, _ = _HEADER.unpack_from(data, 6)
+    u32 = struct.Struct(("<" if endian == 0 else ">") + "I").unpack_from
     offset = 6 + _HEADER.size
+    _, size = struct.unpack_from("<QQ", data, offset)
+    raw = zlib.decompress(data[offset + 16 : offset + 16 + size])
     datatypes = {int(datatype): datatype for datatype in Datatype}
     terms: list[Term] = []
+    offset = 0
     try:
-        for _ in range(count):
-            kind = data[offset]
+        while offset < len(raw):
+            kind = raw[offset]
             if kind == 2:
-                datatype = datatypes.get(data[offset + 1])
+                datatype = datatypes.get(raw[offset + 1])
                 if datatype is None:
-                    raise SnapshotError(f"bad term section: unknown datatype {data[offset + 1]}")
+                    raise SnapshotError(f"bad term section: unknown datatype {raw[offset + 1]}")
                 offset += 2
             elif kind > 2:
                 raise SnapshotError(f"unknown term kind: {kind}")
             else:
                 offset += 1
-            (length,) = struct.unpack_from("<I", data, offset)
-            start = offset + 4
-            offset = start + length
-            if offset > len(data):
-                raise SnapshotError("truncated term payload")
-            text = data[start:offset].decode("utf-8")
-            terms.append(Iri(text) if kind == 0 else Blank(text) if kind == 1 else Literal(text, datatype))
-    except (IndexError, ValueError, struct.error, TermError) as exc:
+            (run,) = u32(raw, offset)
+            offset += 4
+            lengths = []
+            for _ in range(run):
+                lengths.append(u32(raw, offset)[0])
+                offset += 4
+            for length in lengths:
+                if offset + length > len(raw):
+                    raise SnapshotError("truncated term payload")
+                text = raw[offset : offset + length].decode("utf-8")
+                offset += length
+                terms.append(Iri(text) if kind == 0 else Blank(text) if kind == 1 else Literal(text, datatype))
+    except (IndexError, struct.error):
+        raise SnapshotError("truncated term section") from None
+    except (ValueError, TermError) as exc:
         raise SnapshotError(f"bad term section: {exc}") from None
+    if len(terms) != count:
+        raise SnapshotError(f"term section holds {len(terms)} terms, not the header's {count}")
     if len(set(terms)) != count:
         raise SnapshotError("duplicate terms in snapshot")
     return terms

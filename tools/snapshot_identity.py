@@ -13,8 +13,10 @@ each followed by ``map`` and ``map --affiliations``, then ``validate``,
 (the last stdout is ``export``'s whole N-Triples dump), and so must the
 snapshot's SHA-1 when the snapshot format version (``_VERSION`` in
 ``store.py``) is the same in both trees; when it differs, the snapshots
-cannot agree and only exit status and stdout are compared.  The first
-command where they differ is reported and the script exits 1.
+cannot agree, only exit status and stdout are compared, and each step
+prints both trees' snapshot sizes, so the log shows the format change's
+effect.  The first command where they differ is reported and the script
+exits 1.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ def sha1_of(path: str) -> str:
         return "-"
     with open(path, "rb") as fp:
         return hashlib.sha1(fp.read()).hexdigest()
+
+
+def size_of(path: str) -> int:
+    return os.path.getsize(path) if os.path.exists(path) else 0
 
 
 def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[list[str]]:
@@ -104,7 +110,11 @@ def main(argv: list[str]) -> int:
             if what:
                 print(f"step {step}, {label}: {', '.join(what)} differ")
                 return 1
-            snapshot = base[0] if same_format else "not compared"
+            if same_format:
+                snapshot = base[0]
+            else:
+                sizes = (size_of(os.path.join(workdir, "graph.store")) for workdir in workdirs)
+                snapshot = "not compared, {} -> {} bytes".format(*sizes)
             print(f"step {step}, {label}: exit {base[1]}, snapshot {snapshot}, stdout {len(base[2])} bytes")
     return 0
 
