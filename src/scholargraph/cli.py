@@ -369,8 +369,6 @@ def _parse_window(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 
 def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
-    from decimal import Decimal
-
     from .metrics import impact_factor, usage_impact_factor
     from .ntriples import serialize_term
 
@@ -383,7 +381,7 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
         )
         if result.changed:
             store.save(cfg.store)
-    shown = result.value.quantize(Decimal(1).scaleb(-cfg.precision)) if cfg.precision != 6 else result.value
+    shown = format(result.value, f".{cfg.precision}f")
     _emit(
         args,
         [
@@ -399,7 +397,7 @@ def cmd_metric(args: argparse.Namespace, cfg: Config) -> int:
                 str(result.year),
                 str(result.numerator),
                 str(result.denominator),
-                str(shown),
+                shown,
             ]
         ],
     )

@@ -6,9 +6,21 @@ semantic network.  Titles, author names, pages, volumes and issues never
 become triples: queries that need them resolve back through the doc_id
 bridge (see :func:`Sidecar.resolve`).
 
-Ingestion reads UTF-8 TSV with one header line.  Rows that violate a key
-constraint or carry an unparseable time are rejected individually and
-reported with their line number; the rest of the batch still loads.
+Ingestion reads UTF-8 TSV with one header line, which must name only the
+table's columns, each once, and all its required ones.  Each data line is
+checked in a fixed order, and a line that fails is rejected with its line
+number and its first failing check only; the rest of the batch still
+loads, in one commit.  Every table first checks the line's field count
+against the header, then:
+
+- biblio: missing doc_id, duplicate doc_id, duplicate doi, unparseable date;
+- usage: missing event_id, unparseable time, doc_id that does not resolve,
+  duplicate event_id;
+- citations: citing_doc_id that does not resolve, cited_doc_id that does
+  not resolve, duplicate citation pair.
+
+A duplicate is checked against the rows already loaded, earlier in the
+batch included.
 
 Everything minted by :meth:`Sidecar.map_to_graph` is a deterministic IRI
 derived from record keys (and the provider IRI for name-scoped agents), so
@@ -23,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 from urllib.parse import quote
 
 from .errors import ScholarGraphError
@@ -86,6 +98,7 @@ BIBLIO_COLUMNS = (
 )
 USAGE_COLUMNS = ("event_id", "time", "agent", "session", "affiliation", "access_type", "doc_id")
 CITATION_COLUMNS = ("citing_doc_id", "cited_doc_id")
+Row = dict[str, Optional[str]]  # column to value; None for an empty field
 
 _SCHEMA_SQL = """
 CREATE TABLE biblio (
@@ -165,7 +178,7 @@ class Resolution(Record):
     __slots__ = ("doc_id", "iri", "record")
     doc_id: str
     iri: str
-    record: dict[str, Optional[str]]
+    record: Row
 
 
 def _hash16(text: str) -> str:
@@ -209,10 +222,10 @@ def _valid_time(value: str) -> bool:
 
 
 def _read_tsv(
-    lines: Union[IO[str], Iterable[str]],
+    lines: Iterable[str],
     allowed: tuple[str, ...],
     required: tuple[str, ...],
-) -> Iterator[tuple[int, Optional[dict[str, Optional[str]]], Optional[str]]]:
+) -> Iterator[tuple[int, Optional[Row], Optional[str]]]:
     """Yield (line number, row dict, problem).  Exactly one of row/problem
     is set per data line.  An entirely empty stream yields nothing."""
     iterator = iter(lines)
@@ -238,6 +251,50 @@ def _read_tsv(
             continue
         row = {name: (value if value != "" else None) for name, value in zip(names, parts)}
         yield number, row, None
+
+
+def _held(cursor: sqlite3.Cursor, table: str, key: Row) -> bool:
+    """Whether ``table`` has a row with these ``key`` column values.  The
+    table and column names are this module's own, never input."""
+    where = " AND ".join(f"{column} = ?" for column in key)
+    found = cursor.execute(f"SELECT 1 FROM {table} WHERE {where}", tuple(key.values()))
+    return found.fetchone() is not None
+
+
+def _biblio_problem(cursor: sqlite3.Cursor, row: Row) -> Optional[str]:
+    doc_id, doi, date = row["doc_id"], row.get("doi"), row.get("date")
+    if not doc_id:
+        return "missing doc_id"
+    if _held(cursor, "biblio", {"doc_id": doc_id}):
+        return f"duplicate doc_id {doc_id!r}"
+    if doi and _held(cursor, "biblio", {"doi": doi}):
+        return f"duplicate doi {doi!r}"
+    if date and not _valid_time(date):
+        return f"unparseable date {date!r}"
+    return None
+
+
+def _usage_problem(cursor: sqlite3.Cursor, row: Row) -> Optional[str]:
+    event_id, time, doc_id = row["event_id"], row["time"], row["doc_id"]
+    if not event_id:
+        return "missing event_id"
+    if not time or not _valid_time(time):
+        return f"unparseable time {time!r}"
+    if not doc_id or not _held(cursor, "biblio", {"doc_id": doc_id}):
+        return f"doc_id {doc_id!r} does not resolve"
+    if _held(cursor, "usage_events", {"event_id": event_id}):
+        return f"duplicate event_id {event_id!r}"
+    return None
+
+
+def _citation_problem(cursor: sqlite3.Cursor, row: Row) -> Optional[str]:
+    pair = {column: row[column] for column in CITATION_COLUMNS}
+    for column, doc_id in pair.items():
+        if not doc_id or not _held(cursor, "biblio", {"doc_id": doc_id}):
+            return f"{column} {doc_id!r} does not resolve"
+    if _held(cursor, "citation_pairs", pair):
+        return "duplicate citation pair {!r} -> {!r}".format(*pair.values())
+    return None
 
 
 class Sidecar:
@@ -279,107 +336,33 @@ class Sidecar:
 
     # -- ingestion -------------------------------------------------------------
 
-    def ingest_biblio(self, lines: Union[IO[str], Iterable[str]]) -> IngestReport:
-        report = IngestReport()
-        cursor = self._db.cursor()
-        for number, row, problem in _read_tsv(lines, BIBLIO_COLUMNS, ("doc_id",)):
-            if problem is not None:
-                report.reject(number, problem)
-                continue
-            assert row is not None
-            doc_id = row.get("doc_id")
-            if not doc_id:
-                report.reject(number, "missing doc_id")
-                continue
-            if cursor.execute("SELECT 1 FROM biblio WHERE doc_id = ?", (doc_id,)).fetchone():
-                report.reject(number, f"duplicate doc_id {doc_id!r}")
-                continue
-            doi = row.get("doi")
-            if doi and cursor.execute("SELECT 1 FROM biblio WHERE doi = ?", (doi,)).fetchone():
-                report.reject(number, f"duplicate doi {doi!r}")
-                continue
-            date = row.get("date")
-            if date and not _valid_time(date):
-                report.reject(number, f"unparseable date {date!r}")
-                continue
-            cursor.execute(
-                "INSERT INTO biblio (doc_id, title, authors, collection, publisher, date,"
-                " start_page, end_page, volume, issue, doi)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                tuple(row.get(name) for name in BIBLIO_COLUMNS),
-            )
-            report.loaded += 1
-        self._db.commit()
-        return report
+    def ingest_biblio(self, lines: Iterable[str]) -> IngestReport:
+        return self._ingest(lines, "biblio", BIBLIO_COLUMNS, ("doc_id",), _biblio_problem)
 
-    def ingest_usage(self, lines: Union[IO[str], Iterable[str]]) -> IngestReport:
-        report = IngestReport()
-        cursor = self._db.cursor()
-        for number, row, problem in _read_tsv(
-            lines, USAGE_COLUMNS, ("event_id", "time", "doc_id")
-        ):
-            if problem is not None:
-                report.reject(number, problem)
-                continue
-            assert row is not None
-            event_id = row.get("event_id")
-            if not event_id:
-                report.reject(number, "missing event_id")
-                continue
-            time = row.get("time")
-            if not time or not _valid_time(time):
-                report.reject(number, f"unparseable time {time!r}")
-                continue
-            doc_id = row.get("doc_id")
-            if not doc_id or not cursor.execute(
-                "SELECT 1 FROM biblio WHERE doc_id = ?", (doc_id,)
-            ).fetchone():
-                report.reject(number, f"doc_id {doc_id!r} does not resolve")
-                continue
-            if cursor.execute(
-                "SELECT 1 FROM usage_events WHERE event_id = ?", (event_id,)
-            ).fetchone():
-                report.reject(number, f"duplicate event_id {event_id!r}")
-                continue
-            cursor.execute(
-                "INSERT INTO usage_events (event_id, time, agent, session, affiliation,"
-                " access_type, doc_id) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                tuple(row.get(name) for name in USAGE_COLUMNS),
-            )
-            report.loaded += 1
-        self._db.commit()
-        return report
+    def ingest_usage(self, lines: Iterable[str]) -> IngestReport:
+        return self._ingest(lines, "usage_events", USAGE_COLUMNS, ("event_id", "time", "doc_id"), _usage_problem)
 
-    def ingest_citations(self, lines: Union[IO[str], Iterable[str]]) -> IngestReport:
+    def ingest_citations(self, lines: Iterable[str]) -> IngestReport:
+        return self._ingest(lines, "citation_pairs", CITATION_COLUMNS, CITATION_COLUMNS, _citation_problem)
+
+    def _ingest(
+        self, lines: Iterable[str], table: str, columns: tuple[str, ...], required: tuple[str, ...],
+        problem_of: Callable[[sqlite3.Cursor, Row], Optional[str]],
+    ) -> IngestReport:
+        """Load each row of ``lines`` that passes :func:`_read_tsv` and
+        ``problem_of`` into ``table``; reject any other with its first
+        problem.  The batch is committed once."""
         report = IngestReport()
         cursor = self._db.cursor()
-        for number, row, problem in _read_tsv(lines, CITATION_COLUMNS, CITATION_COLUMNS):
+        marks = ", ".join("?" * len(columns))
+        insert = f"INSERT INTO {table} ({', '.join(columns)}) VALUES ({marks})"
+        for number, row, problem in _read_tsv(lines, columns, required):
+            if row is not None:
+                problem = problem_of(cursor, row)
             if problem is not None:
                 report.reject(number, problem)
                 continue
-            assert row is not None
-            citing = row.get("citing_doc_id")
-            cited = row.get("cited_doc_id")
-            bad = None
-            for label, value in (("citing_doc_id", citing), ("cited_doc_id", cited)):
-                if not value or not cursor.execute(
-                    "SELECT 1 FROM biblio WHERE doc_id = ?", (value,)
-                ).fetchone():
-                    bad = f"{label} {value!r} does not resolve"
-                    break
-            if bad:
-                report.reject(number, bad)
-                continue
-            if cursor.execute(
-                "SELECT 1 FROM citation_pairs WHERE citing_doc_id = ? AND cited_doc_id = ?",
-                (citing, cited),
-            ).fetchone():
-                report.reject(number, f"duplicate citation pair {citing!r} -> {cited!r}")
-                continue
-            cursor.execute(
-                "INSERT INTO citation_pairs (citing_doc_id, cited_doc_id) VALUES (?, ?)",
-                (citing, cited),
-            )
+            cursor.execute(insert, tuple(map(row.get, columns)))
             report.loaded += 1
         self._db.commit()
         return report
@@ -401,7 +384,7 @@ class Sidecar:
         rows = self._db.execute("SELECT doc_id FROM biblio ORDER BY doc_id").fetchall()
         return [row[0] for row in rows]
 
-    def _biblio_row(self, doc_id: str) -> Optional[dict[str, Optional[str]]]:
+    def _biblio_row(self, doc_id: str) -> Optional[Row]:
         columns = ", ".join(BIBLIO_COLUMNS)
         row = self._db.execute(
             f"SELECT {columns} FROM biblio WHERE doc_id = ?", (doc_id,)

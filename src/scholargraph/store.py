@@ -335,12 +335,8 @@ class Store:
         return self._size
 
     def contains(self, triple: Triple) -> bool:
-        s = self._ids.get(triple.subject)
-        p = self._ids.get(triple.predicate)
-        o = self._ids.get(triple.object)
-        if s is None or p is None or o is None:
-            return False
-        return self.contains_ids(s, p, o)
+        ids = self.lookup_triple(triple)
+        return ids is not None and self.contains_ids(*ids)
 
     def __contains__(self, triple: Triple) -> bool:
         return self.contains(triple)
@@ -752,10 +748,10 @@ class Store:
         from the subject counts, and its subject column, which the order
         check and POS's rebuild read, is each subject repeated by its count;
         the predicate and object columns become SPO's base run as they are.
-        The ledger is checked against the rows of the subjects it names in
-        one set difference.  A term table in canonical order (as
-        :meth:`save` writes it) is remembered as such, so the next save
-        sorts only the terms interned after the load.
+        Each ledger rule is checked as it is read, against the rows of the
+        subjects it names, in one set difference.  A term table in
+        canonical order (as :meth:`save` writes it) is remembered as such,
+        so the next save sorts only the terms interned after the load.
 
         The cyclic garbage collector is paused for the load, since none of
         the objects it makes forms a cycle; the caller's setting is
@@ -813,10 +809,6 @@ class Store:
         store._build(counts, subjects, predicates, objects)
         del counts, subjects, predicates, objects
         raw, offset = _unpack(data, offset, "ledger section")
-        # A fault of the section is raised after the ledger check of the
-        # rules before it, which a reader checking rule by rule meets first.
-        entries: list[tuple[str, set[IdTriple]]] = []
-        fault: Optional[SnapshotError] = None
         sizes = struct.Struct(order + "II").unpack_from
         try:
             (rule_count,) = struct.unpack_from(order + "I", raw)
@@ -837,21 +829,14 @@ class Store:
                     raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
                 previous = name
                 entry, at = _read_id_run(raw, at, count, order, term_count, f"ledger of rule {name!r}")
-                entries.append((name, set(zip(*entry))))
+                triples = store.ledger[name] = set(zip(*entry))
+                if store._not_held((triples,)):
+                    raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
             if at != len(raw):
                 raise SnapshotError("trailing bytes in ledger section")
-        except SnapshotError as exc:
-            fault = exc
         except struct.error:
-            fault = SnapshotError("truncated ledger section")
+            raise SnapshotError("truncated ledger section") from None
         del raw
-        missing = store._not_held(entry for _, entry in entries)
-        if missing:
-            name = next(name for name, entry in entries if not missing.isdisjoint(entry))
-            raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
-        if fault is not None:
-            raise fault
-        store.ledger.update(entries)
         if offset != len(data):
             raise SnapshotError("trailing bytes after snapshot")
         return store

@@ -323,6 +323,23 @@ def test_metric_window_flag(workdir, capsys):
     assert "--window needs" in err
 
 
+def test_metric_values_print_in_fixed_point_at_any_precision(workdir, capsys):
+    load_everything(capsys)
+    root = journal_root()
+    for precision in (8, 28):
+        (workdir / "cfg.json").write_text(f'{{"precision": {precision}}}', encoding="utf-8")
+        # no unit published in 2006 cites the 2004..2005 units: 0 of 2
+        for kind, year, digits in (("if", "2006", "0"), ("uif", "2007", "1")):
+            shown = digits + "." + "0" * precision
+            argv = ("--config", "cfg.json", "metric", kind, "--object", root.value, "--year", year)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), err
+            assert f"): {shown}\n" in out
+            code, out, err = run(capsys, "--format", "tsv", *argv)
+            assert (code, err) == (0, ""), err
+            assert out.rstrip("\n").split("\t")[-1] == shown
+
+
 def test_metric_failure_modes_exit_one(workdir, capsys):
     load_everything(capsys)
     code, _, err = run(

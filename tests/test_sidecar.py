@@ -200,6 +200,67 @@ def test_citation_key_constraints():
     assert any("duplicate citation pair" in r for r in reasons)
 
 
+def test_biblio_rows_are_rejected_with_their_first_failing_check():
+    sc = Sidecar()
+    stream = biblio_tsv(
+        doc(1, doi="10.1/a"),
+        {"title": "no id", "date": "not-a-date"},  # missing doc_id, bad date
+        doc(1, doi="10.1/a"),  # duplicate doc_id, duplicate doi
+        doc(1, date="not-a-date"),  # duplicate doc_id, bad date
+        doc(2, doi="10.1/a", date="not-a-date"),  # duplicate doi, bad date
+    )
+    stream = io.StringIO(stream.getvalue() + "\tno id\n")  # short line, missing doc_id
+    report = sc.ingest_biblio(stream)
+    assert report.loaded == 1
+    assert report.problems == [
+        (3, "missing doc_id"),
+        (4, "duplicate doc_id 'doc-1'"),
+        (5, "duplicate doc_id 'doc-1'"),
+        (6, "duplicate doi '10.1/a'"),
+        (7, f"expected {len(BIBLIO_COLUMNS)} fields, got 2"),
+    ]
+
+
+def test_usage_rows_are_rejected_with_their_first_failing_check():
+    sc = Sidecar()
+    sc.ingest_biblio(biblio_tsv(doc(1)))
+    report = sc.ingest_usage(usage_tsv(
+        {"event_id": "e1", "time": "2006", "doc_id": "doc-1"},
+        {"event_id": "", "time": "whenever", "doc_id": "ghost"},  # missing id, bad time
+        {"event_id": "e2", "time": "whenever", "doc_id": "ghost"},  # bad time, unknown doc
+        {"event_id": "e3", "time": "", "doc_id": "ghost"},  # no time, unknown doc
+        {"event_id": "e1", "time": "2006", "doc_id": "ghost"},  # unknown doc, duplicate id
+        {"event_id": "e1", "time": "whenever", "doc_id": "doc-1"},  # bad time, duplicate id
+    ))
+    assert report.loaded == 1
+    assert report.problems == [
+        (3, "missing event_id"),
+        (4, "unparseable time 'whenever'"),
+        (5, "unparseable time None"),
+        (6, "doc_id 'ghost' does not resolve"),
+        (7, "unparseable time 'whenever'"),
+    ]
+
+
+def test_citation_rows_are_rejected_with_their_first_failing_check():
+    sc = Sidecar()
+    sc.ingest_biblio(biblio_tsv(doc(1), doc(2)))
+    report = sc.ingest_citations(citation_tsv(
+        ("doc-1", "doc-2"),
+        ("ghost", "phantom"),  # neither side resolves
+        ("", "ghost"),  # empty citing side, unknown cited side
+        ("doc-1", "doc-2"),  # duplicate pair
+        ("doc-2", ""),  # empty cited side
+    ))
+    assert report.loaded == 1
+    assert report.problems == [
+        (3, "citing_doc_id 'ghost' does not resolve"),
+        (4, "citing_doc_id None does not resolve"),
+        (5, "duplicate citation pair 'doc-1' -> 'doc-2'"),
+        (6, "cited_doc_id None does not resolve"),
+    ]
+
+
 # -- mapping --------------------------------------------------------------------
 
 

@@ -6,17 +6,20 @@ Usage: python3 tools/snapshot_identity.py BASE_TREE CHANGED_TREE
 Both trees run the same ``scholargraph`` commands, each in its own work
 directory, on inputs that ``perfbench/gen.py`` (read from CHANGED_TREE)
 generates for seed 1 and 400 documents: the ingests, three usage batches
-each followed by ``map`` and ``map --affiliations``, then ``validate``,
+each followed by ``map`` and ``map --affiliations``, the biblio file, the
+first usage batch and the citations file ingested again (so every row of
+those three steps is rejected as a duplicate), then ``validate``,
 ``stats``, ``infer --all``, ``metric if`` and ``metric uif``, ``retract
 --rule used_by``, ``infer --rule used_by``, ``retract --all``, ``map`` and
-``export``.  After every command the exit status and stdout must agree
-(the last stdout is ``export``'s whole N-Triples dump), and so must the
-snapshot's SHA-1 when the snapshot format version (``_VERSION`` in
-``store.py``) is the same in both trees; when it differs, the snapshots
-cannot agree, only exit status and stdout are compared, and each step
-prints both trees' snapshot sizes, so the log shows the format change's
-effect.  The first command where they differ is reported and the script
-exits 1.
+``export``.  After every command the exit status, stdout and stderr must
+agree (the last stdout is ``export``'s whole N-Triples dump, and an
+ingest's stderr has one ``line N: rejected: REASON`` line per rejected
+row), and so must the snapshot's SHA-1 when the snapshot format version
+(``_VERSION`` in ``store.py``) is the same in both trees; when it differs,
+the snapshots cannot agree, only exit status, stdout and stderr are
+compared, and each step prints both trees' snapshot sizes, so the log
+shows the format change's effect.  The first command where they differ is
+reported and the script exits 1.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
     ]
     for name in files["usage"]:
         sequence += [["ingest-usage", "--input", source(name)], ["map"], ["map", "--affiliations"]]
+    sequence += [
+        ["ingest-biblio", "--input", source(files["biblio"][0])],
+        ["ingest-usage", "--input", source(files["usage"][0])],
+        ["ingest-citations", "--input", source(files["citations"][0])],
+    ]
     sequence += [["validate"], ["stats"], ["infer", "--all"]]
     sequence += [["metric", kind, "--object", journal, "--year", "2006"] for kind in ("if", "uif")]
     sequence += [
@@ -71,13 +79,13 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
     return sequence
 
 
-def run(tree: str, workdir: str, args: list[str]) -> tuple[str, int, bytes]:
+def run(tree: str, workdir: str, args: list[str]) -> tuple[str, int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0")
     env.pop("SCHOLARGRAPH_STORE", None)
     env.pop("SCHOLARGRAPH_SIDECAR", None)
     argv = ["--store", "graph.store", "--sidecar", "records.sidecar", "--format", "tsv", *args]
     done = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=workdir, env=env, capture_output=True)
-    return sha1_of(os.path.join(workdir, "graph.store")), done.returncode, done.stdout
+    return sha1_of(os.path.join(workdir, "graph.store")), done.returncode, done.stdout, done.stderr
 
 
 def main(argv: list[str]) -> int:
@@ -88,7 +96,10 @@ def main(argv: list[str]) -> int:
     versions = list(map(snapshot_version, trees))
     same_format = versions[0] == versions[1]
     if not same_format:
-        print(f"snapshot version changed ({versions[0]} -> {versions[1]}): only exit status and stdout are compared")
+        print(
+            f"snapshot version changed ({versions[0]} -> {versions[1]}): "
+            "only exit status, stdout and stderr are compared"
+        )
     sys.path.insert(0, os.path.join(trees[1], "perfbench"))
     import gen
 
@@ -104,7 +115,7 @@ def main(argv: list[str]) -> int:
             label = " ".join(args[:1] + [arg for arg in args[1:] if not os.path.isabs(arg)])
             what = [
                 name
-                for name, a, b in zip(("snapshot", "exit status", "stdout"), base, changed)
+                for name, a, b in zip(("snapshot", "exit status", "stdout", "stderr"), base, changed)
                 if a != b and (same_format or name != "snapshot")
             ]
             if what:
@@ -115,7 +126,11 @@ def main(argv: list[str]) -> int:
             else:
                 sizes = (size_of(os.path.join(workdir, "graph.store")) for workdir in workdirs)
                 snapshot = "not compared, {} -> {} bytes".format(*sizes)
-            print(f"step {step}, {label}: exit {base[1]}, snapshot {snapshot}, stdout {len(base[2])} bytes")
+            stderr_lines = base[3].count(b"\n")
+            print(
+                f"step {step}, {label}: exit {base[1]}, snapshot {snapshot}, "
+                f"stdout {len(base[2])} bytes, stderr {stderr_lines} line(s)"
+            )
     return 0
 
 
