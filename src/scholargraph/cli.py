@@ -64,6 +64,9 @@ def _load_config(args: argparse.Namespace) -> Config:
                 raise ScholarGraphError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ScholarGraphError(f"{args.config}: config must be a JSON object")
+    for key in ("store", "sidecar", "provider"):
+        if not isinstance(file_cfg.get(key, ""), str):
+            raise ScholarGraphError(f"{args.config}: {key} must be a string, got {file_cfg[key]!r}")
     store = (
         args.store
         or os.environ.get("SCHOLARGRAPH_STORE")
@@ -89,12 +92,10 @@ def _load_config(args: argparse.Namespace) -> Config:
             raise ScholarGraphError(f"--namespace needs prefix=iri, got {pair!r}")
         bindings[prefix] = iri
     namespaces = NamespaceTable(bindings)
-    try:
-        precision = int(file_cfg.get("precision", 6))
-    except (TypeError, ValueError):
-        raise ScholarGraphError(
-            f"{args.config}: precision must be an integer, got {file_cfg['precision']!r}"
-        ) from None
+    precision = file_cfg.get("precision", 6)
+    # a JSON true is a Python int too
+    if type(precision) is not int:
+        raise ScholarGraphError(f"{args.config}: precision must be an integer, got {precision!r}")
     if not 0 < precision <= 28:
         raise ScholarGraphError(f"precision out of range: {precision}")
     return Config(store, sidecar, provider, namespaces, precision, args.verbose)
@@ -345,7 +346,7 @@ def cmd_retract(args: argparse.Namespace, cfg: Config) -> int:
             label = args.rule
         else:
             raise ScholarGraphError("retract needs --rule NAME or --all")
-        # every ledger triple is in the store, so a rule that removed nothing had an empty entry
+        # a rule's rows are the stored rows its tag marks, so removing none means it ledgered none
         if removed:
             engine.store.save(cfg.store)
     _emit(
@@ -436,9 +437,9 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
         classes = {store.decode(o): count for o, count in members.items()}
         for iri in sorted((term for term in classes if isinstance(term, Iri)), key=term_sort_key):
             pairs.append((f"class {iri.value}", classes[iri]))
-    for name, entry in sorted(store.ledger.items()):
-        if entry:
-            pairs.append((f"ledger {name}", len(entry)))
+    for name, count in store.ledger_counts().items():
+        if count:
+            pairs.append((f"ledger {name}", count))
     human = [f"{key}: {value}" for key, value in pairs]
     rows = [[key, str(value)] for key, value in pairs]
     _emit(args, human, rows)

@@ -3,12 +3,13 @@
 The five property rules are ordinary scripts in the query dialect (their
 texts below) executed through the normal evaluator.  The dialect is imported,
 and the scripts parsed, the first time a rule runs, so retraction and the
-metrics never load the query engine.  The engine records, per
-rule, exactly the triples that the rule newly added.  Because the store has
-set semantics, facts that were already present never enter the ledger, so
-``ledger ∪ base = store`` and ``ledger ∩ base = ∅`` hold by construction and
-retraction is exact: removing a rule's ledger entries restores the store to
-its prior content.
+metrics never load the query engine.  The store's ledger records, per rule,
+exactly the triples that the rule newly added: each stored row carries one
+tag, 0 for a base fact or the rule that added it (:meth:`Store.add_rows`
+tags what it adds).  Because the store has set semantics, facts that were
+already present keep their tag, so ``ledger ∪ base = store`` and
+``ledger ∩ base = ∅`` hold by construction and retraction is exact:
+removing the rows a rule tags restores the store to its prior content.
 
 Aggregate derivations (group-level citation weights, coauthor weights) do
 not go through scripts: scripts mint a fresh blank per run, while derivation
@@ -52,7 +53,7 @@ from .ontology import (
     PUBLISHES,
     UnknownNodeError,
 )
-from .store import IdTriple, Store
+from .store import IdTriple, LedgerError, Store
 from .terms import (
     Datatype,
     Iri,
@@ -139,10 +140,6 @@ class UnknownRuleError(ScholarGraphError):
     def __init__(self, name: str) -> None:
         super().__init__(f"unknown rule: {name!r} (known: {', '.join(sorted(RULE_SCRIPTS))})")
         self.name = name
-
-
-class LedgerError(ScholarGraphError):
-    """A ledger file is malformed or inconsistent with the store."""
 
 
 # -- the context scan (shared with the metrics module) ----------------------
@@ -247,14 +244,15 @@ def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str)
     ledgered under ``rule``; whether the store or its ledger changed.
 
     The nodes are upserted as if one after another, in the mapping's order.
-    Each removed statement leaves every rule's entry in the store's ledger,
-    so the ledger names only triples the store holds.  Each newly added one
-    enters ``rule``'s entry alone, so the rules' entries stay disjoint; a
-    statement the store already held stays a base fact, keeping
-    ledger/base disjointness intact.  Only the net change is written: the
-    statements that go out are one batch and the ones that come in are
-    one, so nodes whose statements are already their triples, all ledgered
-    under ``rule``, are left as they are.
+    A removed statement leaves the store with its ledger tag.  Each newly
+    added one is ledgered under ``rule`` alone, so the rules' entries stay
+    disjoint; a statement about another subject that the store already
+    held keeps its tag, keeping ledger/base disjointness intact.  Only the
+    net change is written: the statements that go out are one batch, the
+    ones that come in are one, and the held statements that an upsert put
+    back are retagged under ``rule`` in one call, so nodes whose statements
+    are already their triples, all ledgered under ``rule``, are left as
+    they are.
     """
     intern = store.intern
     plan = [[(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples] for triples in nodes.values()]
@@ -264,17 +262,15 @@ def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str)
         node_id: set(store.match_ids(node_id, None, None)) for node_id in node_ids if node_id is not None
     }
     held: set[IdTriple] = set().union(*live.values())
-    entry = store.ledger.setdefault(rule, set())
     extra: set[IdTriple] = set()  # new statements about other subjects
-    dropped: set[IdTriple] = set()  # every statement an upsert removed
     added: set[IdTriple] = set()  # the statements an upsert added that stay
     for node_id, rows in zip(node_ids, plan):
         if node_id is not None:
             gone = live[node_id]
-            if gone == set(rows) and gone <= entry:
-                continue  # the node's statements already, ledgered under rule
+            if gone == set(rows):
+                added |= gone  # removed and put back: the same statements, under rule
+                continue
             live[node_id] = set()
-            dropped |= gone
             added -= gone
         for row in rows:
             statements = live.get(row[0])
@@ -286,15 +282,11 @@ def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str)
                 extra.add(row)
                 added.add(row)
     final: set[IdTriple] = set().union(*live.values())
-    # Rules' entries are disjoint, so a dropped statement that left an entry
-    # either left the store or came back in ``added``.
-    changed = held != final or not added <= entry
-    store.drop_rows(held - final)
-    store.add_rows((final - held) | extra)
-    for other in store.ledger.values():
-        other.difference_update(dropped)
-    entry.update(added)
-    return changed
+    removed = store.drop_rows(held - final)
+    inserted = store.add_rows((final - held) | extra, rule)
+    # every other added statement was held and stays: it was put back
+    retagged = store.retag(added & held, rule)
+    return bool(removed or inserted or retagged)
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -308,13 +300,13 @@ def _triple_sort_key(triple: Triple) -> tuple:
 class InferenceEngine:
     """Runs registered rules and derivations against one store.
 
-    Everything the engine materializes is recorded, as id triples, in the
-    store's ledger (:attr:`Store.ledger`), which the store snapshot
-    carries, so retraction works across processes and removes by id.
-    Derived nodes, metric nodes included, enter it through
-    :func:`upsert_node`.  :meth:`ledger_entries` decodes one rule's entry;
-    :meth:`save_ledger` and :meth:`load_ledger` dump and read the ledger as
-    N-Triples sections.
+    Everything the engine materializes is recorded in the store's ledger,
+    as the rule tag of each row it added (:meth:`Store.add_rows`,
+    :meth:`Store.ledger_rows`), which the store snapshot carries, so
+    retraction works across processes and removes by id.  Derived nodes,
+    metric nodes included, enter it through :func:`upsert_node`.
+    :meth:`ledger_entries` decodes one rule's rows; :meth:`save_ledger` and
+    :meth:`load_ledger` dump and read the ledger as N-Triples sections.
     """
 
     GROUP_CITATION = "group_citation"
@@ -343,32 +335,30 @@ class InferenceEngine:
 
         if self._scripts is None:
             self._scripts = {rule: parse_script(text) for rule, text in RULE_SCRIPTS.items()}
-        report = execute_script(self.store, self._scripts[name])
-        if report.new_ids:
-            self.store.ledger.setdefault(name, set()).update(report.new_ids)
-        return report.inserted
+        return execute_script(self.store, self._scripts[name], rule=name).inserted
 
     def run_all(self) -> dict[str, int]:
         return {name: self.run_rule(name) for name in self.rules()}
 
     def retract_rule(self, name: str) -> int:
         """Remove exactly what the rule added; 0 if it never ran."""
-        if name not in RULE_SCRIPTS and name not in self.store.ledger:
+        if name not in RULE_SCRIPTS and name not in self.store.ledger_counts():
             raise UnknownRuleError(name)
         return self._retract([name])
 
     def retract_all(self) -> int:
-        return self._retract(list(self.store.ledger))
+        return self._retract(self.ledger_rules())
 
-    def _retract(self, names: list[str]) -> int:
-        return sum(len(self.store.drop_rows(self.store.ledger.pop(name, ()))) for name in names)
+    def _retract(self, names: Iterable[str]) -> int:
+        return sum(len(self.store.drop_rows(self.store.ledger_rows(name))) for name in names)
 
     def ledger_entries(self, name: str) -> frozenset[Triple]:
         """The triples ``name`` added, decoded from the ledger's ids."""
-        return frozenset(map(self.store.decode_triple, self.store.ledger.get(name, ())))
+        return frozenset(map(self.store.decode_triple, self.store.ledger_rows(name)))
 
     def ledger_rules(self) -> tuple[str, ...]:
-        return tuple(sorted(name for name, entry in self.store.ledger.items() if entry))
+        """The rules that ledger a triple, in name order."""
+        return tuple(name for name, count in self.store.ledger_counts().items() if count)
 
     # -- aggregate derivations ---------------------------------------------------
 
@@ -505,7 +495,10 @@ class InferenceEngine:
         """Replace the store's ledger, in place, with a dumped one.
 
         With ``verify``, every ledger triple must be present in the store;
-        a mismatch means snapshot and ledger are out of step.
+        a mismatch means snapshot and ledger are out of step, and leaves
+        the ledger as it was.  Without it, a ledger triple the store lacks
+        is added to it under its rule, since the ledger names stored rows
+        only.  A triple listed under two rules ends under the last.
         """
         if isinstance(source, str):
             with open(source, "rb") as fp:
@@ -516,7 +509,7 @@ class InferenceEngine:
         lines = text.split("\n")
         if not lines or lines[0].strip() != _LEDGER_MAGIC:
             raise LedgerError("not a ledger file (missing header)")
-        ledger: dict[str, set[IdTriple]] = {}
+        ledger: dict[str, list[IdTriple]] = {}
         current: Optional[str] = None
         for number, line in enumerate(lines[1:], start=2):
             stripped = line.strip()
@@ -526,7 +519,7 @@ class InferenceEngine:
                 current = stripped[len("#rule") :].strip()
                 if not current:
                     raise LedgerError(f"empty rule name at line {number}")
-                ledger.setdefault(current, set())
+                ledger.setdefault(current, [])
                 continue
             if stripped.startswith("#"):
                 raise LedgerError(f"unexpected comment at line {number}")
@@ -541,6 +534,10 @@ class InferenceEngine:
                     f"ledger triple for rule {current!r} is not in the store: {serialize_triple(triple)}"
                 )
             intern = self.store.intern
-            ledger[current].add((intern(triple.subject), intern(triple.predicate), intern(triple.object)))
-        self.store.ledger.clear()
-        self.store.ledger.update(ledger)
+            ledger[current].append((intern(triple.subject), intern(triple.predicate), intern(triple.object)))
+        store = self.store
+        for name in self.ledger_rules():
+            store.retag(store.ledger_rows(name), None)
+        for name, rows in ledger.items():
+            store.add_rows(rows, name)
+            store.retag(rows, name)

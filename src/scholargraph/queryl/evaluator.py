@@ -408,8 +408,11 @@ def _aggregate_literal(agg: Aggregate, counts: dict[str, int]) -> Literal:
     return Literal(str(value), Datatype.DECIMAL)
 
 
-def execute_script(store: Store, script: Script, schema: Schema | None = None) -> ExecutionReport:
-    """Evaluate all blocks, then apply INSERT templates in order.
+def execute_script(
+    store: Store, script: Script, schema: Schema | None = None, rule: str | None = None
+) -> ExecutionReport:
+    """Evaluate all blocks, then apply INSERT templates in order, ledgering
+    the triples they add under ``rule`` (None: as base facts).
 
     Set semantics make re-runs of placeholder-free scripts no-ops; each run
     mints fresh blanks for placeholders.  Raises :class:`EvaluationError` on
@@ -471,7 +474,7 @@ def execute_script(store: Store, script: Script, schema: Schema | None = None) -
             objects = _object_ids(store, terms, obj, predicates, ranged)
         else:
             objects = obj if isinstance(obj, list) else [intern(obj)] * count
-        new_ids += store.add_rows(zip(subjects, predicates, objects))
+        new_ids += store.add_rows(zip(subjects, predicates, objects), rule)
 
     return ExecutionReport(
         block_rows=tuple(result.full_rows for result in solved),

@@ -14,9 +14,9 @@ indexed by first-key id, so a key's base rows are found with two array
 reads and no object is made per key.  A load fills SPO's columns from the
 snapshot's SPO run with ``frombytes`` and strided slices, and POS's from
 two stable sorts of the row numbers.  The first write to a key copies its
-rows into the overlay, a dict from the key to its own column pair; reads
-and writes of that key use the pair from then on, and a key emptied by
-writes keeps an empty pair there, which hides its base rows.  A batch into
+rows into the overlay, a dict from the key to its own columns; reads and
+writes of that key use them from then on, and a key emptied by writes
+keeps empty columns there, which hide its base rows.  A batch into
 an empty store becomes the base runs, so a store that was never loaded has
 the same layout.  A probe on the first two keys is two array reads (or a
 dict get) for the first key, a bisection of the second column and a slice
@@ -27,16 +27,25 @@ permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
-permutation and rebuild each key's column pair once, with the batch's pairs
+permutation and rebuild each key's columns once, with the batch's rows
 spliced in at their bisected places or cut out, so a batch costs
 O(batch log batch + touched columns) rather than one array shift per
 triple.  :meth:`Store.insert_many` interns its triples and makes one such
 call; :meth:`Store.insert` and :meth:`Store.remove` are one-row calls.
 
-The store also owns the inference ledger (:attr:`Store.ledger`: rule name
-to the set of id triples that rule added), so a snapshot carries it and
-every command that loads and saves the store keeps it without knowing of
-it.  :meth:`Store.decode_triple` turns an entry back into a triple.
+The store also keeps the inference ledger, as one tag byte beside each SPO
+row (a ``bytearray`` column in the base run and in each overlay key's
+columns; POS has none): 0 marks a base fact and k the k-th name of the
+store's rule-name table, in the order the names were first used, as
+main-memory RDF stores keep a status field beside each fact (RDFox, Motik
+et al. 2014).  A ledger names at most 255 rules.  The rules' entries are
+disjoint and every ledgered row is a stored one, so the tags hold the
+ledger exactly, and a write or a cut carries them with the rows.
+:meth:`Store.add_rows` tags the rows it adds, :meth:`Store.retag` moves
+held rows to a rule (or back to the base), :meth:`Store.ledger_rows`
+gives one rule's rows and :meth:`Store.ledger_counts` the count of each;
+the reads scan the tag bytes in C.  :meth:`Store.decode_triple` turns a
+row back into a triple.
 
 A snapshot numbers the live terms in canonical order.  A loaded store keeps
 the snapshot's numbering as its lowest ids, so a save sorts only the terms
@@ -57,7 +66,9 @@ column and decode it with a native codec rather than value by value:
 the term table is one run per kind (and per datatype, for literals), each
 a length column and one payload blob; the SPO run is each subject's row
 count and the predicate and object columns, so a load takes SPO's offsets
-from the counts rather than counting a subject column.  A load checks the
+from the counts rather than counting a subject column; the ledger section
+is the names of the rules that tag a row, in name order, and the tag
+column of the SPO run, renumbered to that order.  A load checks the
 term table one run at a time by the term constructors' rules, and the id
 columns whole, with the messages a term-by-term check would give; the
 cyclic garbage collector is paused while it runs.
@@ -163,17 +174,24 @@ class TriplePattern(FrozenRecord):
 
 
 class SnapshotError(ScholarGraphError):
-    """A snapshot file is malformed, or a store cannot be saved consistently."""
+    """A snapshot file is malformed."""
+
+
+class LedgerError(ScholarGraphError):
+    """A ledger write names a row the store does not hold or one rule too
+    many, or a dumped ledger is malformed or inconsistent with the store."""
 
 
 IdTriple = tuple[int, int, int]
+# a column of a permutation: ids, or SPO's tags
+Column = Union[array, bytearray]
 
 # the type of every id column, and of the id runs of a snapshot: unsigned
 # 32-bit, so a store holds at most 2**32 terms
 _ID = "I"
 
 _MAGIC = b"SGRAPH"
-_VERSION = 3
+_VERSION = 4
 # version, byte order (0 little, 1 big), term count, triple count
 _HEADER = struct.Struct("<HBII")
 # a packed section: the length of its raw bytes, then of its zlib stream
@@ -185,6 +203,8 @@ _LEVEL = 1
 # them; the header's flag names it for a reader on another host
 _NATIVE = "<" if sys.byteorder == "little" else ">"
 _U32 = struct.Struct("=I")
+# a row's rule is one tag byte, and tag 0 marks a base fact
+_MAX_RULES = 255
 
 
 class Store:
@@ -201,15 +221,15 @@ class Store:
         self._terms: list[Term] = []
         self._ids: dict[Term, int] = {}
         # the two permutations of the triples (see the module docstring)
-        self._spo = _Permutation((), (), ())
+        self._spo = _Permutation((), (), (), bytearray())
         self._pos = _Permutation((), (), ())
         self._size = 0
         self._blank_serial = 0
         # ids below this are the term table of the snapshot the store was
         # loaded from, in canonical order; see save
         self._loaded = 0
-        # rule name -> id triples that rule added; every one is in the store
-        self.ledger: dict[str, set[IdTriple]] = {}
+        # the rule-name table of the ledger: SPO's tag k names _rules[k - 1]
+        self._rules: list[str] = []
 
     # -- dictionary ----------------------------------------------------------
 
@@ -265,35 +285,40 @@ class Store:
         intern = self.intern
         return len(self.add_rows((intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples))
 
-    def add_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
-        """Add id triples, in any order and with repeats; the rows that were
-        new, in SPO order.
+    def add_rows(self, rows: Iterable[IdTriple], rule: Optional[str] = None) -> list[IdTriple]:
+        """Add id triples, in any order and with repeats, ledgered under
+        ``rule`` (None: as base facts); the rows that were new, in SPO
+        order.  A row the store holds already keeps its rule.
 
         The batch is sorted once per permutation, and each key it touches
-        gets its column pair rebuilt once, with the new pairs spliced in at
+        gets its columns rebuilt once, with the new rows spliced in at
         their bisected places.  Into an empty store the batch becomes the
         base run instead (:meth:`_build`), which is what makes
         million-triple loads cheap.
         """
         batch = sorted(set(rows))
+        tag = self._tag(rule)
         if not self._size:
             if batch:
                 columns = [list(map(itemgetter(slot), batch)) for slot in range(3)]
                 if max(map(max, columns)) >= self._loaded:
                     # the base run may hold loaded ids only (see _spo_run)
                     self._loaded = 0
-                self._build(_counts(columns[0]), *columns)
+                self._build(_counts(columns[0]), *columns, bytearray((tag,)) * len(batch))
             return batch
-        added = self._spo.merge(batch)
+        added = self._spo.merge(batch, tag)
         if added:
             self._pos.merge(sorted([(p, o, s) for s, p, o in added]))
             self._size += len(added)
         return added
 
-    def _build(self, counts: Sequence[int], s: Sequence[int], p: Sequence[int], o: Sequence[int]) -> None:
-        """Make the id columns of distinct triples in SPO order the base runs
-        of both permutations, with empty overlays; ``counts`` holds each
-        subject's row count, by subject id.
+    def _build(
+        self, counts: Sequence[int], s: Sequence[int], p: Sequence[int], o: Sequence[int], tags: bytearray
+    ) -> None:
+        """Make the id columns of distinct triples in SPO order, and their
+        tags, the base runs of both permutations (POS without the tags),
+        with empty overlays; ``counts`` holds each subject's row count, by
+        subject id.
 
         POS comes from two stable sorts of the row numbers by one integer
         key each: sorting by object leaves equal objects in (s, p) order, and
@@ -307,7 +332,7 @@ class Store:
         rows.sort(key=p.__getitem__)
         self._pos = _Permutation(_counts(p), *_gather(rows, o, s))
         del rows  # before the subject offsets are made, to lower the peak
-        self._spo = _Permutation(counts, p, o)
+        self._spo = _Permutation(counts, p, o, tags)
         self._size = len(o)
 
     def remove(self, triple: Triple) -> bool:
@@ -316,18 +341,65 @@ class Store:
         return ids is not None and bool(self.drop_rows((ids,)))
 
     def drop_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
-        """Remove id triples, in any order and with repeats; the rows that
-        were held, in SPO order.
+        """Remove id triples, in any order and with repeats, with their
+        ledger tags; the rows that were held, in SPO order.
 
-        Like :meth:`add_rows`, each touched key's column pair is rebuilt
-        once, without the removed pairs; a key left empty keeps an empty
-        overlay pair.
+        Like :meth:`add_rows`, each touched key's columns are rebuilt once,
+        without the removed rows; a key left empty keeps empty overlay
+        columns.
         """
         removed = self._spo.cut(sorted(set(rows)))
         if removed:
             self._pos.cut(sorted([(p, o, s) for s, p, o in removed]))
             self._size -= len(removed)
         return removed
+
+    # -- the ledger ------------------------------------------------------------
+
+    def _tag(self, rule: Optional[str]) -> int:
+        """The tag of ``rule`` (0 for None, a base fact), naming a new rule
+        in the table on first use."""
+        if rule is None:
+            return 0
+        rules = self._rules
+        if rule in rules:
+            return rules.index(rule) + 1
+        if len(rules) == _MAX_RULES:
+            raise LedgerError(f"a ledger names at most {_MAX_RULES} rules, so it cannot name {rule!r}")
+        rules.append(rule)
+        return len(rules)
+
+    def retag(self, rows: Iterable[IdTriple], rule: Optional[str]) -> int:
+        """Ledger the held id triples ``rows`` under ``rule`` (None: make
+        them base facts); how many of them changed rule.
+
+        Raises :class:`LedgerError`, changing nothing, if the store does not
+        hold one of them.
+        """
+        places, missing = self._spo.places(sorted(set(rows)))
+        if missing is not None:
+            from .ntriples import serialize_triple
+
+            triple = serialize_triple(self.decode_triple(missing))
+            raise LedgerError(f"ledger triple for rule {rule!r} is not in the store: {triple}")
+        tag = self._tag(rule)
+        changed = 0
+        for tags, lo, hi in places:
+            changed += hi - lo - tags.count(tag, lo, hi)
+            tags[lo:hi] = bytes((tag,)) * (hi - lo)
+        return changed
+
+    def ledger_rows(self, rule: str) -> list[IdTriple]:
+        """The id triples ledgered under ``rule``, in SPO order."""
+        if rule not in self._rules:
+            return []
+        return self._spo.tagged(self._rules.index(rule) + 1)
+
+    def ledger_counts(self) -> dict[str, int]:
+        """Each rule of the ledger's name table, in name order, with its row
+        count, which is 0 once its rows are gone (a load names only the
+        rules that tag a row)."""
+        return {name: self._spo.tag_count(self._rules.index(name) + 1) for name in sorted(self._rules)}
 
     # -- queries ---------------------------------------------------------------
 
@@ -504,7 +576,9 @@ class Store:
         """Both permutations describe the same triple set, read through
         :meth:`_Permutation.runs`; in each, the rows so read and the base
         run are strictly ascending, the offsets and keys fit the base run,
-        and every overlay pair is of equal length (test hook)."""
+        and the columns of every overlay key are of equal length; SPO's
+        tags fit its columns and name rules of the table, and its base rows
+        of overlay keys have tag 0 (test hook)."""
 
         def ascending(rows: list) -> bool:
             return all(map(lt, rows, rows[1:]))
@@ -514,20 +588,29 @@ class Store:
             out: list[IdTriple] = []
             for key, second, third, lo, hi in index.runs():
                 out.extend(zip(repeat(key), second[lo:hi], third[lo:hi]))
+            base = index.base()
             sound = (
                 start[0] == 0
-                and start[-1] == len(index.second) == len(index.third)
+                and all(start[-1] == len(column) for column in base)
                 and all(map(le, start, start[1:]))
                 and list(index.keys) == [k for k in range(len(start) - 1) if start[k] < start[k + 1]]
                 and ascending(list(zip(index.firsts(), index.second, index.third)))
-                and all(len(second) == len(third) for second, third in index.overlay.values())
+                and all(
+                    len(columns) == len(base) and len(set(map(len, columns))) == 1
+                    for columns in index.overlay.values()
+                )
             )
             return out if sound and ascending(out) else None
 
         spo, pos = rows(self._spo), rows(self._pos)
-        if spo is None or pos is None:
+        if spo is None or pos is None or self._pos.tags is not None:
             return False
-        return len(spo) == self._size and set(spo) == {(s, p, o) for p, o, s in pos}
+        index = self._spo
+        tags, start = index.tags, index.start
+        hidden = (tags[start[k] : start[k + 1]] for k in index.overlay if k < len(start) - 1)
+        overlay_tags = (columns[2] for columns in index.overlay.values())
+        tagged = max(chain(tags, *overlay_tags), default=0) <= len(self._rules) and not any(map(any, hidden))
+        return tagged and len(spo) == self._size and set(spo) == {(s, p, o) for p, o, s in pos}
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -548,40 +631,29 @@ class Store:
         predicate and object columns of the rows in SPO order, made from the
         base columns mapped through the new numbering, with the overlay's
         rows sorted and spliced in (:meth:`_spo_run`; POS is rebuilt on
-        load).  The ledger section lists each non-empty rule, in name order,
-        with its triples as sorted ids.  Two stores holding the same triples
-        and the same ledger therefore produce byte-identical raw sections
-        regardless of how they got there, and so byte-identical snapshots
-        under one ``zlib`` build; an empty ledger encodes as one that never
-        existed.
+        load).  The ledger section is the count and the names of the rules
+        that tag a row, in name order, then the tag count and the tag of
+        each row of the SPO run, which one ``bytes.translate`` renumbers
+        from the store's rule table to that order.  Two stores holding the
+        same triples and the same ledger therefore produce byte-identical
+        raw sections regardless of how they got there, and so
+        byte-identical snapshots under one ``zlib`` build; an empty ledger
+        encodes as one that never existed.
 
-        Raises :class:`SnapshotError`, writing nothing, if a ledger triple
-        is not in the store.  A path is written as ``<path>.tmp``, synced
-        to disk and renamed over ``path``, and then the directory is
-        synced, so a crash or power loss leaves either the old snapshot or
-        the new one.
+        A path is written as ``<path>.tmp``, synced to disk and renamed
+        over ``path``, and then the directory is synced, so a crash or
+        power loss leaves either the old snapshot or the new one.
         """
-        missing = self._not_held(self.ledger.values())
-        if missing:
-            name = min(name for name, entry in self.ledger.items() if not missing.isdisjoint(entry))
-            ids = next(ids for ids in self.ledger[name] if ids in missing)
-            from .ntriples import serialize_triple
-
-            triple = serialize_triple(self.decode_triple(ids))
-            raise SnapshotError(f"ledger triple for rule {name!r} is not in the store: {triple}")
         terms, order, renumber = self._numbering()
-        counts, predicates, objects = self._spo_run(order, renumber)
-        names = [name for name in sorted(self.ledger) if self.ledger[name]]
-        ledger: list[Union[bytes, array]] = [_U32.pack(len(names))]
-        for name in names:
-            entry = self.ledger[name]
-            if renumber is None:
-                rows = sorted(entry)
-            else:
-                rows = sorted(zip(*(map(renumber.__getitem__, map(itemgetter(k), entry)) for k in range(3))))
+        counts, predicates, objects, tags = self._spo_run(order, renumber)
+        used = sorted((name, tag) for tag, name in enumerate(self._rules, 1) if tags.count(tag))
+        canonical = bytearray(256)  # store tag -> snapshot tag; 0 stays 0
+        ledger = [_U32.pack(len(used))]
+        for number, (name, tag) in enumerate(used, 1):
+            canonical[tag] = number
             raw = name.encode("utf-8")
-            ledger.append(struct.pack("=II", len(raw), len(rows)) + raw)
-            ledger.append(array(_ID, chain.from_iterable(rows)))
+            ledger.append(_U32.pack(len(raw)) + raw)
+        ledger += [_U32.pack(len(tags)), tags.translate(canonical)]
         # the sections are written chunk by chunk, so none is copied into another
         body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(terms), self._size)]
         body += _pack(_term_section(terms))
@@ -613,7 +685,7 @@ class Store:
         the SPO run (flat s, p, o ids into that list, ascending), whose rows
         are therefore in canonical triple order."""
         terms, order, renumber = self._numbering()
-        counts, predicates, objects = self._spo_run(order, renumber)
+        counts, predicates, objects, _ = self._spo_run(order, renumber)
         run = array(_ID, bytes(12 * len(predicates)))
         run[0::3], run[1::3], run[2::3] = _repeated(counts), predicates, objects
         return terms, run
@@ -623,15 +695,6 @@ class Store:
         triples, read from POS's third or second columns."""
         runs = self._pos.runs()
         return set().union(*((subjects if slot == 0 else objects)[lo:hi] for _, objects, subjects, lo, hi in runs))
-
-    def _not_held(self, entries: Iterable[set[IdTriple]]) -> set[IdTriple]:
-        """The id triples of ``entries`` that the store does not hold: their
-        union less the rows of the subjects they name."""
-        missing: set[IdTriple] = set().union(*entries)
-        for s in set(map(itemgetter(0), missing)):
-            predicates, objects, lo, hi = self._spo.run(s)
-            missing.difference_update(zip(repeat(s), predicates[lo:hi], objects[lo:hi]))
-        return missing
 
     def _numbering(self) -> tuple[list[Term], list[int], Optional[list[int]]]:
         """The live terms in canonical term order, their old ids in that
@@ -669,10 +732,10 @@ class Store:
             renumber[old_id] = new_id
         return live_terms, order, renumber
 
-    def _spo_run(self, order: list[int], renumber: Optional[list[int]]) -> tuple[array, array, array]:
+    def _spo_run(self, order: list[int], renumber: Optional[list[int]]) -> tuple[array, array, array, bytearray]:
         """The SPO run under the new numbering (:meth:`_numbering`): each live
-        term's count of rows as subject, in the new order, and the predicate
-        and object columns of the rows in SPO order.
+        term's count of rows as subject, in the new order, and the predicate,
+        object and tag columns of the rows in SPO order.
 
         The counts come from SPO's offsets and overlay.  The base rows of
         the subjects not written are cut out of the base columns by offset
@@ -694,25 +757,33 @@ class Store:
                 begin = offsets[s + 1]
         pieces.append(slice(begin, len(spo.second)))
         counts = array(_ID, map(counts.__getitem__, order))
-        columns = [spo.second, spo.third]
+        columns: list = list(spo.base())
         if len(pieces) > 1:
             columns = [_joined(column, pieces) for column in columns]
-        fresh = [(s, p, o) for s, pair in overlay.items() for p, o in zip(*pair)]
-        if renumber is not None:
-            fresh = [(renumber[s], renumber[p], renumber[o]) for s, p, o in fresh]
+        if renumber is None:
+            fresh = [(s, *row) for s, run in overlay.items() for row in zip(*run)]
+        else:
+            fresh = [(renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run)]
             if not self._loaded:
-                # every term is new, so no order survives: one sort of all rows
+                # every term is new, so no order survives: one sort of all
+                # rows, which carry their tags only if one is not 0
                 subjects = spo.firsts()
                 if len(pieces) > 1:
                     subjects = _joined(subjects, pieces)
-                rows = zip(*(map(renumber.__getitem__, column) for column in (subjects, *columns)))
-                run = array(_ID, chain.from_iterable(sorted(chain(rows, fresh))))
-                return counts, run[1::3], run[2::3]
-            columns = [array(_ID, map(renumber.__getitem__, column)) for column in columns]
+                ids = [map(renumber.__getitem__, column) for column in (subjects, *columns[:2])]
+                tagged = columns[2].count(0) < len(columns[2]) or any(row[3] for row in fresh)
+                if tagged:
+                    ids.append(columns[2])
+                rows = chain(zip(*ids), fresh if tagged else (row[:3] for row in fresh))
+                run = array(_ID, chain.from_iterable(sorted(rows)))
+                width = 4 if tagged else 3
+                tags = bytearray(iter(run[3::4])) if tagged else bytearray(len(run) // 3)
+                return counts, run[1::width], run[2::width], tags
+            columns[:2] = [array(_ID, map(renumber.__getitem__, column)) for column in columns[:2]]
         if fresh:
             fresh.sort()
             starts = array(_ID, accumulate(counts, initial=0))
-            out = [array(_ID), array(_ID)]
+            out = [column[:0] for column in columns]
             start = spliced = 0
             for s, group in groupby(fresh, itemgetter(0)):
                 rows = list(group)
@@ -726,7 +797,7 @@ class Store:
             for k, column in enumerate(out):
                 column += columns[k][start:]
             columns = out
-        return counts, columns[0], columns[1]
+        return counts, columns[0], columns[1], columns[2]
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
@@ -735,11 +806,11 @@ class Store:
         Each section must unpack to exactly its raw length (:func:`_unpack`),
         every term must pass its constructor's checks and appear once, the
         subject counts must sum to the triple count, every id must name a
-        term of the table, the SPO run and each ledger rule's triples must be
-        strictly ascending, and every ledger triple must be in the SPO run;
-        anything else raises :class:`SnapshotError`, with the message of the
-        first fault in file order.  Counts, lengths and ids are read in the
-        byte order the header names.
+        term of the table, the SPO run must be strictly ascending, and the
+        ledger section must pass :func:`_read_ledger`'s checks; anything
+        else raises :class:`SnapshotError`, with the message of the first
+        fault in file order.  Counts, lengths and ids are read in the byte
+        order the header names.
 
         The checks run list-wise: each term run's payloads are decoded as
         one blob where they can be, and the run is checked by its
@@ -747,9 +818,8 @@ class Store:
         siblings); the id columns are checked whole.  SPO's offsets come
         from the subject counts, and its subject column, which the order
         check and POS's rebuild read, is each subject repeated by its count;
-        the predicate and object columns become SPO's base run as they are.
-        Each ledger rule is checked as it is read, against the rows of the
-        subjects it names, in one set difference.  A term table in
+        the predicate and object columns become SPO's base run as they are,
+        and the ledger's tag column its tags.  A term table in
         canonical order (as :meth:`save` writes it) is remembered as such,
         so the next save sorts only the terms interned after the load.
 
@@ -805,38 +875,18 @@ class Store:
         if sum(counts) != triple_count:
             raise SnapshotError("SPO subject counts do not sum to the triple count")
         subjects = _repeated(counts)
-        _check_rows((subjects, predicates, objects), term_count, "SPO run")
-        store._build(counts, subjects, predicates, objects)
-        del counts, subjects, predicates, objects
+        columns = (subjects, predicates, objects)
+        if triple_count and max(map(max, columns)) >= term_count:
+            raise SnapshotError("term id out of range in SPO run")
+        following = zip(*columns)
+        next(following, None)
+        if not all(map(lt, zip(*columns), following)):
+            raise SnapshotError("SPO run is not strictly ascending")
         raw, offset = _unpack(data, offset, "ledger section")
-        sizes = struct.Struct(order + "II").unpack_from
-        try:
-            (rule_count,) = struct.unpack_from(order + "I", raw)
-            at = 4
-            previous = None
-            for _ in range(rule_count):
-                name_size, count = sizes(raw, at)
-                at += 8
-                name_raw = raw[at : at + name_size]
-                if len(name_raw) != name_size:
-                    raise SnapshotError("truncated ledger section")
-                at += name_size
-                try:
-                    name = name_raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise SnapshotError("ledger rule name is not UTF-8") from None
-                if not count or (previous is not None and name <= previous):
-                    raise SnapshotError("ledger rules are not distinct, non-empty and in name order")
-                previous = name
-                entry, at = _read_id_run(raw, at, count, order, term_count, f"ledger of rule {name!r}")
-                triples = store.ledger[name] = set(zip(*entry))
-                if store._not_held((triples,)):
-                    raise SnapshotError(f"ledger of rule {name!r} names a triple the snapshot does not hold")
-            if at != len(raw):
-                raise SnapshotError("trailing bytes in ledger section")
-        except struct.error:
-            raise SnapshotError("truncated ledger section") from None
+        store._rules, tags = _read_ledger(raw, triple_count, order)
         del raw
+        store._build(counts, subjects, predicates, objects, tags)
+        del counts, subjects, predicates, objects, columns, following
         if offset != len(data):
             raise SnapshotError("trailing bytes after snapshot")
         return store
@@ -891,35 +941,47 @@ def _ids(raw: bytes, start: int, count: int, order: str) -> array:
     return column
 
 
-def _check_rows(columns: tuple[array, array, array], term_count: int, what: str) -> None:
-    """Raise :class:`SnapshotError` unless the id columns of ``what`` name
-    terms of the table and their rows are strictly ascending."""
-    if columns[0] and max(map(max, columns)) >= term_count:
-        raise SnapshotError(f"term id out of range in {what}")
-    following = zip(*columns)
-    next(following, None)
-    if not all(map(lt, zip(*columns), following)):
-        raise SnapshotError(f"{what} is not strictly ascending")
+def _read_ledger(raw: bytes, triple_count: int, order: str) -> tuple[list[str], bytearray]:
+    """The rule names and the tag column of a raw ledger section, checked:
+    the names are UTF-8, distinct and in name order, the column holds one
+    tag per triple and no more bytes follow it, every tag is at most the
+    rule count, and every named rule tags a row."""
+    count_at = struct.Struct(order + "I").unpack_from
+    names: list[str] = []
+    try:
+        (rule_count,) = count_at(raw)
+        at = 4
+        for _ in range(rule_count):
+            (size,) = count_at(raw, at)
+            name = raw[at + 4 : at + 4 + size]
+            if len(name) != size:
+                raise SnapshotError("truncated ledger section")
+            at += 4 + size
+            try:
+                names.append(name.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise SnapshotError("a rule name in the ledger section is not UTF-8") from None
+        (tag_count,) = count_at(raw, at)
+    except struct.error:
+        raise SnapshotError("truncated ledger section") from None
+    if not all(map(lt, names, names[1:])):
+        raise SnapshotError("the rules of the ledger section are not distinct and in name order")
+    if tag_count != triple_count:
+        raise SnapshotError(f"the ledger section holds {tag_count} tags, not one per triple ({triple_count})")
+    tags = bytearray(memoryview(raw)[at + 4 :])
+    if len(tags) != tag_count:
+        raise SnapshotError("truncated ledger section" if len(tags) < tag_count else "trailing bytes in ledger section")
+    if tags.translate(None, bytes(range(min(rule_count, _MAX_RULES) + 1))):
+        raise SnapshotError(f"a tag in the ledger section is out of range ({rule_count} rules)")
+    for tag, name in enumerate(names, 1):
+        if tag > _MAX_RULES or tag not in tags:
+            raise SnapshotError(f"rule {name!r} of the ledger section tags no row")
+    return names, tags
 
 
-def _read_id_run(
-    raw: bytes, offset: int, count: int, order: str, term_count: int, what: str
-) -> tuple[tuple[array, array, array], int]:
-    """The s, p and o columns of ``count`` id triples stored as rows at
-    ``offset``, checked by :func:`_check_rows`, and the offset after them."""
-    end = offset + count * 12
-    if end > len(raw):
-        raise SnapshotError(f"truncated {what}")
-    run = _ids(raw, offset, 3 * count, order)
-    columns = (run[0::3], run[1::3], run[2::3])
-    del run
-    _check_rows(columns, term_count, what)
-    return columns, end
-
-
-def _joined(column: array, pieces: list[slice]) -> array:
+def _joined(column: Column, pieces: list[slice]) -> Column:
     """The items of ``column`` in ``pieces``, in order, as one column."""
-    out = array(_ID)
+    out = column[:0]
     for piece in pieces:
         out += column[piece]
     return out
@@ -935,33 +997,45 @@ class _Permutation:
     """The triples in one key order, as (first, second, third) rows.
 
     The base run is the second- and third-key columns of its rows, sorted
-    together by (first, second, third); ``start`` holds dense offsets
+    together by (first, second, third), and, for SPO, the ledger tag of
+    each row (``tags``; None for POS); ``start`` holds dense offsets
     indexed by first-key id, so the base rows of key ``k`` are
     ``start[k]:start[k + 1]``, and ``keys`` lists the keys that have base
     rows, ascending.  A key outside the offsets has no base rows.  The
     overlay maps each key written since the base run was filled to its own
-    (second, third) column pair, sorted; reads and writes of that key use
-    the pair from then on, and a key emptied by writes keeps an empty pair,
-    which hides its base rows.
+    columns (second, third, and tags for SPO), sorted; reads and writes of
+    that key use them from then on, and a key emptied by writes keeps empty
+    columns, which hide its base rows.  The base rows of an overlay key
+    have tag 0, so a scan of the base tags meets only live rows.
     """
 
-    __slots__ = ("second", "third", "start", "keys", "overlay")
+    __slots__ = ("second", "third", "tags", "start", "keys", "overlay")
 
-    def __init__(self, counts: Sequence[int], second: Sequence[int], third: Sequence[int]) -> None:
+    def __init__(
+        self, counts: Sequence[int], second: Sequence[int], third: Sequence[int], tags: Optional[bytearray] = None
+    ) -> None:
         """The base run of distinct rows sorted by (first, second, third),
-        given as each first key's row count, by key id, and the second and
-        third columns (arrays, or lists), with an empty overlay."""
+        given as each first key's row count, by key id, the second and
+        third columns (arrays, or lists) and, for SPO, the tags, with an
+        empty overlay."""
         self.keys = array(_ID, compress(range(len(counts)), counts))
         self.start = array(_ID, accumulate(counts, initial=0))
         self.second, self.third = (c if isinstance(c, array) else array(_ID, c) for c in (second, third))
-        self.overlay: dict[int, tuple[array, array]] = {}
+        self.tags = tags
+        self.overlay: dict[int, tuple[Column, ...]] = {}
+
+    def base(self) -> tuple[Column, ...]:
+        """The base run's columns: second, third and, for SPO, tags."""
+        if self.tags is None:
+            return self.second, self.third
+        return self.second, self.third, self.tags
 
     def run(self, key: int) -> tuple[array, array, int, int]:
         """The second- and third-key columns that hold the rows of ``key``,
         and the bounds of those rows in them (equal when it has none)."""
-        pair = self.overlay.get(key)
-        if pair is not None:
-            return pair[0], pair[1], 0, len(pair[0])
+        columns = self.overlay.get(key)
+        if columns is not None:
+            return columns[0], columns[1], 0, len(columns[0])  # type: ignore[return-value]
         start = self.start
         if 0 <= key < len(start) - 1:
             return self.second, self.third, start[key], start[key + 1]
@@ -972,11 +1046,11 @@ class _Permutation:
         as :meth:`run` gives them."""
         overlay, start, second, third = self.overlay, self.start, self.second, self.third
         for key in sorted(set(self.keys).union(overlay)) if overlay else self.keys:
-            pair = overlay.get(key)
-            if pair is None:
+            columns = overlay.get(key)
+            if columns is None:
                 yield key, second, third, start[key], start[key + 1]
-            elif pair[0]:
-                yield key, pair[0], pair[1], 0, len(pair[0])
+            elif columns[0]:
+                yield key, columns[0], columns[1], 0, len(columns[0])  # type: ignore[misc]
 
     def counts(self) -> array:
         """Each first key's count of base rows, by key id."""
@@ -986,38 +1060,49 @@ class _Permutation:
         """The first key of each base row, in order."""
         return _repeated(self.counts())
 
-    def _own(self, key: int) -> Optional[tuple[array, array]]:
-        """The column pair a write to ``key`` starts from: its overlay pair,
-        or a copy of its base rows (which the write then puts in the
+    def _own(self, key: int) -> Optional[tuple[Column, ...]]:
+        """The columns a write to ``key`` starts from: its overlay columns,
+        or a copy of its base rows (which :meth:`_put` then makes its
         overlay), or None when it has no rows."""
-        pair = self.overlay.get(key)
-        if pair is not None:
-            return pair
-        second, third, lo, hi = self.run(key)
-        return (second[lo:hi], third[lo:hi]) if lo < hi else None
+        columns = self.overlay.get(key)
+        if columns is not None:
+            return columns
+        _, _, lo, hi = self.run(key)
+        return tuple(column[lo:hi] for column in self.base()) if lo < hi else None
 
-    def merge(self, rows: list[IdTriple]) -> list[IdTriple]:
-        """Put sorted, distinct (first, second, third) rows in; the rows
-        that were not there, in order."""
+    def _put(self, key: int, columns: tuple[Column, ...]) -> None:
+        """Make ``columns`` the overlay of ``key``; the first time, clear
+        the tags of its base rows, which the overlay now hides."""
+        if self.tags is not None and key not in self.overlay:
+            _, _, lo, hi = self.run(key)
+            self.tags[lo:hi] = bytes(hi - lo)
+        self.overlay[key] = columns
+
+    def merge(self, rows: list[IdTriple], tag: int = 0) -> list[IdTriple]:
+        """Put sorted, distinct (first, second, third) rows in, tagged
+        ``tag`` in SPO; the rows that were not there, in order."""
         added: list[IdTriple] = []
         for first, run in groupby(rows, itemgetter(0)):
             columns = self._own(first)
             if columns is None:
                 group = list(run)
-                self.overlay[first] = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
+                columns = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
+                if self.tags is not None:
+                    columns += (bytearray((tag,)) * len(group),)
+                self.overlay[first] = columns  # no base rows to hide
                 added += group
                 continue
-            second, third = columns
+            second, third = columns[0], columns[1]
             size = len(second)
             cuts: list[int] = []
             fresh: list[IdTriple] = []
             for row in run:
-                at, found = _seek(second, third, row[1], row[2], 0, size)
+                at, found = _seek(second, third, row[1], row[2], 0, size)  # type: ignore[arg-type]
                 if not found:
                     cuts.append(at)
                     fresh.append(row)
             if fresh:
-                self.overlay[first] = _spliced(columns, cuts, fresh)
+                self._put(first, _spliced(columns, cuts, fresh, tag))
                 added += fresh
         return added
 
@@ -1029,7 +1114,7 @@ class _Permutation:
             columns = self._own(first)
             if columns is None:
                 continue
-            second, third = columns
+            second, third = columns[0], columns[1]
             group = list(run)
             if (
                 len(group) == len(second)
@@ -1038,17 +1123,69 @@ class _Permutation:
             ):
                 # the whole key goes, as when a rule's predicate is retracted
                 removed += group
-                self.overlay[first] = (array(_ID), array(_ID))
+                self._put(first, tuple(column[:0] for column in columns))
                 continue
             cuts: list[int] = []
             for row in group:
-                at, found = _seek(second, third, row[1], row[2], 0, len(second))
+                at, found = _seek(second, third, row[1], row[2], 0, len(second))  # type: ignore[arg-type]
                 if found:
                     cuts.append(at)
                     removed.append(row)
             if cuts:
-                self.overlay[first] = _spliced(columns, cuts)
+                self._put(first, _spliced(columns, cuts))
         return removed
+
+    def places(self, rows: list[IdTriple]) -> tuple[list[tuple[bytearray, int, int]], Optional[IdTriple]]:
+        """The tag column and bounds of the tags of the sorted, distinct
+        rows, a key's whole run at once when they are all its rows, and
+        the first row not held, or None (SPO only)."""
+        out: list[tuple[bytearray, int, int]] = []
+        for first, run in groupby(rows, itemgetter(0)):
+            columns = self.overlay.get(first)
+            tags = self.tags if columns is None else columns[2]
+            second, third, lo, hi = self.run(first)
+            group = list(run)
+            if (
+                len(group) == hi - lo
+                and second[lo:hi] == array(_ID, [row[1] for row in group])
+                and third[lo:hi] == array(_ID, [row[2] for row in group])
+            ):
+                out.append((tags, lo, hi))  # type: ignore[arg-type]
+                continue
+            for row in group:
+                at, found = _seek(second, third, row[1], row[2], lo, hi)
+                if not found:
+                    return out, row
+                out.append((tags, at, at + 1))  # type: ignore[arg-type]
+        return out, None
+
+    def tagged(self, tag: int) -> list[IdTriple]:
+        """The rows whose tag is ``tag``, not 0, in order (SPO only).  The
+        base tags are searched in C for each run of rows with the tag
+        within one key, and each overlay key's tags are scanned in C."""
+        tags, start, second, third = self.tags, self.start, self.second, self.third
+        select = bytearray(256)
+        select[tag] = 1
+        marks = tags.translate(select)  # type: ignore[union-attr]
+        rows: list[IdTriple] = []
+        at = marks.find(1)
+        while at >= 0:
+            key = bisect_right(start, at) - 1
+            end = marks.find(0, at, start[key + 1])
+            if end < 0:
+                end = start[key + 1]
+            rows += zip(repeat(key), second[at:end], third[at:end])
+            at = marks.find(1, end)
+        for key, columns in self.overlay.items():
+            if tag in columns[2]:
+                rows += [(key, b, c) for b, c, t in zip(*columns) if t == tag]
+        if self.overlay:
+            rows.sort()
+        return rows
+
+    def tag_count(self, tag: int) -> int:
+        """How many rows have tag ``tag``, not 0 (SPO only)."""
+        return self.tags.count(tag) + sum(columns[2].count(tag) for columns in self.overlay.values())  # type: ignore
 
 
 def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tuple[int, bool]:
@@ -1061,42 +1198,60 @@ def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tupl
 
 
 def _spliced(
-    columns: tuple[array, array], cuts: list[int], rows: Optional[list[IdTriple]] = None
-) -> tuple[array, array]:
-    """A column pair with the second and third keys of ``rows[k]`` put
-    before position ``cuts[k]`` (ascending), or, with no rows, without
-    those positions.
+    columns: tuple[Column, ...], cuts: list[int], rows: Optional[list[IdTriple]] = None, tag: int = 0
+) -> tuple[Column, ...]:
+    """Columns with the second and third keys of ``rows[k]``, and ``tag``
+    in a tag column, put before position ``cuts[k]`` (ascending), or, with
+    no rows, without those positions.
 
-    The columns are changed in place when the shifts that takes move fewer
-    items than a copy would (one row into a long column, or rows near its
-    end); otherwise each is copied once, in pieces between the cuts.
+    The cuts are taken in runs, the rows put at one position or the
+    positions next to each other, each run one slice per column.  The
+    columns are changed in place when the shifts that takes move fewer
+    items than a copy would (one run into a long column, or runs near its
+    end); otherwise each is copied once, in pieces between the runs.
     """
-    second, third = columns
-    size = len(second)
-    if len(cuts) * size - sum(cuts) <= size:
-        if rows is None:
-            for at in reversed(cuts):
-                del second[at]
-                del third[at]
+    step = 1 if rows is None else 0
+    runs: list[list[int]] = []  # [position, count]
+    for at in cuts:
+        if runs and runs[-1][0] + runs[-1][1] * step == at:
+            runs[-1][1] += 1
         else:
-            for at, row in zip(reversed(cuts), reversed(rows)):
-                second.insert(at, row[1])
-                third.insert(at, row[2])
+            runs.append([at, 1])
+    size = len(columns[0])
+    if len(runs) * size - sum(at for at, _ in runs) <= size:
+        k = len(cuts)
+        for at, count in reversed(runs):
+            k -= count
+            if rows is None:
+                for column in columns:
+                    del column[at : at + count]
+            else:
+                for column, values in zip(columns, _values(rows[k : k + count], tag)):
+                    column[at:at] = values
         return columns
-    out_second, out_third = array(_ID), array(_ID)
-    start = 0
-    for k, at in enumerate(cuts):
-        out_second += second[start:at]
-        out_third += third[start:at]
+    out = tuple(column[:0] for column in columns)
+    start = k = 0
+    for at, count in runs:
+        for piece, column in zip(out, columns):
+            piece += column[start:at]
         if rows is None:
-            at += 1
+            start = at + count
         else:
-            out_second.append(rows[k][1])
-            out_third.append(rows[k][2])
-        start = at
-    out_second += second[start:]
-    out_third += third[start:]
-    return out_second, out_third
+            for piece, values in zip(out, _values(rows[k : k + count], tag)):
+                piece += values
+            k += count
+            start = at
+    for piece, column in zip(out, columns):
+        piece += column[start:]
+    return out
+
+
+def _values(rows: list[IdTriple], tag: int) -> Iterator[Column]:
+    """The second and third keys of ``rows`` as columns, then their tags;
+    a caller takes as many as it has columns."""
+    yield array(_ID, [row[1] for row in rows])
+    yield array(_ID, [row[2] for row in rows])
+    yield bytearray((tag,)) * len(rows)
 
 
 def _repeated(counts: Sequence[int]) -> array:

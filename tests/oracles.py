@@ -952,9 +952,10 @@ SAMPLE_USAGE_TSV = (
 
 
 def ledger_triples(store: Store) -> dict[str, set[Triple]]:
-    """The store's ledger with each id triple decoded, so ledgers of two
-    stores (or of one store before and after a snapshot) compare by value."""
-    return {name: set(map(store.decode_triple, entry)) for name, entry in store.ledger.items()}
+    """The store's ledger, each rule it names with its rows decoded, so
+    ledgers of two stores (or of one store before and after a snapshot)
+    compare by value."""
+    return {name: set(map(store.decode_triple, store.ledger_rows(name))) for name in store.ledger_counts()}
 
 
 def oracle_upsert_node(
@@ -975,7 +976,7 @@ def oracle_upsert_node(
 
 
 def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, int]]:
-    """Ledger entry for ``triples``, whose terms ``store`` has interned."""
+    """The id triples of ``triples``, whose terms ``store`` has interned."""
     return {store.lookup_triple(triple) for triple in triples}
 
 
@@ -983,8 +984,8 @@ def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, i
 #
 # The snapshot format of ``Store.save``/``Store.load``, written and read the
 # plain way: every live term sorted by its sort key and encoded on its own,
-# the SPO run's counts and columns and each ledger rule as sorted tuples,
-# one value at a time, each term decoded by its validating constructor.
+# the SPO run's counts and columns and each triple's ledger tag, one value
+# at a time, each term decoded by its validating constructor.
 # Each raw section is then packed whole by ``zlib.compress`` at store.py's
 # level.
 
@@ -1037,15 +1038,16 @@ def spo_section(term_count: int, rows: list[tuple[int, int, int]], order: str = 
     return b"".join(struct.pack(order + "I", value) for value in values)
 
 
-def ledger_section(rules: list[tuple[str, list[tuple[int, int, int]]]], order: str = "=") -> bytes:
-    """The raw ledger section: the rule count, then each rule's name size,
-    row count, name and rows."""
+def ledger_section(rules: list[str], tags: list[int], order: str = "=") -> bytes:
+    """The raw ledger section: the rule count, then each rule's name size
+    and name, then the tag count and each tag as one byte."""
     body = [struct.pack(order + "I", len(rules))]
-    for name, rows in rules:
+    for name in rules:
         raw = name.encode("utf-8")
-        body.append(struct.pack(order + "II", len(raw), len(rows)) + raw)
-        for row in rows:
-            body.append(struct.pack(order + "III", *row))
+        body.append(struct.pack(order + "I", len(raw)) + raw)
+    body.append(struct.pack(order + "I", len(tags)))
+    for tag in tags:
+        body.append(bytes([tag]))
     return b"".join(body)
 
 
@@ -1057,9 +1059,9 @@ def packed(raw: bytes) -> bytes:
 
 
 def snapshot_header(term_count: int, triple_count: int, swapped: bool = False) -> bytes:
-    """A version-3 snapshot's magic and header."""
+    """A version-4 snapshot's magic and header."""
     flag, _ = _byte_order(swapped)
-    return b"SGRAPH" + _HEADER.pack(3, flag, term_count, triple_count)
+    return b"SGRAPH" + _HEADER.pack(4, flag, term_count, triple_count)
 
 
 def oracle_sections(store: Store, swapped: bool = False) -> tuple[bytes, list[bytes]]:
@@ -1074,15 +1076,16 @@ def oracle_sections(store: Store, swapped: bool = False) -> tuple[bytes, list[by
     def ids(t: Triple) -> tuple[int, int, int]:
         return (number[t.subject], number[t.predicate], number[t.object])
 
-    rules = [
-        (name, sorted(ids(store.decode_triple(row)) for row in store.ledger[name]))
-        for name in sorted(store.ledger)
-        if store.ledger[name]
-    ]
+    # each rule that ledgers a triple, numbered from 1 in name order, and
+    # each triple's tag: its rule's number, or 0 for a base fact
+    ledger = {name: entry for name, entry in ledger_triples(store).items() if entry}
+    rules = sorted(ledger)
+    tag_of = {triple: rules.index(name) + 1 for name, entry in ledger.items() for triple in entry}
+    triples.sort(key=ids)
     sections = [
         term_section(map(_encode_term, terms), order),
-        spo_section(len(terms), sorted(map(ids, triples)), order),
-        ledger_section(rules, order),
+        spo_section(len(terms), list(map(ids, triples)), order),
+        ledger_section(rules, [tag_of.get(triple, 0) for triple in triples], order),
     ]
     return snapshot_header(len(terms), len(triples), swapped), sections
 
@@ -1103,7 +1106,7 @@ def term_table_snapshot(
     many bytes from the end of the raw term section before it is packed."""
     rows = list(rows)
     terms = term_section(encoded_terms)
-    sections = [terms[: len(terms) - cut], spo_section(len(encoded_terms), rows), ledger_section([])]
+    sections = [terms[: len(terms) - cut], spo_section(len(encoded_terms), rows), ledger_section([], [0] * len(rows))]
     return snapshot_header(len(encoded_terms), len(rows)) + b"".join(map(packed, sections))
 
 

@@ -283,7 +283,7 @@ def test_failed_save_keeps_the_old_state(workdir, capsys, monkeypatch):
     assert sorted(os.listdir(workdir)) == sorted(
         ["biblio.tsv", "usage.tsv", "citations.tsv", "scholargraph.store", "scholargraph.sidecar"]
     )
-    assert tuple(Store.load("scholargraph.store").ledger) == ("authored_by",)
+    assert tuple(Store.load("scholargraph.store").ledger_counts()) == ("authored_by",)
     code, out, _ = run(capsys, "stats")
     assert "ledger authored_by" in out and "ledger used_by" not in out
 
@@ -547,6 +547,13 @@ def test_bad_namespace_flags_exit_one(workdir, capsys):
 def test_malformed_config_files_exit_one_without_a_traceback(workdir, capsys):
     for text, message in (
         ('{"precision": "x"}', "precision must be an integer"),
+        # values int() would coerce: a float, a JSON true and a string of digits
+        ('{"precision": 6.9}', "precision must be an integer, got 6.9"),
+        ('{"precision": true}', "precision must be an integer, got True"),
+        ('{"precision": "7"}', "precision must be an integer, got '7'"),
+        ('{"provider": 5}', "provider must be a string, got 5"),
+        ('{"store": ["a"]}', "store must be a string"),
+        ('{"sidecar": {"path": "s"}}', "sidecar must be a string"),
         ("{bad", "not valid JSON"),
         ('{"namespaces": ["a"]}', "namespaces must be a JSON object"),
     ):
@@ -700,7 +707,7 @@ def test_export_equals_the_sorted_oracle_after_rules_and_a_metric(workdir, capsy
     root = journal_root()
     assert run(capsys, "metric", "if", "--object", root.value, "--year", "2007")[0] == 0
     store = Store.load("scholargraph.store")
-    assert store.ledger["metric"] and store.ledger["authored_by"]
+    assert store.ledger_rows("metric") and store.ledger_rows("authored_by")
     exports_as_the_oracle(capsys, store)
 
 

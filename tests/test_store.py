@@ -14,7 +14,7 @@ import pytest
 
 import scholargraph.store as store_module
 from scholargraph.ntriples import write_ntriples
-from scholargraph.store import SnapshotError, Store
+from scholargraph.store import LedgerError, SnapshotError, Store
 from scholargraph.terms import (
     Blank,
     Iri,
@@ -31,6 +31,7 @@ from oracles import (
     encoded,
     isomorphic,
     ledger_ids,
+    ledger_section,
     ledger_triples,
     oracle_export,
     oracle_load_terms,
@@ -99,17 +100,24 @@ def test_insert_many_into_nonempty_store():
 
 
 def test_batch_writes_against_a_set():
-    """add_rows and drop_rows agree with a Python set over random batches
-    that repeat rows, hold rows already there or absent, and empty keys,
-    on a store built in memory and on the same store loaded from its
-    snapshot; either one's save then writes what the reference encoder
-    writes."""
+    """add_rows, drop_rows and retag agree with a Python set of rows, and
+    a dict of each row's rule, over random batches that repeat rows, hold
+    rows already there or absent, and empty keys, on a store built in
+    memory and on the same store loaded from its snapshot; either one's
+    save then writes what the reference encoder writes."""
     built = random_context_store(random.Random(17), 60)
+    rows = sorted(built.match_ids(None, None, None))
+    built.retag(rows[::5], "rule_a")
+    built.retag(rows[1::7], "used_by")
+    rules = (None, "metric", "rule_a", "used_by")  # the rules in name order
     for store in (built, Store.load(io.BytesIO(saved(built)))):
         rng = random.Random(17)
         # ids of a few terms no triple uses yet, so batches also open new keys
         fresh = [store.intern(Iri(f"urn:x:fresh{k}")) for k in range(6)]
         model = set(store.match_ids(None, None, None))
+        rule_of = dict.fromkeys(model)
+        rule_of.update((row, rule) for rule in rules[1:] for row in store.ledger_rows(rule))
+        assert sum(rule is not None for rule in rule_of.values()) == len(set(rows[::5]) | set(rows[1::7]))
         subjects = sorted({s for s, _, _ in model}) + fresh
         predicates = sorted({p for _, p, _ in model}) + fresh[:2]
         objects = sorted({o for _, _, o in model}) + fresh
@@ -126,16 +134,33 @@ def test_batch_writes_against_a_set():
                 ]
             batch += rng.sample(batch, len(batch) // 3)  # repeats
             rng.shuffle(batch)
-            if rng.random() < 0.5:
-                added = store.add_rows(batch)
+            roll, rule = rng.random(), rng.choice(rules)
+            if roll < 0.4:
+                added = store.add_rows(batch, rule)
                 assert added == sorted(set(batch) - model), step
                 model |= set(batch)
-            else:
+                rule_of.update(dict.fromkeys(added, rule))
+            elif roll < 0.8:
                 removed = store.drop_rows(batch)
                 assert removed == sorted(set(batch) & model), step
                 model -= set(batch)
+                for row in removed:
+                    del rule_of[row]
+            elif set(batch) <= model:
+                assert store.retag(batch, rule) == sum(rule_of[row] != rule for row in set(batch)), step
+                rule_of.update(dict.fromkeys(batch, rule))
+            else:
+                with pytest.raises(LedgerError, match="not in the store"):
+                    store.retag(batch, rule)
             assert store.verify_indexes(), step
             assert set(store.match_ids(None, None, None)) == model and len(store) == len(model)
+            ledger = {rule: sorted(row for row in model if rule_of[row] == rule) for rule in rules[1:]}
+            assert {rule: store.ledger_rows(rule) for rule in rules[1:]} == ledger, step
+            counts = store.ledger_counts()
+            assert list(counts) == sorted(counts), step
+            assert {rule: count for rule, count in counts.items() if count} == {
+                rule: len(rows) for rule, rows in ledger.items() if rows
+            }, step
         assert saved(store) == oracle_snapshot(store)
 
 
@@ -465,8 +490,8 @@ def test_snapshot_load_rejects_garbage():
 
 def ledgered_store():
     store, triples = small_store()
-    store.ledger["rule_b"] = ledger_ids(store, [triples[0], triples[3]])
-    store.ledger["rule_a"] = ledger_ids(store, [triples[4]])
+    store.retag(ledger_ids(store, [triples[0], triples[3]]), "rule_b")
+    store.retag(ledger_ids(store, [triples[4]]), "rule_a")
     return store, triples
 
 
@@ -490,36 +515,60 @@ def test_snapshot_with_ledger_is_canonical_across_histories():
     store_b.insert(noise)
     for t in reversed(triples):
         store_b.insert(t)
-    store_b.ledger["rule_a"] = ledger_ids(store_b, [noise, triples[4]])
-    store_b.ledger["rule_b"] = ledger_ids(store_b, [triples[3], triples[0]])
-    store_b.ledger["rule_c"] = set()
+    # the rules take other tags than in store_a, and rule_c tags no row
+    store_b.retag(ledger_ids(store_b, [noise, triples[4]]), "rule_a")
+    store_b.retag(ledger_ids(store_b, [triples[3], triples[0]]), "rule_b")
+    store_b.retag((), "rule_c")
     store_b.remove(noise)
-    store_b.ledger["rule_a"].discard(store_b.lookup_triple(noise))
     assert saved(store_a) == saved(store_b)
 
 
 def test_empty_ledger_encodes_as_none():
-    store, _ = small_store()
+    store, triples = small_store()
     plain = saved(store)
-    store.ledger["rule"] = set()
+    store.retag((), "rule")
+    assert saved(store) == plain
+    rows = ledger_ids(store, triples[:2])
+    assert store.retag(rows, "rule") == 2 and store.retag(rows, None) == 2
     assert saved(store) == plain
 
 
-def test_save_refuses_a_ledger_triple_not_in_the_store(tmp_path):
-    store, _ = small_store()
-    path = tmp_path / "store.bin"
+def test_retag_refuses_a_row_the_store_lacks():
+    """Every ledger row is a stored row: a retag that names a row the
+    store does not hold is refused and changes nothing, so no snapshot can
+    carry a ledger triple the store lacks."""
+    store, triples = ledgered_store()
+    before = saved(store)
+    ledger = ledger_triples(store)
     # a term no triple uses, and used terms in a triple the store does not hold
     store.intern(Iri("urn:s9"))
     for stray in (
         Triple(Iri("urn:s9"), Iri("urn:p1"), Iri("urn:o1")),
         Triple(Iri("urn:s2"), Iri("urn:p2"), string_literal("x")),
     ):
-        store.ledger["rule"] = ledger_ids(store, [stray])
-        with pytest.raises(SnapshotError, match="not in the store"):
-            store.save(io.BytesIO())
-        with pytest.raises(SnapshotError):
-            store.save(str(path))
-        assert list(tmp_path.iterdir()) == []
+        rows = ledger_ids(store, [triples[1], stray])
+        for rule in ("rule", "rule_a", None):
+            with pytest.raises(LedgerError, match="not in the store"):
+                store.retag(rows, rule)
+        assert ledger_triples(store) == ledger and saved(store) == before
+
+
+def test_a_ledger_names_at_most_255_rules():
+    store = Store()
+    triples = [Triple(Iri(f"urn:s{k:03}"), Iri("urn:p"), integer_literal(k)) for k in range(256)]
+    store.insert_many(triples)
+    for k, triple in enumerate(triples[:255]):
+        store.retag(ledger_ids(store, [triple]), f"rule{k:03}")
+    # the 256th name would need tag 256, which no byte holds
+    with pytest.raises(LedgerError, match="at most 255 rules"):
+        store.retag(ledger_ids(store, triples[255:]), "one too many")
+    with pytest.raises(LedgerError, match="at most 255 rules"):
+        store.add_rows([(0, 0, 0)], "one too many")
+    assert len(store) == 256 and len(store.ledger_counts()) == 255
+    data = saved(store)
+    assert data == oracle_snapshot(store)
+    back = Store.load(io.BytesIO(data))
+    assert ledger_triples(back) == ledger_triples(store) and saved(back) == data
 
 
 def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
@@ -545,31 +594,37 @@ def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
 
 
 def test_corrupt_ledger_sections_are_rejected():
-    store, _ = small_store()
-    store.ledger["rule"] = ledger_ids(store, [Triple(Iri("urn:s2"), Iri("urn:p1"), Iri("urn:o1"))])
+    store, _ = ledgered_store()
     data = saved(store)
     assert data == oracle_snapshot(store)
     assert ledger_triples(Store.load(io.BytesIO(data))) == ledger_triples(store)
     header, (terms, spo, ledger) = oracle_sections(store)
+    rules, tags = ["rule_a", "rule_b"], list(ledger[-len(store) :])
+    assert ledger == ledger_section(rules, tags) and sorted(tags) == [0, 0, 1, 2, 2]
 
     def with_ledger(raw: bytes) -> bytes:
         return header + packed(terms) + packed(spo) + packed(raw)
 
-    head, (s, p, o) = ledger[:-12], struct.unpack("=III", ledger[-12:])
-    corrupt = {
-        "term id out of range": with_ledger(head + struct.pack("=III", s, p, 1 << 20)),
-        "does not hold": with_ledger(head + struct.pack("=III", p, p, p)),
-        "truncated ledger of rule 'rule'": with_ledger(ledger[:-5]),
-        "trailing bytes in ledger section": with_ledger(ledger + b"\0"),
-        "truncated ledger section": data[:-5],
-        "trailing bytes after snapshot": data + b"\0",
-    }
-    for reason, bad in corrupt.items():
+    corrupt = [
+        ("out of range \\(2 rules\\)", ledger_section(rules, tags[:-1] + [3])),
+        ("out of range \\(2 rules\\)", ledger_section(rules, [255] + tags[1:])),
+        ("holds 4 tags, not one per triple \\(5\\)", ledger_section(rules, tags[:-1])),
+        ("holds 6 tags, not one per triple \\(5\\)", ledger_section(rules, tags + [0])),
+        ("rule 'rule_c' of the ledger section tags no row", ledger_section(rules + ["rule_c"], tags)),
+        ("not distinct and in name order", ledger_section(rules[::-1], [(3 - t) % 3 for t in tags])),
+        ("not distinct and in name order", ledger_section(["rule_a", "rule_a"], tags)),
+        ("rule name in the ledger section is not UTF-8", ledger.replace(b"rule_b", b"rule_\xff")),
+        ("trailing bytes in ledger section", ledger + b"\0"),
+        ("truncated ledger section", ledger[:-1]),  # in the tag column
+        ("truncated ledger section", ledger[:10]),  # in the rule table
+        ("truncated ledger section", b""),  # before the rule count
+    ]
+    for reason, raw in corrupt:
+        with pytest.raises(SnapshotError, match=reason):
+            Store.load(io.BytesIO(with_ledger(raw)))
+    for reason, bad in (("truncated ledger section", data[:-5]), ("trailing bytes after snapshot", data + b"\0")):
         with pytest.raises(SnapshotError, match=reason):
             Store.load(io.BytesIO(bad))
-    # cut before the section's rule count
-    with pytest.raises(SnapshotError, match="truncated ledger section"):
-        Store.load(io.BytesIO(with_ledger(b"")))
 
 
 def test_corrupt_packed_sections_name_the_section():
@@ -764,17 +819,13 @@ def random_writes(rng: random.Random, store: Store, held: list[Triple]) -> None:
             if store.insert(triple):
                 held.append(triple)
                 if rng.random() < 0.3:
-                    entry = store.ledger.setdefault(rng.choice(("metric", "rule_a", "used_by")), set())
-                    entry.add(store.lookup_triple(triple))
+                    store.retag([store.lookup_triple(triple)], rng.choice(("metric", "rule_a", "used_by")))
         elif roll < 0.85:
             # drop every triple of one subject, so its terms may die
             subject = rng.choice(held).subject
             for triple in [t for t in held if t.subject == subject]:
-                ids = store.lookup_triple(triple)
                 assert store.remove(triple)
                 held.remove(triple)
-                for entry in store.ledger.values():
-                    entry.discard(ids)
         else:
             store.intern(random_term(rng))  # a term no triple uses
 
@@ -849,7 +900,7 @@ def test_load_pauses_the_garbage_collector_and_restores_it(enabled, monkeypatch)
 
 def test_version_one_snapshot_is_rejected():
     data = bytearray(saved(small_store()[0]))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         struct.pack_into("<H", data, len(b"SGRAPH"), version)
         with pytest.raises(SnapshotError, match=f"version {version}.*`map` and then `infer`"):
             Store.load(io.BytesIO(bytes(data)))
@@ -1022,3 +1073,31 @@ def test_a_load_stays_within_its_memory_budget():
         tracemalloc.stop()
     assert len(store) > 25_000
     assert peak / len(store) < 180
+
+
+def test_a_loaded_ledger_stays_within_its_memory_budget():
+    """What a loaded store of about 30k triples keeps, under tracemalloc,
+    for a ledger of 10k rows beyond what it keeps for the same triples with
+    no ledger: 0.8 B per ledger row, since a row's rule is the tag byte
+    every SPO row has, against 150.6 B with a set of id tuples per rule."""
+    store = random_context_store(random.Random(1), 5000)
+    plain = saved(store)
+    rows = random.Random(2).sample(sorted(store.match_ids(None, None, None)), 10_000)
+    for k, rule in enumerate(("metric", "rule_a", "used_by")):
+        store.retag(rows[k::3], rule)
+    ledgered = saved(store)
+
+    def kept(data: bytes) -> tuple[Store, int]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = Store.load(io.BytesIO(data))
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return loaded, size
+
+    back, with_ledger = kept(ledgered)
+    assert sum(back.ledger_counts().values()) == 10_000
+    _, without = kept(plain)
+    assert (with_ledger - without) / 10_000 < 8

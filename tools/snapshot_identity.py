@@ -9,15 +9,17 @@ generates for seed 1 and 400 documents: the ingests, three usage batches
 each followed by ``map`` and ``map --affiliations``, the biblio file, the
 first usage batch and the citations file ingested again (so every row of
 those three steps is rejected as a duplicate), then ``validate``,
-``stats``, ``infer --all``, ``metric if`` and ``metric uif``, ``retract
---rule used_by``, ``infer --rule used_by``, ``retract --all``, ``map`` and
-``export``.  After every command the exit status, stdout and stderr must
-agree (the last stdout is ``export``'s whole N-Triples dump, and an
-ingest's stderr has one ``line N: rejected: REASON`` line per rejected
-row), and so must the snapshot's SHA-1 when the snapshot format version
-(``_VERSION`` in ``store.py``) is the same in both trees; when it differs,
-the snapshots cannot agree, only exit status, stdout and stderr are
-compared, and each step prints both trees' snapshot sizes, so the log
+``stats``, ``infer --all``, ``metric if`` and ``metric uif``, ``stats``,
+``retract --rule used_by``, ``stats``, ``infer --rule used_by``,
+``stats``, ``retract --all``, ``map`` and ``export``.  After every
+command the exit status, stdout and stderr must agree (the last stdout is
+``export``'s whole N-Triples dump, each ``stats`` prints the ledger's row
+count per rule, and an ingest's stderr has one ``line N: rejected:
+REASON`` line per rejected row), and so must the snapshot's SHA-1 when the
+snapshot format version (``_VERSION`` in ``store.py``) is the same in both
+trees; when it differs, the snapshots cannot agree, only exit status,
+stdout and stderr are compared (so the ``stats`` steps are what compares
+the ledgers), and each step prints both trees' snapshot sizes, so the log
 shows the format change's effect.  The first command where they differ is
 reported and the script exits 1.
 """
@@ -70,8 +72,11 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
     sequence += [["validate"], ["stats"], ["infer", "--all"]]
     sequence += [["metric", kind, "--object", journal, "--year", "2006"] for kind in ("if", "uif")]
     sequence += [
+        ["stats"],
         ["retract", "--rule", "used_by"],
+        ["stats"],
         ["infer", "--rule", "used_by"],
+        ["stats"],
         ["retract", "--all"],
         ["map"],
         ["export"],
