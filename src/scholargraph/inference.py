@@ -282,8 +282,9 @@ def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str)
                 extra.add(row)
                 added.add(row)
     final: set[IdTriple] = set().union(*live.values())
-    removed = store.drop_rows(held - final)
+    # the adds first: a full rule-name table fails them before any change
     inserted = store.add_rows((final - held) | extra, rule)
+    removed = store.drop_rows(held - final)
     # every other added statement was held and stays: it was put back
     retagged = store.retag(added & held, rule)
     return bool(removed or inserted or retagged)
@@ -497,8 +498,9 @@ class InferenceEngine:
         With ``verify``, every ledger triple must be present in the store;
         a mismatch means snapshot and ledger are out of step, and leaves
         the ledger as it was.  Without it, a ledger triple the store lacks
-        is added to it under its rule, since the ledger names stored rows
-        only.  A triple listed under two rules ends under the last.
+        is skipped, since the ledger names stored rows only: a load never
+        changes the store's triples.  A triple listed under two rules ends
+        under the last.
         """
         if isinstance(source, str):
             with open(source, "rb") as fp:
@@ -536,8 +538,9 @@ class InferenceEngine:
             intern = self.store.intern
             ledger[current].append((intern(triple.subject), intern(triple.predicate), intern(triple.object)))
         store = self.store
+        for name in ledger:
+            store.retag((), name)  # names each rule, so a full name table fails before any change
         for name in self.ledger_rules():
             store.retag(store.ledger_rows(name), None)
         for name, rows in ledger.items():
-            store.add_rows(rows, name)
-            store.retag(rows, name)
+            store.retag([row for row in rows if store.contains_ids(*row)], name)

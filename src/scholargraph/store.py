@@ -766,19 +766,13 @@ class Store:
             fresh = [(renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run)]
             if not self._loaded:
                 # every term is new, so no order survives: one sort of all
-                # rows, which carry their tags only if one is not 0
+                # rows, with their tags
                 subjects = spo.firsts()
                 if len(pieces) > 1:
                     subjects = _joined(subjects, pieces)
-                ids = [map(renumber.__getitem__, column) for column in (subjects, *columns[:2])]
-                tagged = columns[2].count(0) < len(columns[2]) or any(row[3] for row in fresh)
-                if tagged:
-                    ids.append(columns[2])
-                rows = chain(zip(*ids), fresh if tagged else (row[:3] for row in fresh))
-                run = array(_ID, chain.from_iterable(sorted(rows)))
-                width = 4 if tagged else 3
-                tags = bytearray(iter(run[3::4])) if tagged else bytearray(len(run) // 3)
-                return counts, run[1::width], run[2::width], tags
+                ids = (map(renumber.__getitem__, column) for column in (subjects, *columns[:2]))
+                run = array(_ID, chain.from_iterable(sorted(chain(zip(*ids, columns[2]), fresh))))
+                return counts, run[1::4], run[2::4], bytearray(iter(run[3::4]))
             columns[:2] = [array(_ID, map(renumber.__getitem__, column)) for column in columns[:2]]
         if fresh:
             fresh.sort()
@@ -1205,10 +1199,12 @@ def _spliced(
     no rows, without those positions.
 
     The cuts are taken in runs, the rows put at one position or the
-    positions next to each other, each run one slice per column.  The
-    columns are changed in place when the shifts that takes move fewer
-    items than a copy would (one run into a long column, or runs near its
-    end); otherwise each is copied once, in pieces between the runs.
+    positions next to each other (a key's new rows mostly go in at one
+    place, and a rule's rows about a subject mostly sit together), each
+    run one slice per column.  The columns are changed in place when the
+    shifts that takes move fewer items than a copy would (one run into a
+    long column, or runs near its end); otherwise each is copied once, in
+    pieces between the runs.
     """
     step = 1 if rows is None else 0
     runs: list[list[int]] = []  # [position, count]
@@ -1226,7 +1222,7 @@ def _spliced(
                 for column in columns:
                     del column[at : at + count]
             else:
-                for column, values in zip(columns, _values(rows[k : k + count], tag)):
+                for column, values in zip(columns, _row_columns(rows[k : k + count], tag)):
                     column[at:at] = values
         return columns
     out = tuple(column[:0] for column in columns)
@@ -1237,7 +1233,7 @@ def _spliced(
         if rows is None:
             start = at + count
         else:
-            for piece, values in zip(out, _values(rows[k : k + count], tag)):
+            for piece, values in zip(out, _row_columns(rows[k : k + count], tag)):
                 piece += values
             k += count
             start = at
@@ -1246,12 +1242,10 @@ def _spliced(
     return out
 
 
-def _values(rows: list[IdTriple], tag: int) -> Iterator[Column]:
-    """The second and third keys of ``rows`` as columns, then their tags;
-    a caller takes as many as it has columns."""
-    yield array(_ID, [row[1] for row in rows])
-    yield array(_ID, [row[2] for row in rows])
-    yield bytearray((tag,)) * len(rows)
+def _row_columns(rows: list[IdTriple], tag: int) -> tuple[array, array, bytearray]:
+    """The second and third keys of ``rows`` as columns, and a column of
+    ``tag`` as long; zipped with POS's two columns, the tags drop out."""
+    return array(_ID, [row[1] for row in rows]), array(_ID, [row[2] for row in rows]), bytearray((tag,)) * len(rows)
 
 
 def _repeated(counts: Sequence[int]) -> array:

@@ -291,18 +291,25 @@ def test_ledger_rejects_bad_input():
 
 def test_ledger_verification_needs_the_triples_present():
     store = Store()
+    held = Triple(node("a"), node("p"), node("c"))
+    store.insert(held)
     engine = InferenceEngine(store)
     raw = (
         b"#scholargraph-ledger v1\n"
         b"#rule authored_by\n"
         b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:b> .\n"
+        b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:c> .\n"
     )
     with pytest.raises(LedgerError) as info:
         engine.load_ledger(io.BytesIO(raw))
     assert "is not in the store" in str(info.value)
-    # verify=False accepts it (for inspecting an orphaned ledger)
+    assert engine.ledger_rules() == ()
+    # verify=False accepts it (for inspecting an orphaned ledger): the held
+    # triple is ledgered, the missing one skipped, and no triple is added
     engine.load_ledger(io.BytesIO(raw), verify=False)
     assert engine.ledger_rules() == ("authored_by",)
+    assert engine.ledger_entries("authored_by") == frozenset({held})
+    assert len(store) == 1
 
 
 # -- group citation derivation ----------------------------------------------------
@@ -563,6 +570,18 @@ def test_upsert_node_synchronizes_a_ledger():
     upsert_node(store, {target: second}, "rule")
     assert ledger_triples(store) == {"rule": set(second)}
     assert set(store.triples()) == set(second)
+
+
+def test_an_upsert_past_a_full_rule_table_changes_nothing():
+    store = Store()
+    target = node("t")
+    upsert_node(store, {target: [Triple(target, HAS_WEIGHT, decimal_literal("1.0"))]}, "rule000")
+    for k in range(1, 255):
+        upsert_node(store, {node(f"n{k}"): [Triple(node(f"n{k}"), HAS_WEIGHT, decimal_literal("1.0"))]}, f"rule{k:03}")
+    triples, ledger = set(store.triples()), ledger_triples(store)
+    with pytest.raises(LedgerError, match="at most 255 rules"):
+        upsert_node(store, {target: [Triple(target, HAS_WEIGHT, decimal_literal("2.0"))]}, "one too many")
+    assert set(store.triples()) == triples and ledger_triples(store) == ledger
 
 
 def test_upsert_node_against_the_one_triple_oracle():
