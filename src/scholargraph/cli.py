@@ -19,8 +19,9 @@ Exit codes: 0 success, 1 domain or data error, 2 usage error.
 Each subcommand imports the modules it uses inside its handler, so a
 command pays only for its own imports: `stats` loads the store and the term
 model alone, `export` adds N-Triples, `map` and the `ingest-*` commands load
-neither N-Triples nor `decimal`, `query` never loads the rules, the metrics
-or the sidecar, and `metric` and `retract` never load the query dialect.
+neither N-Triples nor `decimal`, the `ingest-*` commands never load the
+store, `query` never loads the rules, the metrics or the sidecar, and
+`metric` and `retract` never load the query dialect.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
 from .record import Record
-from .store import Store, TriplePattern, Var
 from .terms import Iri, NamespaceTable, RDF_TYPE, term_sort_key
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .store import Store, TriplePattern
 
 DEFAULT_STORE = "scholargraph.store"
 DEFAULT_SIDECAR = "scholargraph.sidecar"
@@ -141,6 +144,8 @@ def _lock_holder(lock_path: str) -> str:
 
 
 def _open_store(cfg: Config) -> Store:
+    from .store import Store
+
     if os.path.exists(cfg.store):
         _note(cfg, f"loading store {cfg.store}")
         store = Store.load(cfg.store)
@@ -251,6 +256,7 @@ def cmd_validate(args: argparse.Namespace, cfg: Config) -> int:
 
 def _render_pattern(pattern: TriplePattern, table: NamespaceTable) -> str:
     from .ntriples import serialize_term
+    from .store import Var
 
     slots = []
     for slot in (pattern.subject, pattern.predicate, pattern.object):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 from urllib.parse import quote
 
 from .errors import ScholarGraphError
@@ -68,7 +68,6 @@ from .ontology import (
     USES,
 )
 from .record import Record
-from .store import Store
 from .terms import (
     Datatype,
     Iri,
@@ -79,6 +78,9 @@ from .terms import (
     datetime_literal,
     string_literal,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .store import Store
 
 SIDECAR_VERSION = 1
 DEFAULT_PROVIDER = Iri("urn:mesur:provider:default")

@@ -1,9 +1,18 @@
 """Embedded triple store with dictionary encoding and two indexes.
 
 Terms are interned into a dictionary mapping each distinct term to a dense
-integer id (ids of removed terms are never reused).  Triples live twice,
-once per permutation (SPO, POS), in ``array('I')`` columns (unsigned
-32-bit, the id type of a snapshot).
+integer id (ids of removed terms are never reused).  The dictionary is
+keyed by each term's text (an IRI's value, a blank node's label, a
+literal's lexical form) and its head, one byte for the kind and a
+literal's datatype: each id keeps its text in a list and its head in a
+``bytearray``, and each head has one dict from text to id, which hashes
+in C.  (head, text) order is canonical term order (:func:`term_sort_key`),
+so a save numbers and encodes terms from their texts alone.
+:meth:`Store.decode` makes a term's :class:`Term` object when it is first
+asked for and keeps it; a load makes none (HDT's dictionary is decoded by
+id on demand in the same way, Fernández et al. 2013).  Triples live
+twice, once per permutation (SPO, POS), in ``array('I')`` columns
+(unsigned 32-bit, the id type of a snapshot).
 
 Both permutations have one layout (:class:`_Permutation`, after the sorted
 permutation runs of RDF-3X and Hexastore): a read-only base run plus a
@@ -12,22 +21,26 @@ Severance & Lohman 1976).  The base run is the second- and third-key
 columns, sorted together by (first, second, third), and dense offsets
 indexed by first-key id, so a key's base rows are found with two array
 reads and no object is made per key.  A load fills SPO's columns from the
-snapshot's SPO run with ``frombytes`` and strided slices, and POS's from
-two stable sorts of the row numbers.  The first write to a key copies its
-rows into the overlay, a dict from the key to its own columns; reads and
-writes of that key use them from then on, and a key emptied by writes
-keeps empty columns there, which hide its base rows.  A batch into
-an empty store becomes the base runs, so a store that was never loaded has
-the same layout.  A probe on the first two keys is two array reads (or a
-dict get) for the first key, a bisection of the second column and a slice
-of the third.  A shape with the object bound and the predicate free
+snapshot's SPO run with ``frombytes`` and strided slices, and builds no
+POS run: POS (:class:`_LazyPos`) cuts each predicate's base rows from
+SPO's base run when that predicate is first read, after one stable sort
+of the row numbers by predicate on the first POS probe.  The first write
+to a key copies its rows into the overlay (POS moves a built run there
+instead), a dict from the key to its own columns; reads and writes of
+that key use them from then on, and a key emptied by writes keeps empty
+columns there, which hide its base rows.  A batch into an empty store
+becomes SPO's base run, so a store that was never loaded has the same
+layout.  A probe on the first two keys is two array reads (or a dict
+get) for the first key, a bisection of the second column and a slice of
+the third.  A shape with the object bound and the predicate free
 bisects the object in each predicate's POS rows (the vocabulary has few
 predicates) and comes in (s, p) order; any other shape is answered by the
 permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
-permutation and rebuild each key's columns once, with the batch's rows
+permutation (a batch already sorted and distinct is only checked) and
+rebuild each key's columns once, with the batch's rows
 spliced in at their bisected places or cut out, so a batch costs
 O(batch log batch + touched columns) rather than one array shift per
 triple.  :meth:`Store.insert_many` interns its triples and makes one such
@@ -56,9 +69,9 @@ and overlay, maps the base columns as they stand, cuts out the rows of
 the overlay's subjects by offset, and sorts and splices in only the
 overlay's rows, at the offsets the counts give (a store whose base run
 holds ids that were not loaded, as in one that was never loaded, sorts
-its whole run once).  ``export`` writes the same
-numbering and run (:meth:`Store.canonical_run`), already in canonical
-triple order.
+its whole run once).  The live terms are read from SPO alone, so a save
+builds no POS run and no term.  ``export`` writes the same numbering and
+run (:meth:`Store.canonical_run`), already in canonical triple order.
 
 A snapshot's sections are columnar and each is packed as one ``zlib``
 stream (:func:`_pack`, :func:`_unpack`), as column stores compress each
@@ -70,8 +83,9 @@ from the counts rather than counting a subject column; the ledger section
 is the names of the rules that tag a row, in name order, and the tag
 column of the SPO run, renumbered to that order.  A load checks the
 term table one run at a time by the term constructors' rules, and the id
-columns whole, with the messages a term-by-term check would give; the
-cyclic garbage collector is paused while it runs.
+columns whole, with the messages a term-by-term check would give, but
+builds no term and no POS run; the cyclic garbage collector is paused
+while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -90,7 +104,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import attrgetter, itemgetter, le, lt, sub
+from operator import itemgetter, le, lt, sub
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
@@ -103,13 +117,12 @@ from .terms import (
     Term,
     TermError,
     Triple,
-    make_blanks,
-    make_iris,
-    make_literals,
-    term_sort_key,
+    check_blanks,
+    check_iris,
+    check_literals,
 )
 
-_setattr = object.__setattr__  # Var and TriplePattern refuse assignment
+_setattr = object.__setattr__  # terms, Var and TriplePattern refuse assignment
 
 
 class Var(FrozenRecord):
@@ -218,11 +231,15 @@ class Store:
     """
 
     def __init__(self) -> None:
-        self._terms: list[Term] = []
-        self._ids: dict[Term, int] = {}
+        # the term table (see the module docstring): each id's text and head,
+        # one text -> id dict per head, and each id's Term once decoded
+        self._texts: list[str] = []
+        self._heads = bytearray()
+        self._ids: list[dict[str, int]] = [{} for _ in range(_HEADS)]
+        self._terms: list[Optional[Term]] = []
         # the two permutations of the triples (see the module docstring)
         self._spo = _Permutation((), (), (), bytearray())
-        self._pos = _Permutation((), (), ())
+        self._pos = _LazyPos(array(_ID), array(_ID), array(_ID))
         self._size = 0
         self._blank_serial = 0
         # ids below this are the term table of the snapshot the store was
@@ -235,44 +252,51 @@ class Store:
 
     def intern(self, term: Term) -> int:
         """Id of ``term``, assigning the next dense id on first sight."""
-        existing = self._ids.get(term)
+        head, text = _key(term)
+        ids = self._ids[head]
+        existing = ids.get(text)
         if existing is not None:
             return existing
-        new_id = len(self._terms)
+        new_id = ids[text] = len(self._texts)
+        self._texts.append(text)
+        self._heads.append(head)
         self._terms.append(term)
-        self._ids[term] = new_id
         return new_id
 
     def lookup(self, term: Term) -> Optional[int]:
-        return self._ids.get(term)
+        head, text = _key(term)
+        return self._ids[head].get(text)
 
     def decode(self, term_id: int) -> Term:
-        return self._terms[term_id]
+        """The term of ``term_id``, made on first use and kept."""
+        term = self._terms[term_id]
+        if term is None:
+            term = self._terms[term_id] = _term(self._heads[term_id], self._texts[term_id])
+        return term
 
     def lookup_triple(self, triple: Triple) -> Optional[IdTriple]:
         """The id triple of ``triple``; None if one of its terms has no id."""
-        ids = self._ids
-        s, p, o = ids.get(triple.subject), ids.get(triple.predicate), ids.get(triple.object)
+        lookup = self.lookup
+        s, p, o = lookup(triple.subject), lookup(triple.predicate), lookup(triple.object)
         if s is None or p is None or o is None:
             return None
         return (s, p, o)
 
     def decode_triple(self, ids: IdTriple) -> Triple:
-        terms = self._terms
+        decode = self.decode
         s, p, o = ids
-        return Triple(terms[s], terms[p], terms[o])
+        return Triple(decode(s), decode(p), decode(o))
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._texts)
 
     def fresh_blank(self) -> Blank:
         """A blank node whose label collides with nothing seen so far."""
         while True:
             label = f"genid{self._blank_serial}"
             self._blank_serial += 1
-            candidate = Blank(label)
-            if candidate not in self._ids:
-                return candidate
+            if label not in self._ids[_BLANK]:
+                return Blank(label)
 
     # -- mutation --------------------------------------------------------------
 
@@ -290,13 +314,13 @@ class Store:
         ``rule`` (None: as base facts); the rows that were new, in SPO
         order.  A row the store holds already keeps its rule.
 
-        The batch is sorted once per permutation, and each key it touches
-        gets its columns rebuilt once, with the new rows spliced in at
-        their bisected places.  Into an empty store the batch becomes the
-        base run instead (:meth:`_build`), which is what makes
+        The batch is sorted once per permutation (:func:`_distinct`), and
+        each key it touches gets its columns rebuilt once, with the new rows
+        spliced in at their bisected places.  Into an empty store the batch
+        becomes the base run instead (:meth:`_build`), which is what makes
         million-triple loads cheap.
         """
-        batch = sorted(set(rows))
+        batch = _distinct(rows)
         tag = self._tag(rule)
         if not self._size:
             if batch:
@@ -316,23 +340,14 @@ class Store:
         self, counts: Sequence[int], s: Sequence[int], p: Sequence[int], o: Sequence[int], tags: bytearray
     ) -> None:
         """Make the id columns of distinct triples in SPO order, and their
-        tags, the base runs of both permutations (POS without the tags),
-        with empty overlays; ``counts`` holds each subject's row count, by
-        subject id.
-
-        POS comes from two stable sorts of the row numbers by one integer
-        key each: sorting by object leaves equal objects in (s, p) order, and
-        sorting that by predicate leaves equal predicates in (o, s) order,
-        which is POS order.  Stability supplies the tie order, so no sort
-        compares tuples.  The columns are arrays (a load's, of which SPO
-        keeps the predicate and object columns) or lists (a batch's, which
-        hand the sorts their ints without boxing each one again).
-        """
-        rows = sorted(range(len(o)), key=o.__getitem__)
-        rows.sort(key=p.__getitem__)
-        self._pos = _Permutation(_counts(p), *_gather(rows, o, s))
-        del rows  # before the subject offsets are made, to lower the peak
+        tags, SPO's base run, with an empty overlay, and POS a
+        :class:`_LazyPos` over those columns, which builds no run until one
+        is read; ``counts`` holds each subject's row count, by subject id.
+        The columns are arrays (a load's, which are kept as they are) or
+        lists (a batch's)."""
         self._spo = _Permutation(counts, p, o, tags)
+        subjects = s if isinstance(s, array) else array(_ID, s)
+        self._pos = _LazyPos(subjects, self._spo.second, self._spo.third)
         self._size = len(o)
 
     def remove(self, triple: Triple) -> bool:
@@ -348,7 +363,7 @@ class Store:
         without the removed rows; a key left empty keeps empty overlay
         columns.
         """
-        removed = self._spo.cut(sorted(set(rows)))
+        removed = self._spo.cut(_distinct(rows))
         if removed:
             self._pos.cut(sorted([(p, o, s) for s, p, o in removed]))
             self._size -= len(removed)
@@ -376,7 +391,7 @@ class Store:
         Raises :class:`LedgerError`, changing nothing, if the store does not
         hold one of them.
         """
-        places, missing = self._spo.places(sorted(set(rows)))
+        places, missing = self._spo.places(_distinct(rows))
         if missing is not None:
             from .ntriples import serialize_triple
 
@@ -415,7 +430,7 @@ class Store:
 
     def appears(self, term: Term) -> bool:
         """True if the term occurs in at least one live triple."""
-        term_id = self._ids.get(term)
+        term_id = self.lookup(term)
         if term_id is None:
             return False
         keyed = (lo < hi for *_, lo, hi in (self._spo.run(term_id), self._pos.run(term_id)))
@@ -423,7 +438,7 @@ class Store:
 
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
-        return list(map(itemgetter(0), self._pos.runs()))
+        return sorted(self._values(1))
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -539,13 +554,11 @@ class Store:
             if term is None:
                 ids.append(None)
             else:
-                term_id = self._ids.get(term)
+                term_id = self.lookup(term)
                 if term_id is None:
                     return
                 ids.append(term_id)
-        terms = self._terms
-        for si, pi, oi in self.match_ids(*ids):
-            yield Triple(terms[si], terms[pi], terms[oi])
+        yield from map(self.decode_triple, self.match_ids(*ids))
 
     def objects(self, subject: Term, predicate: Term) -> list[Term]:
         return [t.object for t in self.match_terms(subject, predicate, None)]
@@ -555,9 +568,7 @@ class Store:
 
     def triples(self) -> Iterator[Triple]:
         """All triples, decoded, in SPO index order."""
-        terms = self._terms
-        for s, p, o in self.match_ids(None, None, None):
-            yield Triple(terms[s], terms[p], terms[o])
+        return map(self.decode_triple, self.match_ids(None, None, None))
 
     def __iter__(self) -> Iterator[Triple]:
         return self.triples()
@@ -566,7 +577,7 @@ class Store:
         count = self.distinct_count
         return {
             "triples": self._size,
-            "terms": len(self._terms),
+            "terms": len(self._texts),
             "subjects": count(None, None, None, 0),
             "predicates": count(None, None, None, 1),
             "objects": count(None, None, None, 2),
@@ -574,33 +585,17 @@ class Store:
 
     def verify_indexes(self) -> bool:
         """Both permutations describe the same triple set, read through
-        :meth:`_Permutation.runs`; in each, the rows so read and the base
-        run are strictly ascending, the offsets and keys fit the base run,
-        and the columns of every overlay key are of equal length; SPO's
-        tags fit its columns and name rules of the table, and its base rows
-        of overlay keys have tag 0 (test hook)."""
-
-        def ascending(rows: list) -> bool:
-            return all(map(lt, rows, rows[1:]))
+        :meth:`_Permutation.runs` (which builds every POS run); in each, the
+        rows so read are strictly ascending and its layout is sound
+        (:meth:`_Permutation.sound`); SPO's tags fit its columns and name
+        rules of the table, and its base rows of overlay keys have tag 0
+        (test hook)."""
 
         def rows(index: _Permutation) -> Optional[list[IdTriple]]:
-            start = index.start
             out: list[IdTriple] = []
             for key, second, third, lo, hi in index.runs():
                 out.extend(zip(repeat(key), second[lo:hi], third[lo:hi]))
-            base = index.base()
-            sound = (
-                start[0] == 0
-                and all(start[-1] == len(column) for column in base)
-                and all(map(le, start, start[1:]))
-                and list(index.keys) == [k for k in range(len(start) - 1) if start[k] < start[k + 1]]
-                and ascending(list(zip(index.firsts(), index.second, index.third)))
-                and all(
-                    len(columns) == len(base) and len(set(map(len, columns))) == 1
-                    for columns in index.overlay.values()
-                )
-            )
-            return out if sound and ascending(out) else None
+            return out if index.sound() and _ascending(out) else None
 
         spo, pos = rows(self._spo), rows(self._pos)
         if spo is None or pos is None or self._pos.tags is not None:
@@ -618,20 +613,21 @@ class Store:
         """Write a canonical snapshot: a header, then the term table, the SPO
         run and the ledger, each a section packed by :func:`_pack`.
 
-        Live terms are written in one total order (:func:`term_sort_key`)
-        and numbered densely in it.  The terms of the snapshot a store was
-        loaded from keep that order as its lowest ids, so only the terms
-        interned since are sorted: each is bisected into the loaded order,
-        and dead ids drop out.  (A store that was not loaded has no loaded
-        terms, so all of its terms are sorted.)  Each kind's terms, and each
-        datatype's literals, are one run: a count, a column of UTF-8
-        lengths and the payloads as one blob, encoded with one join.
+        Live terms, found in SPO alone, are written in one total order
+        (:func:`term_sort_key`, which is (head, text) order) and numbered
+        densely in it.  The terms of the snapshot a store was loaded from
+        keep that order as its lowest ids, so only the terms interned since
+        are sorted: each is bisected into the loaded order, and dead ids
+        drop out.  (A store that was not loaded has no loaded terms, so all
+        of its terms are sorted.)  Each kind's terms, and each datatype's
+        literals, are one run: a count, a column of UTF-8 lengths and the
+        payloads as one blob, encoded from the texts with one join, so a
+        save makes no :class:`Term` and builds no POS run.
 
         The SPO run is each subject's row count, for every term id, then the
         predicate and object columns of the rows in SPO order, made from the
         base columns mapped through the new numbering, with the overlay's
-        rows sorted and spliced in (:meth:`_spo_run`; POS is rebuilt on
-        load).  The ledger section is the count and the names of the rules
+        rows sorted and spliced in (:meth:`_spo_run`; POS is not stored).  The ledger section is the count and the names of the rules
         that tag a row, in name order, then the tag count and the tag of
         each row of the SPO run, which one ``bytes.translate`` renumbers
         from the store's rule table to that order.  Two stores holding the
@@ -644,7 +640,7 @@ class Store:
         over ``path``, and then the directory is synced, so a crash or
         power loss leaves either the old snapshot or the new one.
         """
-        terms, order, renumber = self._numbering()
+        order, renumber = self._numbering()
         counts, predicates, objects, tags = self._spo_run(order, renumber)
         used = sorted((name, tag) for tag, name in enumerate(self._rules, 1) if tags.count(tag))
         canonical = bytearray(256)  # store tag -> snapshot tag; 0 stays 0
@@ -655,8 +651,9 @@ class Store:
             ledger.append(_U32.pack(len(raw)) + raw)
         ledger += [_U32.pack(len(tags)), tags.translate(canonical)]
         # the sections are written chunk by chunk, so none is copied into another
-        body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(terms), self._size)]
-        body += _pack(_term_section(terms))
+        heads, texts = bytes(map(self._heads.__getitem__, order)), list(map(self._texts.__getitem__, order))
+        body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(order), self._size)]
+        body += _pack(_term_section(heads, texts))
         body += _pack((counts, predicates, objects))
         body += _pack(ledger)
         if not isinstance(target, str):
@@ -684,53 +681,64 @@ class Store:
         """What a snapshot holds: the live terms in canonical term order, and
         the SPO run (flat s, p, o ids into that list, ascending), whose rows
         are therefore in canonical triple order."""
-        terms, order, renumber = self._numbering()
+        order, renumber = self._numbering()
         counts, predicates, objects, _ = self._spo_run(order, renumber)
         run = array(_ID, bytes(12 * len(predicates)))
         run[0::3], run[1::3], run[2::3] = _repeated(counts), predicates, objects
-        return terms, run
+        return list(map(self.decode, order)), run
 
     def _values(self, slot: int) -> set[int]:
-        """The ids in ``slot`` (0 for subjects, 2 for objects) of the live
-        triples, read from POS's third or second columns."""
-        runs = self._pos.runs()
-        return set().union(*((subjects if slot == 0 else objects)[lo:hi] for _, objects, subjects, lo, hi in runs))
+        """The ids in ``slot`` (0, 1 or 2 for s, p, o) of the live triples,
+        read from SPO alone: its keys that have rows, or the pieces of its
+        base column that no overlay key hides and its overlay columns."""
+        spo = self._spo
+        overlay = spo.overlay
+        if slot == 0:
+            keys = set(spo.keys).difference(overlay)
+            keys.update(key for key, columns in overlay.items() if columns[0])
+            return keys
+        column = spo.base()[slot - 1]
+        pieces = (column[piece] for piece in spo.visible())
+        return set().union(*pieces, *(columns[slot - 1] for columns in overlay.values()))
 
-    def _numbering(self) -> tuple[list[Term], list[int], Optional[list[int]]]:
-        """The live terms in canonical term order, their old ids in that
-        order, and the new id of each old id (None when every id keeps its
-        own): the one numbering of :meth:`save` and :meth:`canonical_run`.
+    def _numbering(self) -> tuple[list[int], Optional[list[int]]]:
+        """The old ids of the live terms in canonical term order, and the
+        new id of each old id (None when every id keeps its own): the one
+        numbering of :meth:`save` and :meth:`canonical_run`.
 
-        Loaded ids are in that order already; each term interned since the
-        load is bisected into them, in the order of its sort key.
+        Canonical order is (head, text) order.  Loaded ids are in that order
+        already; each term interned since the load is bisected into them,
+        by head and then by text, in the order of its (head, text) key.
         """
         live = self._values(0)
-        live.update(self._values(2), self.predicate_ids())
+        live.update(self._values(1), self._values(2))
         ids = sorted(live)
         loaded_count = self._loaded
         split = bisect_left(ids, loaded_count)
         loaded, fresh = ids[:split], ids[split:]
-        terms = self._terms
-        keys = list(map(term_sort_key, map(terms.__getitem__, fresh)))
+        heads, texts = self._heads, self._texts
+        keys = [(heads[i], texts[i]) for i in fresh]
         ranked = sorted(range(len(fresh)), key=keys.__getitem__)
         if not loaded:  # no loaded term to merge into, as in a store that was not loaded
             order = list(map(fresh.__getitem__, ranked))
         else:
             order, start = [], 0
             for k in ranked:
+                head, text = keys[k]
                 # where the term falls among all loaded ids, then among the live ones
-                at = bisect_left(loaded, bisect_left(terms, keys[k], 0, loaded_count, key=term_sort_key), start)
+                lo = bisect_left(heads, head, 0, loaded_count)
+                at = bisect_left(texts, text, lo, bisect_right(heads, head, lo, loaded_count))
+                at = bisect_left(loaded, at, start)
                 order += loaded[start:at]
                 order.append(fresh[k])
                 start = at
             order += loaded[start:]
-        live_terms = list(map(terms.__getitem__, order))
-        if order == list(range(len(terms))):
-            return live_terms, order, None
-        renumber = [0] * len(terms)  # dead ids keep 0; nothing reads them
+        if order == list(range(len(texts))):
+            return order, None
+        renumber = [0] * len(texts)  # dead ids keep 0; nothing reads them
         for new_id, old_id in enumerate(order):
             renumber[old_id] = new_id
-        return live_terms, order, renumber
+        return order, renumber
 
     def _spo_run(self, order: list[int], renumber: Optional[list[int]]) -> tuple[array, array, array, bytearray]:
         """The SPO run under the new numbering (:meth:`_numbering`): each live
@@ -745,17 +753,12 @@ class Store:
         each subject's at the offset that the counts give it.
         """
         spo = self._spo
-        overlay, offsets = spo.overlay, spo.start
+        overlay = spo.overlay
         counts = spo.counts()
-        counts.extend(repeat(0, len(self._terms) - len(counts)))
-        pieces: list[slice] = []  # the base rows of the subjects not written
-        begin = 0
-        for s in sorted(overlay):
-            counts[s] = len(overlay[s][0])
-            if s < len(offsets) - 1 and offsets[s] < offsets[s + 1]:
-                pieces.append(slice(begin, offsets[s]))
-                begin = offsets[s + 1]
-        pieces.append(slice(begin, len(spo.second)))
+        counts.extend(repeat(0, len(self._texts) - len(counts)))
+        for s, run in overlay.items():
+            counts[s] = len(run[0])
+        pieces = spo.visible()  # the base rows of the subjects not written
         counts = array(_ID, map(counts.__getitem__, order))
         columns: list = list(spo.base())
         if len(pieces) > 1:
@@ -807,15 +810,18 @@ class Store:
         order the header names.
 
         The checks run list-wise: each term run's payloads are decoded as
-        one blob where they can be, and the run is checked by its
-        constructor's rules and built as a whole (:func:`make_iris` and its
-        siblings); the id columns are checked whole.  SPO's offsets come
-        from the subject counts, and its subject column, which the order
-        check and POS's rebuild read, is each subject repeated by its count;
+        one blob where they can be, and the run is checked as a whole by
+        its constructor's rules (:func:`check_iris` and its siblings); the
+        texts become the term table and fill each head's text-to-id dict,
+        whose sizes show a duplicate, and no :class:`Term` is made.  The
+        id columns are checked whole.  SPO's offsets come from the subject
+        counts, and its subject column, which the order check reads and POS
+        keeps to cut its runs from, is each subject repeated by its count;
         the predicate and object columns become SPO's base run as they are,
-        and the ledger's tag column its tags.  A term table in
-        canonical order (as :meth:`save` writes it) is remembered as such,
-        so the next save sorts only the terms interned after the load.
+        and the ledger's tag column its tags.  No POS run is built
+        (:meth:`_build`).  A term table in canonical order (as :meth:`save`
+        writes it) is remembered as such, so the next save sorts only the
+        terms interned after the load.
 
         The cyclic garbage collector is paused for the load, since none of
         the objects it makes forms a cycle; the caller's setting is
@@ -852,11 +858,17 @@ class Store:
         store = cls()
         # each section's raw bytes are dropped once read, to lower the peak
         raw, offset = _unpack(data, offset, "term section")
-        store._terms, ordered = _decode_terms(raw, term_count, order)
+        runs, ordered = _decode_terms(raw, term_count, order)
         del raw
-        store._ids = dict(zip(store._terms, range(term_count)))
-        if len(store._ids) != term_count:
+        texts, heads, ids = store._texts, store._heads, store._ids
+        for head, run in runs:
+            ids[head].update(zip(run, range(len(texts), len(texts) + len(run))))
+            texts += run
+            heads += bytes((head,)) * len(run)
+        del runs
+        if sum(map(len, ids)) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
+        store._terms = [None] * term_count
         store._loaded = term_count if ordered else 0
         raw, offset = _unpack(data, offset, "SPO run")
         if len(raw) != 4 * (term_count + 2 * triple_count):
@@ -1000,7 +1012,8 @@ class _Permutation:
     columns (second, third, and tags for SPO), sorted; reads and writes of
     that key use them from then on, and a key emptied by writes keeps empty
     columns, which hide its base rows.  The base rows of an overlay key
-    have tag 0, so a scan of the base tags meets only live rows.
+    have tag 0, so a scan of the base tags meets only live rows.  SPO is one;
+    POS is a :class:`_LazyPos`, whose base runs are cut from SPO's.
     """
 
     __slots__ = ("second", "third", "tags", "start", "keys", "overlay")
@@ -1012,17 +1025,57 @@ class _Permutation:
         given as each first key's row count, by key id, the second and
         third columns (arrays, or lists) and, for SPO, the tags, with an
         empty overlay."""
-        self.keys = array(_ID, compress(range(len(counts)), counts))
-        self.start = array(_ID, accumulate(counts, initial=0))
+        self._index(counts)
         self.second, self.third = (c if isinstance(c, array) else array(_ID, c) for c in (second, third))
         self.tags = tags
         self.overlay: dict[int, tuple[Column, ...]] = {}
+
+    def _index(self, counts: Sequence[int]) -> None:
+        """Set the offsets and keys of base rows counted by key id."""
+        self.keys = array(_ID, compress(range(len(counts)), counts))
+        self.start = array(_ID, accumulate(counts, initial=0))
 
     def base(self) -> tuple[Column, ...]:
         """The base run's columns: second, third and, for SPO, tags."""
         if self.tags is None:
             return self.second, self.third
         return self.second, self.third, self.tags
+
+    def visible(self) -> list[slice]:
+        """The pieces of the base run, in order, whose rows no overlay key
+        hides."""
+        start = self.start
+        pieces: list[slice] = []
+        begin = 0
+        for key in sorted(self.overlay):
+            if key < len(start) - 1 and start[key] < start[key + 1]:
+                pieces.append(slice(begin, start[key]))
+                begin = start[key + 1]
+        pieces.append(slice(begin, len(self.second)))
+        return pieces
+
+    def sound(self) -> bool:
+        """The offsets and keys fit the base run, which is strictly
+        ascending, and the overlay's columns are as many as the base run's
+        and of equal length within each key (test hook)."""
+        base = self.base()
+        return (
+            self._fits(len(self.second), len(base))
+            and all(len(column) == len(self.second) for column in base)
+            and _ascending(list(zip(self.firsts(), self.second, self.third)))
+        )
+
+    def _fits(self, size: int, width: int) -> bool:
+        """The offsets index ``size`` base rows and agree with the keys, and
+        each overlay key has ``width`` columns of equal length."""
+        start = self.start
+        return (
+            start[0] == 0
+            and start[-1] == size
+            and all(map(le, start, start[1:]))
+            and list(self.keys) == [k for k in range(len(start) - 1) if start[k] < start[k + 1]]
+            and all(len(columns) == width and len(set(map(len, columns))) == 1 for columns in self.overlay.values())
+        )
 
     def run(self, key: int) -> tuple[array, array, int, int]:
         """The second- and third-key columns that hold the rows of ``key``,
@@ -1182,6 +1235,110 @@ class _Permutation:
         return self.tags.count(tag) + sum(columns[2].count(tag) for columns in self.overlay.values())  # type: ignore
 
 
+class _LazyPos(_Permutation):
+    """POS over SPO's base run, whose rows a predicate's base run is cut
+    from when it is first read.
+
+    ``source`` holds SPO's base subject, predicate and object columns, which
+    no write changes.  The first probe sorts SPO's row numbers stably by
+    predicate, once, into ``rows``, which ``start`` and ``keys`` index as a
+    base run's offsets and keys do.  A predicate's rows are then sorted by
+    object and its object and subject columns gathered when it is first
+    read, and kept in ``built``.  Stability gives the tie order: SPO order
+    within a predicate is (s, o) order, so sorting it by object gives
+    (o, s), which is POS order, and no sort compares tuples.  The overlay
+    is a :class:`_Permutation`'s; a predicate's first write moves its built
+    columns into it rather than copying them.
+    """
+
+    __slots__ = ("source", "rows", "built")
+
+    def __init__(self, subjects: array, predicates: array, objects: array) -> None:
+        super().__init__((), (), ())
+        self.source = (subjects, predicates, objects)
+        self.rows: Optional[array] = None
+        self.built: dict[int, tuple[Column, ...]] = {}
+
+    def _sort(self) -> array:
+        """``rows``, made on the first call, with the offsets and keys."""
+        if self.rows is None:
+            # a list hands the sort its ints without boxing each one again
+            predicate = self.source[1].tolist().__getitem__
+            rows = sorted(range(len(self.source[1])), key=predicate)
+            # each predicate's row count, by one bisection of the sorted rows
+            counts: list[int] = []
+            at = 0
+            while at < len(rows):
+                p = predicate(rows[at])
+                end = bisect_right(rows, p, at, key=predicate)
+                counts += repeat(0, p - len(counts))
+                counts.append(end - at)
+                at = end
+            self._index(counts)
+            self.rows = array(_ID, rows)
+        return self.rows
+
+    def run(self, key: int) -> tuple[array, array, int, int]:
+        columns = self.overlay.get(key)
+        if columns is None:
+            columns = self.built.get(key)
+        if columns is None:
+            rows, start = self._sort(), self.start
+            if not 0 <= key < len(start) - 1 or start[key] == start[key + 1]:
+                return _NO_ROWS
+            subjects, _, objects = self.source
+            cut = sorted(rows[start[key] : start[key + 1]], key=objects.__getitem__)
+            columns = self.built[key] = tuple(_gather(cut, objects, subjects))
+        return columns[0], columns[1], 0, len(columns[0])  # type: ignore[return-value]
+
+    def runs(self) -> Iterator[tuple[int, array, array, int, int]]:
+        self._sort()
+        overlay = self.overlay
+        for key in sorted(set(self.keys).union(overlay)) if overlay else self.keys:
+            second, third, lo, hi = self.run(key)
+            if lo < hi:
+                yield key, second, third, lo, hi
+
+    def _own(self, key: int) -> Optional[tuple[Column, ...]]:
+        columns = self.overlay.get(key)
+        if columns is None:
+            _, _, lo, hi = self.run(key)
+            if lo == hi:
+                return None
+            columns = self.overlay[key] = self.built.pop(key)
+        return columns
+
+    def sound(self) -> bool:
+        """``rows`` orders SPO's base rows stably by predicate, and the
+        offsets and keys index it; no key is both built and in the overlay,
+        and the overlay's columns fit (test hook)."""
+        rows = self._sort()
+        predicates = self.source[1]
+        return (
+            self._fits(len(predicates), 2)
+            and len(set(map(len, self.source))) == 1
+            and sorted(rows) == list(range(len(predicates)))
+            and _ascending(list(zip(map(predicates.__getitem__, rows), rows)))
+            and array(_ID, map(predicates.__getitem__, rows)) == self.firsts()
+            and not self.built.keys() & self.overlay.keys()
+        )
+
+
+def _distinct(rows: Iterable[IdTriple]) -> list[IdTriple]:
+    """``rows`` as a strictly ascending list: a list that is one already
+    (as what :meth:`Store.ledger_rows` returns) is returned as it is, found
+    by one pass of tuple compares in C; anything else is sorted and
+    de-duplicated."""
+    if isinstance(rows, list) and _ascending(rows):
+        return rows
+    return sorted(set(rows))
+
+
+def _ascending(rows: list) -> bool:
+    """Whether ``rows`` is strictly ascending."""
+    return all(map(lt, rows, islice(rows, 1, None)))
+
+
 def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tuple[int, bool]:
     """Where (b, c) sits, or would go, among the rows ``lo:hi`` of a column
     pair, and whether it is there."""
@@ -1270,63 +1427,90 @@ def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
 # datatype byte), its term count, a column of each payload's UTF-8 length
 # and the payloads as one blob; counts and lengths are u32.  Canonical order
 # (term_sort_key) keeps each kind, and each datatype's literals, together,
-# and the heads order the runs.
+# and the heads order the runs.  In memory a term's head is one byte, 2 + the
+# datatype for a literal, so (head, text) order is canonical order.
+_IRI, _BLANK, _LITERAL = 0, 1, 2
+_HEADS = _LITERAL + len(Datatype)
 _DATATYPES = {int(datatype): datatype for datatype in Datatype}
-_TEXT = {Iri: attrgetter("value"), Blank: attrgetter("label"), Literal: attrgetter("lexical")}
 
 
-def _head(term: Term) -> bytes:
-    if isinstance(term, Iri):
-        return b"\0"
-    if isinstance(term, Blank):
-        return b"\1"
-    return bytes((2, term.datatype))
+def _key(term: Term) -> tuple[int, str]:
+    """The head and text of ``term``: its key in the term table."""
+    cls = term.__class__
+    if cls is Iri:
+        return _IRI, term.value  # type: ignore[union-attr]
+    if cls is Literal:
+        return _LITERAL + term.datatype, term.lexical  # type: ignore[union-attr]
+    if cls is Blank:
+        return _BLANK, term.label  # type: ignore[union-attr]
+    raise TypeError(f"not a term: {term!r}")
 
 
-def _term_section(terms: list[Term]) -> Iterator[Union[bytes, array]]:
-    """The raw term section of ``terms``, which are in canonical order, as
-    pieces: each run is encoded with one join and one length column."""
+def _term(head: int, text: str) -> Term:
+    """The term of ``head`` and ``text``, made without running its
+    constructor's checks, which a load ran on the whole table: each field
+    is set as the constructor sets it, past the class's refusal of
+    assignment."""
+    if head == _IRI:
+        term = object.__new__(Iri)
+        _setattr(term, "value", text)
+    elif head == _BLANK:
+        term = object.__new__(Blank)
+        _setattr(term, "label", text)
+    else:
+        term = object.__new__(Literal)
+        _setattr(term, "lexical", text)
+        _setattr(term, "datatype", _DATATYPES[head - _LITERAL])
+    return term
+
+
+def _term_section(heads: bytes, texts: list[str]) -> Iterator[Union[bytes, array]]:
+    """The raw term section of the terms with ``heads`` and ``texts``, which
+    are in canonical order, as pieces: each run is encoded with one join and
+    one length column."""
     start = 0
-    while start < len(terms):
-        head = _head(terms[start])
-        end = bisect_right(terms, head, start, key=_head)
-        texts = list(map(_TEXT[type(terms[start])], terms[start:end]))
-        joined = "".join(texts)
+    while start < len(texts):
+        head = heads[start]
+        end = bisect_right(heads, head, start)
+        run = texts[start:end]
+        joined = "".join(run)
         blob = joined.encode("utf-8")
         # an ASCII payload's length in bytes is its length in characters
-        raws = texts if len(blob) == len(joined) else map(str.encode, texts)
-        yield head + _U32.pack(end - start)
+        raws = run if len(blob) == len(joined) else map(str.encode, run)
+        yield bytes((head,) if head < _LITERAL else (_LITERAL, head - _LITERAL)) + _U32.pack(end - start)
         yield array(_ID, map(len, raws))
         yield blob
         start = end
 
 
-def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[Term], bool]:
-    """The terms of a raw term section that the header says holds
-    ``count``, and whether they are in canonical order.
+def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, list[str]]], bool]:
+    """The runs of a raw term section that the header says holds ``count``
+    terms, each as its head and its terms' texts, and whether they are in
+    canonical order.
 
     One pass splits the section into its runs and each run's payloads; each
-    run is then checked by its constructor's rules and built as a whole.  A
-    fault of the layout is raised only after the terms before it are
-    checked, so the message is that of the first bad term in table order.
+    run is then checked as a whole by its constructor's rules, and no term
+    is built.  A fault of the layout is raised only after the terms before
+    it are checked, so the message is that of the first bad term in table
+    order.
     """
-    runs: list[tuple[int, list[str]]] = []  # (kind << 8 | datatype, payloads)
+    runs: list[tuple[int, list[str]]] = []
     count_at = struct.Struct(order + "I").unpack_from
     size = len(raw)
     offset = total = 0
     fault: Optional[SnapshotError] = None
     try:
         while offset < size:
-            kind = raw[offset]
-            if kind == 2:
+            head = raw[offset]
+            if head == _LITERAL:
                 tag = raw[offset + 1]
                 if tag not in _DATATYPES:
                     raise SnapshotError(f"bad term section: unknown datatype {tag}")
+                head += tag
                 offset += 2
-            elif kind > 2:
-                raise SnapshotError(f"unknown term kind: {kind}")
+            elif head > _LITERAL:
+                raise SnapshotError(f"unknown term kind: {head}")
             else:
-                tag = 0
                 offset += 1
             (n,) = count_at(raw, offset)
             start = offset + 4 + 4 * n
@@ -1335,7 +1519,7 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[Term], bool]
             bounds = list(accumulate(_ids(raw, offset + 4, n, order), initial=0))
             whole = bisect_right(bounds, size - start) - 1  # the payloads that are all there
             texts: list[str] = []
-            runs.append((kind << 8 | tag, texts))
+            runs.append((head, texts))
             _split(raw[start : start + bounds[whole]], bounds[: whole + 1], texts)
             if whole < n:
                 raise SnapshotError("truncated term payload")
@@ -1347,25 +1531,23 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[Term], bool]
         fault = SnapshotError("truncated term section")
     except UnicodeDecodeError as exc:
         fault = SnapshotError(f"bad term section: {exc}")
-    terms: list[Term] = []
     try:
-        for key, texts in runs:
-            kind, tag = divmod(key, 256)
-            if kind == 0:
-                terms += make_iris(texts)
-            elif kind == 1:
-                terms += make_blanks(texts)
+        for head, texts in runs:
+            if head == _IRI:
+                check_iris(texts)
+            elif head == _BLANK:
+                check_blanks(texts)
             else:
-                terms += make_literals(texts, _DATATYPES[tag])
+                check_literals(texts, _DATATYPES[head - _LITERAL])
     except TermError as exc:
         raise SnapshotError(f"bad term section: {exc}") from None
     if fault is not None:
         raise fault
     if total != count:
         raise SnapshotError(f"term section holds {total} terms, not the header's {count}")
-    keys = [key for key, _ in runs]
-    ordered = all(map(lt, keys, keys[1:])) and all(all(map(lt, texts, texts[1:])) for _, texts in runs)
-    return terms, ordered
+    heads = [head for head, _ in runs]
+    ordered = all(map(lt, heads, heads[1:])) and all(all(map(lt, texts, texts[1:])) for _, texts in runs)
+    return runs, ordered
 
 
 def _split(blob: bytes, bounds: list[int], texts: list[str]) -> None:

@@ -307,14 +307,13 @@ def term_sort_key(term: Term) -> tuple:
 
 # -- many terms of one kind at once ---------------------------------------------
 #
-# A snapshot load builds every term of the store.  These builders check a
-# whole list by the constructors' rules in a few C-level passes (a regex over
-# the values joined by newlines, which the count of newlines shows no value
-# holds), then make the terms without running the checks again.  If a check
-# fails, the constructors run over the list, so the error is the one the
-# first bad value's constructor raises.  The patterns are compiled (and
-# cached by ``re``) on first use, so a command that builds no term list
-# does not compile them.
+# A snapshot load checks every term of the store but builds none.  These
+# checks take a whole list by the constructors' rules in a few C-level passes
+# (a regex over the values joined by newlines, which the count of newlines
+# shows no value holds).  If a check fails, the constructors run over the
+# list, so the error is the one the first bad value's constructor raises.
+# The patterns are compiled (and cached by ``re``) on first use, so a
+# command that checks no term list does not compile them.
 
 _BLANK_LINES = rf"(?:{_BLANK}(?<!\.)\n)*\Z"
 _LEXICAL_LINES = {
@@ -327,26 +326,29 @@ _DATE_LINES = rf"(?m)^{_DATE}$"
 _TIMESTAMP_LINES = r"(?m)^.{10}T.*$"
 
 
-def make_iris(values: list[str]) -> list[Iri]:
-    """``[Iri(v) for v in values]``, checked list-wise."""
-    if all(values) and not _WHITESPACE_RE.search("".join(values)):
-        return _unchecked(Iri, values)
-    return [Iri(v) for v in values]
+def check_iris(values: list[str]) -> None:
+    """Raise what ``Iri(v)`` raises for the first bad value, checked list-wise."""
+    if not all(values) or _WHITESPACE_RE.search("".join(values)):
+        _construct(Iri, values)
 
 
-def make_blanks(labels: list[str]) -> list[Blank]:
-    """``[Blank(v) for v in labels]``, checked list-wise."""
+def check_blanks(labels: list[str]) -> None:
+    """Raise what ``Blank(v)`` raises for the first bad label, checked list-wise."""
     text = _lines(labels)
-    if text is not None and re.match(_BLANK_LINES, text):
-        return _unchecked(Blank, labels)
-    return [Blank(v) for v in labels]
+    if text is None or not re.match(_BLANK_LINES, text):
+        _construct(Blank, labels)
 
 
-def make_literals(lexicals: list[str], datatype: Datatype) -> list[Literal]:
-    """``[Literal(v, datatype) for v in lexicals]``, checked list-wise."""
-    if datatype is Datatype.STRING or _valid_lexicals(lexicals, datatype):
-        return _unchecked(Literal, lexicals, repeat(datatype))
-    return [Literal(v, datatype) for v in lexicals]
+def check_literals(lexicals: list[str], datatype: Datatype) -> None:
+    """Raise what ``Literal(v, datatype)`` raises for the first bad lexical
+    form, checked list-wise."""
+    if datatype is not Datatype.STRING and not _valid_lexicals(lexicals, datatype):
+        _construct(Literal, lexicals, repeat(datatype))
+
+
+def _construct(cls: type, *columns) -> None:
+    """Run the constructor of ``cls`` over ``columns``, raising its error."""
+    deque(map(cls, *columns), maxlen=0)
 
 
 def _lines(values: list[str]) -> str | None:
@@ -366,17 +368,6 @@ def _valid_lexicals(lexicals: list[str], datatype: Datatype) -> bool:
         except ValueError:
             return False
     return True
-
-
-def _unchecked(cls: type, *columns) -> list:
-    """Instances of the term class ``cls`` whose fields, in order, take their
-    values from ``columns``, made without running its checks: each field is
-    set through its slot descriptor, which the class's refusal of
-    assignment does not reach."""
-    made = list(map(object.__new__, repeat(cls, len(columns[0]))))
-    for name, column in zip(cls.__slots__, columns):
-        deque(map(getattr(cls, name).__set__, made, column), maxlen=0)
-    return made
 
 
 RDF_TYPE = Iri(RDF_NS + "type")

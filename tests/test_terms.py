@@ -17,9 +17,9 @@ from scholargraph.terms import (
     datetime_sort_value,
     decimal_literal,
     integer_literal,
-    make_blanks,
-    make_iris,
-    make_literals,
+    check_blanks,
+    check_iris,
+    check_literals,
     string_literal,
     term_sort_key,
     year_literal,
@@ -219,23 +219,26 @@ def test_term_reprs():
     )
 
 
-def test_terms_made_list_wise_are_the_constructors_terms():
-    iris = ["urn:a", "urn:b"]
-    labels = ["b1", "x.y"]
-    cases = [
-        (make_iris(iris), [Iri(v) for v in iris]),
-        (make_blanks(labels), [Blank(v) for v in labels]),
-        (make_literals(["1", "-2"], Datatype.INTEGER), [Literal(v, Datatype.INTEGER) for v in ("1", "-2")]),
-        (make_literals(["2007", "2007-05-01"], Datatype.DATETIME), [Literal(v, Datatype.DATETIME) for v in ("2007", "2007-05-01")]),
-        (make_literals(["a b"], Datatype.STRING), [Literal("a b", Datatype.STRING)]),
+def test_list_wise_checks_raise_what_the_constructors_raise():
+    check_iris(["urn:a", "urn:b"])
+    check_blanks(["b1", "x.y"])
+    check_literals(["1", "-2"], Datatype.INTEGER)
+    check_literals(["2007", "2007-05-01", "2007-05-01T10:30:00"], Datatype.DATETIME)
+    check_literals(["a b", "line\nbreak"], Datatype.STRING)
+    bad = [
+        (check_iris, (["urn:a", "urn:b c", ""],), lambda: Iri("urn:b c")),
+        (check_iris, (["urn:a", ""],), lambda: Iri("")),
+        (check_blanks, (["b1", "a\nb"],), lambda: Blank("a\nb")),
+        (check_blanks, (["ab."],), lambda: Blank("ab.")),
+        (check_literals, (["1", "7.5"], Datatype.INTEGER), lambda: Literal("7.5", Datatype.INTEGER)),
+        (check_literals, (["2007-02-30"], Datatype.DATETIME), lambda: Literal("2007-02-30", Datatype.DATETIME)),
     ]
-    for made, built in cases:
-        assert made == built
-        assert [type(t) for t in made] == [type(t) for t in built]
-        assert list(map(hash, made)) == list(map(hash, built))
-        assert set(made) == set(built) and list(map(repr, made)) == list(map(repr, built))
-        with pytest.raises(AttributeError):
-            setattr(made[0], type(made[0]).__slots__[0], "urn:other")
+    for check, args, construct in bad:
+        with pytest.raises(TermError) as expected:
+            construct()
+        with pytest.raises(TermError) as raised:
+            check(*args)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_terms_copy_and_pickle_by_value():

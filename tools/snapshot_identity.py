@@ -9,11 +9,15 @@ generates for seed 1 and 400 documents: the ingests, three usage batches
 each followed by ``map`` and ``map --affiliations``, the biblio file, the
 first usage batch and the citations file ingested again (so every row of
 those three steps is rejected as a duplicate), then ``validate``,
-``stats``, ``infer --all``, ``metric if`` and ``metric uif``, ``stats``,
-``retract --rule used_by``, ``stats``, ``infer --rule used_by``,
-``stats``, ``retract --all``, ``map`` and ``export``.  After every
-command the exit status, stdout and stderr must agree (the last stdout is
-``export``'s whole N-Triples dump, each ``stats`` prints the ledger's row
+``stats``, ``infer --all``, ``query``, ``metric if`` and ``metric uif``,
+``stats``, ``retract --rule used_by``, ``stats``, ``infer --rule
+used_by``, ``stats``, ``retract --all``, ``map``, ``query`` and
+``export``.  Each ``query`` joins an object-bound, predicate-free pattern
+(what links to the largest journal) with a predicate-bound one (the
+contexts of those groups), so it reads POS runs first built after writes
+into a loaded store.  After every command the exit status, stdout and
+stderr must agree (the last stdout is ``export``'s whole N-Triples dump,
+each ``query`` prints its rows, each ``stats`` prints the ledger's row
 count per rule, and an ingest's stderr has one ``line N: rejected:
 REASON`` line per rejected row), and so must the snapshot's SHA-1 when the
 snapshot format version (``_VERSION`` in ``store.py``) is the same in both
@@ -54,9 +58,20 @@ def size_of(path: str) -> int:
     return os.path.getsize(path) if os.path.exists(path) else 0
 
 
+# what links to a journal, and the contexts of each such group
+QUERY = """SELECT ?g ?p ?x
+WHERE ( ?g ?p {journal} )
+      ( ?x mesur:hasGroup ?g ) .
+"""
+
+
 def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[list[str]]:
     def source(name: str) -> str:
         return os.path.join(inputs, name)
+
+    query = ["query", "--file", source("journal.q")]
+    with open(source("journal.q"), "w", encoding="utf-8") as fp:
+        fp.write(QUERY.format(journal=journal))
 
     sequence = [
         ["ingest-biblio", "--input", source(files["biblio"][0])],
@@ -69,7 +84,7 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
         ["ingest-usage", "--input", source(files["usage"][0])],
         ["ingest-citations", "--input", source(files["citations"][0])],
     ]
-    sequence += [["validate"], ["stats"], ["infer", "--all"]]
+    sequence += [["validate"], ["stats"], ["infer", "--all"], query]
     sequence += [["metric", kind, "--object", journal, "--year", "2006"] for kind in ("if", "uif")]
     sequence += [
         ["stats"],
@@ -79,6 +94,7 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
         ["stats"],
         ["retract", "--all"],
         ["map"],
+        query,
         ["export"],
     ]
     return sequence
