@@ -499,8 +499,8 @@ class InferenceEngine:
         a mismatch means snapshot and ledger are out of step, and leaves
         the ledger as it was.  Without it, a ledger triple the store lacks
         is skipped, since the ledger names stored rows only: a load never
-        changes the store's triples.  A triple listed under two rules ends
-        under the last.
+        changes the store's triples or its term table.  A triple listed
+        under two rules ends under the last.
         """
         if isinstance(source, str):
             with open(source, "rb") as fp:
@@ -511,6 +511,7 @@ class InferenceEngine:
         lines = text.split("\n")
         if not lines or lines[0].strip() != _LEDGER_MAGIC:
             raise LedgerError("not a ledger file (missing header)")
+        store = self.store
         ledger: dict[str, list[IdTriple]] = {}
         current: Optional[str] = None
         for number, line in enumerate(lines[1:], start=2):
@@ -531,16 +532,17 @@ class InferenceEngine:
                 triple = next(parse_ntriples(line))
             except ScholarGraphError as exc:
                 raise LedgerError(f"bad ledger line {number}: {exc}") from None
-            if verify and triple not in self.store:
-                raise LedgerError(
-                    f"ledger triple for rule {current!r} is not in the store: {serialize_triple(triple)}"
-                )
-            intern = self.store.intern
-            ledger[current].append((intern(triple.subject), intern(triple.predicate), intern(triple.object)))
-        store = self.store
+            row = store.lookup_triple(triple)
+            if row is None or not store.contains_ids(*row):
+                if verify:
+                    raise LedgerError(
+                        f"ledger triple for rule {current!r} is not in the store: {serialize_triple(triple)}"
+                    )
+                continue
+            ledger[current].append(row)
         for name in ledger:
             store.retag((), name)  # names each rule, so a full name table fails before any change
         for name in self.ledger_rules():
             store.retag(store.ledger_rows(name), None)
         for name, rows in ledger.items():
-            store.retag([row for row in rows if store.contains_ids(*row)], name)
+            store.retag(rows, name)

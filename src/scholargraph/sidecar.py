@@ -73,8 +73,8 @@ from .terms import (
     Iri,
     Literal,
     RDF_TYPE,
+    Term,
     TermError,
-    Triple,
     datetime_literal,
     string_literal,
 )
@@ -423,10 +423,11 @@ class Sidecar:
         triples, and any other is projected and counted.  The type triple
         is the store's own record of what it holds, so this stays right
         when the store was deleted or replaced, or when an earlier run used
-        another provider or left out affiliations.  The projected triples
-        go in through one :meth:`Store.insert_many` call.  Every doc and
-        event is recorded in the id map either way, which is what
-        :meth:`resolve` and :meth:`resolve_event` read.
+        another provider or left out affiliations.  Each projected term is
+        interned as it is projected, and the id rows go in as one batch
+        through one :meth:`Store.add_rows` call; no :class:`Triple` is
+        made.  Every doc and event is recorded in the id map either way,
+        which is what :meth:`resolve` and :meth:`resolve_event` read.
 
         Only identifiers, group/agent links and times cross over; no title,
         author-name, or page literal ever does.  Counts report the contexts
@@ -435,8 +436,15 @@ class Sidecar:
         provider = Iri(provider) if isinstance(provider, str) else provider
         report = MapReport()
         cursor = self._db.cursor()
-        new: list[Triple] = [Triple(provider, RDF_TYPE, ORGANIZATION)]
-        add = new.append
+        # the ids of the projected triples, three to a triple: interning
+        # each term as it is projected keeps no term object in the batch
+        ids: list[int] = []
+        intern = store.intern
+
+        def add(triple: tuple[Term, Term, Term]) -> None:
+            ids.extend(map(intern, triple))
+
+        add((provider, RDF_TYPE, ORGANIZATION))
         # (kind, key, IRI) rows the id map lacks or holds with another IRI
         unrecorded: list[tuple[str, str, str]] = []
 
@@ -455,29 +463,29 @@ class Sidecar:
                 continue
             ctx = Iri(ctx_iri)
             report.publishes += 1
-            add(Triple(ctx, RDF_TYPE, PUBLISHES))
-            add(Triple(ctx, HAS_UNIT, unit))
-            add(Triple(unit, RDF_TYPE, ARTICLE))
-            add(Triple(ctx, HAS_PROVIDER, provider))
+            add((ctx, RDF_TYPE, PUBLISHES))
+            add((ctx, HAS_UNIT, unit))
+            add((unit, RDF_TYPE, ARTICLE))
+            add((ctx, HAS_PROVIDER, provider))
             if date:
-                add(Triple(ctx, HAS_TIME, datetime_literal(date)))
+                add((ctx, HAS_TIME, datetime_literal(date)))
             if collection:
                 year = date.split("-")[0] if date else ""
                 root, edition = self._group_iris(collection, year, provider)
-                add(Triple(root, RDF_TYPE, JOURNAL))
-                add(Triple(edition, RDF_TYPE, GROUP))
-                add(Triple(edition, PART_OF, root))
-                add(Triple(ctx, HAS_GROUP, edition))
+                add((root, RDF_TYPE, JOURNAL))
+                add((edition, RDF_TYPE, GROUP))
+                add((edition, PART_OF, root))
+                add((ctx, HAS_GROUP, edition))
             if publisher:
                 org = self._agent_iri("org", publisher, provider)
-                add(Triple(org, RDF_TYPE, ORGANIZATION))
-                add(Triple(ctx, HAS_PUBLISHER, org))
+                add((org, RDF_TYPE, ORGANIZATION))
+                add((ctx, HAS_PUBLISHER, org))
             for name in (authors or "").split("|"):
                 if not name.strip():
                     continue
                 human = self._agent_iri("human", name, provider)
-                add(Triple(human, RDF_TYPE, HUMAN))
-                add(Triple(ctx, HAS_AUTHOR, human))
+                add((human, RDF_TYPE, HUMAN))
+                add((ctx, HAS_AUTHOR, human))
 
         held = _typed_iris(store, USES)
         held_affiliations = _typed_iris(store, AFFILIATION) if affiliations else set()
@@ -493,18 +501,18 @@ class Sidecar:
             if ctx_iri not in held:
                 ctx = Iri(ctx_iri)
                 report.uses += 1
-                add(Triple(ctx, RDF_TYPE, USES))
-                add(Triple(ctx, HAS_DOCUMENT, doc_iris[doc_id]))
-                add(Triple(ctx, HAS_TIME, datetime_literal(time)))
-                add(Triple(ctx, HAS_PROVIDER, provider))
+                add((ctx, RDF_TYPE, USES))
+                add((ctx, HAS_DOCUMENT, doc_iris[doc_id]))
+                add((ctx, HAS_TIME, datetime_literal(time)))
+                add((ctx, HAS_PROVIDER, provider))
                 if agent:
                     user = self._agent_iri("human", agent, provider)
-                    add(Triple(user, RDF_TYPE, HUMAN))
-                    add(Triple(ctx, HAS_USER, user))
+                    add((user, RDF_TYPE, HUMAN))
+                    add((ctx, HAS_USER, user))
                 if session:
-                    add(Triple(ctx, HAS_SESSION, string_literal(session)))
+                    add((ctx, HAS_SESSION, string_literal(session)))
                 if access_type:
-                    add(Triple(ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
+                    add((ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
             if not (affiliations and affiliation and agent):
                 continue
             aff_iri = "urn:mesur:ctx:aff:" + _hash16(
@@ -515,11 +523,11 @@ class Sidecar:
             aff = Iri(aff_iri)
             org = self._agent_iri("org", affiliation, provider)
             report.affiliations += 1
-            add(Triple(org, RDF_TYPE, ORGANIZATION))
-            add(Triple(aff, RDF_TYPE, AFFILIATION))
-            add(Triple(aff, HAS_AFFILIATOR, org))
-            add(Triple(aff, HAS_AFFILIATEE, self._agent_iri("human", agent, provider)))
-            add(Triple(aff, HAS_START_TIME, datetime_literal(time)))
+            add((org, RDF_TYPE, ORGANIZATION))
+            add((aff, RDF_TYPE, AFFILIATION))
+            add((aff, HAS_AFFILIATOR, org))
+            add((aff, HAS_AFFILIATEE, self._agent_iri("human", agent, provider)))
+            add((aff, HAS_START_TIME, datetime_literal(time)))
 
         held = _typed_iris(store, CITATION)
         for citing, cited in cursor.execute(
@@ -531,12 +539,12 @@ class Sidecar:
                 continue
             ctx = Iri(ctx_iri)
             report.citations += 1
-            add(Triple(ctx, RDF_TYPE, CITATION))
-            add(Triple(ctx, HAS_SOURCE, doc_iris[citing]))
-            add(Triple(ctx, HAS_SINK, doc_iris[cited]))
-            add(Triple(ctx, HAS_WEIGHT, Literal("1.0", Datatype.DECIMAL)))
+            add((ctx, RDF_TYPE, CITATION))
+            add((ctx, HAS_SOURCE, doc_iris[citing]))
+            add((ctx, HAS_SINK, doc_iris[cited]))
+            add((ctx, HAS_WEIGHT, Literal("1.0", Datatype.DECIMAL)))
 
-        store.insert_many(new)
+        store.add_rows(zip(*[iter(ids)] * 3))  # one iterator, read three ids to a row
         cursor.executemany(
             "INSERT INTO id_map (kind, key, iri) VALUES (?, ?, ?)"
             " ON CONFLICT (kind, key) DO UPDATE SET iri = excluded.iri",

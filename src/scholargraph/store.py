@@ -22,13 +22,14 @@ columns, sorted together by (first, second, third), and dense offsets
 indexed by first-key id, so a key's base rows are found with two array
 reads and no object is made per key.  A load fills SPO's columns from the
 snapshot's SPO run with ``frombytes`` and strided slices, and builds no
-POS run: POS (:class:`_LazyPos`) cuts each predicate's base rows from
-SPO's base run when that predicate is first read, after one stable sort
-of the row numbers by predicate on the first POS probe.  The first write
-to a key copies its rows into the overlay (POS moves a built run there
-instead), a dict from the key to its own columns; reads and writes of
-that key use them from then on, and a key emptied by writes keeps empty
-columns there, which hide its base rows.  A batch into an empty store
+POS run: POS (:class:`_LazyPos`) cuts each predicate's rows from SPO's
+base run into its overlay when that predicate is first read or written,
+after one stable sort of the row numbers by predicate on the first POS
+probe.  The overlay is a dict from a key to its own columns; the first
+write that changes an SPO key copies the key's rows there (a POS run is
+there already).  Reads and writes of that key use them from then on, and
+a key emptied by writes keeps empty columns there, which hide its base
+rows.  A batch into an empty store
 becomes SPO's base run, so a store that was never loaded has the same
 layout.  A probe on the first two keys is two array reads (or a dict
 get) for the first key, a bisection of the second column and a slice of
@@ -39,12 +40,15 @@ permutation whose prefix matches its bound slots, in its sort order.
 
 Every write is one batch of id triples, in any order and with repeats:
 :meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
-permutation (a batch already sorted and distinct is only checked) and
-rebuild each key's columns once, with the batch's rows
-spliced in at their bisected places or cut out, so a batch costs
-O(batch log batch + touched columns) rather than one array shift per
-triple.  :meth:`Store.insert_many` interns its triples and makes one such
-call; :meth:`Store.insert` and :meth:`Store.remove` are one-row calls.
+permutation (a batch already sorted and distinct is only checked), seek
+each row within the bounds where :meth:`_Permutation.run` finds its key's
+rows, and rebuild once the columns of each key that gains or loses a
+row, with the batch's rows spliced in at their places or cut out, so a
+batch costs O(batch log batch + changed columns) rather than one array
+shift per triple, and a key the batch leaves as it is is not copied.
+Every writer interns its terms and hands the store id rows, ``map``'s
+projection too; :meth:`Store.insert` and :meth:`Store.remove` are one-row
+calls.
 
 The store also keeps the inference ledger, as one tag byte beside each SPO
 row (a ``bytearray`` column in the base run and in each overlay key's
@@ -302,12 +306,8 @@ class Store:
 
     def insert(self, triple: Triple) -> bool:
         """Add one triple; False if it was already present."""
-        return self.insert_many((triple,)) == 1
-
-    def insert_many(self, triples: Iterable[Triple]) -> int:
-        """Bulk insert; returns how many were new."""
         intern = self.intern
-        return len(self.add_rows((intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples))
+        return bool(self.add_rows([(intern(triple.subject), intern(triple.predicate), intern(triple.object))]))
 
     def add_rows(self, rows: Iterable[IdTriple], rule: Optional[str] = None) -> list[IdTriple]:
         """Add id triples, in any order and with repeats, ledgered under
@@ -315,10 +315,10 @@ class Store:
         order.  A row the store holds already keeps its rule.
 
         The batch is sorted once per permutation (:func:`_distinct`), and
-        each key it touches gets its columns rebuilt once, with the new rows
-        spliced in at their bisected places.  Into an empty store the batch
-        becomes the base run instead (:meth:`_build`), which is what makes
-        million-triple loads cheap.
+        each key it adds a row to gets its columns rebuilt once, with the
+        new rows spliced in at their bisected places.  Into an empty store
+        the batch becomes the base run instead (:meth:`_build`), which is
+        what makes million-triple loads cheap.
         """
         batch = _distinct(rows)
         tag = self._tag(rule)
@@ -359,9 +359,9 @@ class Store:
         """Remove id triples, in any order and with repeats, with their
         ledger tags; the rows that were held, in SPO order.
 
-        Like :meth:`add_rows`, each touched key's columns are rebuilt once,
-        without the removed rows; a key left empty keeps empty overlay
-        columns.
+        Like :meth:`add_rows`, each key that loses a row gets its columns
+        rebuilt once, without the removed rows; a key left empty keeps
+        empty overlay columns.
         """
         removed = self._spo.cut(_distinct(rows))
         if removed:
@@ -598,7 +598,7 @@ class Store:
             return out if index.sound() and _ascending(out) else None
 
         spo, pos = rows(self._spo), rows(self._pos)
-        if spo is None or pos is None or self._pos.tags is not None:
+        if spo is None or pos is None:
             return False
         index = self._spo
         tags, start = index.tags, index.start
@@ -1003,28 +1003,26 @@ class _Permutation:
     """The triples in one key order, as (first, second, third) rows.
 
     The base run is the second- and third-key columns of its rows, sorted
-    together by (first, second, third), and, for SPO, the ledger tag of
-    each row (``tags``; None for POS); ``start`` holds dense offsets
-    indexed by first-key id, so the base rows of key ``k`` are
-    ``start[k]:start[k + 1]``, and ``keys`` lists the keys that have base
-    rows, ascending.  A key outside the offsets has no base rows.  The
-    overlay maps each key written since the base run was filled to its own
-    columns (second, third, and tags for SPO), sorted; reads and writes of
-    that key use them from then on, and a key emptied by writes keeps empty
-    columns, which hide its base rows.  The base rows of an overlay key
-    have tag 0, so a scan of the base tags meets only live rows.  SPO is one;
-    POS is a :class:`_LazyPos`, whose base runs are cut from SPO's.
+    together by (first, second, third), and the ledger tag of each row
+    (``tags``); ``start`` holds dense offsets indexed by first-key id, so
+    the base rows of key ``k`` are ``start[k]:start[k + 1]``, and ``keys``
+    lists the keys that have base rows, ascending.  A key outside the
+    offsets has no base rows.  The overlay maps each key written since the
+    base run was filled to its own columns (second, third and tags),
+    sorted; reads and writes of that key use them from then on, and a key
+    emptied by writes keeps empty columns, which hide its base rows.  The
+    base rows of an overlay key have tag 0, so a scan of the base tags
+    meets only live rows.  SPO is one; POS is a :class:`_LazyPos`, whose
+    runs are cut from SPO's base run.
     """
 
     __slots__ = ("second", "third", "tags", "start", "keys", "overlay")
 
-    def __init__(
-        self, counts: Sequence[int], second: Sequence[int], third: Sequence[int], tags: Optional[bytearray] = None
-    ) -> None:
+    def __init__(self, counts: Sequence[int], second: Sequence[int], third: Sequence[int], tags: bytearray) -> None:
         """The base run of distinct rows sorted by (first, second, third),
         given as each first key's row count, by key id, the second and
-        third columns (arrays, or lists) and, for SPO, the tags, with an
-        empty overlay."""
+        third columns (arrays, or lists) and the tags, with an empty
+        overlay."""
         self._index(counts)
         self.second, self.third = (c if isinstance(c, array) else array(_ID, c) for c in (second, third))
         self.tags = tags
@@ -1036,9 +1034,7 @@ class _Permutation:
         self.start = array(_ID, accumulate(counts, initial=0))
 
     def base(self) -> tuple[Column, ...]:
-        """The base run's columns: second, third and, for SPO, tags."""
-        if self.tags is None:
-            return self.second, self.third
+        """The base run's columns: second, third and tags."""
         return self.second, self.third, self.tags
 
     def visible(self) -> list[slice]:
@@ -1107,79 +1103,57 @@ class _Permutation:
         """The first key of each base row, in order."""
         return _repeated(self.counts())
 
-    def _own(self, key: int) -> Optional[tuple[Column, ...]]:
-        """The columns a write to ``key`` starts from: its overlay columns,
-        or a copy of its base rows (which :meth:`_put` then makes its
-        overlay), or None when it has no rows."""
+    def _own(self, key: int, lo: int, hi: int) -> tuple[Column, ...]:
+        """The overlay columns of ``key``, which a write changes: on the
+        first write, a copy of its base rows ``lo:hi`` (none or more, as
+        :meth:`run` bounds them), whose base tags are then cleared, since
+        the overlay hides those rows."""
         columns = self.overlay.get(key)
-        if columns is not None:
-            return columns
-        _, _, lo, hi = self.run(key)
-        return tuple(column[lo:hi] for column in self.base()) if lo < hi else None
-
-    def _put(self, key: int, columns: tuple[Column, ...]) -> None:
-        """Make ``columns`` the overlay of ``key``; the first time, clear
-        the tags of its base rows, which the overlay now hides."""
-        if self.tags is not None and key not in self.overlay:
-            _, _, lo, hi = self.run(key)
+        if columns is None:
+            columns = self.overlay[key] = (self.second[lo:hi], self.third[lo:hi], self.tags[lo:hi])
             self.tags[lo:hi] = bytes(hi - lo)
-        self.overlay[key] = columns
+        return columns
 
     def merge(self, rows: list[IdTriple], tag: int = 0) -> list[IdTriple]:
         """Put sorted, distinct (first, second, third) rows in, tagged
-        ``tag`` in SPO; the rows that were not there, in order."""
+        ``tag`` in SPO; the rows that were not there, in order.  Only a key
+        that gets a new row is copied into the overlay."""
         added: list[IdTriple] = []
         for first, run in groupby(rows, itemgetter(0)):
-            columns = self._own(first)
-            if columns is None:
-                group = list(run)
-                columns = (array(_ID, [row[1] for row in group]), array(_ID, [row[2] for row in group]))
-                if self.tags is not None:
-                    columns += (bytearray((tag,)) * len(group),)
-                self.overlay[first] = columns  # no base rows to hide
-                added += group
-                continue
-            second, third = columns[0], columns[1]
-            size = len(second)
+            second, third, lo, hi = self.run(first)
             cuts: list[int] = []
             fresh: list[IdTriple] = []
             for row in run:
-                at, found = _seek(second, third, row[1], row[2], 0, size)  # type: ignore[arg-type]
+                at, found = _seek(second, third, row[1], row[2], lo, hi)
                 if not found:
-                    cuts.append(at)
+                    cuts.append(at - lo)
                     fresh.append(row)
             if fresh:
-                self._put(first, _spliced(columns, cuts, fresh, tag))
+                self.overlay[first] = _spliced(self._own(first, lo, hi), cuts, fresh, tag)
                 added += fresh
         return added
 
     def cut(self, rows: list[IdTriple]) -> list[IdTriple]:
         """Take sorted, distinct (first, second, third) rows out; the rows
-        that were there, in order."""
+        that were there, in order.  Only a key that loses a row is copied
+        into the overlay."""
         removed: list[IdTriple] = []
         for first, run in groupby(rows, itemgetter(0)):
-            columns = self._own(first)
-            if columns is None:
-                continue
-            second, third = columns[0], columns[1]
+            second, third, lo, hi = self.run(first)
             group = list(run)
-            if (
-                len(group) == len(second)
-                and second == array(_ID, [row[1] for row in group])
-                and third == array(_ID, [row[2] for row in group])
-            ):
+            if _all_of(group, second, third, lo, hi):
                 # the whole key goes, as when a rule's predicate is retracted
-                removed += group
-                self._put(first, tuple(column[:0] for column in columns))
-                continue
-            cuts: list[int] = []
-            for row in group:
-                at, found = _seek(second, third, row[1], row[2], 0, len(second))  # type: ignore[arg-type]
-                if found:
-                    cuts.append(at)
-                    removed.append(row)
+                cuts, held = list(range(hi - lo)), group
+            else:
+                cuts, held = [], []
+                for row in group:
+                    at, found = _seek(second, third, row[1], row[2], lo, hi)
+                    if found:
+                        cuts.append(at - lo)
+                        held.append(row)
             if cuts:
-                self._put(first, _spliced(columns, cuts))
+                self.overlay[first] = _spliced(self._own(first, lo, hi), cuts)
+                removed += held
         return removed
 
     def places(self, rows: list[IdTriple]) -> tuple[list[tuple[bytearray, int, int]], Optional[IdTriple]]:
@@ -1192,11 +1166,7 @@ class _Permutation:
             tags = self.tags if columns is None else columns[2]
             second, third, lo, hi = self.run(first)
             group = list(run)
-            if (
-                len(group) == hi - lo
-                and second[lo:hi] == array(_ID, [row[1] for row in group])
-                and third[lo:hi] == array(_ID, [row[2] for row in group])
-            ):
+            if _all_of(group, second, third, lo, hi):
                 out.append((tags, lo, hi))  # type: ignore[arg-type]
                 continue
             for row in group:
@@ -1213,7 +1183,7 @@ class _Permutation:
         tags, start, second, third = self.tags, self.start, self.second, self.third
         select = bytearray(256)
         select[tag] = 1
-        marks = tags.translate(select)  # type: ignore[union-attr]
+        marks = tags.translate(select)
         rows: list[IdTriple] = []
         at = marks.find(1)
         while at >= 0:
@@ -1236,28 +1206,28 @@ class _Permutation:
 
 
 class _LazyPos(_Permutation):
-    """POS over SPO's base run, whose rows a predicate's base run is cut
-    from when it is first read.
+    """POS over SPO's base run, whose rows a predicate's run is cut from
+    when it is first read or written.
 
     ``source`` holds SPO's base subject, predicate and object columns, which
     no write changes.  The first probe sorts SPO's row numbers stably by
     predicate, once, into ``rows``, which ``start`` and ``keys`` index as a
     base run's offsets and keys do.  A predicate's rows are then sorted by
-    object and its object and subject columns gathered when it is first
-    read, and kept in ``built``.  Stability gives the tie order: SPO order
-    within a predicate is (s, o) order, so sorting it by object gives
-    (o, s), which is POS order, and no sort compares tuples.  The overlay
-    is a :class:`_Permutation`'s; a predicate's first write moves its built
-    columns into it rather than copying them.
+    object and its object and subject columns gathered into the overlay
+    when it is first read or written; from then on the overlay holds its
+    rows, as it holds a key's written rows in any permutation.  Stability
+    gives the tie order: SPO order within a predicate is (s, o) order, so
+    sorting it by object gives (o, s), which is POS order, and no sort
+    compares tuples.  Its own base-run columns stay empty, and it has no
+    tags.
     """
 
-    __slots__ = ("source", "rows", "built")
+    __slots__ = ("source", "rows")
 
     def __init__(self, subjects: array, predicates: array, objects: array) -> None:
-        super().__init__((), (), ())
+        super().__init__((), (), (), bytearray())
         self.source = (subjects, predicates, objects)
         self.rows: Optional[array] = None
-        self.built: dict[int, tuple[Column, ...]] = {}
 
     def _sort(self) -> array:
         """``rows``, made on the first call, with the offsets and keys."""
@@ -1281,14 +1251,12 @@ class _LazyPos(_Permutation):
     def run(self, key: int) -> tuple[array, array, int, int]:
         columns = self.overlay.get(key)
         if columns is None:
-            columns = self.built.get(key)
-        if columns is None:
             rows, start = self._sort(), self.start
             if not 0 <= key < len(start) - 1 or start[key] == start[key + 1]:
                 return _NO_ROWS
             subjects, _, objects = self.source
             cut = sorted(rows[start[key] : start[key + 1]], key=objects.__getitem__)
-            columns = self.built[key] = tuple(_gather(cut, objects, subjects))
+            columns = self.overlay[key] = tuple(_gather(cut, objects, subjects))
         return columns[0], columns[1], 0, len(columns[0])  # type: ignore[return-value]
 
     def runs(self) -> Iterator[tuple[int, array, array, int, int]]:
@@ -1299,19 +1267,13 @@ class _LazyPos(_Permutation):
             if lo < hi:
                 yield key, second, third, lo, hi
 
-    def _own(self, key: int) -> Optional[tuple[Column, ...]]:
-        columns = self.overlay.get(key)
-        if columns is None:
-            _, _, lo, hi = self.run(key)
-            if lo == hi:
-                return None
-            columns = self.overlay[key] = self.built.pop(key)
-        return columns
+    def _own(self, key: int, lo: int, hi: int) -> tuple[Column, ...]:
+        # run has built a predicate that has rows into the overlay
+        return self.overlay.setdefault(key, (array(_ID), array(_ID)))
 
     def sound(self) -> bool:
-        """``rows`` orders SPO's base rows stably by predicate, and the
-        offsets and keys index it; no key is both built and in the overlay,
-        and the overlay's columns fit (test hook)."""
+        """``rows`` orders SPO's base rows stably by predicate, the offsets
+        and keys index it, and the overlay's columns fit (test hook)."""
         rows = self._sort()
         predicates = self.source[1]
         return (
@@ -1320,8 +1282,17 @@ class _LazyPos(_Permutation):
             and sorted(rows) == list(range(len(predicates)))
             and _ascending(list(zip(map(predicates.__getitem__, rows), rows)))
             and array(_ID, map(predicates.__getitem__, rows)) == self.firsts()
-            and not self.built.keys() & self.overlay.keys()
         )
+
+
+def _all_of(group: list[IdTriple], second: array, third: array, lo: int, hi: int) -> bool:
+    """Whether the sorted, distinct rows ``group`` of one key are all the
+    rows ``lo:hi`` of a column pair."""
+    return (
+        len(group) == hi - lo
+        and second[lo:hi] == array(_ID, [row[1] for row in group])
+        and third[lo:hi] == array(_ID, [row[2] for row in group])
+    )
 
 
 def _distinct(rows: Iterable[IdTriple]) -> list[IdTriple]:

@@ -822,6 +822,13 @@ def jcdl_fixture() -> tuple[Store, Iri]:
     return b.store, root
 
 
+def insert_all(store: Store, triples: Iterable[Triple]) -> int:
+    """Add ``triples`` to ``store`` as one batch of id rows, interning their
+    terms, as ``map`` does; how many of them were new."""
+    intern = store.intern
+    return len(store.add_rows([(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples]))
+
+
 def random_context_store(rng: random.Random, n_contexts: int) -> Store:
     """Random but well-shaped network of Publishes/Uses/Citation/Affiliation
     contexts over a pool of agents, documents and journal editions.  Only

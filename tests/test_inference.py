@@ -299,17 +299,19 @@ def test_ledger_verification_needs_the_triples_present():
         b"#rule authored_by\n"
         b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:b> .\n"
         b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:c> .\n"
+        b"<urn:x> <urn:q> <urn:y> .\n"
     )
     with pytest.raises(LedgerError) as info:
         engine.load_ledger(io.BytesIO(raw))
     assert "is not in the store" in str(info.value)
     assert engine.ledger_rules() == ()
     # verify=False accepts it (for inspecting an orphaned ledger): the held
-    # triple is ledgered, the missing one skipped, and no triple is added
+    # triple is ledgered, the missing ones skipped, and no triple or term is
+    # added
     engine.load_ledger(io.BytesIO(raw), verify=False)
     assert engine.ledger_rules() == ("authored_by",)
     assert engine.ledger_entries("authored_by") == frozenset({held})
-    assert len(store) == 1
+    assert len(store) == 1 and store.term_count() == 3
 
 
 # -- group citation derivation ----------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     index_of,
+    insert_all,
     journal_roots,
     jcdl_fixture,
     ledger_triples,
@@ -258,7 +259,7 @@ def test_a_source_published_by_the_context_with_id_zero_counts():
     store.insert(Triple(ctx, RDF_TYPE, PUBLISHES))  # interned first: id 0
     assert store.lookup(ctx) == 0
     journal, root, source = small_journal()
-    store.insert_many(journal.triples())
+    insert_all(store, journal.triples())
     store.remove(Triple(node("pub-s"), HAS_TIME, year_literal(2007)))
     store.insert(Triple(ctx, HAS_UNIT, source))
     store.insert(Triple(ctx, HAS_TIME, year_literal(2007)))
@@ -382,7 +383,7 @@ def test_absent_vocabulary_matches_nothing_and_scans_nothing(dropped, expected):
     a wildcard: each binds the subject, or the predicate and the object."""
     full, root = coauthored_jcdl()
     store = Store()
-    store.insert_many(t for t in full.triples() if t.predicate not in dropped and t.object not in dropped)
+    insert_all(store, (t for t in full.triples() if t.predicate not in dropped and t.object not in dropped))
     assert all(store.lookup(term) is None for term in dropped)
     shapes = []
     match_ids = store.match_ids

@@ -11,7 +11,7 @@ exhausting memory.
 import os
 import random
 
-from oracles import index_of, oracle_pub_window_rows, oracle_uif_numerator_rows
+from oracles import index_of, insert_all, oracle_pub_window_rows, oracle_uif_numerator_rows
 from scholargraph.inference import RULE_SCRIPTS
 from scholargraph.metrics import impact_factor
 from scholargraph.ontology import (
@@ -112,7 +112,7 @@ def scholarly_store(seed, docs, events, citations, journals, budget):
             Triple(ctx, HAS_SOURCE, iri("doc", citing)),
             Triple(ctx, HAS_SINK, iri("doc", cited)),
         ]
-    store.insert_many(triples)
+    insert_all(store, triples)
     return store, roots[0]
 
 

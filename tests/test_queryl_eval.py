@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from oracles import random_context_store
+from oracles import insert_all, random_context_store
 from scholargraph.ontology import (
     ARTICLE,
     CITATION,
@@ -51,7 +51,7 @@ def node(name):
 
 def filled_store(*triples):
     store = Store()
-    store.insert_many(triples)
+    insert_all(store, triples)
     return store
 
 
@@ -302,9 +302,7 @@ def test_ratio_rounds_half_to_even():
     # 1/128 = 0.0078125 exactly; the 6-place tie must round to ...12.
     store = Store()
     store.insert(Triple(node("m"), RDF_TYPE, METRIC))
-    store.insert_many(
-        Triple(node(f"a{i}"), RDF_TYPE, ARTICLE) for i in range(128)
-    )
+    insert_all(store, (Triple(node(f"a{i}"), RDF_TYPE, ARTICLE) for i in range(128)))
     script = parse_script(
         "SELECT ?x WHERE (?x rdf:type mesur:Metric)"
         " SELECT ?y WHERE (?y rdf:type mesur:Article)"

@@ -519,28 +519,43 @@ def one_map(*runs):
     return snapshot(store)
 
 
-def batched(sc, store, **options):
-    """Ingest and map each usage batch, then the citations."""
+def reloaded(store):
+    """The store that a save of ``store`` and a load of it give."""
+    return Store.load(io.BytesIO(snapshot(store)))
+
+
+def batched(sc, store, reload=False, **options):
+    """Ingest and map each usage batch, then the citations; with ``reload``,
+    each map goes into the store loaded from the last one's snapshot, as
+    the CLI maps.  The reports and the last store."""
     reports = []
-    for batch in EVENT_BATCHES:
-        sc.ingest_usage(usage_tsv(*batch))
+    steps = [(sc.ingest_usage, usage_tsv(*batch)) for batch in EVENT_BATCHES]
+    for ingest, lines in steps + [(sc.ingest_citations, citation_tsv(*CITATIONS))]:
+        ingest(lines)
+        if reload:
+            store = reloaded(store)
         reports.append(mapped(sc, store, **options))
-    sc.ingest_citations(citation_tsv(*CITATIONS))
-    reports.append(mapped(sc, store, **options))
-    return reports
+    return reports, store
 
 
-def test_mapping_after_each_batch_equals_one_map():
-    sc, store = records(batches=0, citations=False), Store()
-    reports = batched(sc, store)
+RELOAD = pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "reloaded"])
+
+
+@RELOAD
+def test_mapping_after_each_batch_equals_one_map(reload):
+    sc = records(batches=0, citations=False)
+    reports, store = batched(sc, Store(), reload)
     assert [(r.publishes, r.uses, r.citations) for r in reports] == [(6, 5, 0), (0, 5, 0), (0, 5, 0), (0, 0, 3)]
     assert snapshot(store) == one_map((DEFAULT_PROVIDER, False))
-    assert mapped(sc, store).total == 0
+    assert mapped(sc, reloaded(store) if reload else store).total == 0
 
 
-def test_affiliations_added_later_equal_one_map_with_them():
-    sc, store = records(batches=0, citations=False), Store()
-    batched(sc, store)
+@RELOAD
+def test_affiliations_added_later_equal_one_map_with_them(reload):
+    sc = records(batches=0, citations=False)
+    _, store = batched(sc, Store(), reload)
+    if reload:
+        store = reloaded(store)
     report = mapped(sc, store, affiliations=True)
     wanted = sum(1 for batch in EVENT_BATCHES for e in batch if e["affiliation"] and e["agent"])
     assert (report.publishes, report.uses, report.citations, report.affiliations) == (0, 0, 0, wanted)
@@ -563,8 +578,8 @@ def test_a_second_provider_maps_its_own_contexts():
 
 
 def test_a_deleted_store_is_mapped_again_in_full():
-    sc, store = records(batches=0, citations=False), Store()
-    batched(sc, store, affiliations=True)
+    sc = records(batches=0, citations=False)
+    _, store = batched(sc, Store(), affiliations=True)
     fresh = Store()
     report = mapped(sc, fresh, affiliations=True)
     assert (report.publishes, report.uses, report.citations) == (6, 15, 3)

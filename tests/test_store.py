@@ -30,6 +30,7 @@ from scholargraph.terms import (
 
 from oracles import (
     encoded,
+    insert_all,
     isomorphic,
     ledger_ids,
     ledger_section,
@@ -76,14 +77,14 @@ def test_remove_semantics():
     assert store.verify_indexes()
 
 
-def test_insert_many_bulk_equals_incremental():
+def test_add_rows_bulk_equals_incremental():
     rng = random.Random(11)
     reference = random_context_store(rng, 120)
     triples = list(reference.triples())
     rng.shuffle(triples)
 
     bulk = Store()
-    added = bulk.insert_many(triples + triples[:50])  # duplicates collapse
+    added = insert_all(bulk, triples + triples[:50])  # duplicates collapse
     one_by_one = Store()
     for t in triples:
         one_by_one.insert(t)
@@ -93,10 +94,10 @@ def test_insert_many_bulk_equals_incremental():
     assert bulk.verify_indexes() and one_by_one.verify_indexes()
 
 
-def test_insert_many_into_nonempty_store():
+def test_add_rows_into_nonempty_store():
     store, triples = small_store()
     extra = [Triple(Iri("urn:s9"), Iri("urn:p1"), Iri("urn:o9"))]
-    assert store.insert_many(extra + triples) == 1
+    assert insert_all(store, extra + triples) == 1
     assert len(store) == len(triples) + 1
 
 
@@ -174,7 +175,7 @@ def test_a_loaded_store_emptied_and_refilled_with_fresh_terms_saves_canonically(
         Triple(Iri(f"urn:{prefix}:{k}"), store.decode(p), integer_literal(k))
         for k, (prefix, (_, p, _)) in enumerate(zip("amzamz", rows))
     ] + [store.decode_triple(row) for row in rows[::3]]
-    assert store.insert_many(refill) == len(refill)
+    assert insert_all(store, refill) == len(refill)
     assert store.verify_indexes()
     data = saved(store)
     assert data == oracle_snapshot(store)
@@ -194,7 +195,7 @@ def test_a_load_gives_no_subject_columns_of_its_own_until_it_is_written():
 def test_a_loaded_subject_is_found_whatever_its_row_count():
     store = Store()
     for rows in (1, 31, 32, 33, 100):
-        store.insert_many(Triple(Iri(f"urn:s{rows}"), Iri("urn:p"), integer_literal(k)) for k in range(rows))
+        insert_all(store, (Triple(Iri(f"urn:s{rows}"), Iri("urn:p"), integer_literal(k)) for k in range(rows)))
     back = Store.load(io.BytesIO(saved(store)))
     for rows in (1, 31, 32, 33, 100):
         s = back.lookup(Iri(f"urn:s{rows}"))
@@ -364,7 +365,7 @@ def test_random_updates_keep_every_shape_in_permutation_order():
             for _ in range(4)
         ]
         check_against_model(store, model, probes)
-    # a bulk build, from a snapshot or from insert_many, lays out the same
+    # a bulk build, from a snapshot or from one batch of rows, lays out the same
     for rebuilt in (Store.load(io.BytesIO(saved(store))), bulk_copy(store)):
         rebuilt_model = {
             (rebuilt.lookup(t.subject), rebuilt.lookup(t.predicate), rebuilt.lookup(t.object))
@@ -408,11 +409,12 @@ def test_updates_to_a_loaded_store():
 
 def test_a_load_builds_no_pos_run_and_no_term():
     store = Store.load(io.BytesIO(saved(random_context_store(random.Random(23), 60))))
-    assert store._pos.rows is None and store._pos.built == {} and store._pos.overlay == {}
+    assert store._pos.rows is None and store._pos.overlay == {}
     assert store._terms == [None] * store.term_count()
     rdf_type = store.lookup(RDF_TYPE)
     rows = list(store.match_ids(None, rdf_type, None))
-    assert rows and list(store._pos.built) == [rdf_type]
+    # a predicate's run is built into POS's overlay, on its first read only
+    assert rows and list(store._pos.overlay) == [rdf_type]
     assert store._terms == [None] * store.term_count()
     # a term is made when it is first decoded, and kept
     term = store.decode(rows[0][2])
@@ -430,7 +432,7 @@ def test_decoded_terms_are_the_constructors_terms():
         string_literal("a b"),
     ]
     store = Store()
-    store.insert_many(Triple(Iri("urn:s"), Iri("urn:p"), term) for term in terms)
+    insert_all(store, (Triple(Iri("urn:s"), Iri("urn:p"), term) for term in terms))
     back = Store.load(io.BytesIO(saved(store)))
     for built in terms:
         made = back.decode(back.lookup(built))
@@ -467,7 +469,7 @@ def test_random_histories_over_a_loaded_store():
             probed = rng.sample(predicates, len(predicates) // 3)
             unprobed = [p for p in predicates if p not in probed]
             check_shapes(store, model, [(None, p, None) for p in probed])
-            assert sorted(store._pos.built) == sorted(probed)
+            assert sorted(store._pos.overlay) == sorted(probed)
             subjects = sorted({s for s, _, _ in model}) + new
             objects = sorted({o for _, _, o in model}) + new
             for step in range(8):
@@ -506,10 +508,10 @@ def test_random_histories_over_a_loaded_store():
             # probes again, of predicates probed, written or neither
             again = rng.sample(predicates + new[:1], 4)
             check_shapes(store, model, [(None, p, None) for p in again])
-            built = set(store._pos.built) | set(store._pos.overlay)
+            built = dict(store._pos.overlay)
             assert store.predicate_ids() == sorted({p for _, p, _ in model})
             written = saved(store)
-            assert set(store._pos.built) | set(store._pos.overlay) == built
+            assert store._pos.overlay == built
             assert written == oracle_snapshot(store)
             probes = rng.sample(sorted(model), 6) + [(rng.choice(subjects), p, rng.choice(objects)) for p in again]
             # an object-bound, predicate-free shape reads every POS run
@@ -552,8 +554,8 @@ def test_batches_in_any_order_give_the_same_rows_and_store():
 def test_a_write_to_a_built_pos_run_keeps_no_copy_of_it():
     """What one written row per predicate keeps, under tracemalloc, in a
     loaded store of about 30k triples whose POS runs are all built: a
-    predicate's first write moves its built run into the overlay, where a
-    copy would keep 8 B per triple more."""
+    predicate's built run is its overlay entry, which a write splices, where
+    a copy would keep 8 B per triple more."""
     data = saved(random_context_store(random.Random(1), 5000))
     gc.collect()
     tracemalloc.start()
@@ -575,7 +577,7 @@ def test_a_write_to_a_built_pos_run_keeps_no_copy_of_it():
 
 def bulk_copy(store):
     copy = Store()
-    copy.insert_many(store.triples())
+    insert_all(copy, store.triples())
     return copy
 
 
@@ -733,7 +735,7 @@ def test_retag_refuses_a_row_the_store_lacks():
 def test_a_ledger_names_at_most_255_rules():
     store = Store()
     triples = [Triple(Iri(f"urn:s{k:03}"), Iri("urn:p"), integer_literal(k)) for k in range(256)]
-    store.insert_many(triples)
+    insert_all(store, triples)
     for k, triple in enumerate(triples[:255]):
         store.retag(ledger_ids(store, [triple]), f"rule{k:03}")
     # the 256th name would need tag 256, which no byte holds
@@ -1197,7 +1199,7 @@ elif point in ("replace", "renamed"):
 store = Store.load(path)
 rows = list(store.match_ids(None, None, None))
 store.drop_rows(rows[::4])
-store.insert_many(Triple(Iri(f"urn:{c}:new"), store.decode(rows[0][1]), integer_literal(7)) for c in "amz")
+store.add_rows([(store.intern(Iri(f"urn:{c}:new")), rows[0][1], store.intern(integer_literal(7))) for c in "amz"])
 store.save(path)
 """
 
