@@ -21,7 +21,9 @@ command pays only for its own imports: `stats` loads the store and the term
 model alone, `export` adds N-Triples, `map` and the `ingest-*` commands load
 neither N-Triples nor `decimal`, the `ingest-*` commands never load the
 store, `query` never loads the rules, the metrics or the sidecar, and
-`metric` and `retract` never load the query dialect.
+`metric` and `retract` never load the query dialect.  No command loads
+OpenSSL: the IRIs that `map`, the rules and the metrics mint are hashed
+with CPython's own SHA-1 (:func:`scholargraph.ontology.digest16`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ optionally timed in a window.  A term the store lacks reads as id -1
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from decimal import Decimal
 from itertools import combinations
@@ -52,6 +51,7 @@ from .ontology import (
     PART_OF,
     PUBLISHES,
     UnknownNodeError,
+    digest16,
 )
 from .store import IdTriple, LedgerError, Store
 from .terms import (
@@ -224,8 +224,7 @@ def citations_of(store: Store, sinks: Iterable[int]) -> Iterator[tuple[int, int,
 
 
 def derived_iri(kind: str, key: str) -> Iri:
-    digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-    return Iri(f"{DERIVED_BASE}{kind}:{digest}")
+    return Iri(f"{DERIVED_BASE}{kind}:{digest16(key)}")
 
 
 def _weight_literal(count: int) -> Literal:

@@ -18,6 +18,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Union
 
+try:
+    # CPython's own SHA-1, which hashlib falls back to: importing hashlib
+    # loads OpenSSL's libcrypto, a few MB of memory for every command
+    from _sha1 import sha1
+except ImportError:  # pragma: no cover - an interpreter built without it
+    from hashlib import sha1
+
 from .errors import ScholarGraphError
 from .record import FrozenRecord
 from .terms import (
@@ -35,6 +42,14 @@ from .terms import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .store import Store
+
+
+def digest16(key: str) -> str:
+    """The first 16 hex digits of the SHA-1 of ``key`` in UTF-8: the part of
+    every minted IRI (the sidecar's contexts, agents and groups, and the
+    derived nodes) that makes it a deterministic function of its key."""
+    return sha1(key.encode("utf-8")).hexdigest()[:16]
+
 
 OWL_THING = Iri(OWL_NS + "Thing")
 

@@ -23,17 +23,18 @@ A duplicate is checked against the rows already loaded, earlier in the
 batch included.
 
 Everything minted by :meth:`Sidecar.map_to_graph` is a deterministic IRI
-derived from record keys (and the provider IRI for name-scoped agents), so
-re-running the mapping is idempotent and two runs over equal sidecars
-produce identical graphs.  A run projects only the contexts whose type
-triple the store lacks, so mapping after each usage batch costs the new
-batch, not every earlier one, and any sequence of runs leaves the same
-store as one run over the final records.
+derived from record keys (and the provider IRI for name-scoped agents) by
+:func:`~scholargraph.ontology.digest16`, so re-running the mapping is
+idempotent and two runs over equal sidecars produce identical graphs.  A
+run projects only the contexts whose type triple the store lacks, so any
+sequence of runs leaves the same store as one run over the final records.
+Only the store's work is in proportion to the new batch: every run still
+reads every record of the sidecar and hashes its key, to find the contexts
+the store holds already.
 """
 
 from __future__ import annotations
 
-import hashlib
 import sqlite3
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 from urllib.parse import quote
@@ -66,6 +67,7 @@ from .ontology import (
     PART_OF,
     PUBLISHES,
     USES,
+    digest16,
 )
 from .record import Record
 from .terms import (
@@ -181,10 +183,6 @@ class Resolution(Record):
     doc_id: str
     iri: str
     record: Row
-
-
-def _hash16(text: str) -> str:
-    return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _normalize_name(name: str) -> str:
@@ -398,14 +396,14 @@ class Sidecar:
     # -- mapping into the triple store -------------------------------------------
 
     def _agent_iri(self, kind: str, name: str, provider: Iri) -> Iri:
-        digest = _hash16(f"{kind}|{_normalize_name(name)}|{provider.value}")
+        digest = digest16(f"{kind}|{_normalize_name(name)}|{provider.value}")
         base = "urn:mesur:agent:" if kind == "human" else "urn:mesur:org:"
         return Iri(base + digest)
 
     def _group_iris(self, collection: str, year: str, provider: Iri) -> tuple[Iri, Iri]:
         norm = _normalize_name(collection)
-        root = Iri("urn:mesur:group:" + _hash16(f"root|{norm}|{provider.value}"))
-        edition = Iri("urn:mesur:group:ed:" + _hash16(f"{norm}|{year}|{provider.value}"))
+        root = Iri("urn:mesur:group:" + digest16(f"root|{norm}|{provider.value}"))
+        edition = Iri("urn:mesur:group:ed:" + digest16(f"{norm}|{year}|{provider.value}"))
         return root, edition
 
     def map_to_graph(
@@ -458,7 +456,7 @@ class Sidecar:
             unit = doc_iris[doc_id] = unit_iri(doc_id, doi)
             if recorded != unit.value:
                 unrecorded.append(("doc", doc_id, unit.value))
-            ctx_iri = "urn:mesur:ctx:pub:" + _hash16(f"{doc_id}|{provider.value}")
+            ctx_iri = "urn:mesur:ctx:pub:" + digest16(f"{doc_id}|{provider.value}")
             if ctx_iri in held:
                 continue
             ctx = Iri(ctx_iri)
@@ -495,7 +493,7 @@ class Sidecar:
             " ORDER BY event_id"
         ):
             event_id, time, agent, session, affiliation, access_type, doc_id, recorded = row
-            ctx_iri = "urn:mesur:ctx:use:" + _hash16(f"{event_id}|{provider.value}")
+            ctx_iri = "urn:mesur:ctx:use:" + digest16(f"{event_id}|{provider.value}")
             if recorded != ctx_iri:
                 unrecorded.append(("event", event_id, ctx_iri))
             if ctx_iri not in held:
@@ -515,7 +513,7 @@ class Sidecar:
                     add((ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
             if not (affiliations and affiliation and agent):
                 continue
-            aff_iri = "urn:mesur:ctx:aff:" + _hash16(
+            aff_iri = "urn:mesur:ctx:aff:" + digest16(
                 f"{event_id}|{_normalize_name(affiliation)}|{provider.value}"
             )
             if aff_iri in held_affiliations:
@@ -534,7 +532,7 @@ class Sidecar:
             "SELECT citing_doc_id, cited_doc_id FROM citation_pairs"
             " ORDER BY citing_doc_id, cited_doc_id"
         ):
-            ctx_iri = "urn:mesur:ctx:cite:" + _hash16(f"{citing}|{cited}|{provider.value}")
+            ctx_iri = "urn:mesur:ctx:cite:" + digest16(f"{citing}|{cited}|{provider.value}")
             if ctx_iri in held:
                 continue
             ctx = Iri(ctx_iri)

@@ -45,10 +45,12 @@ each row within the bounds where :meth:`_Permutation.run` finds its key's
 rows, and rebuild once the columns of each key that gains or loses a
 row, with the batch's rows spliced in at their places or cut out, so a
 batch costs O(batch log batch + changed columns) rather than one array
-shift per triple, and a key the batch leaves as it is is not copied.
-Every writer interns its terms and hands the store id rows, ``map``'s
-projection too; :meth:`Store.insert` and :meth:`Store.remove` are one-row
-calls.
+shift per triple, and a key the batch leaves as it is is not copied.  A
+key with no rows, or whose new rows all sort after its last one, takes
+them at its end unsought, and a drop of every row of a predicate empties
+its POS run whole.  Every writer interns its terms and hands the store id
+rows, ``map``'s projection too; :meth:`Store.insert` and
+:meth:`Store.remove` are one-row calls.
 
 The store also keeps the inference ledger, as one tag byte beside each SPO
 row (a ``bytearray`` column in the base run and in each overlay key's
@@ -69,12 +71,14 @@ the snapshot's numbering as its lowest ids, so a save sorts only the terms
 interned since the load and merges them into the loaded order.  That
 renumbering keeps the order of loaded ids, and the base run holds loaded
 ids only, so a save takes each subject's row count from SPO's offsets
-and overlay, maps the base columns as they stand, cuts out the rows of
-the overlay's subjects by offset, and sorts and splices in only the
-overlay's rows, at the offsets the counts give (a store whose base run
-holds ids that were not loaded, as in one that was never loaded, sorts
-its whole run once).  The live terms are read from SPO alone, so a save
-builds no POS run and no term.  ``export`` writes the same numbering and
+and overlay, maps the base columns as they stand, and builds the run
+subject by subject: the base rows between two written subjects are one
+slice, and each written subject's overlay columns go in at the offset the
+counts give, sorted only when they hold a term interned since the load,
+so no list of the written rows as tuples is built (a store whose base run
+holds ids that were not loaded, as one that was never loaded, sorts its
+whole run once, as tuples).  The live terms are read from SPO alone, so a save builds no
+POS run and no term.  ``export`` writes the same numbering and
 run (:meth:`Store.canonical_run`), already in canonical triple order.
 
 A snapshot's sections are columnar and each is packed as one ``zlib``
@@ -361,11 +365,17 @@ class Store:
 
         Like :meth:`add_rows`, each key that loses a row gets its columns
         rebuilt once, without the removed rows; a key left empty keeps
-        empty overlay columns.
+        empty overlay columns.  A predicate that loses every row, as when
+        ``retract`` drops a rule's, has its POS run emptied whole, and only
+        the rows of the other predicates are sorted into POS order.
         """
         removed = self._spo.cut(_distinct(rows))
         if removed:
-            self._pos.cut(sorted([(p, o, s) for s, p, o in removed]))
+            pos = self._pos
+            emptied = {p for p, count in Counter(map(itemgetter(1), removed)).items() if count == pos.size(p)}
+            for p in emptied:
+                pos.overlay[p] = (array(_ID), array(_ID))
+            pos.cut(sorted([(p, o, s) for s, p, o in removed if p not in emptied]))
             self._size -= len(removed)
         return removed
 
@@ -626,11 +636,12 @@ class Store:
 
         The SPO run is each subject's row count, for every term id, then the
         predicate and object columns of the rows in SPO order, made from the
-        base columns mapped through the new numbering, with the overlay's
-        rows sorted and spliced in (:meth:`_spo_run`; POS is not stored).  The ledger section is the count and the names of the rules
-        that tag a row, in name order, then the tag count and the tag of
-        each row of the SPO run, which one ``bytes.translate`` renumbers
-        from the store's rule table to that order.  Two stores holding the
+        base columns mapped through the new numbering, with each written
+        subject's overlay columns put in at its offset (:meth:`_spo_run`;
+        POS is not stored).  The ledger section is the count and the names
+        of the rules that tag a row, in name order, then the tag count and
+        the tag of each row of the SPO run, which one ``bytes.translate``
+        renumbers from the store's rule table to that order.  Two stores holding the
         same triples and the same ledger therefore produce byte-identical
         raw sections regardless of how they got there, and so
         byte-identical snapshots under one ``zlib`` build; an empty ledger
@@ -745,12 +756,17 @@ class Store:
         term's count of rows as subject, in the new order, and the predicate,
         object and tag columns of the rows in SPO order.
 
-        The counts come from SPO's offsets and overlay.  The base rows of
-        the subjects not written are cut out of the base columns by offset
-        and mapped as whole columns.  The numbering keeps the order of
-        loaded ids, and the base run holds loaded ids only, so those rows
-        stay in order, and only the overlay's rows are sorted and spliced in,
-        each subject's at the offset that the counts give it.
+        The counts come from SPO's offsets and overlay.  The numbering keeps
+        the order of loaded ids, and the base run holds loaded ids only, so
+        the run is built subject by subject: the base columns are mapped
+        through the new numbering whole, the base rows between two written
+        subjects are one slice of each, and each written subject's overlay
+        columns are mapped and put in, in the order of its new id, at the
+        offset that the counts give it.  A subject's overlay rows keep their
+        order, and make no object per row, unless they hold a term interned
+        since the load; only then are they sorted, as tuples.  (A store
+        whose base run holds ids that were not loaded, as one that was never
+        loaded, sorts its whole run once, as tuples.)
         """
         spo = self._spo
         overlay = spo.overlay
@@ -758,43 +774,55 @@ class Store:
         counts.extend(repeat(0, len(self._texts) - len(counts)))
         for s, run in overlay.items():
             counts[s] = len(run[0])
-        pieces = spo.visible()  # the base rows of the subjects not written
         counts = array(_ID, map(counts.__getitem__, order))
-        columns: list = list(spo.base())
-        if len(pieces) > 1:
-            columns = [_joined(column, pieces) for column in columns]
-        if renumber is None:
-            fresh = [(s, *row) for s, run in overlay.items() for row in zip(*run)]
-        else:
-            fresh = [(renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run)]
-            if not self._loaded:
-                # every term is new, so no order survives: one sort of all
-                # rows, with their tags
-                subjects = spo.firsts()
-                if len(pieces) > 1:
-                    subjects = _joined(subjects, pieces)
-                ids = (map(renumber.__getitem__, column) for column in (subjects, *columns[:2]))
-                run = array(_ID, chain.from_iterable(sorted(chain(zip(*ids, columns[2]), fresh))))
-                return counts, run[1::4], run[2::4], bytearray(iter(run[3::4]))
-            columns[:2] = [array(_ID, map(renumber.__getitem__, column)) for column in columns[:2]]
-        if fresh:
-            fresh.sort()
-            starts = array(_ID, accumulate(counts, initial=0))
-            out = [column[:0] for column in columns]
-            start = spliced = 0
-            for s, group in groupby(fresh, itemgetter(0)):
-                rows = list(group)
-                # the subject's offset, less the overlay rows spliced before it
-                at = starts[s] - spliced
-                for k, column in enumerate(out):
-                    column += columns[k][start:at]
-                    column.extend(map(itemgetter(k + 1), rows))
-                spliced += len(rows)
+        base = spo.base()
+        if renumber is not None and not self._loaded:
+            # every term is new, so no order survives: one sort of all rows,
+            # with their tags
+            pieces = spo.visible()  # the base rows of the subjects not written
+            columns = [spo.firsts(), *base]
+            if len(pieces) > 1:
+                columns = [_joined(column, pieces) for column in columns]
+            ids = (map(renumber.__getitem__, column) for column in columns[:3])
+            fresh = ((renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run))
+            run = array(_ID, chain.from_iterable(sorted(chain(zip(*ids, columns[3]), fresh))))
+            return counts, run[1::4], run[2::4], bytearray(iter(run[3::4]))
+        renumbered = renumber.__getitem__ if renumber is not None else None
+        if renumbered is not None:
+            base = (*(array(_ID, map(renumbered, column)) for column in base[:2]), base[2])
+        new_id = renumbered or int
+        written = sorted((s for s, run in overlay.items() if run[0]), key=new_id)
+        starts = array(_ID, accumulate(counts, initial=0))
+        out = [column[:0] for column in base]
+        k = spliced = seen = 0
+        for piece in spo.visible():  # the base rows of the subjects not written
+            start = piece.start
+            while k < len(written):
+                s = written[k]
+                # where the subject goes in the base run: its offset in the new
+                # run, less the overlay rows put in before it, is its place
+                # among the visible base rows
+                at = piece.start + starts[new_id(s)] - spliced - seen
+                if at > piece.stop:
+                    break
+                run = overlay[s]
+                if renumbered is None:
+                    rows: Sequence[Iterable[int]] = run
+                elif max(max(run[0]), max(run[1])) < self._loaded:
+                    rows = (map(renumbered, run[0]), map(renumbered, run[1]), run[2])
+                else:
+                    # a term interned since the load may sort anywhere among them
+                    rows = list(zip(*sorted(zip(map(renumbered, run[0]), map(renumbered, run[1]), run[2]))))
+                for column, base_column, values in zip(out, base, rows):
+                    column += base_column[start:at]
+                    column.extend(values)
+                spliced += len(run[0])
                 start = at
-            for k, column in enumerate(out):
-                column += columns[k][start:]
-            columns = out
-        return counts, columns[0], columns[1], columns[2]
+                k += 1
+            for column, base_column in zip(out, base):
+                column += base_column[start : piece.stop]
+            seen += piece.stop - piece.start
+        return counts, out[0], out[1], out[2]
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
@@ -1117,13 +1145,23 @@ class _Permutation:
     def merge(self, rows: list[IdTriple], tag: int = 0) -> list[IdTriple]:
         """Put sorted, distinct (first, second, third) rows in, tagged
         ``tag`` in SPO; the rows that were not there, in order.  Only a key
-        that gets a new row is copied into the overlay."""
+        that gets a new row is copied into the overlay.  A key's rows are
+        sought one by one unless it has none, or they all sort after its
+        last row, when they are all new and go at its end."""
         added: list[IdTriple] = []
         for first, run in groupby(rows, itemgetter(0)):
             second, third, lo, hi = self.run(first)
+            group = list(run)
+            if lo == hi or (second[hi - 1], third[hi - 1]) < group[0][1:]:
+                # every row is new and goes after the key's last one, as a
+                # rule's rows do under a predicate it mints: no seek
+                for column, values in zip(self._own(first, lo, hi), _row_columns(group, tag)):
+                    column += values
+                added += group
+                continue
             cuts: list[int] = []
             fresh: list[IdTriple] = []
-            for row in run:
+            for row in group:
                 at, found = _seek(second, third, row[1], row[2], lo, hi)
                 if not found:
                     cuts.append(at - lo)
@@ -1266,6 +1304,16 @@ class _LazyPos(_Permutation):
             second, third, lo, hi = self.run(key)
             if lo < hi:
                 yield key, second, third, lo, hi
+
+    def size(self, key: int) -> int:
+        """How many rows predicate ``key`` has, read from the offsets of
+        one not yet cut, so that its run is not built."""
+        columns = self.overlay.get(key)
+        if columns is not None:
+            return len(columns[0])
+        self._sort()
+        start = self.start
+        return start[key + 1] - start[key] if 0 <= key < len(start) - 1 else 0
 
     def _own(self, key: int, lo: int, hi: int) -> tuple[Column, ...]:
         # run has built a predicate that has rows into the overlay

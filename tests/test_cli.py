@@ -563,68 +563,13 @@ def test_malformed_config_files_exit_one_without_a_traceback(workdir, capsys):
         assert err.startswith("error: cfg.json: ") and err.count("\n") == 1 and message in err, err
 
 
-# -- what each command imports -------------------------------------------------------
-
-# Runs one command through main() and prints, as its last line on stderr,
-# the package's modules that the process imported.
-COMMAND_MODULES = """
-import sys
-from scholargraph.cli import main
-code = main(sys.argv[1:])
-sys.stderr.write("\\n" + " ".join(sorted(sys.modules)) + "\\n")
-sys.exit(code)
-"""
+# -- fresh interpreters ---------------------------------------------------------
 
 
 def fresh_interpreter(*args, cwd=None):
     """Run ``python3 args...`` with the package under test importable."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
-
-
-def modules_loaded_by(workdir, *argv):
-    """Every module a fresh interpreter holds after running the command."""
-    done = fresh_interpreter("-c", COMMAND_MODULES, *argv, cwd=workdir)
-    assert done.returncode == 0, done.stderr
-    return set(done.stderr.splitlines()[-1].split())
-
-
-def test_commands_import_only_the_modules_they_use(workdir, capsys):
-    load_everything(capsys)
-    (workdir / "q.q").write_text(
-        "SELECT ?u WHERE (?p rdf:type mesur:Publishes) (?p mesur:hasUnit ?u) .", encoding="utf-8"
-    )
-    root = journal_root(str(workdir / "scholargraph.store"))
-    commands = {
-        "stats": ("stats",),
-        "export": ("export", "--output", "out.nt"),
-        "query": ("query", "--file", "q.q"),
-        "validate": ("validate",),
-        "metric": ("metric", "if", "--object", root.value, "--year", "2007"),
-        "retract metric": ("retract", "--rule", "metric"),
-        "retract all": ("retract", "--all"),
-        "infer": ("infer", "--rule", "authored_by"),
-        "map": ("map",),
-    }
-    loaded = {name: modules_loaded_by(workdir, *argv) for name, argv in commands.items()}
-    # no command pays for the dataclass machinery; a site hook may import
-    # modules of its own, so what a bare interpreter loads is allowed
-    bare = set(fresh_interpreter("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
-    for name, modules in loaded.items():
-        assert not modules & ({"dataclasses", "inspect"} - bare), name
-    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology", "validation")}
-    for name in ("stats", "export"):
-        assert not loaded[name] & heavy, name
-    for name in ("stats", "map"):
-        assert not loaded[name] & ({"scholargraph.ntriples", "decimal"} - bare), name
-    assert "scholargraph.queryl" in loaded["query"]
-    assert not loaded["query"] & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar", "scholargraph.validation"}
-    assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded["validate"]
-    assert not loaded["validate"] & {"scholargraph.sidecar", "sqlite3"}
-    # the rules' query scripts are parsed, and the dialect imported, only to run a rule
-    for name in ("metric", "retract metric", "retract all"):
-        assert "scholargraph.inference" in loaded[name] and "scholargraph.queryl" not in loaded[name], name
-    assert "scholargraph.queryl" in loaded["infer"]
 
 
 def test_a_loading_command_freezes_what_the_load_made(workdir, capsys):

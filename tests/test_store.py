@@ -575,6 +575,48 @@ def test_a_write_to_a_built_pos_run_keeps_no_copy_of_it():
     assert kept / len(store) < 1
 
 
+def test_a_save_after_a_rule_like_write_makes_no_object_per_row():
+    """The peak that a save allocates, under tracemalloc, after a write that
+    gives each of the 8,635 subjects of a loaded store of about 30k triples
+    three rows of a predicate and objects interned since the load, as a
+    rule's do: 44.8 B per triple of the 54,880 when each subject's rows are
+    built from its columns, against 118.8 B when the written rows were
+    sorted and spliced in as one list of tuples."""
+    store = Store.load(io.BytesIO(saved(random_context_store(random.Random(1), 5000))))
+    subjects = sorted({s for s, _, _ in store.match_ids(None, None, None)})
+    used_by = store.intern(Iri("urn:x:usedBy"))
+    agents = [store.intern(Iri(f"urn:x:agent{k}")) for k in range(50)]
+    store.add_rows([(s, used_by, agents[s * k % 50]) for s in subjects for k in range(1, 4)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        data = saved(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(subjects) >= 1000 and len(store) > 50_000
+    assert data == oracle_snapshot(store)
+    assert peak / len(store) < 70
+
+
+def test_dropping_every_row_of_a_predicate_empties_its_pos_run_whole(monkeypatch):
+    """A batch that holds every row of a predicate, as ``retract`` drops a
+    rule's, leaves that predicate's POS run empty without sorting its rows
+    into POS order: no row of it reaches ``_pos.cut``."""
+    store = Store.load(io.BytesIO(saved(random_context_store(random.Random(3), 300))))
+    model = set(store.match_ids(None, None, None))
+    gone, kept = store.predicate_ids()[:2]
+    cut_rows = []
+    cut = store_module._LazyPos.cut
+    monkeypatch.setattr(store_module._LazyPos, "cut", lambda pos, rows: cut_rows.extend(rows) or cut(pos, rows))
+    batch = [row for row in model if row[1] == gone] + [row for row in model if row[1] == kept][::2]
+    assert store.drop_rows(batch) == sorted(batch)
+    assert cut_rows and not [row for row in cut_rows if row[0] == gone]
+    assert list(store.match_ids(None, gone, None)) == [] and store.match_count(None, gone, None) == 0
+    assert store.verify_indexes() and set(store.match_ids(None, None, None)) == model - set(batch)
+    assert saved(store) == oracle_snapshot(store)
+
+
 def bulk_copy(store):
     copy = Store()
     insert_all(copy, store.triples())
