@@ -19,13 +19,8 @@ _EXPORTS = {
     "errors": ("PositionedError", "ScholarGraphError"),
     "inference": ("InferenceEngine", "RULE_SCRIPTS"),
     "metrics": ("MetricResult", "UndefinedMetricError", "impact_factor", "usage_impact_factor"),
-    "ntriples": (
-        "NTriplesParseError",
-        "parse_ntriples",
-        "serialize_term",
-        "serialize_triple",
-        "write_ntriples",
-    ),
+    "ntriples": ("serialize_term", "serialize_triple", "write_ntriples"),
+    "ntriples_read": ("NTriplesParseError", "parse_ntriples"),
     "ontology": ("SCHEMA", "Schema", "literal_audit", "validate_all", "validate_instance"),
     "queryl": ("QueryParseError", "evaluate_block", "execute_script", "parse_script"),
     "sidecar": ("Sidecar",),

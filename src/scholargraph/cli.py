@@ -17,11 +17,13 @@ order of the snapshot's SPO run, which it writes with nothing sorted.
 Exit codes: 0 success, 1 domain or data error, 2 usage error.
 
 Each subcommand imports the modules it uses inside its handler, so a
-command pays only for its own imports: `stats` loads the store and the term
-model alone, `export` adds N-Triples, `map` and the `ingest-*` commands load
-neither N-Triples nor `decimal`, the `ingest-*` commands never load the
-store, `query` never loads the rules, the metrics or the sidecar, and
-`metric` and `retract` never load the query dialect.  No command loads
+command pays only for its own imports: `stats` loads the store's reader and
+the term model alone, `stats`, `validate` and a SELECT-only `query` never
+load the store's writer (`store_write`), `export` adds it and the N-Triples
+writer, no command loads the N-Triples reader, `map` and the `ingest-*`
+commands load neither N-Triples nor `decimal`, the `ingest-*` commands never
+load the store, `query` never loads the rules, the metrics or the sidecar,
+and `metric` and `retract` never load the query dialect.  No command loads
 OpenSSL: the IRIs that `map`, the rules and the metrics mint are hashed
 with CPython's own SHA-1 (:func:`scholargraph.ontology.digest16`).
 """
@@ -441,7 +443,7 @@ def cmd_stats(args: argparse.Namespace, cfg: Config) -> int:
     ]
     rdf_type = store.lookup(RDF_TYPE)
     if rdf_type is not None:
-        members = Counter(o for _, _, o in store.match_ids(None, rdf_type, None))
+        members = Counter(store.predicate_objects(rdf_type))
         classes = {store.decode(o): count for o, count in members.items()}
         for iri in sorted((term for term in classes if isinstance(term, Iri)), key=term_sort_key):
             pairs.append((f"class {iri.value}", classes[iri]))

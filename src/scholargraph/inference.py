@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import ScholarGraphError
-from .ntriples import parse_ntriples, serialize_term, serialize_triple
+from .ntriples import serialize_term, serialize_triple
 from .ontology import (
     CITATION,
     COAUTHOR,
@@ -501,6 +501,8 @@ class InferenceEngine:
         changes the store's triples or its term table.  A triple listed
         under two rules ends under the last.
         """
+        from .ntriples_read import parse_ntriples
+
         if isinstance(source, str):
             with open(source, "rb") as fp:
                 raw = fp.read()

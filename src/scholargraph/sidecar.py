@@ -205,12 +205,8 @@ def _typed_iris(store: Store, cls: Iri) -> set[str]:
     rdf_type, class_id = store.lookup(RDF_TYPE), store.lookup(cls)
     if rdf_type is None or class_id is None:
         return set()
-    decode = store.decode
-    return {
-        node.value
-        for node in (decode(s) for s, _, _ in store.match_ids(None, rdf_type, class_id))
-        if isinstance(node, Iri)
-    }
+    # each node's text is read by id, so no term is made for it
+    return store.iri_texts(s for s, _, _ in store.match_ids(None, rdf_type, class_id))
 
 
 def _valid_time(value: str) -> bool:

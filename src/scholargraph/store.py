@@ -1,4 +1,18 @@
-"""Embedded triple store with dictionary encoding and two indexes.
+"""Embedded triple store with dictionary encoding and two indexes: the
+reader.
+
+This module opens a store and answers every read; its write half,
+:mod:`.store_write`, holds every change to the store (batch writes, the
+ledger's writes), the snapshot writer and the test hooks.  Each
+:class:`Store` method that writes (:meth:`Store.add_rows`,
+:meth:`Store.drop_rows`, :meth:`Store.retag`, :meth:`Store.save`,
+:meth:`Store.canonical_run`, and the test hook
+:meth:`Store.verify_indexes`) is a one-line delegate that imports the
+writer on its first call, so the class and its methods are the same for
+every caller, each operation has one implementation, and a command that
+only reads (``stats``, ``validate``, a SELECT-only ``query``) never
+compiles the writer: every command compiles each module it imports when no
+bytecode is cached.
 
 Terms are interned into a dictionary mapping each distinct term to a dense
 integer id (ids of removed terms are never reused).  The dictionary is
@@ -24,33 +38,22 @@ reads and no object is made per key.  A load fills SPO's columns from the
 snapshot's SPO run with ``frombytes`` and strided slices, and builds no
 POS run: POS (:class:`_LazyPos`) cuts each predicate's rows from SPO's
 base run into its overlay when that predicate is first read or written,
-after one stable sort of the row numbers by predicate on the first POS
-probe.  The overlay is a dict from a key to its own columns; the first
-write that changes an SPO key copies the key's rows there (a POS run is
-there already).  Reads and writes of that key use them from then on, and
-a key emptied by writes keeps empty columns there, which hide its base
-rows.  A batch into an empty store
-becomes SPO's base run, so a store that was never loaded has the same
-layout.  A probe on the first two keys is two array reads (or a dict
-get) for the first key, a bisection of the second column and a slice of
-the third.  A shape with the object bound and the predicate free
-bisects the object in each predicate's POS rows (the vocabulary has few
-predicates) and comes in (s, p) order; any other shape is answered by the
-permutation whose prefix matches its bound slots, in its sort order.
-
-Every write is one batch of id triples, in any order and with repeats:
-:meth:`Store.add_rows` and :meth:`Store.drop_rows` sort the batch once per
-permutation (a batch already sorted and distinct is only checked), seek
-each row within the bounds where :meth:`_Permutation.run` finds its key's
-rows, and rebuild once the columns of each key that gains or loses a
-row, with the batch's rows spliced in at their places or cut out, so a
-batch costs O(batch log batch + changed columns) rather than one array
-shift per triple, and a key the batch leaves as it is is not copied.  A
-key with no rows, or whose new rows all sort after its last one, takes
-them at its end unsought, and a drop of every row of a predicate empties
-its POS run whole.  Every writer interns its terms and hands the store id
-rows, ``map``'s projection too; :meth:`Store.insert` and
-:meth:`Store.remove` are one-row calls.
+after one stable sort of the row numbers by predicate, and one subject
+column made from SPO's offsets, on the first POS probe.  The overlay is a
+dict from a key to its own columns; the first write that changes an SPO
+key copies the key's rows there (a POS run is there already).  Reads and
+writes of that key use them from then on, and a key emptied by writes
+keeps empty columns there, which hide its base rows.  A probe on the
+first two keys is two array reads (or a dict get) for the first key, a
+bisection of the second column and a slice of the third.  A shape with
+the object bound and the predicate free bisects the object in each
+predicate's POS rows (the vocabulary has few predicates) and comes in (s,
+p) order; any other shape is answered by the permutation whose prefix
+matches its bound slots, in its sort order.  A command that reads one
+predicate's objects whole (``stats``) scans SPO's live columns instead
+(:meth:`Store.predicate_objects`) and builds no POS run.  Every writer
+interns its terms and hands the store id rows, ``map``'s projection too;
+:meth:`Store.insert` and :meth:`Store.remove` are one-row calls.
 
 The store also keeps the inference ledger, as one tag byte beside each SPO
 row (a ``bytearray`` column in the base run and in each overlay key's
@@ -66,34 +69,23 @@ gives one rule's rows and :meth:`Store.ledger_counts` the count of each;
 the reads scan the tag bytes in C.  :meth:`Store.decode_triple` turns a
 row back into a triple.
 
-A snapshot numbers the live terms in canonical order.  A loaded store keeps
-the snapshot's numbering as its lowest ids, so a save sorts only the terms
-interned since the load and merges them into the loaded order.  That
-renumbering keeps the order of loaded ids, and the base run holds loaded
-ids only, so a save takes each subject's row count from SPO's offsets
-and overlay, maps the base columns as they stand, and builds the run
-subject by subject: the base rows between two written subjects are one
-slice, and each written subject's overlay columns go in at the offset the
-counts give, sorted only when they hold a term interned since the load,
-so no list of the written rows as tuples is built (a store whose base run
-holds ids that were not loaded, as one that was never loaded, sorts its
-whole run once, as tuples).  The live terms are read from SPO alone, so a save builds no
-POS run and no term.  ``export`` writes the same numbering and
-run (:meth:`Store.canonical_run`), already in canonical triple order.
-
-A snapshot's sections are columnar and each is packed as one ``zlib``
-stream (:func:`_pack`, :func:`_unpack`), as column stores compress each
-column and decode it with a native codec rather than value by value:
+A snapshot numbers the live terms in canonical order, and its sections
+are columnar, each packed as one ``zlib`` stream (written by
+:mod:`.store_write`, read by :func:`_unpack`), as column stores compress
+each column and decode it with a native codec rather than value by value:
 the term table is one run per kind (and per datatype, for literals), each
 a length column and one payload blob; the SPO run is each subject's row
 count and the predicate and object columns, so a load takes SPO's offsets
 from the counts rather than counting a subject column; the ledger section
 is the names of the rules that tag a row, in name order, and the tag
-column of the SPO run, renumbered to that order.  A load checks the
-term table one run at a time by the term constructors' rules, and the id
-columns whole, with the messages a term-by-term check would give, but
-builds no term and no POS run; the cyclic garbage collector is paused
-while it runs.
+column of the SPO run, renumbered to that order.  A load checks the term
+table one run at a time by the term constructors' rules, and the id
+columns column-wise, with the messages a term-by-term check would give,
+but builds no term, no subject column and no POS run: only predicate and
+object ids are checked for range, since subject ids are the positions of
+the counts, and the order of the rows within each subject is checked on
+one 64-bit (predicate, object) key per row, so no row becomes a tuple.
+The cyclic garbage collector is paused while it runs.
 
 Set semantics: inserting an existing triple is a no-op, removing a missing
 one reports False.  The store is safe for one writer or any number of
@@ -104,15 +96,14 @@ writers with a lock file).
 from __future__ import annotations
 
 import gc
-import os
 import struct
 import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from itertools import accumulate, chain, compress, groupby, islice, repeat
-from operator import itemgetter, le, lt, sub
+from collections import deque
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, ge, gt, lt, mul, sub
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
@@ -217,15 +208,21 @@ _VERSION = 4
 _HEADER = struct.Struct("<HBII")
 # a packed section: the length of its raw bytes, then of its zlib stream
 _PACKED = struct.Struct("<QQ")
-# the zlib level of every section: level 1 measured the best trade of save
-# time for size
-_LEVEL = 1
 # the byte order of a snapshot's counts, lengths and ids as this host writes
 # them; the header's flag names it for a reader on another host
 _NATIVE = "<" if sys.byteorder == "little" else ">"
 _U32 = struct.Struct("=I")
+# the index of a 64-bit value's high 32-bit half in this host's byte order
+_HIGH = 1 if _NATIVE == "<" else 0
 # a row's rule is one tag byte, and tag 0 marks a base fact
 _MAX_RULES = 255
+
+
+def _writer():
+    """The write half of the store, imported on first use."""
+    from . import store_write
+
+    return store_write
 
 
 class Store:
@@ -235,7 +232,8 @@ class Store:
     :meth:`add_rows`, :meth:`drop_rows`).  :meth:`match_terms`,
     :meth:`objects`, :meth:`subjects`, :meth:`contains` (and ``in``) are
     the public term-level read API for library callers and tests: they
-    take and return :class:`Term` objects and decode each hit.
+    take and return :class:`Term` objects and decode each hit.  The
+    methods that write delegate to :mod:`.store_write`.
     """
 
     def __init__(self) -> None:
@@ -247,11 +245,11 @@ class Store:
         self._terms: list[Optional[Term]] = []
         # the two permutations of the triples (see the module docstring)
         self._spo = _Permutation((), (), (), bytearray())
-        self._pos = _LazyPos(array(_ID), array(_ID), array(_ID))
+        self._pos = _LazyPos(self._spo)
         self._size = 0
         self._blank_serial = 0
         # ids below this are the term table of the snapshot the store was
-        # loaded from, in canonical order; see save
+        # loaded from, in canonical order; see store_write.save
         self._loaded = 0
         # the rule-name table of the ledger: SPO's tag k names _rules[k - 1]
         self._rules: list[str] = []
@@ -306,7 +304,13 @@ class Store:
             if label not in self._ids[_BLANK]:
                 return Blank(label)
 
-    # -- mutation --------------------------------------------------------------
+    def iri_texts(self, ids: Iterable[int]) -> set[str]:
+        """The texts of the IRIs among ``ids``, read from the term table
+        without making a term."""
+        heads, texts = self._heads, self._texts
+        return {texts[term_id] for term_id in ids if heads[term_id] == _IRI}
+
+    # -- mutation (in store_write) ----------------------------------------------
 
     def insert(self, triple: Triple) -> bool:
         """Add one triple; False if it was already present."""
@@ -316,43 +320,8 @@ class Store:
     def add_rows(self, rows: Iterable[IdTriple], rule: Optional[str] = None) -> list[IdTriple]:
         """Add id triples, in any order and with repeats, ledgered under
         ``rule`` (None: as base facts); the rows that were new, in SPO
-        order.  A row the store holds already keeps its rule.
-
-        The batch is sorted once per permutation (:func:`_distinct`), and
-        each key it adds a row to gets its columns rebuilt once, with the
-        new rows spliced in at their bisected places.  Into an empty store
-        the batch becomes the base run instead (:meth:`_build`), which is
-        what makes million-triple loads cheap.
-        """
-        batch = _distinct(rows)
-        tag = self._tag(rule)
-        if not self._size:
-            if batch:
-                columns = [list(map(itemgetter(slot), batch)) for slot in range(3)]
-                if max(map(max, columns)) >= self._loaded:
-                    # the base run may hold loaded ids only (see _spo_run)
-                    self._loaded = 0
-                self._build(_counts(columns[0]), *columns, bytearray((tag,)) * len(batch))
-            return batch
-        added = self._spo.merge(batch, tag)
-        if added:
-            self._pos.merge(sorted([(p, o, s) for s, p, o in added]))
-            self._size += len(added)
-        return added
-
-    def _build(
-        self, counts: Sequence[int], s: Sequence[int], p: Sequence[int], o: Sequence[int], tags: bytearray
-    ) -> None:
-        """Make the id columns of distinct triples in SPO order, and their
-        tags, SPO's base run, with an empty overlay, and POS a
-        :class:`_LazyPos` over those columns, which builds no run until one
-        is read; ``counts`` holds each subject's row count, by subject id.
-        The columns are arrays (a load's, which are kept as they are) or
-        lists (a batch's)."""
-        self._spo = _Permutation(counts, p, o, tags)
-        subjects = s if isinstance(s, array) else array(_ID, s)
-        self._pos = _LazyPos(subjects, self._spo.second, self._spo.third)
-        self._size = len(o)
+        order.  A row the store holds already keeps its rule."""
+        return _writer().add_rows(self, rows, rule)
 
     def remove(self, triple: Triple) -> bool:
         """Remove one triple; False if absent.  Dictionary ids survive."""
@@ -361,38 +330,21 @@ class Store:
 
     def drop_rows(self, rows: Iterable[IdTriple]) -> list[IdTriple]:
         """Remove id triples, in any order and with repeats, with their
-        ledger tags; the rows that were held, in SPO order.
+        ledger tags; the rows that were held, in SPO order."""
+        return _writer().drop_rows(self, rows)
 
-        Like :meth:`add_rows`, each key that loses a row gets its columns
-        rebuilt once, without the removed rows; a key left empty keeps
-        empty overlay columns.  A predicate that loses every row, as when
-        ``retract`` drops a rule's, has its POS run emptied whole, and only
-        the rows of the other predicates are sorted into POS order.
-        """
-        removed = self._spo.cut(_distinct(rows))
-        if removed:
-            pos = self._pos
-            emptied = {p for p, count in Counter(map(itemgetter(1), removed)).items() if count == pos.size(p)}
-            for p in emptied:
-                pos.overlay[p] = (array(_ID), array(_ID))
-            pos.cut(sorted([(p, o, s) for s, p, o in removed if p not in emptied]))
-            self._size -= len(removed)
-        return removed
+    def _build(self, counts: Sequence[int], p: Sequence[int], o: Sequence[int], tags: bytearray) -> None:
+        """Make the id columns of distinct triples in SPO order, and their
+        tags, SPO's base run, with an empty overlay, and POS a
+        :class:`_LazyPos` over it, which builds nothing until it is read;
+        ``counts`` holds each subject's row count, by subject id.  The
+        columns are arrays (a load's, which are kept as they are) or lists
+        (a batch's)."""
+        self._spo = _Permutation(counts, p, o, tags)
+        self._pos = _LazyPos(self._spo)
+        self._size = len(o)
 
     # -- the ledger ------------------------------------------------------------
-
-    def _tag(self, rule: Optional[str]) -> int:
-        """The tag of ``rule`` (0 for None, a base fact), naming a new rule
-        in the table on first use."""
-        if rule is None:
-            return 0
-        rules = self._rules
-        if rule in rules:
-            return rules.index(rule) + 1
-        if len(rules) == _MAX_RULES:
-            raise LedgerError(f"a ledger names at most {_MAX_RULES} rules, so it cannot name {rule!r}")
-        rules.append(rule)
-        return len(rules)
 
     def retag(self, rows: Iterable[IdTriple], rule: Optional[str]) -> int:
         """Ledger the held id triples ``rows`` under ``rule`` (None: make
@@ -401,18 +353,7 @@ class Store:
         Raises :class:`LedgerError`, changing nothing, if the store does not
         hold one of them.
         """
-        places, missing = self._spo.places(_distinct(rows))
-        if missing is not None:
-            from .ntriples import serialize_triple
-
-            triple = serialize_triple(self.decode_triple(missing))
-            raise LedgerError(f"ledger triple for rule {rule!r} is not in the store: {triple}")
-        tag = self._tag(rule)
-        changed = 0
-        for tags, lo, hi in places:
-            changed += hi - lo - tags.count(tag, lo, hi)
-            tags[lo:hi] = bytes((tag,)) * (hi - lo)
-        return changed
+        return _writer().retag(self, rows, rule)
 
     def ledger_rows(self, rule: str) -> list[IdTriple]:
         """The id triples ledgered under ``rule``, in SPO order."""
@@ -449,6 +390,15 @@ class Store:
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
         return sorted(self._values(1))
+
+    def predicate_objects(self, p: int) -> Iterator[int]:
+        """The object of each live row of predicate ``p``, in no set order,
+        read from SPO's columns by one scan in C: unlike a probe of
+        ``(None, p, None)``, it builds no POS run, whose first probe sorts
+        every row by predicate, so a command that reads one predicate whole
+        pays only for that scan."""
+        pairs = self._spo.live_columns()
+        return chain.from_iterable(compress(objects, map(eq, predicates, repeat(p))) for predicates, objects in pairs)
 
     def match_ids(
         self, s: Optional[int], p: Optional[int], o: Optional[int]
@@ -594,235 +544,34 @@ class Store:
         }
 
     def verify_indexes(self) -> bool:
-        """Both permutations describe the same triple set, read through
-        :meth:`_Permutation.runs` (which builds every POS run); in each, the
-        rows so read are strictly ascending and its layout is sound
-        (:meth:`_Permutation.sound`); SPO's tags fit its columns and name
-        rules of the table, and its base rows of overlay keys have tag 0
-        (test hook)."""
-
-        def rows(index: _Permutation) -> Optional[list[IdTriple]]:
-            out: list[IdTriple] = []
-            for key, second, third, lo, hi in index.runs():
-                out.extend(zip(repeat(key), second[lo:hi], third[lo:hi]))
-            return out if index.sound() and _ascending(out) else None
-
-        spo, pos = rows(self._spo), rows(self._pos)
-        if spo is None or pos is None:
-            return False
-        index = self._spo
-        tags, start = index.tags, index.start
-        hidden = (tags[start[k] : start[k + 1]] for k in index.overlay if k < len(start) - 1)
-        overlay_tags = (columns[2] for columns in index.overlay.values())
-        tagged = max(chain(tags, *overlay_tags), default=0) <= len(self._rules) and not any(map(any, hidden))
-        return tagged and len(spo) == self._size and set(spo) == {(s, p, o) for p, o, s in pos}
+        """Both permutations describe the same triple set, and each is sound
+        (test hook; :func:`.store_write.verify_indexes`)."""
+        return _writer().verify_indexes(self)
 
     # -- snapshots ---------------------------------------------------------------
 
     def save(self, target: Union[str, IO[bytes]]) -> None:
-        """Write a canonical snapshot: a header, then the term table, the SPO
-        run and the ledger, each a section packed by :func:`_pack`.
-
-        Live terms, found in SPO alone, are written in one total order
-        (:func:`term_sort_key`, which is (head, text) order) and numbered
-        densely in it.  The terms of the snapshot a store was loaded from
-        keep that order as its lowest ids, so only the terms interned since
-        are sorted: each is bisected into the loaded order, and dead ids
-        drop out.  (A store that was not loaded has no loaded terms, so all
-        of its terms are sorted.)  Each kind's terms, and each datatype's
-        literals, are one run: a count, a column of UTF-8 lengths and the
-        payloads as one blob, encoded from the texts with one join, so a
-        save makes no :class:`Term` and builds no POS run.
-
-        The SPO run is each subject's row count, for every term id, then the
-        predicate and object columns of the rows in SPO order, made from the
-        base columns mapped through the new numbering, with each written
-        subject's overlay columns put in at its offset (:meth:`_spo_run`;
-        POS is not stored).  The ledger section is the count and the names
-        of the rules that tag a row, in name order, then the tag count and
-        the tag of each row of the SPO run, which one ``bytes.translate``
-        renumbers from the store's rule table to that order.  Two stores holding the
-        same triples and the same ledger therefore produce byte-identical
-        raw sections regardless of how they got there, and so
-        byte-identical snapshots under one ``zlib`` build; an empty ledger
-        encodes as one that never existed.
-
-        A path is written as ``<path>.tmp``, synced to disk and renamed
-        over ``path``, and then the directory is synced, so a crash or
-        power loss leaves either the old snapshot or the new one.
-        """
-        order, renumber = self._numbering()
-        counts, predicates, objects, tags = self._spo_run(order, renumber)
-        used = sorted((name, tag) for tag, name in enumerate(self._rules, 1) if tags.count(tag))
-        canonical = bytearray(256)  # store tag -> snapshot tag; 0 stays 0
-        ledger = [_U32.pack(len(used))]
-        for number, (name, tag) in enumerate(used, 1):
-            canonical[tag] = number
-            raw = name.encode("utf-8")
-            ledger.append(_U32.pack(len(raw)) + raw)
-        ledger += [_U32.pack(len(tags)), tags.translate(canonical)]
-        # the sections are written chunk by chunk, so none is copied into another
-        heads, texts = bytes(map(self._heads.__getitem__, order)), list(map(self._texts.__getitem__, order))
-        body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(order), self._size)]
-        body += _pack(_term_section(heads, texts))
-        body += _pack((counts, predicates, objects))
-        body += _pack(ledger)
-        if not isinstance(target, str):
-            target.write(b"".join(body))
-            return
-        temporary = target + ".tmp"
-        try:
-            with open(temporary, "wb") as fp:
-                fp.writelines(body)
-                fp.flush()
-                os.fsync(fp.fileno())
-            os.replace(temporary, target)
-        except BaseException:
-            if os.path.exists(temporary):
-                os.unlink(temporary)
-            raise
-        # the rename survives a power loss only once its directory is synced
-        directory = os.open(os.path.dirname(target) or ".", os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        """Write a canonical snapshot to a path, atomically, or to a binary
+        file (:func:`.store_write.save`)."""
+        _writer().save(self, target)
 
     def canonical_run(self) -> tuple[list[Term], array]:
         """What a snapshot holds: the live terms in canonical term order, and
         the SPO run (flat s, p, o ids into that list, ascending), whose rows
         are therefore in canonical triple order."""
-        order, renumber = self._numbering()
-        counts, predicates, objects, _ = self._spo_run(order, renumber)
-        run = array(_ID, bytes(12 * len(predicates)))
-        run[0::3], run[1::3], run[2::3] = _repeated(counts), predicates, objects
-        return list(map(self.decode, order)), run
+        return _writer().canonical_run(self)
 
     def _values(self, slot: int) -> set[int]:
         """The ids in ``slot`` (0, 1 or 2 for s, p, o) of the live triples,
-        read from SPO alone: its keys that have rows, or the pieces of its
-        base column that no overlay key hides and its overlay columns."""
+        read from SPO alone: its keys that have rows, or its live columns
+        (:meth:`_Permutation.live_columns`)."""
         spo = self._spo
         overlay = spo.overlay
         if slot == 0:
             keys = set(spo.keys).difference(overlay)
             keys.update(key for key, columns in overlay.items() if columns[0])
             return keys
-        column = spo.base()[slot - 1]
-        pieces = (column[piece] for piece in spo.visible())
-        return set().union(*pieces, *(columns[slot - 1] for columns in overlay.values()))
-
-    def _numbering(self) -> tuple[list[int], Optional[list[int]]]:
-        """The old ids of the live terms in canonical term order, and the
-        new id of each old id (None when every id keeps its own): the one
-        numbering of :meth:`save` and :meth:`canonical_run`.
-
-        Canonical order is (head, text) order.  Loaded ids are in that order
-        already; each term interned since the load is bisected into them,
-        by head and then by text, in the order of its (head, text) key.
-        """
-        live = self._values(0)
-        live.update(self._values(1), self._values(2))
-        ids = sorted(live)
-        loaded_count = self._loaded
-        split = bisect_left(ids, loaded_count)
-        loaded, fresh = ids[:split], ids[split:]
-        heads, texts = self._heads, self._texts
-        keys = [(heads[i], texts[i]) for i in fresh]
-        ranked = sorted(range(len(fresh)), key=keys.__getitem__)
-        if not loaded:  # no loaded term to merge into, as in a store that was not loaded
-            order = list(map(fresh.__getitem__, ranked))
-        else:
-            order, start = [], 0
-            for k in ranked:
-                head, text = keys[k]
-                # where the term falls among all loaded ids, then among the live ones
-                lo = bisect_left(heads, head, 0, loaded_count)
-                at = bisect_left(texts, text, lo, bisect_right(heads, head, lo, loaded_count))
-                at = bisect_left(loaded, at, start)
-                order += loaded[start:at]
-                order.append(fresh[k])
-                start = at
-            order += loaded[start:]
-        if order == list(range(len(texts))):
-            return order, None
-        renumber = [0] * len(texts)  # dead ids keep 0; nothing reads them
-        for new_id, old_id in enumerate(order):
-            renumber[old_id] = new_id
-        return order, renumber
-
-    def _spo_run(self, order: list[int], renumber: Optional[list[int]]) -> tuple[array, array, array, bytearray]:
-        """The SPO run under the new numbering (:meth:`_numbering`): each live
-        term's count of rows as subject, in the new order, and the predicate,
-        object and tag columns of the rows in SPO order.
-
-        The counts come from SPO's offsets and overlay.  The numbering keeps
-        the order of loaded ids, and the base run holds loaded ids only, so
-        the run is built subject by subject: the base columns are mapped
-        through the new numbering whole, the base rows between two written
-        subjects are one slice of each, and each written subject's overlay
-        columns are mapped and put in, in the order of its new id, at the
-        offset that the counts give it.  A subject's overlay rows keep their
-        order, and make no object per row, unless they hold a term interned
-        since the load; only then are they sorted, as tuples.  (A store
-        whose base run holds ids that were not loaded, as one that was never
-        loaded, sorts its whole run once, as tuples.)
-        """
-        spo = self._spo
-        overlay = spo.overlay
-        counts = spo.counts()
-        counts.extend(repeat(0, len(self._texts) - len(counts)))
-        for s, run in overlay.items():
-            counts[s] = len(run[0])
-        counts = array(_ID, map(counts.__getitem__, order))
-        base = spo.base()
-        if renumber is not None and not self._loaded:
-            # every term is new, so no order survives: one sort of all rows,
-            # with their tags
-            pieces = spo.visible()  # the base rows of the subjects not written
-            columns = [spo.firsts(), *base]
-            if len(pieces) > 1:
-                columns = [_joined(column, pieces) for column in columns]
-            ids = (map(renumber.__getitem__, column) for column in columns[:3])
-            fresh = ((renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run))
-            run = array(_ID, chain.from_iterable(sorted(chain(zip(*ids, columns[3]), fresh))))
-            return counts, run[1::4], run[2::4], bytearray(iter(run[3::4]))
-        renumbered = renumber.__getitem__ if renumber is not None else None
-        if renumbered is not None:
-            base = (*(array(_ID, map(renumbered, column)) for column in base[:2]), base[2])
-        new_id = renumbered or int
-        written = sorted((s for s, run in overlay.items() if run[0]), key=new_id)
-        starts = array(_ID, accumulate(counts, initial=0))
-        out = [column[:0] for column in base]
-        k = spliced = seen = 0
-        for piece in spo.visible():  # the base rows of the subjects not written
-            start = piece.start
-            while k < len(written):
-                s = written[k]
-                # where the subject goes in the base run: its offset in the new
-                # run, less the overlay rows put in before it, is its place
-                # among the visible base rows
-                at = piece.start + starts[new_id(s)] - spliced - seen
-                if at > piece.stop:
-                    break
-                run = overlay[s]
-                if renumbered is None:
-                    rows: Sequence[Iterable[int]] = run
-                elif max(max(run[0]), max(run[1])) < self._loaded:
-                    rows = (map(renumbered, run[0]), map(renumbered, run[1]), run[2])
-                else:
-                    # a term interned since the load may sort anywhere among them
-                    rows = list(zip(*sorted(zip(map(renumbered, run[0]), map(renumbered, run[1]), run[2]))))
-                for column, base_column, values in zip(out, base, rows):
-                    column += base_column[start:at]
-                    column.extend(values)
-                spliced += len(run[0])
-                start = at
-                k += 1
-            for column, base_column in zip(out, base):
-                column += base_column[start : piece.stop]
-            seen += piece.stop - piece.start
-        return counts, out[0], out[1], out[2]
+        return set().union(*(pair[slot - 1] for pair in spo.live_columns()))
 
     @classmethod
     def load(cls, source: Union[str, IO[bytes]]) -> "Store":
@@ -842,11 +591,13 @@ class Store:
         its constructor's rules (:func:`check_iris` and its siblings); the
         texts become the term table and fill each head's text-to-id dict,
         whose sizes show a duplicate, and no :class:`Term` is made.  The
-        id columns are checked whole.  SPO's offsets come from the subject
-        counts, and its subject column, which the order check reads and POS
-        keeps to cut its runs from, is each subject repeated by its count;
-        the predicate and object columns become SPO's base run as they are,
-        and the ledger's tag column its tags.  No POS run is built
+        id columns are checked column-wise: a subject id is the position of
+        its count, so only the predicate and object columns are checked for
+        range, and the order check (:func:`_ascending_within`) reads one
+        64-bit key per row and a flag for each subject's first row.  SPO's
+        offsets come from the subject counts; the predicate and object
+        columns become SPO's base run as they are, and the ledger's tag
+        column its tags.  No subject column and no POS run is built
         (:meth:`_build`).  A term table in canonical order (as :meth:`save`
         writes it) is remembered as such, so the next save sorts only the
         terms interned after the load.
@@ -908,44 +659,27 @@ class Store:
         del raw
         if sum(counts) != triple_count:
             raise SnapshotError("SPO subject counts do not sum to the triple count")
-        subjects = _repeated(counts)
-        columns = (subjects, predicates, objects)
-        if triple_count and max(map(max, columns)) >= term_count:
+        # a subject id is the position of its count, so it is in range
+        if triple_count and max(max(predicates), max(objects)) >= term_count:
             raise SnapshotError("term id out of range in SPO run")
-        following = zip(*columns)
-        next(following, None)
-        if not all(map(lt, zip(*columns), following)):
+        if not _ascending_within(counts, predicates, objects):
             raise SnapshotError("SPO run is not strictly ascending")
         raw, offset = _unpack(data, offset, "ledger section")
         store._rules, tags = _read_ledger(raw, triple_count, order)
         del raw
-        store._build(counts, subjects, predicates, objects, tags)
-        del counts, subjects, predicates, objects, columns, following
+        store._build(counts, predicates, objects, tags)
+        del counts, predicates, objects
         if offset != len(data):
             raise SnapshotError("trailing bytes after snapshot")
         return store
 
 
-def _pack(pieces: Iterable[Union[bytes, array]]) -> list[bytes]:
-    """The section whose raw bytes are ``pieces``, concatenated, as a
-    snapshot holds it: the raw length and the length of one ``zlib`` stream
-    of them at :data:`_LEVEL`, then the stream, as chunks to write in turn."""
-    packer = zlib.compressobj(_LEVEL)
-    chunks = [b""]
-    size = 0
-    for piece in pieces:
-        size += memoryview(piece).nbytes
-        chunks.append(packer.compress(piece))
-    chunks.append(packer.flush())
-    chunks[0] = _PACKED.pack(size, sum(map(len, chunks)))
-    return chunks
-
-
 def _unpack(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
-    """The raw bytes of the section packed at ``offset`` (:func:`_pack`),
-    and the offset after it.  A stream that does not unpack to exactly its
-    raw length, ending where its packed length says, raises
-    :class:`SnapshotError` naming the section as ``what``."""
+    """The raw bytes of the section packed at ``offset``
+    (:func:`.store_write._pack`), and the offset after it.  A stream that
+    does not unpack to exactly its raw length, ending where its packed
+    length says, raises :class:`SnapshotError` naming the section as
+    ``what``."""
     try:
         size, packed = _PACKED.unpack_from(data, offset)
     except struct.error:
@@ -1013,12 +747,24 @@ def _read_ledger(raw: bytes, triple_count: int, order: str) -> tuple[list[str], 
     return names, tags
 
 
-def _joined(column: Column, pieces: list[slice]) -> Column:
-    """The items of ``column`` in ``pieces``, in order, as one column."""
-    out = column[:0]
-    for piece in pieces:
-        out += column[piece]
-    return out
+def _ascending_within(counts: Sequence[int], predicates: array, objects: array) -> bool:
+    """Whether the rows of each subject, counted by ``counts`` in subject
+    order, are strictly ascending by (predicate, object).
+
+    Each row's (predicate, object) pair is one 64-bit key, the predicate
+    the high half, made by slice assignment of the two columns into the
+    halves of one array in this host's byte order; a row whose key is not
+    above the key of the row before it must begin a subject, which one flag
+    byte per row marks.  No row becomes a tuple.
+    """
+    halves = array(_ID, (0,)) * (2 * len(predicates))
+    halves[_HIGH::2], halves[1 - _HIGH::2] = predicates, objects
+    keys = memoryview(halves).cast("B").cast("Q")
+    # the flag of each row that begins a subject, and of the end of the run
+    begins = bytearray(len(keys) + 1)
+    deque(map(begins.__setitem__, accumulate(counts), repeat(1)), 0)
+    # a row at or below the one before it, where it does not begin a subject
+    return not any(map(gt, map(ge, keys, keys[1:]), memoryview(begins)[1:]))
 
 
 # -- the permutations -------------------------------------------------------------
@@ -1041,7 +787,8 @@ class _Permutation:
     emptied by writes keeps empty columns, which hide its base rows.  The
     base rows of an overlay key have tag 0, so a scan of the base tags
     meets only live rows.  SPO is one; POS is a :class:`_LazyPos`, whose
-    runs are cut from SPO's base run.
+    runs are cut from SPO's base run.  The writes are in
+    :mod:`.store_write` (``merge``, ``cut``, ``places``).
     """
 
     __slots__ = ("second", "third", "tags", "start", "keys", "overlay")
@@ -1078,29 +825,6 @@ class _Permutation:
         pieces.append(slice(begin, len(self.second)))
         return pieces
 
-    def sound(self) -> bool:
-        """The offsets and keys fit the base run, which is strictly
-        ascending, and the overlay's columns are as many as the base run's
-        and of equal length within each key (test hook)."""
-        base = self.base()
-        return (
-            self._fits(len(self.second), len(base))
-            and all(len(column) == len(self.second) for column in base)
-            and _ascending(list(zip(self.firsts(), self.second, self.third)))
-        )
-
-    def _fits(self, size: int, width: int) -> bool:
-        """The offsets index ``size`` base rows and agree with the keys, and
-        each overlay key has ``width`` columns of equal length."""
-        start = self.start
-        return (
-            start[0] == 0
-            and start[-1] == size
-            and all(map(le, start, start[1:]))
-            and list(self.keys) == [k for k in range(len(start) - 1) if start[k] < start[k + 1]]
-            and all(len(columns) == width and len(set(map(len, columns))) == 1 for columns in self.overlay.values())
-        )
-
     def run(self, key: int) -> tuple[array, array, int, int]:
         """The second- and third-key columns that hold the rows of ``key``,
         and the bounds of those rows in them (equal when it has none)."""
@@ -1111,6 +835,16 @@ class _Permutation:
         if 0 <= key < len(start) - 1:
             return self.second, self.third, start[key], start[key + 1]
         return _NO_ROWS
+
+    def live_columns(self) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+        """The second- and third-key columns of the live rows, as pairs: a
+        view of each piece of the base run that no overlay key hides (no
+        write resizes the base run), then each overlay key's own."""
+        second, third = memoryview(self.second), memoryview(self.third)
+        for piece in self.visible():
+            yield second[piece], third[piece]
+        for columns in self.overlay.values():
+            yield columns[0], columns[1]
 
     def runs(self) -> Iterator[tuple[int, array, array, int, int]]:
         """Each key that has rows, ascending, with its columns and bounds
@@ -1130,89 +864,6 @@ class _Permutation:
     def firsts(self) -> array:
         """The first key of each base row, in order."""
         return _repeated(self.counts())
-
-    def _own(self, key: int, lo: int, hi: int) -> tuple[Column, ...]:
-        """The overlay columns of ``key``, which a write changes: on the
-        first write, a copy of its base rows ``lo:hi`` (none or more, as
-        :meth:`run` bounds them), whose base tags are then cleared, since
-        the overlay hides those rows."""
-        columns = self.overlay.get(key)
-        if columns is None:
-            columns = self.overlay[key] = (self.second[lo:hi], self.third[lo:hi], self.tags[lo:hi])
-            self.tags[lo:hi] = bytes(hi - lo)
-        return columns
-
-    def merge(self, rows: list[IdTriple], tag: int = 0) -> list[IdTriple]:
-        """Put sorted, distinct (first, second, third) rows in, tagged
-        ``tag`` in SPO; the rows that were not there, in order.  Only a key
-        that gets a new row is copied into the overlay.  A key's rows are
-        sought one by one unless it has none, or they all sort after its
-        last row, when they are all new and go at its end."""
-        added: list[IdTriple] = []
-        for first, run in groupby(rows, itemgetter(0)):
-            second, third, lo, hi = self.run(first)
-            group = list(run)
-            if lo == hi or (second[hi - 1], third[hi - 1]) < group[0][1:]:
-                # every row is new and goes after the key's last one, as a
-                # rule's rows do under a predicate it mints: no seek
-                for column, values in zip(self._own(first, lo, hi), _row_columns(group, tag)):
-                    column += values
-                added += group
-                continue
-            cuts: list[int] = []
-            fresh: list[IdTriple] = []
-            for row in group:
-                at, found = _seek(second, third, row[1], row[2], lo, hi)
-                if not found:
-                    cuts.append(at - lo)
-                    fresh.append(row)
-            if fresh:
-                self.overlay[first] = _spliced(self._own(first, lo, hi), cuts, fresh, tag)
-                added += fresh
-        return added
-
-    def cut(self, rows: list[IdTriple]) -> list[IdTriple]:
-        """Take sorted, distinct (first, second, third) rows out; the rows
-        that were there, in order.  Only a key that loses a row is copied
-        into the overlay."""
-        removed: list[IdTriple] = []
-        for first, run in groupby(rows, itemgetter(0)):
-            second, third, lo, hi = self.run(first)
-            group = list(run)
-            if _all_of(group, second, third, lo, hi):
-                # the whole key goes, as when a rule's predicate is retracted
-                cuts, held = list(range(hi - lo)), group
-            else:
-                cuts, held = [], []
-                for row in group:
-                    at, found = _seek(second, third, row[1], row[2], lo, hi)
-                    if found:
-                        cuts.append(at - lo)
-                        held.append(row)
-            if cuts:
-                self.overlay[first] = _spliced(self._own(first, lo, hi), cuts)
-                removed += held
-        return removed
-
-    def places(self, rows: list[IdTriple]) -> tuple[list[tuple[bytearray, int, int]], Optional[IdTriple]]:
-        """The tag column and bounds of the tags of the sorted, distinct
-        rows, a key's whole run at once when they are all its rows, and
-        the first row not held, or None (SPO only)."""
-        out: list[tuple[bytearray, int, int]] = []
-        for first, run in groupby(rows, itemgetter(0)):
-            columns = self.overlay.get(first)
-            tags = self.tags if columns is None else columns[2]
-            second, third, lo, hi = self.run(first)
-            group = list(run)
-            if _all_of(group, second, third, lo, hi):
-                out.append((tags, lo, hi))  # type: ignore[arg-type]
-                continue
-            for row in group:
-                at, found = _seek(second, third, row[1], row[2], lo, hi)
-                if not found:
-                    return out, row
-                out.append((tags, at, at + 1))  # type: ignore[arg-type]
-        return out, None
 
     def tagged(self, tag: int) -> list[IdTriple]:
         """The rows whose tag is ``tag``, not 0, in order (SPO only).  The
@@ -1247,32 +898,39 @@ class _LazyPos(_Permutation):
     """POS over SPO's base run, whose rows a predicate's run is cut from
     when it is first read or written.
 
-    ``source`` holds SPO's base subject, predicate and object columns, which
-    no write changes.  The first probe sorts SPO's row numbers stably by
-    predicate, once, into ``rows``, which ``start`` and ``keys`` index as a
-    base run's offsets and keys do.  A predicate's rows are then sorted by
-    object and its object and subject columns gathered into the overlay
-    when it is first read or written; from then on the overlay holds its
-    rows, as it holds a key's written rows in any permutation.  Stability
-    gives the tie order: SPO order within a predicate is (s, o) order, so
-    sorting it by object gives (o, s), which is POS order, and no sort
-    compares tuples.  Its own base-run columns stay empty, and it has no
-    tags.
+    ``source`` is SPO, whose base run no write changes.  The first probe
+    sorts SPO's row numbers stably by predicate, once, into ``rows``, which
+    ``start`` and ``keys`` index as a base run's offsets and keys do, and
+    makes SPO's subject column from its offsets into ``subjects``.  A
+    predicate's rows are then sorted by object and its object and subject
+    columns gathered into the overlay when it is first read or written;
+    from then on the overlay holds its rows, as it holds a key's written
+    rows in any permutation.  Stability gives the tie order: SPO order
+    within a predicate is (s, o) order, so sorting it by object gives
+    (o, s), which is POS order, and no sort compares tuples.  Its own
+    base-run columns stay empty, and it has no tags.
     """
 
-    __slots__ = ("source", "rows")
+    __slots__ = ("source", "rows", "subjects")
 
-    def __init__(self, subjects: array, predicates: array, objects: array) -> None:
+    def __init__(self, spo: _Permutation) -> None:
         super().__init__((), (), (), bytearray())
-        self.source = (subjects, predicates, objects)
+        self.source = spo
         self.rows: Optional[array] = None
+        self.subjects: Optional[array] = None
+
+    def base(self) -> tuple[Column, ...]:
+        """The base run's columns, which are empty: second and third."""
+        return self.second, self.third
 
     def _sort(self) -> array:
-        """``rows``, made on the first call, with the offsets and keys."""
+        """``rows``, made on the first call, with the offsets, the keys and
+        the subject column."""
         if self.rows is None:
+            predicates = self.source.second
             # a list hands the sort its ints without boxing each one again
-            predicate = self.source[1].tolist().__getitem__
-            rows = sorted(range(len(self.source[1])), key=predicate)
+            predicate = predicates.tolist().__getitem__
+            rows = sorted(range(len(predicates)), key=predicate)
             # each predicate's row count, by one bisection of the sorted rows
             counts: list[int] = []
             at = 0
@@ -1284,6 +942,7 @@ class _LazyPos(_Permutation):
                 at = end
             self._index(counts)
             self.rows = array(_ID, rows)
+            self.subjects = self.source.firsts()
         return self.rows
 
     def run(self, key: int) -> tuple[array, array, int, int]:
@@ -1292,9 +951,9 @@ class _LazyPos(_Permutation):
             rows, start = self._sort(), self.start
             if not 0 <= key < len(start) - 1 or start[key] == start[key + 1]:
                 return _NO_ROWS
-            subjects, _, objects = self.source
+            objects = self.source.third
             cut = sorted(rows[start[key] : start[key + 1]], key=objects.__getitem__)
-            columns = self.overlay[key] = tuple(_gather(cut, objects, subjects))
+            columns = self.overlay[key] = tuple(_gather(cut, objects, self.subjects))  # type: ignore[arg-type]
         return columns[0], columns[1], 0, len(columns[0])  # type: ignore[return-value]
 
     def runs(self) -> Iterator[tuple[int, array, array, int, int]]:
@@ -1304,58 +963,6 @@ class _LazyPos(_Permutation):
             second, third, lo, hi = self.run(key)
             if lo < hi:
                 yield key, second, third, lo, hi
-
-    def size(self, key: int) -> int:
-        """How many rows predicate ``key`` has, read from the offsets of
-        one not yet cut, so that its run is not built."""
-        columns = self.overlay.get(key)
-        if columns is not None:
-            return len(columns[0])
-        self._sort()
-        start = self.start
-        return start[key + 1] - start[key] if 0 <= key < len(start) - 1 else 0
-
-    def _own(self, key: int, lo: int, hi: int) -> tuple[Column, ...]:
-        # run has built a predicate that has rows into the overlay
-        return self.overlay.setdefault(key, (array(_ID), array(_ID)))
-
-    def sound(self) -> bool:
-        """``rows`` orders SPO's base rows stably by predicate, the offsets
-        and keys index it, and the overlay's columns fit (test hook)."""
-        rows = self._sort()
-        predicates = self.source[1]
-        return (
-            self._fits(len(predicates), 2)
-            and len(set(map(len, self.source))) == 1
-            and sorted(rows) == list(range(len(predicates)))
-            and _ascending(list(zip(map(predicates.__getitem__, rows), rows)))
-            and array(_ID, map(predicates.__getitem__, rows)) == self.firsts()
-        )
-
-
-def _all_of(group: list[IdTriple], second: array, third: array, lo: int, hi: int) -> bool:
-    """Whether the sorted, distinct rows ``group`` of one key are all the
-    rows ``lo:hi`` of a column pair."""
-    return (
-        len(group) == hi - lo
-        and second[lo:hi] == array(_ID, [row[1] for row in group])
-        and third[lo:hi] == array(_ID, [row[2] for row in group])
-    )
-
-
-def _distinct(rows: Iterable[IdTriple]) -> list[IdTriple]:
-    """``rows`` as a strictly ascending list: a list that is one already
-    (as what :meth:`Store.ledger_rows` returns) is returned as it is, found
-    by one pass of tuple compares in C; anything else is sorted and
-    de-duplicated."""
-    if isinstance(rows, list) and _ascending(rows):
-        return rows
-    return sorted(set(rows))
-
-
-def _ascending(rows: list) -> bool:
-    """Whether ``rows`` is strictly ascending."""
-    return all(map(lt, rows, islice(rows, 1, None)))
 
 
 def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tuple[int, bool]:
@@ -1367,73 +974,13 @@ def _seek(second: array, third: array, b: int, c: int, lo: int, hi: int) -> tupl
     return at, at < hi and third[at] == c
 
 
-def _spliced(
-    columns: tuple[Column, ...], cuts: list[int], rows: Optional[list[IdTriple]] = None, tag: int = 0
-) -> tuple[Column, ...]:
-    """Columns with the second and third keys of ``rows[k]``, and ``tag``
-    in a tag column, put before position ``cuts[k]`` (ascending), or, with
-    no rows, without those positions.
-
-    The cuts are taken in runs, the rows put at one position or the
-    positions next to each other (a key's new rows mostly go in at one
-    place, and a rule's rows about a subject mostly sit together), each
-    run one slice per column.  The columns are changed in place when the
-    shifts that takes move fewer items than a copy would (one run into a
-    long column, or runs near its end); otherwise each is copied once, in
-    pieces between the runs.
-    """
-    step = 1 if rows is None else 0
-    runs: list[list[int]] = []  # [position, count]
-    for at in cuts:
-        if runs and runs[-1][0] + runs[-1][1] * step == at:
-            runs[-1][1] += 1
-        else:
-            runs.append([at, 1])
-    size = len(columns[0])
-    if len(runs) * size - sum(at for at, _ in runs) <= size:
-        k = len(cuts)
-        for at, count in reversed(runs):
-            k -= count
-            if rows is None:
-                for column in columns:
-                    del column[at : at + count]
-            else:
-                for column, values in zip(columns, _row_columns(rows[k : k + count], tag)):
-                    column[at:at] = values
-        return columns
-    out = tuple(column[:0] for column in columns)
-    start = k = 0
-    for at, count in runs:
-        for piece, column in zip(out, columns):
-            piece += column[start:at]
-        if rows is None:
-            start = at + count
-        else:
-            for piece, values in zip(out, _row_columns(rows[k : k + count], tag)):
-                piece += values
-            k += count
-            start = at
-    for piece, column in zip(out, columns):
-        piece += column[start:]
-    return out
-
-
-def _row_columns(rows: list[IdTriple], tag: int) -> tuple[array, array, bytearray]:
-    """The second and third keys of ``rows`` as columns, and a column of
-    ``tag`` as long; zipped with POS's two columns, the tags drop out."""
-    return array(_ID, [row[1] for row in rows]), array(_ID, [row[2] for row in rows]), bytearray((tag,)) * len(rows)
-
-
 def _repeated(counts: Sequence[int]) -> array:
     """Each id from 0 up, repeated by its count in ``counts``: the first-key
-    column of a base run."""
-    return array(_ID, chain.from_iterable(map(repeat, range(len(counts)), counts)))
-
-
-def _counts(keys: Iterable[int]) -> array:
-    """How many times each id occurs in ``keys``, by id, up to the largest."""
-    counts = Counter(keys)
-    return array(_ID, map(counts.get, range(max(counts) + 1 if counts else 0), repeat(0)))
+    column of a base run, made as the bytes of each id that has a count,
+    repeated by it, so no object is made per row."""
+    column = array(_ID)
+    column.frombytes(b"".join(map(mul, map(_U32.pack, compress(range(len(counts)), counts)), filter(None, counts))))
+    return column
 
 
 def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
@@ -1481,25 +1028,6 @@ def _term(head: int, text: str) -> Term:
         _setattr(term, "lexical", text)
         _setattr(term, "datatype", _DATATYPES[head - _LITERAL])
     return term
-
-
-def _term_section(heads: bytes, texts: list[str]) -> Iterator[Union[bytes, array]]:
-    """The raw term section of the terms with ``heads`` and ``texts``, which
-    are in canonical order, as pieces: each run is encoded with one join and
-    one length column."""
-    start = 0
-    while start < len(texts):
-        head = heads[start]
-        end = bisect_right(heads, head, start)
-        run = texts[start:end]
-        joined = "".join(run)
-        blob = joined.encode("utf-8")
-        # an ASCII payload's length in bytes is its length in characters
-        raws = run if len(blob) == len(joined) else map(str.encode, run)
-        yield bytes((head,) if head < _LITERAL else (_LITERAL, head - _LITERAL)) + _U32.pack(end - start)
-        yield array(_ID, map(len, raws))
-        yield blob
-        start = end
 
 
 def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, list[str]]], bool]:

@@ -158,6 +158,13 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     for name in ("metric", "retract metric", "retract all"):
         assert "scholargraph.inference" in loaded[name] and "scholargraph.queryl" not in loaded[name], name
     assert "scholargraph.queryl" in loaded["infer"]
+    # the store's write half is compiled only by a command that writes
+    for name in ("stats", "validate", "query"):
+        assert "scholargraph.store_write" not in loaded[name], name
+    for name in ("map", "metric", "infer"):
+        assert "scholargraph.store_write" in loaded[name], name
+    # only a ledger dump's load reads N-Triples, and no command loads one
+    assert [name for name, modules in loaded.items() if "scholargraph.ntriples_read" in modules] == []
     # minting an IRI hashes with CPython's own SHA-1, so no command loads
     # OpenSSL, which hashlib's import brings in
     if importlib.util.find_spec("_sha1") is not None:

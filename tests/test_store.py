@@ -13,6 +13,7 @@ import zlib
 import pytest
 
 import scholargraph.store as store_module
+import scholargraph.store_write as store_write
 from scholargraph.ntriples import write_ntriples
 from scholargraph.store import LedgerError, SnapshotError, Store
 from scholargraph.terms import (
@@ -41,6 +42,8 @@ from oracles import (
     oracle_snapshot,
     packed,
     random_context_store,
+    snapshot_header,
+    spo_section,
     term_table_snapshot,
 )
 
@@ -329,6 +332,10 @@ def check_shapes(store, model, probes):
             for slot in range(3):
                 if bound[slot] is None:
                     assert store.distinct_count(*bound, slot) == len({t[slot] for t in want}), (bound, slot)
+        if probe[1] is not None:
+            # a scan of SPO finds the objects a probe of POS finds
+            objects = sorted(store.predicate_objects(probe[1]))
+            assert objects == sorted(o for _, p, o in model if p == probe[1]), probe
         for term_id in (key for key in probe if key is not None):
             term = store.decode(term_id)
             assert store.appears(term) == any(term_id in t for t in model)
@@ -602,13 +609,19 @@ def test_a_save_after_a_rule_like_write_makes_no_object_per_row():
 def test_dropping_every_row_of_a_predicate_empties_its_pos_run_whole(monkeypatch):
     """A batch that holds every row of a predicate, as ``retract`` drops a
     rule's, leaves that predicate's POS run empty without sorting its rows
-    into POS order: no row of it reaches ``_pos.cut``."""
+    into POS order: no row of it reaches the cut of ``_pos``."""
     store = Store.load(io.BytesIO(saved(random_context_store(random.Random(3), 300))))
     model = set(store.match_ids(None, None, None))
     gone, kept = store.predicate_ids()[:2]
     cut_rows = []
-    cut = store_module._LazyPos.cut
-    monkeypatch.setattr(store_module._LazyPos, "cut", lambda pos, rows: cut_rows.extend(rows) or cut(pos, rows))
+    cut = store_write.cut
+
+    def recorded_cut(index, rows):
+        if index is store._pos:
+            cut_rows.extend(rows)
+        return cut(index, rows)
+
+    monkeypatch.setattr(store_write, "cut", recorded_cut)
     batch = [row for row in model if row[1] == gone] + [row for row in model if row[1] == kept][::2]
     assert store.drop_rows(batch) == sorted(batch)
     assert cut_rows and not [row for row in cut_rows if row[0] == gone]
@@ -901,6 +914,58 @@ def test_corrupt_spo_runs_are_rejected():
             Store.load(io.BytesIO(bad))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_random_spo_run_faults_are_found_column_wise(seed):
+    """The load checks a subject's rows for strict (predicate, object) order
+    and the predicate and object ids for range, in either byte order; the
+    rows of two subjects need not be in (predicate, object) order, and a
+    range fault is named before an order fault."""
+    rng = random.Random(seed)
+    store = random_context_store(rng, rng.randrange(20, 120))
+    data = saved(store)
+    rows = list(Store.load(io.BytesIO(data)).match_ids(None, None, None))
+    swapped = bool(seed % 2)
+    header, (terms, _, _) = oracle_sections(store, swapped)
+    term_count = struct.unpack_from("<I", header, len(b"SGRAPH") + 3)[0]
+    order = "<" if (sys.byteorder == "little") != swapped else ">"
+
+    def snapshot(rows):
+        spo = spo_section(term_count, rows, order)
+        ledger = ledger_section([], [0] * len(rows), order)
+        return snapshot_header(term_count, len(rows), swapped) + packed(terms) + packed(spo) + packed(ledger)
+
+    def fault(rows):
+        with pytest.raises(SnapshotError) as raised:
+            Store.load(io.BytesIO(snapshot(rows)))
+        return str(raised.value)
+
+    def changed(k, p=None, o=None):
+        s, p0, o0 = rows[k]
+        return rows[:k] + [(s, p0 if p is None else p, o0 if o is None else o)] + rows[k + 1 :]
+
+    assert saved(Store.load(io.BytesIO(snapshot(rows)))) == data
+    within = [k for k in range(len(rows) - 1) if rows[k][0] == rows[k + 1][0]]
+    # a subject's last (p, o) above the next subject's first: the store loads
+    assert [k for k in range(len(rows) - 1) if rows[k][0] != rows[k + 1][0] and rows[k][1:] > rows[k + 1][1:]]
+    last = [k for k in range(len(rows)) if k + 1 == len(rows) or rows[k][0] != rows[k + 1][0]]
+    ascending = "SPO run is not strictly ascending"
+    out_of_range = "term id out of range in SPO run"
+    for _ in range(4):
+        k = rng.choice(within)
+        assert fault(rows[:k] + [rows[k + 1], rows[k]] + rows[k + 2 :]) == ascending
+        k = rng.randrange(len(rows))
+        assert fault(rows[: k + 1] + rows[k:]) == ascending
+        # a subject's last row may take the largest predicate or object, so
+        # its order holds
+        k = rng.choice(last)
+        assert fault(changed(k, p=term_count)) == out_of_range
+        assert fault(changed(k, o=term_count + rng.randrange(3))) == out_of_range
+        # both faults: the range's is named
+        j = rng.choice([j for j in within if j + 1 != k])
+        both = changed(k, o=term_count)
+        assert fault(both[:j] + [both[j + 1], both[j]] + both[j + 2 :]) == out_of_range
+
+
 def test_a_snapshot_in_the_other_byte_order_loads_to_the_same_store():
     for store in (ledgered_store()[0], random_context_store(random.Random(22), 60)):
         data = saved(store)
@@ -1188,7 +1253,7 @@ def test_large_random_round_trip_via_snapshot():
 # synced, "replace" before the rename, "renamed" after it, "none" not at all.
 SAVE_CHILD = """
 import os, signal, sys
-import scholargraph.store as store_module
+import scholargraph.store_write as store_write
 from scholargraph.store import Store
 from scholargraph.terms import Iri, Triple, integer_literal
 
@@ -1225,9 +1290,9 @@ class KilledAfter:
 
 if point.startswith("bytes:"):
     limit = int(point[6:])
-    store_module.open = lambda name, mode: KilledAfter(open(name, mode), limit)
+    store_write.open = lambda name, mode: KilledAfter(open(name, mode), limit)
 elif point == "fsync":
-    store_module.os.fsync = lambda fd: die()
+    store_write.os.fsync = lambda fd: die()
 elif point in ("replace", "renamed"):
     replace = os.replace
 
@@ -1236,7 +1301,7 @@ elif point in ("replace", "renamed"):
             replace(src, dst)
         die()
 
-    store_module.os.replace = killing_replace
+    store_write.os.replace = killing_replace
 
 store = Store.load(path)
 rows = list(store.match_ids(None, None, None))
