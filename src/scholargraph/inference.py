@@ -2,8 +2,8 @@
 
 The five property rules are ordinary scripts in the query dialect (their
 texts below) executed through the normal evaluator.  The dialect is imported,
-and the scripts parsed, the first time a rule runs, so retraction and the
-metrics never load the query engine.  The store's ledger records, per rule,
+and the scripts parsed, the first time a rule runs, so retraction never
+loads the query engine.  The store's ledger records, per rule,
 exactly the triples that the rule newly added: each stored row carries one
 tag, 0 for a base fact or the rule that added it (:meth:`Store.add_rows`
 tags what it adds).  Because the store has set semantics, facts that were
@@ -17,10 +17,9 @@ should be re-runnable.  Each deriver writes a node at a deterministic IRI
 keyed by its parameters and upserts: the node's previous statements are
 replaced, never accumulated.
 
-The derivations and the metrics read the graph through one id-level scan,
-:func:`scan_contexts`: the contexts of a class that state ``(ctx, p, o)``,
-optionally timed in a window.  A term the store lacks reads as id -1
-(:func:`term_id`), which no probe matches.
+The derivations read the graph through the id-level context scan and write
+their nodes through the upsert of :mod:`scholargraph.contexts`, which the
+metrics share, so a metric compiles neither the rule scripts nor this engine.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from decimal import Decimal
 from itertools import combinations
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Union
 
+from .contexts import METRIC_RULE, citations_of, derived_iri, scan_contexts, term_id, upsert_node, window_units
 from .errors import ScholarGraphError
 from .ntriples import serialize_term, serialize_triple
 from .ontology import (
@@ -37,7 +37,6 @@ from .ontology import (
     COAUTHOR,
     HAS_AUTHOR,
     HAS_END_TIME,
-    HAS_GROUP,
     HAS_SINK,
     HAS_SINK_END_TIME,
     HAS_SINK_START_TIME,
@@ -45,13 +44,8 @@ from .ontology import (
     HAS_SOURCE_END_TIME,
     HAS_SOURCE_START_TIME,
     HAS_START_TIME,
-    HAS_TIME,
-    HAS_UNIT,
     HAS_WEIGHT,
-    PART_OF,
     PUBLISHES,
-    UnknownNodeError,
-    digest16,
 )
 from .store import IdTriple, LedgerError, Store
 from .terms import (
@@ -67,8 +61,6 @@ from .terms import (
 
 if TYPE_CHECKING:
     from .queryl import Script
-
-DERIVED_BASE = "urn:mesur:derived:"
 
 RULE_SCRIPTS: dict[str, str] = {
     "authored_by": """\
@@ -142,91 +134,6 @@ class UnknownRuleError(ScholarGraphError):
         self.name = name
 
 
-# -- the context scan (shared with the metrics module) ----------------------
-
-
-def year_of(term: Term) -> Optional[int]:
-    """Leading year of a datetime (or integer) literal, else None."""
-    if isinstance(term, Literal) and term.datatype in (Datatype.DATETIME, Datatype.INTEGER):
-        return term.year()
-    return None
-
-
-def term_id(store: Store, term: Term) -> int:
-    """Id of ``term``, or -1 if the store lacks it: no probe matches -1,
-    whereas :meth:`Store.match_ids` reads ``None`` as a wildcard."""
-    found = store.lookup(term)
-    return -1 if found is None else found
-
-
-def scan_contexts(
-    store: Store, cls: Iri, predicate: Iri, obj: int, window: Optional[tuple[int, int]] = None
-) -> Iterator[int]:
-    """Ids of the contexts of class ``cls`` that state ``(ctx, predicate,
-    obj)``; with ``window``, only those with a hasTime year in it.
-
-    Every probe binds the predicate and the subject or the object, so the
-    scan touches only the contexts that state ``obj``.
-    """
-    rdf_type, cls_id, has_time = term_id(store, RDF_TYPE), term_id(store, cls), term_id(store, HAS_TIME)
-    for ctx, _, _ in store.match_ids(None, term_id(store, predicate), obj):
-        if not store.contains_ids(ctx, rdf_type, cls_id):
-            continue
-        if window is not None:
-            lo, hi = window
-            years = (year_of(store.decode(time)) for _, _, time in store.match_ids(ctx, has_time, None))
-            if not any(year is not None and lo <= year <= hi for year in years):
-                continue
-        yield ctx
-
-
-def descendant_groups(store: Store, root: int, transitive: bool = True) -> set[int]:
-    """Ids of the groups reachable from ``root`` against partOf (one hop or
-    the closure), the root itself excluded."""
-    part_of = term_id(store, PART_OF)
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        fresh: list[int] = []
-        for group in frontier:
-            for child, _, _ in store.match_ids(None, part_of, group):
-                if child not in seen:
-                    seen.add(child)
-                    fresh.append(child)
-        if not transitive:
-            break
-        frontier = fresh
-    seen.discard(root)
-    return seen
-
-
-def window_units(store: Store, root: Term, window: tuple[int, int], transitive: bool) -> set[int]:
-    """Ids of the distinct units of the Publishes contexts timed in
-    ``window`` whose group is under ``root``."""
-    if not store.appears(root):
-        raise UnknownNodeError(root)
-    has_unit = term_id(store, HAS_UNIT)
-    units: set[int] = set()
-    for group in descendant_groups(store, term_id(store, root), transitive):
-        for ctx in scan_contexts(store, PUBLISHES, HAS_GROUP, group, window):
-            units.update(unit for _, _, unit in store.match_ids(ctx, has_unit, None))
-    return units
-
-
-def citations_of(store: Store, sinks: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(citation, source, sink) for each source of each Citation context
-    whose hasSink is one of ``sinks``."""
-    has_source = term_id(store, HAS_SOURCE)
-    for sink in sinks:
-        for citation in scan_contexts(store, CITATION, HAS_SINK, sink):
-            for _, _, source in store.match_ids(citation, has_source, None):
-                yield citation, source, sink
-
-
-def derived_iri(kind: str, key: str) -> Iri:
-    return Iri(f"{DERIVED_BASE}{kind}:{digest16(key)}")
-
-
 def _weight_literal(count: int) -> Literal:
     return Literal(str(Decimal(count).quantize(Decimal("0.1"))), Datatype.DECIMAL)
 
@@ -236,57 +143,6 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
     if lo > hi:
         raise InferenceError(f"{name} window is empty: {lo}..{hi}")
     return lo, hi
-
-
-def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str) -> bool:
-    """Replace all statements about each node of ``nodes`` with its triples,
-    ledgered under ``rule``; whether the store or its ledger changed.
-
-    The nodes are upserted as if one after another, in the mapping's order.
-    A removed statement leaves the store with its ledger tag.  Each newly
-    added one is ledgered under ``rule`` alone, so the rules' entries stay
-    disjoint; a statement about another subject that the store already
-    held keeps its tag, keeping ledger/base disjointness intact.  Only the
-    net change is written: the statements that go out are one batch, the
-    ones that come in are one, and the held statements that an upsert put
-    back are retagged under ``rule`` in one call, so nodes whose statements
-    are already their triples, all ledgered under ``rule``, are left as
-    they are.
-    """
-    intern = store.intern
-    plan = [[(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples] for triples in nodes.values()]
-    node_ids = list(map(store.lookup, nodes))  # None: a node no statement names
-    # the statements about each node, as the upserts one after another leave them
-    live: dict[int, set[IdTriple]] = {
-        node_id: set(store.match_ids(node_id, None, None)) for node_id in node_ids if node_id is not None
-    }
-    held: set[IdTriple] = set().union(*live.values())
-    extra: set[IdTriple] = set()  # new statements about other subjects
-    added: set[IdTriple] = set()  # the statements an upsert added that stay
-    for node_id, rows in zip(node_ids, plan):
-        if node_id is not None:
-            gone = live[node_id]
-            if gone == set(rows):
-                added |= gone  # removed and put back: the same statements, under rule
-                continue
-            live[node_id] = set()
-            added -= gone
-        for row in rows:
-            statements = live.get(row[0])
-            if statements is not None:
-                if row not in statements:
-                    statements.add(row)
-                    added.add(row)
-            elif row not in extra and not store.contains_ids(*row):
-                extra.add(row)
-                added.add(row)
-    final: set[IdTriple] = set().union(*live.values())
-    # the adds first: a full rule-name table fails them before any change
-    inserted = store.add_rows((final - held) | extra, rule)
-    removed = store.drop_rows(held - final)
-    # every other added statement was held and stays: it was put back
-    retagged = store.retag(added & held, rule)
-    return bool(removed or inserted or retagged)
 
 
 def _triple_sort_key(triple: Triple) -> tuple:
@@ -311,7 +167,7 @@ class InferenceEngine:
 
     GROUP_CITATION = "group_citation"
     COAUTHOR_RULE = "coauthor"
-    METRIC_RULE = "metric"
+    METRIC_RULE = METRIC_RULE
 
     def __init__(self, store: Store) -> None:
         self.store = store

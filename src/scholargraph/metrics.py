@@ -11,7 +11,7 @@ distinct Uses contexts timed in the target year whose document is a window
 unit.
 
 Both read the graph through the id-level scan
-:func:`~scholargraph.inference.scan_contexts`, starting from the journal's
+:func:`~scholargraph.contexts.scan_contexts`, starting from the journal's
 own groups and units, so a metric touches that journal's contexts, not the
 whole collection: the IF probes the Citation contexts under each window
 unit's hasSink, the UIF the Uses contexts under its hasDocument.
@@ -20,7 +20,9 @@ A computed metric is written back as a NumericMetric node at a
 deterministic IRI (re-running updates in place), and its statements are
 recorded in the store's ledger under the ``metric`` rule, so retracting
 that rule takes every metric node back.  A zero denominator raises
-instead, and writes nothing: 0/0 is not a metric value.
+instead, and writes nothing: 0/0 is not a metric value.  The scan and the
+write are :mod:`scholargraph.contexts`'s, so a metric compiles no rule
+script and no rule engine.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from __future__ import annotations
 from decimal import Decimal, ROUND_HALF_EVEN
 from typing import Optional
 
+from .contexts import METRIC_RULE, citations_of, derived_iri, scan_contexts, upsert_node, window_units
 from .errors import ScholarGraphError
-from .inference import (
-    InferenceEngine,
-    citations_of,
-    derived_iri,
-    scan_contexts,
-    upsert_node,
-    window_units,
-)
 from .ntriples import serialize_term
 from .ontology import (
     HAS_DOCUMENT,
@@ -118,7 +113,7 @@ def _record(
         Triple(node, HAS_END_TIME, year_literal(year)),
         Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    changed = upsert_node(store, {node: triples}, InferenceEngine.METRIC_RULE)
+    changed = upsert_node(store, {node: triples}, METRIC_RULE)
     return MetricResult(metric, obj, year, window, numerator, denominator, value, node, changed)
 
 

@@ -3,6 +3,7 @@
 import errno
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 
@@ -369,6 +370,106 @@ def test_unknown_subcommand_exits_two(workdir, capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# the help text of every command, as `scholargraph --help` lists it
+COMMAND_HELP = {
+    "ingest-biblio": "load bibliographic records from TSV",
+    "ingest-usage": "load usage events from TSV",
+    "ingest-citations": "load citation pairs from TSV",
+    "map": "project sidecar records into the triple store",
+    "validate": "check instances against the vocabulary",
+    "query": "parse and run a script (SELECT/INSERT)",
+    "infer": "run materialization rules",
+    "retract": "remove exactly what a rule materialized",
+    "metric": "compute a journal metric and write its node",
+    "export": "write the store as sorted N-Triples: IRIs, then blanks, then literals by datatype",
+    "catalog": "print the built-in vocabulary",
+    "stats": "triple, class and ledger counts",
+}
+
+
+def usage_exit(capsys, *argv):
+    """(exit status, stdout, stderr) of a run that argparse ends; the
+    outputs with their line wrapping undone."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, " ".join(captured.out.split()), " ".join(captured.err.split())
+
+
+def test_help_lists_every_command_with_its_help_text(workdir, capsys):
+    code, out, err = usage_exit(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: scholargraph [-h] [--store STORE]")
+    # every command, with its help text, in the table's order, before the options
+    places = [out.find(f" {name} {text} ") for name, text in COMMAND_HELP.items()]
+    assert -1 not in places and places == sorted(places) and places[-1] < out.index("options:")
+
+
+def test_command_help_names_every_rule_and_each_option(workdir, capsys):
+    from scholargraph.inference import RULE_SCRIPTS
+
+    code, out, _ = usage_exit(capsys, "infer", "--help")
+    assert code == 0
+    assert out.startswith("usage: scholargraph infer [-h] [--rule RULE] [--all]")
+    assert f"--rule RULE rule name ({', '.join(sorted(RULE_SCRIPTS))})" in out
+    code, out, _ = usage_exit(capsys, "retract", "--help")
+    assert code == 0 and "--rule RULE rule name --all retract every rule" in out
+    code, out, _ = usage_exit(capsys, "metric", "--help")
+    assert code == 0
+    assert "usage: scholargraph metric [-h] --object OBJECT --year YEAR [--window WINDOW] [--direct-only] {if,uif}" in out
+
+
+def test_a_metric_without_its_required_options_is_a_usage_error(workdir, capsys):
+    code, out, err = usage_exit(capsys, "metric", "if")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: scholargraph metric [-h] --object OBJECT --year YEAR")
+    assert err.endswith("scholargraph metric: error: the following arguments are required: --object, --year")
+    code, _, err = usage_exit(capsys, "metric", "if", "--object", "urn:x", "--year", "soon")
+    assert code == 2 and "argument --year: invalid int value: 'soon'" in err
+
+
+def test_a_global_option_may_take_a_command_name_as_its_value(workdir, capsys):
+    load_everything(capsys)
+    code, expected, _ = run(capsys, "stats")
+    assert code == 0 and expected.startswith("triples: ")
+    shutil.copy("scholargraph.store", "map")
+    os.remove("scholargraph.store")
+    assert run(capsys, "--store", "map", "stats") == (0, expected, "")
+    code, out, _ = run(capsys, "--sidecar", "stats", "--store", "map", "--format", "tsv", "stats")
+    assert code == 0 and out.splitlines()[0].startswith("triples\t")
+    assert not os.path.exists("stats")  # stats opens no sidecar
+
+
+def test_standard_input_is_read_as_utf8_whatever_the_locale(workdir, capsys):
+    # files are read as UTF-8; so must standard input be, under any locale
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)),
+        PYTHONIOENCODING="latin-1",
+    )
+
+    def cli(*argv, stdin=b""):
+        done = subprocess.run(
+            [sys.executable, "-m", "scholargraph.cli", *argv],
+            input=stdin, cwd=workdir, env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.decode("latin-1")
+
+    biblio = "doc_id\ttitle\tauthors\tcollection\tdate\ndoc-1\tCafé\tAuthör\tJ\t2005\n"
+    usage = "event_id\ttime\tagent\tsession\tdoc_id\nev-1\t2007-03-04 10:00:00\treader-1\tséance\tdoc-1\n"
+    assert cli("ingest-biblio", "--input", "-", stdin=biblio.encode("utf-8")).startswith("loaded 1 record(s)")
+    (workdir / "usage-utf8.tsv").write_text(usage, encoding="utf-8")
+    cli("ingest-usage", "--input", "usage-utf8.tsv")
+    db = sqlite3.connect(workdir / "scholargraph.sidecar")
+    stored = db.execute("SELECT title, authors FROM biblio").fetchall()
+    db.close()
+    assert stored == [("Café", "Authör")]
+    cli("map")
+    script = 'SELECT ?x WHERE ( ?x mesur:hasSession "séance" ) .\n'
+    assert "(1 row(s), 1 full match(es))" in cli("query", "--file", "-", stdin=script.encode("utf-8"))
 
 
 def test_query_parse_errors_exit_one_with_position(workdir, capsys):

@@ -19,15 +19,13 @@ from oracles import (
     oracle_upsert_node,
     random_context_store,
 )
+from scholargraph.contexts import descendant_groups, upsert_node, year_of
 from scholargraph.inference import (
     InferenceEngine,
     InferenceError,
     LedgerError,
     RULE_SCRIPTS,
     UnknownRuleError,
-    descendant_groups,
-    upsert_node,
-    year_of,
 )
 from scholargraph.ontology import (
     ARTICLE,

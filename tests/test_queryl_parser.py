@@ -10,6 +10,7 @@ import os
 import pytest
 
 from scholargraph.cli import Config
+from scholargraph.mapping import MapReport
 from scholargraph.metrics import MetricResult
 from scholargraph.queryl.ast import (
     AndFilter,
@@ -24,7 +25,7 @@ from scholargraph.queryl.ast import (
 )
 from scholargraph.queryl.evaluator import PlanStep
 from scholargraph.queryl.parser import QueryParseError, Token, _lex, parse_script
-from scholargraph.sidecar import IngestReport, MapReport
+from scholargraph.sidecar import IngestReport
 from scholargraph.store import TriplePattern, Var
 from scholargraph.terms import Datatype, Iri, Literal, NamespaceTable
 

@@ -36,13 +36,13 @@ from scholargraph.ontology import (
     literal_audit,
     validate_all,
 )
+from scholargraph.mapping import unit_iri
 from scholargraph.sidecar import (
     BIBLIO_COLUMNS,
     DEFAULT_PROVIDER,
     Sidecar,
     SidecarError,
     UnknownIdError,
-    unit_iri,
 )
 from scholargraph.store import Store
 from scholargraph.terms import (

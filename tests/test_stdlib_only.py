@@ -131,6 +131,7 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
         "retract metric": ("retract", "--rule", "metric"),
         "infer": ("infer", "--rule", "authored_by"),
         "retract all": ("retract", "--all"),
+        "catalog": ("catalog",),
     }
     loaded.update((name, modules_loaded_by(*argv)) for name, argv in commands.items())
     # no command pays for the dataclass machinery; a site hook may import
@@ -143,20 +144,38 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
     )
     for name, modules in loaded.items():
         assert not modules & ({"dataclasses", "inspect"} - bare), name
-    heavy = {f"scholargraph.{name}" for name in ("queryl", "inference", "metrics", "sidecar", "ontology", "validation")}
+    heavy = {
+        f"scholargraph.{name}"
+        for name in ("queryl", "inference", "metrics", "contexts", "sidecar", "mapping", "ontology", "validation")
+    }
     for name in ("stats", "export"):
         assert not loaded[name] & heavy, name
     for name in ("stats", "map", "ingest-biblio", "ingest-usage", "ingest-citations"):
         assert not loaded[name] & ({"scholargraph.ntriples", "decimal"} - bare), name
+    # an ingest fills the sidecar only: no store, no vocabulary, no projection
     for table in inputs:
-        assert "scholargraph.store" not in loaded[f"ingest-{table}"], table
+        unused = {"scholargraph.store", "scholargraph.ontology", "scholargraph.mapping"} | ({"urllib.parse"} - bare)
+        assert not loaded[f"ingest-{table}"] & unused, table
+    assert "scholargraph.mapping" in loaded["map"]
+    # the command line imports the handler module of the command that runs, and no other
+    handlers = {
+        "ingest-biblio": "ingest", "ingest-usage": "ingest", "ingest-citations": "ingest", "map": "map",
+        "stats": "stats", "export": "export", "query": "query", "validate": "validate", "metric": "metric",
+        "retract metric": "rules", "infer": "rules", "retract all": "rules", "catalog": "catalog",
+    }
+    for name, modules in loaded.items():
+        own = {module for module in modules if module.startswith("scholargraph.commands.")}
+        assert own == {f"scholargraph.commands.{handlers[name]}"}, name
     assert "scholargraph.queryl" in loaded["query"]
     assert not loaded["query"] & {"scholargraph.inference", "scholargraph.metrics", "scholargraph.sidecar", "scholargraph.validation"}
     assert {"scholargraph.ontology", "scholargraph.validation"} <= loaded["validate"]
     assert not loaded["validate"] & {"scholargraph.sidecar", "sqlite3"}
     # the rules' query scripts are parsed, and the dialect imported, only to run a rule
-    for name in ("metric", "retract metric", "retract all"):
+    for name in ("retract metric", "retract all"):
         assert "scholargraph.inference" in loaded[name] and "scholargraph.queryl" not in loaded[name], name
+    # a metric reads and writes through the context scan, with no rule engine
+    assert "scholargraph.contexts" in loaded["metric"]
+    assert not loaded["metric"] & {"scholargraph.inference", "scholargraph.queryl"}
     assert "scholargraph.queryl" in loaded["infer"]
     # the store's write half is compiled only by a command that writes
     for name in ("stats", "validate", "query"):

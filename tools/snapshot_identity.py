@@ -5,8 +5,11 @@ Usage: python3 tools/snapshot_identity.py BASE_TREE CHANGED_TREE
 
 Both trees run the same ``scholargraph`` commands, each in its own work
 directory, on inputs that ``perfbench/gen.py`` (read from CHANGED_TREE)
-generates for seed 1 and 400 documents: the ingests, three usage batches
-each followed by ``map`` and ``map --affiliations``, the biblio file, the
+generates for seed 1 and 400 documents: first ``--help``, ``infer
+--help``, ``catalog`` and a usage error (``metric if`` with neither
+``--object`` nor ``--year``, which exits 2), so the command line's own
+help and usage texts are compared too, then the ingests, three usage
+batches each followed by ``map`` and ``map --affiliations``, the biblio file, the
 first usage batch and the citations file ingested again (so every row of
 those three steps is rejected as a duplicate), then ``validate``,
 ``stats``, ``infer --all``, ``query``, ``metric if`` and ``metric uif``,
@@ -73,7 +76,9 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
     with open(source("journal.q"), "w", encoding="utf-8") as fp:
         fp.write(QUERY.format(journal=journal))
 
-    sequence = [
+    # the command line's own output first: help, a listing, a usage error
+    sequence = [["--help"], ["infer", "--help"], ["catalog"], ["metric", "if"]]
+    sequence += [
         ["ingest-biblio", "--input", source(files["biblio"][0])],
         ["ingest-citations", "--input", source(files["citations"][0])],
     ]
