@@ -25,7 +25,8 @@ subcommand's parser is a ``_CommandParser``, which imports its module and
 lets it add the options when it first parses (``COMMAND --help`` and a
 usage error parse too), so help and usage print what a parser built whole
 prints.  Standard input (``--input -``, ``--file -``) is read as UTF-8,
-as files are, whatever the locale's encoding.
+as files are, whatever the locale's encoding; an input that is not UTF-8
+ends the command with one ``error:`` line and exit 1.
 
 Each handler imports the library modules it uses when it runs, so a
 command pays only for its own imports: `stats` loads the store's reader and
@@ -256,7 +257,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except (ScholarGraphError, OSError) as exc:
+    # an input that is not UTF-8 (a file, standard input, the config) is a
+    # data error too, not a crash
+    except (ScholarGraphError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

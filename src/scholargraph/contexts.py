@@ -6,8 +6,9 @@ The derivations (:mod:`scholargraph.inference`) and the metrics
 optionally timed in a window.  A term the store lacks reads as id -1
 (:func:`term_id`), which no probe matches.  Both write what they derive
 through :func:`upsert_node`, at an IRI that :func:`derived_iri` mints from
-the node's parameters.  This module holds no rule script and no engine, so
-a metric compiles neither.
+the node's parameters, as (predicate, object) pairs about that node: every
+statement an upsert writes has the node as its subject.  This module holds
+no rule script and no engine, so a metric compiles neither.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from .ontology import CITATION, HAS_GROUP, HAS_SINK, HAS_SOURCE, HAS_TIME, HAS_UNIT, PART_OF, PUBLISHES
 from .ontology import UnknownNodeError, digest16
-from .terms import Datatype, Iri, Literal, RDF_TYPE, Term, Triple
+from .terms import Datatype, Iri, Literal, RDF_TYPE, Term
 
 if TYPE_CHECKING:  # pragma: no cover
     from .store import IdTriple, Store
@@ -107,52 +108,31 @@ def derived_iri(kind: str, key: str) -> Iri:
     return Iri(f"{DERIVED_BASE}{kind}:{digest16(key)}")
 
 
-def upsert_node(store: Store, nodes: Mapping[Term, Iterable[Triple]], rule: str) -> bool:
-    """Replace all statements about each node of ``nodes`` with its triples,
-    ledgered under ``rule``; whether the store or its ledger changed.
+def upsert_node(store: Store, nodes: Mapping[Term, Iterable[tuple[Iri, Term]]], rule: str) -> bool:
+    """Replace all statements about each node of ``nodes`` with its
+    (predicate, object) pairs, ledgered under ``rule``; whether the store
+    or its ledger changed.
 
-    The nodes are upserted as if one after another, in the mapping's order.
-    A removed statement leaves the store with its ledger tag.  Each newly
-    added one is ledgered under ``rule`` alone, so the rules' entries stay
-    disjoint; a statement about another subject that the store already
-    held keeps its tag, keeping ledger/base disjointness intact.  Only the
-    net change is written: the statements that go out are one batch, the
-    ones that come in are one, and the held statements that an upsert put
-    back are retagged under ``rule`` in one call, so nodes whose statements
-    are already their triples, all ledgered under ``rule``, are left as
-    they are.
+    A removed statement leaves the store with its ledger tag; each new one
+    is ledgered under ``rule`` alone, so the rules' entries stay disjoint.
+    Only the net change is written: the statements that come in are one
+    batch, the ones that go out are one, and the held statements that are
+    put back are retagged under ``rule`` in one call, so nodes whose
+    statements are already their pairs, all ledgered under ``rule``, are
+    left as they are.  An empty mapping writes nothing and names no rule.
     """
+    if not nodes:
+        return False
     intern = store.intern
-    plan = [[(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples] for triples in nodes.values()]
-    node_ids = list(map(store.lookup, nodes))  # None: a node no statement names
-    # the statements about each node, as the upserts one after another leave them
-    live: dict[int, set[IdTriple]] = {
-        node_id: set(store.match_ids(node_id, None, None)) for node_id in node_ids if node_id is not None
-    }
-    held: set[IdTriple] = set().union(*live.values())
-    extra: set[IdTriple] = set()  # new statements about other subjects
-    added: set[IdTriple] = set()  # the statements an upsert added that stay
-    for node_id, rows in zip(node_ids, plan):
+    held: set[IdTriple] = set()
+    final: set[IdTriple] = set()
+    for node, pairs in nodes.items():
+        node_id = store.lookup(node)  # None: a node no statement names
         if node_id is not None:
-            gone = live[node_id]
-            if gone == set(rows):
-                added |= gone  # removed and put back: the same statements, under rule
-                continue
-            live[node_id] = set()
-            added -= gone
-        for row in rows:
-            statements = live.get(row[0])
-            if statements is not None:
-                if row not in statements:
-                    statements.add(row)
-                    added.add(row)
-            elif row not in extra and not store.contains_ids(*row):
-                extra.add(row)
-                added.add(row)
-    final: set[IdTriple] = set().union(*live.values())
+            held.update(store.match_ids(node_id, None, None))
+        final.update((intern(node), intern(predicate), intern(obj)) for predicate, obj in pairs)
     # the adds first: a full rule-name table fails them before any change
-    inserted = store.add_rows((final - held) | extra, rule)
+    inserted = store.add_rows(final - held, rule)
     removed = store.drop_rows(held - final)
-    # every other added statement was held and stays: it was put back
-    retagged = store.retag(added & held, rule)
+    retagged = store.retag(final & held, rule)
     return bool(removed or inserted or retagged)

@@ -14,8 +14,9 @@ removing the rows a rule tags restores the store to its prior content.
 Aggregate derivations (group-level citation weights, coauthor weights) do
 not go through scripts: scripts mint a fresh blank per run, while derivation
 should be re-runnable.  Each deriver writes a node at a deterministic IRI
-keyed by its parameters and upserts: the node's previous statements are
-replaced, never accumulated.
+keyed by its parameters and upserts its statements, as (predicate, object)
+pairs about that node: the node's previous statements are replaced, never
+accumulated.
 
 The derivations read the graph through the id-level context scan and write
 their nodes through the upsert of :mod:`scholargraph.contexts`, which the
@@ -248,17 +249,17 @@ class InferenceEngine:
             )
         )
         node = derived_iri("group-citation", key)
-        triples = [
-            Triple(node, RDF_TYPE, CITATION),
-            Triple(node, HAS_SOURCE, source_root),
-            Triple(node, HAS_SINK, sink_root),
-            Triple(node, HAS_WEIGHT, _weight_literal(weight)),
-            Triple(node, HAS_SOURCE_START_TIME, year_literal(source_window[0])),
-            Triple(node, HAS_SOURCE_END_TIME, year_literal(source_window[1])),
-            Triple(node, HAS_SINK_START_TIME, year_literal(sink_window[0])),
-            Triple(node, HAS_SINK_END_TIME, year_literal(sink_window[1])),
+        pairs = [
+            (RDF_TYPE, CITATION),
+            (HAS_SOURCE, source_root),
+            (HAS_SINK, sink_root),
+            (HAS_WEIGHT, _weight_literal(weight)),
+            (HAS_SOURCE_START_TIME, year_literal(source_window[0])),
+            (HAS_SOURCE_END_TIME, year_literal(source_window[1])),
+            (HAS_SINK_START_TIME, year_literal(sink_window[0])),
+            (HAS_SINK_END_TIME, year_literal(sink_window[1])),
         ]
-        upsert_node(self.store, {node: triples}, self.GROUP_CITATION)
+        upsert_node(self.store, {node: pairs}, self.GROUP_CITATION)
         return node
 
     def coauthor_weight(self, a: Term, b: Term, window: Optional[tuple[int, int]] = None) -> int:
@@ -283,23 +284,19 @@ class InferenceEngine:
 
     def _coauthor_nodes(
         self, a: Term, b: Term, window: Optional[tuple[int, int]], weight: int
-    ) -> dict[Iri, list[Triple]]:
-        """The statements of both directed Coauthor nodes of a pair, a to b first."""
-        nodes: dict[Iri, list[Triple]] = {}
+    ) -> dict[Iri, list[tuple[Iri, Term]]]:
+        """The statements of both directed Coauthor nodes of a pair, a to b
+        first, as (predicate, object) pairs."""
+        nodes: dict[Iri, list[tuple[Iri, Term]]] = {}
         window_key = "all" if window is None else f"{window[0]}-{window[1]}"
+        weighted = (HAS_WEIGHT, _weight_literal(weight))
         for source, sink in ((a, b), (b, a)):
             key = "|".join((serialize_term(source), serialize_term(sink), window_key))
             node = derived_iri("coauthor", key)
-            triples = [
-                Triple(node, RDF_TYPE, COAUTHOR),
-                Triple(node, HAS_SOURCE, source),
-                Triple(node, HAS_SINK, sink),
-                Triple(node, HAS_WEIGHT, _weight_literal(weight)),
-            ]
+            pairs = [(RDF_TYPE, COAUTHOR), (HAS_SOURCE, source), (HAS_SINK, sink), weighted]
             if window is not None:
-                triples.append(Triple(node, HAS_START_TIME, year_literal(window[0])))
-                triples.append(Triple(node, HAS_END_TIME, year_literal(window[1])))
-            nodes[node] = triples
+                pairs += [(HAS_START_TIME, year_literal(window[0])), (HAS_END_TIME, year_literal(window[1]))]
+            nodes[node] = pairs
         return nodes
 
     def derive_all_coauthors(
@@ -321,7 +318,7 @@ class InferenceEngine:
             authors = {store.decode(author) for _, _, author in store.match_ids(ctx, has_author, None)}
             weights.update(combinations(sorted(authors, key=term_sort_key), 2))
         pairs = sorted(weights, key=lambda pair: (term_sort_key(pair[0]), term_sort_key(pair[1])))
-        nodes: dict[Iri, list[Triple]] = {}
+        nodes: dict[Iri, list[tuple[Iri, Term]]] = {}
         derived: list[tuple[Iri, Iri]] = []
         for a, b in pairs:
             pair_nodes = self._coauthor_nodes(a, b, window, weights[a, b])

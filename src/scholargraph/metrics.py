@@ -17,12 +17,13 @@ whole collection: the IF probes the Citation contexts under each window
 unit's hasSink, the UIF the Uses contexts under its hasDocument.
 
 A computed metric is written back as a NumericMetric node at a
-deterministic IRI (re-running updates in place), and its statements are
-recorded in the store's ledger under the ``metric`` rule, so retracting
-that rule takes every metric node back.  A zero denominator raises
-instead, and writes nothing: 0/0 is not a metric value.  The scan and the
-write are :mod:`scholargraph.contexts`'s, so a metric compiles no rule
-script and no rule engine.
+deterministic IRI (re-running updates in place): its five (predicate,
+object) pairs replace the node's statements, and they are recorded in the
+store's ledger under the ``metric`` rule, so retracting that rule takes
+every metric node back.  A zero denominator raises instead, and writes
+nothing: 0/0 is not a metric value.  The scan and the write are
+:mod:`scholargraph.contexts`'s, so a metric compiles no rule script and no
+rule engine.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .ontology import (
 )
 from .record import Record
 from .store import Store
-from .terms import Datatype, Iri, Literal, RDF_TYPE, Term, Triple, year_literal
+from .terms import Datatype, Iri, Literal, RDF_TYPE, Term, year_literal
 
 VALUE_QUANTUM = Decimal("0.000001")
 
@@ -106,14 +107,14 @@ def _record(
     )
     slug = metric.replace(" ", "-")
     node = derived_iri(slug, f"{serialize_term(obj)}|{year}|{window[0]}-{window[1]}")
-    triples = [
-        Triple(node, RDF_TYPE, metric_class),
-        Triple(node, HAS_OBJECT, obj),
-        Triple(node, HAS_START_TIME, year_literal(year)),
-        Triple(node, HAS_END_TIME, year_literal(year)),
-        Triple(node, HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
+    pairs = [
+        (RDF_TYPE, metric_class),
+        (HAS_OBJECT, obj),
+        (HAS_START_TIME, year_literal(year)),
+        (HAS_END_TIME, year_literal(year)),
+        (HAS_NUMERIC_VALUE, Literal(str(value), Datatype.DECIMAL)),
     ]
-    changed = upsert_node(store, {node: triples}, METRIC_RULE)
+    changed = upsert_node(store, {node: pairs}, METRIC_RULE)
     return MetricResult(metric, obj, year, window, numerator, denominator, value, node, changed)
 
 

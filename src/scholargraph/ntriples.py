@@ -1,11 +1,11 @@
-"""N-Triples export, and the names of the reader (:mod:`.ntriples_read`).
+"""N-Triples export.
 
 One triple per line, UTF-8, ``.``-terminated.  Serialization is canonical:
 strings stay untyped, numbers carry their xsd type, and datetimes pick
 gYear/date/dateTime by precision, so ``parse(serialize(g))`` reproduces
-``g`` exactly.  :func:`parse_ntriples` and :class:`NTriplesParseError` live
-in :mod:`.ntriples_read` and are looked up from there on first use (PEP
-562), so a command that only writes N-Triples never compiles the reader.
+``g`` exactly.  The reader, :func:`parse_ntriples` and
+:class:`NTriplesParseError`, is :mod:`.ntriples_read`, a module of its own,
+so a command that only writes N-Triples never compiles it.
 """
 
 from __future__ import annotations
@@ -26,18 +26,6 @@ from .terms import (
     XSD_GYEAR,
     XSD_INTEGER,
 )
-
-# the reader's names, resolved by __getattr__
-_READER = ("NTriplesParseError", "parse_ntriples")
-
-
-def __getattr__(name: str):
-    if name not in _READER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import ntriples_read
-
-    return getattr(ntriples_read, name)
-
 
 _STRING_SPECIAL = re.compile(r'[\\"\x00-\x1f\x7f]')
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}

@@ -2,10 +2,10 @@
 
 The class taxonomy and property catalog are compiled in rather than parsed
 from an ontology file: the schema is small, versioned with the code, and the
-tests assert structural invariants (inverse symmetry, domain/range sanity)
-directly against this catalog.  :func:`build_schema` is pure, so building it
-twice yields identical content; the module-level :data:`SCHEMA` is the shared
-instance.
+tests assert structural invariants (distinct IRIs, known parents, inverse
+symmetry, domain/range sanity) directly against this catalog.  There is one
+vocabulary, the module-level :data:`SCHEMA`, and every check, the catalog
+and the query dialect's datetime coercion read it.
 
 Instance validation is advisory: it reports violations, it never mutates the
 store.  Predicates outside the ``mesur`` namespace are ignored (stores may
@@ -255,33 +255,9 @@ GROUPLESS_UNIT_CLASSES: tuple[Iri, ...] = (PREPRINT_ARTICLE, BOOK)
 class Schema:
     """Immutable class taxonomy plus property catalog with lookups."""
 
-    def __init__(
-        self,
-        classes: Iterable[ClassDef],
-        properties: Iterable[PropertyDef],
-    ) -> None:
-        self._classes: dict[Iri, ClassDef] = {}
-        for cdef in classes:
-            if cdef.iri in self._classes:
-                raise ScholarGraphError(f"duplicate class: {cdef.iri!r}")
-            self._classes[cdef.iri] = cdef
-        self._properties: dict[Iri, PropertyDef] = {}
-        for pdef in properties:
-            if pdef.iri in self._properties:
-                raise ScholarGraphError(f"duplicate property: {pdef.iri!r}")
-            self._properties[pdef.iri] = pdef
-        for cdef in self._classes.values():
-            if cdef.parent != OWL_THING and cdef.parent not in self._classes:
-                raise ScholarGraphError(f"unknown parent class: {cdef.parent!r}")
-        for pdef in self._properties.values():
-            if pdef.domain not in self._classes:
-                raise ScholarGraphError(f"unknown domain: {pdef.domain!r}")
-            if isinstance(pdef.range, tuple):
-                for r in pdef.range:
-                    if r not in self._classes:
-                        raise ScholarGraphError(f"unknown range class: {r!r}")
-            if pdef.inverse is not None and pdef.inverse not in self._properties:
-                raise ScholarGraphError(f"unknown inverse: {pdef.inverse!r}")
+    def __init__(self, classes: Iterable[ClassDef], properties: Iterable[PropertyDef]) -> None:
+        self._classes = {cdef.iri: cdef for cdef in classes}
+        self._properties = {pdef.iri: pdef for pdef in properties}
 
     def is_class(self, iri: Iri) -> bool:
         return iri in self._classes
@@ -335,18 +311,10 @@ class Schema:
         }
 
 
-def build_schema() -> Schema:
-    """Construct the compiled-in schema.  Pure: repeated builds are equal."""
-    return Schema(
-        classes=[ClassDef(iri, parent) for iri, parent in _CLASS_PARENTS],
-        properties=_PROPERTIES,
-    )
+SCHEMA = Schema((ClassDef(iri, parent) for iri, parent in _CLASS_PARENTS), _PROPERTIES)
 
 
-SCHEMA = build_schema()
-
-
-def export_catalog(schema: Schema | None = None, namespaces: NamespaceTable | None = None) -> str:
+def export_catalog() -> str:
     """Render the schema as a deterministic, line-oriented catalog.
 
     One line per fact.  Grammar of each line:
@@ -357,17 +325,16 @@ def export_catalog(schema: Schema | None = None, namespaces: NamespaceTable | No
     - ``disjoint <curie>...``
     - ``restriction Publishes-without-group-for <curie>...``
     """
-    schema = schema or SCHEMA
-    nt = namespaces or NamespaceTable()
+    nt = NamespaceTable()
 
     def c(iri: Iri) -> str:
         return nt.compact(iri) or f"<{iri.value}>"
 
     lines: list[str] = []
-    for cdef in sorted(schema.classes(), key=lambda d: d.iri.value):
+    for cdef in sorted(SCHEMA.classes(), key=lambda d: d.iri.value):
         parent = "owl:Thing" if cdef.parent == OWL_THING else c(cdef.parent)
         lines.append(f"class {c(cdef.iri)} subClassOf {parent}")
-    for pdef in sorted(schema.properties(), key=lambda d: d.iri.value):
+    for pdef in sorted(SCHEMA.properties(), key=lambda d: d.iri.value):
         if isinstance(pdef.range, Datatype):
             rng = pdef.range.name.lower()
         else:
@@ -399,7 +366,7 @@ class Violation(FrozenRecord):
     message: str
 
 
-def validate_instance(store: "Store", node: Term, schema: Schema | None = None) -> list[Violation]:
+def validate_instance(store: "Store", node: Term) -> list[Violation]:
     """Check one node against the schema; returns violations, worst first.
 
     The node must appear in at least one triple.  Checks: declared classes
@@ -413,11 +380,11 @@ def validate_instance(store: "Store", node: Term, schema: Schema | None = None) 
     node_id = store.lookup(node)
     if node_id is None or not store.appears(node):
         raise UnknownNodeError(node)
-    checks = IdPass(store, schema or SCHEMA)
+    checks = IdPass(store)
     return checks.check(node_id, checks.closures_around(node_id))
 
 
-def validate_all(store: "Store", schema: Schema | None = None) -> list[Violation]:
+def validate_all(store: "Store") -> list[Violation]:
     """Validate every subject that carries an rdf:type declaration.
 
     One pass at the id level: each typed node's class closure is computed
@@ -428,7 +395,7 @@ def validate_all(store: "Store", schema: Schema | None = None) -> list[Violation
     """
     from .validation import IdPass
 
-    checks = IdPass(store, schema or SCHEMA)
+    checks = IdPass(store)
     closures = checks.typed_closures()
     out: list[Violation] = []
     for node in closures:
@@ -436,7 +403,7 @@ def validate_all(store: "Store", schema: Schema | None = None) -> list[Violation
     return out
 
 
-def literal_audit(store: "Store", schema: Schema | None = None) -> list[Triple]:
+def literal_audit(store: "Store") -> list[Triple]:
     """Triples whose literal object is not licensed by the schema, in SPO
     order.
 
@@ -446,7 +413,7 @@ def literal_audit(store: "Store", schema: Schema | None = None) -> list[Triple]:
     predicate's POS column is walked by id, and each distinct object in it
     is decoded once.
     """
-    allowed = (schema or SCHEMA).literal_properties()
+    allowed = SCHEMA.literal_properties()
     decode = store.decode
     offending: list[tuple[int, int, int]] = []
     for pred_id in store.predicate_ids():

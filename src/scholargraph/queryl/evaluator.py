@@ -36,9 +36,12 @@ while ``template_rows`` still counts full rows.  Every placeholder label
 maps to one fresh blank node per execution, shared across templates.  A
 template's rows are built as id triples: a variable slot reads the row's
 id, and a constant, placeholder or aggregate literal is checked and
-interned once.  A variable slot is checked through the script's id-to-term
-decode, which decodes each term id at most once per script, and each
-template's rows go into the store as one batch.
+interned once.  A variable slot is checked through the store's decode,
+which makes each term once and keeps it, and each template's rows go into
+the store as one batch.
+
+An integer literal under a datetime-ranged predicate of the vocabulary
+(:data:`ontology.SCHEMA`), in a pattern or a template, reads as a year.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from ..errors import ScholarGraphError
-from ..ontology import SCHEMA, Schema
+from ..ontology import SCHEMA
 from ..record import FrozenRecord, Record
 from ..store import IdTriple, Store, TriplePattern, Var
 from ..terms import (
@@ -92,19 +95,19 @@ class PlanStep(Record, actual=0):
     actual: int
 
 
-class ExecutionReport(FrozenRecord, hidden=("solved", "terms")):
+class ExecutionReport(FrozenRecord, hidden=("solved", "store")):
     """What one script execution did.  Rows and new triples are kept as
     ids; ``bindings`` and ``new_triples`` decode them when first asked
     (and cache them in the instance's ``__dict__``)."""
 
-    __slots__ = ("block_rows", "template_rows", "new_ids", "created_blanks", "plans", "solved", "terms", "__dict__")
+    __slots__ = ("block_rows", "template_rows", "new_ids", "created_blanks", "plans", "solved", "store", "__dict__")
     block_rows: tuple[int, ...]  # distinct full rows per block
     template_rows: tuple[int, ...]  # instantiations attempted per template
     new_ids: tuple[IdTriple, ...]  # triples newly added, template by template
     created_blanks: dict[str, Blank]  # placeholder label -> fresh node
     plans: tuple[tuple[PlanStep, ...], ...]  # per block, steps in join order
     solved: tuple[_Solved, ...]  # hidden: not compared or shown
-    terms: _Terms  # hidden
+    store: Store  # hidden: decodes the ids
 
     @property
     def inserted(self) -> int:
@@ -113,29 +116,16 @@ class ExecutionReport(FrozenRecord, hidden=("solved", "terms")):
 
     @cached_property
     def new_triples(self) -> tuple[Triple, ...]:
-        terms = self.terms
-        return tuple(Triple(terms[s], terms[p], terms[o]) for s, p, o in self.new_ids)
+        return tuple(map(self.store.decode_triple, self.new_ids))
 
     @cached_property
     def bindings(self) -> tuple[tuple[dict[str, Term], ...], ...]:
         """Per block, the rows deduplicated on the projection."""
-        return tuple(_decoded(result, self.terms) for result in self.solved)
+        return tuple(_decoded(result, self.store.decode) for result in self.solved)
 
 
 _Slot = Union[int, str]  # a constant's term id, or a variable's name
 _Row = tuple[int, ...]  # term ids, one per variable in binding order
-
-
-class _Terms(dict):
-    """Term of each id, decoded from the store once per script."""
-
-    def __init__(self, store: Store) -> None:
-        super().__init__()
-        self.store = store
-
-    def __missing__(self, term_id: int) -> Term:
-        term = self[term_id] = self.store.decode(term_id)
-        return term
 
 
 def _coerce_year(obj: Literal) -> Literal:
@@ -146,20 +136,14 @@ def _coerce_year(obj: Literal) -> Literal:
     return obj
 
 
-def _datetime_ranged(schema: Schema, predicate: Term) -> bool:
-    if not isinstance(predicate, Iri) or not schema.is_property(predicate):
-        return False
-    return schema.property_def(predicate).range is Datatype.DATETIME
+_DATETIME_RANGED = frozenset(p.iri for p in SCHEMA.properties() if p.range is Datatype.DATETIME)
 
 
-def _prepare_pattern(
-    store: Store, schema: Schema, pattern: TriplePattern
-) -> Optional[tuple[_Slot, _Slot, _Slot]]:
+def _prepare_pattern(store: Store, pattern: TriplePattern) -> Optional[tuple[_Slot, _Slot, _Slot]]:
     """Slots with constants interned; None when nothing can match."""
     subject, predicate, obj = pattern.subject, pattern.predicate, pattern.object
-    if isinstance(obj, Literal) and obj.datatype is Datatype.INTEGER:
-        if _datetime_ranged(schema, predicate):
-            obj = _coerce_year(obj)
+    if isinstance(obj, Literal) and obj.datatype is Datatype.INTEGER and predicate in _DATETIME_RANGED:
+        obj = _coerce_year(obj)
     slots: list[_Slot] = []
     for index, slot in enumerate((subject, predicate, obj)):
         if isinstance(slot, Var):
@@ -214,9 +198,9 @@ def _eval_filter(expr: Filter, value: Callable[[str], Term]) -> bool:
     return any(_eval_filter(part, value) for part in expr.parts)
 
 
-def _guard(expr: Filter, positions: dict[str, int], terms: _Terms) -> Callable[[_Row], bool]:
+def _guard(expr: Filter, positions: dict[str, int], decode: Callable[[int], Term]) -> Callable[[_Row], bool]:
     def passes(row: _Row) -> bool:
-        return _eval_filter(expr, lambda name: terms[row[positions[name]]])
+        return _eval_filter(expr, lambda name: decode(row[positions[name]]))
 
     return passes
 
@@ -233,9 +217,7 @@ class _Step(FrozenRecord):
     explain: PlanStep
 
 
-def _plan(
-    store: Store, block: Block, schema: Schema, terms: _Terms
-) -> tuple[list[_Step], dict[str, int]]:
+def _plan(store: Store, block: Block) -> tuple[list[_Step], dict[str, int]]:
     """Join steps in execution order and the row position of each variable.
 
     No steps when some constant of the block is absent from the store.
@@ -243,7 +225,7 @@ def _plan(
     positions: dict[str, int] = {}
     specs = []
     for gp in block.patterns:
-        spec = _prepare_pattern(store, schema, gp.pattern)
+        spec = _prepare_pattern(store, gp.pattern)
         if spec is None:
             return [], positions
         specs.append(spec)
@@ -303,7 +285,7 @@ def _plan(
                 bound=tuple(bound),
                 fresh=pick,
                 repeats=tuple(repeats),
-                guards=tuple(_guard(expr, positions, terms) for expr in ready),
+                guards=tuple(_guard(expr, positions, store.decode) for expr in ready),
                 explain=PlanStep(block.patterns[best].pattern, estimate),
             )
         )
@@ -344,8 +326,8 @@ class _Solved(FrozenRecord):
     plan: tuple[PlanStep, ...]
 
 
-def _solve_block(store: Store, block: Block, schema: Schema, terms: _Terms) -> _Solved:
-    steps, positions = _plan(store, block, schema, terms)
+def _solve_block(store: Store, block: Block) -> _Solved:
+    steps, positions = _plan(store, block)
     plan = tuple(step.explain for step in steps)
     if not steps:
         return _Solved(0, [], positions, plan)
@@ -362,19 +344,18 @@ def _solve_block(store: Store, block: Block, schema: Schema, terms: _Terms) -> _
     return _Solved(full_rows, list(first.values()), positions, plan)
 
 
-def _decoded(solved: _Solved, terms: _Terms) -> tuple[dict[str, Term], ...]:
+def _decoded(solved: _Solved, decode: Callable[[int], Term]) -> tuple[dict[str, Term], ...]:
     names = list(solved.positions)
-    return tuple({name: terms[i] for name, i in zip(names, row)} for row in solved.rows)
+    return tuple({name: decode(i) for name, i in zip(names, row)} for row in solved.rows)
 
 
-def evaluate_block(store: Store, block: Block, schema: Schema | None = None) -> tuple[dict[str, Term], ...]:
+def evaluate_block(store: Store, block: Block) -> tuple[dict[str, Term], ...]:
     """Rows of one block: full bindings, deduplicated on the projection.
 
     The result is a set (order is deterministic for a given store).  An
     empty result is an empty tuple, never an error.
     """
-    terms = _Terms(store)
-    return _decoded(_solve_block(store, block, schema or SCHEMA, terms), terms)
+    return _decoded(_solve_block(store, block), store.decode)
 
 
 def _projected_by(script: Script) -> dict[str, int]:
@@ -408,9 +389,7 @@ def _aggregate_literal(agg: Aggregate, counts: dict[str, int]) -> Literal:
     return Literal(str(value), Datatype.DECIMAL)
 
 
-def execute_script(
-    store: Store, script: Script, schema: Schema | None = None, rule: str | None = None
-) -> ExecutionReport:
+def execute_script(store: Store, script: Script, rule: str | None = None) -> ExecutionReport:
     """Evaluate all blocks, then apply INSERT templates in order, ledgering
     the triples they add under ``rule`` (None: as base facts).
 
@@ -422,12 +401,10 @@ def execute_script(
     that fails on any row inserts none of its rows, while the templates
     before it keep what they inserted.
     """
-    schema = schema or SCHEMA
-    terms = _Terms(store)
-    solved = [_solve_block(store, block, schema, terms) for block in script.blocks]
+    solved = [_solve_block(store, block) for block in script.blocks]
     projected_by = _projected_by(script)
     counts = {name: solved[index].full_rows for name, index in projected_by.items()}
-    intern = store.intern
+    intern, decode = store.intern, store.decode
 
     blanks: dict[str, Blank] = {}
 
@@ -459,19 +436,19 @@ def execute_script(
             else:
                 slots.append(blank_for(slot.label) if isinstance(slot, Placeholder) else slot)
         subject, predicate, obj = slots
-        bad_subject = _first_row(subject, terms, lambda term: isinstance(term, Literal))
-        bad_predicate = _first_row(predicate, terms, lambda term: not isinstance(term, Iri))
+        bad_subject = _first_row(subject, decode, lambda term: isinstance(term, Literal))
+        bad_predicate = _first_row(predicate, decode, lambda term: not isinstance(term, Iri))
         if bad_subject is not None and (bad_predicate is None or bad_subject <= bad_predicate):
             raise EvaluationError("template subject resolved to a literal")
         if bad_predicate is not None:
-            wrong = terms[predicate[bad_predicate]] if isinstance(predicate, list) else predicate
+            wrong = decode(predicate[bad_predicate]) if isinstance(predicate, list) else predicate
             raise EvaluationError(f"template predicate resolved to {wrong!r}, not an IRI")
         count = len(rows)
         subjects = subject if isinstance(subject, list) else [intern(subject)] * count
         predicates = predicate if isinstance(predicate, list) else [intern(predicate)] * count
-        ranged = {p for p in set(predicates) if _datetime_ranged(schema, terms[p])}
+        ranged = {p for p in set(predicates) if decode(p) in _DATETIME_RANGED}
         if ranged:
-            objects = _object_ids(store, terms, obj, predicates, ranged)
+            objects = _object_ids(store, obj, predicates, ranged)
         else:
             objects = obj if isinstance(obj, list) else [intern(obj)] * count
         new_ids += store.add_rows(zip(subjects, predicates, objects), rule)
@@ -483,24 +460,24 @@ def execute_script(
         created_blanks=blanks,
         plans=tuple(result.plan for result in solved),
         solved=tuple(solved),
-        terms=terms,
+        store=store,
     )
 
 
-def _first_row(slot: Union[list[int], Term], terms: _Terms, bad: Callable[[Term], bool]) -> Optional[int]:
+def _first_row(
+    slot: Union[list[int], Term], decode: Callable[[int], Term], bad: Callable[[Term], bool]
+) -> Optional[int]:
     """The first row whose term in ``slot`` is ``bad``, or None; each
     distinct id of a column is decoded and checked once."""
     if not isinstance(slot, list):
         return 0 if bad(slot) else None
-    wrong = {term_id for term_id in set(slot) if bad(terms[term_id])}
+    wrong = {term_id for term_id in set(slot) if bad(decode(term_id))}
     if not wrong:
         return None
     return next(row for row, term_id in enumerate(slot) if term_id in wrong)
 
 
-def _object_ids(
-    store: Store, terms: _Terms, obj: Union[list[int], Term], predicates: list[int], ranged: set[int]
-) -> list[int]:
+def _object_ids(store: Store, obj: Union[list[int], Term], predicates: list[int], ranged: set[int]) -> list[int]:
     """The object ids of a template's rows, an integer literal under a
     datetime-ranged predicate coerced to a year; each distinct (coerced?,
     object) is resolved once."""
@@ -509,7 +486,7 @@ def _object_ids(
     def object_id(coerce: bool, key: Union[int, Term]) -> int:
         found = resolved.get((coerce, key))
         if found is None:
-            term = terms[key] if isinstance(key, int) else key
+            term = store.decode(key) if isinstance(key, int) else key
             if coerce and isinstance(term, Literal) and term.datatype is Datatype.INTEGER:
                 found = store.intern(_coerce_year(term))
             else:

@@ -406,8 +406,8 @@ class NamespaceTable:
         "xsd": XSD_NS,
     }
 
-    def __init__(self, bindings: dict[str, str] | None = None, preload: bool = True) -> None:
-        self._by_prefix: dict[str, str] = dict(self._DEFAULTS) if preload else {}
+    def __init__(self, bindings: dict[str, str] | None = None) -> None:
+        self._by_prefix: dict[str, str] = dict(self._DEFAULTS)
         for prefix, base in (bindings or {}).items():
             self.register(prefix, base)
 

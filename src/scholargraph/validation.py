@@ -17,7 +17,7 @@ from .ontology import (
     HAS_UNIT,
     PUBLISHES,
     REQUIRED_PROPERTIES,
-    Schema,
+    SCHEMA,
     Violation,
 )
 from .terms import Datatype, Iri, Literal, MESUR, RDF_TYPE
@@ -34,7 +34,8 @@ def _range_accepts_literal(rng: Datatype, lit: Literal) -> bool:
 
 
 class IdPass:
-    """The schema compiled against one store's term ids.
+    """The vocabulary (:data:`ontology.SCHEMA`) compiled against one
+    store's term ids.
 
     Each schema class gets one bit, so a node's class closure is an int
     and every class test is one ``&``.  What checking a statement needs is
@@ -42,10 +43,9 @@ class IdPass:
     only to write a message.
     """
 
-    def __init__(self, store: "Store", schema: Schema) -> None:
+    def __init__(self, store: "Store") -> None:
         self.store = store
-        self.schema = schema
-        self.bit = {cdef.iri: 1 << k for k, cdef in enumerate(schema.classes())}
+        self.bit = {cdef.iri: 1 << k for k, cdef in enumerate(SCHEMA.classes())}
         self.rdf_type = store.lookup(RDF_TYPE)
         self.has_unit = store.lookup(HAS_UNIT)
         self.has_group = store.lookup(HAS_GROUP)
@@ -77,8 +77,8 @@ class IdPass:
             cls = self.store.decode(class_id)
             if not isinstance(cls, Iri):
                 entry = (0, None)
-            elif self.schema.is_class(cls):
-                entry = (self.mask(self.schema.superclasses(cls)), None)
+            elif SCHEMA.is_class(cls):
+                entry = (self.mask(SCHEMA.superclasses(cls)), None)
             else:
                 entry = (0, f"declared type <{cls.value}> is not a schema class")
             self._classes[class_id] = entry
@@ -113,8 +113,8 @@ class IdPass:
             return self._predicates[pred_id]
         pred = self.store.decode(pred_id)
         rule: object = None
-        if isinstance(pred, Iri) and self.schema.is_property(pred):
-            pdef = self.schema.property_def(pred)
+        if isinstance(pred, Iri) and SCHEMA.is_property(pred):
+            pdef = SCHEMA.property_def(pred)
             datatype = pdef.range if isinstance(pdef.range, Datatype) else None
             allowed = () if datatype is not None else pdef.range
             rule = (

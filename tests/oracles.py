@@ -54,7 +54,6 @@ from scholargraph.ontology import (
     PUBLISHES,
     REQUIRED_PROPERTIES,
     SCHEMA,
-    Schema,
     UnknownNodeError,
     USED,
     USED_BY,
@@ -452,13 +451,12 @@ def oracle_declared_types(store: Store, node: Term) -> tuple[Iri, ...]:
     return tuple(out)
 
 
-def oracle_type_closure(store: Store, node: Term, schema: Schema | None = None) -> set[Iri]:
+def oracle_type_closure(store: Store, node: Term) -> set[Iri]:
     """Declared classes of ``node`` plus all their schema ancestors."""
-    schema = schema or SCHEMA
     closure: set[Iri] = set()
     for cls in oracle_declared_types(store, node):
-        if schema.is_class(cls):
-            closure.update(schema.superclasses(cls))
+        if SCHEMA.is_class(cls):
+            closure.update(SCHEMA.superclasses(cls))
         else:
             closure.add(cls)
     closure.discard(OWL_THING)
@@ -472,7 +470,7 @@ def _range_accepts_literal(rng: Datatype, lit: Literal) -> bool:
     return rng is Datatype.DECIMAL and lit.datatype is Datatype.INTEGER
 
 
-def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = None) -> list[Violation]:
+def oracle_validate_instance(store: Store, node: Term) -> list[Violation]:
     """Check one node against the schema; returns violations, worst first.
 
     The node must appear in at least one triple.  Checks: declared classes
@@ -480,20 +478,19 @@ def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = N
     present, self-contained units carry no group, disjoint siblings are not
     mixed (warning).
     """
-    schema = schema or SCHEMA
     if not store.appears(node):
         raise UnknownNodeError(node)
 
     violations: list[Violation] = []
-    closure = oracle_type_closure(store, node, schema)
+    closure = oracle_type_closure(store, node)
 
     for cls in oracle_declared_types(store, node):
-        if not schema.is_class(cls):
+        if not SCHEMA.is_class(cls):
             violations.append(
                 Violation(node, "unknown-class", "error", f"declared type <{cls.value}> is not a schema class")
             )
 
-    known_closure = {c for c in closure if schema.is_class(c)}
+    known_closure = {c for c in closure if SCHEMA.is_class(c)}
 
     for group in DISJOINT_SETS:
         hit = [c for c in group if c in known_closure]
@@ -509,13 +506,13 @@ def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = N
         if pred == RDF_TYPE:
             continue
         seen_predicates.add(pred)
-        if not schema.is_property(pred):
+        if not SCHEMA.is_property(pred):
             if pred.value.startswith(MESUR):
                 violations.append(
                     Violation(node, "unknown-property", "error", f"<{pred.value}> is not in the property catalog")
                 )
             continue
-        pdef = schema.property_def(pred)
+        pdef = SCHEMA.property_def(pred)
         if pdef.domain not in known_closure:
             violations.append(
                 Violation(
@@ -542,7 +539,7 @@ def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = N
                     Violation(node, "range", "error", f"<{pred.value}> expects a resource, got a literal")
                 )
             else:
-                obj_closure = oracle_type_closure(store, obj, schema)
+                obj_closure = oracle_type_closure(store, obj)
                 if not any(r in obj_closure for r in pdef.range):
                     allowed = " or ".join(f"<{r.value}>" for r in pdef.range)
                     violations.append(
@@ -560,7 +557,7 @@ def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = N
     if PUBLISHES in known_closure:
         groupless = False
         for triple in store.match_terms(node, HAS_UNIT, None):
-            unit_types = oracle_type_closure(store, triple.object, schema)
+            unit_types = oracle_type_closure(store, triple.object)
             if any(c in unit_types for c in GROUPLESS_UNIT_CLASSES):
                 groupless = True
                 break
@@ -579,9 +576,8 @@ def oracle_validate_instance(store: Store, node: Term, schema: Schema | None = N
     return violations
 
 
-def oracle_validate_all(store: Store, schema: Schema | None = None) -> list[Violation]:
+def oracle_validate_all(store: Store) -> list[Violation]:
     """Validate every subject that carries an rdf:type declaration."""
-    schema = schema or SCHEMA
     out: list[Violation] = []
     seen: set[Term] = set()
     for triple in store.match_terms(None, RDF_TYPE, None):
@@ -589,13 +585,13 @@ def oracle_validate_all(store: Store, schema: Schema | None = None) -> list[Viol
         if node in seen:
             continue
         seen.add(node)
-        out.extend(oracle_validate_instance(store, node, schema))
+        out.extend(oracle_validate_instance(store, node))
     return out
 
-def oracle_literal_audit(store: Store, schema: Schema = SCHEMA) -> list[Triple]:
+def oracle_literal_audit(store: Store) -> list[Triple]:
     """Triples whose literal object is not licensed by the schema, found by
     decoding every triple."""
-    allowed = schema.literal_properties()
+    allowed = SCHEMA.literal_properties()
     offending = []
     for triple in store.triples():
         obj = triple.object
@@ -966,17 +962,19 @@ def ledger_triples(store: Store) -> dict[str, set[Triple]]:
 
 
 def oracle_upsert_node(
-    triples: set[Triple], ledger: dict[str, set[Triple]], node: Term, new: Iterable[Triple], rule: str
+    triples: set[Triple], ledger: dict[str, set[Triple]], node: Term, new: Iterable[tuple[Iri, Term]], rule: str
 ) -> None:
     """``upsert_node`` one triple at a time, over a triple set and a decoded
-    ledger: drop every statement about ``node`` from both, then insert each
-    new triple, ledgering under ``rule`` the ones the set did not hold."""
+    ledger: drop every statement about ``node`` from both, then insert the
+    triple of ``node`` and each new (predicate, object) pair, ledgering
+    under ``rule`` the ones the set did not hold."""
     old = {t for t in triples if t.subject == node}
     triples -= old
     for entry in ledger.values():
         entry -= old
     entry = ledger.setdefault(rule, set())
-    for triple in new:
+    for predicate, obj in new:
+        triple = Triple(node, predicate, obj)
         if triple not in triples:
             triples.add(triple)
             entry.add(triple)

@@ -472,6 +472,44 @@ def test_standard_input_is_read_as_utf8_whatever_the_locale(workdir, capsys):
     assert "(1 row(s), 1 full match(es))" in cli("query", "--file", "-", stdin=script.encode("utf-8"))
 
 
+# many good rows first, so the bad byte comes after the first read's chunk
+LATIN1_BIBLIO = (
+    "doc_id\ttitle\tdate\n".encode("utf-8")
+    + b"".join(f"doc-{k}\tA title long enough to fill a line\t2005\n".encode("utf-8") for k in range(400))
+    + b"doc-bad\tCaf\xe9\t2005\n"
+)
+LATIN1_SCRIPT = b'SELECT ?x WHERE ( ?x mesur:hasSession "s\xe9ance" ) .\nINSERT < urn:a mesur:hasSession "x" > .\n'
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["ingest-biblio", "--input", "bad.tsv"], LATIN1_BIBLIO),
+        (["query", "--file", "bad.q"], LATIN1_SCRIPT),
+        (["query", "--file", "-"], LATIN1_SCRIPT),
+    ],
+    ids=["ingest-file", "query-file", "query-stdin"],
+)
+def test_input_that_is_not_utf8_is_one_error_line(workdir, argv, data):
+    (workdir / "bad.tsv").write_bytes(LATIN1_BIBLIO)
+    (workdir / "bad.q").write_bytes(LATIN1_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "scholargraph.cli", *argv],
+        input=data if "-" in argv else b"", cwd=workdir, env=env, capture_output=True, timeout=120,
+    )
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "can't decode byte 0xe9" in err and err.count("\n") == 1
+    assert not os.path.exists(workdir / "scholargraph.store.lock")
+    assert not os.path.exists(workdir / "scholargraph.store")  # the query inserted nothing
+    if argv[0] == "ingest-biblio":
+        db = sqlite3.connect(workdir / "scholargraph.sidecar")
+        assert db.execute("SELECT COUNT(*) FROM biblio").fetchone() == (0,)
+        db.close()
+
+
 def test_query_parse_errors_exit_one_with_position(workdir, capsys):
     load_everything(capsys)
     (workdir / "broken.q").write_text(

@@ -4,14 +4,13 @@ import random
 import pytest
 
 from scholargraph.ntriples import (
-    NTriplesParseError,
     _escape_iri,
     _escape_string,
-    parse_ntriples,
     serialize_term,
     serialize_triple,
     write_ntriples,
 )
+from scholargraph.ntriples_read import NTriplesParseError, parse_ntriples
 from scholargraph.terms import (
     Blank,
     Datatype,

@@ -9,17 +9,23 @@ generates for seed 1 and 400 documents: first ``--help``, ``infer
 --help``, ``catalog`` and a usage error (``metric if`` with neither
 ``--object`` nor ``--year``, which exits 2), so the command line's own
 help and usage texts are compared too, then the ingests, three usage
-batches each followed by ``map`` and ``map --affiliations``, the biblio file, the
-first usage batch and the citations file ingested again (so every row of
+batches each followed by ``map`` and ``map --affiliations``, the biblio
+file, the first usage batch and the citations file ingested again (so every row of
 those three steps is rejected as a duplicate), then ``validate``,
 ``stats``, ``infer --all``, ``query``, ``metric if`` and ``metric uif``,
 ``stats``, ``retract --rule used_by``, ``stats``, ``infer --rule
 used_by``, ``stats``, ``retract --all``, ``map``, ``query`` and
-``export``.  Each ``query`` joins an object-bound, predicate-free pattern
+``export``, and last the paper's Impact Factor script
+(``tests/data/impact_factor.q``, retargeted by ``gen.uif_script`` at the
+largest journal and 2006, so its INSERT's integer ``hasStartTime 2006``
+goes through the datetime coercion), ``validate`` (which exits 1 on that
+script's misspelt ``hasNumbericValue`` and its stray literal) and ``metric
+if`` twice (the second an upsert that changes nothing).  The two journal
+``query`` steps each join an object-bound, predicate-free pattern
 (what links to the largest journal) with a predicate-bound one (the
-contexts of those groups), so it reads POS runs first built after writes
-into a loaded store.  After every command the exit status, stdout and
-stderr must agree (the last stdout is ``export``'s whole N-Triples dump,
+contexts of those groups), so each reads POS runs first built after
+writes into a loaded store.  After every command the exit status, stdout
+and stderr must agree (``export``'s stdout is the whole N-Triples dump,
 each ``query`` prints its rows, each ``stats`` prints the ledger's row
 count per rule, and an ingest's stderr has one ``line N: rejected:
 REASON`` line per rejected row), and so must the snapshot's SHA-1 when the
@@ -68,13 +74,15 @@ WHERE ( ?g ?p {journal} )
 """
 
 
-def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[list[str]]:
+def commands(inputs: str, files: dict[str, list[str]], journal: str, if_script: str) -> list[list[str]]:
     def source(name: str) -> str:
         return os.path.join(inputs, name)
 
     query = ["query", "--file", source("journal.q")]
     with open(source("journal.q"), "w", encoding="utf-8") as fp:
         fp.write(QUERY.format(journal=journal))
+    with open(source("impact_factor.q"), "w", encoding="utf-8") as fp:
+        fp.write(if_script)
 
     # the command line's own output first: help, a listing, a usage error
     sequence = [["--help"], ["infer", "--help"], ["catalog"], ["metric", "if"]]
@@ -101,7 +109,10 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str) -> list[lis
         ["map"],
         query,
         ["export"],
+        ["query", "--file", source("impact_factor.q")],
+        ["validate"],
     ]
+    sequence += [["metric", "if", "--object", journal, "--year", "2006"]] * 2
     return sequence
 
 
@@ -136,7 +147,10 @@ def main(argv: list[str]) -> int:
         workdirs = [os.path.join(scratch, side) for side in ("base", "changed")]
         for workdir in workdirs:
             os.makedirs(workdir)
-        for step, args in enumerate(commands(inputs, files, gen.journal_iri(corpus.journals[0])), 1):
+        with open(os.path.join(trees[1], "tests", "data", "impact_factor.q"), encoding="utf-8") as fp:
+            if_script = gen.uif_script(fp.read(), corpus.journals[0], 2006)
+        sequence = commands(inputs, files, gen.journal_iri(corpus.journals[0]), if_script)
+        for step, args in enumerate(sequence, 1):
             base, changed = (run(tree, workdir, args) for tree, workdir in zip(trees, workdirs))
             label = " ".join(args[:1] + [arg for arg in args[1:] if not os.path.isabs(arg)])
             what = [
