@@ -26,7 +26,8 @@ lets it add the options when it first parses (``COMMAND --help`` and a
 usage error parse too), so help and usage print what a parser built whole
 prints.  Standard input (``--input -``, ``--file -``) is read as UTF-8,
 as files are, whatever the locale's encoding; an input that is not UTF-8
-ends the command with one ``error:`` line and exit 1.
+ends the command with one ``error:`` line, ``FILE: line N: ...`` (FILE is
+``<stdin>`` for ``-``), and exit 1.
 
 Each handler imports the library modules it uses when it runs, so a
 command pays only for its own imports: `stats` loads the store's reader and
@@ -51,7 +52,7 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from typing import IO, TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
 from .record import Record
@@ -181,12 +182,23 @@ def _emit(args: argparse.Namespace, human: Sequence[str], rows: Sequence[Sequenc
             sys.stdout.write(line + "\n")
 
 
-def _read_text(path: str) -> IO[str]:
-    """``path`` opened as UTF-8 text; ``-`` is standard input, read as
-    UTF-8 too, whatever the locale's encoding (closing it closes stdin)."""
-    if path == "-":
-        return io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+def _read_lines(path: str) -> Iterator[str]:
+    """The lines of ``path`` read as UTF-8; ``-`` is standard input, read
+    as UTF-8 too, whatever the locale's encoding (the end closes stdin).
+    A line that is not UTF-8 raises a :class:`ScholarGraphError` naming the
+    file and the line; the decoder's position in it counts within the line."""
+    name = "<stdin>" if path == "-" else path
+    binary = sys.stdin.buffer if path == "-" else open(path, "rb")
+    # a byte that does not decode comes through as a lone surrogate, which
+    # no UTF-8 text holds
+    with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape") as fp:
+        for number, line in enumerate(fp, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ScholarGraphError(f"{name}: line {number}: {exc}") from None
+            yield line
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -257,8 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    # an input that is not UTF-8 (a file, standard input, the config) is a
-    # data error too, not a crash
+    # a config that is not UTF-8 is a data error too, not a crash
     except (ScholarGraphError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..cli import Config, _emit, _read_text
+from ..cli import Config, _emit, _read_lines
 
 
 def configure(parser: argparse.ArgumentParser, command: str):
@@ -17,8 +17,8 @@ def configure(parser: argparse.ArgumentParser, command: str):
 def ingest(args: argparse.Namespace, cfg: Config) -> int:
     from ..sidecar import Sidecar
 
-    with Sidecar(cfg.sidecar) as sidecar, _read_text(args.input) as fp:
-        report = getattr(sidecar, f"ingest_{args.table}")(fp)
+    with Sidecar(cfg.sidecar) as sidecar:
+        report = getattr(sidecar, f"ingest_{args.table}")(_read_lines(args.input))
     for line, reason in report.problems:
         sys.stderr.write(f"line {line}: rejected: {reason}\n")
     _emit(

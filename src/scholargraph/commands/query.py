@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 from typing import TYPE_CHECKING
 
-from ..cli import Config, _emit, _open_store, _read_text, _writer_lock
+from ..cli import Config, _emit, _open_store, _read_lines, _writer_lock
 from ..terms import Iri, NamespaceTable, term_sort_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,9 +37,7 @@ def query(args: argparse.Namespace, cfg: Config) -> int:
     from ..ntriples import serialize_term
     from ..queryl import execute_script, parse_script
 
-    with _read_text(args.file) as fp:
-        text = fp.read()
-    script = parse_script(text, cfg.namespaces)
+    script = parse_script("".join(_read_lines(args.file)), cfg.namespaces)
     mutates = bool(script.templates)
     if mutates:
         with _writer_lock(cfg.store):

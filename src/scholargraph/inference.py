@@ -179,11 +179,6 @@ class InferenceEngine:
     def rules(self) -> tuple[str, ...]:
         return tuple(sorted(RULE_SCRIPTS))
 
-    def rule_text(self, name: str) -> str:
-        if name not in RULE_SCRIPTS:
-            raise UnknownRuleError(name)
-        return RULE_SCRIPTS[name]
-
     def run_rule(self, name: str) -> int:
         """Execute one rule; ledger the new triples; return how many."""
         if name not in RULE_SCRIPTS:

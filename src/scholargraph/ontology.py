@@ -293,17 +293,6 @@ class Schema:
         chain.append(OWL_THING)
         return tuple(chain)
 
-    def is_subclass(self, sub: Iri, sup: Iri) -> bool:
-        """Reflexive subclass test.  owl:Thing is everyone's superclass."""
-        if sub == OWL_THING:
-            if sup != OWL_THING:
-                self.class_def(sup)  # raises on unknown classes
-            return sup == OWL_THING
-        if sup == OWL_THING:
-            self.class_def(sub)
-            return True
-        return sup in self.superclasses(sub)
-
     def literal_properties(self) -> dict[Iri, Datatype]:
         """Predicates allowed to carry a literal object, with its datatype."""
         return {

@@ -105,17 +105,6 @@ class Template(FrozenRecord):
                 out.append(slot)
         return tuple(out)
 
-    def aggregates(self) -> tuple[Aggregate, ...]:
-        if isinstance(self.object, (CountOf, RatioOf)):
-            return (self.object,)
-        return ()
-
-
-def aggregate_count_vars(agg: Aggregate) -> tuple[Var, ...]:
-    if isinstance(agg, CountOf):
-        return (agg.var,)
-    return aggregate_count_vars(agg.numerator) + aggregate_count_vars(agg.denominator)
-
 
 class Script(FrozenRecord, templates=()):
     __slots__ = ("blocks", "templates")

@@ -16,6 +16,15 @@ Grammar::
     itemObj     := itemTerm | literal | aggExpr
     aggExpr     := "COUNT" "(" var ")" | "(" aggExpr "/" aggExpr ")"
 
+Lexing is one compiled regex with one named group per token kind, tried
+in order at each position: an ``<...>`` IRI before a lone ``<``, a
+decimal before an integer.  Numbers are ASCII digits only.  A name may
+hold dots but never ends on one, so a name glued to the script's final
+``.`` gives the dot back.  Where no token starts, the character is the
+error.  A string's escapes are ``\\t \\b \\n \\r \\f \\" \\' \\\\``,
+``\\uXXXX`` and ``\\UXXXXXXXX``; a code point past U+10FFFF or a
+surrogate is an error, since no UTF-8 text can hold it.
+
 Prefixed names expand through the namespace table.  An unregistered prefix
 that is really a URI scheme (urn:, http:, ...) denotes an opaque IRI, so
 operands like ``urn:issn:1082-9873`` work without a declaration; any other
@@ -34,14 +43,7 @@ import re
 from ..errors import PositionedError
 from ..record import FrozenRecord
 from ..store import TriplePattern, Var
-from ..terms import (
-    Datatype,
-    Iri,
-    Literal,
-    NamespaceTable,
-    Term,
-    TermError,
-)
+from ..terms import Datatype, Iri, Literal, NamespaceTable, Term, TermError
 from .ast import (
     Aggregate,
     AndFilter,
@@ -90,27 +92,38 @@ EOF = "end of input"
 
 _KEYWORDS = {SELECT, WHERE, INSERT, AND, OR, COUNT}
 
-_PUNCT = {
-    "(": LPAREN,
-    ")": RPAREN,
-    "<": LANGLE,
-    ">": RANGLE,
-    "=": EQUALS,
-    "/": SLASH,
-    ".": DOT,
-}
-
 # Unregistered prefixes that are URI schemes denote opaque IRIs.
 _SCHEMES = frozenset({"urn", "http", "https", "doi", "info", "mailto", "file", "ftp", "tag"})
 
-_RE_IRIREF = re.compile(r"<[^<>\s]*>")
-_RE_VAR = re.compile(r"\?[A-Za-z_][A-Za-z0-9_]*")
-_RE_PLACEHOLDER = re.compile(r"_[0-9]+")
-_RE_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')
-_RE_DECIMAL = re.compile(r"[+-]?[0-9]+\.[0-9]+")
-_RE_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.:#/%+~-]*")
+_TOKEN = re.compile(
+    r"""(?P<space>[ \t\r]+)
+      | (?P<newline>\n)
+      | (?P<iri><[^<>\s]*>)
+      | (?P<variable>\?[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<placeholder>_[0-9]+)
+      | (?P<string>"(?:[^"\\\n]|\\.)*")
+      | (?P<decimal>[+-]?[0-9]+\.[0-9]+)
+      | (?P<integer>[+-]?[0-9]+)
+      | (?P<name>[A-Za-z](?:[A-Za-z0-9_.:#/%+~-]*[A-Za-z0-9_:#/%+~-])?)
+      | (?P<punct>[()<>=/.])""",
+    re.X,
+)
+_GROUP_KINDS = {
+    "iri": IRIREF,
+    "variable": VARIABLE,
+    "placeholder": PLACEHOLDER,
+    "string": STRING,
+    "decimal": DECIMAL,
+    "integer": INTEGER,
+}
+# what a character that starts no token means, where it says more than itself
+_NO_TOKEN = {
+    "?": "lone '?' is not a variable",
+    "_": "blank placeholder must be '_' followed by digits",
+    '"': "unterminated string literal",
+}
 
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 _STRING_ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -136,115 +149,55 @@ def _lex(text: str) -> list[Token]:
     pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        c = text[pos]
-        if c in " \t\r":
-            pos += 1
-            continue
-        if c == "\n":
-            pos += 1
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            c = text[pos]
+            raise QueryParseError(_NO_TOKEN.get(c, f"unexpected character {c!r}"), line, pos - line_start + 1)
+        group, word = m.lastgroup, m.group()
+        if group == "newline":
             line += 1
-            line_start = pos
-            continue
-        column = pos - line_start + 1
-        if c == "<":
-            m = _RE_IRIREF.match(text, pos)
-            if m:
-                tokens.append(Token(IRIREF, m.group(), line, column))
-                pos = m.end()
-            else:
-                tokens.append(Token(LANGLE, "<", line, column))
-                pos += 1
-            continue
-        if c == "?":
-            m = _RE_VAR.match(text, pos)
-            if not m:
-                raise QueryParseError("lone '?' is not a variable", line, column)
-            tokens.append(Token(VARIABLE, m.group(), line, column))
-            pos = m.end()
-            continue
-        if c == "_":
-            m = _RE_PLACEHOLDER.match(text, pos)
-            if not m:
-                raise QueryParseError(
-                    "blank placeholder must be '_' followed by digits", line, column
-                )
-            tokens.append(Token(PLACEHOLDER, m.group(), line, column))
-            pos = m.end()
-            continue
-        if c == '"':
-            m = _RE_STRING.match(text, pos)
-            if not m:
-                raise QueryParseError("unterminated string literal", line, column)
-            tokens.append(Token(STRING, m.group(), line, column))
-            pos = m.end()
-            continue
-        if c.isdigit() or (c in "+-" and pos + 1 < n and text[pos + 1].isdigit()):
-            m = _RE_DECIMAL.match(text, pos)
-            if m is None:
-                m = _RE_INTEGER.match(text, pos)
-                assert m is not None
-                kind = INTEGER
-            else:
-                kind = DECIMAL
-            tokens.append(Token(kind, m.group(), line, column))
-            pos = m.end()
-            continue
-        if "A" <= c <= "Z" or "a" <= c <= "z":
-            m = _RE_NAME.match(text, pos)
-            assert m is not None
-            word = m.group()
-            # The name charset includes '.', so a name glued to the script
-            # terminator would swallow it: give trailing dots back.
-            trimmed = word.rstrip(".")
-            pos += len(trimmed)
-            if trimmed in _KEYWORDS:
-                tokens.append(Token(trimmed, trimmed, line, column))
-            else:
-                tokens.append(Token(NAME, trimmed, line, column))
-            continue
-        punct = _PUNCT.get(c)
-        if punct is not None:
-            tokens.append(Token(punct, c, line, column))
-            pos += 1
-            continue
-        raise QueryParseError(f"unexpected character {c!r}", line, column)
-    tokens.append(Token(EOF, "", line, n - line_start + 1))
+            line_start = m.end()
+        elif group == "name":
+            tokens.append(Token(word if word in _KEYWORDS else NAME, word, line, pos - line_start + 1))
+        elif group == "punct":
+            tokens.append(Token(f"'{word}'", word, line, pos - line_start + 1))
+        elif group != "space":
+            tokens.append(Token(_GROUP_KINDS[group], word, line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(Token(EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
-def _unescape_string(token: Token) -> str:
-    body = token.text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        i += 1
-        e = body[i]
-        if e in ("u", "U"):
-            width = 4 if e == "u" else 8
-            digits = body[i + 1 : i + 1 + width]
-            if len(digits) < width or not re.match(r"[0-9A-Fa-f]+\Z", digits):
+def _unescape(token: Token) -> str:
+    """A string token's text without its quotes, its escapes decoded."""
+
+    def decode(m: re.Match[str]) -> str:
+        e = m.group()[1]
+        digits = m.group(1) or m.group(2)
+        if digits is None:
+            if e in "uU":
                 raise QueryParseError(f"bad \\{e} escape in string", token.line, token.column)
-            code = int(digits, 16)
-            if code > 0x10FFFF:
-                raise QueryParseError(f"\\{e} escape out of range", token.line, token.column)
-            out.append(chr(code))
-            i += 1 + width
-            continue
-        if e not in _STRING_ESCAPES:
-            raise QueryParseError(f"unknown escape \\{e} in string", token.line, token.column)
-        out.append(_STRING_ESCAPES[e])
-        i += 1
-    return "".join(out)
+            if e not in _STRING_ESCAPES:
+                raise QueryParseError(f"unknown escape \\{e} in string", token.line, token.column)
+            return _STRING_ESCAPES[e]
+        code = int(digits, 16)
+        if code > 0x10FFFF:
+            raise QueryParseError(f"\\{e} escape out of range", token.line, token.column)
+        if 0xD800 <= code <= 0xDFFF:
+            raise QueryParseError(f"\\{e} escape names a surrogate code point", token.line, token.column)
+        return chr(code)
+
+    return _ESCAPE.sub(decode, token.text[1:-1])
 
 
-_LITERAL_KINDS = {INTEGER, DECIMAL, STRING}
+_LITERALS = frozenset({INTEGER, DECIMAL, STRING})
+_PATTERN_TERMS = frozenset({VARIABLE, IRIREF, NAME}) | _LITERALS
+_OPERANDS = frozenset({VARIABLE}) | _LITERALS
+_ITEM_TERMS = frozenset({VARIABLE, PLACEHOLDER, IRIREF, NAME})
+
+# A variable's name and the token that names it, as the parser meets them.
+VarTokens = list[tuple[str, Token]]
 
 
 class _Parser:
@@ -265,6 +218,9 @@ class _Parser:
     def error(self, message: str, token: Token, expected: frozenset[str] = frozenset()) -> QueryParseError:
         return QueryParseError(message, token.line, token.column, expected)
 
+    def unexpected(self, token: Token, kinds: frozenset[str], where: str = "") -> QueryParseError:
+        return self.error(f"unexpected {token.kind} {token.text!r}{where}", token, kinds)
+
     def expect(self, *kinds: str) -> Token:
         token = self.peek()
         if token.kind not in kinds:
@@ -272,213 +228,125 @@ class _Parser:
             raise self.error(f"unexpected {got}", token, frozenset(kinds))
         return self.advance()
 
-    # -- shared term builders --------------------------------------------------
-
-    def resolve_name(self, token: Token) -> Iri:
-        text = token.text
-        if ":" not in text:
-            raise self.error(f"bare name {text!r} is not a prefixed name", token)
-        prefix, _, _local = text.partition(":")
-        if self.ns.is_registered(prefix):
-            return self.ns.expand(text)
-        if prefix in _SCHEMES:
-            return Iri(text)
-        raise self.error(f"unknown namespace prefix {prefix!r}", token)
-
-    def iri_from_token(self, token: Token) -> Iri:
-        try:
-            return Iri(token.text[1:-1])
-        except TermError as exc:
-            raise self.error(str(exc), token) from None
-
-    def literal_from_token(self, token: Token) -> Literal:
-        if token.kind == INTEGER:
-            return Literal(token.text, Datatype.INTEGER)
-        if token.kind == DECIMAL:
-            return Literal(token.text, Datatype.DECIMAL)
-        return Literal(_unescape_string(token), Datatype.STRING)
+    def parse_term(
+        self, kinds: frozenset[str], where: str = "", seen: VarTokens | None = None
+    ) -> Term | Var | Placeholder:
+        """The next token as a term, if its kind is one of ``kinds``; a
+        variable's token goes to ``seen`` for the static checks."""
+        token = self.peek()
+        kind, text = token.kind, token.text
+        if kind not in kinds:
+            raise self.unexpected(token, kinds, where)
+        self.advance()
+        if kind == VARIABLE:
+            if seen is not None:
+                seen.append((text[1:], token))
+            return Var(text[1:])
+        if kind == PLACEHOLDER:
+            return Placeholder(text[1:])
+        if kind == IRIREF:
+            try:
+                return Iri(text[1:-1])
+            except TermError as exc:
+                raise self.error(str(exc), token) from None
+        if kind == NAME:
+            if ":" not in text:
+                raise self.error(f"bare name {text!r} is not a prefixed name", token)
+            prefix = text.partition(":")[0]
+            if self.ns.is_registered(prefix):
+                return self.ns.expand(text)
+            if prefix in _SCHEMES:
+                return Iri(text)
+            raise self.error(f"unknown namespace prefix {prefix!r}", token)
+        if kind == STRING:
+            return Literal(_unescape(token), Datatype.STRING)
+        return Literal(text, Datatype.INTEGER if kind == INTEGER else Datatype.DECIMAL)
 
     # -- grammar ---------------------------------------------------------------
 
     def parse_script(self) -> Script:
-        blocks: list[Block] = []
-        block_meta: list[dict] = []
+        blocks: list[tuple[Block, dict[str, Token], VarTokens]] = []
         while self.peek().kind == SELECT or not blocks:
-            block, meta = self.parse_block()
-            blocks.append(block)
-            block_meta.append(meta)
-        templates: list[tuple[Template, dict]] = []
+            blocks.append(self.parse_block())
+        templates: list[tuple[Template, VarTokens, VarTokens]] = []
         while self.peek().kind == INSERT:
             templates.append(self.parse_template())
         self.expect(DOT)
         self.expect(EOF)
-        script = Script(tuple(blocks), tuple(t for t, _ in templates))
-        self._validate(script, block_meta, templates)
-        return script
+        self._validate(blocks, templates)
+        return Script(tuple(b[0] for b in blocks), tuple(t[0] for t in templates))
 
-    def parse_block(self) -> tuple[Block, dict]:
+    def parse_block(self) -> tuple[Block, dict[str, Token], VarTokens]:
         self.expect(SELECT)
-        projected: list[Var] = []
         select_tokens: dict[str, Token] = {}
-        while True:
+        while not select_tokens or self.peek().kind != WHERE:
             token = self.peek()
-            if token.kind == VARIABLE:
-                self.advance()
-                name = token.text[1:]
-                if name in select_tokens:
-                    raise self.error(f"duplicate projected variable ?{name}", token)
-                select_tokens[name] = token
-                projected.append(Var(name))
-            elif token.kind == WHERE and projected:
-                break
-            else:
-                raise self.error(
-                    f"unexpected {token.kind} {token.text!r}",
-                    token,
-                    frozenset({VARIABLE} if not projected else {VARIABLE, WHERE}),
-                )
-        self.expect(WHERE)
+            if token.kind != VARIABLE:
+                raise self.unexpected(token, frozenset({VARIABLE, WHERE} if select_tokens else {VARIABLE}))
+            self.advance()
+            if token.text[1:] in select_tokens:
+                raise self.error(f"duplicate projected variable {token.text}", token)
+            select_tokens[token.text[1:]] = token
+        self.advance()
         patterns: list[GuardedPattern] = []
-        filter_tokens: list[tuple[str, Token]] = []
-        while True:
+        filter_tokens: VarTokens = []
+        while not patterns or self.peek().kind == LPAREN:
             token = self.peek()
             if token.kind != LPAREN:
-                if patterns:
-                    break
-                raise self.error(
-                    f"unexpected {token.kind} {token.text!r}", token, frozenset({LPAREN})
-                )
-            pattern = self.parse_pattern()
+                raise self.unexpected(token, frozenset({LPAREN}))
+            self.advance()
+            pattern = TriplePattern(*(self.parse_term(_PATTERN_TERMS) for _ in range(3)))
+            self.expect(RPAREN)
             guard = None
             if self.peek().kind == AND:
                 self.advance()
-                guard = self.parse_or_expr(filter_tokens)
+                guard = self.parse_filter(filter_tokens)
             patterns.append(GuardedPattern(pattern, guard))
-        block = Block(tuple(projected), tuple(patterns))
-        meta = {"select_tokens": select_tokens, "filter_tokens": filter_tokens}
-        return block, meta
+        block = Block(tuple(map(Var, select_tokens)), tuple(patterns))
+        return block, select_tokens, filter_tokens
 
-    def parse_pattern(self) -> TriplePattern:
-        self.expect(LPAREN)
-        slots = [self.parse_pattern_term() for _ in range(3)]
-        self.expect(RPAREN)
-        return TriplePattern(*slots)
-
-    def parse_pattern_term(self) -> Term | Var:
-        token = self.peek()
-        if token.kind == VARIABLE:
+    def parse_filter(self, seen: VarTokens, op: str = OR) -> Filter:
+        """An ``op``-separated run: of AND runs when ``op`` is OR, else of atoms."""
+        parts: list[Filter] = []
+        while True:
+            if op == OR:
+                parts.append(self.parse_filter(seen, AND))
+            elif self.peek().kind == LPAREN:
+                self.advance()
+                parts.append(self.parse_filter(seen))
+                self.expect(RPAREN)
+            else:
+                left = self.parse_term(_OPERANDS, seen=seen)
+                symbol = self.expect(EQUALS, LANGLE, RANGLE).text
+                parts.append(Comparison(left, symbol, self.parse_term(_OPERANDS, seen=seen)))
+            if self.peek().kind != op:
+                break
             self.advance()
-            return Var(token.text[1:])
-        if token.kind == IRIREF:
-            self.advance()
-            return self.iri_from_token(token)
-        if token.kind == NAME:
-            self.advance()
-            return self.resolve_name(token)
-        if token.kind in _LITERAL_KINDS:
-            self.advance()
-            return self.literal_from_token(token)
-        raise self.error(
-            f"unexpected {token.kind} {token.text!r}",
-            token,
-            frozenset({VARIABLE, IRIREF, NAME, INTEGER, DECIMAL, STRING}),
-        )
-
-    def parse_or_expr(self, filter_tokens: list[tuple[str, Token]]) -> Filter:
-        parts = [self.parse_and_expr(filter_tokens)]
-        while self.peek().kind == OR:
-            self.advance()
-            parts.append(self.parse_and_expr(filter_tokens))
         if len(parts) == 1:
             return parts[0]
-        return OrFilter(tuple(parts))
+        return (OrFilter if op == OR else AndFilter)(tuple(parts))
 
-    def parse_and_expr(self, filter_tokens: list[tuple[str, Token]]) -> Filter:
-        parts = [self.parse_filter_atom(filter_tokens)]
-        while self.peek().kind == AND:
-            self.advance()
-            parts.append(self.parse_filter_atom(filter_tokens))
-        if len(parts) == 1:
-            return parts[0]
-        return AndFilter(tuple(parts))
-
-    def parse_filter_atom(self, filter_tokens: list[tuple[str, Token]]) -> Filter:
-        token = self.peek()
-        if token.kind == LPAREN:
-            self.advance()
-            inner = self.parse_or_expr(filter_tokens)
-            self.expect(RPAREN)
-            return inner
-        left = self.parse_operand(filter_tokens)
-        op_token = self.expect(EQUALS, LANGLE, RANGLE)
-        op = {EQUALS: "=", LANGLE: "<", RANGLE: ">"}[op_token.kind]
-        right = self.parse_operand(filter_tokens)
-        return Comparison(left, op, right)
-
-    def parse_operand(self, filter_tokens: list[tuple[str, Token]]) -> Var | Literal:
-        token = self.peek()
-        if token.kind == VARIABLE:
-            self.advance()
-            filter_tokens.append((token.text[1:], token))
-            return Var(token.text[1:])
-        if token.kind in _LITERAL_KINDS:
-            self.advance()
-            return self.literal_from_token(token)
-        raise self.error(
-            f"unexpected {token.kind} {token.text!r}",
-            token,
-            frozenset({VARIABLE, INTEGER, DECIMAL, STRING}),
-        )
-
-    def parse_template(self) -> tuple[Template, dict]:
+    def parse_template(self) -> tuple[Template, VarTokens, VarTokens]:
         self.expect(INSERT)
         self.expect(LANGLE)
-        var_tokens: dict[str, Token] = {}
-        count_tokens: list[tuple[str, Token]] = []
-        subject = self.parse_item_term(var_tokens, position="subject")
+        var_tokens: VarTokens = []
+        count_tokens: VarTokens = []
+        subject = self.parse_term(_ITEM_TERMS, " in template subject", var_tokens)
         predicate_token = self.peek()
-        predicate = self.parse_item_term(var_tokens, position="predicate")
+        predicate = self.parse_term(_ITEM_TERMS, " in template predicate", var_tokens)
         if isinstance(predicate, Placeholder):
             raise self.error("a blank node cannot be a predicate", predicate_token)
-        obj = self.parse_item_object(var_tokens, count_tokens)
+        kind = self.peek().kind
+        if kind in (COUNT, LPAREN):
+            obj = self.parse_aggregate(count_tokens)
+        elif kind in _LITERALS:
+            obj = self.parse_term(_LITERALS)
+        else:
+            obj = self.parse_term(_ITEM_TERMS, " in template object", var_tokens)
         self.expect(RANGLE)
-        template = Template(subject, predicate, obj)
-        meta = {"var_tokens": var_tokens, "count_tokens": count_tokens}
-        return template, meta
+        return Template(subject, predicate, obj), var_tokens, count_tokens
 
-    def parse_item_term(self, var_tokens: dict[str, Token], position: str) -> Term | Var | Placeholder:
-        token = self.peek()
-        if token.kind == VARIABLE:
-            self.advance()
-            var_tokens.setdefault(token.text[1:], token)
-            return Var(token.text[1:])
-        if token.kind == PLACEHOLDER:
-            self.advance()
-            return Placeholder(token.text[1:])
-        if token.kind == IRIREF:
-            self.advance()
-            return self.iri_from_token(token)
-        if token.kind == NAME:
-            self.advance()
-            return self.resolve_name(token)
-        raise self.error(
-            f"unexpected {token.kind} {token.text!r} in template {position}",
-            token,
-            frozenset({VARIABLE, PLACEHOLDER, IRIREF, NAME}),
-        )
-
-    def parse_item_object(
-        self, var_tokens: dict[str, Token], count_tokens: list[tuple[str, Token]]
-    ):
-        token = self.peek()
-        if token.kind in _LITERAL_KINDS:
-            self.advance()
-            return self.literal_from_token(token)
-        if token.kind in (COUNT, LPAREN):
-            return self.parse_aggregate(count_tokens)
-        return self.parse_item_term(var_tokens, position="object")
-
-    def parse_aggregate(self, count_tokens: list[tuple[str, Token]]) -> Aggregate:
+    def parse_aggregate(self, count_tokens: VarTokens) -> Aggregate:
         token = self.peek()
         if token.kind == COUNT:
             self.advance()
@@ -494,60 +362,55 @@ class _Parser:
             denominator = self.parse_aggregate(count_tokens)
             self.expect(RPAREN)
             return RatioOf(numerator, denominator)
-        raise self.error(
-            f"unexpected {token.kind} {token.text!r}", token, frozenset({COUNT, LPAREN})
-        )
+        raise self.unexpected(token, frozenset({COUNT, LPAREN}))
 
     # -- static validation -------------------------------------------------------
 
     def _validate(
         self,
-        script: Script,
-        block_meta: list[dict],
-        templates: list[tuple[Template, dict]],
+        blocks: list[tuple[Block, dict[str, Token], VarTokens]],
+        templates: list[tuple[Template, VarTokens, VarTokens]],
     ) -> None:
         projected_by: dict[str, int] = {}
-        for index, (block, meta) in enumerate(zip(script.blocks, block_meta)):
+        for index, (block, select_tokens, filter_tokens) in enumerate(blocks):
             bound = block.pattern_variables()
-            for var in block.projected:
-                token = meta["select_tokens"][var.name]
-                if var.name not in bound:
+            for name, token in select_tokens.items():
+                if name not in bound:
                     raise self.error(
-                        f"projected variable ?{var.name} does not occur in any pattern of its block",
+                        f"projected variable ?{name} does not occur in any pattern of its block",
                         token,
                     )
-                if var.name in projected_by:
+                if name in projected_by:
                     raise self.error(
-                        f"?{var.name} is already projected by an earlier block; "
+                        f"?{name} is already projected by an earlier block; "
                         "projected names must be unique across blocks",
                         token,
                     )
-                projected_by[var.name] = index
-            for name, token in meta["filter_tokens"]:
+                projected_by[name] = index
+            for name, token in filter_tokens:
                 if name not in bound:
                     raise self.error(
                         f"filter variable ?{name} is not bound by any pattern of its block",
                         token,
                     )
-        for template, meta in templates:
+        for _, var_tokens, count_tokens in templates:
             owner: int | None = None
             owner_name = ""
-            for var in template.row_variables():
-                token = meta["var_tokens"][var.name]
-                home = projected_by.get(var.name)
+            for name, token in var_tokens:
+                home = projected_by.get(name)
                 if home is None:
                     raise self.error(
-                        f"template variable ?{var.name} is not projected by any block", token
+                        f"template variable ?{name} is not projected by any block", token
                     )
                 if owner is None:
-                    owner, owner_name = home, var.name
+                    owner, owner_name = home, name
                 elif home != owner:
                     raise self.error(
                         f"template mixes row variables from different blocks "
-                        f"(?{owner_name} from block {owner + 1}, ?{var.name} from block {home + 1})",
+                        f"(?{owner_name} from block {owner + 1}, ?{name} from block {home + 1})",
                         token,
                     )
-            for name, token in meta["count_tokens"]:
+            for name, token in count_tokens:
                 if name not in projected_by:
                     raise self.error(
                         f"COUNT variable ?{name} is not projected by any block", token

@@ -449,6 +449,3 @@ class NamespaceTable:
             return None
         _, prefix = best
         return f"{prefix}:{value[len(self._by_prefix[prefix]):]}"
-
-    def bindings(self) -> dict[str, str]:
-        return dict(self._by_prefix)

@@ -563,7 +563,7 @@ def fuzz_inputs(count):
     alphabet = (
         list("abcxyz0189 \t\n()<>?_:.\"\\'-+/#%~|=^{}[]")
         + ["SELECT", "WHERE", "INSERT", "AND", "OR", "COUNT", "mesur:", "rdf:type",
-           "urn:x:", "?x", "_1", "\u03bb", "\u00e9", "\u0000"]
+           "urn:x:", "?x", "_1", "\u03bb", "\u00e9", "\u0000", "\u00b2", "\u0663"]
     )
     rng = random.Random(8)
     inputs = []

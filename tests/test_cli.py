@@ -482,15 +482,15 @@ LATIN1_SCRIPT = b'SELECT ?x WHERE ( ?x mesur:hasSession "s\xe9ance" ) .\nINSERT 
 
 
 @pytest.mark.parametrize(
-    "argv, data",
+    "argv, data, where",
     [
-        (["ingest-biblio", "--input", "bad.tsv"], LATIN1_BIBLIO),
-        (["query", "--file", "bad.q"], LATIN1_SCRIPT),
-        (["query", "--file", "-"], LATIN1_SCRIPT),
+        (["ingest-biblio", "--input", "bad.tsv"], LATIN1_BIBLIO, "bad.tsv: line 402: "),
+        (["query", "--file", "bad.q"], LATIN1_SCRIPT, "bad.q: line 1: "),
+        (["query", "--file", "-"], LATIN1_SCRIPT, "<stdin>: line 1: "),
     ],
     ids=["ingest-file", "query-file", "query-stdin"],
 )
-def test_input_that_is_not_utf8_is_one_error_line(workdir, argv, data):
+def test_input_that_is_not_utf8_is_one_error_line(workdir, argv, data, where):
     (workdir / "bad.tsv").write_bytes(LATIN1_BIBLIO)
     (workdir / "bad.q").write_bytes(LATIN1_SCRIPT)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)))
@@ -501,7 +501,7 @@ def test_input_that_is_not_utf8_is_one_error_line(workdir, argv, data):
     err = done.stderr.decode("utf-8")
     assert done.returncode == 1, err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and "can't decode byte 0xe9" in err and err.count("\n") == 1
+    assert err.startswith("error: " + where) and "can't decode byte 0xe9" in err and err.count("\n") == 1
     assert not os.path.exists(workdir / "scholargraph.store.lock")
     assert not os.path.exists(workdir / "scholargraph.store")  # the query inserted nothing
     if argv[0] == "ingest-biblio":
@@ -519,6 +519,18 @@ def test_query_parse_errors_exit_one_with_position(workdir, capsys):
     assert code == 1
     assert "bare name 'mesur.hasSource'" in err
     assert "(line 1, column 21)" in err
+
+
+def test_a_surrogate_escape_is_a_parse_error_not_a_failed_save(workdir, capsys):
+    # no UTF-8 text holds a lone surrogate, so the snapshot could not store it
+    (workdir / "surrogate.q").write_text(
+        'SELECT ?x WHERE ( ?x <urn:p> ?y ) INSERT < <urn:a> <urn:p> "\\uD800" > .', encoding="utf-8"
+    )
+    code, _, err = run(capsys, "query", "--file", "surrogate.q")
+    assert code == 1
+    assert err == "error: \\u escape names a surrogate code point (line 1, column 60)\n"
+    assert not os.path.exists(workdir / "scholargraph.store")
+    assert not os.path.exists(workdir / "scholargraph.store.lock")
 
 
 def test_infer_needs_a_rule_or_all(workdir, capsys):

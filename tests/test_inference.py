@@ -129,12 +129,12 @@ def test_rule_catalog_is_sorted_and_complete():
         "affiliation", "authored_by", "contained_in", "published_by", "used_by"
     }
     for name in engine.rules():
-        assert "SELECT" in engine.rule_text(name)
+        assert "SELECT" in RULE_SCRIPTS[name]
 
 
 def test_unknown_rule_everywhere():
     engine = InferenceEngine(Store())
-    for call in (engine.run_rule, engine.rule_text, engine.retract_rule):
+    for call in (engine.run_rule, engine.retract_rule):
         with pytest.raises(UnknownRuleError):
             call("no_such_rule")
 

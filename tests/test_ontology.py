@@ -87,15 +87,15 @@ def publishes_fixture():
 
 
 def test_schema_taxonomy_shape():
-    assert SCHEMA.is_subclass(ARTICLE, UNIT)
-    assert SCHEMA.is_subclass(ARTICLE, DOCUMENT)
-    assert SCHEMA.is_subclass(JOURNAL, GROUP)
-    assert SCHEMA.is_subclass(PUBLISHES, CONTEXT)
-    assert SCHEMA.is_subclass(CITATION, CONTEXT)
-    assert SCHEMA.is_subclass(IMPACT_FACTOR, CONTEXT)
-    assert not SCHEMA.is_subclass(AGENT, DOCUMENT)
-    assert SCHEMA.is_subclass(ARTICLE, ARTICLE)
-    assert SCHEMA.is_subclass(ARTICLE, OWL_THING)
+    assert UNIT in SCHEMA.superclasses(ARTICLE)
+    assert DOCUMENT in SCHEMA.superclasses(ARTICLE)
+    assert GROUP in SCHEMA.superclasses(JOURNAL)
+    assert CONTEXT in SCHEMA.superclasses(PUBLISHES)
+    assert CONTEXT in SCHEMA.superclasses(CITATION)
+    assert CONTEXT in SCHEMA.superclasses(IMPACT_FACTOR)
+    assert DOCUMENT not in SCHEMA.superclasses(AGENT)
+    assert ARTICLE in SCHEMA.superclasses(ARTICLE)
+    assert OWL_THING in SCHEMA.superclasses(ARTICLE)
 
 
 def test_catalog_iris_are_distinct_and_every_parent_is_known():
@@ -119,8 +119,6 @@ def test_superclasses_chain_order():
 def test_unknown_class_raises():
     with pytest.raises(UnknownClassError):
         SCHEMA.superclasses(Iri(MESUR + "NoSuchClass"))
-    with pytest.raises(UnknownClassError):
-        SCHEMA.is_subclass(Iri(MESUR + "NoSuchClass"), OWL_THING)
 
 
 def test_every_property_resolves():

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from scholargraph.cli import Config
+from scholargraph.inference import RULE_SCRIPTS
 from scholargraph.mapping import MapReport
 from scholargraph.metrics import MetricResult
 from scholargraph.queryl.ast import (
@@ -271,6 +272,20 @@ def test_lex_signed_numbers():
     assert (tokens[1].kind, tokens[1].text) == ("decimal", "+4.5")
 
 
+def test_lex_tokens_cover_the_bundled_scripts_where_they_stand():
+    # every token sits at its own (line, column), and the tokens together
+    # hold every character of the source that is not whitespace
+    texts = [read_query(name) for name in sorted(os.listdir(DATA)) if name.endswith(".q")]
+    texts += [RULE_SCRIPTS[name] for name in sorted(RULE_SCRIPTS)]
+    for text in texts:
+        lines = text.split("\n")
+        tokens = _lex(text)
+        for token in tokens:
+            line = lines[token.line - 1]
+            assert line[token.column - 1 : token.column - 1 + len(token.text)] == token.text, token
+        assert "".join(token.text for token in tokens) == "".join(text.split())
+
+
 # -- malformed input ---------------------------------------------------------
 
 
@@ -346,10 +361,26 @@ def test_unicode_escape_out_of_range():
     assert "out of range" in str(err)
 
 
+@pytest.mark.parametrize("escape", ["\\uD800", "\\udfff", "\\U0000DC00"])
+def test_unicode_escape_of_a_surrogate(escape):
+    # no UTF-8 text can hold a lone surrogate, so the snapshot could not
+    # store the literal
+    err = parse_error('SELECT ?x WHERE (?x mesur:hasValue "a' + escape + '") .')
+    assert f"\\{escape[1]} escape names a surrogate code point" in str(err)
+    assert (err.line, err.column) == (1, 36)
+
+
 def test_unexpected_character():
     err = parse_error("SELECT ?x WHERE (?x rdf:type mesur:Article) ; .")
     assert "unexpected character ';'" in str(err)
     assert (err.line, err.column) == (1, 45)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_a_digit_that_is_not_ascii_is_an_unexpected_character(digit):
+    err = parse_error("SELECT ?x\nWHERE (?x <urn:p> " + digit + ") .")
+    assert f"unexpected character {digit!r}" in str(err)
+    assert (err.line, err.column) == (2, 19)
 
 
 def test_empty_iriref():

@@ -19,8 +19,11 @@ used_by``, ``stats``, ``retract --all``, ``map``, ``query`` and
 (``tests/data/impact_factor.q``, retargeted by ``gen.uif_script`` at the
 largest journal and 2006, so its INSERT's integer ``hasStartTime 2006``
 goes through the datetime coercion), ``validate`` (which exits 1 on that
-script's misspelt ``hasNumbericValue`` and its stray literal) and ``metric
-if`` twice (the second an upsert that changes nothing).  The two journal
+script's misspelt ``hasNumbericValue`` and its stray literal), ``metric
+if`` twice (the second an upsert that changes nothing), and then one
+``query --file`` for each malformed script of ``BAD_SCRIPTS`` and for
+``tests/data/group_citation.q`` as shipped, with its colon typo: each of
+these must exit 1 and print the same positioned parse error.  The two journal
 ``query`` steps each join an object-bound, predicate-free pattern
 (what links to the largest journal) with a predicate-bound one (the
 contexts of those groups), so each reads POS runs first built after
@@ -74,7 +77,32 @@ WHERE ( ?g ?p {journal} )
 """
 
 
-def commands(inputs: str, files: dict[str, list[str]], journal: str, if_script: str) -> list[list[str]]:
+# scripts the parser refuses, one per kind of error: each lexer error, an
+# escape out of range, an end of input inside an aggregate and inside a
+# pattern, and the static checks
+BAD_SCRIPTS = {
+    "unterminated.q": 'SELECT ?x WHERE ( ?x mesur:hasValue "oops ) .\n',
+    "lone_question_mark.q": "SELECT ? WHERE ( ?x rdf:type mesur:Article ) .\n",
+    "placeholder.q": "SELECT ?x WHERE ( ?x rdf:type mesur:Article )\nINSERT < _a mesur:hasDocument ?x > .\n",
+    "unknown_escape.q": 'SELECT ?x WHERE ( ?x mesur:hasValue "a\\qb" ) .\n',
+    "short_escape.q": 'SELECT ?x WHERE ( ?x mesur:hasValue "\\u12" ) .\n',
+    "escape_out_of_range.q": 'SELECT ?x WHERE ( ?x mesur:hasValue "\\U00110000" ) .\n',
+    "semicolon.q": "SELECT ?x WHERE ( ?x rdf:type mesur:Article ) ; .\n",
+    "empty_iri.q": "SELECT ?x WHERE ( ?x rdf:type <> ) .\n",
+    "cut_in_ratio.q": "SELECT ?x WHERE ( ?x rdf:type mesur:Article )\nINSERT < _1 mesur:hasNumericValue (COUNT(?x) /",
+    "cut_in_pattern.q": "SELECT ?x WHERE ( ?x rdf:type",
+    "duplicate_projection.q": "SELECT ?x ?x WHERE ( ?x rdf:type mesur:Article ) .\n",
+    "mixed_template.q": (
+        "SELECT ?a WHERE ( ?a rdf:type mesur:Article )\n"
+        "SELECT ?j WHERE ( ?j rdf:type mesur:Journal )\n"
+        "INSERT < ?a mesur:partOf ?j > .\n"
+    ),
+}
+
+
+def commands(
+    inputs: str, files: dict[str, list[str]], journal: str, if_script: str, bad_scripts: dict[str, str]
+) -> list[list[str]]:
     def source(name: str) -> str:
         return os.path.join(inputs, name)
 
@@ -113,6 +141,10 @@ def commands(inputs: str, files: dict[str, list[str]], journal: str, if_script: 
         ["validate"],
     ]
     sequence += [["metric", "if", "--object", journal, "--year", "2006"]] * 2
+    for name, text in bad_scripts.items():
+        with open(source(name), "w", encoding="utf-8") as fp:
+            fp.write(text)
+        sequence.append(["query", "--file", source(name)])
     return sequence
 
 
@@ -149,10 +181,13 @@ def main(argv: list[str]) -> int:
             os.makedirs(workdir)
         with open(os.path.join(trees[1], "tests", "data", "impact_factor.q"), encoding="utf-8") as fp:
             if_script = gen.uif_script(fp.read(), corpus.journals[0], 2006)
-        sequence = commands(inputs, files, gen.journal_iri(corpus.journals[0]), if_script)
+        with open(os.path.join(trees[1], "tests", "data", "group_citation.q"), encoding="utf-8") as fp:
+            bad_scripts = {"group_citation.q": fp.read(), **BAD_SCRIPTS}
+        sequence = commands(inputs, files, gen.journal_iri(corpus.journals[0]), if_script, bad_scripts)
+        refused = len(sequence) - len(bad_scripts)
         for step, args in enumerate(sequence, 1):
             base, changed = (run(tree, workdir, args) for tree, workdir in zip(trees, workdirs))
-            label = " ".join(args[:1] + [arg for arg in args[1:] if not os.path.isabs(arg)])
+            label = " ".join(args[:1] + [os.path.basename(arg) for arg in args[1:]])
             what = [
                 name
                 for name, a, b in zip(("snapshot", "exit status", "stdout", "stderr"), base, changed)
@@ -160,6 +195,9 @@ def main(argv: list[str]) -> int:
             ]
             if what:
                 print(f"step {step}, {label}: {', '.join(what)} differ")
+                return 1
+            if step > refused and base[1] != 1:
+                print(f"step {step}, {label}: a malformed script exits {base[1]}, not 1")
                 return 1
             if same_format:
                 snapshot = base[0]
