@@ -305,26 +305,26 @@ class _Parser:
         block = Block(tuple(map(Var, select_tokens)), tuple(patterns))
         return block, select_tokens, filter_tokens
 
-    def parse_filter(self, seen: VarTokens, op: str = OR) -> Filter:
-        """An ``op``-separated run: of AND runs when ``op`` is OR, else of atoms."""
-        parts: list[Filter] = []
+    def parse_filter(self, seen: VarTokens) -> Filter:
+        """Atoms joined by AND and OR, AND binding tighter: an OR of AND runs."""
+        runs: list[list[Filter]] = [[]]
         while True:
-            if op == OR:
-                parts.append(self.parse_filter(seen, AND))
-            elif self.peek().kind == LPAREN:
+            if self.peek().kind == LPAREN:
                 self.advance()
-                parts.append(self.parse_filter(seen))
+                runs[-1].append(self.parse_filter(seen))
                 self.expect(RPAREN)
             else:
                 left = self.parse_term(_OPERANDS, seen=seen)
                 symbol = self.expect(EQUALS, LANGLE, RANGLE).text
-                parts.append(Comparison(left, symbol, self.parse_term(_OPERANDS, seen=seen)))
-            if self.peek().kind != op:
+                runs[-1].append(Comparison(left, symbol, self.parse_term(_OPERANDS, seen=seen)))
+            kind = self.peek().kind
+            if kind == OR:
+                runs.append([])
+            elif kind != AND:
                 break
             self.advance()
-        if len(parts) == 1:
-            return parts[0]
-        return (OrFilter if op == OR else AndFilter)(tuple(parts))
+        ands = [run[0] if len(run) == 1 else AndFilter(tuple(run)) for run in runs]
+        return ands[0] if len(ands) == 1 else OrFilter(tuple(ands))
 
     def parse_template(self) -> tuple[Template, VarTokens, VarTokens]:
         self.expect(INSERT)

@@ -100,17 +100,13 @@ BAD_SCRIPTS = {
 }
 
 
-def commands(
-    inputs: str, files: dict[str, list[str]], journal: str, if_script: str, bad_scripts: dict[str, str]
-) -> list[list[str]]:
+def commands(inputs: str, files: dict[str, list[str]], journal: str, bad_scripts: list[str]) -> list[list[str]]:
+    """The command sequence; the scripts it names are ``main``'s to write."""
+
     def source(name: str) -> str:
         return os.path.join(inputs, name)
 
     query = ["query", "--file", source("journal.q")]
-    with open(source("journal.q"), "w", encoding="utf-8") as fp:
-        fp.write(QUERY.format(journal=journal))
-    with open(source("impact_factor.q"), "w", encoding="utf-8") as fp:
-        fp.write(if_script)
 
     # the command line's own output first: help, a listing, a usage error
     sequence = [["--help"], ["infer", "--help"], ["catalog"], ["metric", "if"]]
@@ -141,10 +137,7 @@ def commands(
         ["validate"],
     ]
     sequence += [["metric", "if", "--object", journal, "--year", "2006"]] * 2
-    for name, text in bad_scripts.items():
-        with open(source(name), "w", encoding="utf-8") as fp:
-            fp.write(text)
-        sequence.append(["query", "--file", source(name)])
+    sequence += [["query", "--file", source(name)] for name in bad_scripts]
     return sequence
 
 
@@ -179,15 +172,20 @@ def main(argv: list[str]) -> int:
         workdirs = [os.path.join(scratch, side) for side in ("base", "changed")]
         for workdir in workdirs:
             os.makedirs(workdir)
+        journal = gen.journal_iri(corpus.journals[0])
         with open(os.path.join(trees[1], "tests", "data", "impact_factor.q"), encoding="utf-8") as fp:
             if_script = gen.uif_script(fp.read(), corpus.journals[0], 2006)
         with open(os.path.join(trees[1], "tests", "data", "group_citation.q"), encoding="utf-8") as fp:
             bad_scripts = {"group_citation.q": fp.read(), **BAD_SCRIPTS}
-        sequence = commands(inputs, files, gen.journal_iri(corpus.journals[0]), if_script, bad_scripts)
+        scripts = {"journal.q": QUERY.format(journal=journal), "impact_factor.q": if_script, **bad_scripts}
+        for name, text in scripts.items():
+            with open(os.path.join(inputs, name), "w", encoding="utf-8") as fp:
+                fp.write(text)
+        sequence = commands(inputs, files, journal, list(bad_scripts))
         refused = len(sequence) - len(bad_scripts)
         for step, args in enumerate(sequence, 1):
             base, changed = (run(tree, workdir, args) for tree, workdir in zip(trees, workdirs))
-            label = " ".join(args[:1] + [os.path.basename(arg) for arg in args[1:]])
+            label = " ".join(args[:1] + [os.path.basename(arg) if os.path.isabs(arg) else arg for arg in args[1:]])
             what = [
                 name
                 for name, a, b in zip(("snapshot", "exit status", "stdout", "stderr"), base, changed)
