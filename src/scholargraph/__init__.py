@@ -20,7 +20,6 @@ _EXPORTS = {
     "inference": ("InferenceEngine", "RULE_SCRIPTS"),
     "metrics": ("MetricResult", "UndefinedMetricError", "impact_factor", "usage_impact_factor"),
     "ntriples": ("serialize_term", "serialize_triple", "write_ntriples"),
-    "ntriples_read": ("NTriplesParseError", "parse_ntriples"),
     "ontology": ("SCHEMA", "Schema", "literal_audit", "validate_all", "validate_instance"),
     "queryl": ("QueryParseError", "evaluate_block", "execute_script", "parse_script"),
     "sidecar": ("Sidecar",),

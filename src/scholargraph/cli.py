@@ -33,7 +33,7 @@ Each handler imports the library modules it uses when it runs, so a
 command pays only for its own imports: `stats` loads the store's reader and
 the term model alone, `stats`, `validate` and a SELECT-only `query` never
 load the store's writer (`store_write`), `export` adds it and the N-Triples
-writer, no command loads the N-Triples reader, `map` and the `ingest-*`
+writer (the package has no N-Triples reader), `map` and the `ingest-*`
 commands load neither N-Triples nor `decimal`, the `ingest-*` commands load
 neither the store nor the vocabulary (`ontology`), the projection
 (`mapping`) or `urllib.parse`, `query` never loads the rules, the metrics
@@ -52,7 +52,7 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
 from .record import Record
@@ -182,23 +182,29 @@ def _emit(args: argparse.Namespace, human: Sequence[str], rows: Sequence[Sequenc
             sys.stdout.write(line + "\n")
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    """The lines of ``path`` read as UTF-8; ``-`` is standard input, read
-    as UTF-8 too, whatever the locale's encoding (the end closes stdin).
-    A line that is not UTF-8 raises a :class:`ScholarGraphError` naming the
-    file and the line; the decoder's position in it counts within the line."""
+@contextmanager
+def _read_lines(path: str) -> Iterator[Iterator[str]]:
+    """Open ``path`` on entry, and give its lines read as UTF-8; ``-`` is
+    standard input, read as UTF-8 too, whatever the locale's encoding (the
+    exit closes stdin).  A line that is not UTF-8 raises a
+    :class:`ScholarGraphError` naming the file and the line; the decoder's
+    position in it counts within the line."""
     name = "<stdin>" if path == "-" else path
     binary = sys.stdin.buffer if path == "-" else open(path, "rb")
     # a byte that does not decode comes through as a lone surrogate, which
     # no UTF-8 text holds
     with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape") as fp:
-        for number, line in enumerate(fp, 1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ScholarGraphError(f"{name}: line {number}: {exc}") from None
-            yield line
+        yield _utf8_lines(name, fp)
+
+
+def _utf8_lines(name: str, fp: IO[str]) -> Iterator[str]:
+    for number, line in enumerate(fp, 1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ScholarGraphError(f"{name}: line {number}: {exc}") from None
+        yield line
 
 
 # -- argument parsing ------------------------------------------------------------

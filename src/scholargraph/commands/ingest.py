@@ -17,8 +17,9 @@ def configure(parser: argparse.ArgumentParser, command: str):
 def ingest(args: argparse.Namespace, cfg: Config) -> int:
     from ..sidecar import Sidecar
 
-    with Sidecar(cfg.sidecar) as sidecar:
-        report = getattr(sidecar, f"ingest_{args.table}")(_read_lines(args.input))
+    # the input opens first, so a missing one leaves no new sidecar behind
+    with _read_lines(args.input) as lines, Sidecar(cfg.sidecar) as sidecar:
+        report = getattr(sidecar, f"ingest_{args.table}")(lines)
     for line, reason in report.problems:
         sys.stderr.write(f"line {line}: rejected: {reason}\n")
     _emit(

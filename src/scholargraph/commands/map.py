@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import os
 
 from ..cli import Config, _emit, _open_store, _writer_lock
+from ..errors import ScholarGraphError
 
 
 def configure(parser: argparse.ArgumentParser, command: str):
@@ -19,6 +21,9 @@ def configure(parser: argparse.ArgumentParser, command: str):
 def map_records(args: argparse.Namespace, cfg: Config) -> int:
     from ..sidecar import DEFAULT_PROVIDER, Sidecar
 
+    # a mistyped path would open as a new, empty sidecar
+    if not os.path.exists(cfg.sidecar):
+        raise ScholarGraphError(f"{cfg.sidecar}: no such sidecar; ingest records into it first")
     with _writer_lock(cfg.store):
         store = _open_store(cfg)
         before = len(store)

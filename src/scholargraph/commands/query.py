@@ -37,7 +37,9 @@ def query(args: argparse.Namespace, cfg: Config) -> int:
     from ..ntriples import serialize_term
     from ..queryl import execute_script, parse_script
 
-    script = parse_script("".join(_read_lines(args.file)), cfg.namespaces)
+    with _read_lines(args.file) as lines:
+        text = "".join(lines)
+    script = parse_script(text, cfg.namespaces)
     mutates = bool(script.templates)
     if mutates:
         with _writer_lock(cfg.store):

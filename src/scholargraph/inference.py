@@ -10,6 +10,10 @@ tags what it adds).  Because the store has set semantics, facts that were
 already present keep their tag, so ``ledger ∪ base = store`` and
 ``ledger ∩ base = ∅`` hold by construction and retraction is exact:
 removing the rows a rule tags restores the store to its prior content.
+The ledger has one on-disk format, the store snapshot, which carries each
+row's tag: :meth:`InferenceEngine.save_ledger` writes the ledgered triples
+alone as a snapshot, and :meth:`InferenceEngine.load_ledger` reads the
+ledger back from one.
 
 Aggregate derivations (group-level citation weights, coauthor weights) do
 not go through scripts: scripts mint a fresh blank per run, while derivation
@@ -48,7 +52,7 @@ from .ontology import (
     HAS_WEIGHT,
     PUBLISHES,
 )
-from .store import IdTriple, LedgerError, Store
+from .store import IdTriple, LedgerError, SnapshotError, Store
 from .terms import (
     Datatype,
     Iri,
@@ -122,9 +126,6 @@ INSERT < ?b mesur:hasAffiliation ?a > .
 """,
 }
 
-_LEDGER_MAGIC = "#scholargraph-ledger v1"
-
-
 class InferenceError(ScholarGraphError):
     """Bad derivation arguments (self-coauthorship, empty windows, ...)."""
 
@@ -146,14 +147,6 @@ def _check_window(window: tuple[int, int], name: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _triple_sort_key(triple: Triple) -> tuple:
-    return (
-        term_sort_key(triple.subject),
-        term_sort_key(triple.predicate),
-        term_sort_key(triple.object),
-    )
-
-
 class InferenceEngine:
     """Runs registered rules and derivations against one store.
 
@@ -163,7 +156,7 @@ class InferenceEngine:
     retraction works across processes and removes by id.  Derived nodes,
     metric nodes included, enter it through :func:`upsert_node`.
     :meth:`ledger_entries` decodes one rule's rows; :meth:`save_ledger` and
-    :meth:`load_ledger` dump and read the ledger as N-Triples sections.
+    :meth:`load_ledger` dump the ledger to, and read it from, a snapshot.
     """
 
     GROUP_CITATION = "group_citation"
@@ -326,69 +319,40 @@ class InferenceEngine:
     # -- persistence ---------------------------------------------------------------
 
     def save_ledger(self, target: Union[str, IO[bytes]]) -> None:
-        """Dump the ledger as rule-name sections of N-Triples lines."""
-        lines = [_LEDGER_MAGIC]
+        """Dump the ledger as a snapshot (:meth:`Store.save`) of the ledgered
+        triples alone, each tagged with its rule."""
+        store, dump = self.store, Store()
+
+        def copied(term_id: int) -> int:
+            return dump.intern(store.decode(term_id))
+
         for name in self.ledger_rules():
-            lines.append(f"#rule {name}")
-            for triple in sorted(self.ledger_entries(name), key=_triple_sort_key):
-                lines.append(serialize_triple(triple))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        if isinstance(target, str):
-            with open(target, "wb") as fp:
-                fp.write(data)
-        else:
-            target.write(data)
+            dump.add_rows([(copied(s), copied(p), copied(o)) for s, p, o in store.ledger_rows(name)], name)
+        dump.save(target)
 
-    def load_ledger(self, source: Union[str, IO[bytes]], verify: bool = True) -> None:
-        """Replace the store's ledger, in place, with a dumped one.
+    def load_ledger(self, source: Union[str, IO[bytes]]) -> None:
+        """Replace the store's ledger, in place, with the one a snapshot
+        carries: a :meth:`save_ledger` dump, or any saved store.
 
-        With ``verify``, every ledger triple must be present in the store;
-        a mismatch means snapshot and ledger are out of step, and leaves
-        the ledger as it was.  Without it, a ledger triple the store lacks
-        is skipped, since the ledger names stored rows only: a load never
-        changes the store's triples or its term table.  A triple listed
-        under two rules ends under the last.
+        Every triple the dump ledgers must be in the store; one that is not
+        means store and dump are out of step, and leaves the ledger as it
+        was.  A load never changes the store's triples or its term table.
         """
-        from .ntriples_read import parse_ntriples
-
-        if isinstance(source, str):
-            with open(source, "rb") as fp:
-                raw = fp.read()
-        else:
-            raw = source.read()
-        text = raw.decode("utf-8")
-        lines = text.split("\n")
-        if not lines or lines[0].strip() != _LEDGER_MAGIC:
-            raise LedgerError("not a ledger file (missing header)")
+        try:
+            dump = Store.load(source)
+        except SnapshotError as exc:
+            raise LedgerError(f"not a ledger dump: {exc}") from None
         store = self.store
         ledger: dict[str, list[IdTriple]] = {}
-        current: Optional[str] = None
-        for number, line in enumerate(lines[1:], start=2):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped == "#rule" or stripped.startswith("#rule "):
-                current = stripped[len("#rule") :].strip()
-                if not current:
-                    raise LedgerError(f"empty rule name at line {number}")
-                ledger.setdefault(current, [])
-                continue
-            if stripped.startswith("#"):
-                raise LedgerError(f"unexpected comment at line {number}")
-            if current is None:
-                raise LedgerError(f"triple before any #rule section at line {number}")
-            try:
-                triple = next(parse_ntriples(line))
-            except ScholarGraphError as exc:
-                raise LedgerError(f"bad ledger line {number}: {exc}") from None
-            row = store.lookup_triple(triple)
-            if row is None or not store.contains_ids(*row):
-                if verify:
+        for name in dump.ledger_counts():
+            rows = ledger[name] = []
+            for triple in map(dump.decode_triple, dump.ledger_rows(name)):
+                row = store.lookup_triple(triple)
+                if row is None or not store.contains_ids(*row):
                     raise LedgerError(
-                        f"ledger triple for rule {current!r} is not in the store: {serialize_triple(triple)}"
+                        f"ledger triple for rule {name!r} is not in the store: {serialize_triple(triple)}"
                     )
-                continue
-            ledger[current].append(row)
+                rows.append(row)
         for name in ledger:
             store.retag((), name)  # names each rule, so a full name table fails before any change
         for name in self.ledger_rules():

@@ -3,9 +3,8 @@
 One triple per line, UTF-8, ``.``-terminated.  Serialization is canonical:
 strings stay untyped, numbers carry their xsd type, and datetimes pick
 gYear/date/dateTime by precision, so ``parse(serialize(g))`` reproduces
-``g`` exactly.  The reader, :func:`parse_ntriples` and
-:class:`NTriplesParseError`, is :mod:`.ntriples_read`, a module of its own,
-so a command that only writes N-Triples never compiles it.
+``g`` exactly.  N-Triples is an export only: the package reads no
+N-Triples back, since its one on-disk format is the store snapshot.
 """
 
 from __future__ import annotations

@@ -217,28 +217,32 @@ class Sidecar:
 
     def __init__(self, path: str = ":memory:") -> None:
         self.path = path
-        self._db = sqlite3.connect(path)
+        db: Optional[sqlite3.Connection] = None
         try:
-            self._db.execute("PRAGMA foreign_keys = ON")
-            version = self._db.execute("PRAGMA user_version").fetchone()[0]
+            db = sqlite3.connect(path)
+            db.execute("PRAGMA foreign_keys = ON")
+            version = db.execute("PRAGMA user_version").fetchone()[0]
             if version == 0:
-                tables = self._db.execute(
-                    "SELECT count(*) FROM sqlite_master WHERE type = 'table'"
-                ).fetchone()[0]
+                tables = db.execute("SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
                 if tables:
                     raise SidecarError(f"{path}: not a sidecar file")
-                self._db.executescript(_SCHEMA_SQL)
-                self._db.execute(f"PRAGMA user_version = {SIDECAR_VERSION}")
-                self._db.commit()
+                db.executescript(_SCHEMA_SQL)
+                db.execute(f"PRAGMA user_version = {SIDECAR_VERSION}")
+                db.commit()
             elif version != SIDECAR_VERSION:
                 raise SidecarError(
                     f"{path}: sidecar format version {version} is not supported "
                     f"(expected {SIDECAR_VERSION})"
                 )
-        except BaseException:
+        except BaseException as exc:
             # a refused file leaves no connection open
-            self._db.close()
+            if db is not None:
+                db.close()
+            # a directory, a missing parent or a file that is not SQLite
+            if isinstance(exc, sqlite3.Error):
+                raise SidecarError(f"{path}: cannot open as a sidecar: {exc}") from None
             raise
+        self._db = db
 
     def close(self) -> None:
         self._db.close()

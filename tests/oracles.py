@@ -9,6 +9,7 @@ from collections import defaultdict
 from decimal import Decimal, ROUND_HALF_EVEN
 from itertools import groupby
 import random
+import re
 import struct
 import sys
 from typing import Iterable
@@ -437,6 +438,63 @@ def escape_iri_loop(value: str) -> str:
         else:
             out.append(c)
     return "".join(out)
+
+
+# -- canonical N-Triples, read back ------------------------------------------------
+
+_NT_TERM = r'<[^>]*>|_:\S+|"(?:[^"\\]|\\.)*"(?:\^\^<[^>]*>)?'
+_NT_LINE = re.compile(rf"({_NT_TERM}) ({_NT_TERM}) ({_NT_TERM}) \.")
+_NT_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_NT_LITERALS = {
+    "": lambda lexical: Literal(lexical, Datatype.STRING),
+    _XSD + "integer": lambda lexical: Literal(lexical, Datatype.INTEGER),
+    _XSD + "decimal": lambda lexical: Literal(lexical, Datatype.DECIMAL),
+    _XSD + "gYear": datetime_literal,
+    _XSD + "date": datetime_literal,
+    _XSD + "dateTime": datetime_literal,
+}
+
+
+def unescape_loop(text: str) -> str:
+    """Undo the writer's escapes: ``\\uXXXX`` and the five short ones."""
+    out, i = [], 0
+    while i < len(text):
+        if text[i] != "\\":
+            out.append(text[i])
+            i += 1
+        elif text[i + 1] == "u":
+            out.append(chr(int(text[i + 2 : i + 6], 16)))
+            i += 6
+        else:
+            out.append(_NT_UNESCAPES[text[i + 1]])
+            i += 2
+    return "".join(out)
+
+
+def _nt_term(text: str) -> Term:
+    if text.startswith("<"):
+        return Iri(unescape_loop(text[1:-1]))
+    if text.startswith("_:"):
+        return Blank(text[2:])
+    # no datatype IRI holds a raw quote, so the last one closes the string
+    lexical, _, datatype = text[1:].rpartition('"')
+    return _NT_LITERALS[datatype[3:-1]](unescape_loop(lexical))
+
+
+def parse_canonical_ntriples(data: bytes) -> list[Triple]:
+    """The triples of canonical N-Triples, what ``serialize_triple`` and
+    ``write_ntriples`` emit, in line order: UTF-8, one triple per
+    ``\\n``-ended line, terms one space apart, strings untyped.  Anything
+    else fails an assertion."""
+    text = data.decode("utf-8")
+    assert text.endswith("\n"), "the last line is not ended"
+    triples = []
+    for line in text[:-1].split("\n"):
+        match = _NT_LINE.fullmatch(line)
+        assert match, line
+        triples.append(Triple(*map(_nt_term, match.groups())))
+    return triples
 
 
 # -- validation, one node at a time through term-level matches ---------------

@@ -542,7 +542,7 @@ def test_7_performance_smoke(tmp_path):
         result = subprocess.run(
             [sys.executable, str(script)],
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=300,
         )
         assert result.returncode == 0, result.stderr[-2000:]

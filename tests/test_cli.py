@@ -510,6 +510,50 @@ def test_input_that_is_not_utf8_is_one_error_line(workdir, argv, data, where):
         db.close()
 
 
+@pytest.mark.parametrize(
+    "command, sidecar",
+    [
+        ("ingest-biblio", "notdb.txt"),
+        ("map", "notdb.txt"),
+        ("ingest-biblio", "adir"),
+        ("map", "adir"),
+        ("ingest-biblio", os.path.join("nodir", "x.side")),
+    ],
+    ids=["ingest-text-file", "map-text-file", "ingest-directory", "map-directory", "ingest-missing-parent"],
+)
+def test_a_sidecar_path_that_sqlite_cannot_open_is_one_error_line(workdir, command, sidecar):
+    (workdir / "notdb.txt").write_text("not a database\n", encoding="utf-8")
+    (workdir / "adir").mkdir()
+    argv = ["--sidecar", sidecar, command, *(["--input", "biblio.tsv"] if command != "map" else [])]
+    # -X dev -W error: the input an ingest opened first is closed, not leaked
+    done = fresh_interpreter("-X", "dev", "-W", "error", "-m", "scholargraph.cli", *argv, cwd=workdir)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"error: {sidecar}: cannot open as a sidecar: "), done.stderr
+    assert done.stderr.count("\n") == 1 and done.stdout == ""
+    assert not os.path.exists(workdir / "scholargraph.store.lock")
+    assert not os.path.exists(workdir / "scholargraph.store")
+    assert (workdir / "notdb.txt").read_text(encoding="utf-8") == "not a database\n"
+    assert os.listdir(workdir / "adir") == [] and not os.path.exists(workdir / "nodir")
+
+
+def test_map_refuses_a_sidecar_that_does_not_exist(workdir, capsys):
+    expected = (1, "", "error: typo.side: no such sidecar; ingest records into it first\n")
+    assert run(capsys, "--sidecar", "typo.side", "map") == expected
+    assert not os.path.exists("scholargraph.store")
+    load_everything(capsys)
+    before = (workdir / "scholargraph.store").read_bytes()
+    assert run(capsys, "--sidecar", "typo.side", "map") == expected
+    assert (workdir / "scholargraph.store").read_bytes() == before
+    assert not os.path.exists("typo.side") and not os.path.exists("scholargraph.store.lock")
+
+
+def test_an_ingest_whose_input_is_missing_creates_no_sidecar(workdir, capsys):
+    code, out, err = run(capsys, "ingest-biblio", "--input", "nope.tsv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "nope.tsv" in err and err.count("\n") == 1, err
+    assert not os.path.exists("scholargraph.sidecar")
+
+
 def test_query_parse_errors_exit_one_with_position(workdir, capsys):
     load_everything(capsys)
     (workdir / "broken.q").write_text(
@@ -720,7 +764,7 @@ def test_malformed_config_files_exit_one_without_a_traceback(workdir, capsys):
 def fresh_interpreter(*args, cwd=None):
     """Run ``python3 args...`` with the package under test importable."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scholargraph.__file__)))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, encoding="utf-8", timeout=120)
 
 
 def test_a_loading_command_freezes_what_the_load_made(workdir, capsys):
@@ -849,7 +893,7 @@ def test_snapshots_do_not_depend_on_the_hash_seed(workdir, capsys):
         def cli(*argv):
             done = subprocess.run(
                 [sys.executable, "-m", "scholargraph.cli", *argv],
-                cwd=here, env=env, capture_output=True, text=True, timeout=120,
+                cwd=here, env=env, capture_output=True, encoding="utf-8", timeout=120,
             )
             assert done.returncode == 0, done.stderr
 

@@ -11,6 +11,7 @@ from oracles import (
     RULE_ORACLES,
     conformance_store,
     index_of,
+    insert_all,
     journal_roots,
     ledger_triples,
     oracle_coauthor_rows,
@@ -234,13 +235,17 @@ def test_ledger_roundtrip_through_bytes():
     buffer = io.BytesIO()
     engine.save_ledger(buffer)
     raw = buffer.getvalue()
-    assert raw.startswith(b"#scholargraph-ledger v1\n")
+    # the dump is a snapshot of the ledgered triples alone, each under its rule
+    dump = Store.load(io.BytesIO(raw))
+    assert len(dump) == sum(store.ledger_counts().values())
+    assert ledger_triples(dump) == ledger_triples(store)
 
+    for name in engine.ledger_rules():
+        store.retag(store.ledger_rows(name), None)
     resumed = InferenceEngine(store)
     resumed.load_ledger(io.BytesIO(raw))
     assert resumed.ledger_rules() == engine.ledger_rules()
-    for name in engine.ledger_rules():
-        assert resumed.ledger_entries(name) == engine.ledger_entries(name)
+    assert ledger_triples(store) == ledger_triples(dump)
 
 
 def test_ledger_roundtrip_through_a_file(tmp_path):
@@ -249,67 +254,80 @@ def test_ledger_roundtrip_through_a_file(tmp_path):
     engine.run_rule("authored_by")
     path = str(tmp_path / "run.ledger")
     engine.save_ledger(path)
+    entries = engine.ledger_entries("authored_by")
+    engine.retract_rule("authored_by")
+    insert_all(store, entries)
     resumed = InferenceEngine(store)
     resumed.load_ledger(path)
-    assert resumed.ledger_entries("authored_by") == engine.ledger_entries("authored_by")
+    assert resumed.ledger_entries("authored_by") == entries
 
 
 def test_ledger_save_is_deterministic():
     store = random_context_store(random.Random(23), 30)
+    base = io.BytesIO()
+    store.save(base)
     engine = InferenceEngine(store)
     engine.run_all()
     first, second = io.BytesIO(), io.BytesIO()
     engine.save_ledger(first)
     engine.save_ledger(second)
     assert first.getvalue() == second.getvalue()
+    # the same rules on a loaded copy, whose term ids are in another order,
+    # dump the same bytes
+    other = InferenceEngine(Store.load(io.BytesIO(base.getvalue())))
+    other.run_all()
+    third = io.BytesIO()
+    other.save_ledger(third)
+    assert third.getvalue() == first.getvalue()
 
 
 def test_ledger_rejects_bad_input():
-    store = Store()
+    store = random_context_store(random.Random(24), 10)
     engine = InferenceEngine(store)
-    cases = [
-        (b"not a ledger\n", "missing header"),
-        (b"#scholargraph-ledger v1\n#note hi\n", "unexpected comment"),
-        (
-            b"#scholargraph-ledger v1\n"
-            b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:b> .\n",
-            "before any #rule",
-        ),
-        (b"#scholargraph-ledger v1\n#rule\n", "empty rule name"),
-        (
-            b"#scholargraph-ledger v1\n#rule authored_by\ngarbage here\n",
-            "bad ledger line",
-        ),
-    ]
-    for raw, needle in cases:
-        with pytest.raises(LedgerError) as info:
-            engine.load_ledger(io.BytesIO(raw))
-        assert needle in str(info.value), raw
+    engine.run_rule("authored_by")
+    buffer = io.BytesIO()
+    engine.save_ledger(buffer)
+    raw = buffer.getvalue()
+    before = ledger_triples(store)
+    for bad in (b"not a ledger\n", b"#scholargraph-ledger v1\n", raw[: len(raw) // 2], raw[:-1], raw + b"\0"):
+        with pytest.raises(LedgerError, match="not a ledger dump"):
+            engine.load_ledger(io.BytesIO(bad))
+        assert ledger_triples(store) == before
 
 
 def test_ledger_verification_needs_the_triples_present():
-    store = Store()
     held = Triple(node("a"), node("p"), node("c"))
+    dumped = Store()
+    insert_all(dumped, [held, Triple(node("a"), node("p"), node("b")), Triple(Iri("urn:x"), Iri("urn:q"), Iri("urn:y"))])
+    dumped.retag([dumped.lookup_triple(triple) for triple in dumped.triples()], "authored_by")
+    raw = io.BytesIO()
+    dumped.save(raw)
+    store = Store()
     store.insert(held)
     engine = InferenceEngine(store)
-    raw = (
-        b"#scholargraph-ledger v1\n"
-        b"#rule authored_by\n"
-        b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:b> .\n"
-        b"<urn:x-test:a> <urn:x-test:p> <urn:x-test:c> .\n"
-        b"<urn:x> <urn:q> <urn:y> .\n"
-    )
     with pytest.raises(LedgerError) as info:
-        engine.load_ledger(io.BytesIO(raw))
+        engine.load_ledger(io.BytesIO(raw.getvalue()))
     assert "is not in the store" in str(info.value)
+    # nothing changed: no rule ledgers a triple, and no triple or term was added
     assert engine.ledger_rules() == ()
-    # verify=False accepts it (for inspecting an orphaned ledger): the held
-    # triple is ledgered, the missing ones skipped, and no triple or term is
-    # added
-    engine.load_ledger(io.BytesIO(raw), verify=False)
-    assert engine.ledger_rules() == ("authored_by",)
-    assert engine.ledger_entries("authored_by") == frozenset({held})
     assert len(store) == 1 and store.term_count() == 3
+
+
+def test_load_ledger_reads_a_stores_own_snapshot():
+    store = random_context_store(random.Random(25), 30)
+    engine = InferenceEngine(store)
+    engine.run_all()
+    engine.derive_all_coauthors()
+    expected = ledger_triples(store)
+    snapshot = io.BytesIO()
+    store.save(snapshot)
+    for name in engine.ledger_rules():
+        store.retag(store.ledger_rows(name), None)
+    assert engine.ledger_rules() == ()
+    size, terms = len(store), store.term_count()
+    engine.load_ledger(io.BytesIO(snapshot.getvalue()))
+    assert ledger_triples(store) == expected
+    assert len(store) == size and store.term_count() == terms
 
 
 # -- group citation derivation ----------------------------------------------------

@@ -14,7 +14,7 @@ def test_tracer_installs_every_hook():
         [sys.executable, "-c", "from tracer import Tracer; Tracer().install()"],
         env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
