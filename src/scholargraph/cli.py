@@ -35,11 +35,12 @@ the term model alone, `stats`, `validate` and a SELECT-only `query` never
 load the store's writer (`store_write`), `export` adds it and the N-Triples
 writer (the package has no N-Triples reader), `map` and the `ingest-*`
 commands load neither N-Triples nor `decimal`, the `ingest-*` commands load
-neither the store nor the vocabulary (`ontology`), the projection
-(`mapping`) or `urllib.parse`, `query` never loads the rules, the metrics
-or the sidecar, `metric` loads neither the rules (`inference`) nor the
-query dialect, reading and writing through `contexts`, and `retract`
-never loads the query dialect.  No command loads OpenSSL: the IRIs that
+neither the store, the term model (`terms`, which this module imports only
+to check `--namespace` bindings) nor the vocabulary (`ontology`), the
+projection (`mapping`) or `urllib.parse`, `query` never loads the rules,
+the metrics or the sidecar, `metric` loads neither the rules (`inference`)
+nor the query dialect, reading and writing through `contexts`, and
+`retract` never loads the query dialect.  No command loads OpenSSL: the IRIs that
 `map`, the rules and the metrics mint are hashed with CPython's own SHA-1
 (:func:`scholargraph.ontology.digest16`).
 """
@@ -56,10 +57,10 @@ from typing import IO, TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import ScholarGraphError
 from .record import Record
-from .terms import NamespaceTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .store import Store
+    from .terms import NamespaceTable
 
 DEFAULT_STORE = "scholargraph.store"
 DEFAULT_SIDECAR = "scholargraph.sidecar"
@@ -70,7 +71,7 @@ class Config(Record):
     store: str
     sidecar: str
     provider: Optional[str]  # None: the sidecar's default provider
-    namespaces: NamespaceTable
+    namespaces: Optional[NamespaceTable]  # None: no binding beyond the defaults
     precision: int
     verbose: int
 
@@ -104,7 +105,12 @@ def _load_config(args: argparse.Namespace) -> Config:
         if not prefix or not iri:
             raise ScholarGraphError(f"--namespace needs prefix=iri, got {pair!r}")
         bindings[prefix] = iri
-    namespaces = NamespaceTable(bindings)
+    namespaces = None
+    if bindings:
+        # only query reads the table, but a bad binding fails any command
+        from .terms import NamespaceTable
+
+        namespaces = NamespaceTable(bindings)
     precision = file_cfg.get("precision", 6)
     # a JSON true is a Python int too
     if type(precision) is not int:

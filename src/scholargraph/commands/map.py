@@ -27,7 +27,8 @@ def map_records(args: argparse.Namespace, cfg: Config) -> int:
     with _writer_lock(cfg.store):
         store = _open_store(cfg)
         before = len(store)
-        with Sidecar(cfg.sidecar) as sidecar:
+        # an existing file with no schema is refused, not made a sidecar
+        with Sidecar(cfg.sidecar, create=False) as sidecar:
             report = sidecar.map_to_graph(
                 store, provider=cfg.provider or DEFAULT_PROVIDER, affiliations=args.affiliations
             )

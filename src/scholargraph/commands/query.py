@@ -39,7 +39,8 @@ def query(args: argparse.Namespace, cfg: Config) -> int:
 
     with _read_lines(args.file) as lines:
         text = "".join(lines)
-    script = parse_script(text, cfg.namespaces)
+    namespaces = cfg.namespaces or NamespaceTable()
+    script = parse_script(text, namespaces)
     mutates = bool(script.templates)
     if mutates:
         with _writer_lock(cfg.store):
@@ -71,7 +72,7 @@ def query(args: argparse.Namespace, cfg: Config) -> int:
             if not report.plans[index]:
                 human.append("  (no step ran: a constant of the block is not in the store)")
             for number, step in enumerate(report.plans[index], 1):
-                pattern = _render_pattern(step.pattern, cfg.namespaces)
+                pattern = _render_pattern(step.pattern, namespaces)
                 estimated = f"{step.estimated:.1f}"
                 human.append(f"  {number}. {pattern}  estimated {estimated}  actual {step.actual}")
                 rows.append(["plan", str(index + 1), str(number), pattern, estimated, str(step.actual)])

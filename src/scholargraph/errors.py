@@ -23,3 +23,7 @@ class PositionedError(ScholarGraphError):
         self.message = message
         self.line = line
         self.column = column
+
+
+class TermError(ScholarGraphError):
+    """A term or triple violated a structural invariant."""

@@ -25,7 +25,8 @@ batch included.
 The projection into the triple store, :meth:`Sidecar.map_to_graph`, lives
 in :mod:`scholargraph.mapping` behind a one-line delegate, so an ingest
 compiles neither the projection nor the vocabulary it mints from, nor
-:mod:`urllib.parse`.
+:mod:`urllib.parse`; the date check is :mod:`scholargraph.datetimes`, so
+it compiles no term model either.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ from __future__ import annotations
 import sqlite3
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
-from .errors import ScholarGraphError
+from .datetimes import normalize_datetime
+from .errors import ScholarGraphError, TermError
 from .record import Record
-from .terms import Iri, TermError, datetime_literal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mapping import MapReport
     from .store import Store
+    from .terms import Iri
 
 SIDECAR_VERSION = 1
-DEFAULT_PROVIDER = Iri("urn:mesur:provider:default")
+# the provider IRI a mapping mints with unless told another, as text, so an
+# ingest builds no term
+DEFAULT_PROVIDER = "urn:mesur:provider:default"
 
 BIBLIO_COLUMNS = (
     "doc_id",
@@ -130,7 +134,7 @@ class Resolution(Record):
 
 def _valid_time(value: str) -> bool:
     try:
-        datetime_literal(value)
+        normalize_datetime(value)
     except TermError:
         return False
     return True
@@ -215,7 +219,10 @@ def _citation_problem(cursor: sqlite3.Cursor, row: Row) -> Optional[str]:
 class Sidecar:
     """One SQLite file holding biblio, usage, citation and id-map tables."""
 
-    def __init__(self, path: str = ":memory:") -> None:
+    def __init__(self, path: str = ":memory:", create: bool = True) -> None:
+        """Open the sidecar at ``path``, writing the schema into a file that
+        has no tables; with ``create`` false, as ``map`` opens it, such a
+        file is refused and left as it is."""
         self.path = path
         db: Optional[sqlite3.Connection] = None
         try:
@@ -226,6 +233,8 @@ class Sidecar:
                 tables = db.execute("SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
                 if tables:
                     raise SidecarError(f"{path}: not a sidecar file")
+                if not create:
+                    raise SidecarError(f"{path}: an empty file, not a sidecar; ingest records into it first")
                 db.executescript(_SCHEMA_SQL)
                 db.execute(f"PRAGMA user_version = {SIDECAR_VERSION}")
                 db.commit()
@@ -329,11 +338,13 @@ class Sidecar:
         triples, and any other is projected and counted.  The type triple
         is the store's own record of what it holds, so this stays right
         when the store was deleted or replaced, or when an earlier run used
-        another provider or left out affiliations.  Each projected term is
-        interned as it is projected, and the id rows go in as one batch
-        through one :meth:`Store.add_rows` call; no :class:`Triple` is
-        made.  Every doc and event is recorded in the id map either way,
-        which is what :meth:`resolve` and :meth:`resolve_event` read.
+        another provider or left out affiliations.  The projection is
+        columnar: each kind of text it mints is interned by one
+        :meth:`Store.intern_texts` call, and the rows go in as one batch of
+        three id columns through one :meth:`Store.add_rows` call, so no
+        term object and no tuple is made per row.  Every doc and event is
+        recorded in the id map either way, which is what :meth:`resolve`
+        and :meth:`resolve_event` read.
 
         Only identifiers, group/agent links and times cross over; no title,
         author-name, or page literal ever does.  Counts report the contexts

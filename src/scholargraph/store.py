@@ -52,7 +52,9 @@ p) order; any other shape is answered by the permutation whose prefix
 matches its bound slots, in its sort order.  A command that reads one
 predicate's objects whole (``stats``) scans SPO's live columns instead
 (:meth:`Store.predicate_objects`) and builds no POS run.  Every writer
-interns its terms and hands the store id rows, ``map``'s projection too;
+interns its terms and hands the store id rows; ``map``'s projection interns
+each kind of text it mints with one :meth:`Store.intern_texts` call and
+hands :meth:`Store.add_rows` its rows as three id columns, and
 :meth:`Store.insert` and :meth:`Store.remove` are one-row calls.
 
 The store also keeps the inference ledger, as one tag byte beside each SPO
@@ -103,8 +105,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, ge, gt, lt, mul, sub
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from operator import eq, ge, gt, is_, lt, mul, sub
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ScholarGraphError
 from .record import FrozenRecord
@@ -120,6 +122,9 @@ from .terms import (
     check_iris,
     check_literals,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .store_write import IdColumns
 
 _setattr = object.__setattr__  # terms, Var and TriplePattern refuse assignment
 
@@ -257,13 +262,43 @@ class Store:
     # -- dictionary ----------------------------------------------------------
 
     def intern(self, term: Term) -> int:
-        """Id of ``term``, assigning the next dense id on first sight."""
+        """Id of ``term``, assigning the next dense id on first sight
+        (:meth:`_new_id`, as :meth:`intern_texts` assigns it)."""
         head, text = _key(term)
-        ids = self._ids[head]
-        existing = ids.get(text)
+        existing = self._ids[head].get(text)
         if existing is not None:
             return existing
-        new_id = ids[text] = len(self._texts)
+        return self._new_id(head, text, term)
+
+    def intern_texts(self, texts: list[str], datatype: Optional[Datatype] = None) -> array:
+        """The ids of the IRIs whose values are ``texts`` or, given a
+        datatype, of the literals of that datatype whose lexical forms they
+        are, as one id column, in order; a text seen for the first time
+        gets the next dense id, exactly as :meth:`intern` of each term in
+        turn would give it.
+
+        The held texts are found by one ``map`` of the head's dict in C;
+        only the new ones, taken once each in order of first sight, are
+        checked by their constructor's rules, list-wise
+        (:func:`check_iris`, :func:`check_literals`), and then numbered.  A
+        bad new text raises what its constructor raises, before any id is
+        assigned.
+        """
+        head = _IRI if datatype is None else _LITERAL + datatype
+        ids = self._ids[head]
+        found = list(map(ids.get, texts))
+        if None in found:
+            new = list(dict.fromkeys(compress(texts, map(is_, found, repeat(None)))))
+            _check(head, new)
+            deque(map(self._new_id, repeat(head), new), 0)
+            found = map(ids.__getitem__, texts)
+        return array(_ID, found)
+
+    def _new_id(self, head: int, text: str, term: Optional[Term] = None) -> int:
+        """Give the new ``text`` of ``head`` the next dense id, with ``term``
+        as its decoded term (None: decoded on first read): the one place
+        :meth:`intern` and :meth:`intern_texts` assign an id."""
+        new_id = self._ids[head][text] = len(self._texts)
         self._texts.append(text)
         self._heads.append(head)
         self._terms.append(term)
@@ -317,10 +352,16 @@ class Store:
         intern = self.intern
         return bool(self.add_rows([(intern(triple.subject), intern(triple.predicate), intern(triple.object))]))
 
-    def add_rows(self, rows: Iterable[IdTriple], rule: Optional[str] = None) -> list[IdTriple]:
+    def add_rows(
+        self, rows: Union[Iterable[IdTriple], IdColumns], rule: Optional[str] = None
+    ) -> Union[list[IdTriple], IdColumns]:
         """Add id triples, in any order and with repeats, ledgered under
         ``rule`` (None: as base facts); the rows that were new, in SPO
-        order.  A row the store holds already keeps its rule."""
+        order.  A row the store holds already keeps its rule.  The batch
+        may come as :class:`~.store_write.IdColumns`, three id columns, as
+        ``map``'s does, and its new rows then come back as columns too; into
+        an empty store such a batch becomes the base run with no row made a
+        tuple (:func:`.store_write.add_rows`)."""
         return _writer().add_rows(self, rows, rule)
 
     def remove(self, triple: Triple) -> bool:
@@ -338,8 +379,8 @@ class Store:
         tags, SPO's base run, with an empty overlay, and POS a
         :class:`_LazyPos` over it, which builds nothing until it is read;
         ``counts`` holds each subject's row count, by subject id.  The
-        columns are arrays (a load's, which are kept as they are) or lists
-        (a batch's)."""
+        columns are a load's arrays, or a batch's (:func:`.store_write.add_rows`),
+        and are kept as they are."""
         self._spo = _Permutation(counts, p, o, tags)
         self._pos = _LazyPos(self._spo)
         self._size = len(o)
@@ -552,7 +593,11 @@ class Store:
 
     def save(self, target: Union[str, IO[bytes]]) -> None:
         """Write a canonical snapshot to a path, atomically, or to a binary
-        file (:func:`.store_write.save`)."""
+        file (:func:`.store_write.save`).  The snapshot numbers the live
+        terms in canonical order; a store that was never loaded, as after
+        the first ``map``, takes each subject's rows in the order of its new
+        id and sorts only the subjects whose rows that numbering puts out of
+        order, so no row becomes a tuple."""
         _writer().save(self, target)
 
     def canonical_run(self) -> tuple[list[Term], array]:
@@ -593,7 +638,7 @@ class Store:
         whose sizes show a duplicate, and no :class:`Term` is made.  The
         id columns are checked column-wise: a subject id is the position of
         its count, so only the predicate and object columns are checked for
-        range, and the order check (:func:`_ascending_within`) reads one
+        range, and the order check (:func:`_out_of_order`) reads one
         64-bit key per row and a flag for each subject's first row.  SPO's
         offsets come from the subject counts; the predicate and object
         columns become SPO's base run as they are, and the ledger's tag
@@ -662,7 +707,7 @@ class Store:
         # a subject id is the position of its count, so it is in range
         if triple_count and max(max(predicates), max(objects)) >= term_count:
             raise SnapshotError("term id out of range in SPO run")
-        if not _ascending_within(counts, predicates, objects):
+        if any(_out_of_order(counts, _pair_keys(predicates, objects))):
             raise SnapshotError("SPO run is not strictly ascending")
         raw, offset = _unpack(data, offset, "ledger section")
         store._rules, tags = _read_ledger(raw, triple_count, order)
@@ -747,24 +792,25 @@ def _read_ledger(raw: bytes, triple_count: int, order: str) -> tuple[list[str], 
     return names, tags
 
 
-def _ascending_within(counts: Sequence[int], predicates: array, objects: array) -> bool:
-    """Whether the rows of each subject, counted by ``counts`` in subject
-    order, are strictly ascending by (predicate, object).
+def _pair_keys(second: array, third: array) -> memoryview:
+    """Each row's (second, third) pair as one 64-bit key, the second the
+    high half, made by slice assignment of the two columns into the halves
+    of one array in this host's byte order, so no row becomes a tuple."""
+    halves = array(_ID, (0,)) * (2 * len(second))
+    halves[_HIGH::2], halves[1 - _HIGH::2] = second, third
+    return memoryview(halves).cast("B").cast("Q")
 
-    Each row's (predicate, object) pair is one 64-bit key, the predicate
-    the high half, made by slice assignment of the two columns into the
-    halves of one array in this host's byte order; a row whose key is not
-    above the key of the row before it must begin a subject, which one flag
-    byte per row marks.  No row becomes a tuple.
-    """
-    halves = array(_ID, (0,)) * (2 * len(predicates))
-    halves[_HIGH::2], halves[1 - _HIGH::2] = predicates, objects
-    keys = memoryview(halves).cast("B").cast("Q")
-    # the flag of each row that begins a subject, and of the end of the run
+
+def _out_of_order(counts: Sequence[int], keys: memoryview) -> Iterator[bool]:
+    """Whether each row after the first has a 64-bit key
+    (:func:`_pair_keys`) not above the key of the row before it within one
+    first key, whose rows ``counts`` counts in key order; a row that begins
+    a first key, which one flag byte per row marks, is never out of
+    order."""
+    # the flag of each row that begins a first key, and of the end of the run
     begins = bytearray(len(keys) + 1)
     deque(map(begins.__setitem__, accumulate(counts), repeat(1)), 0)
-    # a row at or below the one before it, where it does not begin a subject
-    return not any(map(gt, map(ge, keys, keys[1:]), memoryview(begins)[1:]))
+    return map(gt, map(ge, keys, keys[1:]), memoryview(begins)[1:])
 
 
 # -- the permutations -------------------------------------------------------------
@@ -1080,12 +1126,7 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, l
         fault = SnapshotError(f"bad term section: {exc}")
     try:
         for head, texts in runs:
-            if head == _IRI:
-                check_iris(texts)
-            elif head == _BLANK:
-                check_blanks(texts)
-            else:
-                check_literals(texts, _DATATYPES[head - _LITERAL])
+            _check(head, texts)
     except TermError as exc:
         raise SnapshotError(f"bad term section: {exc}") from None
     if fault is not None:
@@ -1095,6 +1136,17 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, l
     heads = [head for head, _ in runs]
     ordered = all(map(lt, heads, heads[1:])) and all(all(map(lt, texts, texts[1:])) for _, texts in runs)
     return runs, ordered
+
+
+def _check(head: int, texts: list[str]) -> None:
+    """Raise what the constructor of the first bad term of ``head`` among
+    ``texts`` raises, checked list-wise."""
+    if head == _IRI:
+        check_iris(texts)
+    elif head == _BLANK:
+        check_blanks(texts)
+    else:
+        check_literals(texts, _DATATYPES[head - _LITERAL])
 
 
 def _split(blob: bytes, bounds: list[int], texts: list[str]) -> None:

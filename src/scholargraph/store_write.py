@@ -22,20 +22,29 @@ with no rows, or whose new rows all sort after its last one, takes them at
 its end unsought, and a drop of every row of a predicate empties its POS run
 whole.  A batch into an empty store becomes SPO's base run
 (:meth:`Store._build`), so a store that was never loaded has the layout of
-a loaded one.
+a loaded one: a counting sort on subject fills the dense offsets of
+:class:`_Permutation` and puts each row at its subject's next free place,
+then the rows of each subject found out of order by one pass in C are
+sorted and de-duplicated (:func:`_base_run`, :func:`_ordered`), so no row
+becomes a tuple.  Such a batch may come as three id columns
+(:class:`IdColumns`), as ``map``'s does.
 
-A snapshot numbers the live terms in canonical order (:func:`_numbering`).
-A loaded store keeps the snapshot's numbering as its lowest ids, so a save
-sorts only the terms interned since the load and merges them into the
-loaded order.  That renumbering keeps the order of loaded ids, and the base
-run holds loaded ids only, so a save takes each subject's row count from
-SPO's offsets and overlay, maps the base columns as they stand, and builds
-the run subject by subject (:func:`_spo_run`): the base rows between two
-written subjects are one slice, and each written subject's overlay columns
-go in at the offset the counts give, sorted only when they hold a term
-interned since the load, so no list of the written rows as tuples is built
-(a store whose base run holds ids that were not loaded, as one that was
-never loaded, sorts its whole run once, as tuples).  The live terms are
+A snapshot numbers the live terms in canonical order (:func:`_numbering`),
+sorting the fresh terms by text and then, stably, by head, so no key is
+made per term.  A loaded store keeps the snapshot's numbering as its
+lowest ids, so a save sorts only the terms interned since the load and
+merges them into the loaded order.  That renumbering keeps the order of
+loaded ids, and the base run holds loaded ids only, so a save takes each
+subject's row count from SPO's offsets and overlay, maps the base columns
+as they stand, and builds the run subject by subject (:func:`_spo_run`):
+the base rows between two written subjects are one slice, and each
+written subject's overlay columns go in at the offset the counts give,
+sorted only when they hold a term interned since the load, so no list of
+the written rows as tuples is built.
+A store whose base run holds ids that were not loaded, as one that was
+never loaded, takes each subject's rows as slices in the order of its new
+id, renumbers them, and sorts only the subjects that the new numbering
+puts out of order (:func:`_ordered`).  The live terms are
 marked in one byte per term id from SPO alone, so a save builds no POS run
 and no term.  ``export`` writes the same numbering and run
 (:func:`canonical_run`), already in canonical triple order.  Each section
@@ -49,9 +58,9 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
 from operator import itemgetter, le, lt
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .store import (
     _HEADER,
@@ -68,6 +77,8 @@ from .store import (
     LedgerError,
     Store,
     _LazyPos,
+    _out_of_order,
+    _pair_keys,
     _Permutation,
     _repeated,
     _seek,
@@ -82,28 +93,42 @@ _LEVEL = 1
 # -- batch writes ------------------------------------------------------------------
 
 
-def add_rows(store: Store, rows: Iterable[IdTriple], rule: Optional[str] = None) -> list[IdTriple]:
+class IdColumns(NamedTuple):
+    """A batch of id triples as three ``array('I')`` columns of one length:
+    row k is (subjects[k], predicates[k], objects[k])."""
+
+    subjects: array
+    predicates: array
+    objects: array
+
+
+def add_rows(
+    store: Store, rows: Union[Iterable[IdTriple], IdColumns], rule: Optional[str] = None
+) -> Union[list[IdTriple], IdColumns]:
     """:meth:`Store.add_rows`: the batch is sorted once per permutation
     (:func:`_distinct`), and each key it adds a row to gets its columns
     rebuilt once, with the new rows spliced in at their bisected places.
     Into an empty store the batch becomes the base run instead
-    (:meth:`Store._build`), which is what makes million-triple loads
-    cheap."""
-    batch = _distinct(rows)
+    (:func:`_base_run`, :meth:`Store._build`), which is what makes
+    million-triple loads cheap.  The new rows come back in the form the
+    batch came in: id triples, or :class:`IdColumns`."""
     tag = _tag(store, rule)
     if not store._size:
-        if batch:
-            columns = [list(map(itemgetter(slot), batch)) for slot in range(3)]
-            if max(map(max, columns)) >= store._loaded:
+        batch = rows if isinstance(rows, IdColumns) else _columns(rows)
+        counts, second, third = _base_run(batch)
+        if second:
+            if max(map(max, batch)) >= store._loaded:
                 # the base run may hold loaded ids only (see _spo_run)
                 store._loaded = 0
-            store._build(_counts(columns[0]), columns[1], columns[2], bytearray((tag,)) * len(batch))
-        return batch
-    added = merge(store._spo, batch, tag)
+            store._build(counts, second, third, bytearray((tag,)) * len(second))
+        if isinstance(rows, IdColumns):
+            return IdColumns(_repeated(counts), second[:], third[:])
+        return list(zip(_repeated(counts), second, third))
+    added = merge(store._spo, _distinct(zip(*rows) if isinstance(rows, IdColumns) else rows), tag)
     if added:
         merge(store._pos, sorted([(p, o, s) for s, p, o in added]))
         store._size += len(added)
-    return added
+    return _columns(added) if isinstance(rows, IdColumns) else added
 
 
 def drop_rows(store: Store, rows: Iterable[IdTriple]) -> list[IdTriple]:
@@ -347,6 +372,74 @@ def _counts(keys: Iterable[int]) -> array:
     return array(_ID, map(counts.get, range(max(counts) + 1 if counts else 0), repeat(0)))
 
 
+def _columns(rows: Iterable[IdTriple]) -> IdColumns:
+    """The id triples ``rows`` as columns."""
+    rows = rows if isinstance(rows, list) else list(rows)
+    return IdColumns(*(array(_ID, map(itemgetter(slot), rows)) for slot in range(3)))
+
+
+def _base_run(batch: IdColumns) -> tuple[array, array, array]:
+    """The distinct rows of ``batch`` in SPO order, as a base run: each
+    subject's row count, by subject id, and the predicate and object
+    columns.
+
+    A counting sort on subject: the counts are the dense offsets of
+    :class:`_Permutation`, and each row goes to the next free place of its
+    subject, in batch order (a batch whose subjects never descend, as
+    ``map``'s, is in place already and is only copied); then each subject's
+    rows are put in (predicate, object) order and a repeated row dropped
+    (:func:`_ordered`).  No row becomes a tuple.
+    """
+    subjects, predicates, objects = batch
+    counts = _counts(subjects)
+    if all(map(le, subjects, islice(subjects, 1, None))):
+        second, third = predicates[:], objects[:]
+    else:
+        free = array(_ID, accumulate(counts, initial=0))
+        second, third = array(_ID, bytes(4 * len(subjects))), array(_ID, bytes(4 * len(subjects)))
+        for s, p, o in zip(subjects, predicates, objects):
+            at = free[s]
+            free[s] = at + 1
+            second[at] = p
+            third[at] = o
+    second, third = _ordered(counts, [second, third])
+    return counts, second, third
+
+
+def _ordered(counts: array, columns: list[Column]) -> list[Column]:
+    """``columns`` (second, third, then any carried with them, as tags)
+    with the rows of each first key, which ``counts`` counts in key order,
+    in (second, third) order and a repeated row dropped, the key's count
+    lowered to match.
+
+    Only a key that has a row out of order (:func:`_out_of_order`) is
+    sorted, by one 64-bit key per row (:func:`_pair_keys`), and the columns
+    are copied only when there is one.
+    """
+    start = array(_ID, accumulate(counts, initial=0))
+    keys = _pair_keys(columns[0], columns[1])
+    out = [column[:0] for column in columns]
+    done = end = 0
+    for at in compress(count(1), _out_of_order(counts, keys)):
+        if at < end:
+            continue  # a later row of a key already sorted
+        key = bisect_right(start, at) - 1
+        lo, end = start[key], start[key + 1]
+        rows = sorted(range(lo, end), key=keys.__getitem__)
+        # rows with equal keys are one row; the last of them is kept
+        rows = list(dict(zip(map(keys.__getitem__, rows), rows)).values())
+        for piece, column in zip(out, columns):
+            piece += column[done:lo]
+            piece.extend(map(column.__getitem__, rows))
+        counts[key] = len(rows)
+        done = end
+    if not done:
+        return columns
+    for piece, column in zip(out, columns):
+        piece += column[done:]
+    return out
+
+
 # -- snapshots -------------------------------------------------------------------------
 
 
@@ -451,21 +544,23 @@ def _numbering(store: Store) -> tuple[list[int], Optional[list[int]]]:
     del live
     loaded_count = store._loaded
     split = bisect_left(ids, loaded_count)
-    loaded, fresh = ids[:split], ids[split:]
-    keys = [(heads[i], texts[i]) for i in fresh]
-    ranked = sorted(range(len(fresh)), key=keys.__getitem__)
+    loaded = ids[:split]
+    # the fresh terms in (head, text) order: sorted by text, then stably
+    # by head, so no key is made per term
+    fresh = sorted(ids[split:], key=texts.__getitem__)
+    fresh.sort(key=heads.__getitem__)
     if not loaded:  # no loaded term to merge into, as in a store that was not loaded
-        order = list(map(fresh.__getitem__, ranked))
+        order = fresh
     else:
         order, start = [], 0
-        for k in ranked:
-            head, text = keys[k]
+        for term_id in fresh:
+            head = heads[term_id]
             # where the term falls among all loaded ids, then among the live ones
             lo = bisect_left(heads, head, 0, loaded_count)
-            at = bisect_left(texts, text, lo, bisect_right(heads, head, lo, loaded_count))
+            at = bisect_left(texts, texts[term_id], lo, bisect_right(heads, head, lo, loaded_count))
             at = bisect_left(loaded, at, start)
             order += loaded[start:at]
-            order.append(fresh[k])
+            order.append(term_id)
             start = at
         order += loaded[start:]
     if order == list(range(len(texts))):
@@ -489,9 +584,11 @@ def _spo_run(store: Store, order: list[int], renumber: Optional[list[int]]) -> t
     and put in, in the order of its new id, at the offset that the counts
     give it.  A subject's overlay rows keep their order, and make no object
     per row, unless they hold a term interned since the load; only then are
-    they sorted, as tuples.  (A store whose base run holds ids that were
-    not loaded, as one that was never loaded, sorts its whole run once, as
-    tuples.)
+    they sorted, as tuples.  (In a store whose base run holds ids that were
+    not loaded, as one that was never loaded, no order survives: each
+    subject's rows, from the base run or its overlay, are taken as slices
+    in the order of its new id and renumbered, and :func:`_ordered` sorts
+    the subjects left out of order.)
     """
     spo = store._spo
     overlay = spo.overlay
@@ -502,16 +599,27 @@ def _spo_run(store: Store, order: list[int], renumber: Optional[list[int]]) -> t
     counts = array(_ID, map(counts.__getitem__, order))
     base = spo.base()
     if renumber is not None and not store._loaded:
-        # every term is new, so no order survives: one sort of all rows,
-        # with their tags
-        pieces = spo.visible()  # the base rows of the subjects not written
-        columns = [spo.firsts(), *base]
-        if len(pieces) > 1:
-            columns = [_joined(column, pieces) for column in columns]
-        ids = (map(renumber.__getitem__, column) for column in columns[:3])
-        fresh = ((renumber[s], renumber[p], renumber[o], tag) for s, run in overlay.items() for p, o, tag in zip(*run))
-        run = array(_ID, chain.from_iterable(sorted(chain(zip(*ids, columns[3]), fresh))))
-        return counts, run[1::4], run[2::4], bytearray(iter(run[3::4]))
+        # every term is new, so no order survives: each subject's rows, base
+        # or overlay, are taken as slices in the order of its new id, then
+        # renumbered and put in (predicate, object) order
+        start = spo.start
+        base_predicates, base_objects, base_tags = base
+        predicates, objects, tags = array(_ID), array(_ID), bytearray()
+        for s in compress(order, counts):
+            run = overlay.get(s)
+            if run is None:
+                lo, hi = start[s], start[s + 1]
+                predicates += base_predicates[lo:hi]
+                objects += base_objects[lo:hi]
+                tags += base_tags[lo:hi]
+            else:
+                predicates += run[0]
+                objects += run[1]
+                tags += run[2]
+        columns = [array(_ID, map(renumber.__getitem__, column)) for column in (predicates, objects)]
+        del predicates, objects
+        predicates, objects, tags = _ordered(counts, [*columns, tags])
+        return counts, predicates, objects, tags
     renumbered = renumber.__getitem__ if renumber is not None else None
     if renumbered is not None:
         base = (*(array(_ID, map(renumbered, column)) for column in base[:2]), base[2])
@@ -548,14 +656,6 @@ def _spo_run(store: Store, order: list[int], renumber: Optional[list[int]]) -> t
             column += base_column[start : piece.stop]
         seen += piece.stop - piece.start
     return counts, out[0], out[1], out[2]
-
-
-def _joined(column: Column, pieces: list[slice]) -> Column:
-    """The items of ``column`` in ``pieces``, in order, as one column."""
-    out = column[:0]
-    for piece in pieces:
-        out += column[piece]
-    return out
 
 
 def _pack(pieces: Iterable[Union[bytes, array]]) -> list[bytes]:

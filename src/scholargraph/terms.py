@@ -17,7 +17,8 @@ from enum import IntEnum
 from itertools import repeat
 from typing import TYPE_CHECKING, Union
 
-from .errors import ScholarGraphError
+from .datetimes import _DATE, _DATE_RE, _YEAR, _YEAR_RE, line_texts, normalize_datetime, real_dates
+from .errors import ScholarGraphError, TermError
 from .record import FrozenRecord
 
 if TYPE_CHECKING:
@@ -40,20 +41,12 @@ class Datatype(IntEnum):
     DATETIME = 3
 
 
-class TermError(ScholarGraphError):
-    """A term or triple violated a structural invariant."""
-
-
 _WHITESPACE_RE = re.compile(r"\s")  # the code points str.isspace() accepts
 _BLANK = r"[A-Za-z0-9_][A-Za-z0-9_.-]*"
 _INTEGER = r"[+-]?[0-9]+"
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
-_YEAR = r"[0-9]{4}"
-_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _INTEGER_RE = re.compile(_INTEGER + r"\Z")
 _DECIMAL_RE = re.compile(_DECIMAL + r"\Z")
-_YEAR_RE = re.compile(_YEAR + r"\Z")
-_DATE_RE = re.compile(_DATE + r"\Z")
 
 
 def _valid_datetime_lexical(lex: str) -> bool:
@@ -221,29 +214,12 @@ def year_literal(year: int) -> Literal:
 
 
 def datetime_literal(lexical: str) -> Literal:
-    """Normalize an ISO-8601-ish string into a datetime literal.
-
-    Accepts a bare year, a date, or a timestamp with either 'T' or a single
-    space between date and time ('Z' is folded to '+00:00').  The result is
-    canonical: re-normalizing it is the identity.
-    """
-    lex = lexical.strip()
-    if _YEAR_RE.match(lex):
-        return Literal(lex, Datatype.DATETIME)
-    if _DATE_RE.match(lex):
-        try:
-            _dt.date.fromisoformat(lex)
-        except ValueError as exc:
-            raise TermError(f"not an ISO-8601 date: {lexical!r}") from exc
-        return Literal(lex, Datatype.DATETIME)
-    if len(lex) > 10 and lex[10] in ("T", " "):
-        candidate = lex[:10] + "T" + lex[11:].replace("Z", "+00:00")
-        try:
-            parsed = _dt.datetime.fromisoformat(candidate)
-        except ValueError as exc:
-            raise TermError(f"not an ISO-8601 date/time: {lexical!r}") from exc
-        return Literal(parsed.isoformat(), Datatype.DATETIME)
-    raise TermError(f"not an ISO-8601 date/time: {lexical!r}")
+    """Normalize an ISO-8601-ish string into a datetime literal
+    (:func:`scholargraph.datetimes.normalize_datetime`): a bare year, a
+    date, or a timestamp with either 'T' or a single space between date and
+    time ('Z' is folded to '+00:00').  The result is canonical:
+    re-normalizing it is the identity."""
+    return Literal(normalize_datetime(lexical), Datatype.DATETIME)
 
 
 def datetime_sort_value(lit: Literal) -> tuple:
@@ -309,11 +285,12 @@ def term_sort_key(term: Term) -> tuple:
 #
 # A snapshot load checks every term of the store but builds none.  These
 # checks take a whole list by the constructors' rules in a few C-level passes
-# (a regex over the values joined by newlines, which the count of newlines
-# shows no value holds).  If a check fails, the constructors run over the
-# list, so the error is the one the first bad value's constructor raises.
-# The patterns are compiled (and cached by ``re``) on first use, so a
-# command that checks no term list does not compile them.
+# (a regex over the values joined by newlines, a few thousand at a time,
+# which the count of newlines shows no value holds: see line_texts).  If a
+# check fails, the constructors run over the list, so the error is the one
+# the first bad value's constructor raises.  The patterns are compiled (and
+# cached by ``re``) on first use, so a command that checks no term list does
+# not compile them.
 
 _BLANK_LINES = rf"(?:{_BLANK}(?<!\.)\n)*\Z"
 _LEXICAL_LINES = {
@@ -322,8 +299,6 @@ _LEXICAL_LINES = {
     # a year, a date, or anything with a "T" at index 10 (a timestamp)
     Datatype.DATETIME: rf"(?:(?:{_YEAR}|{_DATE}|.{{10}}T.*)\n)*\Z",
 }
-_DATE_LINES = rf"(?m)^{_DATE}$"
-_TIMESTAMP_LINES = r"(?m)^.{10}T.*$"
 
 
 def check_iris(values: list[str]) -> None:
@@ -334,15 +309,14 @@ def check_iris(values: list[str]) -> None:
 
 def check_blanks(labels: list[str]) -> None:
     """Raise what ``Blank(v)`` raises for the first bad label, checked list-wise."""
-    text = _lines(labels)
-    if text is None or not re.match(_BLANK_LINES, text):
+    if not all(text is not None and re.match(_BLANK_LINES, text) for text in line_texts(labels)):
         _construct(Blank, labels)
 
 
 def check_literals(lexicals: list[str], datatype: Datatype) -> None:
     """Raise what ``Literal(v, datatype)`` raises for the first bad lexical
     form, checked list-wise."""
-    if datatype is not Datatype.STRING and not _valid_lexicals(lexicals, datatype):
+    if datatype is not Datatype.STRING and not all(_valid_lexicals(text, datatype) for text in line_texts(lexicals)):
         _construct(Literal, lexicals, repeat(datatype))
 
 
@@ -351,23 +325,12 @@ def _construct(cls: type, *columns) -> None:
     deque(map(cls, *columns), maxlen=0)
 
 
-def _lines(values: list[str]) -> str | None:
-    """Each value followed by a newline; None if a value holds a newline."""
-    text = "\n".join(values) + "\n"
-    return text if text.count("\n") == len(values) else None
-
-
-def _valid_lexicals(lexicals: list[str], datatype: Datatype) -> bool:
-    text = _lines(lexicals)
+def _valid_lexicals(text: str | None, datatype: Datatype) -> bool:
+    """Whether each line of a chunk of :func:`line_texts` is a valid
+    lexical form of ``datatype``."""
     if text is None or not re.match(_LEXICAL_LINES[datatype], text):
         return False
-    if datatype is Datatype.DATETIME:
-        try:
-            deque(map(_dt.date.fromisoformat, re.findall(_DATE_LINES, text)), maxlen=0)
-            deque(map(_dt.datetime.fromisoformat, re.findall(_TIMESTAMP_LINES, text)), maxlen=0)
-        except ValueError:
-            return False
-    return True
+    return datatype is not Datatype.DATETIME or real_dates(text)
 
 
 RDF_TYPE = Iri(RDF_NS + "type")

@@ -13,6 +13,7 @@ import re
 import struct
 import sys
 from typing import Iterable
+from urllib.parse import quote
 import zlib
 
 from scholargraph.ontology import (
@@ -27,6 +28,7 @@ from scholargraph.ontology import (
     DISJOINT_SETS,
     GROUP,
     GROUPLESS_UNIT_CLASSES,
+    HAS_ACCESS_TYPE,
     HAS_AFFILIATE,
     HAS_AFFILIATEE,
     HAS_AFFILIATION_PROP,
@@ -39,6 +41,7 @@ from scholargraph.ontology import (
     HAS_SESSION,
     HAS_SINK,
     HAS_SOURCE,
+    HAS_START_TIME,
     HAS_TIME,
     HAS_UNIT,
     HAS_USER,
@@ -60,6 +63,7 @@ from scholargraph.ontology import (
     USED_BY,
     USES,
     Violation,
+    digest16,
 )
 from scholargraph.ntriples import serialize_triple
 from scholargraph.store import SnapshotError, Store
@@ -993,6 +997,100 @@ def random_context_store(rng: random.Random, n_contexts: int) -> Store:
 
 
 # -- sidecar sample rows -----------------------------------------------------------
+
+def _oracle_name(name: str) -> str:
+    return " ".join(name.split()).casefold()
+
+
+def _oracle_agent(kind: str, name: str, provider: Iri) -> Iri:
+    base = "urn:mesur:agent:" if kind == "human" else "urn:mesur:org:"
+    return Iri(base + digest16(f"{kind}|{_oracle_name(name)}|{provider.value}"))
+
+
+def oracle_map(db, held: set[Triple], provider: Iri, affiliations: bool) -> set[Triple]:
+    """The triples one ``map`` projects from the sidecar connection ``db``
+    into a store holding ``held``, built as terms, one triple at a time:
+    a context whose type triple ``held`` has is skipped with its triples,
+    so the store after the map is ``held`` and these."""
+    out: set[Triple] = set()
+    add = out.add
+
+    def held_of(cls: Iri) -> set[Term]:
+        return {t.subject for t in held if t.predicate == RDF_TYPE and t.object == cls}
+
+    add(Triple(provider, RDF_TYPE, ORGANIZATION))
+    units: dict[str, Iri] = {}
+    contexts = held_of(PUBLISHES)
+    for doc_id, authors, collection, publisher, date, doi in db.execute(
+        "SELECT doc_id, authors, collection, publisher, date, doi FROM biblio"
+    ):
+        key = "urn:doi:" + doi if doi else "urn:mesur:doc:" + doc_id
+        unit = units[doc_id] = Iri(quote(key, safe="/.:_-+()"))
+        ctx = Iri("urn:mesur:ctx:pub:" + digest16(f"{doc_id}|{provider.value}"))
+        if ctx in contexts:
+            continue
+        add(Triple(ctx, RDF_TYPE, PUBLISHES))
+        add(Triple(ctx, HAS_UNIT, unit))
+        add(Triple(unit, RDF_TYPE, ARTICLE))
+        add(Triple(ctx, HAS_PROVIDER, provider))
+        if date:
+            add(Triple(ctx, HAS_TIME, datetime_literal(date)))
+        if collection:
+            name, year = _oracle_name(collection), date.split("-")[0] if date else ""
+            root = Iri("urn:mesur:group:" + digest16(f"root|{name}|{provider.value}"))
+            edition = Iri("urn:mesur:group:ed:" + digest16(f"{name}|{year}|{provider.value}"))
+            add(Triple(root, RDF_TYPE, JOURNAL))
+            add(Triple(edition, RDF_TYPE, GROUP))
+            add(Triple(edition, PART_OF, root))
+            add(Triple(ctx, HAS_GROUP, edition))
+        if publisher:
+            org = _oracle_agent("org", publisher, provider)
+            add(Triple(org, RDF_TYPE, ORGANIZATION))
+            add(Triple(ctx, HAS_PUBLISHER, org))
+        for name in (authors or "").split("|"):
+            if name.strip():
+                human = _oracle_agent("human", name, provider)
+                add(Triple(human, RDF_TYPE, HUMAN))
+                add(Triple(ctx, HAS_AUTHOR, human))
+    contexts, affiliated = held_of(USES), held_of(AFFILIATION)
+    for event_id, time, agent, session, affiliation, access_type, doc_id in db.execute(
+        "SELECT event_id, time, agent, session, affiliation, access_type, doc_id FROM usage_events"
+    ):
+        ctx = Iri("urn:mesur:ctx:use:" + digest16(f"{event_id}|{provider.value}"))
+        if ctx not in contexts:
+            add(Triple(ctx, RDF_TYPE, USES))
+            add(Triple(ctx, HAS_DOCUMENT, units[doc_id]))
+            add(Triple(ctx, HAS_TIME, datetime_literal(time)))
+            add(Triple(ctx, HAS_PROVIDER, provider))
+            if agent:
+                add(Triple(_oracle_agent("human", agent, provider), RDF_TYPE, HUMAN))
+                add(Triple(ctx, HAS_USER, _oracle_agent("human", agent, provider)))
+            if session:
+                add(Triple(ctx, HAS_SESSION, string_literal(session)))
+            if access_type:
+                add(Triple(ctx, HAS_ACCESS_TYPE, string_literal(access_type)))
+        if not (affiliations and affiliation and agent):
+            continue
+        aff = Iri("urn:mesur:ctx:aff:" + digest16(f"{event_id}|{_oracle_name(affiliation)}|{provider.value}"))
+        if aff in affiliated:
+            continue
+        org = _oracle_agent("org", affiliation, provider)
+        add(Triple(org, RDF_TYPE, ORGANIZATION))
+        add(Triple(aff, RDF_TYPE, AFFILIATION))
+        add(Triple(aff, HAS_AFFILIATOR, org))
+        add(Triple(aff, HAS_AFFILIATEE, _oracle_agent("human", agent, provider)))
+        add(Triple(aff, HAS_START_TIME, datetime_literal(time)))
+    contexts = held_of(CITATION)
+    for citing, cited in db.execute("SELECT citing_doc_id, cited_doc_id FROM citation_pairs"):
+        ctx = Iri("urn:mesur:ctx:cite:" + digest16(f"{citing}|{cited}|{provider.value}"))
+        if ctx in contexts:
+            continue
+        add(Triple(ctx, RDF_TYPE, CITATION))
+        add(Triple(ctx, HAS_SOURCE, units[citing]))
+        add(Triple(ctx, HAS_SINK, units[cited]))
+        add(Triple(ctx, HAS_WEIGHT, Literal("1.0", Datatype.DECIMAL)))
+    return out
+
 
 SAMPLE_BIBLIO_TSV = (
     "doc_id\ttitle\tauthors\tcollection\tpublisher\tdate\tstart_page\tend_page\tvolume\tissue\tdoi\n"

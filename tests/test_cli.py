@@ -547,6 +547,15 @@ def test_map_refuses_a_sidecar_that_does_not_exist(workdir, capsys):
     assert not os.path.exists("typo.side") and not os.path.exists("scholargraph.store.lock")
 
 
+def test_map_refuses_an_empty_file_as_its_sidecar(workdir, capsys):
+    (workdir / "empty.side").write_bytes(b"")
+    expected = (1, "", "error: empty.side: an empty file, not a sidecar; ingest records into it first\n")
+    assert run(capsys, "--sidecar", "empty.side", "map") == expected
+    # the file is left empty, and no store is written
+    assert (workdir / "empty.side").read_bytes() == b""
+    assert not os.path.exists("scholargraph.store") and not os.path.exists("scholargraph.store.lock")
+
+
 def test_an_ingest_whose_input_is_missing_creates_no_sidecar(workdir, capsys):
     code, out, err = run(capsys, "ingest-biblio", "--input", "nope.tsv")
     assert (code, out) == (1, "")

@@ -1,11 +1,12 @@
 """Sidecar tests: TSV ingestion, graph mapping, id resolution, audits."""
 
 import io
+import random
 import sqlite3
 
 import pytest
 
-from oracles import SAMPLE_BIBLIO_TSV, SAMPLE_USAGE_TSV
+from oracles import SAMPLE_BIBLIO_TSV, SAMPLE_USAGE_TSV, oracle_map
 from scholargraph.ontology import (
     AFFILIATION,
     ARTICLE,
@@ -277,7 +278,7 @@ def test_sample_mapping_shapes_the_graph():
     [pub] = store.subjects(RDF_TYPE, PUBLISHES)
     assert store.contains(Triple(pub, HAS_UNIT, unit))
     assert store.contains(Triple(pub, HAS_TIME, datetime_literal("2006")))
-    assert store.contains(Triple(pub, HAS_PROVIDER, DEFAULT_PROVIDER))
+    assert store.contains(Triple(pub, HAS_PROVIDER, Iri(DEFAULT_PROVIDER)))
     authors = set(store.objects(pub, HAS_AUTHOR))
     assert len(authors) == 3
     for author in authors:
@@ -595,6 +596,72 @@ def test_a_fresh_sidecar_maps_into_an_existing_store():
     assert mapped(fresh, store, affiliations=True).total == 0
     assert snapshot(store) == before
     assert fresh.counts()["id_map"] == len(DOCS) + sum(len(batch) for batch in EVENT_BATCHES)
+
+
+# names that normalize equal mint one agent or group
+NAMES = ["Ann Lee", "ann  lee", " ANN LEE", "Bo Chen", "bo chen", "Cy", "Dee Ray"]
+# a collection, publisher or affiliation; some publishers are no one's
+# affiliation, and the reverse
+PLACES = ["Lab One", "lab  one", "Univ", "UNIV ", "Press Co"]
+PLAIN_TIMES = ["2006", "2006-02-28", "2006-03-04 05:06:07", "2007-01-02T03:04:05"]
+ODD_TIMES = ["2006-03-04T05:06:07Z", "2006-03-04 05:06:07.25", " 2005-06-07 ", "2006-03-04T05:06:07+02:00"]
+
+
+def random_docs(rng, count):
+    return [
+        doc(
+            n,
+            doi=f"10.{n}/x y" if rng.random() < 0.5 else "",
+            date=rng.choice(["", "2004", "2005-06-07", "2006-01-31"]),
+            collection=rng.choice(["", *PLACES]),
+            publisher=rng.choice(["", *PLACES[2:]]),
+            authors="|".join(rng.choice([*NAMES, ""]) for _ in range(rng.randrange(4))),
+        )
+        for n in range(count)
+    ]
+
+
+def random_events(rng, batch, count, docs, odd):
+    times = PLAIN_TIMES + ODD_TIMES if odd else PLAIN_TIMES
+    return [
+        {
+            "event_id": f"ev-{batch}-{n}",
+            "time": rng.choice(times),
+            "doc_id": rng.choice(docs)["doc_id"],
+            # some authors are never readers, and one reader never writes
+            "agent": rng.choice(["", "ann lee", "Bo Chen", "Eve"]),
+            "session": rng.choice(["", "s-1", f"s-{n}"]),
+            "affiliation": rng.choice(["", *PLACES[:4], "Field Station"]),
+            "access_type": rng.choice(["", "pdf", "html"]),
+        }
+        for n in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_map_sequences_equal_the_oracle(seed):
+    """Over random sidecars, fed batch by batch, every map leaves the store
+    holding what the term-level oracle projects, triple by triple, whether
+    the store is the one in memory or a reload of its snapshot, with
+    affiliations on or off and for either provider."""
+    rng = random.Random(seed)
+    sc, store, expected = Sidecar(), Store(), set()
+    docs = random_docs(rng, 14)
+    sc.ingest_biblio(biblio_tsv(*docs))
+    for batch in range(4):
+        sc.ingest_usage(usage_tsv(*random_events(rng, batch, 25, docs, odd=seed % 2)))
+        if batch == 2:
+            pairs = {(rng.choice(docs)["doc_id"], rng.choice(docs)["doc_id"]) for _ in range(12)}
+            sc.ingest_citations(citation_tsv(*pairs))
+        for _ in range(rng.randrange(1, 3)):
+            if rng.random() < 0.5:
+                store = reloaded(store)
+            provider, affiliations = rng.choice([Iri(DEFAULT_PROVIDER), BETA]), rng.random() < 0.6
+            expected |= oracle_map(sc._db, expected, provider, affiliations)
+            sc.map_to_graph(store, provider=provider, affiliations=affiliations)
+            assert set(store.triples()) == expected, (seed, batch)
+            assert len(store) == len(expected) and store.verify_indexes()
+    assert snapshot(reloaded(store)) == snapshot(store)
 
 
 # -- resolution -------------------------------------------------------------------

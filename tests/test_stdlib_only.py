@@ -152,9 +152,10 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
         assert not loaded[name] & heavy, name
     for name in ("stats", "map", "ingest-biblio", "ingest-usage", "ingest-citations"):
         assert not loaded[name] & ({"scholargraph.ntriples", "decimal"} - bare), name
-    # an ingest fills the sidecar only: no store, no vocabulary, no projection
+    # an ingest fills the sidecar only: no store, no term model, no vocabulary, no projection
     for table in inputs:
-        unused = {"scholargraph.store", "scholargraph.ontology", "scholargraph.mapping"} | ({"urllib.parse"} - bare)
+        unused = {"scholargraph.store", "scholargraph.terms", "scholargraph.ontology", "scholargraph.mapping"}
+        unused |= {"urllib.parse"} - bare
         assert not loaded[f"ingest-{table}"] & unused, table
     assert "scholargraph.mapping" in loaded["map"]
     # the command line imports the handler module of the command that runs, and no other

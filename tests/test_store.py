@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from array import array
 
 import pytest
 
@@ -16,11 +17,14 @@ import scholargraph.store as store_module
 import scholargraph.store_write as store_write
 from scholargraph.ntriples import write_ntriples
 from scholargraph.store import LedgerError, SnapshotError, Store
+from scholargraph.store_write import IdColumns
 from scholargraph.terms import (
     RDF_TYPE,
     Blank,
+    Datatype,
     Iri,
     Literal,
+    TermError,
     Triple,
     datetime_literal,
     decimal_literal,
@@ -426,6 +430,30 @@ def test_a_load_builds_no_pos_run_and_no_term():
     # a term is made when it is first decoded, and kept
     term = store.decode(rows[0][2])
     assert store.decode(rows[0][2]) is term and store._terms.count(None) == store.term_count() - 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interning_texts_numbers_as_interning_each_term_does(seed):
+    """intern_texts gives each text the id that intern of its term, one at
+    a time in list order, gives on a twin store, held and repeated texts
+    included; a bad new text raises the constructor's error and numbers
+    nothing."""
+    rng = random.Random(seed)
+    lists = [
+        (None, [f"urn:{rng.choice('amz')}:{rng.randrange(40)}" for _ in range(60)]),
+        (Datatype.DATETIME, [f"{rng.randrange(1990, 2010)}" for _ in range(30)]),
+        (Datatype.STRING, [rng.choice(["", "a", "b c", "é"]) for _ in range(20)]),
+    ]
+    store, twin = Store(), Store()
+    for _ in range(2):
+        for datatype, texts in rng.sample(lists, len(lists)):
+            make = Iri if datatype is None else (lambda text, datatype=datatype: Literal(text, datatype))
+            assert list(store.intern_texts(texts, datatype)) == [twin.intern(make(text)) for text in texts]
+            assert store.term_count() == twin.term_count()
+    for datatype, bad, message in ((None, "urn:a b", "whitespace"), (Datatype.DATETIME, "20x6", "normalized")):
+        with pytest.raises(TermError, match=message):
+            store.intern_texts(["urn:held:0", bad], datatype)
+        assert store.term_count() == twin.term_count() and store.lookup(Iri("urn:held:0")) is None
 
 
 def test_decoded_terms_are_the_constructors_terms():
@@ -1127,6 +1155,41 @@ def test_save_writes_what_the_reference_encoder_writes_over_random_histories():
             assert data == oracle_snapshot(store), seed
             store = Store.load(io.BytesIO(data))
             assert saved(store) == data, seed
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_batch_into_an_empty_store_saves_as_the_triples_inserted_one_by_one(seed):
+    """add_rows of a random batch with repeated rows into an empty store,
+    given as id columns or as id triples, with subjects in any order or
+    never descending (as map hands them), leaves the store, and the bytes
+    of its save, that inserting the same triples one at a time gives; it
+    returns the distinct rows in SPO order, in the form it was given."""
+    rng = random.Random(seed)
+    terms = [random_term(rng) for _ in range(80)]
+    nodes = [term for term in terms if not isinstance(term, Literal)]
+    predicates = [Iri(f"urn:p:{k}") for k in range(5)]
+    triples = [Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(terms)) for _ in range(rng.randrange(1, 300))]
+    triples += rng.choices(triples, k=len(triples) // 2)
+    rule = rng.choice((None, "rule_a"))
+    one_by_one = Store()
+    for triple in triples:
+        one_by_one.insert(triple)
+    if rule is not None:
+        one_by_one.retag(list(one_by_one.match_ids(None, None, None)), rule)
+    expected = saved(one_by_one)
+    for form in ("columns", "triples"):
+        store = Store()
+        store.intern(random_term(rng))  # a term no triple uses
+        rows = [(store.intern(t.subject), store.intern(t.predicate), store.intern(t.object)) for t in triples]
+        if seed % 2:
+            rows.sort(key=lambda row: row[0])
+        if form == "columns":
+            added = store.add_rows(IdColumns(*(array("I", column) for column in zip(*rows))), rule)
+            assert isinstance(added, IdColumns) and list(zip(*added)) == sorted(set(rows)), form
+        else:
+            assert store.add_rows(iter(rows), rule) == sorted(set(rows)), form
+        assert store.verify_indexes() and set(store.triples()) == set(triples), form
+        assert saved(store) == expected == oracle_snapshot(one_by_one), form
 
 
 def exported(store: Store) -> bytes:

@@ -23,13 +23,12 @@ import ast
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import tokenize
 
-from peak_rss import FILES, named_file
+from peak_rss import kept_files
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 USAGE = "usage: python3 tools/code_lines.py [SOURCE_DIR] [--command -- CLI_ARG...]"
@@ -79,23 +78,16 @@ def tree_modules(root: str) -> list[str]:
 def command_modules(root: str, args: list[str]) -> list[str]:
     """The modules that ``scholargraph ARGS`` imports with ``root`` on the
     path, sorted; the files the arguments name are restored after the run."""
-    paths = [path for path in (named_file(args, *named) for named in FILES) if os.path.exists(path)]
     env = dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as saved:
-        copies = [os.path.join(saved, str(k)) for k in range(len(paths))]
-        for path, copy in zip(paths, copies):
-            shutil.copyfile(path, copy)
         listing = os.path.join(saved, "modules.json")
-        try:
+        with kept_files(args):
             done = subprocess.run(
                 [sys.executable, "-c", COMMAND, listing, *args],
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE,
             )
-        finally:
-            for path, copy in zip(paths, copies):
-                shutil.copyfile(copy, path)
         if done.returncode != 0:
             sys.exit(f"scholargraph {' '.join(args)} failed:\n{done.stderr.decode('utf-8', 'replace')}")
         with open(listing, encoding="utf-8") as fp:

@@ -8,8 +8,9 @@ the current directory, and prints each run's peak RSS, the child's own
 ``ru_maxrss``, then the minimum and the median.  The store and the sidecar
 the arguments name (``--store``/``--sidecar``, else the environment
 variables, else the CLI's defaults) are copied before the first run and
-put back before each later one and after the last, so every run starts
-from the same files and the files are left as they were found.
+put back before each later one and after the last, and one that did not
+exist is removed then, so every run starts from the same files and the
+files are left as they were found.
 
 A child's ``ru_maxrss`` starts from the resident size of the process that
 spawned it, so this launcher imports as little as it can and prints its own
@@ -25,6 +26,8 @@ import resource
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 CLI = "import sys; from scholargraph.cli import main; sys.exit(main())"
 # the files a command may write, the CLI option and variable that name each,
@@ -44,6 +47,32 @@ def named_file(args: list[str], option: str, variable: str, default: str) -> str
         if arg.startswith(option + "="):
             return arg[len(option) + 1 :]
     return os.environ.get(variable) or default
+
+
+@contextmanager
+def kept_files(args: list[str]) -> Iterator[Callable[[], None]]:
+    """Keep the files ``args`` name (``FILES``) as they are now: give a
+    function that puts them back, removing one that did not exist, and call
+    it on the way out too."""
+    named = [named_file(args, *spec) for spec in FILES]
+    with tempfile.TemporaryDirectory() as saved:
+        copies = {}
+        for k, path in enumerate(named):
+            if os.path.exists(path):
+                copies[path] = os.path.join(saved, str(k))
+                shutil.copyfile(path, copies[path])
+
+        def restore() -> None:
+            for path in named:
+                if path in copies:
+                    shutil.copyfile(copies[path], path)
+                elif os.path.exists(path):
+                    os.unlink(path)
+
+        try:
+            yield restore
+        finally:
+            restore()
 
 
 def run_once(tree: str, args: list[str]) -> float:
@@ -70,22 +99,13 @@ def main(argv: list[str]) -> int:
     if not repeat.isdigit() or int(repeat) < 1:
         sys.exit(USAGE)
     repeat = int(repeat)
-    paths = [path for path in (named_file(args, *named) for named in FILES) if os.path.exists(path)]
-    with tempfile.TemporaryDirectory() as saved:
-        copies = [os.path.join(saved, str(k)) for k in range(len(paths))]
-        for path, copy in zip(paths, copies):
-            shutil.copyfile(path, copy)
-        peaks = []
-        try:
-            for k in range(repeat):
-                if k:
-                    for path, copy in zip(paths, copies):
-                        shutil.copyfile(copy, path)
-                peaks.append(run_once(tree, args))
-                print(f"run {k + 1}: {peaks[-1]:.2f} MB")
-        finally:
-            for path, copy in zip(paths, copies):
-                shutil.copyfile(copy, path)
+    peaks = []
+    with kept_files(args) as restore:
+        for k in range(repeat):
+            if k:
+                restore()
+            peaks.append(run_once(tree, args))
+            print(f"run {k + 1}: {peaks[-1]:.2f} MB")
     ranked = sorted(peaks)
     median = (ranked[(len(ranked) - 1) // 2] + ranked[len(ranked) // 2]) / 2
     print(f"min {ranked[0]:.2f} MB, median {median:.2f} MB over {len(peaks)} run(s)")
