@@ -80,7 +80,14 @@ a length column and one payload blob; the SPO run is each subject's row
 count and the predicate and object columns, so a load takes SPO's offsets
 from the counts rather than counting a subject column; the ledger section
 is the names of the rules that tag a row, in name order, and the tag
-column of the SPO run, renumbered to that order.  A load checks the term
+column of the SPO run, renumbered to that order.  Each u32 column (the
+lengths, the counts, the predicates and the objects) is stored as four
+byte planes, least significant first, as the shuffle filter of HDF5 and
+Blosc stores a column: an id's high bytes vary little, so a plane of them
+packs far better than the interleaved ids.  Every other integer is
+little-endian, so a snapshot has one byte order and every host writes the
+same bytes; a load puts the planes back by strided slice assignment at
+the offsets of its host's byte order (:func:`_ids`).  A load checks the term
 table one run at a time by the term constructors' rules, and the id
 columns column-wise, with the messages a term-by-term check would give,
 but builds no term, no subject column and no POS run: only predicate and
@@ -104,7 +111,7 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, ge, gt, is_, lt, mul, sub
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
@@ -208,17 +215,20 @@ Column = Union[array, bytearray]
 _ID = "I"
 
 _MAGIC = b"SGRAPH"
-_VERSION = 4
-# version, byte order (0 little, 1 big), term count, triple count
-_HEADER = struct.Struct("<HBII")
+_VERSION = 5
+# version, term count, triple count
+_HEADER = struct.Struct("<HII")
 # a packed section: the length of its raw bytes, then of its zlib stream
 _PACKED = struct.Struct("<QQ")
-# the byte order of a snapshot's counts, lengths and ids as this host writes
-# them; the header's flag names it for a reader on another host
-_NATIVE = "<" if sys.byteorder == "little" else ">"
+# a count or a length of a snapshot that is not in an id column
+_COUNT = struct.Struct("<I")
+# an id in this host's byte order
 _U32 = struct.Struct("=I")
+# where each byte of a u32, least significant first, sits in this host's
+# byte order: the offsets of a snapshot's byte planes within an id column
+_PLANES = (0, 1, 2, 3) if sys.byteorder == "little" else (3, 2, 1, 0)
 # the index of a 64-bit value's high 32-bit half in this host's byte order
-_HIGH = 1 if _NATIVE == "<" else 0
+_HIGH = 1 if sys.byteorder == "little" else 0
 # a row's rule is one tag byte, and tag 0 marks a base fact
 _MAX_RULES = 255
 
@@ -263,12 +273,12 @@ class Store:
 
     def intern(self, term: Term) -> int:
         """Id of ``term``, assigning the next dense id on first sight
-        (:meth:`_new_id`, as :meth:`intern_texts` assigns it)."""
+        (:meth:`_new_ids`, as :meth:`intern_texts` assigns it)."""
         head, text = _key(term)
         existing = self._ids[head].get(text)
         if existing is not None:
             return existing
-        return self._new_id(head, text, term)
+        return self._new_ids(head, [text], [term])
 
     def intern_texts(self, texts: list[str], datatype: Optional[Datatype] = None) -> array:
         """The ids of the IRIs whose values are ``texts`` or, given a
@@ -280,9 +290,9 @@ class Store:
         The held texts are found by one ``map`` of the head's dict in C;
         only the new ones, taken once each in order of first sight, are
         checked by their constructor's rules, list-wise
-        (:func:`check_iris`, :func:`check_literals`), and then numbered.  A
-        bad new text raises what its constructor raises, before any id is
-        assigned.
+        (:func:`check_iris`, :func:`check_literals`), and then numbered in
+        bulk (:meth:`_new_ids`).  A bad new text raises what its constructor
+        raises, before any id is assigned.
         """
         head = _IRI if datatype is None else _LITERAL + datatype
         ids = self._ids[head]
@@ -290,19 +300,22 @@ class Store:
         if None in found:
             new = list(dict.fromkeys(compress(texts, map(is_, found, repeat(None)))))
             _check(head, new)
-            deque(map(self._new_id, repeat(head), new), 0)
+            self._new_ids(head, new)
             found = map(ids.__getitem__, texts)
         return array(_ID, found)
 
-    def _new_id(self, head: int, text: str, term: Optional[Term] = None) -> int:
-        """Give the new ``text`` of ``head`` the next dense id, with ``term``
-        as its decoded term (None: decoded on first read): the one place
-        :meth:`intern` and :meth:`intern_texts` assign an id."""
-        new_id = self._ids[head][text] = len(self._texts)
-        self._texts.append(text)
-        self._heads.append(head)
-        self._terms.append(term)
-        return new_id
+    def _new_ids(self, head: int, texts: list[str], terms: Optional[list[Term]] = None) -> int:
+        """Give the new, distinct ``texts`` of ``head`` the next dense ids,
+        in order, with ``terms`` as their decoded terms (None: each decoded
+        on first read), by one dict update and one extend of each column;
+        the first of the ids.  The one place :meth:`intern` and
+        :meth:`intern_texts` assign ids."""
+        first = len(self._texts)
+        self._ids[head].update(zip(texts, count(first)))
+        self._texts += texts
+        self._heads += bytes((head,)) * len(texts)
+        self._terms += [None] * len(texts) if terms is None else terms
+        return first
 
     def lookup(self, term: Term) -> Optional[int]:
         head, text = _key(term)
@@ -421,12 +434,17 @@ class Store:
         return self.contains(triple)
 
     def appears(self, term: Term) -> bool:
-        """True if the term occurs in at least one live triple."""
+        """True if the term occurs in at least one live triple: as a subject,
+        else as a predicate, else as an object, each probed only if the one
+        before found nothing, so a subject builds no POS run."""
         term_id = self.lookup(term)
         if term_id is None:
             return False
-        keyed = (lo < hi for *_, lo, hi in (self._spo.run(term_id), self._pos.run(term_id)))
-        return any(keyed) or any(self._object_runs(None, term_id))
+        for probe in (self._spo.run, self._pos.run):
+            *_, lo, hi = probe(term_id)
+            if lo < hi:
+                return True
+        return any(self._object_runs(None, term_id))
 
     def predicate_ids(self) -> list[int]:
         """Ids of the predicates that live triples use, ascending."""
@@ -593,11 +611,12 @@ class Store:
 
     def save(self, target: Union[str, IO[bytes]]) -> None:
         """Write a canonical snapshot to a path, atomically, or to a binary
-        file (:func:`.store_write.save`).  The snapshot numbers the live
-        terms in canonical order; a store that was never loaded, as after
-        the first ``map``, takes each subject's rows in the order of its new
-        id and sorts only the subjects whose rows that numbering puts out of
-        order, so no row becomes a tuple."""
+        file (:func:`.store_write.save`), with each id column as byte
+        planes, so equal states give equal bytes on every host.  The
+        snapshot numbers the live terms in canonical order; a store that
+        was never loaded, as after the first ``map``, takes each subject's
+        rows in the order of its new id and sorts only the subjects whose
+        rows that numbering puts out of order, so no row becomes a tuple."""
         _writer().save(self, target)
 
     def canonical_run(self) -> tuple[list[Term], array]:
@@ -628,8 +647,8 @@ class Store:
         term of the table, the SPO run must be strictly ascending, and the
         ledger section must pass :func:`_read_ledger`'s checks; anything
         else raises :class:`SnapshotError`, with the message of the first
-        fault in file order.  Counts, lengths and ids are read in the byte
-        order the header names.
+        fault in file order.  Each id column is read from its four byte
+        planes (:func:`_ids`), every other count as little-endian.
 
         The checks run list-wise: each term run's payloads are decoded as
         one blob where they can be, and the run is checked as a whole by
@@ -669,7 +688,7 @@ class Store:
         if data[: len(_MAGIC)] != _MAGIC:
             raise SnapshotError("not a store snapshot (bad magic)")
         try:
-            version, endian, term_count, triple_count = _HEADER.unpack_from(data, len(_MAGIC))
+            version, term_count, triple_count = _HEADER.unpack_from(data, len(_MAGIC))
         except struct.error:
             raise SnapshotError("truncated snapshot header") from None
         if version != _VERSION:
@@ -677,28 +696,23 @@ class Store:
                 f"unsupported snapshot version {version} (this build reads {_VERSION}): "
                 "delete the snapshot, then rebuild the store with `map` and then `infer`"
             )
-        order = "<" if endian == 0 else ">"
         offset = len(_MAGIC) + _HEADER.size
         store = cls()
         # each section's raw bytes are dropped once read, to lower the peak
         raw, offset = _unpack(data, offset, "term section")
-        runs, ordered = _decode_terms(raw, term_count, order)
+        runs, ordered = _decode_terms(raw, term_count)
         del raw
-        texts, heads, ids = store._texts, store._heads, store._ids
         for head, run in runs:
-            ids[head].update(zip(run, range(len(texts), len(texts) + len(run))))
-            texts += run
-            heads += bytes((head,)) * len(run)
+            store._new_ids(head, run)
         del runs
-        if sum(map(len, ids)) != term_count:
+        if sum(map(len, store._ids)) != term_count:
             raise SnapshotError("duplicate terms in snapshot")
-        store._terms = [None] * term_count
         store._loaded = term_count if ordered else 0
         raw, offset = _unpack(data, offset, "SPO run")
         if len(raw) != 4 * (term_count + 2 * triple_count):
             raise SnapshotError("SPO run does not match the header's counts")
         counts, predicates, objects = (
-            _ids(raw, 4 * start, size, order)
+            _ids(raw, 4 * start, size)
             for start, size in ((0, term_count), (term_count, triple_count), (term_count + triple_count, triple_count))
         )
         del raw
@@ -710,7 +724,7 @@ class Store:
         if any(_out_of_order(counts, _pair_keys(predicates, objects))):
             raise SnapshotError("SPO run is not strictly ascending")
         raw, offset = _unpack(data, offset, "ledger section")
-        store._rules, tags = _read_ledger(raw, triple_count, order)
+        store._rules, tags = _read_ledger(raw, triple_count)
         del raw
         store._build(counts, predicates, objects, tags)
         del counts, predicates, objects
@@ -744,22 +758,26 @@ def _unpack(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
     return raw, end
 
 
-def _ids(raw: bytes, start: int, count: int, order: str) -> array:
-    """The ``count`` u32 values at ``start`` of ``raw``, stored in byte
-    order ``order`` ("<" or ">")."""
+def _ids(raw: bytes, start: int, size: int) -> array:
+    """The u32 column of ``size`` values stored at ``start`` of ``raw`` as
+    four byte planes, least significant first
+    (:func:`.store_write._planes`): each plane goes into one ``bytearray``
+    by one strided slice assignment, at its offset in this host's byte
+    order, so no value is byteswapped."""
+    values = bytearray(4 * size)
+    for plane, at in enumerate(_PLANES):
+        values[at::4] = raw[start + plane * size : start + (plane + 1) * size]
     column = array(_ID)
-    column.frombytes(memoryview(raw)[start : start + 4 * count])
-    if order != _NATIVE:
-        column.byteswap()
+    column.frombytes(values)
     return column
 
 
-def _read_ledger(raw: bytes, triple_count: int, order: str) -> tuple[list[str], bytearray]:
+def _read_ledger(raw: bytes, triple_count: int) -> tuple[list[str], bytearray]:
     """The rule names and the tag column of a raw ledger section, checked:
     the names are UTF-8, distinct and in name order, the column holds one
     tag per triple and no more bytes follow it, every tag is at most the
     rule count, and every named rule tags a row."""
-    count_at = struct.Struct(order + "I").unpack_from
+    count_at = _COUNT.unpack_from
     names: list[str] = []
     try:
         (rule_count,) = count_at(raw)
@@ -1037,7 +1055,8 @@ def _gather(rows: list[int], *columns: Sequence[int]) -> Iterator[array]:
 # The raw term section is one run per kind (0 IRI, 1 blank, 2 literal) and,
 # for literals, per datatype: its head (the kind byte, and a literal's
 # datatype byte), its term count, a column of each payload's UTF-8 length
-# and the payloads as one blob; counts and lengths are u32.  Canonical order
+# and the payloads as one blob; the count is a little-endian u32 and the
+# lengths a u32 column of byte planes (:func:`_ids`).  Canonical order
 # (term_sort_key) keeps each kind, and each datatype's literals, together,
 # and the heads order the runs.  In memory a term's head is one byte, 2 + the
 # datatype for a literal, so (head, text) order is canonical order.
@@ -1076,7 +1095,7 @@ def _term(head: int, text: str) -> Term:
     return term
 
 
-def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, list[str]]], bool]:
+def _decode_terms(raw: bytes, count: int) -> tuple[list[tuple[int, list[str]]], bool]:
     """The runs of a raw term section that the header says holds ``count``
     terms, each as its head and its terms' texts, and whether they are in
     canonical order.
@@ -1088,7 +1107,7 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, l
     order.
     """
     runs: list[tuple[int, list[str]]] = []
-    count_at = struct.Struct(order + "I").unpack_from
+    count_at = _COUNT.unpack_from
     size = len(raw)
     offset = total = 0
     fault: Optional[SnapshotError] = None
@@ -1109,7 +1128,7 @@ def _decode_terms(raw: bytes, count: int, order: str) -> tuple[list[tuple[int, l
             start = offset + 4 + 4 * n
             if start > size:
                 raise SnapshotError("truncated term section")
-            bounds = list(accumulate(_ids(raw, offset + 4, n, order), initial=0))
+            bounds = list(accumulate(_ids(raw, offset + 4, n), initial=0))
             whole = bisect_right(bounds, size - start) - 1  # the payloads that are all there
             texts: list[str] = []
             runs.append((head, texts))

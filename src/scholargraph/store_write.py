@@ -48,7 +48,11 @@ puts out of order (:func:`_ordered`).  The live terms are
 marked in one byte per term id from SPO alone, so a save builds no POS run
 and no term.  ``export`` writes the same numbering and run
 (:func:`canonical_run`), already in canonical triple order.  Each section
-is packed as one ``zlib`` stream (:func:`_pack`).
+is packed as one ``zlib`` stream (:func:`_pack`), and each u32 column in it
+goes in as four byte planes, least significant first (:func:`_planes`), each
+a strided slice of the column's bytes fed straight to the stream, so no
+section is concatenated and no id is byteswapped: a snapshot has one byte
+order, whatever the host's.
 """
 
 from __future__ import annotations
@@ -63,14 +67,14 @@ from operator import itemgetter, le, lt
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .store import (
+    _COUNT,
     _HEADER,
     _ID,
     _LITERAL,
     _MAGIC,
     _MAX_RULES,
-    _NATIVE,
     _PACKED,
-    _U32,
+    _PLANES,
     _VERSION,
     Column,
     IdTriple,
@@ -456,7 +460,9 @@ def save(store: Store, target: Union[str, IO[bytes]]) -> None:
 
     The SPO run is each subject's row count, for every term id, then the
     predicate and object columns of the rows in SPO order (:func:`_spo_run`;
-    POS is not stored).  The ledger section is the count and the names of
+    POS is not stored).  Each of those columns, and each term run's length
+    column, is written as byte planes (:func:`_planes`); every other count
+    is little-endian.  The ledger section is the count and the names of
     the rules that tag a row, in name order, then the tag count and the tag
     of each row of the SPO run, which one ``bytes.translate`` renumbers from
     the store's rule table to that order.  Two stores holding the same
@@ -473,17 +479,17 @@ def save(store: Store, target: Union[str, IO[bytes]]) -> None:
     counts, predicates, objects, tags = _spo_run(store, order, renumber)
     used = sorted((name, tag) for tag, name in enumerate(store._rules, 1) if tags.count(tag))
     canonical = bytearray(256)  # store tag -> snapshot tag; 0 stays 0
-    ledger = [_U32.pack(len(used))]
+    ledger = [_COUNT.pack(len(used))]
     for number, (name, tag) in enumerate(used, 1):
         canonical[tag] = number
         raw = name.encode("utf-8")
-        ledger.append(_U32.pack(len(raw)) + raw)
-    ledger += [_U32.pack(len(tags)), tags.translate(canonical)]
+        ledger.append(_COUNT.pack(len(raw)) + raw)
+    ledger += [_COUNT.pack(len(tags)), tags.translate(canonical)]
     # the sections are written chunk by chunk, so none is copied into another
     heads, texts = bytes(map(store._heads.__getitem__, order)), list(map(store._texts.__getitem__, order))
-    body = [_MAGIC + _HEADER.pack(_VERSION, 0 if _NATIVE == "<" else 1, len(order), len(store))]
+    body = [_MAGIC + _HEADER.pack(_VERSION, len(order), len(store))]
     body += _pack(_term_section(heads, texts))
-    body += _pack((counts, predicates, objects))
+    body += _pack(chain.from_iterable(map(_planes, (counts, predicates, objects))))
     body += _pack(ledger)
     if not isinstance(target, str):
         target.write(b"".join(body))
@@ -658,23 +664,36 @@ def _spo_run(store: Store, order: list[int], renumber: Optional[list[int]]) -> t
     return counts, out[0], out[1], out[2]
 
 
-def _pack(pieces: Iterable[Union[bytes, array]]) -> list[bytes]:
+def _pack(pieces: Iterable[bytes]) -> list[bytes]:
     """The section whose raw bytes are ``pieces``, concatenated, as a
     snapshot holds it: the raw length and the length of one ``zlib`` stream
     of them at :data:`_LEVEL`, then the stream, as chunks to write in turn
-    (:func:`.store._unpack` reads it back)."""
+    (:func:`.store._unpack` reads it back).  Each piece, as each byte plane
+    of a column (:func:`_planes`), is fed to the stream as it comes, so the
+    raw section is never joined."""
     packer = zlib.compressobj(_LEVEL)
     chunks = [b""]
     size = 0
     for piece in pieces:
-        size += memoryview(piece).nbytes
+        size += len(piece)
         chunks.append(packer.compress(piece))
     chunks.append(packer.flush())
     chunks[0] = _PACKED.pack(size, sum(map(len, chunks)))
     return chunks
 
 
-def _term_section(heads: bytes, texts: list[str]) -> Iterator[Union[bytes, array]]:
+def _planes(column: array) -> Iterator[bytes]:
+    """The u32 ``column`` as a snapshot stores it: four byte planes, least
+    significant first, each one strided slice of the column's bytes at its
+    offset in this host's byte order, so every host writes the same bytes
+    (:func:`.store._ids` reads them back).  An id column's high bytes vary
+    little, and a plane puts them next to each other, which ``zlib`` packs
+    far better than the interleaved ids."""
+    raw = column.tobytes()
+    return (raw[at::4] for at in _PLANES)
+
+
+def _term_section(heads: bytes, texts: list[str]) -> Iterator[bytes]:
     """The raw term section of the terms with ``heads`` and ``texts``, which
     are in canonical order, as pieces: each run is encoded with one join and
     one length column (the layout is in :mod:`.store`, beside its reader)."""
@@ -687,8 +706,8 @@ def _term_section(heads: bytes, texts: list[str]) -> Iterator[Union[bytes, array
         blob = joined.encode("utf-8")
         # an ASCII payload's length in bytes is its length in characters
         raws = run if len(blob) == len(joined) else map(str.encode, run)
-        yield bytes((head,) if head < _LITERAL else (_LITERAL, head - _LITERAL)) + _U32.pack(end - start)
-        yield array(_ID, map(len, raws))
+        yield bytes((head,) if head < _LITERAL else (_LITERAL, head - _LITERAL)) + _COUNT.pack(end - start)
+        yield from _planes(array(_ID, map(len, raws)))
         yield blob
         start = end
 

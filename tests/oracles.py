@@ -11,7 +11,6 @@ from itertools import groupby
 import random
 import re
 import struct
-import sys
 from typing import Iterable
 from urllib.parse import quote
 import zlib
@@ -1146,19 +1145,34 @@ def ledger_ids(store: Store, triples: Iterable[Triple]) -> set[tuple[int, int, i
 # The snapshot format of ``Store.save``/``Store.load``, written and read the
 # plain way: every live term sorted by its sort key and encoded on its own,
 # the SPO run's counts and columns and each triple's ledger tag, one value
-# at a time, each term decoded by its validating constructor.
-# Each raw section is then packed whole by ``zlib.compress`` at store.py's
-# level.
+# at a time, each term decoded by its validating constructor.  A column of
+# u32 values (a term run's lengths, SPO's counts and its predicate and
+# object columns) is stored as four byte planes, least significant first:
+# the first byte of every value, then the second, and so on.  Every other
+# count is one little-endian u32.  Each raw section is then packed whole by
+# ``zlib.compress`` at store.py's level.
 
-_HEADER = struct.Struct("<HBII")
+_HEADER = struct.Struct("<HII")
 _LEVEL = 1
 
 
-def _byte_order(swapped: bool) -> tuple[int, str]:
-    """The header's byte-order flag and the struct prefix of a snapshot
-    written in this host's byte order, or in the other one."""
-    little = (sys.byteorder == "little") != swapped
-    return (0, "<") if little else (1, ">")
+def u32(value: int) -> bytes:
+    """A count or a length outside an id column: little-endian."""
+    return struct.pack("<I", value)
+
+
+def planes(values: list[int]) -> bytes:
+    """A u32 column as four byte planes, least significant byte first."""
+    return b"".join(bytes((value >> 8 * plane) & 0xFF for value in values) for plane in range(4))
+
+
+def from_planes(raw: bytes, start: int, count: int) -> list[int]:
+    """The ``count`` values of the u32 column stored as planes at ``start``
+    of ``raw``; raises IndexError if ``raw`` ends before them."""
+    return [
+        sum(raw[start + plane * count + k] << 8 * plane for plane in range(4))
+        for k in range(count)
+    ]
 
 
 def encoded(kind: int, payload: bytes, datatype: int | None = None) -> tuple[bytes, bytes]:
@@ -1175,38 +1189,46 @@ def _encode_term(term: Term) -> tuple[bytes, bytes]:
     return encoded(2, term.lexical.encode("utf-8"), int(term.datatype))
 
 
-def term_section(terms: Iterable[tuple[bytes, bytes]], order: str = "=") -> bytes:
+def term_section(terms: Iterable[tuple[bytes, bytes]]) -> bytes:
     """The raw term section of encoded terms, in the given order: each run
     of consecutive terms with one head as the head, the run's term count,
-    each payload's length and then each payload."""
+    the column of each payload's length and then each payload."""
     body = []
     for head, run in groupby(terms, key=lambda term: term[0]):
         payloads = [payload for _, payload in run]
-        body.append(head + struct.pack(order + "I", len(payloads)))
-        for payload in payloads:
-            body.append(struct.pack(order + "I", len(payload)))
+        body.append(head + u32(len(payloads)))
+        body.append(planes([len(payload) for payload in payloads]))
         body += payloads
     return b"".join(body)
 
 
-def spo_section(term_count: int, rows: list[tuple[int, int, int]], order: str = "=") -> bytes:
-    """The raw SPO run of ``rows`` (ascending id triples): each term id's
-    count of rows with it as subject, then the predicates, then the objects."""
+def spo_column(term_count: int, rows: list[tuple[int, int, int]], slot: int) -> list[int]:
+    """One column of the raw SPO run of ``rows`` (ascending id triples):
+    for slot 0 each term id's count of rows with it as subject, else the
+    predicates (1) or the objects (2)."""
+    if slot:
+        return [row[slot] for row in rows]
     counts = [0] * term_count
     for s, _, _ in rows:
         counts[s] += 1
-    values = counts + [p for _, p, _ in rows] + [o for _, _, o in rows]
-    return b"".join(struct.pack(order + "I", value) for value in values)
+    return counts
 
 
-def ledger_section(rules: list[str], tags: list[int], order: str = "=") -> bytes:
+def spo_section(term_count: int, rows: list[tuple[int, int, int]]) -> bytes:
+    """The raw SPO run of ``rows`` (ascending id triples): the column of
+    each term id's count of rows with it as subject, then the predicate
+    column, then the object column."""
+    return b"".join(planes(spo_column(term_count, rows, slot)) for slot in range(3))
+
+
+def ledger_section(rules: list[str], tags: list[int]) -> bytes:
     """The raw ledger section: the rule count, then each rule's name size
     and name, then the tag count and each tag as one byte."""
-    body = [struct.pack(order + "I", len(rules))]
+    body = [u32(len(rules))]
     for name in rules:
         raw = name.encode("utf-8")
-        body.append(struct.pack(order + "I", len(raw)) + raw)
-    body.append(struct.pack(order + "I", len(tags)))
+        body.append(u32(len(raw)) + raw)
+    body.append(u32(len(tags)))
     for tag in tags:
         body.append(bytes([tag]))
     return b"".join(body)
@@ -1219,17 +1241,14 @@ def packed(raw: bytes) -> bytes:
     return struct.pack("<QQ", len(raw), len(stream)) + stream
 
 
-def snapshot_header(term_count: int, triple_count: int, swapped: bool = False) -> bytes:
-    """A version-4 snapshot's magic and header."""
-    flag, _ = _byte_order(swapped)
-    return b"SGRAPH" + _HEADER.pack(4, flag, term_count, triple_count)
+def snapshot_header(term_count: int, triple_count: int) -> bytes:
+    """A version-5 snapshot's magic and header."""
+    return b"SGRAPH" + _HEADER.pack(5, term_count, triple_count)
 
 
-def oracle_sections(store: Store, swapped: bool = False) -> tuple[bytes, list[bytes]]:
+def oracle_sections(store: Store) -> tuple[bytes, list[bytes]]:
     """The header and the raw term, SPO and ledger sections that
-    ``store.save`` must write for ``store``'s triples and ledger (in the
-    other byte order, if ``swapped``)."""
-    _, order = _byte_order(swapped)
+    ``store.save`` must write for ``store``'s triples and ledger."""
     triples = list(store.triples())
     terms = sorted({term for t in triples for term in (t.subject, t.predicate, t.object)}, key=term_sort_key)
     number = {term: n for n, term in enumerate(terms)}
@@ -1244,18 +1263,17 @@ def oracle_sections(store: Store, swapped: bool = False) -> tuple[bytes, list[by
     tag_of = {triple: rules.index(name) + 1 for name, entry in ledger.items() for triple in entry}
     triples.sort(key=ids)
     sections = [
-        term_section(map(_encode_term, terms), order),
-        spo_section(len(terms), list(map(ids, triples)), order),
-        ledger_section(rules, [tag_of.get(triple, 0) for triple in triples], order),
+        term_section(map(_encode_term, terms)),
+        spo_section(len(terms), list(map(ids, triples))),
+        ledger_section(rules, [tag_of.get(triple, 0) for triple in triples]),
     ]
-    return snapshot_header(len(terms), len(triples), swapped), sections
+    return snapshot_header(len(terms), len(triples)), sections
 
 
-def oracle_snapshot(store: Store, swapped: bool = False) -> bytes:
+def oracle_snapshot(store: Store) -> bytes:
     """The bytes ``store.save`` must write for ``store``'s triples and
-    ledger; ``swapped`` writes them in the other byte order, as a host of
-    that order would."""
-    header, sections = oracle_sections(store, swapped)
+    ledger, on a host of either byte order."""
+    header, sections = oracle_sections(store)
     return header + b"".join(map(packed, sections))
 
 
@@ -1284,8 +1302,7 @@ def oracle_export(store: Store) -> bytes:
 def oracle_load_terms(data: bytes) -> list[Term]:
     """The term table of a snapshot, each term decoded by its constructor;
     raises the :class:`SnapshotError` a snapshot load raises for the table."""
-    _, endian, count, _ = _HEADER.unpack_from(data, 6)
-    u32 = struct.Struct(("<" if endian == 0 else ">") + "I").unpack_from
+    _, count, _ = _HEADER.unpack_from(data, 6)
     offset = 6 + _HEADER.size
     _, size = struct.unpack_from("<QQ", data, offset)
     raw = zlib.decompress(data[offset + 16 : offset + 16 + size])
@@ -1304,12 +1321,9 @@ def oracle_load_terms(data: bytes) -> list[Term]:
                 raise SnapshotError(f"unknown term kind: {kind}")
             else:
                 offset += 1
-            (run,) = u32(raw, offset)
-            offset += 4
-            lengths = []
-            for _ in range(run):
-                lengths.append(u32(raw, offset)[0])
-                offset += 4
+            (run,) = struct.unpack_from("<I", raw, offset)
+            lengths = from_planes(raw, offset + 4, run)
+            offset += 4 + 4 * run
             for length in lengths:
                 if offset + length > len(raw):
                     raise SnapshotError("truncated term payload")

@@ -35,6 +35,7 @@ from scholargraph.terms import (
 
 from oracles import (
     encoded,
+    from_planes,
     insert_all,
     isomorphic,
     ledger_ids,
@@ -45,8 +46,10 @@ from oracles import (
     oracle_sections,
     oracle_snapshot,
     packed,
+    planes,
     random_context_store,
     snapshot_header,
+    spo_column,
     spo_section,
     term_table_snapshot,
 )
@@ -187,6 +190,28 @@ def test_a_loaded_store_emptied_and_refilled_with_fresh_terms_saves_canonically(
     data = saved(store)
     assert data == oracle_snapshot(store)
     assert saved(Store.load(io.BytesIO(data))) == data
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_appears_probes_a_subject_without_building_pos(seed):
+    """On a loaded store, appears of a term that has subject rows answers
+    from SPO and leaves POS unsorted; over every term of the table, and a
+    term of none, it answers as a scan of the triples does."""
+    rng = random.Random(seed)
+    data = saved(random_context_store(rng, rng.randrange(20, 80)))
+    store = Store.load(io.BytesIO(data))
+    subject = store.decode(rng.choice(list(store.match_ids(None, None, None)))[0])
+    assert store.appears(subject) and store._pos.rows is None
+    store = Store.load(io.BytesIO(data))
+    for write in range(2):
+        live = {term for triple in store.triples() for term in (triple.subject, triple.predicate, triple.object)}
+        terms = [store.decode(k) for k in range(store.term_count())] + [Iri("urn:nowhere")]
+        for term in rng.sample(terms, len(terms)):
+            assert store.appears(term) == (term in live), (write, term)
+        # then a subject's rows go, and a term no triple holds is interned
+        s = rng.choice(list(store.match_ids(None, None, None)))[0]
+        store.drop_rows(list(store.match_ids(s, None, None)))
+        store.intern(Iri("urn:interned:only"))
 
 
 def test_a_load_gives_no_subject_columns_of_its_own_until_it_is_written():
@@ -436,8 +461,10 @@ def test_a_load_builds_no_pos_run_and_no_term():
 def test_interning_texts_numbers_as_interning_each_term_does(seed):
     """intern_texts gives each text the id that intern of its term, one at
     a time in list order, gives on a twin store, held and repeated texts
-    included; a bad new text raises the constructor's error and numbers
-    nothing."""
+    included, and between batches intern of single terms of every kind
+    numbers alike on both, so both leave one term table (texts, heads, each
+    head's text-to-id dict, decoded terms); a bad new text raises the
+    constructor's error and numbers nothing."""
     rng = random.Random(seed)
     lists = [
         (None, [f"urn:{rng.choice('amz')}:{rng.randrange(40)}" for _ in range(60)]),
@@ -450,6 +477,10 @@ def test_interning_texts_numbers_as_interning_each_term_does(seed):
             make = Iri if datatype is None else (lambda text, datatype=datatype: Literal(text, datatype))
             assert list(store.intern_texts(texts, datatype)) == [twin.intern(make(text)) for text in texts]
             assert store.term_count() == twin.term_count()
+            single = rng.choice([Iri(f"urn:a:{rng.randrange(50)}"), Blank(f"b{rng.randrange(5)}"), integer_literal(7)])
+            assert store.intern(single) == twin.intern(single)
+    assert (store._texts, store._heads, store._ids) == (twin._texts, twin._heads, twin._ids)
+    assert list(map(store.decode, range(store.term_count()))) == list(map(twin.decode, range(twin.term_count())))
     for datatype, bad, message in ((None, "urn:a b", "whitespace"), (Datatype.DATETIME, "20x6", "normalized")):
         with pytest.raises(TermError, match=message):
             store.intern_texts(["urn:held:0", bad], datatype)
@@ -916,25 +947,25 @@ def test_corrupt_packed_sections_name_the_section():
 def test_corrupt_spo_runs_are_rejected():
     store, _ = small_store()
     header, (terms, spo, ledger) = oracle_sections(store)
-    term_count, triple_count = struct.unpack_from("<II", header, len(b"SGRAPH") + 3)
-    counts = list(struct.unpack_from(f"={term_count}I", spo))
-    p, o = spo[4 * term_count : 4 * (term_count + triple_count)], spo[4 * (term_count + triple_count) :]
+    term_count, triple_count = struct.unpack_from("<II", header, len(b"SGRAPH") + 2)
+    rows = list(Store.load(io.BytesIO(saved(store))).match_ids(None, None, None))
+    counts, p, o = (spo_column(term_count, rows, slot) for slot in range(3))
     first = counts.index(max(counts))  # a subject with two rows or more
 
-    def with_spo(counts: list[int], p: bytes, o: bytes) -> bytes:
-        return header + packed(terms) + packed(struct.pack(f"={len(counts)}I", *counts) + p + o) + packed(ledger)
+    def with_spo(counts: list[int], p: list[int], o: list[int]) -> bytes:
+        return header + packed(terms) + packed(planes(counts) + planes(p) + planes(o)) + packed(ledger)
 
     assert with_spo(counts, p, o) == saved(store)
     more = counts[:first] + [counts[first] + 1] + counts[first + 1 :]
-    at = 4 * sum(counts[:first])  # that subject's first two rows, swapped
+    at = sum(counts[:first])  # that subject's first two rows, swapped
 
-    def swapped(column: bytes) -> bytes:
-        return column[:at] + column[at + 4 : at + 8] + column[at : at + 4] + column[at + 8 :]
+    def swapped(column: list[int]) -> list[int]:
+        return column[:at] + [column[at + 1], column[at]] + column[at + 2 :]
 
     corrupt = {
-        "does not match the header's counts": with_spo(counts, p, o + b"\0\0\0\0"),
+        "does not match the header's counts": with_spo(counts, p, o + [0]),
         "counts do not sum to the triple count": with_spo(more, p, o),
-        "term id out of range in SPO run": with_spo(counts, p, struct.pack("=I", term_count) + o[4:]),
+        "term id out of range in SPO run": with_spo(counts, p, [term_count] + o[1:]),
         "SPO run is not strictly ascending": with_spo(counts, swapped(p), swapped(o)),
     }
     for reason, bad in corrupt.items():
@@ -945,22 +976,20 @@ def test_corrupt_spo_runs_are_rejected():
 @pytest.mark.parametrize("seed", range(6))
 def test_random_spo_run_faults_are_found_column_wise(seed):
     """The load checks a subject's rows for strict (predicate, object) order
-    and the predicate and object ids for range, in either byte order; the
-    rows of two subjects need not be in (predicate, object) order, and a
-    range fault is named before an order fault."""
+    and the predicate and object ids for range, whichever byte plane holds
+    the fault; the rows of two subjects need not be in (predicate, object)
+    order, and a range fault is named before an order fault."""
     rng = random.Random(seed)
     store = random_context_store(rng, rng.randrange(20, 120))
     data = saved(store)
     rows = list(Store.load(io.BytesIO(data)).match_ids(None, None, None))
-    swapped = bool(seed % 2)
-    header, (terms, _, _) = oracle_sections(store, swapped)
-    term_count = struct.unpack_from("<I", header, len(b"SGRAPH") + 3)[0]
-    order = "<" if (sys.byteorder == "little") != swapped else ">"
+    header, (terms, _, _) = oracle_sections(store)
+    term_count = struct.unpack_from("<I", header, len(b"SGRAPH") + 2)[0]
 
     def snapshot(rows):
-        spo = spo_section(term_count, rows, order)
-        ledger = ledger_section([], [0] * len(rows), order)
-        return snapshot_header(term_count, len(rows), swapped) + packed(terms) + packed(spo) + packed(ledger)
+        spo = spo_section(term_count, rows)
+        ledger = ledger_section([], [0] * len(rows))
+        return snapshot_header(term_count, len(rows)) + packed(terms) + packed(spo) + packed(ledger)
 
     def fault(rows):
         with pytest.raises(SnapshotError) as raised:
@@ -984,23 +1013,63 @@ def test_random_spo_run_faults_are_found_column_wise(seed):
         k = rng.randrange(len(rows))
         assert fault(rows[: k + 1] + rows[k:]) == ascending
         # a subject's last row may take the largest predicate or object, so
-        # its order holds
+        # its order holds; an id out of range by a high byte alone is found
         k = rng.choice(last)
         assert fault(changed(k, p=term_count)) == out_of_range
         assert fault(changed(k, o=term_count + rng.randrange(3))) == out_of_range
+        assert fault(changed(k, o=rows[k][2] + (1 << rng.choice((16, 24, 31))))) == out_of_range
+        assert fault(changed(k, p=2**32 - 1)) == out_of_range
         # both faults: the range's is named
         j = rng.choice([j for j in within if j + 1 != k])
         both = changed(k, o=term_count)
         assert fault(both[:j] + [both[j + 1], both[j]] + both[j + 2 :]) == out_of_range
 
 
-def test_a_snapshot_in_the_other_byte_order_loads_to_the_same_store():
+def test_id_columns_are_stored_as_byte_planes_least_significant_first():
+    """Every byte of a u32 id goes to its plane and back, up to 2**32 - 1,
+    as the oracle's value-by-value encoding puts it; the snapshots of real
+    stores use the two low planes alone."""
+    rng = random.Random(29)
+    values = [0, 1, 255, 256, 65_535, 65_536, 2**24 - 1, 2**24, 2**31, 2**32 - 2, 2**32 - 1]
+    values += [rng.randrange(2**32) for _ in range(300)] + [rng.randrange(256) << 8 * rng.randrange(4) for _ in range(300)]
+    for column in (values, values[:1], []):
+        raw = b"".join(store_write._planes(array("I", column)))
+        assert raw == planes(column)
+        assert from_planes(raw, 0, len(column)) == column
+        assert store_module._ids(b"pad" + raw + b"more", 3, len(column)).tolist() == column
+
+
+def test_a_host_of_the_other_byte_order_writes_the_same_bytes_and_loads_the_same_store(monkeypatch):
+    """A host of the other byte order holds each id byteswapped in memory and
+    takes each plane from the other end of an id.  Simulated at the codec's
+    edge (the writer is handed each column byteswapped, and the reader's
+    column is byteswapped back), such a host writes this host's bytes and
+    loads the same store from them."""
+    other = tuple(reversed(store_module._PLANES))
+    planes_of, ids = store_write._planes, store_module._ids
+
+    def swapped(column: array) -> array:
+        column = array("I", column)
+        column.byteswap()
+        return column
+
+    def write(column: array):
+        with monkeypatch.context() as patched:
+            patched.setattr(store_write, "_PLANES", other)
+            return list(planes_of(swapped(column)))
+
+    def read(raw: bytes, start: int, count: int) -> array:
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module, "_PLANES", other)
+            return swapped(ids(raw, start, count))
+
     for store in (ledgered_store()[0], random_context_store(random.Random(22), 60)):
         data = saved(store)
-        other = oracle_snapshot(store, swapped=True)
-        flag = len(b"SGRAPH") + 2  # after the version
-        assert other[flag] != data[flag] and other[flag + 1 :] != data[flag + 1 :]
-        back = Store.load(io.BytesIO(other))
+        with monkeypatch.context() as host:
+            host.setattr(store_write, "_planes", write)
+            host.setattr(store_module, "_ids", read)
+            assert saved(store) == data
+            back = Store.load(io.BytesIO(data))
         assert back.verify_indexes()
         assert exported(back) == exported(store) == oracle_export(store)
         assert ledger_triples(back) == ledger_triples(store)
@@ -1008,12 +1077,12 @@ def test_a_snapshot_in_the_other_byte_order_loads_to_the_same_store():
 
 
 def test_a_snapshot_stays_within_its_size_budget():
-    """The bytes per triple of a snapshot of about 30k triples: 3.56 with
-    packed sections, against 18.24 unpacked, with a subject column and a
-    header per term."""
+    """The bytes per triple of a snapshot of about 30k triples: 2.91 with
+    its id columns stored as byte planes, against 3.56 as whole ids and
+    18.24 unpacked, with a subject column and a header per term."""
     store = random_context_store(random.Random(1), 5000)
     assert len(store) == 29_496
-    assert len(saved(store)) / len(store) < 5.3
+    assert len(saved(store)) / len(store) < 3.0
 
 
 def test_corrupt_term_sections_are_rejected():
@@ -1249,7 +1318,7 @@ def test_load_pauses_the_garbage_collector_and_restores_it(enabled, monkeypatch)
 
 def test_version_one_snapshot_is_rejected():
     data = bytearray(saved(small_store()[0]))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         struct.pack_into("<H", data, len(b"SGRAPH"), version)
         with pytest.raises(SnapshotError, match=f"version {version}.*`map` and then `infer`"):
             Store.load(io.BytesIO(bytes(data)))
